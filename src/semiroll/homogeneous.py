@@ -150,6 +150,13 @@ class CartanModel:
         (group matrix, chart point) -> chart point.
     embed : callable
         chart point -> (N,) ambient vector.
+    tangent_frame_at : callable, optional
+        Stacked pointwise tangent frames: an (m, N) array of embedded
+        points -> an (m, N, r) array whose k-th slice spans the tangent
+        space at the k-th point, r = len(p_indices).  Where a frame is a
+        null space (sphere, hyperboloid, the Stiefel complement P_perp), its
+        basis is the one scipy's ``null_space`` returns for that node: the
+        trailing right singular vectors of the SVD, with LAPACK's signs.
 
     The scalar product on p is *derived*, not declared: ``ip_p = F0^T J F0``
     with ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that
@@ -159,7 +166,7 @@ class CartanModel:
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  base_point, obar, d_e_pi, rho, d_e_rho, action, embed,
                  random_group_element=None, random_point=None,
-                 tangent_frame_at=None, normal_frame_at=None,
+                 tangent_frame_at=None,
                  closed_form_normal=False, symmetric_space=True,
                  extrinsic_override=None, tangential_correction=None,
                  params=None, description=None):
@@ -181,7 +188,6 @@ class CartanModel:
         self.action = action
         self.embed = embed
         self.tangent_frame_at = tangent_frame_at
-        self.normal_frame_at = normal_frame_at
         self.closed_form_normal = bool(closed_form_normal)
         self.symmetric_space = bool(symmetric_space)
         self.extrinsic_override = extrinsic_override
@@ -287,8 +293,10 @@ class CartanModel:
     def pointwise_tangent_frames(self, grid, points):
         if self.tangent_frame_at is None:
             raise ValueError(f"model {self.name} provides no pointwise tangent frames")
-        frames = np.array([self.tangent_frame_at(x) for x in points])
-        return TangentFramePath(grid.ts, frames)
+        points = np.asarray(points, dtype=float)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("curve points contain NaN or inf")
+        return TangentFramePath(grid.ts, self.tangent_frame_at(points))
 
     # -- consistency checks ------------------------------------------------
 

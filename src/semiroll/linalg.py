@@ -25,6 +25,7 @@ __all__ = [
     "is_oriented_isometry",
     "random_oriented_isometry",
     "random_motion",
+    "stacked_null_spaces",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -192,3 +193,14 @@ def random_motion(form, rng, rotation_scale=1.0, translation_scale=1.0):
     R = random_oriented_isometry(form, rng, scale=rotation_scale)
     s = translation_scale * rng.standard_normal(form.dim)
     return RigidMotion(R, s)
+
+
+def stacked_null_spaces(rows):
+    """Null spaces of a stack of full-row-rank (m, k, N) matrices, as (m, N, N - k).
+
+    Each slice gets the basis scipy's ``null_space`` returns for it: the
+    trailing right singular vectors of its SVD, with LAPACK's signs.
+    """
+    rows = np.asarray(rows, dtype=float)
+    vh = np.linalg.svd(rows)[2]
+    return np.swapaxes(vh[:, rows.shape[1]:, :], 1, 2)

@@ -103,7 +103,6 @@ def build_model(desc, validate=False, rng=None):
         random_group_element=parts.get("random_group_element"),
         random_point=parts.get("random_point"),
         tangent_frame_at=parts.get("tangent_frame_at"),
-        normal_frame_at=parts.get("normal_frame_at"),
         closed_form_normal=parts.get("closed_form_normal", False),
         symmetric_space=parts.get("symmetric_space", True),
         extrinsic_override=parts.get("extrinsic_override"),
@@ -136,7 +135,11 @@ _CACHE = {}
 
 
 def get_model(name, validate=False):
-    """Look up a model by name, family pattern, or description-file path."""
+    """Look up a model by name, family pattern, or description-file path.
+
+    Description files given by path are always validated; ``validate``
+    applies to bundled names.
+    """
     if name in _CACHE:
         return _CACHE[name]
     desc = _description_for(name)
@@ -146,7 +149,7 @@ def get_model(name, validate=False):
     elif bundled.is_file():
         model = load_model_file(bundled, validate=validate)
     elif Path(name).is_file():
-        model = load_model_file(name, validate=validate)
+        model = load_model_file(name, validate=True)
     else:
         raise KeyError(
             f"unknown model {name!r}; try one of {sorted(available_models())} "

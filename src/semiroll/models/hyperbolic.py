@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from ..homogeneous import GroupPath
 from ..integrate import (
@@ -33,6 +32,7 @@ from ..integrate import (
     flow_matrix_ode,
     integrate_vector,
 )
+from ..linalg import stacked_null_spaces
 from ..rolling import RollingMapPath
 
 __all__ = [
@@ -186,14 +186,9 @@ def _action(g, z):
     return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
 
 
-def _tangent_frame_at(x):
-    x = np.asarray(x, dtype=float)
+def _tangent_frame_at(xs):
     signs = np.array([-1.0, 1.0, 1.0])
-    return null_space((signs * x)[None, :])
-
-
-def _normal_frame_at(x):
-    return np.asarray(x, dtype=float)[:, None]
+    return stacked_null_spaces((signs * np.asarray(xs, dtype=float))[:, None, :])
 
 
 def _random_point(rng):
@@ -212,7 +207,6 @@ def bundle(desc):
         "base_point": z0,
         "obar": embed_hyperbolic(z0),
         "tangent_frame_at": _tangent_frame_at,
-        "normal_frame_at": _normal_frame_at,
         "random_point": _random_point,
         "closed_form_normal": True,
         "symmetric_space": True,

@@ -125,7 +125,6 @@ def bundle(desc):
     form_n = SignatureForm(jd)
     P0 = np.asarray(desc["base_point"], dtype=float)
     skew = so_pq_basis(p, q)
-    sym = j_symmetric_basis(p, q)
 
     def rho(g):
         g = np.asarray(g)
@@ -148,13 +147,11 @@ def bundle(desc):
     def embed(X):
         return np.asarray(X, dtype=float).flatten(order="F")
 
-    def tangent_frame_at(x):
-        X = np.asarray(x, dtype=float).reshape((n, n), order="F")
-        return np.column_stack([(B @ X).flatten(order="F") for B in skew])
-
-    def normal_frame_at(x):
-        X = np.asarray(x, dtype=float).reshape((n, n), order="F")
-        return np.column_stack([(C @ X).flatten(order="F") for C in sym])
+    def tangent_frame_at(xs):
+        # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;
+        # column a of the frame is vec(B_a X)
+        Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
+        return np.einsum("ail,kjl->kjia", skew, Xt).reshape(-1, n * n, skew.shape[0])
 
     def random_point(rng):
         return random_oriented_isometry(form_n, rng, scale=0.5) @ P0
@@ -167,7 +164,6 @@ def bundle(desc):
         "base_point": P0,
         "obar": embed(P0),
         "tangent_frame_at": tangent_frame_at,
-        "normal_frame_at": normal_frame_at,
         "random_point": random_point,
         "closed_form_normal": True,
         "symmetric_space": True,

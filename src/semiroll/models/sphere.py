@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from ..homogeneous import GroupPath
 from ..integrate import (
@@ -32,6 +31,7 @@ from ..integrate import (
     flow_matrix_ode,
     integrate_vector,
 )
+from ..linalg import stacked_null_spaces
 from ..rolling import RollingMapPath
 from .hyperbolic import MoebiusElement
 
@@ -138,13 +138,8 @@ def _action(g, z):
     return num / den
 
 
-def _tangent_frame_at(x):
-    x = np.asarray(x, dtype=float)
-    return null_space(x[None, :])
-
-
-def _normal_frame_at(x):
-    return np.asarray(x, dtype=float)[:, None]
+def _tangent_frame_at(xs):
+    return stacked_null_spaces(np.asarray(xs, dtype=float)[:, None, :])
 
 
 def _random_point(rng):
@@ -163,7 +158,6 @@ def bundle(desc):
         "base_point": z0,
         "obar": embed_sphere(z0),
         "tangent_frame_at": _tangent_frame_at,
-        "normal_frame_at": _normal_frame_at,
         "random_point": _random_point,
         "closed_form_normal": True,
         "symmetric_space": True,

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from ..homogeneous import EmbeddedCurve, horizontal_lift
 from ..integrate import flow_matrix_ode, integrate_vector, dense_from_samples
-from ..linalg import SignatureForm
+from ..linalg import SignatureForm, stacked_null_spaces
 from ..rolling import RollingMapPath
 
 __all__ = [
@@ -54,10 +53,6 @@ class StiefelSubspaces:
 
 def _vec(M):
     return np.asarray(M).flatten(order="F")
-
-
-def _unvec(v, n, k):
-    return np.asarray(v).reshape((n, k), order="F")
 
 
 @lru_cache(maxsize=None)
@@ -237,32 +232,22 @@ def bundle(desc):
     def embed(X):
         return _vec(np.asarray(X, dtype=float))
 
-    def tangent_frame_at(x):
-        P = _unvec(np.asarray(x, dtype=float), n, k)
-        Pperp = null_space(P.T)
-        cols = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                A = np.zeros((k, k))
-                A[i, j] = 1.0
-                A[j, i] = -1.0
-                cols.append(_vec(P @ A))
+    def tangent_frame_at(xs):
+        # each row of xs is vec(P) column-major, so a C-order reshape gives P^T;
+        # frames are built as (m, column c, row i, a) and flattened to vec order
+        Pt = np.asarray(xs, dtype=float).reshape(-1, k, n)
+        m = Pt.shape[0]
+        Pperp = stacked_null_spaces(Pt)
+        skew_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        out = np.zeros((m, k, n, len(skew_pairs) + (n - k) * k))
+        for a, (i, j) in enumerate(skew_pairs):
+            out[:, j, :, a] = Pt[:, i, :]
+            out[:, i, :, a] = -Pt[:, j, :]
+        a0 = len(skew_pairs)
         for r in range(n - k):
             for c in range(k):
-                W = np.outer(Pperp[:, r], np.eye(k)[c])
-                cols.append(_vec(W))
-        return np.column_stack(cols)
-
-    def normal_frame_at(x):
-        P = _unvec(np.asarray(x, dtype=float), n, k)
-        cols = []
-        for i in range(k):
-            for j in range(i, k):
-                Sm = np.zeros((k, k))
-                Sm[i, j] = 1.0
-                Sm[j, i] = 1.0
-                cols.append(_vec(P @ Sm))
-        return np.column_stack(cols)
+                out[:, c, :, a0 + r * k + c] = Pperp[:, :, r]
+        return out.reshape(m, k * n, -1)
 
     def random_point(rng):
         G = rng.standard_normal((n, k))
@@ -277,7 +262,6 @@ def bundle(desc):
         "base_point": np.eye(n, k),
         "obar": _vec(np.eye(n, k)),
         "tangent_frame_at": tangent_frame_at,
-        "normal_frame_at": normal_frame_at,
         "random_point": random_point,
         "closed_form_normal": False,
         "symmetric_space": False,

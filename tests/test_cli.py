@@ -145,3 +145,17 @@ def test_models_listing(capsys):
     assert main(["models", "--long"]) == 0
     detailed = capsys.readouterr().out
     assert "symmetric" in detailed and "reductive" in detailed
+
+
+def test_non_finite_rotation_is_an_error_not_a_pass(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
+    lines = out.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    col = lines[header].split(",").index("R_0_0")
+    row = lines[-3].split(",")
+    row[col] = "nan"
+    lines[-3] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--in", str(out)]) == 1
+    assert "NaN or inf" in capsys.readouterr().err

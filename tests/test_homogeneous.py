@@ -4,6 +4,8 @@ The sphere and hyperboloid models double as fixtures here; anything
 model-specific beyond construction lives in the per-model test files.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,15 @@ def test_validate_catches_tampered_subalgebra_split():
     desc["p_indices"] = [0, 2]
     with pytest.raises(ValueError):
         build_model(desc, validate=True)
+
+
+def test_model_file_with_corrupted_basis_is_rejected(tmp_path):
+    desc = sphere_description()
+    desc["basis"][1][0][1][0] += 0.25  # real part of A2[0, 1]
+    path = tmp_path / "sphere_bad.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match="brackets leave the algebra span"):
+        get_model(str(path))
 
 
 def test_validate_passes_for_shipped_models(surface):

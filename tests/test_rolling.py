@@ -290,3 +290,14 @@ def test_orientation_flip_count():
 def test_orientation_flip_rejects_singular_map():
     with pytest.raises(ValueError, match="singular"):
         triple_orientation_flips(_tiny_triple([1, 0, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ResidualReport._FIELDS)
+def test_report_with_non_finite_field_fails_closed(field, bad):
+    values = dict.fromkeys(ResidualReport._FIELDS, 1e-9)
+    values[field] = bad
+    report = ResidualReport(grid=TimeGrid(0.0, 1.0, 4), **values)
+    assert not np.isfinite(report.max_residual())
+    assert not report.passed(1e-6)
+    assert not report.passed(np.inf)
