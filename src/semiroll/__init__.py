@@ -10,7 +10,6 @@ plus a small command-line front end.
 from .linalg import (
     RigidMotion,
     SignatureForm,
-    indefinite_ip,
     is_oriented_isometry,
     se_act,
     se_compose,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SignatureForm",
     "RigidMotion",
-    "indefinite_ip",
     "se_act",
     "se_compose",
     "se_inverse",

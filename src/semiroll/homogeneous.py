@@ -27,7 +27,7 @@ from .integrate import (
     integrate_vector,
     reproject,
 )
-from .linalg import j_orthogonality_residual
+from .linalg import j_orthogonality_residual, j_transpose_inverse
 from .rolling import (
     RollingMapPath,
     RollingTriple,
@@ -157,6 +157,11 @@ class CartanModel:
         null space (sphere, hyperboloid, the Stiefel complement P_perp), its
         basis is the one scipy's ``null_space`` returns for that node: the
         trailing right singular vectors of the SVD, with LAPACK's signs.
+    extrinsic_override : callable, optional
+        (model, lift) -> RollingMapPath for models whose rolling rotation is
+        not the J-inverse of rho (the non-symmetric Stiefel manifolds).
+        Both ``extrinsic_roll`` and ``intrinsic_roll`` take the rotation
+        R(t) from it, so each roll builds it once.
 
     The scalar product on p is *derived*, not declared: ``ip_p = F0^T J F0``
     with ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that
@@ -168,8 +173,7 @@ class CartanModel:
                  random_group_element=None, random_point=None,
                  tangent_frame_at=None,
                  closed_form_normal=False, symmetric_space=True,
-                 extrinsic_override=None, tangential_correction=None,
-                 params=None, description=None):
+                 extrinsic_override=None, params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
@@ -191,7 +195,6 @@ class CartanModel:
         self.closed_form_normal = bool(closed_form_normal)
         self.symmetric_space = bool(symmetric_space)
         self.extrinsic_override = extrinsic_override
-        self.tangential_correction = tangential_correction
         self.params = dict(params or {})
         self.description = description
         self._random_group_element = random_group_element
@@ -270,11 +273,6 @@ class CartanModel:
 
     def rho_path(self, qs):
         return np.array([np.asarray(self.rho(q), dtype=float) for q in qs])
-
-    def rho_inverse_path(self, rhos):
-        """Per-node rho^{-1} via the J-transpose."""
-        signs = self.form.signs
-        return signs[None, :, None] * np.swapaxes(rhos, 1, 2) * signs[None, None, :]
 
     def frames_along(self, rhos):
         return np.einsum("kij,ja->kia", rhos, self.frame0)
@@ -503,16 +501,15 @@ def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
 
 
 def horizontality_residual(model, path):
-    """max over nodes of the h-component (and off-span part) of q^{-1} qdot."""
+    """Per-node h-component (and off-span part) of q^{-1} qdot."""
     qdot = fd_derivative(path.samples, path.grid.h)
-    worst = 0.0
+    out = np.empty(path.grid.n_nodes)
     hsel = list(model.h_indices)
     for k in range(path.grid.n_nodes):
         xi = np.linalg.solve(path.samples[k], qdot[k])
         coeffs, resid = model.algebra_coords(xi)
-        part = float(np.max(np.abs(coeffs[hsel]), initial=0.0)) if hsel else 0.0
-        worst = max(worst, part, resid)
-    return worst
+        out[k] = max(float(np.max(np.abs(coeffs[hsel]), initial=0.0)), resid)
+    return out
 
 
 # -- developments and intrinsic rolling ------------------------------------
@@ -546,44 +543,44 @@ def transport_homogeneous(model, lift, y0):
     return np.einsum("kij,j->ki", rhos, v0)
 
 
-def isometry_chain_A(model, lift, correction=None):
-    """Per-node tangential maps A(t) from the submersion chain.
+def _tangential_maps(model, rots):
+    """A(t) = d_e_pi ∘ coeffs_p ∘ R(t) on ambient tangent vectors, (n_nodes, k, N)."""
+    return np.einsum("ai,kij->kaj", model.d_e_pi @ model.cf0, rots)
 
-    ``A(t) = d_e_pi ∘ coeffs_p ∘ q(t)^{-1}`` acting on ambient tangent
-    vectors at alpha(t), returned as (n_nodes, k, N) matrices.  ``correction``
-    (optional, (n_nodes, N, N)) inserts extra per-node operators between the
-    coefficient extraction and the representation inverse; non-symmetric
-    models use it for their tangential twist factor.
+
+def isometry_chain_A(model, lift):
+    """Per-node tangential maps A(t) of a symmetric model from the submersion chain.
+
+    ``A(t) = d_e_pi ∘ coeffs_p ∘ rho(q(t))^{-1}`` acting on ambient tangent
+    vectors at alpha(t), returned as (n_nodes, k, N) matrices.
     """
-    rhos = model.rho_path(lift.samples)
-    ops = model.rho_inverse_path(rhos)
-    if correction is not None:
-        correction = np.asarray(correction, dtype=float)
-        ops = np.einsum("kij,kjl->kil", correction, ops)
-    head = model.d_e_pi @ model.cf0
-    return np.einsum("ai,kij->kaj", head, ops)
+    return _tangential_maps(model, j_transpose_inverse(model.rho_path(lift.samples), model.form))
 
 
 def intrinsic_roll(model, data, q0=None):
-    """Intrinsic rolling along a control or sampled curve: returns a RollingTriple."""
+    """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
+
+    The tangential maps are ``A(t) = d_e_pi ∘ coeffs_p ∘ R(t)`` with R(t)
+    the rolling rotation: the J-inverse of rho along the lift for symmetric
+    models, the override path's rotation otherwise.
+    """
     lift = horizontal_lift(model, data, q0=q0)
     rhos = model.rho_path(lift.samples)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
     frames = model.frames_along(rhos)
-    head = model.d_e_pi @ model.cf0
     if model.extrinsic_override is not None:
         epath = model.extrinsic_override(model, lift)
-        S = model.tangential_correction(model, lift)
-        A = isometry_chain_A(model, lift, correction=np.swapaxes(S, 1, 2))
+        rots = epath.R
+        head = model.d_e_pi @ model.cf0
         alpha_hat = np.einsum("ai,ki->ka", head, epath.alpha_hat - model.obar)
     else:
-        A = isometry_chain_A(model, lift)
+        rots = j_transpose_inverse(rhos, model.form)
         alpha_hat = develop_intrinsic(model, lift.control)
     return RollingTriple(
         grid=lift.grid,
         alpha=alpha,
         alpha_hat=alpha_hat,
-        maps=A,
+        maps=_tangential_maps(model, rots),
         tangent_frames=frames,
         form=model.form,
         target_gram=model.target_gram,
@@ -596,7 +593,7 @@ def intrinsic_roll(model, data, q0=None):
 def extrinsic_develop(model, lift, curve):
     """Flat development: quadrature of rho(q)^{-1} alpha' from zero."""
     rhos = model.rho_path(lift.samples)
-    rinv = model.rho_inverse_path(rhos)
+    rinv = j_transpose_inverse(rhos, model.form)
     vel = fd_derivative(curve.points, curve.grid.h)
     rhs_nodes = np.einsum("kij,kj->ki", rinv, vel)
     dense = dense_from_samples(curve.grid.ts, rhs_nodes)
@@ -659,7 +656,7 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
             raise ValueError(
                 f"normal strategy 'closed_form' is unavailable for model {model.name}"
             )
-        rots = model.rho_inverse_path(rhos)
+        rots = j_transpose_inverse(rhos, model.form)
     elif normal_strategy == "frame_matching":
         frames = model.frames_along(rhos)
         normals = model.normals_along(rhos)
@@ -673,7 +670,7 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
             model.normal0, (grid.n_nodes,) + model.normal0.shape
         ).copy()
         rots = normal_extension_by_frames(
-            model.rho_inverse_path(rhos), frames, transported, dev_normals, model.form
+            j_transpose_inverse(rhos, model.form), frames, transported, dev_normals, model.form
         )
     else:
         raise ValueError(f"unknown normal strategy '{normal_strategy}'")

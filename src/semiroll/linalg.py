@@ -17,11 +17,11 @@ import numpy as np
 __all__ = [
     "SignatureForm",
     "RigidMotion",
-    "indefinite_ip",
     "se_act",
     "se_compose",
     "se_inverse",
     "j_orthogonality_residual",
+    "j_transpose_inverse",
     "is_oriented_isometry",
     "random_oriented_isometry",
     "random_motion",
@@ -103,11 +103,6 @@ class SignatureForm:
         return f"SignatureForm(p={self.p}, q={self.q})"
 
 
-def indefinite_ip(x, y, form):
-    """<x, y> under the given signature form."""
-    return form.ip(x, y)
-
-
 @dataclass
 class RigidMotion:
     """Affine motion v -> R v + s of the flat ambient space."""
@@ -156,6 +151,12 @@ def j_orthogonality_residual(R, form):
     G = R.conj().T @ (form.signs[:, None] * R)
     G[np.diag_indices_from(G)] -= form.signs
     return float(np.max(np.abs(G)))
+
+
+def j_transpose_inverse(mats, form):
+    """Inverse J R^T J of J-orthogonal matrices, stacked over leading axes."""
+    signs = form.signs
+    return signs[:, None] * np.swapaxes(mats, -1, -2) * signs
 
 
 def is_oriented_isometry(R, form, tol=ORTHOGONALITY_TOL):

@@ -4,9 +4,11 @@ Every model is constructed through one path: a JSON-serializable
 *description* (algebra basis, splitting, form signatures, submersion
 differential, base point) paired with a named *embedding bundle* that
 supplies the non-serializable callables (ambient representation, chart
-action, embedding, pointwise frames).  Bundled descriptions live next to
-this file under ``data/``; ``get_model`` also recognizes parameterized
-family names and filesystem paths.
+action, embedding, pointwise frames).  ``get_model`` resolves the fixed
+names and the parameterized family names from their generators, builds
+each model once and caches it, and also loads description files by path.
+The JSON files under ``data/`` are regression fixtures: tests check that
+they still match the generators, and they show the file format.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "sphere_lift",
 ]
 
-DATA_DIR = Path(__file__).resolve().parent / "data"
-
 EMBEDDING_BUNDLES = {
     "hyperboloid12": hyperbolic.bundle,
     "riemann_sphere": sphere.bundle,
@@ -51,10 +51,11 @@ EMBEDDING_BUNDLES = {
     "stiefel": stiefel.bundle,
 }
 
+# signed, so that out-of-range sizes reach the generators' own range checks
 _FAMILY_PATTERNS = [
-    (re.compile(r"^so_plus_(\d+)_(\d+)$"),
+    (re.compile(r"^so_plus_(-?\d+)_(-?\d+)$"),
      lambda m: pseudo_orthogonal.description(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^stiefel_(\d+)_(\d+)$"),
+    (re.compile(r"^stiefel_(-?\d+)_(-?\d+)$"),
      lambda m: stiefel.description(int(m.group(1)), int(m.group(2)))),
 ]
 
@@ -106,7 +107,6 @@ def build_model(desc, validate=False, rng=None):
         closed_form_normal=parts.get("closed_form_normal", False),
         symmetric_space=parts.get("symmetric_space", True),
         extrinsic_override=parts.get("extrinsic_override"),
-        tangential_correction=parts.get("tangential_correction"),
         params=desc.get("params"),
         description=desc,
     )
@@ -115,10 +115,11 @@ def build_model(desc, validate=False, rng=None):
     return model
 
 
-def load_model_file(path, validate=False):
+def load_model_file(path):
+    """Build a model from a description file and validate it."""
     with open(path) as fh:
         desc = json.load(fh)
-    return build_model(desc, validate=validate)
+    return build_model(desc, validate=True)
 
 
 def _description_for(name):
@@ -134,35 +135,27 @@ def _description_for(name):
 _CACHE = {}
 
 
-def get_model(name, validate=False):
+def get_model(name):
     """Look up a model by name, family pattern, or description-file path.
 
-    Description files given by path are always validated; ``validate``
-    applies to bundled names.
+    Named models are built once and cached; the ``make_*_model`` factories
+    return these cached objects.  A description file is read and validated
+    on every call, so an edited or corrupted file is never served stale.
     """
     if name in _CACHE:
         return _CACHE[name]
     desc = _description_for(name)
-    bundled = DATA_DIR / f"{name}.json"
-    if desc is not None:
-        model = build_model(desc, validate=validate)
-    elif bundled.is_file():
-        model = load_model_file(bundled, validate=validate)
-    elif Path(name).is_file():
-        model = load_model_file(name, validate=True)
-    else:
+    if desc is None:
+        if Path(name).is_file():
+            return load_model_file(name)
         raise KeyError(
-            f"unknown model {name!r}; try one of {sorted(available_models())} "
+            f"unknown model {name!r}; try one of {available_models()} "
             "or a description-file path"
         )
-    _CACHE[name] = model
+    model = _CACHE[name] = build_model(desc)
     return model
 
 
 def available_models():
     """Names resolvable without a file path, bundled families at sample sizes."""
-    names = set(_FIXED_DESCRIPTIONS)
-    for f in sorted(DATA_DIR.glob("*.json")):
-        names.add(f.stem)
-    names.update({"so_plus_1_2", "stiefel_3_1", "stiefel_4_2"})
-    return sorted(names)
+    return sorted({*_FIXED_DESCRIPTIONS, "so_plus_1_2", "stiefel_3_1", "stiefel_4_2"})

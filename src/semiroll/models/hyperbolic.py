@@ -21,11 +21,10 @@ action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ..homogeneous import GroupPath
+from ..homogeneous import ControlCurve, GroupPath, horizontality_residual
 from ..integrate import (
     dense_from_samples,
     fd_derivative,
@@ -45,7 +44,9 @@ __all__ = [
     "description",
     "bundle",
     "make_hyperbolic_model",
+    "moebius_lift",
     "hyperbolic_lift",
+    "kinematic_roll",
     "roll_hyperboloid",
 ]
 
@@ -97,7 +98,11 @@ class MoebiusElement:
 
 
 def su11_coords(X):
-    """Coordinates (v, u1, u2) of an su(1,1) matrix."""
+    """Coordinates (v, u1, u2) of an su(1,1) matrix.
+
+    su(2) matrices keep their coordinates (u1, u2, u3) in the same entries,
+    so the sphere model reads them with this function too.
+    """
     X = np.asarray(X)
     return np.array([2.0 * X[0, 0].imag, 2.0 * X[0, 1].real, 2.0 * X[0, 1].imag])
 
@@ -170,10 +175,15 @@ def description():
     }
 
 
-def _rho(g):
+def _adjoint(g, basis):
+    """Matrix of X -> g X g^{-1} in the coordinates of ``basis`` (su(1,1) or su(2))."""
     g = np.asarray(g)
     ginv = np.linalg.inv(g)
-    return np.column_stack([su11_coords(g @ A @ ginv) for A in SU11_BASIS])
+    return np.column_stack([su11_coords(g @ A @ ginv) for A in basis])
+
+
+def _rho(g):
+    return _adjoint(g, SU11_BASIS)
 
 
 def _d_e_rho(X):
@@ -182,6 +192,7 @@ def _d_e_rho(X):
 
 
 def _action(g, z):
+    """Moebius action of a 2 x 2 group matrix of either branch on a chart point."""
     g = np.asarray(g)
     return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
 
@@ -213,49 +224,52 @@ def bundle(desc):
     }
 
 
-@lru_cache(maxsize=1)
 def make_hyperbolic_model():
-    from . import build_model
+    from . import get_model
 
-    return build_model(description())
-
-
-def _node_horizontality(model, grid, samples):
-    qdot = fd_derivative(samples, grid.h)
-    out = np.empty(grid.n_nodes)
-    hsel = list(model.h_indices)
-    for k in range(grid.n_nodes):
-        xi = np.linalg.solve(samples[k], qdot[k])
-        coeffs, resid = model.algebra_coords(xi)
-        out[k] = max(float(np.max(np.abs(coeffs[hsel]))), resid)
-    return out
+    return get_model("hyperboloid")
 
 
-def hyperbolic_lift(z_samples, grid, theta0=0.0):
+# model whose horizontality the explicit lift of each branch is checked against
+_BRANCH_MODELS = {"su11": "hyperboloid", "su2": "sphere"}
+
+
+def moebius_lift(z_samples, grid, branch, theta0=0.0):
     """Horizontal lift g(t) = h(z(t)) exp(theta(t) A1) through explicit formulas.
 
-    theta solves a scalar quadrature whose sign depends on orientation
-    conventions, so both signs are integrated and the one with the smaller
-    horizontality residual wins; the loser must be worse at every node or
-    the input is rejected as ambiguous.  Serves as an independent
-    cross-check of the generic frame-based lift.
+    ``branch`` is a MoebiusElement branch: "su11" lifts a curve in the
+    Poincare disc into SU(1,1), "su2" a curve in the Riemann sphere chart
+    into SU(2).  The two differ only in the sign sigma of |z|^2 in
+    1 + sigma |z|^2 (sigma = -1 on the disc), in the sign of g[1, 0] and
+    in the disc check.  theta solves a scalar quadrature whose sign depends
+    on orientation conventions, so both signs are integrated and the one
+    with the smaller horizontality residual wins; the loser must be worse
+    at every node or the input is rejected as ambiguous.  Serves as an
+    independent cross-check of the generic frame-based lift.
     """
+    if branch not in _BRANCH_MODELS:
+        raise ValueError("branch must be 'su11' or 'su2'")
     z = np.asarray(z_samples, dtype=complex)
     if z.shape != (grid.n_nodes,):
         raise ValueError("z samples must match the grid nodes")
-    if np.any(np.abs(z) >= 1.0):
+    disc = branch == "su11"
+    if disc and np.any(np.abs(z) >= 1.0):
         raise ValueError("disc points must satisfy |z| < 1")
-    model = make_hyperbolic_model()
+    from . import get_model
+
+    model = get_model(_BRANCH_MODELS[branch])
+    sigma = -1.0 if disc else 1.0
 
     x = z.real
     y = z.imag
     xdot = fd_derivative(x, grid.h)
     ydot = fd_derivative(y, grid.h)
-    rate = 2.0 * (x * ydot - xdot * y) / (1.0 - np.abs(z) ** 2)
+    den = 1.0 + sigma * np.abs(z) ** 2
+    rate = 2.0 * (x * ydot - xdot * y) / den
     dense_rate = dense_from_samples(grid.ts, rate)
     theta_int = integrate_vector(lambda t: np.atleast_1d(dense_rate(t)), np.zeros(1), grid)[:, 0]
 
-    factor = 1.0 / np.sqrt(1.0 - np.abs(z) ** 2)
+    factor = 1.0 / np.sqrt(den)
 
     def assemble(theta):
         a = factor * np.exp(0.5j * theta)
@@ -263,16 +277,15 @@ def hyperbolic_lift(z_samples, grid, theta0=0.0):
         g = np.empty((grid.n_nodes, 2, 2), dtype=complex)
         g[:, 0, 0] = a
         g[:, 0, 1] = b
-        g[:, 1, 0] = np.conj(b)
+        g[:, 1, 0] = np.conj(b) if disc else -np.conj(b)
         g[:, 1, 1] = np.conj(a)
-        return g
+        return GroupPath(grid=grid, samples=g)
 
     candidates = {}
     residuals = {}
     for sign in (+1.0, -1.0):
-        samples = assemble(theta0 + sign * theta_int)
-        candidates[sign] = samples
-        residuals[sign] = _node_horizontality(model, grid, samples)
+        candidates[sign] = assemble(theta0 + sign * theta_int)
+        residuals[sign] = horizontality_residual(model, candidates[sign])
     totals = {sign: float(np.max(res)) for sign, res in residuals.items()}
     winner = min(totals, key=totals.get)
     loser = -winner
@@ -283,39 +296,52 @@ def hyperbolic_lift(z_samples, grid, theta0=0.0):
         raise ValueError(
             f"no horizontal lift found (best residual {totals[winner]:.3e})"
         )
-    return GroupPath(grid=grid, samples=candidates[winner], control=None)
+    return candidates[winner]
 
 
-def roll_hyperboloid(control, grid=None):
-    """Extrinsic rolling of the hyperboloid on its affine tangent plane.
+def hyperbolic_lift(z_samples, grid, theta0=0.0):
+    """Explicit horizontal lift of a disc curve into SU(1,1); see moebius_lift."""
+    return moebius_lift(z_samples, grid, "su11", theta0)
 
-    ``control`` is a ControlCurve with components (u1, u2): the ambient
-    angular velocity is ubar_matrix(u(t)) and the kinematic equations
+
+def kinematic_roll(model, control, grid, ubar_of):
+    """Extrinsic rolling of the sphere or the hyperboloid on its affine tangent plane.
+
+    ``ubar_of`` maps the control coordinates to the ambient angular velocity
+    Ubar, and the kinematic equations
 
         alphabar' = qbar Ubar obar,   Rbar' = -Ubar Rbar,   sbar' = Ubar obar
 
     are integrated directly (independently of the lift-based assembly in the
-    engine).  Returns a RollingMapPath.
+    engine) under the model's ambient form.  ``control`` is a ControlCurve,
+    or raw samples with a ``grid``.  Returns a RollingMapPath.
     """
-    from ..homogeneous import ControlCurve
-
     if not isinstance(control, ControlCurve):
         if grid is None:
             raise ValueError("need a grid when control is a raw array")
         control = ControlCurve(grid=grid, coords=control)
     grid = control.grid
-    model = make_hyperbolic_model()
     form = model.form
 
     def ubar(t):
-        return ubar_matrix(control.func(t))
+        return ubar_of(control.func(t))
 
-    qbar = flow_matrix_ode(ubar, np.eye(3), grid, side="right", reproject_form=form)
-    rots = flow_matrix_ode(lambda t: -ubar(t), np.eye(3), grid, side="left",
+    eye = np.eye(form.dim)
+    qbar = flow_matrix_ode(ubar, eye, grid, side="right", reproject_form=form)
+    rots = flow_matrix_ode(lambda t: -ubar(t), eye, grid, side="left",
                            reproject_form=form)
     obar = model.obar
-    s = integrate_vector(lambda t: ubar(t) @ obar, np.zeros(3), grid)
+    s = integrate_vector(lambda t: ubar(t) @ obar, np.zeros(form.dim), grid)
     alpha = np.einsum("kij,j->ki", qbar, obar)
     alpha_hat = obar[None, :] + s
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
                           form=form)
+
+
+def roll_hyperboloid(control, grid=None):
+    """Extrinsic rolling of the hyperboloid on its affine tangent plane.
+
+    ``control`` holds the components (u1, u2); the ambient angular velocity
+    is ubar_matrix(u(t)) (see kinematic_roll).
+    """
+    return kinematic_roll(make_hyperbolic_model(), control, grid, ubar_matrix)

@@ -14,8 +14,6 @@ isotropy algebra is {diag(B, P0^{-1} B P0)} and its complement
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ..homogeneous import ControlCurve
@@ -170,18 +168,11 @@ def bundle(desc):
     }
 
 
-@lru_cache(maxsize=None)
-def _cached_model(p, q):
-    from . import build_model
-
-    return build_model(description(p, q))
-
-
 def make_pseudo_orthogonal_model(p, q, base_point=None):
-    if base_point is None:
-        return _cached_model(int(p), int(q))
-    from . import build_model
+    from . import build_model, get_model
 
+    if base_point is None:
+        return get_model(f"so_plus_{int(p)}_{int(q)}")
     return build_model(description(p, q, base_point))
 
 

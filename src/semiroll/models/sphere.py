@@ -20,20 +20,11 @@ origin lands on (0, -1, 0).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from ..homogeneous import GroupPath
-from ..integrate import (
-    dense_from_samples,
-    fd_derivative,
-    flow_matrix_ode,
-    integrate_vector,
-)
 from ..linalg import stacked_null_spaces
-from ..rolling import RollingMapPath
-from .hyperbolic import MoebiusElement
+from .hyperbolic import MoebiusElement, _action, _adjoint, kinematic_roll, moebius_lift
+from .hyperbolic import su11_coords as su2_coords
 
 __all__ = [
     "SU2_BASIS",
@@ -63,15 +54,6 @@ CHART_CONJUGATOR = np.array(
         [0.0, -1.0, 0.0],
     ]
 )
-
-HORIZONTALITY_TOL = 1e-5
-
-
-def su2_coords(X):
-    """Coordinates (u1, u2, u3) of an su(2) matrix."""
-    X = np.asarray(X)
-    return np.array([2.0 * X[0, 0].imag, 2.0 * X[0, 1].real, 2.0 * X[0, 1].imag])
-
 
 def hat(u):
     """Cross-product matrix: hat(u) w = u x w."""
@@ -116,26 +98,13 @@ def description():
     }
 
 
-def _adjoint(g):
-    g = np.asarray(g)
-    ginv = np.linalg.inv(g)
-    return np.column_stack([su2_coords(g @ A @ ginv) for A in SU2_BASIS])
-
-
 def _rho(g):
     P = CHART_CONJUGATOR
-    return P @ _adjoint(g) @ P.T
+    return P @ _adjoint(g, SU2_BASIS) @ P.T
 
 
 def _d_e_rho(X):
     return hat(CHART_CONJUGATOR @ su2_coords(X))
-
-
-def _action(g, z):
-    g = np.asarray(g)
-    num = g[0, 0] * z + g[0, 1]
-    den = g[1, 0] * z + g[1, 1]
-    return num / den
 
 
 def _tangent_frame_at(xs):
@@ -164,11 +133,10 @@ def bundle(desc):
     }
 
 
-@lru_cache(maxsize=1)
 def make_sphere_model():
-    from . import build_model
+    from . import get_model
 
-    return build_model(description())
+    return get_model("sphere")
 
 
 def chart_lift_matrix(z):
@@ -178,89 +146,18 @@ def chart_lift_matrix(z):
 
 
 def sphere_lift(z_samples, grid, theta0=0.0):
-    """Horizontal lift g(t) = h(z(t)) exp(theta(t) A1), sign chosen at runtime.
-
-    Same contract as hyperbolic_lift: both signs of the theta quadrature are
-    tried and the one with uniformly smaller horizontality residual wins.
-    """
-    z = np.asarray(z_samples, dtype=complex)
-    if z.shape != (grid.n_nodes,):
-        raise ValueError("z samples must match the grid nodes")
-    model = make_sphere_model()
-
-    x = z.real
-    y = z.imag
-    xdot = fd_derivative(x, grid.h)
-    ydot = fd_derivative(y, grid.h)
-    rate = 2.0 * (x * ydot - xdot * y) / (1.0 + np.abs(z) ** 2)
-    dense_rate = dense_from_samples(grid.ts, rate)
-    theta_int = integrate_vector(lambda t: np.atleast_1d(dense_rate(t)), np.zeros(1), grid)[:, 0]
-
-    factor = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2)
-
-    def assemble(theta):
-        a = factor * np.exp(0.5j * theta)
-        b = factor * z * np.exp(-0.5j * theta)
-        g = np.empty((grid.n_nodes, 2, 2), dtype=complex)
-        g[:, 0, 0] = a
-        g[:, 0, 1] = b
-        g[:, 1, 0] = -np.conj(b)
-        g[:, 1, 1] = np.conj(a)
-        return g
-
-    from .hyperbolic import _node_horizontality
-
-    candidates = {}
-    residuals = {}
-    for sign in (+1.0, -1.0):
-        samples = assemble(theta0 + sign * theta_int)
-        candidates[sign] = samples
-        residuals[sign] = _node_horizontality(model, grid, samples)
-    totals = {sign: float(np.max(res)) for sign, res in residuals.items()}
-    winner = min(totals, key=totals.get)
-    loser = -winner
-    if not np.all(residuals[winner] <= residuals[loser] + 1e-9):
-        raise ValueError("theta sign is ambiguous along the curve")
-    speed = float(np.max(np.abs(rate))) + float(np.max(np.abs(xdot))) + float(np.max(np.abs(ydot)))
-    if totals[winner] > HORIZONTALITY_TOL * max(1.0, speed):
-        raise ValueError(
-            f"no horizontal lift found (best residual {totals[winner]:.3e})"
-        )
-    return GroupPath(grid=grid, samples=candidates[winner], control=None)
+    """Explicit horizontal lift of a chart curve into SU(2); see moebius_lift."""
+    return moebius_lift(z_samples, grid, "su2", theta0)
 
 
 def roll_sphere(control, grid=None):
     """Extrinsic rolling of the unit sphere on its affine tangent plane.
 
     ``control`` holds the coefficients (c2, c3) of the horizontal generator
-    c2 A2 + c3 A3; the ambient angular velocity is then
-
-        Ubar(t) = hat(P (0, c2, c3))
-
-    and alphabar, Rbar, sbar integrate the same kinematic system as
-    roll_hyperboloid (with the Euclidean form).
+    c2 A2 + c3 A3; the ambient angular velocity is hat(P (0, c2, c3)) (see
+    kinematic_roll, here with the Euclidean form).
     """
-    from ..homogeneous import ControlCurve
+    def ubar_of(c):
+        return hat(CHART_CONJUGATOR @ np.array([0.0, c[0], c[1]]))
 
-    if not isinstance(control, ControlCurve):
-        if grid is None:
-            raise ValueError("need a grid when control is a raw array")
-        control = ControlCurve(grid=grid, coords=control)
-    grid = control.grid
-    model = make_sphere_model()
-    form = model.form
-    P = CHART_CONJUGATOR
-
-    def ubar(t):
-        c2, c3 = control.func(t)
-        return hat(P @ np.array([0.0, c2, c3]))
-
-    qbar = flow_matrix_ode(ubar, np.eye(3), grid, side="right", reproject_form=form)
-    rots = flow_matrix_ode(lambda t: -ubar(t), np.eye(3), grid, side="left",
-                           reproject_form=form)
-    obar = model.obar
-    s = integrate_vector(lambda t: ubar(t) @ obar, np.zeros(3), grid)
-    alpha = np.einsum("kij,j->ki", qbar, obar)
-    alpha_hat = obar[None, :] + s
-    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
-                          form=form)
+    return kinematic_roll(make_sphere_model(), control, grid, ubar_of)

@@ -212,10 +212,6 @@ def _roll_from_lift(model, lift):
                           alpha_hat=alpha_hat, form=model.form)
 
 
-def _tangential_correction(model, lift):
-    return _correction_path(model, lift)
-
-
 def bundle(desc):
     n = int(desc["params"]["n"])
     k = int(desc["params"]["k"])
@@ -266,15 +262,13 @@ def bundle(desc):
         "closed_form_normal": False,
         "symmetric_space": False,
         "extrinsic_override": _roll_from_lift,
-        "tangential_correction": _tangential_correction,
     }
 
 
-@lru_cache(maxsize=None)
 def make_stiefel_model(n, k):
-    from . import build_model
+    from . import get_model
 
-    return build_model(description(n, k))
+    return get_model(f"stiefel_{int(n)}_{int(k)}")
 
 
 def roll_stiefel(n, k, data, grid=None, q0=None):
@@ -284,7 +278,7 @@ def roll_stiefel(n, k, data, grid=None, q0=None):
     first, then the lower block row-major), an EmbeddedCurve of flattened
     frames, or an (m, n, k) array of frames with an explicit grid.
     """
-    model = make_stiefel_model(int(n), int(k))
+    model = make_stiefel_model(n, k)
     if isinstance(data, np.ndarray):
         if grid is None:
             raise ValueError("need a grid when data is a raw array")

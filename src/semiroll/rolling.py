@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import RigidMotion, SignatureForm
+from .linalg import RigidMotion, SignatureForm, j_transpose_inverse
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -92,11 +92,6 @@ class RollingMapPath:
 
     def motion(self, k):
         return RigidMotion(self.R[k], self.s[k])
-
-    def rotations_inverse(self):
-        """Per-node R^{-1} via the J-transpose (exact on J-orthogonal rotations)."""
-        signs = self.form.signs
-        return signs[None, :, None] * np.swapaxes(self.R, 1, 2) * signs[None, None, :]
 
 
 @dataclass
@@ -209,6 +204,24 @@ def rolling_point_residual(path):
     return _node_norms(moved - path.alpha_hat)
 
 
+def _orthonormal_columns(frames, what, ts):
+    """Stacked QR bases; raises at the first node whose frame is rank deficient.
+
+    max|r_ii| / min|r_ii| bounds the frame's condition number from below, so
+    a frame with condition number at most FRAME_COND_MAX always passes.
+    """
+    q, r = np.linalg.qr(frames)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    hi = np.max(diag, axis=1)
+    bad = (hi == 0.0) | (hi > FRAME_COND_MAX * np.min(diag, axis=1))
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"tangency: {what} is rank deficient at node {k} (t={ts[k]:.6g})"
+        )
+    return q
+
+
 def tangency_residual(path, tangent_m, tangent_mhat):
     """Per-node largest principal angle between R(t) T_alpha M and T_alphahat M_hat.
 
@@ -220,14 +233,15 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     cosine otherwise, which keeps full accuracy at small angles (Bjorck &
     Golub 1973; Knyazev & Argentati 2002) and matches the largest entry of
     scipy's ``subspace_angles``.  Non-finite rotations or frames raise
-    ValueError.
+    ValueError, and so does a node where either frame is numerically rank
+    deficient: its QR basis would be arbitrary, so no angle is measured.
     """
     mapped = np.einsum("kij,kja->kia", path.R, tangent_m.frames)
     target = tangent_mhat.frames
     if not (np.all(np.isfinite(mapped)) and np.all(np.isfinite(target))):
         raise ValueError("tangency: rotations or tangent frames contain NaN or inf")
-    q1 = np.linalg.qr(mapped)[0]
-    q2 = np.linalg.qr(target)[0]
+    q1 = _orthonormal_columns(mapped, "R(t) F_M(t)", tangent_m.ts)
+    q2 = _orthonormal_columns(target, "F_Mhat(t)", tangent_m.ts)
     overlap = np.swapaxes(q1, 1, 2) @ q2
     cosines = np.linalg.svd(overlap, compute_uv=False)
     sines = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False)
@@ -253,7 +267,7 @@ def no_slip_residual(path):
     sdot = fd_derivative(path.s, h)
     adot = fd_derivative(path.alpha, h)
     ahatdot = fd_derivative(path.alpha_hat, h)
-    Rinv = path.rotations_inverse()
+    Rinv = j_transpose_inverse(path.R, path.form)
     W = np.einsum("kij,kjl->kil", Rdot, Rinv)
     w1 = np.einsum("kij,kj->ki", W, path.alpha_hat - path.s) + sdot
     w2 = ahatdot - np.einsum("kij,kj->ki", path.R, adot)
@@ -271,7 +285,7 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat):
     """
     h = path.grid.h
     Rdot = fd_derivative(path.R, h)
-    Rinv = path.rotations_inverse()
+    Rinv = j_transpose_inverse(path.R, path.form)
     W = np.einsum("kij,kjl->kil", Rdot, Rinv)
 
     p_tan = _projectors(tangent_mhat.frames, path.form)
@@ -318,7 +332,7 @@ def invert_rolling(path):
     Inverts the rotations through the J-transpose, so inverting twice
     reproduces the input path exactly.
     """
-    Rinv = path.rotations_inverse()
+    Rinv = j_transpose_inverse(path.R, path.form)
     s_inv = -np.einsum("kij,kj->ki", Rinv, path.s)
     return RollingMapPath(
         grid=path.grid,

@@ -159,3 +159,18 @@ def test_non_finite_rotation_is_an_error_not_a_pass(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--in", str(out)]) == 1
     assert "NaN or inf" in capsys.readouterr().err
+
+
+def test_zero_rotation_is_an_error_not_a_pass(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
+    lines = out.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    cols = [i for i, name in enumerate(lines[header].split(",")) if name.startswith("R_")]
+    row = lines[-3].split(",")
+    for col in cols:
+        row[col] = "0"
+    lines[-3] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--in", str(out)]) == 1
+    assert "rank deficient" in capsys.readouterr().err

@@ -23,10 +23,22 @@ from semiroll.homogeneous import (
     normal_extension_by_frames,
     transport_homogeneous,
 )
-from semiroll.models import build_model, get_model
+from semiroll.models import (
+    build_model,
+    get_model,
+    make_hyperbolic_model,
+    make_pseudo_orthogonal_model,
+    make_sphere_model,
+    make_stiefel_model,
+    stiefel,
+)
 from semiroll.models.sphere import description as sphere_description
 from semiroll.rolling import (
+    RollingMapPath,
+    no_slip_residual,
+    no_twist_residuals,
     parallel_transport_embedded,
+    rolling_point_residual,
     triple_gram_residual,
     triple_velocity_residual,
 )
@@ -183,3 +195,53 @@ def test_model_file_with_corrupted_basis_is_rejected(tmp_path):
 
 def test_validate_passes_for_shipped_models(surface):
     surface.validate(rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["so_plus_1_2", "stiefel_3_1", "stiefel_4_2"])
+def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, monkeypatch):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 120)
+    amp = np.linspace(0.5, -0.3, model.p_dim)
+    ctrl = ControlCurve.from_function(grid, lambda t: amp * np.sin(t + np.arange(model.p_dim)))
+    path = extrinsic_roll(model, ctrl)
+    calls = []
+    correction = stiefel._correction_path
+    monkeypatch.setattr(stiefel, "_correction_path",
+                        lambda *args: calls.append(args) or correction(*args))
+    triple = intrinsic_roll(model, ctrl)
+    head = model.d_e_pi @ model.cf0
+    assert np.max(np.abs(triple.maps - np.einsum("ai,kij->kaj", head, path.R))) <= 1e-12
+    # the Stiefel correction flow is integrated once per roll
+    assert len(calls) == (0 if model.extrinsic_override is None else 1)
+
+
+def test_factories_return_the_registry_models():
+    assert get_model("sphere") is make_sphere_model()
+    assert get_model("hyperboloid") is make_hyperbolic_model()
+    assert get_model("so_plus_1_2") is make_pseudo_orthogonal_model(1, 2)
+    assert get_model("stiefel_4_2") is make_stiefel_model(4, 2)
+    # out-of-range sizes still reach the generators' checks
+    with pytest.raises(ValueError, match="signature"):
+        make_pseudo_orthogonal_model(-1, 3)
+    with pytest.raises(ValueError, match="1 <= k < n"):
+        make_stiefel_model(-1, 2)
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "stiefel_4_2"])
+def test_zero_rotation_fails_closed(name):
+    # R = 0 with s = alpha_hat = obar satisfies contact, no-slip and both
+    # no-twist conditions; only the rank of R(t) F_M(t) exposes it
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 40)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.4 * np.cos(t + np.arange(model.p_dim)))
+    alpha = extrinsic_roll(model, ctrl).alpha
+    obar = np.broadcast_to(model.obar, alpha.shape)
+    n = model.ambient_dim
+    path = RollingMapPath(grid=grid, R=np.zeros((grid.n_nodes, n, n)), s=obar,
+                          alpha=alpha, alpha_hat=obar, form=model.form)
+    twist = no_twist_residuals(path, model.flat_tangent_frames(grid),
+                               model.flat_normal_frames(grid))
+    for residual in (rolling_point_residual(path), no_slip_residual(path)) + twist:
+        assert np.max(residual) <= 1e-12
+    with pytest.raises(ValueError, match="rank deficient at node 0"):
+        model_residual_report(model, path)

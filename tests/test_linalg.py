@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from semiroll.linalg import (
     RigidMotion,
     SignatureForm,
-    indefinite_ip,
     is_oriented_isometry,
     j_orthogonality_residual,
     random_motion,
@@ -91,9 +90,9 @@ def test_signature_form_basics():
     form = SignatureForm.from_pq(2, 1)
     assert form.dim == 3 and form.p == 2 and form.q == 1
     e = np.eye(3)
-    assert indefinite_ip(e[0], e[0], form) == 1.0
-    assert indefinite_ip(e[2], e[2], form) == -1.0
-    assert indefinite_ip(e[0], e[2], form) == 0.0
+    assert form.ip(e[0], e[0]) == 1.0
+    assert form.ip(e[2], e[2]) == -1.0
+    assert form.ip(e[0], e[2]) == 0.0
     assert np.allclose(form.matrix, np.diag([1.0, 1.0, -1.0]))
 
 
