@@ -114,10 +114,6 @@ class GroupPath:
         if self.samples.ndim != 3 or self.samples.shape[0] != self.grid.n_nodes:
             raise ValueError("group samples must be (n_nodes, d, d) matching the grid")
 
-    @property
-    def q0(self):
-        return self.samples[0]
-
 
 class CartanModel:
     """Matrix realization of a reductive homogeneous space with an embedding.
@@ -143,7 +139,9 @@ class CartanModel:
         Matrix of the submersion differential from p-coefficients to the
         model's tangent coordinates at o.
     rho : callable
-        Group matrix -> (N, N) ambient representation matrix.
+        Group matrices (..., d, d) -> ambient representation matrices
+        (..., N, N), broadcast over leading axes, so one call maps a single
+        matrix or a whole sampled path.
     d_e_rho : callable
         Algebra matrix -> (N, N) linearized representation.
     action : callable
@@ -161,19 +159,23 @@ class CartanModel:
         (model, lift) -> RollingMapPath for models whose rolling rotation is
         not the J-inverse of rho (the non-symmetric Stiefel manifolds).
         Both ``extrinsic_roll`` and ``intrinsic_roll`` take the rotation
-        R(t) from it, so each roll builds it once.
+        R(t) from it, so each roll builds it once.  A model without one is
+        a symmetric space (``symmetric_space``): its rotation is the
+        J-inverse of rho and its normal completion has that closed form.
 
     The scalar product on p is *derived*, not declared: ``ip_p = F0^T J F0``
     with ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that
     makes d_e_pi an isometry onto the embedded tangent space.
+
+    Like ``rho``, the methods ``p_element`` and ``algebra_coords`` broadcast
+    over leading axes; ``d_e_rho`` takes one matrix.
     """
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  base_point, obar, d_e_pi, rho, d_e_rho, action, embed,
                  random_group_element=None, random_point=None,
-                 tangent_frame_at=None,
-                 closed_form_normal=False, symmetric_space=True,
-                 extrinsic_override=None, params=None, description=None):
+                 tangent_frame_at=None, extrinsic_override=None, params=None,
+                 description=None):
         self.name = name
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
@@ -192,8 +194,6 @@ class CartanModel:
         self.action = action
         self.embed = embed
         self.tangent_frame_at = tangent_frame_at
-        self.closed_form_normal = bool(closed_form_normal)
-        self.symmetric_space = bool(symmetric_space)
         self.extrinsic_override = extrinsic_override
         self.params = dict(params or {})
         self.description = description
@@ -222,6 +222,7 @@ class CartanModel:
             if abs(np.linalg.det(gram_n)) < 1e-12:
                 raise ValueError("normal complement is degenerate under the ambient form")
 
+        self._p_basis = self.basis[list(self.p_indices)]
         flat = self.basis.reshape(self.basis.shape[0], -1).T
         self._basis_flat = np.vstack([flat.real, flat.imag])
 
@@ -239,23 +240,30 @@ class CartanModel:
     def ambient_dim(self):
         return self.form.dim
 
+    @property
+    def symmetric_space(self):
+        return self.extrinsic_override is None
+
     def p_element(self, coeffs):
+        """p-coefficients (..., k) -> algebra matrices (..., d, d)."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.p_dim,):
+        if coeffs.shape[-1:] != (self.p_dim,):
             raise ValueError(f"expected {self.p_dim} p-coefficients, got {coeffs.shape}")
-        return np.tensordot(coeffs, self.basis[list(self.p_indices)], axes=(0, 0))
+        return np.tensordot(coeffs, self._p_basis, axes=(-1, 0))
 
     def h_element(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         return np.tensordot(coeffs, self.basis[list(self.h_indices)], axes=(0, 0))
 
     def algebra_coords(self, X):
-        """Coefficients of X in the basis plus the off-span residual norm."""
+        """Basis coefficients (..., m) and off-span residual norms (...) of X (..., d, d)."""
         X = np.asarray(X)
-        target = np.concatenate([X.real.ravel(), X.imag.ravel()])
+        lead = X.shape[:-2]
+        flat = X.reshape((-1, X.shape[-2] * X.shape[-1]))
+        target = np.concatenate([flat.real, flat.imag], axis=1).T
         coeffs, _, _, _ = np.linalg.lstsq(self._basis_flat, target, rcond=None)
-        resid = float(np.linalg.norm(self._basis_flat @ coeffs - target))
-        return coeffs, resid
+        resid = np.linalg.norm(self._basis_flat @ coeffs - target, axis=0)
+        return coeffs.T.reshape(lead + (-1,)), resid.reshape(lead)[()]
 
     def random_group_element(self, rng, scale=0.5):
         if self._random_group_element is not None:
@@ -272,7 +280,8 @@ class CartanModel:
     # -- paths along group samples ---------------------------------------
 
     def rho_path(self, qs):
-        return np.array([np.asarray(self.rho(q), dtype=float) for q in qs])
+        """Group samples (n, d, d) -> C-ordered rho matrices (n, N, N), one rho call."""
+        return np.ascontiguousarray(self.rho(qs), dtype=float)
 
     def frames_along(self, rhos):
         return np.einsum("kij,ja->kia", rhos, self.frame0)
@@ -305,8 +314,8 @@ class CartanModel:
         of the base point, J-orthogonality and equivariance of the ambient
         representation (on random samples), the homomorphism property of
         d_e_rho, and Ad_H-invariance of the derived p-metric.  A broken
-        [p,p] subset h only warns when the model declares itself
-        non-symmetric.  Returns the measured defects.
+        [p,p] subset h only warns when the model is not a symmetric space
+        (it has an ``extrinsic_override``).  Returns the measured defects.
         """
         rng = rng or np.random.default_rng(2357)
         defects = {}
@@ -315,24 +324,21 @@ class CartanModel:
         def bracket(X, Y):
             return X @ Y - Y @ X
 
-        worst = {"hh": 0.0, "hp": 0.0, "pp": 0.0, "span": 0.0, "orth": 0.0}
-        for i in self.h_indices:
-            for j in self.h_indices:
-                c, r = self.algebra_coords(bracket(self.basis[i], self.basis[j]))
-                worst["span"] = max(worst["span"], r)
-                worst["hh"] = max(worst["hh"], float(np.max(np.abs(c[list(self.p_indices)]), initial=0.0)))
-            for j in self.p_indices:
-                c, r = self.algebra_coords(bracket(self.basis[i], self.basis[j]))
-                worst["span"] = max(worst["span"], r)
-                worst["hp"] = max(worst["hp"], float(np.max(np.abs(c[list(self.h_indices)]), initial=0.0)))
-        for i in self.p_indices:
-            for j in self.p_indices:
-                c, r = self.algebra_coords(bracket(self.basis[i], self.basis[j]))
-                worst["span"] = max(worst["span"], r)
-                worst["pp"] = max(worst["pp"], float(np.max(np.abs(c[list(self.p_indices)]), initial=0.0)))
-            for j in self.h_indices:
-                ip = -np.trace(self.basis[i] @ self.basis[j]).real
-                worst["orth"] = max(worst["orth"], abs(float(ip)))
+        def peak(values):
+            return float(np.max(np.abs(values), initial=0.0))
+
+        h = np.array(self.h_indices, dtype=int)
+        p = np.array(self.p_indices, dtype=int)
+        B = self.basis
+        # c[i, j] holds the coordinates of [B_i, B_j]
+        c, r = self.algebra_coords(bracket(B[:, None], B[None, :]))
+        worst = {
+            "hh": peak(c[np.ix_(h, h, p)]),
+            "hp": peak(c[np.ix_(h, p, h)]),
+            "pp": peak(c[np.ix_(p, p, p)]),
+            "span": peak(r),
+            "orth": peak(np.einsum("iab,jba->ij", B[p], B[h]).real),
+        }
         defects.update(worst)
         lim = tol * max(1.0, scale) ** 2
         if worst["span"] > lim:
@@ -351,10 +357,8 @@ class CartanModel:
         if worst["orth"] > lim:
             raise ValueError("h and p are not orthogonal under -Re tr(XY)")
 
-        iso = max(
-            float(np.max(np.abs(np.asarray(self.d_e_rho(self.basis[i]), dtype=float) @ self.obar)))
-            for i in self.h_indices
-        ) if self.h_indices else 0.0
+        iso = peak([np.asarray(self.d_e_rho(self.basis[i]), dtype=float) @ self.obar
+                    for i in self.h_indices])
         defects["isotropy"] = iso
         if iso > lim:
             raise ValueError(f"isotropy algebra does not fix the base point (defect {iso:.3e})")
@@ -382,7 +386,7 @@ class CartanModel:
             lhs_h = np.asarray(self.d_e_rho(bracket(X, Y)), dtype=float)
             rhs_h = bracket(np.asarray(self.d_e_rho(X), dtype=float),
                             np.asarray(self.d_e_rho(Y), dtype=float))
-            hom = max(hom, float(np.max(np.abs(lhs_h - rhs_h))) / max(1.0, float(np.max(np.abs(rhs_h)))))
+            hom = max(hom, peak(lhs_h - rhs_h) / max(1.0, peak(rhs_h)))
         defects["equivariance"] = equiv
         defects["rho_orthogonality"] = jorth
         defects["d_e_rho_homomorphism"] = hom
@@ -398,13 +402,9 @@ class CartanModel:
             ch = 0.5 * rng.standard_normal(len(self.h_indices))
             hmat = expm(self.h_element(ch))
             hinv = np.linalg.inv(hmat)
-            cols = []
-            for i in self.p_indices:
-                c, r = self.algebra_coords(hmat @ self.basis[i] @ hinv)
-                adh = max(adh, r, float(np.max(np.abs(c[list(self.h_indices)]), initial=0.0)))
-                cols.append(c[list(self.p_indices)])
-            C = np.column_stack(cols)
-            adh = max(adh, float(np.max(np.abs(C.T @ self.ip_p @ C - self.ip_p))))
+            c, r = self.algebra_coords(hmat @ self._p_basis @ hinv)
+            C = c[:, p].T
+            adh = max(peak(r), peak(c[:, h]), peak(C.T @ self.ip_p @ C - self.ip_p))
         defects["ad_h_invariance"] = adh
         if adh > 1e-8:
             raise ValueError("p-metric is not Ad_H-invariant")
@@ -503,13 +503,9 @@ def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
 def horizontality_residual(model, path):
     """Per-node h-component (and off-span part) of q^{-1} qdot."""
     qdot = fd_derivative(path.samples, path.grid.h)
-    out = np.empty(path.grid.n_nodes)
-    hsel = list(model.h_indices)
-    for k in range(path.grid.n_nodes):
-        xi = np.linalg.solve(path.samples[k], qdot[k])
-        coeffs, resid = model.algebra_coords(xi)
-        out[k] = max(float(np.max(np.abs(coeffs[hsel]), initial=0.0)), resid)
-    return out
+    coeffs, resid = model.algebra_coords(np.linalg.solve(path.samples, qdot))
+    h_part = np.max(np.abs(coeffs[:, list(model.h_indices)]), axis=1, initial=0.0)
+    return np.maximum(h_part, resid)
 
 
 # -- developments and intrinsic rolling ------------------------------------
@@ -631,10 +627,12 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     """Extrinsic rolling map along a control or sampled curve.
 
     ``normal_strategy`` selects how the rotation acts on the normal bundle:
-    "closed_form" inverts the ambient representation wholesale (valid when
-    the model declares ``closed_form_normal``), "frame_matching" transports a
-    normal frame along the curve and matches it to the constant development
-    frame, and "auto" picks the former when available.
+    "closed_form" inverts the ambient representation wholesale,
+    "frame_matching" transports a normal frame along the curve and matches
+    it to the constant development frame, and "auto" is "closed_form".
+    A model with an ``extrinsic_override`` (Stiefel) takes its rotation
+    from the override under "auto" and "closed_form" and refuses
+    "frame_matching".
     """
     lift = horizontal_lift(model, data, q0=q0)
     if model.extrinsic_override is not None:
@@ -649,13 +647,7 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     s_dev = extrinsic_develop(model, lift, EmbeddedCurve(grid=grid, points=alpha))
     alpha_hat = model.obar[None, :] + s_dev
 
-    if normal_strategy == "auto":
-        normal_strategy = "closed_form" if model.closed_form_normal else "frame_matching"
-    if normal_strategy == "closed_form":
-        if not model.closed_form_normal:
-            raise ValueError(
-                f"normal strategy 'closed_form' is unavailable for model {model.name}"
-            )
+    if normal_strategy in ("auto", "closed_form"):
         rots = j_transpose_inverse(rhos, model.form)
     elif normal_strategy == "frame_matching":
         frames = model.frames_along(rhos)
@@ -666,11 +658,9 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
             for j in range(normals.shape[2])
         ]
         transported = np.stack(cols, axis=2)
-        dev_normals = np.broadcast_to(
-            model.normal0, (grid.n_nodes,) + model.normal0.shape
-        ).copy()
         rots = normal_extension_by_frames(
-            j_transpose_inverse(rhos, model.form), frames, transported, dev_normals, model.form
+            j_transpose_inverse(rhos, model.form), frames, transported,
+            model.flat_normal_frames(grid).frames, model.form
         )
     else:
         raise ValueError(f"unknown normal strategy '{normal_strategy}'")

@@ -26,6 +26,8 @@ __all__ = [
     "random_oriented_isometry",
     "random_motion",
     "stacked_null_spaces",
+    "stacked_kron",
+    "stacked_vec",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -205,3 +207,18 @@ def stacked_null_spaces(rows):
     rows = np.asarray(rows, dtype=float)
     vh = np.linalg.svd(rows)[2]
     return np.swapaxes(vh[:, rows.shape[1]:, :], 1, 2)
+
+
+def stacked_kron(A, B):
+    """Kronecker products of two stacks of matrices, broadcast over leading axes."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    (a, b), (c, d) = A.shape[-2:], B.shape[-2:]
+    outer = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return outer.reshape(outer.shape[:-4] + (a * c, b * d))
+
+
+def stacked_vec(M):
+    """Column-major flattening of matrices (..., n, k) into new (..., n k) arrays."""
+    M = np.asarray(M)
+    return np.swapaxes(M, -1, -2).copy().reshape(M.shape[:-2] + (-1,))

@@ -14,6 +14,7 @@ they still match the generators, and they show the file format.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -104,8 +105,6 @@ def build_model(desc, validate=False, rng=None):
         random_group_element=parts.get("random_group_element"),
         random_point=parts.get("random_point"),
         tangent_frame_at=parts.get("tangent_frame_at"),
-        closed_form_normal=parts.get("closed_form_normal", False),
-        symmetric_space=parts.get("symmetric_space", True),
         extrinsic_override=parts.get("extrinsic_override"),
         params=desc.get("params"),
         description=desc,
@@ -142,6 +141,8 @@ def get_model(name):
     return these cached objects.  A description file is read and validated
     on every call, so an edited or corrupted file is never served stale.
     """
+    if isinstance(name, os.PathLike):
+        name = os.fspath(name)
     if name in _CACHE:
         return _CACHE[name]
     desc = _description_for(name)

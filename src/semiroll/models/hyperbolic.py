@@ -6,9 +6,9 @@ The algebra su(1,1) is realized by
 
 a general element ``X = 1/2 [[i v, u], [conj(u), -i v]]`` carrying coordinates
 (v, u1, u2) with u = u1 + i u2.  In these coordinates the adjoint action on
-the algebra preserves ``-v^2 + u1^2 + u2^2``, which realizes the hyperboloid
-of one sheet... of two sheets' upper half as the orbit of (1, 0, 0); the
-ambient form is diag(-1, 1, 1).  The disc coordinate z maps onto the
+the algebra preserves ``-v^2 + u1^2 + u2^2``; the orbit of (1, 0, 0) is the
+upper sheet (v > 0) of the two-sheeted hyperboloid -v^2 + u1^2 + u2^2 = -1,
+and the ambient form is diag(-1, 1, 1).  The disc coordinate z maps onto the
 hyperboloid by
 
     iota(z) = ( (1+|z|^2)/(1-|z|^2), 2 Im z/(1-|z|^2), -2 Re z/(1-|z|^2) ).
@@ -98,13 +98,14 @@ class MoebiusElement:
 
 
 def su11_coords(X):
-    """Coordinates (v, u1, u2) of an su(1,1) matrix.
+    """Coordinates (v, u1, u2) of su(1,1) matrices (..., 2, 2), as (..., 3).
 
     su(2) matrices keep their coordinates (u1, u2, u3) in the same entries,
     so the sphere model reads them with this function too.
     """
     X = np.asarray(X)
-    return np.array([2.0 * X[0, 0].imag, 2.0 * X[0, 1].real, 2.0 * X[0, 1].imag])
+    return np.stack([2.0 * X[..., 0, 0].imag, 2.0 * X[..., 0, 1].real, 2.0 * X[..., 0, 1].imag],
+                    axis=-1)
 
 
 def moebius_adjoint(a, b):
@@ -121,16 +122,6 @@ def moebius_adjoint(a, b):
             [aa + bb, 2.0 * np.imag(np.conj(a) * b), -2.0 * np.real(abc)],
             [2.0 * np.imag(ab), np.real(a2 - b2), -np.imag(a2 + b2)],
             [-2.0 * np.real(ab), np.imag(a2 - b2), np.real(a2 + b2)],
-        ]
-    )
-
-
-def _ad_from_coords(v, u1, u2):
-    return np.array(
-        [
-            [0.0, u2, -u1],
-            [u2, 0.0, -v],
-            [-u1, v, 0.0],
         ]
     )
 
@@ -176,10 +167,9 @@ def description():
 
 
 def _adjoint(g, basis):
-    """Matrix of X -> g X g^{-1} in the coordinates of ``basis`` (su(1,1) or su(2))."""
-    g = np.asarray(g)
-    ginv = np.linalg.inv(g)
-    return np.column_stack([su11_coords(g @ A @ ginv) for A in basis])
+    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates, g (..., 2, 2)."""
+    g = np.asarray(g)[..., None, :, :]
+    return np.swapaxes(su11_coords(g @ basis @ np.linalg.inv(g)), -1, -2)
 
 
 def _rho(g):
@@ -188,7 +178,13 @@ def _rho(g):
 
 def _d_e_rho(X):
     v, u1, u2 = su11_coords(X)
-    return _ad_from_coords(v, u1, u2)
+    return np.array(
+        [
+            [0.0, u2, -u1],
+            [u2, 0.0, -v],
+            [-u1, v, 0.0],
+        ]
+    )
 
 
 def _action(g, z):
@@ -219,8 +215,6 @@ def bundle(desc):
         "obar": embed_hyperbolic(z0),
         "tangent_frame_at": _tangent_frame_at,
         "random_point": _random_point,
-        "closed_form_normal": True,
-        "symmetric_space": True,
     }
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from ..homogeneous import ControlCurve
 from ..integrate import flow_matrix_ode, integrate_vector
 from ..linalg import SignatureForm, is_oriented_isometry, random_oriented_isometry
+from ..linalg import stacked_kron, stacked_vec
 from ..rolling import RollingMapPath
 
 __all__ = [
@@ -126,9 +127,9 @@ def bundle(desc):
 
     def rho(g):
         g = np.asarray(g)
-        Q1 = g[:n, :n]
-        Q2 = g[n:, n:]
-        return np.kron(J @ Q2 @ J, Q1)
+        Q1 = g[..., :n, :n]
+        Q2 = g[..., n:, n:]
+        return stacked_kron(J @ Q2 @ J, Q1)
 
     def d_e_rho(X):
         X = np.asarray(X)
@@ -143,7 +144,7 @@ def bundle(desc):
         return Q1 @ X @ (J @ Q2.T @ J)
 
     def embed(X):
-        return np.asarray(X, dtype=float).flatten(order="F")
+        return stacked_vec(np.asarray(X, dtype=float))
 
     def tangent_frame_at(xs):
         # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;
@@ -163,8 +164,6 @@ def bundle(desc):
         "obar": embed(P0),
         "tangent_frame_at": tangent_frame_at,
         "random_point": random_point,
-        "closed_form_normal": True,
-        "symmetric_space": True,
     }
 
 
@@ -227,14 +226,11 @@ def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):
                          reproject_form=form_n)
 
     s = integrate_vector(
-        lambda t: (2.0 * U(t) @ P0).flatten(order="F"), np.zeros(n * n), grid
+        lambda t: stacked_vec(2.0 * U(t) @ P0), np.zeros(n * n), grid
     )
-    alpha = np.array([
-        (Q1[k] @ P0 @ (J @ Q2[k].T @ J)).flatten(order="F")
-        for k in range(grid.n_nodes)
-    ])
-    rots = np.array([np.kron(J @ R2[k] @ J, R1[k]) for k in range(grid.n_nodes)])
-    obar = P0.flatten(order="F")
+    alpha = stacked_vec(Q1 @ P0 @ (J @ np.swapaxes(Q2, 1, 2) @ J))
+    rots = stacked_kron(J @ R2 @ J, R1)
+    obar = stacked_vec(P0)
     alpha_hat = obar[None, :] + s
     return RollingMapPath(
         grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,

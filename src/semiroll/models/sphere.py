@@ -128,8 +128,6 @@ def bundle(desc):
         "obar": embed_sphere(z0),
         "tangent_frame_at": _tangent_frame_at,
         "random_point": _random_point,
-        "closed_form_normal": True,
-        "symmetric_space": True,
     }
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..homogeneous import EmbeddedCurve, horizontal_lift
 from ..integrate import flow_matrix_ode, integrate_vector, dense_from_samples
-from ..linalg import SignatureForm, stacked_null_spaces
+from ..linalg import SignatureForm, stacked_kron, stacked_null_spaces, stacked_vec
 from ..rolling import RollingMapPath
 
 __all__ = [
@@ -45,14 +45,8 @@ class StiefelSubspaces:
 
     tangent: np.ndarray
     normal: np.ndarray
-    span_base: np.ndarray
-    traceless_sym: np.ndarray
     proj_tangent: np.ndarray
     proj_normal: np.ndarray
-
-
-def _vec(M):
-    return np.asarray(M).flatten(order="F")
 
 
 @lru_cache(maxsize=None)
@@ -67,49 +61,30 @@ def stiefel_subspaces(n, k):
             W = np.zeros((n, k))
             W[i, j] = 1.0 / np.sqrt(2.0)
             W[j, i] = -1.0 / np.sqrt(2.0)
-            tangent.append(_vec(W))
+            tangent.append(stacked_vec(W))
     for r in range(n - k):
         for c in range(k):
             W = np.zeros((n, k))
             W[k + r, c] = 1.0
-            tangent.append(_vec(W))
+            tangent.append(stacked_vec(W))
     tangent = np.column_stack(tangent)
 
     normal = []
     for i in range(k):
         W = np.zeros((n, k))
         W[i, i] = 1.0
-        normal.append(_vec(W))
+        normal.append(stacked_vec(W))
     for i in range(k):
         for j in range(i + 1, k):
             W = np.zeros((n, k))
             W[i, j] = 1.0 / np.sqrt(2.0)
             W[j, i] = 1.0 / np.sqrt(2.0)
-            normal.append(_vec(W))
+            normal.append(stacked_vec(W))
     normal = np.column_stack(normal)
-
-    span_base = _vec(np.eye(n, k)) / np.sqrt(k)
-
-    # Helmert rows give an orthonormal basis of diagonals summing to zero.
-    traceless = []
-    for m in range(1, k):
-        d = np.zeros(k)
-        d[:m] = 1.0
-        d[m] = -float(m)
-        d /= np.sqrt(m * (m + 1.0))
-        W = np.zeros((n, k))
-        W[:k, :k] = np.diag(d)
-        traceless.append(_vec(W))
-    traceless.extend(normal[:, k + i] for i in range(normal.shape[1] - k))
-    traceless_sym = (
-        np.column_stack(traceless) if traceless else np.zeros((n * k, 0))
-    )
 
     return StiefelSubspaces(
         tangent=tangent,
         normal=normal,
-        span_base=span_base,
-        traceless_sym=traceless_sym,
         proj_tangent=tangent @ tangent.T,
         proj_normal=normal @ normal.T,
     )
@@ -198,13 +173,10 @@ def _roll_from_lift(model, lift):
     S = _correction_path(model, lift)
     rhos = model.rho_path(lift.samples)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    rots = np.array([(rhos[m] @ S[m]).T for m in range(grid.n_nodes)])
-
-    E = np.eye(n, k)
-    sdot = np.array([
-        S[m].T @ _vec(model.p_element(lift.control.coords[m]) @ E)
-        for m in range(grid.n_nodes)
-    ])
+    rots = np.swapaxes(rhos @ S, 1, 2)
+    # sdot = S^T vec(U E) with U E the first k columns of U; vec index c n + i
+    first_cols = model.p_element(lift.control.coords)[:, :, :k]
+    sdot = np.einsum("mcia,mic->ma", S.reshape(grid.n_nodes, k, n, n * k), first_cols)
     dense = dense_from_samples(grid.ts, sdot)
     s = integrate_vector(dense, np.zeros(n * k), grid)
     alpha_hat = model.obar[None, :] + s
@@ -217,7 +189,7 @@ def bundle(desc):
     k = int(desc["params"]["k"])
 
     def rho(Q):
-        return np.kron(np.eye(k), np.asarray(Q))
+        return stacked_kron(np.eye(k), Q)
 
     def d_e_rho(X):
         return np.kron(np.eye(k), np.asarray(X))
@@ -226,7 +198,7 @@ def bundle(desc):
         return np.asarray(Q) @ np.asarray(X)
 
     def embed(X):
-        return _vec(np.asarray(X, dtype=float))
+        return stacked_vec(np.asarray(X, dtype=float))
 
     def tangent_frame_at(xs):
         # each row of xs is vec(P) column-major, so a C-order reshape gives P^T;
@@ -256,11 +228,9 @@ def bundle(desc):
         "action": action,
         "embed": embed,
         "base_point": np.eye(n, k),
-        "obar": _vec(np.eye(n, k)),
+        "obar": stacked_vec(np.eye(n, k)),
         "tangent_frame_at": tangent_frame_at,
         "random_point": random_point,
-        "closed_form_normal": False,
-        "symmetric_space": False,
         "extrinsic_override": _roll_from_lift,
     }
 
@@ -283,7 +253,7 @@ def roll_stiefel(n, k, data, grid=None, q0=None):
         if grid is None:
             raise ValueError("need a grid when data is a raw array")
         arr = np.asarray(data, dtype=float)
-        pts = np.array([_vec(M) for M in arr]) if arr.ndim == 3 else arr
+        pts = stacked_vec(arr) if arr.ndim == 3 else arr
         data = EmbeddedCurve(grid=grid, points=pts)
     lift = horizontal_lift(model, data, q0=q0)
     return _roll_from_lift(model, lift)

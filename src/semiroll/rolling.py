@@ -57,10 +57,6 @@ class TangentFramePath:
         if self.frames.ndim != 3 or self.frames.shape[0] != self.ts.size:
             raise ValueError("frames must be (n_nodes, N, r) matching ts")
 
-    @property
-    def rank(self):
-        return self.frames.shape[2]
-
 
 @dataclass
 class RollingMapPath:

@@ -5,6 +5,7 @@ model-specific beyond construction lives in the per-model test files.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +246,40 @@ def test_zero_rotation_fails_closed(name):
         assert np.max(residual) <= 1e-12
     with pytest.raises(ValueError, match="rank deficient at node 0"):
         model_residual_report(model, path)
+
+
+def _sinusoid_roll(model, normal_strategy):
+    grid = TimeGrid(0.0, 1.0, 80)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.sin(t + np.arange(model.p_dim)))
+    return extrinsic_roll(model, ctrl, normal_strategy=normal_strategy)
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2"])
+def test_closed_form_strategy_is_the_auto_choice(name):
+    model = get_model(name)
+    assert model.symmetric_space
+    auto = _sinusoid_roll(model, "auto")
+    closed = _sinusoid_roll(model, "closed_form")
+    for field in ("R", "s", "alpha", "alpha_hat"):
+        assert np.array_equal(getattr(auto, field), getattr(closed, field))
+
+
+def test_stiefel_refuses_frame_matching():
+    model = get_model("stiefel_3_1")
+    assert not model.symmetric_space
+    with pytest.raises(ValueError, match="'frame_matching' is unavailable for model stiefel_3_1"):
+        _sinusoid_roll(model, "frame_matching")
+
+
+def test_get_model_accepts_path_objects(tmp_path):
+    shipped = Path(stiefel.__file__).parent / "data" / "sphere.json"
+    model = get_model(shipped)
+    assert model.name == "sphere" and model is not get_model("sphere")
+    assert np.array_equal(model.frame0, get_model("sphere").frame0)
+    # the Path route validates as the string route does
+    desc = sphere_description()
+    desc["basis"][1][0][1][0] += 0.25
+    bad = tmp_path / "sphere_bad.json"
+    bad.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match="brackets leave the algebra span"):
+        get_model(bad)

@@ -1,17 +1,22 @@
-"""Stacked verification paths diffed against per-node scipy references.
+"""Stacked paths diffed against the per-node constructions they replaced.
 
 ``tangency_residual`` and the models' ``tangent_frame_at`` handle all nodes
 in one batched computation.  The per-node constructions they replaced are
 kept here as references: scipy's ``subspace_angles`` for the tangency angle,
 and ``null_space`` (or the explicit column loop) for each bundle's frames.
+The model maps ``rho``, ``p_element`` and ``algebra_coords`` broadcast over
+leading axes; a stack must give the per-matrix results, and
+``horizontality_residual`` must match the per-node ``solve`` plus ``lstsq``
+loop it replaced.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space, subspace_angles
 
-from semiroll.integrate import TimeGrid
-from semiroll.linalg import SignatureForm, random_oriented_isometry
+from semiroll.homogeneous import ControlCurve, GroupPath, horizontal_lift, horizontality_residual
+from semiroll.integrate import TimeGrid, fd_derivative
+from semiroll.linalg import SignatureForm, random_oriented_isometry, stacked_kron
 from semiroll.models import get_model
 from semiroll.models.pseudo_orthogonal import so_pq_basis
 from semiroll.rolling import RollingMapPath, TangentFramePath, tangency_residual
@@ -136,3 +141,89 @@ def test_pointwise_frames_reject_non_finite_points():
     points = np.array([[0.0, -1.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="NaN or inf"):
         model.pointwise_tangent_frames(grid, points)
+
+
+BENCHMARK_MODELS = ("sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2")
+
+
+def _group_stack(model, count=24, seed=5):
+    rng = np.random.default_rng(seed)
+    return np.array([model.random_group_element(rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_stacked_rho_matches_per_matrix_calls(name):
+    model = get_model(name)
+    qs = _group_stack(model)
+    reference = np.array([np.asarray(model.rho(q), dtype=float) for q in qs])
+    N = model.ambient_dim
+    assert reference.shape == (qs.shape[0], N, N)
+    assert np.max(np.abs(np.asarray(model.rho(qs)) - reference)) <= 1e-15
+    assert np.max(np.abs(model.rho_path(qs) - reference)) <= 1e-15
+    # any leading shape, not only a path axis
+    grid_shaped = np.asarray(model.rho(qs.reshape((4, 6) + qs.shape[1:])))
+    assert np.max(np.abs(grid_shaped.reshape(reference.shape) - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_stacked_p_element_and_algebra_coords_match_per_row_calls(name):
+    model = get_model(name)
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal((24, model.p_dim))
+    stacked = model.p_element(coeffs)
+    assert np.max(np.abs(stacked - np.array([model.p_element(c) for c in coeffs]))) <= 1e-15
+
+    # algebra elements plus an off-span part, so the residuals are not zero
+    X = np.tensordot(rng.standard_normal((24, model.basis.shape[0])), model.basis, axes=(1, 0))
+    X = X + 0.01 * rng.standard_normal(X.shape)
+    coords, resid = model.algebra_coords(X)
+    rows = [model.algebra_coords(x) for x in X]
+    assert coords.shape == (24, model.basis.shape[0]) and resid.shape == (24,)
+    assert np.max(np.abs(coords - np.array([c for c, _ in rows]))) <= 1e-15
+    assert np.max(np.abs(resid - np.array([r for _, r in rows]))) <= 1e-15
+    assert np.min(resid) > 1e-3
+    with pytest.raises(ValueError, match="p-coefficients"):
+        model.p_element(np.zeros((3, model.p_dim + 1)))
+
+
+def _horizontality_per_node(model, path):
+    """One ``solve`` and one ``lstsq`` per node, as before the stacked version."""
+    m = model.basis.shape[0]
+    flat = model.basis.reshape(m, -1).T
+    basis_flat = np.vstack([flat.real, flat.imag])
+    hsel = list(model.h_indices)
+    qdot = fd_derivative(path.samples, path.grid.h)
+    out = np.empty(path.grid.n_nodes)
+    for k in range(path.grid.n_nodes):
+        xi = np.linalg.solve(path.samples[k], qdot[k])
+        target = np.concatenate([xi.real.ravel(), xi.imag.ravel()])
+        coeffs, _, _, _ = np.linalg.lstsq(basis_flat, target, rcond=None)
+        resid = float(np.linalg.norm(basis_flat @ coeffs - target))
+        out[k] = max(float(np.max(np.abs(coeffs[hsel]), initial=0.0)), resid)
+    return out
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_stacked_horizontality_matches_per_node_loop(name):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 23)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.sin(t + np.arange(model.p_dim)))
+    lift = horizontal_lift(model, ctrl)
+    # a horizontal lift (residuals at the rounding floor) and a random,
+    # far from horizontal path (residuals from about 1 to 1e3)
+    for path in (lift, GroupPath(grid=grid, samples=_group_stack(model))):
+        reference = _horizontality_per_node(model, path)
+        stacked = horizontality_residual(model, path)
+        assert np.all(np.abs(stacked - reference) <= 1e-15 * np.maximum(1.0, reference))
+    assert np.min(reference) > 0.5
+
+
+def test_stacked_kron_matches_numpy_kron():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 2, 3))
+    B = rng.standard_normal((5, 4, 2))
+    stacked = stacked_kron(A, B)
+    assert stacked.shape == (5, 8, 6)
+    assert np.array_equal(stacked, np.array([np.kron(a, b) for a, b in zip(A, B)]))
+    # a single matrix broadcasts against a stack
+    assert np.array_equal(stacked_kron(np.eye(2), B), np.array([np.kron(np.eye(2), b) for b in B]))
