@@ -53,8 +53,7 @@ def _build_grid(cfg):
         _fail(f"bad grid: {exc}")
 
 
-def _build_control(cfg, grid, p_dim):
-    section = cfg["control"]
+def _build_control(section, grid, p_dim):
     kind = section.get("kind", "constant")
     ts = grid.ts
     if kind == "constant":
@@ -80,12 +79,20 @@ def _build_control(cfg, grid, p_dim):
 
 def _build_input(cfg, grid, model):
     has_control = "control" in cfg
-    has_curve = "curve" in cfg
-    if has_control == has_curve:
+    if has_control == ("curve" in cfg):
         _fail("config needs exactly one of 'control' or 'curve'")
-    if has_control:
-        return _build_control(cfg, grid, model.p_dim)
-    points = np.asarray(cfg["curve"]["points"], dtype=float)
+    key = "control" if has_control else "curve"
+    section = cfg[key]
+    if not isinstance(section, dict):
+        _fail(f"config '{key}' must be a JSON object")
+    try:
+        if has_control:
+            return _build_control(section, grid, model.p_dim)
+        points = np.asarray(section["points"], dtype=float)
+    except KeyError as exc:
+        _fail(f"config '{key}' is missing {exc}")
+    except (TypeError, ValueError) as exc:
+        _fail(f"bad {key}: {exc}")
     if points.shape != (grid.n_nodes, model.ambient_dim):
         _fail(f"curve points must be ({grid.n_nodes}, {model.ambient_dim})")
     return EmbeddedCurve(grid=grid, points=points)
@@ -138,6 +145,8 @@ def _write_json(out, meta, mode, grid, result):
 
 def cmd_roll(args):
     cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        _fail("config must be a JSON object")
     name = cfg.get("model")
     if not name:
         _fail("config is missing 'model'")
@@ -277,8 +286,14 @@ def cmd_verify(args):
         model = get_model(meta["model"])
     except (KeyError, ValueError) as exc:
         _fail(str(exc))
-    grid = TimeGrid(meta["t0"], meta["t1"], meta["n_steps"])
-    if not np.allclose(grid.ts, arrays["t"], atol=1e-12):
+    try:
+        grid = TimeGrid(float(meta["t0"]), float(meta["t1"]), meta["n_steps"])
+    except KeyError as exc:
+        _fail(f"{path}: trajectory metadata is missing {exc}")
+    except (TypeError, ValueError) as exc:
+        _fail(f"{path}: bad grid: {exc}")
+    t = arrays.get("t")
+    if t is None or t.shape != grid.ts.shape or not np.allclose(grid.ts, t, atol=1e-12):
         _fail(f"{path}: time column does not match the declared grid")
 
     tol = args.tol if args.tol is not None else 50.0 * grid.h ** 2

@@ -26,6 +26,7 @@ from .integrate import (
     flow_matrix_ode,
     integrate_vector,
     reproject,
+    rk4_steps,
 )
 from .linalg import j_orthogonality_residual, j_transpose_inverse
 from .rolling import (
@@ -63,8 +64,9 @@ class ControlCurve:
     """Sampled control coordinates in the p-part of the algebra.
 
     ``coords[k]`` are the coefficients at node k; ``func`` (optional at
-    construction) is the dense version used by the integrators and defaults
-    to a cubic interpolant through the samples.
+    construction) maps a scalar t to the coefficients at t, defaults to a
+    cubic interpolant through the samples, and is read by the integrators
+    through ``at``.
     """
 
     grid: TimeGrid
@@ -86,6 +88,10 @@ class ControlCurve:
     @property
     def dim(self):
         return self.coords.shape[1]
+
+    def at(self, ts):
+        """Coefficients at the times ``ts``, (len(ts), dim): one ``func`` call per t."""
+        return np.array([np.atleast_1d(self.func(t)) for t in ts], dtype=float)
 
 
 @dataclass
@@ -415,11 +421,10 @@ class CartanModel:
 
 
 def _lift_from_control(model, control, q0):
-    def U(t):
-        return model.p_element(control.func(t))
-
-    qs = flow_matrix_ode(U, q0, control.grid, side="right", reproject_form=model.group_form)
-    return GroupPath(grid=control.grid, samples=qs, control=control)
+    grid = control.grid
+    generators = model.p_element(control.at(grid.stage_ts))
+    qs = flow_matrix_ode(generators, q0, grid, side="right", reproject_form=model.group_form)
+    return GroupPath(grid=grid, samples=qs, control=control)
 
 
 def _lift_from_samples(model, curve, q0, track_tol):
@@ -430,46 +435,36 @@ def _lift_from_samples(model, curve, q0, track_tol):
     if np.linalg.norm(start - pts[0]) > track_tol * scale:
         raise ValueError("curve does not start at the projection of q0")
 
-    adot = derivative_interpolant(grid, pts)
+    vel = derivative_interpolant(grid, pts)(grid.stage_ts)
 
-    def fit(q, t):
-        F = np.asarray(model.rho(q), dtype=float) @ model.frame0
-        target = adot(t)
-        coeffs, _, _, _ = np.linalg.lstsq(F, target, rcond=None)
-        resid = float(np.linalg.norm(F @ coeffs - target))
-        return coeffs, resid
+    # p-coefficients of a velocity v at rho(q) obar: cf0 rho(q)^{-1} v, which
+    # equals the least-squares fit in the moving frame rho(q) frame0 when v is
+    # tangent; a normal part is caught by the fit check below
+    def velocity(j, q):
+        rinv = j_transpose_inverse(np.asarray(model.rho(q), dtype=float), model.form)
+        return q @ model.p_element(model.cf0 @ (rinv @ vel[j]))
 
-    def rhs(q, t):
-        coeffs, _ = fit(q, t)
-        return q @ model.p_element(coeffs)
+    dtype = model.basis.dtype if np.iscomplexobj(model.basis) else float
+    qs = rk4_steps(velocity, np.asarray(q0, dtype=dtype), grid, model.group_form)
 
-    h = grid.h
-    ts = grid.ts
-    q = np.asarray(q0, dtype=model.basis.dtype if np.iscomplexobj(model.basis) else float)
-    qs = np.empty((grid.n_nodes,) + q.shape, dtype=q.dtype)
-    qs[0] = q
-    for k in range(grid.n_steps):
-        t = ts[k]
-        k1 = rhs(q, t)
-        k2 = rhs(q + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(q + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(q + h * k3, t + h)
-        q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        q = reproject(q, model.group_form)
-        qs[k + 1] = q
-
-    coords = np.empty((grid.n_nodes, model.p_dim))
-    speed = max(1.0, float(np.max(np.linalg.norm(fd_derivative(pts, h), axis=1))))
-    for k in range(grid.n_nodes):
-        coords[k], resid = fit(qs[k], ts[k])
-        if resid > TANGENT_FIT_TOL * speed:
+    rhos = model.rho_path(qs)
+    node_vel = vel[::2]
+    coords = np.einsum("ai,kij,kj->ka", model.cf0, j_transpose_inverse(rhos, model.form), node_vel)
+    speed = max(1.0, float(np.max(np.linalg.norm(fd_derivative(pts, grid.h), axis=1))))
+    fitted = np.einsum("kia,ka->ki", model.frames_along(rhos), coords)
+    fit = np.linalg.norm(fitted - node_vel, axis=1)
+    track = np.linalg.norm(np.einsum("kij,j->ki", rhos, model.obar) - pts, axis=1)
+    bad_fit = fit > TANGENT_FIT_TOL * speed
+    bad = np.flatnonzero(bad_fit | (track > track_tol * scale))
+    if bad.size:
+        k = bad[0]
+        t = grid.ts[k]
+        if bad_fit[k]:
             raise ValueError(
-                f"curve velocity at t={ts[k]:.6g} is not tangent to the model "
-                f"manifold (defect {resid:.3e}); input must be smooth and tangent"
+                f"curve velocity at t={t:.6g} is not tangent to the model "
+                f"manifold (defect {fit[k]:.3e}); input must be smooth and tangent"
             )
-        track = np.linalg.norm(np.asarray(model.rho(qs[k]), dtype=float) @ model.obar - pts[k])
-        if track > track_tol * scale:
-            raise ValueError(f"lift drifted from the curve (defect {track:.3e} at t={ts[k]:.6g})")
+        raise ValueError(f"lift drifted from the curve (defect {track[k]:.3e} at t={t:.6g})")
     return GroupPath(grid=grid, samples=qs, control=ControlCurve(grid=grid, coords=coords))
 
 
@@ -518,12 +513,8 @@ def develop_intrinsic(model, control):
     shadow of the curve for symmetric models (non-symmetric models build
     their development through the extrinsic route instead).
     """
-    d = model.d_e_pi
-
-    def rhs(t):
-        return d @ np.atleast_1d(control.func(t))
-
-    return integrate_vector(rhs, np.zeros(model.p_dim), control.grid)
+    grid = control.grid
+    return integrate_vector(control.at(grid.stage_ts) @ model.d_e_pi.T, grid)
 
 
 def transport_homogeneous(model, lift, y0):
@@ -586,14 +577,16 @@ def intrinsic_roll(model, data, q0=None):
 # -- extrinsic rolling ------------------------------------------------------
 
 
-def extrinsic_develop(model, lift, curve):
-    """Flat development: quadrature of rho(q)^{-1} alpha' from zero."""
-    rhos = model.rho_path(lift.samples)
-    rinv = j_transpose_inverse(rhos, model.form)
-    vel = fd_derivative(curve.points, curve.grid.h)
-    rhs_nodes = np.einsum("kij,kj->ki", rinv, vel)
-    dense = dense_from_samples(curve.grid.ts, rhs_nodes)
-    return integrate_vector(dense, np.zeros(model.ambient_dim), curve.grid)
+def extrinsic_develop(rots, curve):
+    """Flat development: quadrature from zero of R(t) alpha'(t).
+
+    ``rots`` are the rolling rotations at the curve's nodes, for a symmetric
+    model the J-inverse of rho along the lift.
+    """
+    grid = curve.grid
+    vel = fd_derivative(curve.points, grid.h)
+    dense = dense_from_samples(grid.ts, np.einsum("kij,kj->ki", rots, vel))
+    return integrate_vector(dense(grid.stage_ts), grid)
 
 
 def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
@@ -643,12 +636,13 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
         )
     grid = lift.grid
     rhos = model.rho_path(lift.samples)
+    rinv = j_transpose_inverse(rhos, model.form)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    s_dev = extrinsic_develop(model, lift, EmbeddedCurve(grid=grid, points=alpha))
+    s_dev = extrinsic_develop(rinv, EmbeddedCurve(grid=grid, points=alpha))
     alpha_hat = model.obar[None, :] + s_dev
 
     if normal_strategy in ("auto", "closed_form"):
-        rots = j_transpose_inverse(rhos, model.form)
+        rots = rinv
     elif normal_strategy == "frame_matching":
         frames = model.frames_along(rhos)
         normals = model.normals_along(rhos)
@@ -659,7 +653,7 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
         ]
         transported = np.stack(cols, axis=2)
         rots = normal_extension_by_frames(
-            j_transpose_inverse(rhos, model.form), frames, transported,
+            rinv, frames, transported,
             model.flat_normal_frames(grid).frames, model.form
         )
     else:

@@ -1,14 +1,18 @@
 """Fixed-step integration and differentiation on uniform time grids.
 
-Matrix flows use the classical fourth-order Runge-Kutta scheme with optional
-per-step Newton reprojection onto the J-orthogonal group.  Vector quadrature
-reuses the RK4 stepping (Simpson weights for a pure-time integrand, exact for
-cubic polynomials).  Grid differentiation is fourth order, with one-sided
-stencils at the two nodes on each end of the grid.
+A time-dependent integrand enters as its samples at ``TimeGrid.stage_ts``,
+the grid nodes and the step midpoints, which are the only times an RK4 or
+Simpson step reads.  Matrix flows use the classical fourth-order Runge-Kutta
+scheme with optional per-step Newton reprojection onto the J-orthogonal
+group; vector quadrature is the cumulative Simpson sum (what RK4 collapses
+to for a pure-time integrand, exact for cubic polynomials).  Grid
+differentiation is fourth order, with one-sided stencils at the two nodes on
+each end of the grid.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ __all__ = [
     "TimeGrid",
     "reproject",
     "reproject_info",
+    "rk4_steps",
     "flow_matrix_ode",
     "integrate_vector",
     "fd_derivative",
@@ -42,6 +47,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
+        if not isinstance(self.n_steps, numbers.Integral):
+            raise TypeError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
 
@@ -56,6 +63,11 @@ class TimeGrid:
     @property
     def ts(self):
         return np.linspace(self.t0, self.t1, self.n_steps + 1)
+
+    @property
+    def stage_ts(self):
+        """The 2 n_steps + 1 stage times: node k is entry 2k, its step midpoint 2k + 1."""
+        return np.linspace(self.t0, self.t1, 2 * self.n_steps + 1)
 
 
 def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
@@ -91,43 +103,24 @@ def reproject(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     return reproject_info(X, form, tol=tol, max_iter=max_iter)[0]
 
 
-def flow_matrix_ode(generator, X0, grid, side="left", reproject_form=None):
-    """Integrate Xdot = L(t) X (side="left") or Xdot = X L(t) (side="right").
+def rk4_steps(velocity, X0, grid, reproject_form=None):
+    """Classical RK4 for X' = velocity(j, X), j indexing ``grid.stage_ts``.
 
-    ``generator`` maps t to the square matrix L(t).  Returns the full node
-    path, shape (n_nodes, d, d).  With ``reproject_form`` set, every accepted
-    step is polished back onto the corresponding J-orthogonal group, which
-    keeps group-valued flows on the group without degrading the RK4 order.
+    Returns the node path, shape (n_nodes,) + X0.shape.  With
+    ``reproject_form`` set, every accepted step is polished back onto the
+    corresponding J-orthogonal group, which keeps group-valued flows on the
+    group without degrading the RK4 order.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    probe = np.asarray(generator(grid.t0))
-    X0 = np.asarray(X0)
-    if probe.shape != X0.shape or X0.ndim != 2 or X0.shape[0] != X0.shape[1]:
-        raise ValueError("generator output and X0 must be square matrices of equal size")
-    dtype = np.result_type(probe.dtype, X0.dtype, float)
-    X = X0.astype(dtype)
-
-    if side == "left":
-        def apply(L, M):
-            return L @ M
-    else:
-        def apply(L, M):
-            return M @ L
-
     h = grid.h
-    ts = grid.ts
-    out = np.empty((grid.n_nodes,) + X.shape, dtype=dtype)
+    X = X0
+    out = np.empty((grid.n_nodes,) + X.shape, dtype=X.dtype)
     out[0] = X
     for k in range(grid.n_steps):
-        t = ts[k]
-        L1 = generator(t)
-        Lm = generator(t + 0.5 * h)
-        L2 = generator(t + h)
-        k1 = apply(L1, X)
-        k2 = apply(Lm, X + 0.5 * h * k1)
-        k3 = apply(Lm, X + 0.5 * h * k2)
-        k4 = apply(L2, X + h * k3)
+        j = 2 * k
+        k1 = velocity(j, X)
+        k2 = velocity(j + 1, X + 0.5 * h * k1)
+        k3 = velocity(j + 1, X + 0.5 * h * k2)
+        k4 = velocity(j + 2, X + h * k3)
         X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if reproject_form is not None:
             X = reproject(X, reproject_form)
@@ -135,27 +128,46 @@ def flow_matrix_ode(generator, X0, grid, side="left", reproject_form=None):
     return out
 
 
-def integrate_vector(rhs, x0, grid):
-    """Cumulative quadrature of xdot = rhs(t): node values of the antiderivative.
+def _check_stage_samples(samples, grid):
+    if samples.shape[:1] != (2 * grid.n_steps + 1,):
+        raise ValueError(
+            f"need {2 * grid.n_steps + 1} samples at the grid's stage times, "
+            f"got shape {samples.shape}"
+        )
 
-    Simpson-weighted steps (RK4 collapses to Simpson for a pure-time right
-    hand side); exact for polynomial integrands up to degree 3.
+
+def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
+    """Integrate Xdot = L(t) X (side="left") or Xdot = X L(t) (side="right").
+
+    ``generators`` holds L at ``grid.stage_ts``, shape (2 n_steps + 1, d, d).
+    Returns the full node path, shape (n_nodes, d, d); ``reproject_form`` is
+    as in ``rk4_steps``.
     """
-    probe = np.asarray(rhs(grid.t0))
-    x = np.asarray(x0, dtype=np.result_type(probe.dtype, np.asarray(x0).dtype, float))
-    if probe.shape != x.shape:
-        raise ValueError("rhs output shape does not match x0")
-    h = grid.h
-    ts = grid.ts
-    out = np.empty((grid.n_nodes,) + x.shape, dtype=x.dtype)
-    out[0] = x
-    for k in range(grid.n_steps):
-        t = ts[k]
-        f1 = np.asarray(rhs(t))
-        fm = np.asarray(rhs(t + 0.5 * h))
-        f2 = np.asarray(rhs(t + h))
-        x = x + (h / 6.0) * (f1 + 4.0 * fm + f2)
-        out[k + 1] = x
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    L = np.asarray(generators)
+    X0 = np.asarray(X0)
+    _check_stage_samples(L, grid)
+    if L.shape[1:] != X0.shape or X0.ndim != 2 or X0.shape[0] != X0.shape[1]:
+        raise ValueError("generators and X0 must be square matrices of equal size")
+    X0 = X0.astype(np.result_type(L.dtype, X0.dtype, float))
+    if side == "left":
+        return rk4_steps(lambda j, X: L[j] @ X, X0, grid, reproject_form)
+    return rk4_steps(lambda j, X: X @ L[j], X0, grid, reproject_form)
+
+
+def integrate_vector(samples, grid):
+    """Cumulative quadrature from zero of an integrand sampled at ``grid.stage_ts``.
+
+    ``samples`` has shape (2 n_steps + 1, ...); returns the node values of
+    the antiderivative, shape (n_nodes, ...).  Composite Simpson weights,
+    exact for polynomial integrands up to degree 3.
+    """
+    f = np.asarray(samples)
+    _check_stage_samples(f, grid)
+    steps = (grid.h / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2])
+    out = np.zeros((grid.n_nodes,) + f.shape[1:], dtype=np.result_type(steps.dtype, float))
+    np.cumsum(steps, axis=0, out=out[1:])
     return out
 
 

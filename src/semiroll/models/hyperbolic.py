@@ -140,9 +140,14 @@ def embed_hyperbolic(z):
 
 
 def ubar_matrix(u):
-    """Ambient control matrix [[0,u1,u2],[u1,0,0],[u2,0,0]] of the rolling kinematics."""
-    u1, u2 = float(u[0]), float(u[1])
-    return np.array([[0.0, u1, u2], [u1, 0.0, 0.0], [u2, 0.0, 0.0]])
+    """Ambient control matrices [[0,u1,u2],[u1,0,0],[u2,0,0]] of the rolling kinematics.
+
+    ``u`` is (..., 2); the result is (..., 3, 3).
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape[:-1] + (3, 3))
+    out[..., 0, 1:] = out[..., 1:, 0] = u[..., :2]
+    return out
 
 
 def description():
@@ -260,8 +265,7 @@ def moebius_lift(z_samples, grid, branch, theta0=0.0):
     ydot = fd_derivative(y, grid.h)
     den = 1.0 + sigma * np.abs(z) ** 2
     rate = 2.0 * (x * ydot - xdot * y) / den
-    dense_rate = dense_from_samples(grid.ts, rate)
-    theta_int = integrate_vector(lambda t: np.atleast_1d(dense_rate(t)), np.zeros(1), grid)[:, 0]
+    theta_int = integrate_vector(dense_from_samples(grid.ts, rate)(grid.stage_ts), grid)
 
     factor = 1.0 / np.sqrt(den)
 
@@ -301,8 +305,8 @@ def hyperbolic_lift(z_samples, grid, theta0=0.0):
 def kinematic_roll(model, control, grid, ubar_of):
     """Extrinsic rolling of the sphere or the hyperboloid on its affine tangent plane.
 
-    ``ubar_of`` maps the control coordinates to the ambient angular velocity
-    Ubar, and the kinematic equations
+    ``ubar_of`` maps control coordinates (..., k) to ambient angular
+    velocities Ubar (..., N, N), and the kinematic equations
 
         alphabar' = qbar Ubar obar,   Rbar' = -Ubar Rbar,   sbar' = Ubar obar
 
@@ -317,15 +321,12 @@ def kinematic_roll(model, control, grid, ubar_of):
     grid = control.grid
     form = model.form
 
-    def ubar(t):
-        return ubar_of(control.func(t))
-
+    ubars = ubar_of(control.at(grid.stage_ts))
     eye = np.eye(form.dim)
-    qbar = flow_matrix_ode(ubar, eye, grid, side="right", reproject_form=form)
-    rots = flow_matrix_ode(lambda t: -ubar(t), eye, grid, side="left",
-                           reproject_form=form)
+    qbar = flow_matrix_ode(ubars, eye, grid, side="right", reproject_form=form)
+    rots = flow_matrix_ode(-ubars, eye, grid, side="left", reproject_form=form)
     obar = model.obar
-    s = integrate_vector(lambda t: ubar(t) @ obar, np.zeros(form.dim), grid)
+    s = integrate_vector(ubars @ obar, grid)
     alpha = np.einsum("kij,j->ki", qbar, obar)
     alpha_hat = obar[None, :] + s
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,

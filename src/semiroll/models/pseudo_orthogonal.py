@@ -211,23 +211,13 @@ def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):
             f"control must have {skew.shape[0]} components for so({p},{q})"
         )
 
-    def U(t):
-        return np.tensordot(control.func(t), skew, axes=(0, 0))
-
-    def U_conj(t):
-        return P0inv @ U(t) @ P0
-
+    U = np.tensordot(control.at(grid.stage_ts), skew, axes=(-1, 0))
+    U_conj = P0inv @ U @ P0
     Q1 = flow_matrix_ode(U, np.eye(n), grid, side="right", reproject_form=form_n)
-    Q2 = flow_matrix_ode(lambda t: -U_conj(t), np.eye(n), grid, side="right",
-                         reproject_form=form_n)
-    R1 = flow_matrix_ode(lambda t: -U(t), np.eye(n), grid, side="left",
-                         reproject_form=form_n)
-    R2 = flow_matrix_ode(U_conj, np.eye(n), grid, side="left",
-                         reproject_form=form_n)
-
-    s = integrate_vector(
-        lambda t: stacked_vec(2.0 * U(t) @ P0), np.zeros(n * n), grid
-    )
+    Q2 = flow_matrix_ode(-U_conj, np.eye(n), grid, side="right", reproject_form=form_n)
+    R1 = flow_matrix_ode(-U, np.eye(n), grid, side="left", reproject_form=form_n)
+    R2 = flow_matrix_ode(U_conj, np.eye(n), grid, side="left", reproject_form=form_n)
+    s = integrate_vector(stacked_vec(2.0 * U @ P0), grid)
     alpha = stacked_vec(Q1 @ P0 @ (J @ np.swapaxes(Q2, 1, 2) @ J))
     rots = stacked_kron(J @ R2 @ J, R1)
     obar = stacked_vec(P0)

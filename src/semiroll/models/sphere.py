@@ -56,15 +56,11 @@ CHART_CONJUGATOR = np.array(
 )
 
 def hat(u):
-    """Cross-product matrix: hat(u) w = u x w."""
-    u1, u2, u3 = u
-    return np.array(
-        [
-            [0.0, -u3, u2],
-            [u3, 0.0, -u1],
-            [-u2, u1, 0.0],
-        ]
-    )
+    """Cross-product matrices (..., 3, 3) of vectors u (..., 3): hat(u) w = u x w."""
+    u1, u2, u3 = np.moveaxis(np.asarray(u), -1, 0)
+    z = np.zeros_like(u1)
+    rows = [[z, -u3, u2], [u3, z, -u1], [-u2, u1, z]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def embed_sphere(z):
@@ -156,6 +152,6 @@ def roll_sphere(control, grid=None):
     kinematic_roll, here with the Euclidean form).
     """
     def ubar_of(c):
-        return hat(CHART_CONJUGATOR @ np.array([0.0, c[0], c[1]]))
+        return hat(np.pad(c, ((0, 0), (1, 0))) @ CHART_CONJUGATOR.T)
 
     return kinematic_roll(make_sphere_model(), control, grid, ubar_of)

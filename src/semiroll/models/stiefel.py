@@ -91,15 +91,19 @@ def stiefel_subspaces(n, k):
 
 
 def stiefel_omega(n, k, qdot):
-    """Correction generator for a horizontal group velocity qdot in p."""
+    """Correction generators for horizontal group velocities qdot in p.
+
+    ``qdot`` is (..., n, n) and the result (..., n k, n k); each velocity is
+    checked against its own scale.
+    """
     U = np.asarray(qdot, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(U))))
-    if np.max(np.abs(U + U.T)) > PBLOCK_TOL * scale:
+    tol = PBLOCK_TOL * np.maximum(1.0, np.max(np.abs(U), axis=(-2, -1)))
+    if np.any(np.max(np.abs(U + np.swapaxes(U, -1, -2)), axis=(-2, -1)) > tol):
         raise ValueError("group velocity must be skew-symmetric")
-    if np.max(np.abs(U[k:, k:])) > PBLOCK_TOL * scale:
+    if np.any(np.max(np.abs(U[..., k:, k:]), axis=(-2, -1)) > tol):
         raise ValueError("group velocity must lie in the horizontal subalgebra")
     sub = stiefel_subspaces(n, k)
-    M = np.kron(np.eye(k), U)
+    M = stacked_kron(np.eye(k), U)
     Pt = sub.proj_tangent
     Pn = sub.proj_normal
     return -(Pt @ M @ Pt + Pn @ M @ Pn)
@@ -156,13 +160,9 @@ def _correction_path(model, lift):
     control = lift.control
     if control is None:
         raise ValueError("lift carries no control curve")
-
-    def omega(t):
-        U = model.p_element(control.func(t))
-        return stiefel_omega(n, k, U)
-
+    omegas = stiefel_omega(n, k, model.p_element(control.at(grid.stage_ts)))
     form = SignatureForm(np.ones(n * k))
-    return flow_matrix_ode(omega, np.eye(n * k), grid, side="left",
+    return flow_matrix_ode(omegas, np.eye(n * k), grid, side="left",
                            reproject_form=form)
 
 
@@ -177,8 +177,7 @@ def _roll_from_lift(model, lift):
     # sdot = S^T vec(U E) with U E the first k columns of U; vec index c n + i
     first_cols = model.p_element(lift.control.coords)[:, :, :k]
     sdot = np.einsum("mcia,mic->ma", S.reshape(grid.n_nodes, k, n, n * k), first_cols)
-    dense = dense_from_samples(grid.ts, sdot)
-    s = integrate_vector(dense, np.zeros(n * k), grid)
+    s = integrate_vector(dense_from_samples(grid.ts, sdot)(grid.stage_ts), grid)
     alpha_hat = model.obar[None, :] + s
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha,
                           alpha_hat=alpha_hat, form=model.form)

@@ -385,19 +385,18 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
     m = grid.n_nodes
     n = path.form.dim
 
+    stages = grid.stage_ts
     if callable(omega0):
-        omega_fn = omega0
-        omega_nodes = np.array([np.asarray(omega0(t), dtype=float) for t in grid.ts])
+        omegas = np.array([np.asarray(omega0(t), dtype=float) for t in stages])
     else:
         omega_arr = np.asarray(omega0, dtype=float)
         if omega_arr.shape == (n, n):
-            omega_nodes = np.broadcast_to(omega_arr, (m, n, n)).copy()
-            omega_fn = lambda t: omega_arr
+            omegas = np.broadcast_to(omega_arr, (stages.size, n, n))
         elif omega_arr.shape == (m, n, n):
-            omega_nodes = omega_arr
-            omega_fn = dense_from_samples(grid.ts, omega_arr)
+            omegas = dense_from_samples(grid.ts, omega_arr)(stages)
         else:
             raise ValueError("omega0 must be (N,N), (n_nodes,N,N) or callable")
+    omega_nodes = omegas[::2]
 
     signs = path.form.signs
     p_tan = _projectors(tangent_mhat.frames, path.form)
@@ -416,8 +415,7 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
         if value > admissibility_tol * scale:
             raise ValueError(f"inadmissible normal generator: {label} (defect {value:.3e})")
 
-    lam = flow_matrix_ode(lambda t: np.asarray(omega_fn(t), dtype=float),
-                          np.eye(n), grid, side="left", reproject_form=path.form)
+    lam = flow_matrix_ode(omegas, np.eye(n), grid, side="left", reproject_form=path.form)
     R_new = np.einsum("kij,kjl->kil", lam, path.R)
     s_new = path.alpha_hat - np.einsum("kij,kj->ki", R_new, path.alpha)
     return RollingMapPath(
@@ -430,7 +428,7 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
     )
 
 
-def parallel_transport_embedded(curve, frames, v0, form, which="tangent", refine=2):
+def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     """Transport v0 along a sampled curve by step-and-project in the ambient space.
 
     Parameters
@@ -448,10 +446,11 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent", refine
         Ambient scalar product; projections are J-orthogonal and the step
         rescaling preserves the (indefinite) squared norm of v0 unless v0 is
         numerically null, in which case rescaling is skipped.
-    refine : int
-        Richardson levels over stride-2/4/8 coarsenings of the node path
-        (each level needs the node count to be divisible by the stride);
-        the base scheme is first order, each level buys one more order.
+
+    The base scheme is first order; two Richardson levels over stride-2 and
+    stride-4 coarsenings of the node path buy one order each (a level
+    applies when the node count minus one is divisible by its stride and
+    leaves at least two coarse steps).
 
     Returns the transported vectors at every node, shape (n_nodes, N).
     """
@@ -496,25 +495,16 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent", refine
 
     ts = np.linspace(0.0, 1.0, m)
     path1 = _raw(1)
-    result = path1
-    if refine >= 1 and _usable(2):
-        path2 = _raw(2)
-        e1_fine = 2.0 * path1[::2] - path2
-        corr1 = dense_from_samples(ts[::2], e1_fine - path1[::2])
-        result = path1 + corr1(ts)
-        if refine >= 2 and _usable(4):
-            path4 = _raw(4)
-            e1_coarse = 2.0 * path2[::2] - path4
-            e2 = (4.0 * e1_fine[::2] - e1_coarse) / 3.0
-            corr2 = dense_from_samples(ts[::4], e2 - e1_fine[::2])
-            result = result + corr2(ts)
-            if refine >= 3 and _usable(8):
-                path8 = _raw(8)
-                e1_c2 = 2.0 * path4[::2] - path8
-                e2_coarse = (4.0 * e1_coarse[::2] - e1_c2) / 3.0
-                e3 = (8.0 * e2[::2] - e2_coarse) / 7.0
-                corr3 = dense_from_samples(ts[::8], e3 - e2[::2])
-                result = result + corr3(ts)
+    if not _usable(2):
+        return path1
+    path2 = _raw(2)
+    e1_fine = 2.0 * path1[::2] - path2
+    result = path1 + dense_from_samples(ts[::2], e1_fine - path1[::2])(ts)
+    if _usable(4):
+        path4 = _raw(4)
+        e1_coarse = 2.0 * path2[::2] - path4
+        e2 = (4.0 * e1_fine[::2] - e1_coarse) / 3.0
+        result = result + dense_from_samples(ts[::4], e2 - e1_fine[::2])(ts)
     return result
 
 

@@ -174,3 +174,59 @@ def test_zero_rotation_is_an_error_not_a_pass(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--in", str(out)]) == 1
     assert "rank deficient" in capsys.readouterr().err
+
+
+
+_SMALL_ROLL = {
+    "model": "sphere",
+    "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 10},
+    "control": {"kind": "constant", "coords": [1.0, 0.0]},
+}
+
+
+def _drop_t0_line(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("# t0="))
+
+
+def _json_edit(change):
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize("command, payload", [
+    pytest.param("verify", (".csv", _drop_t0_line), id="csv_without_t0"),
+    pytest.param("verify", (".json", _json_edit(lambda doc: doc.pop("t0"))), id="json_without_t0"),
+    pytest.param("verify", (".json", _json_edit(lambda doc: doc.update(n_steps=0))),
+                 id="zero_n_steps"),
+    pytest.param("verify", (".json", _json_edit(lambda doc: doc.update(n_steps="10"))),
+                 id="string_n_steps"),
+    pytest.param("verify", (".json", _json_edit(lambda doc: doc["t"].pop())), id="short_t_column"),
+    pytest.param("roll", {**_SMALL_ROLL, "control": {"kind": "sinusoid", "amplitude": [1.0, 0.5]}},
+                 id="sinusoid_without_frequency"),
+    pytest.param("roll", {**_SMALL_ROLL, "control": {"kind": "constant", "coords": ["a", 1]}},
+                 id="non_numeric_coords"),
+    pytest.param("roll", {"model": "sphere", "grid": _SMALL_ROLL["grid"], "curve": {}},
+                 id="curve_without_points"),
+    pytest.param("roll", [_SMALL_ROLL], id="list_config"),
+])
+def test_bad_input_is_an_error_message_not_a_traceback(command, payload, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if command == "verify":
+        suffix, edit = payload
+        out = tmp_path / f"traj{suffix}"
+        cfg.write_text(json.dumps(_SMALL_ROLL))
+        assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+        out.write_text(edit(out.read_text()))
+        argv = ["verify", "--in", str(out)]
+    else:
+        cfg.write_text(json.dumps(payload))
+        argv = ["roll", "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

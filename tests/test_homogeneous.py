@@ -216,6 +216,19 @@ def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, mon
     assert len(calls) == (0 if model.extrinsic_override is None else 1)
 
 
+def test_symmetric_extrinsic_roll_maps_rho_once(monkeypatch):
+    model = get_model("sphere")
+    grid = TimeGrid(0.0, 1.0, 100)
+    ctrl = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.5 * t]))
+    calls = []
+    rho_path = model.rho_path
+    monkeypatch.setattr(model, "rho_path", lambda qs: calls.append(qs) or rho_path(qs))
+    for strategy in ("closed_form", "frame_matching"):
+        calls.clear()
+        extrinsic_roll(model, ctrl, normal_strategy=strategy)
+        assert len(calls) == 1
+
+
 def test_factories_return_the_registry_models():
     assert get_model("sphere") is make_sphere_model()
     assert get_model("hyperboloid") is make_hyperbolic_model()

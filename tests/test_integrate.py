@@ -36,8 +36,9 @@ def test_constant_generator_flow_matches_exponential():
     U = rng.standard_normal((4, 4))
     U = U - U.T
     grid = TimeGrid(0.0, 1.5, 600)
-    left = flow_matrix_ode(lambda t: U, np.eye(4), grid, side="left")
-    right = flow_matrix_ode(lambda t: U, np.eye(4), grid, side="right")
+    Us = np.broadcast_to(U, (grid.stage_ts.size, 4, 4))
+    left = flow_matrix_ode(Us, np.eye(4), grid, side="left")
+    right = flow_matrix_ode(Us, np.eye(4), grid, side="right")
     for k in (0, 150, 600):
         E = expm(grid.ts[k] * U)
         assert np.max(np.abs(left[k] - E)) <= 1e-9
@@ -56,8 +57,9 @@ def test_left_and_right_flows_are_transposes_for_skew_generator():
         return M - M.T
 
     grid = TimeGrid(0.0, 2.0, 800)
-    X = flow_matrix_ode(gen, np.eye(3), grid, side="left")
-    Y = flow_matrix_ode(lambda t: -gen(t), np.eye(3), grid, side="right")
+    gens = np.array([gen(t) for t in grid.stage_ts])
+    X = flow_matrix_ode(gens, np.eye(3), grid, side="left")
+    Y = flow_matrix_ode(-gens, np.eye(3), grid, side="right")
     resid = max(np.max(np.abs(Y[k] @ X[k] - np.eye(3))) for k in range(0, 801, 100))
     assert resid <= 1e-9
 
@@ -71,11 +73,14 @@ def test_flow_is_fourth_order():
         M = np.sin(t) * A + np.cos(2 * t) * B
         return M - M.T
 
+    def flow(grid):
+        return flow_matrix_ode(np.array([gen(t) for t in grid.stage_ts]), np.eye(3), grid)
+
     errs = []
     for n in (50, 100, 200):
         grid = TimeGrid(0.0, 1.0, n)
-        X = flow_matrix_ode(gen, np.eye(3), grid)
-        fine = flow_matrix_ode(gen, np.eye(3), TimeGrid(0.0, 1.0, 3200))
+        X = flow(grid)
+        fine = flow(TimeGrid(0.0, 1.0, 3200))
         errs.append(np.max(np.abs(X[-1] - fine[-1])))
     assert errs[0] / errs[1] >= 12.0
     assert errs[1] / errs[2] >= 12.0
@@ -89,7 +94,8 @@ def test_flow_reprojection_keeps_group_residual_flat():
     U = M - J @ M.T @ J  # J-skew, so the flow stays in the isometry group
 
     grid = TimeGrid(0.0, 4.0, 2000)
-    X = flow_matrix_ode(lambda t: U, np.eye(3), grid, reproject_form=form)
+    X = flow_matrix_ode(np.broadcast_to(U, (grid.stage_ts.size, 3, 3)), np.eye(3), grid,
+                        reproject_form=form)
     worst = max(j_orthogonality_residual(X[k], form) for k in range(0, 2001, 200))
     assert worst <= 1e-12
 
@@ -97,7 +103,8 @@ def test_flow_reprojection_keeps_group_residual_flat():
 def test_integrate_vector_is_exact_on_cubics():
     # composite Simpson at the trapezoid nodes reproduces cubic primitives
     grid = TimeGrid(0.0, 2.0, 64)
-    vals = integrate_vector(lambda t: np.array([3 * t**2, 4 * t**3 - 1]), np.zeros(2), grid)
+    t = grid.stage_ts
+    vals = integrate_vector(np.stack([3 * t**2, 4 * t**3 - 1], axis=1), grid)
     ts = grid.ts
     exact = np.stack([ts**3, ts**4 - ts], axis=1)
     assert np.max(np.abs(vals - exact)) <= 1e-12
@@ -107,7 +114,7 @@ def test_integrate_vector_convergence_rate():
     errs = []
     for n in (40, 80):
         grid = TimeGrid(0.0, np.pi, n)
-        vals = integrate_vector(lambda t: np.array([np.sin(t)]), np.zeros(1), grid)
+        vals = integrate_vector(np.sin(grid.stage_ts)[:, None], grid)
         errs.append(abs(vals[-1, 0] - (1 - np.cos(np.pi))))
     assert errs[0] / errs[1] >= 12.0
 

@@ -250,7 +250,7 @@ def test_transport_detects_causal_type_loss():
     frames[0, 0, 0] = 1.0  # spacelike start
     frames[1, 1, 0] = 1.0  # timelike continuation
     with pytest.raises(ValueError, match="causal type"):
-        parallel_transport_embedded(curve, frames, np.array([1.0, 0.0]), form, refine=0)
+        parallel_transport_embedded(curve, frames, np.array([1.0, 0.0]), form)
 
 
 def test_singular_frame_gram_is_reported():
