@@ -36,7 +36,6 @@ from .homogeneous import (
     ControlCurve,
     EmbeddedCurve,
     GroupPath,
-    develop_intrinsic,
     extrinsic_develop,
     extrinsic_roll,
     horizontal_lift,
@@ -80,7 +79,6 @@ __all__ = [
     "GroupPath",
     "horizontal_lift",
     "horizontality_residual",
-    "develop_intrinsic",
     "transport_homogeneous",
     "isometry_chain_A",
     "intrinsic_roll",

@@ -46,7 +46,7 @@ def _load_config(path):
 def _build_grid(cfg):
     try:
         g = cfg["grid"]
-        return TimeGrid(float(g["t0"]), float(g["t1"]), int(g["n_steps"]))
+        return TimeGrid(float(g["t0"]), float(g["t1"]), g["n_steps"])
     except KeyError as exc:
         _fail(f"config grid is missing {exc}")
     except (TypeError, ValueError) as exc:

@@ -4,9 +4,11 @@ A curved space enters as a ``CartanModel``: a matrix realization of a Lie
 algebra with a declared h/p splitting, an equivariant isometric embedding of
 M = G/H into a flat ambient space V, and the linearization of the G-action
 on V.  Everything downstream is sampled on uniform grids: horizontal lifts
-integrate ``qdot = q U(t)`` with U(t) in p, developments are quadratures of
-the projected control, and extrinsic rolling maps are assembled by inverting
-the ambient representation along the lift.
+integrate ``qdot = q U(t)`` with U(t) in p, and one assembly builds the
+extrinsic rolling map along the lift, its rotation the J-inverse of the
+ambient representation (times a model's correction) and its development the
+quadrature of R(t) alpha'(t).  The intrinsic rolling is the tangential part
+of that map.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "CartanModel",
     "horizontal_lift",
     "horizontality_residual",
-    "develop_intrinsic",
     "transport_homogeneous",
     "isometry_chain_A",
     "intrinsic_roll",
@@ -161,13 +162,16 @@ class CartanModel:
         null space (sphere, hyperboloid, the Stiefel complement P_perp), its
         basis is the one scipy's ``null_space`` returns for that node: the
         trailing right singular vectors of the SVD, with LAPACK's signs.
-    extrinsic_override : callable, optional
-        (model, lift) -> RollingMapPath for models whose rolling rotation is
-        not the J-inverse of rho (the non-symmetric Stiefel manifolds).
-        Both ``extrinsic_roll`` and ``intrinsic_roll`` take the rotation
-        R(t) from it, so each roll builds it once.  A model without one is
-        a symmetric space (``symmetric_space``): its rotation is the
-        J-inverse of rho and its normal completion has that closed form.
+    random_point : callable
+        rng -> a random chart point, for the equivariance checks of
+        ``validate``.
+    rotation_correction : callable, optional
+        (model, lift) -> (n_nodes, N, N) correction path S(t) for models
+        whose rolling rotation is not the J-inverse of rho (the
+        non-symmetric Stiefel manifolds): their rotation is the J-inverse
+        of rho(q) S.  A model without one is a symmetric space
+        (``symmetric_space``): S is the identity and the normal completion
+        has that closed form.
 
     The scalar product on p is *derived*, not declared: ``ip_p = F0^T J F0``
     with ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that
@@ -178,9 +182,8 @@ class CartanModel:
     """
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
-                 base_point, obar, d_e_pi, rho, d_e_rho, action, embed,
-                 random_group_element=None, random_point=None,
-                 tangent_frame_at=None, extrinsic_override=None, params=None,
+                 base_point, obar, d_e_pi, rho, d_e_rho, action, embed, random_point,
+                 tangent_frame_at=None, rotation_correction=None, params=None,
                  description=None):
         self.name = name
         self.basis = np.asarray(basis)
@@ -199,12 +202,11 @@ class CartanModel:
         self.d_e_rho = d_e_rho
         self.action = action
         self.embed = embed
+        self.random_point = random_point
         self.tangent_frame_at = tangent_frame_at
-        self.extrinsic_override = extrinsic_override
+        self.rotation_correction = rotation_correction
         self.params = dict(params or {})
         self.description = description
-        self._random_group_element = random_group_element
-        self._random_point = random_point
 
         k = len(self.p_indices)
         if self.d_e_pi.shape != (k, k):
@@ -248,7 +250,7 @@ class CartanModel:
 
     @property
     def symmetric_space(self):
-        return self.extrinsic_override is None
+        return self.rotation_correction is None
 
     def p_element(self, coeffs):
         """p-coefficients (..., k) -> algebra matrices (..., d, d)."""
@@ -272,16 +274,9 @@ class CartanModel:
         return coeffs.T.reshape(lead + (-1,)), resid.reshape(lead)[()]
 
     def random_group_element(self, rng, scale=0.5):
-        if self._random_group_element is not None:
-            return self._random_group_element(rng)
         coeffs = scale * rng.standard_normal(self.basis.shape[0])
         X = np.tensordot(coeffs, self.basis, axes=(0, 0))
         return reproject(expm(X), self.group_form)
-
-    def random_point(self, rng):
-        if self._random_point is not None:
-            return self._random_point(rng)
-        return self.action(self.random_group_element(rng), self.base_point)
 
     # -- paths along group samples ---------------------------------------
 
@@ -321,7 +316,7 @@ class CartanModel:
         representation (on random samples), the homomorphism property of
         d_e_rho, and Ad_H-invariance of the derived p-metric.  A broken
         [p,p] subset h only warns when the model is not a symmetric space
-        (it has an ``extrinsic_override``).  Returns the measured defects.
+        (it has a ``rotation_correction``).  Returns the measured defects.
         """
         rng = rng or np.random.default_rng(2357)
         defects = {}
@@ -503,18 +498,7 @@ def horizontality_residual(model, path):
     return np.maximum(h_part, resid)
 
 
-# -- developments and intrinsic rolling ------------------------------------
-
-
-def develop_intrinsic(model, control):
-    """Development of a control into the tangent coordinates at the base point.
-
-    Solves ``alpha_hat' = d_e_pi c(t)`` from zero; this is the flat-space
-    shadow of the curve for symmetric models (non-symmetric models build
-    their development through the extrinsic route instead).
-    """
-    grid = control.grid
-    return integrate_vector(control.at(grid.stage_ts) @ model.d_e_pi.T, grid)
+# -- transport and tangential maps -----------------------------------------
 
 
 def transport_homogeneous(model, lift, y0):
@@ -544,37 +528,7 @@ def isometry_chain_A(model, lift):
     return _tangential_maps(model, j_transpose_inverse(model.rho_path(lift.samples), model.form))
 
 
-def intrinsic_roll(model, data, q0=None):
-    """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
-
-    The tangential maps are ``A(t) = d_e_pi ∘ coeffs_p ∘ R(t)`` with R(t)
-    the rolling rotation: the J-inverse of rho along the lift for symmetric
-    models, the override path's rotation otherwise.
-    """
-    lift = horizontal_lift(model, data, q0=q0)
-    rhos = model.rho_path(lift.samples)
-    alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    frames = model.frames_along(rhos)
-    if model.extrinsic_override is not None:
-        epath = model.extrinsic_override(model, lift)
-        rots = epath.R
-        head = model.d_e_pi @ model.cf0
-        alpha_hat = np.einsum("ai,ki->ka", head, epath.alpha_hat - model.obar)
-    else:
-        rots = j_transpose_inverse(rhos, model.form)
-        alpha_hat = develop_intrinsic(model, lift.control)
-    return RollingTriple(
-        grid=lift.grid,
-        alpha=alpha,
-        alpha_hat=alpha_hat,
-        maps=_tangential_maps(model, rots),
-        tangent_frames=frames,
-        form=model.form,
-        target_gram=model.target_gram,
-    )
-
-
-# -- extrinsic rolling ------------------------------------------------------
+# -- rolling ----------------------------------------------------------------
 
 
 def extrinsic_develop(rots, curve):
@@ -587,6 +541,50 @@ def extrinsic_develop(rots, curve):
     vel = fd_derivative(curve.points, grid.h)
     dense = dense_from_samples(grid.ts, np.einsum("kij,kj->ki", rots, vel))
     return integrate_vector(dense(grid.stage_ts), grid)
+
+
+def _rolling_path(model, lift):
+    """The extrinsic rolling map along a horizontal lift, and rho along the lift.
+
+    The rotation is the J-inverse of rho(q) S, with S the model's
+    ``rotation_correction`` (the identity for a symmetric space); the
+    development is ``alpha_hat = obar + extrinsic_develop(R, alpha)`` and
+    the translation ``s = alpha_hat - R alpha``.  Both kinds of roll, for
+    every model, are built here once.
+    """
+    grid = lift.grid
+    rhos = model.rho_path(lift.samples)
+    rotated = rhos
+    if model.rotation_correction is not None:
+        rotated = rhos @ model.rotation_correction(model, lift)
+    rots = j_transpose_inverse(rotated, model.form)
+    alpha = np.einsum("kij,j->ki", rhos, model.obar)
+    curve = EmbeddedCurve(grid=grid, points=alpha)
+    alpha_hat = model.obar[None, :] + extrinsic_develop(rots, curve)
+    s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
+    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
+                          form=model.form), rhos
+
+
+def intrinsic_roll(model, data, q0=None):
+    """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
+
+    The intrinsic rolling is the tangential part of the extrinsic one: with
+    ``head = d_e_pi ∘ coeffs_p`` the maps are ``A(t) = head ∘ R(t)`` and the
+    development is ``head (alpha_hat(t) - obar)``, both read off the
+    extrinsic rolling map along the same lift.
+    """
+    path, rhos = _rolling_path(model, horizontal_lift(model, data, q0=q0))
+    head = model.d_e_pi @ model.cf0
+    return RollingTriple(
+        grid=path.grid,
+        alpha=path.alpha,
+        alpha_hat=np.einsum("ai,ki->ka", head, path.alpha_hat - model.obar),
+        maps=_tangential_maps(model, path.R),
+        tangent_frames=model.frames_along(rhos),
+        form=model.form,
+        target_gram=model.target_gram,
+    )
 
 
 def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
@@ -620,48 +618,36 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     """Extrinsic rolling map along a control or sampled curve.
 
     ``normal_strategy`` selects how the rotation acts on the normal bundle:
-    "closed_form" inverts the ambient representation wholesale,
-    "frame_matching" transports a normal frame along the curve and matches
-    it to the constant development frame, and "auto" is "closed_form".
-    A model with an ``extrinsic_override`` (Stiefel) takes its rotation
-    from the override under "auto" and "closed_form" and refuses
+    "closed_form" takes the rolling rotation of the lift (the J-inverse of
+    rho, corrected by the model's ``rotation_correction`` where it has
+    one), "frame_matching" transports a normal frame along the curve and
+    matches it to the constant development frame, and "auto" is
+    "closed_form".  A model with a ``rotation_correction`` (Stiefel) refuses
     "frame_matching".
     """
-    lift = horizontal_lift(model, data, q0=q0)
-    if model.extrinsic_override is not None:
-        if normal_strategy in ("auto", "closed_form"):
-            return model.extrinsic_override(model, lift)
+    if normal_strategy not in ("auto", "closed_form", "frame_matching"):
+        raise ValueError(f"unknown normal strategy '{normal_strategy}'")
+    if normal_strategy == "frame_matching" and not model.symmetric_space:
         raise ValueError(
             f"normal strategy '{normal_strategy}' is unavailable for model {model.name}"
         )
-    grid = lift.grid
-    rhos = model.rho_path(lift.samples)
-    rinv = j_transpose_inverse(rhos, model.form)
-    alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    s_dev = extrinsic_develop(rinv, EmbeddedCurve(grid=grid, points=alpha))
-    alpha_hat = model.obar[None, :] + s_dev
-
-    if normal_strategy in ("auto", "closed_form"):
-        rots = rinv
-    elif normal_strategy == "frame_matching":
-        frames = model.frames_along(rhos)
-        normals = model.normals_along(rhos)
-        cols = [
-            parallel_transport_embedded(alpha, normals, normals[0][:, j], model.form,
-                                        which="normal")
-            for j in range(normals.shape[2])
-        ]
-        transported = np.stack(cols, axis=2)
-        rots = normal_extension_by_frames(
-            rinv, frames, transported,
-            model.flat_normal_frames(grid).frames, model.form
-        )
-    else:
-        raise ValueError(f"unknown normal strategy '{normal_strategy}'")
-
-    s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
+    path, rhos = _rolling_path(model, horizontal_lift(model, data, q0=q0))
+    if normal_strategy != "frame_matching":
+        return path
+    alpha = path.alpha
+    normals = model.normals_along(rhos)
+    cols = [
+        parallel_transport_embedded(alpha, normals, normals[0][:, j], model.form,
+                                    which="normal")
+        for j in range(normals.shape[2])
+    ]
+    rots = normal_extension_by_frames(
+        path.R, model.frames_along(rhos), np.stack(cols, axis=2),
+        model.flat_normal_frames(path.grid).frames, model.form
+    )
+    s = path.alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(
-        grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat, form=model.form
+        grid=path.grid, R=rots, s=s, alpha=alpha, alpha_hat=path.alpha_hat, form=model.form
     )
 
 

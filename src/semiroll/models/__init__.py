@@ -102,10 +102,9 @@ def build_model(desc, validate=False, rng=None):
         d_e_rho=parts["d_e_rho"],
         action=parts["action"],
         embed=parts["embed"],
-        random_group_element=parts.get("random_group_element"),
-        random_point=parts.get("random_point"),
+        random_point=parts["random_point"],
         tangent_frame_at=parts.get("tangent_frame_at"),
-        extrinsic_override=parts.get("extrinsic_override"),
+        rotation_correction=parts.get("rotation_correction"),
         params=desc.get("params"),
         description=desc,
     )

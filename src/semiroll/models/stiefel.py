@@ -5,13 +5,16 @@ left multiplication, rho(Q) = kron(I_k, Q).  At the base frame E (first k
 columns of the identity) the tangent space holds matrices (A; B) with A
 skew and the normal space (S; 0) with S symmetric.  This is a reductive
 but NOT symmetric splitting: [p, p] leaks into p, so the rolling rotation
-is the lift composed with an interpolating-frame correction S(t) solving
+is the transpose of rho(q) S(t), the lift composed with an
+interpolating-frame correction S(t) solving
 
     S' = Omega(t) S,   Omega = -(Pi M_U Pi + Pi_perp M_U Pi_perp),
 
 with M_U = kron(I_k, U(t)) for the horizontal control U and Pi the
 orthogonal projector onto the base tangent space.  For k = 1 (the sphere)
-Omega vanishes identically and the correction is the identity.
+Omega vanishes identically and the correction is the identity.  The bundle
+supplies S(t) as the model's ``rotation_correction``; the rolling map itself
+is assembled by ``homogeneous.extrinsic_roll`` as for every other model.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..homogeneous import EmbeddedCurve, horizontal_lift
-from ..integrate import flow_matrix_ode, integrate_vector, dense_from_samples
+from ..homogeneous import EmbeddedCurve, extrinsic_roll
+from ..integrate import flow_matrix_ode
 from ..linalg import SignatureForm, stacked_kron, stacked_null_spaces, stacked_vec
-from ..rolling import RollingMapPath
 
 __all__ = [
     "StiefelSubspaces",
@@ -166,23 +168,6 @@ def _correction_path(model, lift):
                            reproject_form=form)
 
 
-def _roll_from_lift(model, lift):
-    n = int(model.params["n"])
-    k = int(model.params["k"])
-    grid = lift.grid
-    S = _correction_path(model, lift)
-    rhos = model.rho_path(lift.samples)
-    alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    rots = np.swapaxes(rhos @ S, 1, 2)
-    # sdot = S^T vec(U E) with U E the first k columns of U; vec index c n + i
-    first_cols = model.p_element(lift.control.coords)[:, :, :k]
-    sdot = np.einsum("mcia,mic->ma", S.reshape(grid.n_nodes, k, n, n * k), first_cols)
-    s = integrate_vector(dense_from_samples(grid.ts, sdot)(grid.stage_ts), grid)
-    alpha_hat = model.obar[None, :] + s
-    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha,
-                          alpha_hat=alpha_hat, form=model.form)
-
-
 def bundle(desc):
     n = int(desc["params"]["n"])
     k = int(desc["params"]["k"])
@@ -230,7 +215,8 @@ def bundle(desc):
         "obar": stacked_vec(np.eye(n, k)),
         "tangent_frame_at": tangent_frame_at,
         "random_point": random_point,
-        "extrinsic_override": _roll_from_lift,
+        # looked up at call time, so a rebinding of _correction_path is seen
+        "rotation_correction": lambda model, lift: _correction_path(model, lift),
     }
 
 
@@ -254,5 +240,4 @@ def roll_stiefel(n, k, data, grid=None, q0=None):
         arr = np.asarray(data, dtype=float)
         pts = stacked_vec(arr) if arr.ndim == 3 else arr
         data = EmbeddedCurve(grid=grid, points=pts)
-    lift = horizontal_lift(model, data, q0=q0)
-    return _roll_from_lift(model, lift)
+    return extrinsic_roll(model, data, q0=q0)

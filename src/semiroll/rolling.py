@@ -249,6 +249,12 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     )
 
 
+def _rotation_generator(path):
+    """Per-node generator W = Rdot R^{-1} of the rotation path."""
+    Rdot = fd_derivative(path.R, path.grid.h)
+    return np.einsum("kij,kjl->kil", Rdot, j_transpose_inverse(path.R, path.form))
+
+
 def no_slip_residual(path):
     """Per-node slip defect.
 
@@ -259,12 +265,10 @@ def no_slip_residual(path):
     taking the max keeps faults visible that park one of the two quantities.
     """
     h = path.grid.h
-    Rdot = fd_derivative(path.R, h)
+    W = _rotation_generator(path)
     sdot = fd_derivative(path.s, h)
     adot = fd_derivative(path.alpha, h)
     ahatdot = fd_derivative(path.alpha_hat, h)
-    Rinv = j_transpose_inverse(path.R, path.form)
-    W = np.einsum("kij,kjl->kil", Rdot, Rinv)
     w1 = np.einsum("kij,kj->ki", W, path.alpha_hat - path.s) + sdot
     w2 = ahatdot - np.einsum("kij,kj->ki", path.R, adot)
     return np.maximum(_node_norms(w1), _node_norms(w2))
@@ -279,11 +283,7 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat):
     measured on Euclidean-normalized frame columns through the J-orthogonal
     projectors of the respective subspaces.
     """
-    h = path.grid.h
-    Rdot = fd_derivative(path.R, h)
-    Rinv = j_transpose_inverse(path.R, path.form)
-    W = np.einsum("kij,kjl->kil", Rdot, Rinv)
-
+    W = _rotation_generator(path)
     p_tan = _projectors(tangent_mhat.frames, path.form)
     p_nor = _projectors(normal_mhat.frames, path.form)
 

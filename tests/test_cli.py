@@ -230,3 +230,12 @@ def test_bad_input_is_an_error_message_not_a_traceback(command, payload, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_steps", [10.7, "10"], ids=["float", "string"])
+def test_roll_refuses_a_non_integer_step_count(n_steps, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "grid": {**_SMALL_ROLL["grid"], "n_steps": n_steps}}))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad grid")

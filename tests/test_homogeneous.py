@@ -14,7 +14,6 @@ from semiroll.homogeneous import (
     ControlCurve,
     EmbeddedCurve,
     TimeGrid,
-    develop_intrinsic,
     extrinsic_roll,
     horizontal_lift,
     horizontality_residual,
@@ -123,7 +122,7 @@ def test_development_is_an_arc_length_shadow(surface):
     # the development must traverse the same p-metric length as the control
     grid = TimeGrid(0.0, 1.0, 400)
     ctrl = ControlCurve.from_function(grid, _wobble)
-    dev = develop_intrinsic(surface, ctrl)
+    dev = intrinsic_roll(surface, ctrl).alpha_hat
     assert dev.shape == (grid.n_nodes, surface.p_dim)
     from semiroll.integrate import fd_derivative
 
@@ -213,7 +212,7 @@ def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, mon
     head = model.d_e_pi @ model.cf0
     assert np.max(np.abs(triple.maps - np.einsum("ai,kij->kaj", head, path.R))) <= 1e-12
     # the Stiefel correction flow is integrated once per roll
-    assert len(calls) == (0 if model.extrinsic_override is None else 1)
+    assert len(calls) == (0 if model.rotation_correction is None else 1)
 
 
 def test_symmetric_extrinsic_roll_maps_rho_once(monkeypatch):

@@ -64,7 +64,7 @@ def test_sphere_case_needs_no_correction():
 def test_model_flags():
     model = make_stiefel_model(4, 2)
     assert not model.symmetric_space
-    assert model.extrinsic_override is not None
+    assert model.rotation_correction is not None
     sphere_like = make_stiefel_model(3, 1)
     assert sphere_like.ambient_dim == 3
 

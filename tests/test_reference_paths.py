@@ -21,6 +21,16 @@ tangent only up to its truncation error, so the two lifts differ by a
 multiple of it: about 1e-15 on the 2000-step curves below, about 5e-12 on
 a 250-step hyperboloid curve, where both lifts track the exact curve to
 6e-12.
+
+Every roll is assembled by one engine: the rotation is the J-inverse of
+rho(q) S, with S the identity for a symmetric space and the Stiefel
+correction otherwise, and the development is the quadrature of R alpha'.
+The Stiefel path builder with its own development of ``S^T vec(U E)``, and
+the symmetric intrinsic roll that integrated the control a second time, are
+kept here as references.  Rotations, curves, tangential maps and frames
+agree to the last bit; the developments are two fourth-order quadratures of
+one integral, the engine's from the finite-difference velocity of alpha,
+so they differ by its truncation error, below 2 h^4 on the curves here.
 """
 
 import numpy as np
@@ -34,19 +44,28 @@ from semiroll.homogeneous import (
     extrinsic_roll,
     horizontal_lift,
     horizontality_residual,
+    intrinsic_roll,
 )
 from semiroll.integrate import (
     TimeGrid,
     dense_from_samples,
     derivative_interpolant,
     fd_derivative,
+    integrate_vector,
     reproject,
 )
-from semiroll.linalg import SignatureForm, random_oriented_isometry, stacked_kron, stacked_vec
+from semiroll.linalg import (
+    SignatureForm,
+    j_transpose_inverse,
+    random_oriented_isometry,
+    stacked_kron,
+    stacked_vec,
+)
 from semiroll.models import get_model, hyperbolic, sphere, stiefel
 from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
 from semiroll.rolling import (
     RollingMapPath,
+    RollingTriple,
     TangentFramePath,
     perturb_normal_generator,
     tangency_residual,
@@ -476,3 +495,105 @@ def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
     extrinsic_roll(model, ctrl)
     # the lift and the correction flow each read the 2n + 1 stage times
     assert calls[0] <= 2 * (2 * grid.n_steps + 1)
+
+
+# -- one rolling assembly against the per-kind builders it replaced ---------
+
+
+def _stiefel_roll_reference(model, lift):
+    """Stiefel rolling path with its own development of ``sdot = S^T vec(U E)``."""
+    n = int(model.params["n"])
+    k = int(model.params["k"])
+    grid = lift.grid
+    S = stiefel._correction_path(model, lift)
+    rhos = model.rho_path(lift.samples)
+    alpha = np.einsum("kij,j->ki", rhos, model.obar)
+    rots = np.swapaxes(rhos @ S, 1, 2)
+    first_cols = model.p_element(lift.control.coords)[:, :, :k]
+    sdot = np.einsum("mcia,mic->ma", S.reshape(grid.n_nodes, k, n, n * k), first_cols)
+    s = integrate_vector(dense_from_samples(grid.ts, sdot)(grid.stage_ts), grid)
+    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha,
+                          alpha_hat=model.obar[None, :] + s, form=model.form)
+
+
+def _intrinsic_roll_reference(model, data, q0=None):
+    """Intrinsic roll by model kind: a symmetric model integrates its control again."""
+    lift = horizontal_lift(model, data, q0=q0)
+    grid = lift.grid
+    rhos = model.rho_path(lift.samples)
+    head = model.d_e_pi @ model.cf0
+    if model.symmetric_space:
+        rots = j_transpose_inverse(rhos, model.form)
+        alpha_hat = integrate_vector(lift.control.at(grid.stage_ts) @ model.d_e_pi.T, grid)
+    else:
+        epath = _stiefel_roll_reference(model, lift)
+        rots = epath.R
+        alpha_hat = np.einsum("ai,ki->ka", head, epath.alpha_hat - model.obar)
+    return RollingTriple(
+        grid=grid,
+        alpha=np.einsum("kij,j->ki", rhos, model.obar),
+        alpha_hat=alpha_hat,
+        maps=np.einsum("ai,kij->kaj", head, rots),
+        tangent_frames=model.frames_along(rhos),
+        form=model.form,
+        target_gram=model.target_gram,
+    )
+
+
+def _assert_triples_agree(triple, reference):
+    for field in ("alpha", "maps", "tangent_frames"):
+        assert _peak(getattr(triple, field), getattr(reference, field)) <= 1e-15, field
+    assert _peak(triple.alpha_hat, reference.alpha_hat) <= 2.0 * triple.grid.h**4
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_rolls_match_the_per_kind_builders(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ctrl = _sinusoid(grid, model.p_dim, 1)
+    _assert_triples_agree(intrinsic_roll(model, ctrl), _intrinsic_roll_reference(model, ctrl))
+    if not model.symmetric_space:
+        path = extrinsic_roll(model, ctrl)
+        reference = _stiefel_roll_reference(model, horizontal_lift(model, ctrl))
+        for field in ("R", "alpha"):
+            assert _peak(getattr(path, field), getattr(reference, field)) <= 1e-15, field
+        for field in ("s", "alpha_hat"):
+            assert _peak(getattr(path, field), getattr(reference, field)) <= 2.0 * grid.h**4, field
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+def test_sampled_hyperboloid_intrinsic_roll_matches_the_control_development(n_steps):
+    hyp = get_model("hyperboloid")
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    curve = EmbeddedCurve(grid, extrinsic_roll(hyp, _sinusoid(grid, hyp.p_dim, 7)).alpha)
+    _assert_triples_agree(intrinsic_roll(hyp, curve), _intrinsic_roll_reference(hyp, curve))
+
+
+def test_latitude_intrinsic_roll_matches_the_control_development():
+    # criterion 11: the latitude at polar angle 1 on the sphere
+    sph = get_model("sphere")
+    grid = TimeGrid(0.0, 2 * np.pi, 2000)
+    z = np.tan(0.5) * np.exp(1j * grid.ts)
+    curve = EmbeddedCurve(grid, sphere.embed_sphere(z))
+    q0 = sphere.chart_lift_matrix(z[0])
+    _assert_triples_agree(intrinsic_roll(sph, curve, q0=q0),
+                          _intrinsic_roll_reference(sph, curve, q0=q0))
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
+def test_symmetric_intrinsic_roll_reads_the_control_once_per_stage(name):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 50)
+    ctrl = _sinusoid(grid, model.p_dim, 9)
+    calls = [0]
+    func = ctrl.func
+
+    def counted(t):
+        calls[0] += 1
+        return func(t)
+
+    ctrl.func = counted
+    intrinsic_roll(model, ctrl)
+    # the lift reads the 2n + 1 stage times; the development reads none
+    assert calls[0] == 2 * grid.n_steps + 1
