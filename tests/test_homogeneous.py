@@ -133,6 +133,22 @@ def test_development_is_an_arc_length_shadow(surface):
     assert np.max(np.abs(speed_dev - speed_ctrl)) <= 1e-7
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
+def test_constant_control_develops_to_a_straight_line_on_short_grids(name, n_steps):
+    # a constant control on a symmetric space rolls along a geodesic, whose
+    # development is the straight line t d_e_pi c (the arc, not its chord)
+    model = get_model(name)
+    grid = TimeGrid(0.0, np.pi / 2, n_steps)
+    coeffs = np.linspace(0.6, 1.0, model.p_dim)
+    ctrl = ControlCurve(grid=grid, coords=np.tile(coeffs, (grid.n_nodes, 1)))
+    triple = intrinsic_roll(model, ctrl)
+    # exact up to the rounding of R rho, which grows like |R|^2
+    tol = 1e-13 * np.max(np.abs(triple.maps)) ** 2
+    line = np.outer(grid.ts, model.d_e_pi @ coeffs)
+    assert np.max(np.abs(triple.alpha_hat - line)) <= tol
+
+
 def test_extrinsic_report_scales_with_grid(surface):
     for n in (100, 200):
         grid = TimeGrid(0.0, 1.0, n)

@@ -28,9 +28,13 @@ correction otherwise, and the development is the quadrature of R alpha'.
 The Stiefel path builder with its own development of ``S^T vec(U E)``, and
 the symmetric intrinsic roll that integrated the control a second time, are
 kept here as references.  Rotations, curves, tangential maps and frames
-agree to the last bit; the developments are two fourth-order quadratures of
-one integral, the engine's from the finite-difference velocity of alpha,
-so they differ by its truncation error, below 2 h^4 on the curves here.
+agree to the last bit.  The engine reads alpha' exactly off the lift's
+control (a symmetric extrinsic roll differences the samples of alpha
+instead, as it always has), so ``R alpha'`` is ``F0 U`` on a symmetric space and ``S^T vec(U E)``
+on a Stiefel manifold: the developments are the same Simpson sums, except
+that the engine takes the mid-step values of a symmetric control from the
+cubic interpolant of its node values instead of a second reading of the
+control.  They agree within 1e-10 at 250 steps and 1e-13 at 2000 steps.
 """
 
 import numpy as np
@@ -540,10 +544,15 @@ def _intrinsic_roll_reference(model, data, q0=None):
     )
 
 
+# agreement of the developments, by the step count of the grid
+DEVELOPMENT_TOL = {250: 1e-10, 2000: 1e-13}
+
+
 def _assert_triples_agree(triple, reference):
     for field in ("alpha", "maps", "tangent_frames"):
         assert _peak(getattr(triple, field), getattr(reference, field)) <= 1e-15, field
-    assert _peak(triple.alpha_hat, reference.alpha_hat) <= 2.0 * triple.grid.h**4
+    tol = DEVELOPMENT_TOL[triple.grid.n_steps]
+    assert _peak(triple.alpha_hat, reference.alpha_hat) <= tol
 
 
 @pytest.mark.parametrize("n_steps", [250, 2000])
@@ -558,8 +567,9 @@ def test_rolls_match_the_per_kind_builders(name, n_steps):
         reference = _stiefel_roll_reference(model, horizontal_lift(model, ctrl))
         for field in ("R", "alpha"):
             assert _peak(getattr(path, field), getattr(reference, field)) <= 1e-15, field
+        tol = DEVELOPMENT_TOL[n_steps]
         for field in ("s", "alpha_hat"):
-            assert _peak(getattr(path, field), getattr(reference, field)) <= 2.0 * grid.h**4, field
+            assert _peak(getattr(path, field), getattr(reference, field)) <= tol, field
 
 
 @pytest.mark.parametrize("n_steps", [250, 2000])
