@@ -4,11 +4,13 @@ A curved space enters as a ``CartanModel``: a matrix realization of a Lie
 algebra with a declared h/p splitting, an equivariant isometric embedding of
 M = G/H into a flat ambient space V, and the linearization of the G-action
 on V.  Everything downstream is sampled on uniform grids: horizontal lifts
-integrate ``qdot = q U(t)`` with U(t) in p, and one assembly builds the
-extrinsic rolling map along the lift, its rotation the J-inverse of the
-ambient representation (times a model's correction) and its development the
-quadrature of R(t) alpha'(t).  The intrinsic rolling is the tangential part
-of that map.
+integrate ``qdot = q U(t)`` with U(t) in p (a sampled curve on a model with
+a ``transvection`` map integrates the equivalent linear flow
+``qdot = X(t) q``, d_e_rho(X) the transvection along the curve), and one
+assembly builds the extrinsic rolling map along the lift, its rotation the
+J-inverse of the ambient representation (times a model's correction) and
+its development the quadrature of R(t) alpha'(t).  The intrinsic rolling is
+the tangential part of that map.
 """
 
 from __future__ import annotations
@@ -172,6 +174,16 @@ class CartanModel:
         of rho(q) S.  A model without one is a symmetric space
         (``symmetric_space``): S is the identity and the normal completion
         has that closed form.
+    transvection : callable, optional
+        Stacked ambient transvections: points alpha (m, N) of the embedded
+        manifold and tangent vectors v (m, N) there -> the (m, N, N)
+        generators Omega = rho(q) d_e_rho(U) rho(q)^{-1}, U in p, of the
+        horizontal motion through alpha with velocity v (so Omega alpha =
+        v).  On a symmetric space Omega depends only on alpha and v, not on
+        the lift q.  A model with one lifts a sampled curve by the linear
+        flow of its transvections; the sphere and the hyperboloid share the
+        rank-one formula ``eps (v alpha^T J - alpha v^T J)``, eps =
+        <alpha, alpha>.
 
     The scalar product on p is *derived*, not declared: ``ip_p = F0^T J F0``
     with ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that
@@ -183,8 +195,8 @@ class CartanModel:
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  base_point, obar, d_e_pi, rho, d_e_rho, action, embed, random_point,
-                 tangent_frame_at=None, rotation_correction=None, params=None,
-                 description=None):
+                 tangent_frame_at=None, rotation_correction=None, transvection=None,
+                 params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
@@ -205,6 +217,7 @@ class CartanModel:
         self.random_point = random_point
         self.tangent_frame_at = tangent_frame_at
         self.rotation_correction = rotation_correction
+        self.transvection = transvection
         self.params = dict(params or {})
         self.description = description
 
@@ -372,14 +385,24 @@ class CartanModel:
         equiv = 0.0
         jorth = 0.0
         hom = 0.0
+        transv = 0.0
         for _ in range(n_samples):
             q = self.random_group_element(rng)
             pt = self.random_point(rng)
+            rq = np.asarray(self.rho(q), dtype=float)
             lhs = np.asarray(self.embed(self.action(q, pt)), dtype=float)
-            rhs = np.asarray(self.rho(q), dtype=float) @ np.asarray(self.embed(pt), dtype=float)
+            rhs = rq @ np.asarray(self.embed(pt), dtype=float)
             norm = max(1.0, float(np.linalg.norm(rhs)))
             equiv = max(equiv, float(np.linalg.norm(lhs - rhs)) / norm)
-            jorth = max(jorth, j_orthogonality_residual(np.asarray(self.rho(q), dtype=float), self.form))
+            jorth = max(jorth, j_orthogonality_residual(rq, self.form))
+            if self.transvection is not None:
+                # the transvection at rho(q) obar along rho(q) d_e_rho(U) obar
+                # is the horizontal generator rho(q) d_e_rho(U) rho(q)^{-1}
+                U = self.p_element(rng.standard_normal(self.p_dim))
+                gen = rq @ np.asarray(self.d_e_rho(U), dtype=float)
+                omega = self.transvection((rq @ self.obar)[None], (gen @ self.obar)[None])[0]
+                expect = gen @ j_transpose_inverse(rq, self.form)
+                transv = max(transv, peak(omega - expect) / max(1.0, peak(expect)))
             cx = rng.standard_normal(self.basis.shape[0])
             cy = rng.standard_normal(self.basis.shape[0])
             X = np.tensordot(cx, self.basis, axes=(0, 0))
@@ -391,12 +414,15 @@ class CartanModel:
         defects["equivariance"] = equiv
         defects["rho_orthogonality"] = jorth
         defects["d_e_rho_homomorphism"] = hom
+        defects["transvection"] = transv
         if equiv > 1e-10:
             raise ValueError(f"embedding is not equivariant (defect {equiv:.3e})")
         if jorth > 1e-9:
             raise ValueError("ambient representation does not preserve the form")
         if hom > 1e-8:
             raise ValueError("d_e_rho is not a Lie algebra homomorphism")
+        if transv > 1e-8:
+            raise ValueError(f"transvection is not the horizontal generator (defect {transv:.3e})")
 
         adh = 0.0
         if self.h_indices:
@@ -422,6 +448,25 @@ def _lift_from_control(model, control, q0):
     return GroupPath(grid=grid, samples=qs, control=control)
 
 
+def _transvection_generators(model, grid, points, vel):
+    """Algebra generators X at the stage times with d_e_rho(X) the curve's transvections."""
+    alpha = dense_from_samples(grid.ts, points)(grid.stage_ts)
+    omegas = np.asarray(model.transvection(alpha, vel), dtype=float)
+    images = np.stack([np.asarray(model.d_e_rho(B), dtype=float).ravel() for B in model.basis],
+                      axis=1)
+    target = omegas.reshape(omegas.shape[0], -1).T
+    coeffs = np.linalg.lstsq(images, target, rcond=None)[0]
+    off = np.linalg.norm(images @ coeffs - target, axis=0)
+    bad = np.flatnonzero(~(off <= MODEL_CHECK_TOL * max(1.0, float(np.max(np.abs(omegas))))))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"transvection at t={grid.stage_ts[j]:.6g} leaves the image of d_e_rho "
+            f"(defect {off[j]:.3e})"
+        )
+    return np.tensordot(coeffs.T, model.basis, axes=(1, 0))
+
+
 def _lift_from_samples(model, curve, q0, track_tol):
     grid = curve.grid
     pts = curve.points
@@ -431,16 +476,23 @@ def _lift_from_samples(model, curve, q0, track_tol):
         raise ValueError("curve does not start at the projection of q0")
 
     vel = derivative_interpolant(grid, pts)(grid.stage_ts)
-
-    # p-coefficients of a velocity v at rho(q) obar: cf0 rho(q)^{-1} v, which
-    # equals the least-squares fit in the moving frame rho(q) frame0 when v is
-    # tangent; a normal part is caught by the fit check below
-    def velocity(j, q):
-        rinv = j_transpose_inverse(np.asarray(model.rho(q), dtype=float), model.form)
-        return q @ model.p_element(model.cf0 @ (rinv @ vel[j]))
-
     dtype = model.basis.dtype if np.iscomplexobj(model.basis) else float
-    qs = rk4_steps(velocity, np.asarray(q0, dtype=dtype), grid, model.group_form)
+    q0 = np.asarray(q0, dtype=dtype)
+    if model.transvection is not None:
+        # rho(q) solves the linear flow of the transvections, and q' = X q
+        # with d_e_rho(X) = Omega
+        generators = _transvection_generators(model, grid, pts, vel)
+        qs = flow_matrix_ode(generators, q0, grid, side="left", reproject_form=model.group_form)
+    else:
+        # p-coefficients of a velocity v at rho(q) obar: cf0 rho(q)^{-1} v,
+        # which equals the least-squares fit in the moving frame
+        # rho(q) frame0 when v is tangent; a normal part is caught by the
+        # fit check below
+        def velocity(j, q):
+            rinv = j_transpose_inverse(np.asarray(model.rho(q), dtype=float), model.form)
+            return q @ model.p_element(model.cf0 @ (rinv @ vel[j]))
+
+        qs = rk4_steps(velocity, q0, grid, model.group_form)
 
     rhos = model.rho_path(qs)
     node_vel = vel[::2]
@@ -467,11 +519,15 @@ def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
     """Horizontal lift of a control or of a sampled curve on the manifold.
 
     With a ControlCurve the lift integrates qdot = q U(t) directly.  With an
-    EmbeddedCurve the control is recovered on the fly by expressing the curve
-    velocity in the moving tangent frame (rejecting inputs whose velocity
-    leaves the tangent space), and the recovered control is attached to the
-    returned path.  ``q0`` defaults to the group identity and must project
-    onto the first curve point.
+    EmbeddedCurve on a model with a ``transvection`` the lift integrates the
+    linear flow qdot = X(t) q, with d_e_rho(X) the transvection at the
+    curve point along the curve velocity; on any other model the control is
+    recovered on the fly by expressing the curve velocity in the moving
+    tangent frame.  Either way the control of the lift is read off the curve
+    velocity in the moving frame at the nodes, inputs whose velocity leaves
+    the tangent space or whose lift drifts from the curve are rejected, and
+    the control is attached to the returned path.  ``q0`` defaults to the
+    group identity and must project onto the first curve point.
     """
     if q0 is None:
         q0 = np.eye(model.group_dim, dtype=model.basis.dtype)

@@ -3,9 +3,14 @@
 A time-dependent integrand enters as its samples at ``TimeGrid.stage_ts``,
 the grid nodes and the step midpoints, which are the only times an RK4 or
 Simpson step reads.  Matrix flows use the classical fourth-order Runge-Kutta
-scheme with optional per-step Newton reprojection onto the J-orthogonal
-group; vector quadrature is the cumulative Simpson sum (what RK4 collapses
-to for a pure-time integrand, exact for cubic polynomials).  Grid
+scheme.  A linear flow ``Xdot = L(t) X`` (or ``X L(t)``) takes all its RK4
+step factors at once, as matrix polynomials of the stage samples, and its
+path is their running product; group-valued flows polish the factors onto
+the J-orthogonal group, give every node one Newton step, and check every
+node.  ``reproject`` polishes one matrix or a whole stack.  The nonlinear
+flows of the sample-driven lift keep a per-step RK4 loop with per-step
+reprojection.  Vector quadrature is the cumulative Simpson sum (what RK4
+collapses to for a pure-time integrand, exact for cubic polynomials).  Grid
 differentiation is fourth order, with one-sided stencils at the two nodes on
 each end of the grid.
 """
@@ -70,27 +75,34 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, 2 * self.n_steps + 1)
 
 
+def _newton_step(X, form):
+    """One Newton step X <- (X + J X^{-*} J)/2 on a stack of matrices."""
+    try:
+        Y = np.linalg.inv(np.swapaxes(X.conj(), -1, -2))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("reprojection hit a singular iterate") from exc
+    signs = form.signs
+    return 0.5 * (X + signs[:, None] * Y * signs)
+
+
 def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     """Newton iteration X <- (X + J X^{-*} J)/2 onto the J-orthogonal group.
 
-    Returns (projected matrix, iterations used, final residual).  Quadratic
-    convergence near the group; raises if the iteration stalls or hits a
-    singular iterate.
+    ``X`` is one (d, d) matrix or a stack (..., d, d); a stack is polished
+    as a whole, every matrix stepping until the worst residual is at most
+    ``tol``.  Returns (projected matrices, iterations used, worst final
+    residual).  Quadratic convergence near the group; raises if the
+    iteration stalls or hits a singular iterate anywhere in the stack.
     """
     X = np.array(X, dtype=complex if np.iscomplexobj(X) else float)
-    signs = form.signs
-    if X.shape != (form.dim, form.dim):
+    if X.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    residual = j_orthogonality_residual(X, form)
+    residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
     for it in range(max_iter):
         if residual <= tol:
             return X, it, residual
-        try:
-            Y = np.linalg.inv(X.conj().T)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("reprojection hit a singular iterate") from exc
-        X = 0.5 * (X + signs[:, None] * Y * signs[None, :])
-        residual = j_orthogonality_residual(X, form)
+        X = _newton_step(X, form)
+        residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
     if residual <= tol:
         return X, max_iter, residual
     raise ValueError(
@@ -109,7 +121,8 @@ def rk4_steps(velocity, X0, grid, reproject_form=None):
     Returns the node path, shape (n_nodes,) + X0.shape.  With
     ``reproject_form`` set, every accepted step is polished back onto the
     corresponding J-orthogonal group, which keeps group-valued flows on the
-    group without degrading the RK4 order.
+    group without degrading the RK4 order.  Only the nonlinear flows of the
+    sample-driven lift need it; linear flows use ``flow_matrix_ode``.
     """
     h = grid.h
     X = X0
@@ -136,12 +149,36 @@ def _check_stage_samples(samples, grid):
         )
 
 
+def _step_factors(L, h, side):
+    """RK4 step maps M_k of a linear flow, stacked: X_{k+1} = M_k X_k (left) or X_k M_k."""
+    L0, Lh, L1 = L[:-1:2], L[1::2], L[2::2]
+    eye = np.eye(L.shape[-1], dtype=L.dtype)
+    if side == "left":
+        K2 = Lh @ (eye + (0.5 * h) * L0)
+        K3 = Lh @ (eye + (0.5 * h) * K2)
+        K4 = L1 @ (eye + h * K3)
+    else:
+        K2 = (eye + (0.5 * h) * L0) @ Lh
+        K3 = (eye + (0.5 * h) * K2) @ Lh
+        K4 = (eye + h * K3) @ L1
+    return eye + (h / 6.0) * (L0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
 def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
     """Integrate Xdot = L(t) X (side="left") or Xdot = X L(t) (side="right").
 
     ``generators`` holds L at ``grid.stage_ts``, shape (2 n_steps + 1, d, d).
-    Returns the full node path, shape (n_nodes, d, d); ``reproject_form`` is
-    as in ``rk4_steps``.
+    Returns the full node path, shape (n_nodes, d, d).
+
+    The flow is linear, so an RK4 step is a matrix polynomial in the step's
+    three stage samples: all step factors are built at once by stacked
+    products and the path is their running product.  With
+    ``reproject_form`` set, the factors are polished onto the J-orthogonal
+    group (one stacked ``reproject``), every node then takes one Newton
+    step, which removes the drift the product accumulates, and
+    the group residual of every node is checked; a node off the group by
+    more than ``REPROJECT_TOL`` raises, naming the node.  Non-finite
+    generators or start values are refused.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -150,10 +187,32 @@ def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
     _check_stage_samples(L, grid)
     if L.shape[1:] != X0.shape or X0.ndim != 2 or X0.shape[0] != X0.shape[1]:
         raise ValueError("generators and X0 must be square matrices of equal size")
-    X0 = X0.astype(np.result_type(L.dtype, X0.dtype, float))
-    if side == "left":
-        return rk4_steps(lambda j, X: L[j] @ X, X0, grid, reproject_form)
-    return rk4_steps(lambda j, X: X @ L[j], X0, grid, reproject_form)
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(X0))):
+        raise ValueError("flow generators or start value contain NaN or inf")
+    dtype = np.result_type(L.dtype, X0.dtype, float)
+    factors = _step_factors(L.astype(dtype, copy=False), grid.h, side)
+    if reproject_form is not None:
+        factors = reproject(factors, reproject_form)
+
+    out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
+    out[0] = X0
+    for k in range(grid.n_steps):
+        if side == "left":
+            np.matmul(factors[k], out[k], out=out[k + 1])
+        else:
+            np.matmul(out[k], factors[k], out=out[k + 1])
+    if reproject_form is None:
+        return out
+
+    out[1:] = _newton_step(out[1:], reproject_form)
+    residual = j_orthogonality_residual(out[1:], reproject_form)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= REPROJECT_TOL:
+        raise ValueError(
+            f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
+            f"residual {residual[worst]:.3e})"
+        )
+    return out
 
 
 def integrate_vector(samples, grid):

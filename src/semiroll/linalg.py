@@ -146,13 +146,18 @@ def se_inverse(g):
 
 
 def j_orthogonality_residual(R, form):
-    """max |R^* J R - J|; conjugate-transposes when R is complex."""
+    """max |R^* J R - J| of a matrix, or per matrix of a stack (..., N, N).
+
+    Conjugate-transposes when R is complex.  A single matrix gives a float,
+    a stack an array of its leading shape.
+    """
     R = np.asarray(R)
-    if R.shape != (form.dim, form.dim):
+    if R.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    G = R.conj().T @ (form.signs[:, None] * R)
-    G[np.diag_indices_from(G)] -= form.signs
-    return float(np.max(np.abs(G)))
+    G = np.swapaxes(R.conj(), -1, -2) @ (form.signs[:, None] * R)
+    G[..., np.arange(form.dim), np.arange(form.dim)] -= form.signs
+    worst = np.max(np.abs(G), axis=(-2, -1))
+    return float(worst) if R.ndim == 2 else worst
 
 
 def j_transpose_inverse(mats, form):

@@ -105,6 +105,7 @@ def build_model(desc, validate=False, rng=None):
         random_point=parts["random_point"],
         tangent_frame_at=parts.get("tangent_frame_at"),
         rotation_correction=parts.get("rotation_correction"),
+        transvection=parts.get("transvection"),
         params=desc.get("params"),
         description=desc,
     )

@@ -41,6 +41,7 @@ __all__ = [
     "moebius_adjoint",
     "embed_hyperbolic",
     "ubar_matrix",
+    "quadric_transvection",
     "description",
     "bundle",
     "make_hyperbolic_model",
@@ -150,6 +151,24 @@ def ubar_matrix(u):
     return out
 
 
+def quadric_transvection(alpha, v, signs):
+    """Transvections eps (v alpha^T J - alpha v^T J), eps = <alpha, alpha>, stacked.
+
+    For points alpha (..., N) of a quadric <x, x> = +-1 under the sign
+    vector ``signs`` and tangent vectors v (..., N) there, this is the
+    J-skew generator (..., N, N) that maps alpha to v and the normal line
+    of the quadric at alpha into its tangent space: the infinitesimal
+    isometry translating along the geodesic through alpha with velocity v.
+    The sphere and the hyperboloid share it.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    v = np.asarray(v, dtype=float)
+    j_alpha = alpha * signs
+    eps = np.sum(alpha * j_alpha, axis=-1)[..., None, None]
+    return eps * (v[..., :, None] * j_alpha[..., None, :]
+                  - alpha[..., :, None] * (v * signs)[..., None, :])
+
+
 def description():
     """Declarative model data (JSON-serializable)."""
     basis = [
@@ -211,6 +230,7 @@ def _random_point(rng):
 
 def bundle(desc):
     z0 = complex(desc["base_point"][0], desc["base_point"][1])
+    signs = np.asarray(desc["J_signs"], dtype=float)
     return {
         "rho": _rho,
         "d_e_rho": _d_e_rho,
@@ -220,6 +240,7 @@ def bundle(desc):
         "obar": embed_hyperbolic(z0),
         "tangent_frame_at": _tangent_frame_at,
         "random_point": _random_point,
+        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs),
     }
 
 

@@ -23,7 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..linalg import stacked_null_spaces
-from .hyperbolic import MoebiusElement, _action, _adjoint, kinematic_roll, moebius_lift
+from .hyperbolic import (
+    MoebiusElement,
+    _action,
+    _adjoint,
+    kinematic_roll,
+    moebius_lift,
+    quadric_transvection,
+)
 from .hyperbolic import su11_coords as su2_coords
 
 __all__ = [
@@ -115,6 +122,7 @@ def _random_point(rng):
 
 def bundle(desc):
     z0 = complex(desc["base_point"][0], desc["base_point"][1])
+    signs = np.asarray(desc["J_signs"], dtype=float)
     return {
         "rho": _rho,
         "d_e_rho": _d_e_rho,
@@ -124,6 +132,7 @@ def bundle(desc):
         "obar": embed_sphere(z0),
         "tangent_frame_at": _tangent_frame_at,
         "random_point": _random_point,
+        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs),
     }
 
 

@@ -472,22 +472,20 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     null_like = abs(n0) <= 1e-10 * float(v0 @ v0)
 
     def _raw(stride):
-        sub = frames[::stride]
-        projectors = _projectors(sub, form)
-        out = np.empty((sub.shape[0], curve.shape[1]))
-        v = v0.copy()
-        out[0] = v
-        for k in range(1, sub.shape[0]):
-            w = projectors[k] @ v
-            if not null_like:
-                nw = float(form.ip(w, w))
-                if nw * n0 <= 0.0:
-                    raise ValueError(
-                        "transport step lost the causal type of the vector; refine the grid"
-                    )
-                w = w * np.sqrt(n0 / nw)
-            v = w
-            out[k] = v
+        # the projections are linear, so rescaling after each step is the
+        # same as rescaling each node of the unscaled recursion once
+        projectors = _projectors(frames[::stride], form)
+        out = np.empty((projectors.shape[0], curve.shape[1]))
+        out[0] = v0
+        for k in range(1, out.shape[0]):
+            np.matmul(projectors[k], out[k - 1], out=out[k])
+        if not null_like:
+            nw = form.ip(out[1:], out[1:])
+            if np.any(nw * n0 <= 0.0):
+                raise ValueError(
+                    "transport step lost the causal type of the vector; refine the grid"
+                )
+            out[1:] *= np.sqrt(n0 / nw)[:, None]
         return out
 
     def _usable(stride):

@@ -73,6 +73,20 @@ def test_sample_lift_recovers_control(surface):
     assert np.max(np.abs(relift.control.coords - ctrl.coords)) <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["so_plus_1_2", "stiefel_3_1"])
+def test_sample_lift_without_transvection_recovers_control(name):
+    # models without a transvection map recover the control step by step
+    model = get_model(name)
+    assert model.transvection is None
+    grid = TimeGrid(0.0, 1.0, 200)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.sin(t + np.arange(model.p_dim)))
+    lift = horizontal_lift(model, ctrl)
+    points = np.einsum("kij,j->ki", model.rho_path(lift.samples), model.obar)
+    relift = horizontal_lift(model, EmbeddedCurve(grid, points))
+    assert np.max(np.abs(relift.samples - lift.samples)) <= 1e-7
+    assert np.max(np.abs(relift.control.coords - ctrl.coords)) <= 1e-7
+
+
 def test_lift_rejects_curve_leaving_the_manifold(surface):
     grid = TimeGrid(0.0, 1.0, 100)
     lift = horizontal_lift(surface, ControlCurve.from_function(grid, _wobble))
@@ -80,6 +94,25 @@ def test_lift_rejects_curve_leaving_the_manifold(surface):
     points[30:] *= 1.02
     with pytest.raises(ValueError, match="not tangent|drifted from the curve"):
         horizontal_lift(surface, EmbeddedCurve(grid, points))
+
+
+def test_transvection_lift_rejects_a_smooth_normal_drift(surface):
+    # the transvections carry only the tangential part of the velocity, so
+    # the lift of a curve drifting off the manifold is caught by the fit
+    grid = TimeGrid(0.0, 1.0, 100)
+    lift = horizontal_lift(surface, ControlCurve.from_function(grid, _wobble))
+    points = _embedded(surface, lift) * (1.0 + 0.05 * grid.ts)[:, None]
+    with pytest.raises(ValueError, match="not tangent"):
+        horizontal_lift(surface, EmbeddedCurve(grid, points))
+
+
+def test_validate_refuses_a_transvection_off_the_horizontal_generator(surface):
+    model = build_model(surface.description)
+    honest = model.transvection
+    model.validate()
+    model.transvection = lambda alpha, v: -honest(alpha, v)
+    with pytest.raises(ValueError, match="transvection is not the horizontal generator"):
+        model.validate()
 
 
 def test_lift_rejects_mismatched_start(surface):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from semiroll.integrate import (
+    REPROJECT_TOL,
     TimeGrid,
     dense_from_samples,
     derivative_interpolant,
@@ -14,7 +16,7 @@ from semiroll.integrate import (
     reproject,
     reproject_info,
 )
-from semiroll.linalg import SignatureForm, j_orthogonality_residual
+from semiroll.linalg import SignatureForm, j_orthogonality_residual, random_oriented_isometry
 
 
 def test_time_grid_fields():
@@ -98,6 +100,88 @@ def test_flow_reprojection_keeps_group_residual_flat():
                         reproject_form=form)
     worst = max(j_orthogonality_residual(X[k], form) for k in range(0, 2001, 200))
     assert worst <= 1e-12
+
+
+def _j_skew(form, rng, scale):
+    """A random J-skew matrix of spectral norm ``scale``."""
+    K = rng.standard_normal((form.dim, form.dim))
+    L = form.signs[:, None] * (K - K.T)
+    return scale * L / np.linalg.norm(L, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 0), (1, 2), (2, 2), (4, 0)]), st.integers(1, 300),
+       st.floats(0.0, 2.0), st.sampled_from(["left", "right"]), st.integers(0, 2**31 - 1))
+def test_group_flows_stay_on_the_group_and_match_the_exponential(pq, n_steps, scale, side, seed):
+    form = SignatureForm.from_pq(*pq)
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    A, B = _j_skew(form, rng, scale), _j_skew(form, rng, scale)
+    t = grid.stage_ts[:, None, None]
+    varying = flow_matrix_ode(np.cos(3.0 * t) * A + np.sin(t) * B, np.eye(form.dim), grid,
+                              side=side, reproject_form=form)
+    assert np.max(j_orthogonality_residual(varying, form)) <= REPROJECT_TOL
+
+    X = flow_matrix_ode(np.broadcast_to(A, t.shape[:1] + A.shape), np.eye(form.dim), grid,
+                        side=side, reproject_form=form)
+    assert np.max(j_orthogonality_residual(X, form)) <= REPROJECT_TOL
+    exact = np.array([expm(tk * A) for tk in grid.ts])
+    # RK4's local error on a constant generator is the exponential's Taylor
+    # tail past degree 4, at most a^5/5! e^a with a = h |A|; the flow grows
+    # it by at most e^(t |A|) up to t = 1
+    a = grid.h * scale
+    truncation = n_steps * a**5 / 120.0 * np.exp(a) * np.exp(scale)
+    assert np.max(np.abs(X - exact)) <= truncation + 1e-12
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("where", ["generator", "start"])
+def test_flow_rejects_non_finite_input(side, where):
+    grid = TimeGrid(0.0, 1.0, 10)
+    gens = np.zeros((grid.stage_ts.size, 3, 3))
+    X0 = np.eye(3)
+    if where == "generator":
+        gens[7, 0, 1] = np.nan  # one stage time, a step midpoint
+    else:
+        X0[1, 2] = np.inf
+    for form in (None, SignatureForm.from_pq(3, 0)):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            flow_matrix_ode(gens, X0, grid, side=side, reproject_form=form)
+
+
+def test_flow_refuses_a_singular_step_factor():
+    # with L = 0 at a step's first two stages and -6/h at its end, the
+    # step's RK4 factor I + h/6 L(t1) is singular, and so is its polish
+    grid = TimeGrid(0.0, 1.0, 4)
+    gens = np.zeros((grid.stage_ts.size, 3, 3))
+    gens[4] = np.diag([-6.0 / grid.h, 0.0, 0.0])
+    with pytest.raises(ValueError, match="singular"):
+        flow_matrix_ode(gens, np.eye(3), grid, reproject_form=SignatureForm.from_pq(3, 0))
+
+
+def test_flow_names_the_node_that_leaves_the_group():
+    # a start value off the group carries its defect into every node, and
+    # one Newton step cannot remove a defect of 10%
+    grid = TimeGrid(0.0, 1.0, 5)
+    gens = np.zeros((grid.stage_ts.size, 3, 3))
+    with pytest.raises(ValueError, match="node 1 "):
+        flow_matrix_ode(gens, 1.1 * np.eye(3), grid, reproject_form=SignatureForm.from_pq(3, 0))
+
+
+def test_stacked_reproject_matches_per_matrix_calls():
+    form = SignatureForm.from_pq(2, 2)
+    rng = np.random.default_rng(4)
+    stack = np.array([random_oriented_isometry(form, rng) + 1e-6 * rng.standard_normal((4, 4))
+                      for _ in range(6)])
+    fixed, iters, res = reproject_info(stack, form)
+    assert fixed.shape == stack.shape and res <= REPROJECT_TOL
+    assert np.all(j_orthogonality_residual(fixed, form) <= REPROJECT_TOL)
+    for X, Y in zip(stack, fixed):
+        assert np.max(np.abs(reproject(X, form) - Y)) <= 1e-14
+    # one singular matrix anywhere in the stack is refused
+    stack[3] = np.diag([1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="singular"):
+        reproject(stack, form)
 
 
 def test_integrate_vector_is_exact_on_cubics():
