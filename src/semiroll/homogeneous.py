@@ -4,13 +4,12 @@ A curved space enters as a ``CartanModel``: a matrix realization of a Lie
 algebra with a declared h/p splitting, an equivariant isometric embedding of
 M = G/H into a flat ambient space V, and the linearization of the G-action
 on V.  Everything downstream is sampled on uniform grids: horizontal lifts
-integrate ``qdot = q U(t)`` with U(t) in p (a sampled curve on a model with
-a ``transvection`` map integrates the equivalent linear flow
-``qdot = X(t) q``, d_e_rho(X) the transvection along the curve), and one
-assembly builds the extrinsic rolling map along the lift, its rotation the
-J-inverse of the ambient representation (times a model's correction) and
-its development the quadrature of R(t) alpha'(t).  The intrinsic rolling is
-the tangential part of that map.
+integrate ``qdot = q U(t)`` with U(t) in p (a sampled curve integrates the
+equivalent linear flow ``qdot = X(t) q``, d_e_rho(X) the transvection along
+the curve, on every model), and one assembly builds the extrinsic rolling
+map along the lift, its rotation the J-inverse of the ambient representation
+(times a model's correction) and its development the quadrature of
+R(t) alpha'(t).  The intrinsic rolling is the tangential part of that map.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .integrate import (
     flow_matrix_ode,
     integrate_vector,
     reproject,
-    rk4_steps,
 )
 from .linalg import j_orthogonality_residual, j_transpose_inverse
 from .rolling import (
@@ -167,6 +165,17 @@ class CartanModel:
     random_point : callable
         rng -> a random chart point, for the equivariance checks of
         ``validate``.
+    transvection : callable
+        Stacked ambient transvections: points alpha (m, N) of the embedded
+        manifold and tangent vectors v (m, N) there -> the (m, N, N)
+        generators Omega = rho(q) d_e_rho(U) rho(q)^{-1}, U in p, of the
+        horizontal motion through alpha with velocity v (so Omega alpha =
+        v).  On every reductive model Ad_H p = p, so Omega depends only on
+        alpha and v, not on the lift q.  A sampled curve is lifted by the
+        linear flow of its transvections; the sphere and the hyperboloid
+        share the rank-one formula ``eps (v alpha^T J - alpha v^T J)``, eps
+        = <alpha, alpha>, and SO+(p,q) and the Stiefel manifolds have closed
+        forms of their own.
     rotation_correction : callable, optional
         (model, lift) -> (n_nodes, N, N) correction path S(t) for models
         whose rolling rotation is not the J-inverse of rho (the
@@ -174,16 +183,6 @@ class CartanModel:
         of rho(q) S.  A model without one is a symmetric space
         (``symmetric_space``): S is the identity and the normal completion
         has that closed form.
-    transvection : callable, optional
-        Stacked ambient transvections: points alpha (m, N) of the embedded
-        manifold and tangent vectors v (m, N) there -> the (m, N, N)
-        generators Omega = rho(q) d_e_rho(U) rho(q)^{-1}, U in p, of the
-        horizontal motion through alpha with velocity v (so Omega alpha =
-        v).  On a symmetric space Omega depends only on alpha and v, not on
-        the lift q.  A model with one lifts a sampled curve by the linear
-        flow of its transvections; the sphere and the hyperboloid share the
-        rank-one formula ``eps (v alpha^T J - alpha v^T J)``, eps =
-        <alpha, alpha>.
 
     The scalar product on p is *derived*, not declared: ``ip_p = F0^T J F0``
     with ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that
@@ -195,7 +194,7 @@ class CartanModel:
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  base_point, obar, d_e_pi, rho, d_e_rho, action, embed, random_point,
-                 tangent_frame_at=None, rotation_correction=None, transvection=None,
+                 transvection, tangent_frame_at=None, rotation_correction=None,
                  params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
@@ -327,9 +326,10 @@ class CartanModel:
         Bracket closures of the h/p splitting, h perpendicular to p, isotropy
         of the base point, J-orthogonality and equivariance of the ambient
         representation (on random samples), the homomorphism property of
-        d_e_rho, and Ad_H-invariance of the derived p-metric.  A broken
-        [p,p] subset h only warns when the model is not a symmetric space
-        (it has a ``rotation_correction``).  Returns the measured defects.
+        d_e_rho, the transvection map against the horizontal generator, and
+        Ad_H-invariance of the derived p-metric.  A broken [p,p] subset h
+        only warns when the model is not a symmetric space (it has a
+        ``rotation_correction``).  Returns the measured defects.
         """
         rng = rng or np.random.default_rng(2357)
         defects = {}
@@ -395,14 +395,13 @@ class CartanModel:
             norm = max(1.0, float(np.linalg.norm(rhs)))
             equiv = max(equiv, float(np.linalg.norm(lhs - rhs)) / norm)
             jorth = max(jorth, j_orthogonality_residual(rq, self.form))
-            if self.transvection is not None:
-                # the transvection at rho(q) obar along rho(q) d_e_rho(U) obar
-                # is the horizontal generator rho(q) d_e_rho(U) rho(q)^{-1}
-                U = self.p_element(rng.standard_normal(self.p_dim))
-                gen = rq @ np.asarray(self.d_e_rho(U), dtype=float)
-                omega = self.transvection((rq @ self.obar)[None], (gen @ self.obar)[None])[0]
-                expect = gen @ j_transpose_inverse(rq, self.form)
-                transv = max(transv, peak(omega - expect) / max(1.0, peak(expect)))
+            # the transvection at rho(q) obar along rho(q) d_e_rho(U) obar is
+            # the horizontal generator rho(q) d_e_rho(U) rho(q)^{-1}
+            U = self.p_element(rng.standard_normal(self.p_dim))
+            gen = rq @ np.asarray(self.d_e_rho(U), dtype=float)
+            omega = self.transvection((rq @ self.obar)[None], (gen @ self.obar)[None])[0]
+            expect = gen @ j_transpose_inverse(rq, self.form)
+            transv = max(transv, peak(omega - expect) / max(1.0, peak(expect)))
             cx = rng.standard_normal(self.basis.shape[0])
             cy = rng.standard_normal(self.basis.shape[0])
             X = np.tensordot(cx, self.basis, axes=(0, 0))
@@ -475,24 +474,13 @@ def _lift_from_samples(model, curve, q0, track_tol):
     if np.linalg.norm(start - pts[0]) > track_tol * scale:
         raise ValueError("curve does not start at the projection of q0")
 
+    # rho(q) solves the linear flow of the transvections, and q' = X q with
+    # d_e_rho(X) = Omega
     vel = derivative_interpolant(grid, pts)(grid.stage_ts)
+    generators = _transvection_generators(model, grid, pts, vel)
     dtype = model.basis.dtype if np.iscomplexobj(model.basis) else float
-    q0 = np.asarray(q0, dtype=dtype)
-    if model.transvection is not None:
-        # rho(q) solves the linear flow of the transvections, and q' = X q
-        # with d_e_rho(X) = Omega
-        generators = _transvection_generators(model, grid, pts, vel)
-        qs = flow_matrix_ode(generators, q0, grid, side="left", reproject_form=model.group_form)
-    else:
-        # p-coefficients of a velocity v at rho(q) obar: cf0 rho(q)^{-1} v,
-        # which equals the least-squares fit in the moving frame
-        # rho(q) frame0 when v is tangent; a normal part is caught by the
-        # fit check below
-        def velocity(j, q):
-            rinv = j_transpose_inverse(np.asarray(model.rho(q), dtype=float), model.form)
-            return q @ model.p_element(model.cf0 @ (rinv @ vel[j]))
-
-        qs = rk4_steps(velocity, q0, grid, model.group_form)
+    qs = flow_matrix_ode(generators, np.asarray(q0, dtype=dtype), grid, side="left",
+                         reproject_form=model.group_form)
 
     rhos = model.rho_path(qs)
     node_vel = vel[::2]
@@ -519,11 +507,9 @@ def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
     """Horizontal lift of a control or of a sampled curve on the manifold.
 
     With a ControlCurve the lift integrates qdot = q U(t) directly.  With an
-    EmbeddedCurve on a model with a ``transvection`` the lift integrates the
-    linear flow qdot = X(t) q, with d_e_rho(X) the transvection at the
-    curve point along the curve velocity; on any other model the control is
-    recovered on the fly by expressing the curve velocity in the moving
-    tangent frame.  Either way the control of the lift is read off the curve
+    EmbeddedCurve it integrates the linear flow qdot = X(t) q, with
+    d_e_rho(X) the model's transvection at the curve point along the curve
+    velocity.  The control of a sampled curve's lift is read off the curve
     velocity in the moving frame at the nodes, inputs whose velocity leaves
     the tangent space or whose lift drifts from the curve are rejected, and
     the control is attached to the returned path.  ``q0`` defaults to the

@@ -7,12 +7,11 @@ scheme.  A linear flow ``Xdot = L(t) X`` (or ``X L(t)``) takes all its RK4
 step factors at once, as matrix polynomials of the stage samples, and its
 path is their running product; group-valued flows polish the factors onto
 the J-orthogonal group, give every node one Newton step, and check every
-node.  ``reproject`` polishes one matrix or a whole stack.  The nonlinear
-flows of the sample-driven lift keep a per-step RK4 loop with per-step
-reprojection.  Vector quadrature is the cumulative Simpson sum (what RK4
-collapses to for a pure-time integrand, exact for cubic polynomials).  Grid
-differentiation is fourth order, with one-sided stencils at the two nodes on
-each end of the grid.
+node.  Every matrix flow of the package is such a linear flow.
+``reproject`` polishes one matrix or a whole stack.  Vector quadrature is the
+cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
+for cubic polynomials).  Grid differentiation is fourth order, with one-sided
+stencils at the two nodes on each end of the grid.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "TimeGrid",
     "reproject",
     "reproject_info",
-    "rk4_steps",
     "flow_matrix_ode",
     "integrate_vector",
     "fd_derivative",
@@ -113,32 +111,6 @@ def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
 
 def reproject(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     return reproject_info(X, form, tol=tol, max_iter=max_iter)[0]
-
-
-def rk4_steps(velocity, X0, grid, reproject_form=None):
-    """Classical RK4 for X' = velocity(j, X), j indexing ``grid.stage_ts``.
-
-    Returns the node path, shape (n_nodes,) + X0.shape.  With
-    ``reproject_form`` set, every accepted step is polished back onto the
-    corresponding J-orthogonal group, which keeps group-valued flows on the
-    group without degrading the RK4 order.  Only the nonlinear flows of the
-    sample-driven lift need it; linear flows use ``flow_matrix_ode``.
-    """
-    h = grid.h
-    X = X0
-    out = np.empty((grid.n_nodes,) + X.shape, dtype=X.dtype)
-    out[0] = X
-    for k in range(grid.n_steps):
-        j = 2 * k
-        k1 = velocity(j, X)
-        k2 = velocity(j + 1, X + 0.5 * h * k1)
-        k3 = velocity(j + 1, X + 0.5 * h * k2)
-        k4 = velocity(j + 2, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if reproject_form is not None:
-            X = reproject(X, reproject_form)
-        out[k + 1] = X
-    return out
 
 
 def _check_stage_samples(samples, grid):

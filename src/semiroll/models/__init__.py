@@ -103,9 +103,9 @@ def build_model(desc, validate=False, rng=None):
         action=parts["action"],
         embed=parts["embed"],
         random_point=parts["random_point"],
+        transvection=parts["transvection"],
         tangent_frame_at=parts.get("tangent_frame_at"),
         rotation_correction=parts.get("rotation_correction"),
-        transvection=parts.get("transvection"),
         params=desc.get("params"),
         description=desc,
     )

@@ -31,7 +31,7 @@ from ..integrate import (
     flow_matrix_ode,
     integrate_vector,
 )
-from ..linalg import stacked_null_spaces
+from ..linalg import j_transpose_inverse, stacked_null_spaces
 from ..rolling import RollingMapPath
 
 __all__ = [
@@ -329,11 +329,13 @@ def kinematic_roll(model, control, grid, ubar_of):
     ``ubar_of`` maps control coordinates (..., k) to ambient angular
     velocities Ubar (..., N, N), and the kinematic equations
 
-        alphabar' = qbar Ubar obar,   Rbar' = -Ubar Rbar,   sbar' = Ubar obar
+        qbar' = qbar Ubar,   sbar' = Ubar obar
 
     are integrated directly (independently of the lift-based assembly in the
-    engine) under the model's ambient form.  ``control`` is a ControlCurve,
-    or raw samples with a ``grid``.  Returns a RollingMapPath.
+    engine) under the model's ambient form.  The curve is alphabar = qbar obar
+    and the rotation is Rbar = J qbar^T J, the J-inverse of qbar, which solves
+    Rbar' = -Ubar Rbar.  ``control`` is a ControlCurve, or raw samples with a
+    ``grid``.  Returns a RollingMapPath.
     """
     if not isinstance(control, ControlCurve):
         if grid is None:
@@ -343,9 +345,8 @@ def kinematic_roll(model, control, grid, ubar_of):
     form = model.form
 
     ubars = ubar_of(control.at(grid.stage_ts))
-    eye = np.eye(form.dim)
-    qbar = flow_matrix_ode(ubars, eye, grid, side="right", reproject_form=form)
-    rots = flow_matrix_ode(-ubars, eye, grid, side="left", reproject_form=form)
+    qbar = flow_matrix_ode(ubars, np.eye(form.dim), grid, side="right", reproject_form=form)
+    rots = j_transpose_inverse(qbar, form)
     obar = model.obar
     s = integrate_vector(ubars @ obar, grid)
     alpha = np.einsum("kij,j->ki", qbar, obar)

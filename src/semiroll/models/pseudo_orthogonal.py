@@ -9,7 +9,10 @@ The embedding flattens X column-major into R^{n^2}, where the invariant form
 
 has sign pattern kron(j, j) for j the diagonal of J.  With base point P0 the
 isotropy algebra is {diag(B, P0^{-1} B P0)} and its complement
-{diag(B, -P0^{-1} B P0)} maps onto tangent vectors 2 B P0.
+{diag(B, -P0^{-1} B P0)} maps onto tangent vectors 2 B P0.  The horizontal
+motion through X with velocity V is the pair (B1, B2) = (B, -X^{-1} B X)
+with V = 2 B X, X^{-1} = J X^T J; the bundle's ``transvection`` is its image
+kron(I, B1) - kron(B2^T, I) under d_e_rho.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ def _block_diag(A, B):
     out[:n, :n] = A
     out[n:, n:] = B
     return out
+
+
+def _j_skew(M, J):
+    """Half the J-skew part, (M - J M^T J) / 4, of a stack of matrices."""
+    return 0.25 * (M - J @ np.swapaxes(M, -1, -2) @ J)
 
 
 def description(p, q, base_point=None):
@@ -146,6 +154,15 @@ def bundle(desc):
     def embed(X):
         return stacked_vec(np.asarray(X, dtype=float))
 
+    def transvection(alpha, v):
+        # B1 = V X^{-1} / 2 and B2 = -X^{-1} V / 2, each projected onto the
+        # J-skew matrices; a C-order reshape of vec(X) gives X^T
+        Xinv = J @ np.asarray(alpha, dtype=float).reshape(-1, n, n) @ J
+        V = np.swapaxes(np.asarray(v, dtype=float).reshape(-1, n, n), 1, 2)
+        B1 = _j_skew(V @ Xinv, J)
+        B2 = -_j_skew(Xinv @ V, J)
+        return stacked_kron(np.eye(n), B1) - stacked_kron(np.swapaxes(B2, 1, 2), np.eye(n))
+
     def tangent_frame_at(xs):
         # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;
         # column a of the frame is vec(B_a X)
@@ -164,6 +181,7 @@ def bundle(desc):
         "obar": embed(P0),
         "tangent_frame_at": tangent_frame_at,
         "random_point": random_point,
+        "transvection": transvection,
     }
 
 
@@ -179,15 +197,15 @@ def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):
     """Extrinsic rolling of SO+(p, q) inside the matrix space R^{n x n}.
 
     ``control`` carries coefficients in the so_pq_basis order; U(t) is the
-    corresponding left angular velocity of the first factor.  The four group
+    corresponding left angular velocity of the first factor.  The two group
     flows
 
-        Q1' = Q1 U,   Q2' = -Q2 P0^{-1} U P0,
-        R1' = -U R1,  R2' = P0^{-1} U P0 R2,
+        Q1' = Q1 U,   Q2' = -Q2 P0^{-1} U P0
 
-    are integrated separately (the rotation is not formed by inverting the
-    point path), s' = vec(2 U(t) P0), and the rolling map acts on flattened
-    matrices by X -> R1 X R2^{-1}.
+    are integrated directly (independently of the lift-based assembly in the
+    engine), s' = vec(2 U(t) P0), and the rolling map acts on flattened
+    matrices by X -> R1 X R2^{-1} with R1 = J Q1^T J and R2 = J Q2^T J, the
+    J-inverses of the two factors.
     """
     if not isinstance(control, ControlCurve):
         if grid is None:
@@ -212,14 +230,12 @@ def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):
         )
 
     U = np.tensordot(control.at(grid.stage_ts), skew, axes=(-1, 0))
-    U_conj = P0inv @ U @ P0
     Q1 = flow_matrix_ode(U, np.eye(n), grid, side="right", reproject_form=form_n)
-    Q2 = flow_matrix_ode(-U_conj, np.eye(n), grid, side="right", reproject_form=form_n)
-    R1 = flow_matrix_ode(-U, np.eye(n), grid, side="left", reproject_form=form_n)
-    R2 = flow_matrix_ode(U_conj, np.eye(n), grid, side="left", reproject_form=form_n)
+    Q2 = flow_matrix_ode(-(P0inv @ U @ P0), np.eye(n), grid, side="right",
+                         reproject_form=form_n)
     s = integrate_vector(stacked_vec(2.0 * U @ P0), grid)
     alpha = stacked_vec(Q1 @ P0 @ (J @ np.swapaxes(Q2, 1, 2) @ J))
-    rots = stacked_kron(J @ R2 @ J, R1)
+    rots = stacked_kron(np.swapaxes(Q2, 1, 2), J @ np.swapaxes(Q1, 1, 2) @ J)
     obar = stacked_vec(P0)
     alpha_hat = obar[None, :] + s
     return RollingMapPath(

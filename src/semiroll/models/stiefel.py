@@ -15,6 +15,11 @@ orthogonal projector onto the base tangent space.  For k = 1 (the sphere)
 Omega vanishes identically and the correction is the identity.  The bundle
 supplies S(t) as the model's ``rotation_correction``; the rolling map itself
 is assembled by ``homogeneous.extrinsic_roll`` as for every other model.
+Although the space is not symmetric, Ad_H p = p, so the horizontal generator
+through a frame A with velocity V depends on (A, V) alone: the bundle's
+``transvection`` is kron(I_k, X) with W = A^T V and
+
+    X = V A^T - A V^T - 1/2 A (W - W^T) A^T.
 """
 
 from __future__ import annotations
@@ -184,6 +189,15 @@ def bundle(desc):
     def embed(X):
         return stacked_vec(np.asarray(X, dtype=float))
 
+    def transvection(alpha, v):
+        # the generator X of the module docstring at frames A, velocities V
+        A = np.swapaxes(np.asarray(alpha, dtype=float).reshape(-1, k, n), 1, 2)
+        V = np.swapaxes(np.asarray(v, dtype=float).reshape(-1, k, n), 1, 2)
+        At = np.swapaxes(A, 1, 2)
+        W = At @ V
+        X = V @ At - A @ np.swapaxes(V, 1, 2) - 0.5 * A @ (W - np.swapaxes(W, 1, 2)) @ At
+        return stacked_kron(np.eye(k), X)
+
     def tangent_frame_at(xs):
         # each row of xs is vec(P) column-major, so a C-order reshape gives P^T;
         # frames are built as (m, column c, row i, a) and flattened to vec order
@@ -215,6 +229,7 @@ def bundle(desc):
         "obar": stacked_vec(np.eye(n, k)),
         "tangent_frame_at": tangent_frame_at,
         "random_point": random_point,
+        "transvection": transvection,
         # looked up at call time, so a rebinding of _correction_path is seen
         "rotation_correction": lambda model, lift: _correction_path(model, lift),
     }

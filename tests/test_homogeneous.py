@@ -48,6 +48,15 @@ def _wobble(t):
     return np.array([np.sin(t), 0.4 * np.cos(2 * t)])
 
 
+def _phased(p_dim):
+    return lambda t: 0.5 * np.sin(t + np.arange(p_dim))
+
+
+# one model of each bundle, with a control of its p-dimension
+BUNDLE_CONTROLS = {"sphere": _wobble, "hyperboloid": _wobble, "so_plus_1_2": _phased(3),
+                   "stiefel_4_2": _phased(5)}
+
+
 def _embedded(model, lift):
     return np.array([model.embed(model.action(g, model.base_point)) for g in lift.samples])
 
@@ -64,25 +73,17 @@ def test_control_lift_is_horizontal(surface):
     assert lift.control is not None
 
 
-def test_sample_lift_recovers_control(surface):
-    grid = TimeGrid(0.0, 1.5, 300)
-    ctrl = ControlCurve.from_function(grid, _wobble)
-    lift = horizontal_lift(surface, ctrl)
-    relift = horizontal_lift(surface, EmbeddedCurve(grid, _embedded(surface, lift)))
-    assert np.max(np.abs(relift.samples - lift.samples)) <= 1e-7
-    assert np.max(np.abs(relift.control.coords - ctrl.coords)) <= 1e-7
-
-
-@pytest.mark.parametrize("name", ["so_plus_1_2", "stiefel_3_1"])
-def test_sample_lift_without_transvection_recovers_control(name):
-    # models without a transvection map recover the control step by step
+@pytest.mark.parametrize("name, grid, control", [
+    ("sphere", TimeGrid(0.0, 1.5, 300), _wobble),
+    ("hyperboloid", TimeGrid(0.0, 1.5, 300), _wobble),
+    ("so_plus_1_2", TimeGrid(0.0, 1.0, 200), _phased(3)),
+    ("stiefel_3_1", TimeGrid(0.0, 1.0, 200), _phased(2)),
+], ids=["sphere", "hyperboloid", "so_plus_1_2", "stiefel_3_1"])
+def test_sample_lift_recovers_control(name, grid, control):
     model = get_model(name)
-    assert model.transvection is None
-    grid = TimeGrid(0.0, 1.0, 200)
-    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.sin(t + np.arange(model.p_dim)))
+    ctrl = ControlCurve.from_function(grid, control)
     lift = horizontal_lift(model, ctrl)
-    points = np.einsum("kij,j->ki", model.rho_path(lift.samples), model.obar)
-    relift = horizontal_lift(model, EmbeddedCurve(grid, points))
+    relift = horizontal_lift(model, EmbeddedCurve(grid, _embedded(model, lift)))
     assert np.max(np.abs(relift.samples - lift.samples)) <= 1e-7
     assert np.max(np.abs(relift.control.coords - ctrl.coords)) <= 1e-7
 
@@ -96,18 +97,22 @@ def test_lift_rejects_curve_leaving_the_manifold(surface):
         horizontal_lift(surface, EmbeddedCurve(grid, points))
 
 
-def test_transvection_lift_rejects_a_smooth_normal_drift(surface):
+@pytest.mark.parametrize("name", BUNDLE_CONTROLS)
+def test_transvection_lift_rejects_a_smooth_normal_drift(name):
     # the transvections carry only the tangential part of the velocity, so
     # the lift of a curve drifting off the manifold is caught by the fit
+    model = get_model(name)
     grid = TimeGrid(0.0, 1.0, 100)
-    lift = horizontal_lift(surface, ControlCurve.from_function(grid, _wobble))
-    points = _embedded(surface, lift) * (1.0 + 0.05 * grid.ts)[:, None]
+    lift = horizontal_lift(model, ControlCurve.from_function(grid, BUNDLE_CONTROLS[name]))
+    points = _embedded(model, lift) * (1.0 + 0.05 * grid.ts)[:, None]
     with pytest.raises(ValueError, match="not tangent"):
-        horizontal_lift(surface, EmbeddedCurve(grid, points))
+        horizontal_lift(model, EmbeddedCurve(grid, points))
 
 
-def test_validate_refuses_a_transvection_off_the_horizontal_generator(surface):
-    model = build_model(surface.description)
+@pytest.mark.parametrize("name", BUNDLE_CONTROLS)
+@pytest.mark.filterwarnings("ignore:model stiefel")
+def test_validate_refuses_a_transvection_off_the_horizontal_generator(name):
+    model = build_model(get_model(name).description)
     honest = model.transvection
     model.validate()
     model.transvection = lambda alpha, v: -honest(alpha, v)

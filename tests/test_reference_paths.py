@@ -69,7 +69,7 @@ from semiroll.linalg import (
     stacked_kron,
     stacked_vec,
 )
-from semiroll.models import get_model, hyperbolic, sphere, stiefel
+from semiroll.models import get_model, hyperbolic, make_pseudo_orthogonal_model, sphere, stiefel
 from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
 from semiroll.rolling import (
     RollingMapPath,
@@ -618,6 +618,70 @@ def test_sample_driven_lifts_match_lstsq_fit():
     assert err <= 2e-11
     coarse_err, _ = _latitude_lift_errors(1000)
     assert coarse_err / err >= 8.0
+
+
+def _lift_from_samples_rk4(model, points, grid, q0):
+    """Sample-driven lift taking p-coefficients ``cf0 rho(q)^{-1} v`` in a per-step RK4 loop."""
+    vel = derivative_interpolant(grid, points)(grid.stage_ts)
+
+    def velocity(j, q):
+        rinv = j_transpose_inverse(np.asarray(model.rho(q), dtype=float), model.form)
+        return q @ model.p_element(model.cf0 @ (rinv @ vel[j]))
+
+    h = grid.h
+    X = np.asarray(q0, dtype=float)
+    out = [X]
+    for k in range(grid.n_steps):
+        j = 2 * k
+        k1 = velocity(j, X)
+        k2 = velocity(j + 1, X + 0.5 * h * k1)
+        k3 = velocity(j + 1, X + 0.5 * h * k2)
+        k4 = velocity(j + 2, X + h * k3)
+        X = reproject(X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), model.group_form)
+        out.append(X)
+    return np.array(out)
+
+
+def _transvection_lift_model(name):
+    if name != "so_plus_2_1@base":
+        return get_model(name)
+    base = get_model("so_plus_2_1").random_point(np.random.default_rng(7))
+    return make_pseudo_orthogonal_model(2, 1, base_point=base)
+
+
+def _constant_control_lift_errors(model, n_steps):
+    """Errors of the transvection and RK4 lifts of the curve of a constant control.
+
+    The lift of the constant control U is exactly q(t) = expm(t U).
+    """
+    grid = TimeGrid(0.0, 1.5, n_steps)
+    U = model.p_element(np.linspace(0.6, -0.8, model.p_dim))
+    exact = expm_stack(grid.ts[:, None, None] * U)
+    points = np.einsum("kij,j->ki", model.rho_path(exact), model.obar)
+    lift = horizontal_lift(model, EmbeddedCurve(grid, points))
+    reference = _lift_from_samples_rk4(model, points, grid, np.eye(model.group_dim))
+    return _peak(lift.samples, exact), _peak(reference, exact)
+
+
+@pytest.mark.parametrize("name", ["so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2",
+                                  "so_plus_2_1@base"])
+def test_transvection_lifts_match_the_rk4_fit(name):
+    # SO+(p,q) and the Stiefel manifolds lift sampled curves by the linear
+    # flow of their transvections, like the sphere and the hyperboloid
+    model = _transvection_lift_model(name)
+    grid = TimeGrid(0.0, 1.0, 2000)
+    ctrl_lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 11))
+    points = np.einsum("kij,j->ki", model.rho_path(ctrl_lift.samples), model.obar)
+    lift = horizontal_lift(model, EmbeddedCurve(grid, points))
+    reference = _lift_from_samples_rk4(model, points, grid, np.eye(model.group_dim))
+    assert _peak(lift.samples, reference) <= 1e-13
+
+    # against the exact lift of a constant control the flow is no worse than
+    # the RK4 fit, and fourth order
+    err, reference_err = _constant_control_lift_errors(model, 250)
+    assert err <= reference_err
+    fine_err, _ = _constant_control_lift_errors(model, 500)
+    assert err / fine_err >= 8.0
 
 
 def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
