@@ -5,8 +5,8 @@ algebra with a declared h/p splitting, an equivariant isometric embedding of
 M = G/H into a flat ambient space V, and the linearization of the G-action
 on V.  Everything downstream is sampled on uniform grids: horizontal lifts
 integrate ``qdot = q U(t)`` with U(t) in p (a sampled curve integrates the
-equivalent linear flow ``qdot = X(t) q``, d_e_rho(X) the transvection along
-the curve, on every model), and one assembly builds the extrinsic rolling
+equivalent linear flow ``qdot = X(t) q``, X the transvection along the
+curve, on every model), and one assembly builds the extrinsic rolling
 map along the lift, its rotation the J-inverse of the ambient representation
 (times a model's correction) and its development the quadrature of
 R(t) alpha'(t).  The intrinsic rolling is the tangential part of that map.
@@ -155,7 +155,7 @@ class CartanModel:
         (group matrix, chart point) -> chart point.
     embed : callable
         chart point -> (N,) ambient vector.
-    tangent_frame_at : callable, optional
+    tangent_frame_at : callable
         Stacked pointwise tangent frames: an (m, N) array of embedded
         points -> an (m, N, r) array whose k-th slice spans the tangent
         space at the k-th point, r = len(p_indices).  Where a frame is a
@@ -166,16 +166,15 @@ class CartanModel:
         rng -> a random chart point, for the equivariance checks of
         ``validate``.
     transvection : callable
-        Stacked ambient transvections: points alpha (m, N) of the embedded
-        manifold and tangent vectors v (m, N) there -> the (m, N, N)
-        generators Omega = rho(q) d_e_rho(U) rho(q)^{-1}, U in p, of the
-        horizontal motion through alpha with velocity v (so Omega alpha =
-        v).  On every reductive model Ad_H p = p, so Omega depends only on
-        alpha and v, not on the lift q.  A sampled curve is lifted by the
-        linear flow of its transvections; the sphere and the hyperboloid
-        share the rank-one formula ``eps (v alpha^T J - alpha v^T J)``, eps
-        = <alpha, alpha>, and SO+(p,q) and the Stiefel manifolds have closed
-        forms of their own.
+        Stacked transvections: points alpha (m, N) of the embedded manifold
+        and tangent vectors v (m, N) there -> the (m, d, d) algebra elements
+        X = q U q^{-1}, U in p, in the matrix realization of the group, that
+        generate the horizontal motion through alpha = rho(q) obar with
+        velocity v = rho(q) d_e_rho(U) obar; a horizontal lift of the curve
+        solves q' = X q.  On every reductive model Ad_H p = p, so X depends
+        only on alpha and v, not on the lift q.  The sphere and the
+        hyperboloid share one formula in the cross product alpha x v, and
+        SO+(p,q) and the Stiefel manifolds have closed forms of their own.
     rotation_correction : callable, optional
         (model, lift) -> (n_nodes, N, N) correction path S(t) for models
         whose rolling rotation is not the J-inverse of rho (the
@@ -194,7 +193,7 @@ class CartanModel:
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  base_point, obar, d_e_pi, rho, d_e_rho, action, embed, random_point,
-                 transvection, tangent_frame_at=None, rotation_correction=None,
+                 transvection, tangent_frame_at, rotation_correction=None,
                  params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
@@ -311,8 +310,6 @@ class CartanModel:
         return TangentFramePath(grid.ts, frames)
 
     def pointwise_tangent_frames(self, grid, points):
-        if self.tangent_frame_at is None:
-            raise ValueError(f"model {self.name} provides no pointwise tangent frames")
         points = np.asarray(points, dtype=float)
         if not np.all(np.isfinite(points)):
             raise ValueError("curve points contain NaN or inf")
@@ -396,12 +393,12 @@ class CartanModel:
             equiv = max(equiv, float(np.linalg.norm(lhs - rhs)) / norm)
             jorth = max(jorth, j_orthogonality_residual(rq, self.form))
             # the transvection at rho(q) obar along rho(q) d_e_rho(U) obar is
-            # the horizontal generator rho(q) d_e_rho(U) rho(q)^{-1}
+            # the horizontal generator q U q^{-1}
             U = self.p_element(rng.standard_normal(self.p_dim))
-            gen = rq @ np.asarray(self.d_e_rho(U), dtype=float)
-            omega = self.transvection((rq @ self.obar)[None], (gen @ self.obar)[None])[0]
-            expect = gen @ j_transpose_inverse(rq, self.form)
-            transv = max(transv, peak(omega - expect) / max(1.0, peak(expect)))
+            vel = rq @ np.asarray(self.d_e_rho(U), dtype=float) @ self.obar
+            gen = self.transvection((rq @ self.obar)[None], vel[None])[0]
+            expect = q @ U @ np.linalg.inv(q)
+            transv = max(transv, peak(gen - expect) / max(1.0, peak(expect)))
             cx = rng.standard_normal(self.basis.shape[0])
             cy = rng.standard_normal(self.basis.shape[0])
             X = np.tensordot(cx, self.basis, axes=(0, 0))
@@ -447,25 +444,6 @@ def _lift_from_control(model, control, q0):
     return GroupPath(grid=grid, samples=qs, control=control)
 
 
-def _transvection_generators(model, grid, points, vel):
-    """Algebra generators X at the stage times with d_e_rho(X) the curve's transvections."""
-    alpha = dense_from_samples(grid.ts, points)(grid.stage_ts)
-    omegas = np.asarray(model.transvection(alpha, vel), dtype=float)
-    images = np.stack([np.asarray(model.d_e_rho(B), dtype=float).ravel() for B in model.basis],
-                      axis=1)
-    target = omegas.reshape(omegas.shape[0], -1).T
-    coeffs = np.linalg.lstsq(images, target, rcond=None)[0]
-    off = np.linalg.norm(images @ coeffs - target, axis=0)
-    bad = np.flatnonzero(~(off <= MODEL_CHECK_TOL * max(1.0, float(np.max(np.abs(omegas))))))
-    if bad.size:
-        j = bad[0]
-        raise ValueError(
-            f"transvection at t={grid.stage_ts[j]:.6g} leaves the image of d_e_rho "
-            f"(defect {off[j]:.3e})"
-        )
-    return np.tensordot(coeffs.T, model.basis, axes=(1, 0))
-
-
 def _lift_from_samples(model, curve, q0, track_tol):
     grid = curve.grid
     pts = curve.points
@@ -474,12 +452,10 @@ def _lift_from_samples(model, curve, q0, track_tol):
     if np.linalg.norm(start - pts[0]) > track_tol * scale:
         raise ValueError("curve does not start at the projection of q0")
 
-    # rho(q) solves the linear flow of the transvections, and q' = X q with
-    # d_e_rho(X) = Omega
+    # the lift solves the linear flow q' = X q of the curve's transvections
     vel = derivative_interpolant(grid, pts)(grid.stage_ts)
-    generators = _transvection_generators(model, grid, pts, vel)
-    dtype = model.basis.dtype if np.iscomplexobj(model.basis) else float
-    qs = flow_matrix_ode(generators, np.asarray(q0, dtype=dtype), grid, side="left",
+    alpha = dense_from_samples(grid.ts, pts)(grid.stage_ts)
+    qs = flow_matrix_ode(model.transvection(alpha, vel), q0, grid, side="left",
                          reproject_form=model.group_form)
 
     rhos = model.rho_path(qs)
@@ -497,7 +473,8 @@ def _lift_from_samples(model, curve, q0, track_tol):
         if bad_fit[k]:
             raise ValueError(
                 f"curve velocity at t={t:.6g} is not tangent to the model "
-                f"manifold (defect {fit[k]:.3e}); input must be smooth and tangent"
+                f"manifold (defect {fit[k]:.3e}); input must be smooth and tangent, "
+                "or the grid is too coarse for its finite-difference velocity; refine n_steps"
             )
         raise ValueError(f"lift drifted from the curve (defect {track[k]:.3e} at t={t:.6g})")
     return GroupPath(grid=grid, samples=qs, control=ControlCurve(grid=grid, coords=coords))
@@ -507,12 +484,12 @@ def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
     """Horizontal lift of a control or of a sampled curve on the manifold.
 
     With a ControlCurve the lift integrates qdot = q U(t) directly.  With an
-    EmbeddedCurve it integrates the linear flow qdot = X(t) q, with
-    d_e_rho(X) the model's transvection at the curve point along the curve
-    velocity.  The control of a sampled curve's lift is read off the curve
-    velocity in the moving frame at the nodes, inputs whose velocity leaves
-    the tangent space or whose lift drifts from the curve are rejected, and
-    the control is attached to the returned path.  ``q0`` defaults to the
+    EmbeddedCurve it integrates the linear flow qdot = X(t) q, with X the
+    model's transvection at the curve point along the curve velocity.  The
+    control of a sampled curve's lift is read off the curve velocity in the
+    moving frame at the nodes, inputs whose velocity leaves the tangent
+    space or whose lift drifts from the curve are rejected, and the control
+    is attached to the returned path.  ``q0`` defaults to the
     group identity and must project onto the first curve point.
     """
     if q0 is None:

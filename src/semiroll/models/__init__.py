@@ -104,7 +104,7 @@ def build_model(desc, validate=False, rng=None):
         embed=parts["embed"],
         random_point=parts["random_point"],
         transvection=parts["transvection"],
-        tangent_frame_at=parts.get("tangent_frame_at"),
+        tangent_frame_at=parts["tangent_frame_at"],
         rotation_correction=parts.get("rotation_correction"),
         params=desc.get("params"),
         description=desc,

@@ -151,22 +151,22 @@ def ubar_matrix(u):
     return out
 
 
-def quadric_transvection(alpha, v, signs):
-    """Transvections eps (v alpha^T J - alpha v^T J), eps = <alpha, alpha>, stacked.
+def quadric_transvection(alpha, v, signs, axes):
+    """Transvections |<alpha, alpha>| sum_i (alpha x v)_i axes_i, stacked.
 
-    For points alpha (..., N) of a quadric <x, x> = +-1 under the sign
-    vector ``signs`` and tangent vectors v (..., N) there, this is the
-    J-skew generator (..., N, N) that maps alpha to v and the normal line
-    of the quadric at alpha into its tangent space: the infinitesimal
-    isometry translating along the geodesic through alpha with velocity v.
-    The sphere and the hyperboloid share it.
+    For points alpha (..., 3) of a quadric <x, x> = +-1 under the sign
+    vector ``signs`` (J = diag(signs)) and tangent vectors v (..., 3)
+    there, this is the algebra element (..., d, d) that generates the
+    infinitesimal isometry translating along the geodesic through alpha
+    with velocity v: its linearized action eps (v alpha^T J - alpha v^T J),
+    eps = <alpha, alpha>, maps alpha to v and the normal line at alpha into
+    the tangent space.  ``axes`` (3, d, d) are the algebra elements with
+    d_e_rho(axes[i]) = J_ii J hat(e_i), hat the cross-product matrix; the
+    sphere and the hyperboloid share the formula.
     """
     alpha = np.asarray(alpha, dtype=float)
-    v = np.asarray(v, dtype=float)
-    j_alpha = alpha * signs
-    eps = np.sum(alpha * j_alpha, axis=-1)[..., None, None]
-    return eps * (v[..., :, None] * j_alpha[..., None, :]
-                  - alpha[..., :, None] * (v * signs)[..., None, :])
+    eps = np.abs(np.sum(alpha * alpha * signs, axis=-1))[..., None]
+    return np.tensordot(eps * np.cross(alpha, v), axes, axes=(-1, 0))
 
 
 def description():
@@ -231,6 +231,7 @@ def _random_point(rng):
 def bundle(desc):
     z0 = complex(desc["base_point"][0], desc["base_point"][1])
     signs = np.asarray(desc["J_signs"], dtype=float)
+    axes = signs[:, None, None] * SU11_BASIS
     return {
         "rho": _rho,
         "d_e_rho": _d_e_rho,
@@ -240,7 +241,7 @@ def bundle(desc):
         "obar": embed_hyperbolic(z0),
         "tangent_frame_at": _tangent_frame_at,
         "random_point": _random_point,
-        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs),
+        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
     }
 
 

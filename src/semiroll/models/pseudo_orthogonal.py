@@ -11,8 +11,8 @@ has sign pattern kron(j, j) for j the diagonal of J.  With base point P0 the
 isotropy algebra is {diag(B, P0^{-1} B P0)} and its complement
 {diag(B, -P0^{-1} B P0)} maps onto tangent vectors 2 B P0.  The horizontal
 motion through X with velocity V is the pair (B1, B2) = (B, -X^{-1} B X)
-with V = 2 B X, X^{-1} = J X^T J; the bundle's ``transvection`` is its image
-kron(I, B1) - kron(B2^T, I) under d_e_rho.
+with V = 2 B X, X^{-1} = J X^T J; the bundle's ``transvection`` is
+diag(B1, B2).
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ def j_symmetric_basis(p, q):
 
 
 def _block_diag(A, B):
-    n = A.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = A
-    out[n:, n:] = B
+    """Block-diagonal matrices diag(A, B) of two equal-size stacks."""
+    n = A.shape[-1]
+    out = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = A
+    out[..., n:, n:] = B
     return out
 
 
@@ -159,9 +160,7 @@ def bundle(desc):
         # J-skew matrices; a C-order reshape of vec(X) gives X^T
         Xinv = J @ np.asarray(alpha, dtype=float).reshape(-1, n, n) @ J
         V = np.swapaxes(np.asarray(v, dtype=float).reshape(-1, n, n), 1, 2)
-        B1 = _j_skew(V @ Xinv, J)
-        B2 = -_j_skew(Xinv @ V, J)
-        return stacked_kron(np.eye(n), B1) - stacked_kron(np.swapaxes(B2, 1, 2), np.eye(n))
+        return _block_diag(_j_skew(V @ Xinv, J), -_j_skew(Xinv @ V, J))
 
     def tangent_frame_at(xs):
         # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;

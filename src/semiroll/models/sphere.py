@@ -123,6 +123,7 @@ def _random_point(rng):
 def bundle(desc):
     z0 = complex(desc["base_point"][0], desc["base_point"][1])
     signs = np.asarray(desc["J_signs"], dtype=float)
+    axes = np.tensordot(CHART_CONJUGATOR, SU2_BASIS, axes=(1, 0))
     return {
         "rho": _rho,
         "d_e_rho": _d_e_rho,
@@ -132,7 +133,7 @@ def bundle(desc):
         "obar": embed_sphere(z0),
         "tangent_frame_at": _tangent_frame_at,
         "random_point": _random_point,
-        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs),
+        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
     }
 
 

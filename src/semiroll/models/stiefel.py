@@ -17,7 +17,7 @@ supplies S(t) as the model's ``rotation_correction``; the rolling map itself
 is assembled by ``homogeneous.extrinsic_roll`` as for every other model.
 Although the space is not symmetric, Ad_H p = p, so the horizontal generator
 through a frame A with velocity V depends on (A, V) alone: the bundle's
-``transvection`` is kron(I_k, X) with W = A^T V and
+``transvection`` is X with W = A^T V and
 
     X = V A^T - A V^T - 1/2 A (W - W^T) A^T.
 """
@@ -195,8 +195,7 @@ def bundle(desc):
         V = np.swapaxes(np.asarray(v, dtype=float).reshape(-1, k, n), 1, 2)
         At = np.swapaxes(A, 1, 2)
         W = At @ V
-        X = V @ At - A @ np.swapaxes(V, 1, 2) - 0.5 * A @ (W - np.swapaxes(W, 1, 2)) @ At
-        return stacked_kron(np.eye(k), X)
+        return V @ At - A @ np.swapaxes(V, 1, 2) - 0.5 * A @ (W - np.swapaxes(W, 1, 2)) @ At
 
     def tangent_frame_at(xs):
         # each row of xs is vec(P) column-major, so a C-order reshape gives P^T;

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from semiroll.cli import main
+from semiroll.homogeneous import ControlCurve, extrinsic_roll
+from semiroll.integrate import TimeGrid
+from semiroll.models import get_model
 
 CONFIG_DIR = resources.files("semiroll") / "configs"
 BUNDLED = sorted(p.name for p in CONFIG_DIR.iterdir() if p.name.endswith(".json"))
@@ -239,3 +242,40 @@ def test_roll_refuses_a_non_integer_step_count(n_steps, tmp_path, capsys):
     capsys.readouterr()
     assert main(["roll", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: bad grid")
+
+
+def _sampled_curve_config(name, mode, drift=0.0):
+    """A 400-step ``curve`` config holding the points of a library roll."""
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 400)
+    i = np.arange(1, model.p_dim + 1)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.4 * np.sin(i * t + 0.3))
+    points = extrinsic_roll(model, ctrl).alpha * (1.0 + drift * grid.ts)[:, None]
+    return {"model": name, "mode": mode, "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 400},
+            "curve": {"points": points.tolist()}}
+
+
+SAMPLED_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "stiefel_4_2"]
+
+
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+@pytest.mark.parametrize("name", SAMPLED_MODELS)
+def test_sampled_curve_configs_roll_and_verify(name, mode, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_sampled_curve_config(name, mode)))
+    out = tmp_path / "traj.csv"
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+@pytest.mark.parametrize("name", SAMPLED_MODELS)
+def test_sampled_curve_drifting_off_the_manifold_is_refused(name, mode, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_sampled_curve_config(name, mode, drift=0.05)))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "not tangent" in err

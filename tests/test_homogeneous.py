@@ -109,6 +109,22 @@ def test_transvection_lift_rejects_a_smooth_normal_drift(name):
         horizontal_lift(model, EmbeddedCurve(grid, points))
 
 
+def test_coarse_grid_refusal_names_the_step_count():
+    # a curve exactly on the manifold, on a grid too coarse for the
+    # finite-difference velocity: the fit defect falls 16x per halving of h
+    model = get_model("so_plus_2_2")
+    i = np.arange(1, model.p_dim + 1)
+
+    def points(n_steps):
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        ctrl = ControlCurve.from_function(grid, lambda t: 0.4 * np.sin(i * t + 0.3))
+        return EmbeddedCurve(grid, _embedded(model, horizontal_lift(model, ctrl)))
+
+    with pytest.raises(ValueError, match="not tangent.*refine n_steps"):
+        horizontal_lift(model, points(200))
+    horizontal_lift(model, points(400))
+
+
 @pytest.mark.parametrize("name", BUNDLE_CONTROLS)
 @pytest.mark.filterwarnings("ignore:model stiefel")
 def test_validate_refuses_a_transvection_off_the_horizontal_generator(name):

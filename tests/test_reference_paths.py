@@ -24,7 +24,11 @@ p-coefficients from the J-orthogonal extractor ``cf0 rho(q)^{-1} v``,
 which equals the least-squares fit for a tangent v).  It matches the
 per-stage ``lstsq`` lift to 1e-12 on a 2000-step hyperboloid curve; on
 criterion 11's latitude both are compared with the exact lift instead,
-which the transvection flow tracks more closely.
+which the transvection flow tracks more closely.  Every model's
+``transvection`` now returns the lift generator X in the algebra; the
+ambient generators d_e_rho(X) the bundles returned before, and the stacked
+``lstsq`` that pulled them back through d_e_rho, are kept here as the
+reference for the generators and the lifts (1e-13).
 
 Every roll is assembled by one engine: the rotation is the J-inverse of
 rho(q) S, with S the identity for a symmetric space and the Stiefel
@@ -59,6 +63,7 @@ from semiroll.integrate import (
     dense_from_samples,
     derivative_interpolant,
     fd_derivative,
+    flow_matrix_ode,
     integrate_vector,
     reproject,
 )
@@ -682,6 +687,83 @@ def test_transvection_lifts_match_the_rk4_fit(name):
     assert err <= reference_err
     fine_err, _ = _constant_control_lift_errors(model, 500)
     assert err / fine_err >= 8.0
+
+
+def _ambient_transvection(model, alpha, v):
+    """The ambient generators Omega = d_e_rho(X) the bundles returned before X itself."""
+    alpha = np.asarray(alpha, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if model.name in ("sphere", "hyperboloid"):
+        signs = model.form.signs
+        j_alpha = alpha * signs
+        eps = np.sum(alpha * j_alpha, axis=-1)[:, None, None]
+        return eps * (v[:, :, None] * j_alpha[:, None, :]
+                      - alpha[:, :, None] * (v * signs)[:, None, :])
+    if model.name.startswith("so_plus"):
+        n = model.params["p"] + model.params["q"]
+        J = np.diag(np.concatenate([np.ones(model.params["p"]), -np.ones(model.params["q"])]))
+
+        def j_skew(M):
+            return 0.25 * (M - J @ np.swapaxes(M, -1, -2) @ J)
+
+        Xinv = J @ alpha.reshape(-1, n, n) @ J
+        V = np.swapaxes(v.reshape(-1, n, n), 1, 2)
+        B1 = j_skew(V @ Xinv)
+        B2 = -j_skew(Xinv @ V)
+        return stacked_kron(np.eye(n), B1) - stacked_kron(np.swapaxes(B2, 1, 2), np.eye(n))
+    n, k = model.params["n"], model.params["k"]
+    A = np.swapaxes(alpha.reshape(-1, k, n), 1, 2)
+    V = np.swapaxes(v.reshape(-1, k, n), 1, 2)
+    At = np.swapaxes(A, 1, 2)
+    W = At @ V
+    X = V @ At - A @ np.swapaxes(V, 1, 2) - 0.5 * A @ (W - np.swapaxes(W, 1, 2)) @ At
+    return stacked_kron(np.eye(k), X)
+
+
+def _pulled_back_generators(model, omegas):
+    """Algebra generators X with d_e_rho(X) = Omega, by one stacked ``lstsq``."""
+    images = np.stack([np.asarray(model.d_e_rho(B), dtype=float).ravel() for B in model.basis],
+                      axis=1)
+    target = omegas.reshape(omegas.shape[0], -1).T
+    coeffs = np.linalg.lstsq(images, target, rcond=None)[0]
+    off = np.linalg.norm(images @ coeffs - target, axis=0)
+    assert np.max(off) <= 1e-10 * max(1.0, float(np.max(np.abs(omegas))))
+    return np.tensordot(coeffs.T, model.basis, axes=(1, 0))
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS + ("so_plus_2_1@base",))
+def test_transvection_generators_match_the_ambient_pullback(name, n_steps):
+    # every bundle returns the lift generator X itself; the ambient
+    # transvection pulled back through d_e_rho gives the same X and lift
+    model = _transvection_lift_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ctrl_lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 11))
+    points = np.einsum("kij,j->ki", model.rho_path(ctrl_lift.samples), model.obar)
+    alpha = dense_from_samples(grid.ts, points)(grid.stage_ts)
+    vel = derivative_interpolant(grid, points)(grid.stage_ts)
+    reference = _pulled_back_generators(model, _ambient_transvection(model, alpha, vel))
+    assert _peak(model.transvection(alpha, vel), reference) <= 1e-13
+
+    q0 = np.eye(model.group_dim, dtype=model.basis.dtype)
+    reference_lift = flow_matrix_ode(reference, q0, grid, side="left",
+                                     reproject_form=model.group_form)
+    lift = horizontal_lift(model, EmbeddedCurve(grid, points))
+    assert _peak(lift.samples, reference_lift) <= 1e-13
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS + ("so_plus_2_1@base",))
+def test_transvections_lie_in_the_algebra_off_the_manifold(name):
+    # the lift takes the transvections as generators unchecked: they lie in
+    # the span of the basis even at points and velocities off the manifold
+    model = _transvection_lift_model(name)
+    rng = np.random.default_rng(13)
+    alpha = rng.standard_normal((64, model.ambient_dim))
+    v = rng.standard_normal((64, model.ambient_dim))
+    X = model.transvection(alpha, v)
+    assert X.shape == (64, model.group_dim, model.group_dim)
+    _, off = model.algebra_coords(X)
+    assert np.all(off <= 1e-13 * np.maximum(1.0, np.linalg.norm(X, axis=(1, 2))))
 
 
 def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
