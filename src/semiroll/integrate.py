@@ -239,21 +239,7 @@ def dense_from_samples(ts, samples):
     samples = np.asarray(samples)
     if samples.shape[0] != ts.size:
         raise ValueError("sample count does not match time nodes")
-    k = min(3, ts.size - 1)
-    if np.iscomplexobj(samples):
-        re = make_interp_spline(ts, samples.real, k=k, axis=0)
-        im = make_interp_spline(ts, samples.imag, k=k, axis=0)
-
-        def func(t):
-            return re(t) + 1j * im(t)
-
-        return func
-    spline = make_interp_spline(ts, samples, k=k, axis=0)
-
-    def func(t):
-        return spline(t)
-
-    return func
+    return make_interp_spline(ts, samples, k=min(3, ts.size - 1), axis=0)
 
 
 def derivative_interpolant(grid, samples):

@@ -164,30 +164,36 @@ class ResidualReport:
         return cls(grid=grid, per_node=per_node, **{k: float(v) for k, v in data["max"].items()})
 
 
-def _check_frames(frames, what="frame"):
-    conds = np.linalg.cond(frames)
-    worst = float(np.max(conds))
-    if not np.isfinite(worst) or worst > FRAME_COND_MAX:
-        raise ValueError(f"{what} condition number {worst:.3e} exceeds {FRAME_COND_MAX:.0e}")
+def _check_rank(r, what):
+    """Refuse the first node whose frame is NaN, inf or numerically rank deficient.
 
-
-def _frame_grams(frames, form):
-    return np.einsum("kia,i,kib->kab", frames, form.signs, frames)
-
-
-def _coeff_operators(frames, form):
-    """Per-node operators C with C v = coefficients of v in the frame (J-orthogonal)."""
-    _check_frames(frames)
-    grams = _frame_grams(frames, form)
-    ft_j = np.swapaxes(frames, 1, 2) * form.signs[None, None, :]
-    try:
-        return np.linalg.solve(grams, ft_j)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("frame Gram matrix is singular under the ambient form") from exc
+    ``r`` is the stacked triangular factor of ``frames = Q r``.  Q has
+    orthonormal columns, so cond(r) is exactly the frame's own condition
+    number; a node whose condition number exceeds FRAME_COND_MAX has an
+    arbitrary basis, angle or projector, so nothing is measured on it.
+    """
+    finite = np.all(np.isfinite(r), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
+    sv = np.linalg.svd(r, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = sv[:, 0] / sv[:, -1]
+    bad = np.flatnonzero(~(conds <= FRAME_COND_MAX))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"{what} is rank deficient at node {k} (condition number {conds[k]:.1e})"
+        )
 
 
 def _projectors(frames, form):
-    return np.einsum("kia,kaj->kij", frames, _coeff_operators(frames, form))
+    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the frames' spans."""
+    _check_rank(np.linalg.qr(frames, mode="r"), "frame")
+    ft_j = np.swapaxes(frames, 1, 2) * form.signs
+    try:
+        return frames @ np.linalg.solve(ft_j @ frames, ft_j)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("frame Gram matrix is singular under the ambient form") from exc
 
 
 def _node_norms(vectors):
@@ -198,24 +204,6 @@ def rolling_point_residual(path):
     """Per-node ||g(t).alpha(t) - alpha_hat(t)||."""
     moved = np.einsum("kij,kj->ki", path.R, path.alpha) + path.s
     return _node_norms(moved - path.alpha_hat)
-
-
-def _orthonormal_columns(frames, what, ts):
-    """Stacked QR bases; raises at the first node whose frame is rank deficient.
-
-    max|r_ii| / min|r_ii| bounds the frame's condition number from below, so
-    a frame with condition number at most FRAME_COND_MAX always passes.
-    """
-    q, r = np.linalg.qr(frames)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    hi = np.max(diag, axis=1)
-    bad = (hi == 0.0) | (hi > FRAME_COND_MAX * np.min(diag, axis=1))
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"tangency: {what} is rank deficient at node {k} (t={ts[k]:.6g})"
-        )
-    return q
 
 
 def tangency_residual(path, tangent_m, tangent_mhat):
@@ -230,14 +218,20 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     Golub 1973; Knyazev & Argentati 2002) and matches the largest entry of
     scipy's ``subspace_angles``.  Non-finite rotations or frames raise
     ValueError, and so does a node where either frame is numerically rank
-    deficient: its QR basis would be arbitrary, so no angle is measured.
+    deficient: its exact condition number, the ratio of the extreme
+    singular values of its triangular QR factor, exceeds FRAME_COND_MAX, so
+    its QR basis would be arbitrary and no angle is measured.
     """
-    mapped = np.einsum("kij,kja->kia", path.R, tangent_m.frames)
-    target = tangent_mhat.frames
-    if not (np.all(np.isfinite(mapped)) and np.all(np.isfinite(target))):
-        raise ValueError("tangency: rotations or tangent frames contain NaN or inf")
-    q1 = _orthonormal_columns(mapped, "R(t) F_M(t)", tangent_m.ts)
-    q2 = _orthonormal_columns(target, "F_Mhat(t)", tangent_m.ts)
+    R, frames, target = path.R, tangent_m.frames, tangent_mhat.frames
+    finite = np.logical_and.reduce([np.all(np.isfinite(a), axis=(1, 2))
+                                    for a in (R, frames, target)])
+    if not np.all(finite):
+        raise ValueError("tangency: rotations or tangent frames contain NaN or inf "
+                         f"at node {int(np.argmin(finite))}")
+    q1, r1 = np.linalg.qr(R @ frames)
+    _check_rank(r1, "tangency: R(t) F_M(t)")
+    q2, r2 = np.linalg.qr(target)
+    _check_rank(r2, "tangency: F_Mhat(t)")
     overlap = np.swapaxes(q1, 1, 2) @ q2
     cosines = np.linalg.svd(overlap, compute_uv=False)
     sines = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False)
@@ -252,7 +246,7 @@ def tangency_residual(path, tangent_m, tangent_mhat):
 def _rotation_generator(path):
     """Per-node generator W = Rdot R^{-1} of the rotation path."""
     Rdot = fd_derivative(path.R, path.grid.h)
-    return np.einsum("kij,kjl->kil", Rdot, j_transpose_inverse(path.R, path.form))
+    return Rdot @ j_transpose_inverse(path.R, path.form)
 
 
 def no_slip_residual(path):
@@ -290,8 +284,7 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat):
     def _defect(frames, projector):
         scale = np.linalg.norm(frames, axis=1, keepdims=True)
         cols = frames / scale
-        moved = np.einsum("kij,kja->kia", W, cols)
-        comp = np.einsum("kij,kja->kia", projector, moved)
+        comp = projector @ (W @ cols)
         return np.max(np.linalg.norm(comp, axis=1), axis=-1)
 
     tan = _defect(tangent_mhat.frames, p_tan)
@@ -357,7 +350,7 @@ def compose_rolling(path01, path12, curve_tol=1e-8):
             f"intermediate contact curves disagree by {mismatch:.3e} "
             f"(tolerance {curve_tol:.1e})"
         )
-    R = np.einsum("kij,kjl->kil", path12.R, path01.R)
+    R = path12.R @ path01.R
     s = path12.s + np.einsum("kij,kj->ki", path12.R, path01.s)
     return RollingMapPath(
         grid=path01.grid,
@@ -404,9 +397,8 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
     skew = omega_nodes.transpose(0, 2, 1) * signs[None, None, :] \
         + signs[None, :, None] * omega_nodes
     worst_skew = float(np.max(np.abs(skew)))
-    kills_tan = float(np.max(np.abs(np.einsum("kij,kja->kia", omega_nodes, tangent_mhat.frames))))
-    moved_nor = np.einsum("kij,kja->kia", omega_nodes, normal_mhat.frames)
-    leaks_tan = float(np.max(np.abs(np.einsum("kij,kja->kia", p_tan, moved_nor))))
+    kills_tan = float(np.max(np.abs(omega_nodes @ tangent_mhat.frames)))
+    leaks_tan = float(np.max(np.abs(p_tan @ (omega_nodes @ normal_mhat.frames))))
     for label, value in (
         ("not J-skew", worst_skew),
         ("does not annihilate the development tangent space", kills_tan),
@@ -416,7 +408,7 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
             raise ValueError(f"inadmissible normal generator: {label} (defect {value:.3e})")
 
     lam = flow_matrix_ode(omegas, np.eye(n), grid, side="left", reproject_form=path.form)
-    R_new = np.einsum("kij,kjl->kil", lam, path.R)
+    R_new = lam @ path.R
     s_new = path.alpha_hat - np.einsum("kij,kj->ki", R_new, path.alpha)
     return RollingMapPath(
         grid=grid,
@@ -471,14 +463,16 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     n0 = float(form.ip(v0, v0))
     null_like = abs(n0) <= 1e-10 * float(v0 @ v0)
 
+    projectors = _projectors(frames, form)
+
     def _raw(stride):
         # the projections are linear, so rescaling after each step is the
         # same as rescaling each node of the unscaled recursion once
-        projectors = _projectors(frames[::stride], form)
-        out = np.empty((projectors.shape[0], curve.shape[1]))
+        steps = projectors[::stride]
+        out = np.empty((steps.shape[0], curve.shape[1]))
         out[0] = v0
         for k in range(1, out.shape[0]):
-            np.matmul(projectors[k], out[k - 1], out=out[k])
+            np.matmul(steps[k], out[k - 1], out=out[k])
         if not null_like:
             nw = form.ip(out[1:], out[1:])
             if np.any(nw * n0 <= 0.0):
@@ -519,7 +513,8 @@ def triple_gram_residual(triple):
     """Per-node isometry defect of A(t) on the moving tangent frame."""
     mapped = np.einsum("kai,kib->kab", triple.maps, triple.tangent_frames)
     target = np.einsum("kab,ac,kcd->kbd", mapped, triple.target_gram, mapped)
-    source = _frame_grams(triple.tangent_frames, triple.form)
+    frames = triple.tangent_frames
+    source = np.einsum("kia,i,kib->kab", frames, triple.form.signs, frames)
     return np.max(np.abs(target - source), axis=(1, 2))
 
 

@@ -43,6 +43,15 @@ on a Stiefel manifold: the developments are the same Simpson sums, except
 that the engine takes the mid-step values of a symmetric control from the
 cubic interpolant of its node values instead of a second reading of the
 control.  They agree within 1e-10 at 250 steps and 1e-13 at 2000 steps.
+
+The residual suite refuses a degenerate frame by one test, the exact
+condition number of its triangular QR factor, and builds its projectors by
+matrix products, once per frame path.  The two frame tests this replaced
+(one SVD of every frame, and a lower bound from the QR diagonal that passes
+a frame of condition number 1e14) and the einsum projectors are kept here
+as references: the report fields and the projectors at every transport
+stride agree within 1e-13, the frame-matching rotations and transports
+within 1e-12.
 """
 
 import numpy as np
@@ -57,6 +66,7 @@ from semiroll.homogeneous import (
     horizontal_lift,
     horizontality_residual,
     intrinsic_roll,
+    model_residual_report,
 )
 from semiroll.integrate import (
     TimeGrid,
@@ -76,10 +86,13 @@ from semiroll.linalg import (
 )
 from semiroll.models import get_model, hyperbolic, make_pseudo_orthogonal_model, sphere, stiefel
 from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
+from semiroll import rolling
 from semiroll.rolling import (
+    FRAME_COND_MAX,
     RollingMapPath,
     RollingTriple,
     TangentFramePath,
+    parallel_transport_embedded,
     perturb_normal_generator,
     tangency_residual,
 )
@@ -889,3 +902,109 @@ def test_symmetric_intrinsic_roll_reads_the_control_once_per_stage(name):
     intrinsic_roll(model, ctrl)
     # the lift reads the 2n + 1 stage times; the development reads none
     assert calls[0] == 2 * grid.n_steps + 1
+
+
+
+def _check_frames_reference(frames, what="frame"):
+    conds = np.linalg.cond(frames)
+    worst = float(np.max(conds))
+    if not np.isfinite(worst) or worst > FRAME_COND_MAX:
+        raise ValueError(f"{what} condition number {worst:.3e} exceeds {FRAME_COND_MAX:.0e}")
+
+
+def _coeff_operators_reference(frames, form):
+    _check_frames_reference(frames)
+    grams = np.einsum("kia,i,kib->kab", frames, form.signs, frames)
+    ft_j = np.swapaxes(frames, 1, 2) * form.signs[None, None, :]
+    try:
+        return np.linalg.solve(grams, ft_j)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("frame Gram matrix is singular under the ambient form") from exc
+
+
+def _projectors_reference(frames, form):
+    return np.einsum("kia,kaj->kij", frames, _coeff_operators_reference(frames, form))
+
+
+def _orthonormal_columns_reference(frames, what, ts):
+    # max|r_ii| / min|r_ii| only bounds the condition number from below
+    q, r = np.linalg.qr(frames)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    hi = np.max(diag, axis=1)
+    bad = (hi == 0.0) | (hi > FRAME_COND_MAX * np.min(diag, axis=1))
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"tangency: {what} is rank deficient at node {k} (t={ts[k]:.6g})")
+    return q
+
+
+def _residuals_reference(path, tangent_m, tangent_mhat, normal_mhat):
+    """Per-node fields of ``rolling_condition_residuals`` by the einsum suite."""
+    mapped = np.einsum("kij,kja->kia", path.R, tangent_m.frames)
+    q1 = _orthonormal_columns_reference(mapped, "R(t) F_M(t)", tangent_m.ts)
+    q2 = _orthonormal_columns_reference(tangent_mhat.frames, "F_Mhat(t)", tangent_m.ts)
+    overlap = np.swapaxes(q1, 1, 2) @ q2
+    cosines = np.linalg.svd(overlap, compute_uv=False)
+    sines = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False)
+    tangency = np.where(cosines[:, 0] ** 2 >= 0.5,
+                        np.arcsin(np.clip(sines[:, 0], -1.0, 1.0)),
+                        np.arccos(np.clip(cosines[:, -1], -1.0, 1.0)))
+
+    h = path.grid.h
+    W = np.einsum("kij,kjl->kil", fd_derivative(path.R, h), j_transpose_inverse(path.R, path.form))
+    w1 = np.einsum("kij,kj->ki", W, path.alpha_hat - path.s) + fd_derivative(path.s, h)
+    w2 = fd_derivative(path.alpha_hat, h) - np.einsum("kij,kj->ki", path.R,
+                                                      fd_derivative(path.alpha, h))
+
+    def defect(frames):
+        cols = frames / np.linalg.norm(frames, axis=1, keepdims=True)
+        moved = np.einsum("kij,kja->kia", W, cols)
+        comp = np.einsum("kij,kja->kia", _projectors_reference(frames, path.form), moved)
+        return np.max(np.linalg.norm(comp, axis=1), axis=-1)
+
+    moved = np.einsum("kij,kj->ki", path.R, path.alpha) + path.s
+    return {
+        "rolling_point": np.linalg.norm(moved - path.alpha_hat, axis=-1),
+        "tangency": tangency,
+        "no_slip": np.maximum(np.linalg.norm(w1, axis=-1), np.linalg.norm(w2, axis=-1)),
+        "no_twist_tan": defect(tangent_mhat.frames),
+        "no_twist_norm": defect(normal_mhat.frames),
+    }
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_residual_report_matches_the_einsum_suite(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 10))
+    frames = (model.pointwise_tangent_frames(grid, path.alpha),
+              model.flat_tangent_frames(grid), model.flat_normal_frames(grid))
+    report = model_residual_report(model, path)
+    reference = _residuals_reference(path, *frames)
+    assert set(report.per_node) == set(reference)
+    for field, values in reference.items():
+        assert _peak(report.per_node[field], values) <= 1e-13, field
+    # a transport takes every stride's projectors from one stack
+    for tangent_frames in frames:
+        full = rolling._projectors(tangent_frames.frames, model.form)
+        for stride in (1, 2, 4):
+            step = _projectors_reference(tangent_frames.frames[::stride], model.form)
+            assert _peak(full[::stride], step) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
+def test_frame_matching_matches_the_einsum_projectors(name, monkeypatch):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 2000)
+    ctrl = _sinusoid(grid, model.p_dim, 11)
+    path = extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+    normals = model.normals_along(model.rho_path(horizontal_lift(model, ctrl).samples))
+    transported = parallel_transport_embedded(path.alpha, normals, normals[0][:, 0], model.form,
+                                              which="normal")
+    monkeypatch.setattr(rolling, "_projectors", _projectors_reference)
+    reference = extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+    assert _peak(path.R, reference.R) <= 1e-12
+    assert _peak(transported, parallel_transport_embedded(
+        path.alpha, normals, normals[0][:, 0], model.form, which="normal")) <= 1e-12
+

@@ -8,9 +8,10 @@ faults must surface in the one condition they violate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiroll.integrate import TimeGrid
-from semiroll.linalg import SignatureForm
+from semiroll.linalg import SignatureForm, random_oriented_isometry
 from semiroll.rolling import (
     ResidualReport,
     RollingMapPath,
@@ -19,10 +20,12 @@ from semiroll.rolling import (
     compose_rolling,
     invert_rolling,
     no_slip_residual,
+    no_twist_residuals,
     parallel_transport_embedded,
     perturb_normal_generator,
     rolling_condition_residuals,
     rolling_point_residual,
+    tangency_residual,
     triple_orientation_flips,
 )
 
@@ -192,6 +195,78 @@ def test_compose_rejects_mismatched_grids():
     b, *_ = _sphere_equator(n_steps=50)
     with pytest.raises(ValueError, match="grids"):
         compose_rolling(a, invert_rolling(b))
+
+
+signatures = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda pq: 2 <= pq[0] + pq[1] <= 6
+)
+
+
+def _random_rolling(pq, seed, n_nodes=7):
+    """Random J-orthogonal rotations with contact-preserving translations."""
+    form = SignatureForm.from_pq(*pq)
+    rng = np.random.default_rng(seed)
+    n = form.dim
+    R = np.array([random_oriented_isometry(form, rng, scale=0.5) for _ in range(n_nodes)])
+    alpha, alpha_hat = rng.standard_normal((2, n_nodes, n))
+    s = alpha_hat - np.einsum("kij,kj->ki", R, alpha)
+    return RollingMapPath(grid=TimeGrid(0.0, 1.0, n_nodes - 1), R=R, s=s, alpha=alpha,
+                          alpha_hat=alpha_hat, form=form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signatures, st.integers(0, 2**31 - 1))
+def test_inverting_twice_gives_back_the_path(pq, seed):
+    path = _random_rolling(pq, seed)
+    twice = invert_rolling(invert_rolling(path))
+    # the J-transpose inverse is exact; the translation passes through R R^-1
+    for field in ("R", "alpha", "alpha_hat"):
+        assert np.array_equal(getattr(twice, field), getattr(path, field)), field
+    assert np.max(np.abs(twice.s - path.s)) <= 1e-12 * max(1.0, np.max(np.abs(path.s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signatures, st.integers(0, 2**31 - 1))
+def test_rolling_composed_with_its_inverse_is_the_identity(pq, seed):
+    path = _random_rolling(pq, seed)
+    loop = compose_rolling(path, invert_rolling(path))
+    assert np.max(np.abs(loop.R - np.eye(path.form.dim))) <= 1e-12
+    assert np.max(np.abs(loop.s)) <= 1e-12
+    assert np.array_equal(loop.alpha, path.alpha)
+    assert np.array_equal(loop.alpha_hat, path.alpha)
+
+
+# every check that needs a frame's basis or projector refuses a degenerate one
+# at its node: NaN or inf, all zero, or columns e1 and 1e7 e1 + e2, whose
+# condition number 1e14 the QR diagonal (1, 1) does not reveal
+FRAME_CHECKS = {
+    "tangency_m": lambda path, bad, ft, fn: tangency_residual(path, bad, ft),
+    "tangency_mhat": lambda path, bad, ft, fn: tangency_residual(path, ft, bad),
+    "no_twist": lambda path, bad, ft, fn: no_twist_residuals(path, bad, fn),
+    "perturb": lambda path, bad, ft, fn: perturb_normal_generator(path, np.zeros((3, 3)), bad, fn),
+    "transport": lambda path, bad, ft, fn: parallel_transport_embedded(
+        path.alpha, bad.frames, np.eye(3)[0], EUCLID3),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "frame, node, message",
+    [
+        ([[1.0, 1e7], [0.0, 1.0], [0.0, 0.0]], 0, "rank deficient at node 0"),
+        (np.zeros((3, 2)), 3, "rank deficient at node 3"),
+        ([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]], 3, "NaN or inf at node 3"),
+        ([[1.0, 0.0], [np.inf, 1.0], [0.0, 0.0]], 5, "NaN or inf at node 5"),
+    ],
+    ids=["cond_1e14", "zero", "nan", "inf"],
+)
+@pytest.mark.parametrize("check", FRAME_CHECKS)
+def test_degenerate_frames_are_refused_at_their_node(check, frame, node, message):
+    path, ft, fn = _plane_on_plane(10)
+    frames = ft.frames.copy()
+    frames[node] = frame
+    with pytest.raises(ValueError, match=message):
+        FRAME_CHECKS[check](path, TangentFramePath(ft.ts, frames), ft, fn)
 
 
 def test_residual_report_json_round_trip():
