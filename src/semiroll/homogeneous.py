@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
 from .integrate import (
+    NotAKnotCubic,
     TimeGrid,
     dense_from_samples,
     derivative_interpolant,
@@ -30,7 +30,7 @@ from .integrate import (
     integrate_vector,
     reproject,
 )
-from .linalg import j_orthogonality_residual, j_transpose_inverse
+from .linalg import j_orthogonality_residual, j_transpose_inverse, stacked_null_spaces
 from .rolling import (
     RollingMapPath,
     RollingTriple,
@@ -91,7 +91,9 @@ class ControlCurve:
         return self.coords.shape[1]
 
     def at(self, ts):
-        """Coefficients at the times ``ts``, (len(ts), dim): one ``func`` call per t."""
+        """Coefficients at ``ts``, (len(ts), dim): one interpolant call, else one call per t."""
+        if isinstance(self.func, NotAKnotCubic):
+            return self.func(ts)
         return np.array([np.atleast_1d(self.func(t)) for t in ts], dtype=float)
 
 
@@ -233,9 +235,7 @@ class CartanModel:
         self.target_gram = d_inv.T @ self.ip_p @ d_inv
         # coefficient extractor at the base point: cf0 @ v = p-coefficients of v
         self.cf0 = np.linalg.solve(self.ip_p, self.frame0.T * self.form.signs[None, :])
-        self.normal0 = null_space(self.frame0.T * self.form.signs[None, :])
-        if self.normal0.shape[1] != self.form.dim - k:
-            raise ValueError("normal complement has unexpected dimension")
+        self.normal0 = stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0]
         if self.normal0.size:
             gram_n = self.normal0.T @ (self.form.signs[:, None] * self.normal0)
             if abs(np.linalg.det(gram_n)) < 1e-12:
@@ -285,6 +285,7 @@ class CartanModel:
         return coeffs.T.reshape(lead + (-1,)), resid.reshape(lead)[()]
 
     def random_group_element(self, rng):
+        from scipy.linalg import expm
         coeffs = 0.5 * rng.standard_normal(self.basis.shape[0])
         X = np.tensordot(coeffs, self.basis, axes=(0, 0))
         return reproject(expm(X), self.group_form)
@@ -328,6 +329,7 @@ class CartanModel:
         only warns when the model is not a symmetric space (it has a
         ``rotation_correction``).  Returns the measured defects.
         """
+        from scipy.linalg import expm
         rng = rng or np.random.default_rng(2357)
         defects = {}
         scale = float(np.max(np.abs(self.basis)))

@@ -11,7 +11,8 @@ node.  Every matrix flow of the package is such a linear flow.
 ``reproject`` polishes one matrix or a whole stack.  Vector quadrature is the
 cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
 for cubic polynomials).  Grid differentiation is fourth order, with one-sided
-stencils at the two nodes on each end of the grid.
+stencils at the two nodes on each end of the grid.  Dense output is the
+not-a-knot cubic spline through samples at uniform nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .linalg import j_orthogonality_residual
 
@@ -229,17 +229,72 @@ def fd_derivative(samples, h):
     return d
 
 
-def dense_from_samples(ts, samples):
-    """Cubic interpolant through node samples, callable at any t.
+# The (1, 4, 1) Toeplitz inverse decays like R^|i-j| (de Boor, A Practical Guide to Splines,
+# ch. IV; below 1e-18 past _BLOCK lags), so a solve is three block-Toeplitz products.
+_R, _BLOCK = np.sqrt(3.0) - 2.0, 32
+_LAGS = np.arange(_BLOCK)[:, None] - np.arange(_BLOCK)
+_FILTERS = [_R ** np.abs(_LAGS + s) / (2.0 * np.sqrt(3.0)) for s in (_BLOCK, 0, -_BLOCK)]
 
-    Works for arbitrary trailing shape and complex data; degree drops
-    gracefully when the grid is too short for a cubic.
+
+def _solve_141(b, first, last):
+    """x (m, c): x_0 = first, x_{m-1} = last, x_{i-1} + 4 x_i + x_{i+1} = b_{i-1} between."""
+    (m, c), (before, same, after) = (b.shape[0] + 2, b.shape[1]), _FILTERS
+    blocks = np.pad(b, ((_BLOCK + 1, _BLOCK + 1 - m % -_BLOCK), (0, 0))).reshape(-1, _BLOCK, c)
+    z = (before @ blocks[:-2] + same @ blocks[1:-1] + after @ blocks[2:]).reshape(-1, c)[:m]
+    # z solves the bi-infinite system; p R^i + q R^(m-1-i) sets both ends, and is
+    # below 1e-36 of them past 2 _BLOCK rows
+    rho, w, e0, e1 = _R ** (m - 1), min(m, 2 * _BLOCK), first - z[0], last - z[-1]
+    decay = _R ** np.arange(w)[:, None] / (1.0 - rho * rho)
+    z[:w] += decay * (e0 - rho * e1)
+    z[m - w:] += decay[::-1] * (e1 - rho * e0)
+    return z
+
+
+class NotAKnotCubic:
+    """Not-a-knot cubic through samples at uniform nodes, in second-derivative form:
+    M_1 and M_{n-1} are the second divided differences there, M_0 = 2 M_1 - M_2,
+    M_n = 2 M_{n-1} - M_{n-2}, and the M between solve the (1, 4, 1) system."""
+
+    def __init__(self, ts, samples):
+        n = ts.size - 1
+        self.ts, self.h, self._tail = ts, (ts[-1] - ts[0]) / n, samples.shape[1:]
+        y = samples.reshape(n + 1, -1)
+        m = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
+        if n >= 2:
+            d = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / self.h ** 2
+            m[:] = d[0]  # three nodes: the parabola
+        if n >= 3:
+            m[1:n] = _solve_141(6.0 * d[1:-1], d[0], d[-1])
+            m[0], m[n] = 2.0 * m[1] - m[2], 2.0 * m[n - 1] - m[n - 2]
+        self._rows = np.stack([y[:-1], y[1:], m[:-1], m[1:]], axis=1)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip((t - self.ts[0]) / self.h, 0, self.ts.size - 2).astype(int)
+        width = self.ts[k + 1] - self.ts[k]  # the nodes' own spacing reproduces them
+        u = (t - self.ts[k]) / width
+        v, c = 1.0 - u, width * width / 6.0
+        weights = np.stack([v, u, c * v * (v * v - 1.0), c * u * (u * u - 1.0)], axis=-1)
+        return np.einsum("...j,...jc->...c", weights, self._rows[k]).reshape(t.shape + self._tail)
+
+
+def dense_from_samples(ts, samples):
+    """Not-a-knot cubic interpolant (``NotAKnotCubic``) through samples at uniform nodes.
+
+    ``samples`` (len(ts), ...) may be complex; the result maps a scalar or an array t to
+    shape ``t.shape + samples.shape[1:]``, extrapolates by its end pieces and has degree
+    min(3, len(ts) - 1).  Refuses NaN or inf, fewer than two or non-uniform nodes.
     """
-    ts = np.asarray(ts, dtype=float)
-    samples = np.asarray(samples)
-    if samples.shape[0] != ts.size:
-        raise ValueError("sample count does not match time nodes")
-    return make_interp_spline(ts, samples, k=min(3, ts.size - 1), axis=0)
+    ts, samples = np.asarray(ts, dtype=float), np.asarray(samples)
+    if ts.ndim != 1 or ts.size < 2 or samples.shape[:1] != ts.shape:
+        raise ValueError("need one sample at each of at least two interpolation nodes")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(samples))):
+        raise ValueError("interpolation nodes or samples contain NaN or inf")
+    h = (ts[-1] - ts[0]) / (ts.size - 1)
+    slack = 1e-9 * h + 1e-14 * np.max(np.abs(ts))
+    if not (h > 0.0 and np.all(np.abs(np.diff(ts) - h) <= slack)):
+        raise ValueError("interpolation nodes must be increasing and uniformly spaced")
+    return NotAKnotCubic(ts, samples)
 
 
 def derivative_interpolant(grid, samples):

@@ -186,14 +186,14 @@ def _check_rank(r, what):
         )
 
 
-def _projectors(frames, form):
-    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the frames' spans."""
-    _check_rank(np.linalg.qr(frames, mode="r"), "frame")
+def _projectors(frames, form, what="frame"):
+    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``."""
+    _check_rank(np.linalg.qr(frames, mode="r"), what)
     ft_j = np.swapaxes(frames, 1, 2) * form.signs
     try:
         return frames @ np.linalg.solve(ft_j @ frames, ft_j)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("frame Gram matrix is singular under the ambient form") from exc
+        raise ValueError(f"{what} Gram matrix is singular under the ambient form") from exc
 
 
 def _node_norms(vectors):
@@ -278,8 +278,8 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat):
     projectors of the respective subspaces.
     """
     W = _rotation_generator(path)
-    p_tan = _projectors(tangent_mhat.frames, path.form)
-    p_nor = _projectors(normal_mhat.frames, path.form)
+    p_tan = _projectors(tangent_mhat.frames, path.form, "no twist: tangent development frame")
+    p_nor = _projectors(normal_mhat.frames, path.form, "no twist: normal development frame")
 
     def _defect(frames, projector):
         scale = np.linalg.norm(frames, axis=1, keepdims=True)
@@ -392,7 +392,7 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
     omega_nodes = omegas[::2]
 
     signs = path.form.signs
-    p_tan = _projectors(tangent_mhat.frames, path.form)
+    p_tan = _projectors(tangent_mhat.frames, path.form, "normal generator: tangent frame")
     scale = max(1.0, float(np.max(np.abs(omega_nodes))))
     skew = omega_nodes.transpose(0, 2, 1) * signs[None, None, :] \
         + signs[None, :, None] * omega_nodes
@@ -463,7 +463,10 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     n0 = float(form.ip(v0, v0))
     null_like = abs(n0) <= 1e-10 * float(v0 @ v0)
 
-    projectors = _projectors(frames, form)
+    try:
+        projectors = _projectors(frames, form)
+    except ValueError as exc:  # "frame ..." becomes "<which> transport frame ..."
+        raise ValueError(f"{which} transport {exc}") from exc
 
     def _raw(stride):
         # the projections are linear, so rescaling after each step is the

@@ -24,6 +24,7 @@ from semiroll.homogeneous import (
     transport_homogeneous,
 )
 from semiroll.models import (
+    available_models,
     build_model,
     get_model,
     make_hyperbolic_model,
@@ -365,3 +366,23 @@ def test_get_model_accepts_path_objects(tmp_path):
     bad.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match="brackets leave the algebra span"):
         get_model(bad)
+
+
+@pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2"}))
+def test_normal0_is_scipys_null_space(name):
+    from scipy.linalg import null_space
+
+    model = get_model(name)
+    reference = null_space(model.frame0.T * model.form.signs[None, :])
+    assert model.normal0.shape == reference.shape
+    assert np.max(np.abs(model.normal0 - reference), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 40, 2000])
+def test_interpolated_control_is_evaluated_in_one_call(n_steps):
+    grid = TimeGrid(0.0, 1.3, n_steps)
+    control = ControlCurve(grid=grid, coords=np.stack([np.sin(3 * grid.ts), grid.ts ** 2], axis=1))
+    one_call = control.at(grid.stage_ts)
+    per_t = np.array([control.func(t) for t in grid.stage_ts])
+    assert one_call.shape == (2 * n_steps + 1, 2)
+    assert np.max(np.abs(one_call - per_t)) <= 1e-15

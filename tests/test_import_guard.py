@@ -1,0 +1,60 @@
+"""The command and the named models run on numpy alone.
+
+scipy serves ``CartanModel.validate`` (and so ``load_model_file``), the
+``random_*`` helpers and the tests; a fresh interpreter that imports the
+package, builds every named model and rolls and verifies every bundled
+config must not import it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import semiroll
+
+GUARDED = """
+import contextlib, io, os, sys, tempfile
+from importlib import resources
+
+import semiroll
+import semiroll.cli
+from semiroll.models import available_models, get_model
+
+for name in available_models():
+    get_model(name)
+configs = sorted(p for p in (resources.files("semiroll") / "configs").iterdir()
+                 if p.name.endswith(".json"))
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for config in configs:
+        out = os.path.join(tmp, config.name + ".csv")
+        codes = (semiroll.cli.main(["roll", "--config", str(config), "--out", out]),
+                 semiroll.cli.main(["verify", "--in", out]))
+        assert codes == (0, 0), (config.name, codes)
+print(len(configs), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _run(code):
+    src = str(Path(semiroll.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_and_named_models_import_no_scipy():
+    n_configs, *scipy_modules = _run(GUARDED)
+    assert int(n_configs) >= 5
+    assert scipy_modules == ["[]"]
+
+
+def test_load_model_file_still_validates_with_scipy():
+    code = """
+import sys
+from importlib import resources
+from semiroll.models import load_model_file
+model = load_model_file(resources.files("semiroll") / "models" / "data" / "sphere.json")
+print(model.name, "scipy.linalg" in sys.modules)
+"""
+    assert _run(code) == ["sphere", "True"]

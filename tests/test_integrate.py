@@ -260,3 +260,61 @@ def test_reproject_refuses_far_from_group():
     form = SignatureForm.from_pq(3, 0)
     with pytest.raises(ValueError):
         reproject(np.diag([1.0, 1.0, 0.0]), form)
+
+
+# the interpolant against scipy's not-a-knot spline, on the node counts the
+# package uses and the block edges of its Toeplitz solve (32 rows a block)
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("trailing", [(), (3,), (4, 4)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 6, 31, 32, 33, 34, 251, 2001, 4001])
+def test_dense_from_samples_matches_make_interp_spline(n_nodes, trailing, complex_data):
+    from scipy.interpolate import make_interp_spline
+
+    rng = np.random.default_rng(n_nodes)
+    ts = np.linspace(0.3, 2.1, n_nodes)
+    samples = rng.standard_normal((n_nodes,) + trailing)
+    if complex_data:
+        samples = samples + 1j * rng.standard_normal((n_nodes,) + trailing)
+    ours = dense_from_samples(ts, samples)
+    ref = make_interp_spline(ts, samples, k=min(3, n_nodes - 1), axis=0)
+    h = ts[1] - ts[0]
+    stages = np.linspace(0.3, 2.1, 2 * n_nodes - 1)
+    random = np.concatenate([rng.uniform(0.3, 2.1, 64), [0.3 - 0.5 * h, 2.1 + 0.5 * h]])
+    scale = np.max(np.abs(samples))
+    for t in (stages, random, 0.777):
+        got, want = ours(t), ref(t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_nodes", [4, 5, 33, 251, 2001])
+def test_dense_from_samples_reproduces_cubics(n_nodes):
+    ts = np.linspace(-1.0, 1.0, n_nodes)
+    coeffs = np.array([[0.3, -1.2], [1.0, 0.5], [-0.7, 0.25], [0.9, -0.4]])
+
+    def cubic(t):
+        return np.polynomial.polynomial.polyval(t, coeffs).T
+
+    probe = np.linspace(-1.0, 1.0, 777)
+    assert np.max(np.abs(dense_from_samples(ts, cubic(ts))(probe) - cubic(probe))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "ts, samples, message",
+    [
+        (np.linspace(0.0, 1.0, 9), np.where(np.arange(9) == 4, np.nan, 1.0), "NaN or inf"),
+        (np.linspace(0.0, 1.0, 9), np.where(np.arange(9) == 0, -np.inf, 1.0), "NaN or inf"),
+        (np.append(np.linspace(0.0, 1.0, 8), np.inf), np.ones(9), "NaN or inf"),
+        (np.linspace(1.0, 0.0, 9), np.ones(9), "uniformly spaced"),
+        (np.zeros(9), np.ones(9), "uniformly spaced"),
+        (np.linspace(0.0, 1.0, 9) ** 2, np.ones(9), "uniformly spaced"),
+        (np.array([0.0, 0.5, 0.5, 1.0]), np.ones(4), "uniformly spaced"),
+        (np.array([0.0]), np.ones(1), "at least two"),
+        (np.linspace(0.0, 1.0, 9), np.ones(8), "one sample at each"),
+    ],
+    ids=["nan_sample", "inf_sample", "inf_node", "decreasing", "repeated", "nonuniform",
+         "duplicate", "one_node", "count"],
+)
+def test_dense_from_samples_refuses_bad_nodes_and_samples(ts, samples, message):
+    with pytest.raises(ValueError, match=message):
+        dense_from_samples(ts, samples)

@@ -376,3 +376,44 @@ def test_report_with_non_finite_field_fails_closed(field, bad):
     assert not np.isfinite(report.max_residual())
     assert not report.passed(1e-6)
     assert not report.passed(np.inf)
+
+
+# a refusal names the frame path at fault: the tangent or the normal
+# development frame of a no-twist check, the frame of a normal generator's
+# admissibility check, the frames of a tangent or a normal transport
+FRAME_LABELS = {
+    "no_twist_tangent": (lambda path, bad, ft, fn: no_twist_residuals(path, bad, fn),
+                         "no twist: tangent development frame"),
+    "no_twist_normal": (lambda path, bad, ft, fn: no_twist_residuals(path, ft, bad),
+                        "no twist: normal development frame"),
+    "perturb": (lambda path, bad, ft, fn: perturb_normal_generator(path, np.zeros((3, 3)), bad, fn),
+                "normal generator: tangent frame"),
+    "transport_tangent": (lambda path, bad, ft, fn: parallel_transport_embedded(
+        path.alpha, bad.frames, bad.frames[0][:, 0], EUCLID3), "tangent transport frame"),
+    "transport_normal": (lambda path, bad, ft, fn: parallel_transport_embedded(
+        path.alpha, bad.frames, bad.frames[0][:, 0], EUCLID3, which="normal"),
+        "normal transport frame"),
+}
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("zero", "is rank deficient at node 3"),
+    ("nan", "contains NaN or inf at node 3"),
+])
+@pytest.mark.parametrize("check", FRAME_LABELS)
+def test_frame_refusals_name_their_frame_path(check, defect, message):
+    path, ft, fn = _plane_on_plane(10)
+    run, label = FRAME_LABELS[check]
+    bad = (fn if check == "no_twist_normal" else ft).frames.copy()
+    bad[3] = 0.0 if defect == "zero" else np.nan
+    with pytest.raises(ValueError, match=f"^{label} {message}"):
+        run(path, TangentFramePath(ft.ts, bad), ft, fn)
+
+
+def test_singular_transport_gram_names_the_transported_bundle():
+    form = SignatureForm(np.array([1.0, 1.0, -1.0]))
+    null_frame = np.zeros((11, 3, 1))
+    null_frame[:, 0, 0] = null_frame[:, 2, 0] = 1.0
+    with pytest.raises(ValueError, match="^normal transport frame Gram matrix is singular"):
+        parallel_transport_embedded(np.zeros((11, 3)), null_frame, null_frame[0, :, 0], form,
+                                    which="normal")
