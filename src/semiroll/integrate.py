@@ -270,6 +270,8 @@ class NotAKnotCubic:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("interpolation times contain NaN or inf")
         k = np.clip((t - self.ts[0]) / self.h, 0, self.ts.size - 2).astype(int)
         width = self.ts[k + 1] - self.ts[k]  # the nodes' own spacing reproduces them
         u = (t - self.ts[k]) / width
@@ -283,7 +285,8 @@ def dense_from_samples(ts, samples):
 
     ``samples`` (len(ts), ...) may be complex; the result maps a scalar or an array t to
     shape ``t.shape + samples.shape[1:]``, extrapolates by its end pieces and has degree
-    min(3, len(ts) - 1).  Refuses NaN or inf, fewer than two or non-uniform nodes.
+    min(3, len(ts) - 1).  Refuses NaN or inf (also in t), fewer than two or non-uniform
+    nodes.
     """
     ts, samples = np.asarray(ts, dtype=float), np.asarray(samples)
     if ts.ndim != 1 or ts.size < 2 or samples.shape[:1] != ts.shape:

@@ -186,14 +186,30 @@ def _check_rank(r, what):
         )
 
 
+def _once(frames):
+    """``frames[:1]`` when every node equals node 0 bitwise, else ``frames``.
+
+    A constant stack (the flat development's frames) is then factored once
+    and broadcast; NaN never equals itself, so a non-finite stack keeps the
+    per-node path and is refused at its node.
+    """
+    return frames[:1] if np.all(frames == frames[:1]) else frames
+
+
 def _projectors(frames, form, what="frame"):
-    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``."""
-    _check_rank(np.linalg.qr(frames, mode="r"), what)
-    ft_j = np.swapaxes(frames, 1, 2) * form.signs
+    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``.
+
+    Returns an (n_nodes, N, N) array; for a constant stack it is a read-only
+    broadcast of the one projector, built and rank-tested once.
+    """
+    one = _once(frames)
+    _check_rank(np.linalg.qr(one, mode="r"), what)
+    ft_j = np.swapaxes(one, 1, 2) * form.signs
     try:
-        return frames @ np.linalg.solve(ft_j @ frames, ft_j)
+        proj = one @ np.linalg.solve(ft_j @ one, ft_j)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{what} Gram matrix is singular under the ambient form") from exc
+    return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
 
 
 def _node_norms(vectors):
@@ -220,7 +236,8 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     ValueError, and so does a node where either frame is numerically rank
     deficient: its exact condition number, the ratio of the extreme
     singular values of its triangular QR factor, exceeds FRAME_COND_MAX, so
-    its QR basis would be arbitrary and no angle is measured.
+    its QR basis would be arbitrary and no angle is measured.  A constant
+    F_Mhat (the flat development's frame) is factored and tested once.
     """
     R, frames, target = path.R, tangent_m.frames, tangent_mhat.frames
     finite = np.logical_and.reduce([np.all(np.isfinite(a), axis=(1, 2))
@@ -230,7 +247,7 @@ def tangency_residual(path, tangent_m, tangent_mhat):
                          f"at node {int(np.argmin(finite))}")
     q1, r1 = np.linalg.qr(R @ frames)
     _check_rank(r1, "tangency: R(t) F_M(t)")
-    q2, r2 = np.linalg.qr(target)
+    q2, r2 = np.linalg.qr(_once(target))
     _check_rank(r2, "tangency: F_Mhat(t)")
     overlap = np.swapaxes(q1, 1, 2) @ q2
     cosines = np.linalg.svd(overlap, compute_uv=False)
@@ -282,8 +299,8 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat):
     p_nor = _projectors(normal_mhat.frames, path.form, "no twist: normal development frame")
 
     def _defect(frames, projector):
-        scale = np.linalg.norm(frames, axis=1, keepdims=True)
-        cols = frames / scale
+        one = _once(frames)
+        cols = one / np.linalg.norm(one, axis=1, keepdims=True)
         comp = projector @ (W @ cols)
         return np.max(np.linalg.norm(comp, axis=1), axis=-1)
 
@@ -454,6 +471,7 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     if curve.ndim != 2 or frames.shape[:2] != curve.shape:
         raise ValueError("curve and frames disagree on node count or ambient dimension")
     m = curve.shape[0]
+    projectors = _projectors(frames, form, f"{which} transport frame")
 
     coeffs, res, _, _ = np.linalg.lstsq(frames[0], v0, rcond=None)
     recon = frames[0] @ coeffs
@@ -462,11 +480,6 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
 
     n0 = float(form.ip(v0, v0))
     null_like = abs(n0) <= 1e-10 * float(v0 @ v0)
-
-    try:
-        projectors = _projectors(frames, form)
-    except ValueError as exc:  # "frame ..." becomes "<which> transport frame ..."
-        raise ValueError(f"{which} transport {exc}") from exc
 
     def _raw(stride):
         # the projections are linear, so rescaling after each step is the
@@ -514,10 +527,10 @@ def triple_velocity_residual(triple):
 
 def triple_gram_residual(triple):
     """Per-node isometry defect of A(t) on the moving tangent frame."""
-    mapped = np.einsum("kai,kib->kab", triple.maps, triple.tangent_frames)
-    target = np.einsum("kab,ac,kcd->kbd", mapped, triple.target_gram, mapped)
     frames = triple.tangent_frames
-    source = np.einsum("kia,i,kib->kab", frames, triple.form.signs, frames)
+    mapped = triple.maps @ frames
+    target = np.swapaxes(mapped, 1, 2) @ (triple.target_gram @ mapped)
+    source = np.swapaxes(frames, 1, 2) @ (triple.form.signs[:, None] * frames)
     return np.max(np.abs(target - source), axis=(1, 2))
 
 

@@ -386,3 +386,23 @@ def test_interpolated_control_is_evaluated_in_one_call(n_steps):
     per_t = np.array([control.func(t) for t in grid.stage_ts])
     assert one_call.shape == (2 * n_steps + 1, 2)
     assert np.max(np.abs(one_call - per_t)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2"}))
+def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
+    model = get_model(name)
+    path = _sinusoid_roll(model, "auto")
+    qr, development = np.linalg.qr, []
+
+    def recording_qr(a, *args, **kwargs):
+        a = np.asarray(a)
+        for frame in (model.frame0, model.normal0):
+            if a.shape[1:] == frame.shape and np.array_equal(a, np.broadcast_to(frame, a.shape)):
+                development.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    report = model_residual_report(model, path)
+    # the tangency target and both no-twist projectors, one node each
+    assert development == [1, 1, 1]
+    assert report.max_residual() <= 50 * path.grid.h ** 2

@@ -318,3 +318,12 @@ def test_dense_from_samples_reproduces_cubics(n_nodes):
 def test_dense_from_samples_refuses_bad_nodes_and_samples(ts, samples, message):
     with pytest.raises(ValueError, match=message):
         dense_from_samples(ts, samples)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, np.array([0.25, np.nan, 0.5]),
+                               np.array([[0.0, 1.0], [np.inf, 0.5]])],
+                         ids=["nan", "inf", "minus_inf", "nan_in_array", "inf_in_array"])
+def test_interpolant_refuses_non_finite_times(t):
+    interp = dense_from_samples(np.linspace(0.0, 1.0, 11), np.arange(11.0))
+    with pytest.raises(ValueError, match="NaN or inf"):
+        interp(t)

@@ -52,6 +52,13 @@ a frame of condition number 1e14) and the einsum projectors are kept here
 as references: the report fields and the projectors at every transport
 stride agree within 1e-13, the frame-matching rotations and transports
 within 1e-12.
+
+A frame stack whose nodes all equal node 0 bitwise (the flat development's
+frames) is now factored, rank-tested and solved once and broadcast back.
+The per-node tangency target, projectors and column normalisation this
+replaced are kept here as references: every report field agrees to the
+last bit.  The triple Gram residual takes ``@`` products; the einsum form
+it replaced is kept here and agrees within 1e-14.
 """
 
 import numpy as np
@@ -93,8 +100,11 @@ from semiroll.rolling import (
     RollingTriple,
     TangentFramePath,
     parallel_transport_embedded,
+    no_slip_residual,
     perturb_normal_generator,
+    rolling_point_residual,
     tangency_residual,
+    triple_gram_residual,
 )
 
 
@@ -922,7 +932,8 @@ def _coeff_operators_reference(frames, form):
         raise ValueError("frame Gram matrix is singular under the ambient form") from exc
 
 
-def _projectors_reference(frames, form):
+def _projectors_reference(frames, form, what=None):
+    # takes (and ignores) the frame label that callers of ``_projectors`` pass, so it can stand in
     return np.einsum("kia,kaj->kij", frames, _coeff_operators_reference(frames, form))
 
 
@@ -1008,3 +1019,72 @@ def test_frame_matching_matches_the_einsum_projectors(name, monkeypatch):
     assert _peak(transported, parallel_transport_embedded(
         path.alpha, normals, normals[0][:, 0], model.form, which="normal")) <= 1e-12
 
+
+
+def _per_node_projectors_reference(frames, form, what="frame"):
+    # every node is rank-tested and solved on its own, constant or not
+    rolling._check_rank(np.linalg.qr(frames, mode="r"), what)
+    ft_j = np.swapaxes(frames, 1, 2) * form.signs
+    try:
+        return frames @ np.linalg.solve(ft_j @ frames, ft_j)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{what} Gram matrix is singular under the ambient form") from exc
+
+
+def _per_node_residuals_reference(path, tangent_m, tangent_mhat, normal_mhat):
+    """Per-node fields of ``rolling_condition_residuals``, every frame node factored."""
+    q1, r1 = np.linalg.qr(path.R @ tangent_m.frames)
+    rolling._check_rank(r1, "tangency: R(t) F_M(t)")
+    q2, r2 = np.linalg.qr(tangent_mhat.frames)
+    rolling._check_rank(r2, "tangency: F_Mhat(t)")
+    overlap = np.swapaxes(q1, 1, 2) @ q2
+    cosines = np.linalg.svd(overlap, compute_uv=False)
+    sines = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False)
+    tangency = np.where(cosines[:, 0] ** 2 >= 0.5,
+                        np.arcsin(np.clip(sines[:, 0], -1.0, 1.0)),
+                        np.arccos(np.clip(cosines[:, -1], -1.0, 1.0)))
+    W = rolling._rotation_generator(path)
+
+    def defect(frames):
+        scale = np.linalg.norm(frames, axis=1, keepdims=True)
+        comp = _per_node_projectors_reference(frames, path.form) @ (W @ (frames / scale))
+        return np.max(np.linalg.norm(comp, axis=1), axis=-1)
+
+    return {
+        "rolling_point": rolling_point_residual(path),
+        "tangency": tangency,
+        "no_slip": no_slip_residual(path),
+        "no_twist_tan": defect(tangent_mhat.frames),
+        "no_twist_norm": defect(normal_mhat.frames),
+    }
+
+
+def _triple_gram_einsum_reference(triple):
+    mapped = np.einsum("kai,kib->kab", triple.maps, triple.tangent_frames)
+    target = np.einsum("kab,ac,kcd->kbd", mapped, triple.target_gram, mapped)
+    frames = triple.tangent_frames
+    source = np.einsum("kia,i,kib->kab", frames, triple.form.signs, frames)
+    return np.max(np.abs(target - source), axis=(1, 2))
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_constant_frames_factored_once_match_the_per_node_suite(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ctrl = _sinusoid(grid, model.p_dim, 12)
+    path = extrinsic_roll(model, ctrl)
+    frames = (model.pointwise_tangent_frames(grid, path.alpha),
+              model.flat_tangent_frames(grid), model.flat_normal_frames(grid))
+    report = model_residual_report(model, path)
+    reference = _per_node_residuals_reference(path, *frames)
+    assert set(report.per_node) == set(reference)
+    for field, values in reference.items():
+        assert np.array_equal(report.per_node[field], values), field
+    # a constant stack's projector is one broadcast matrix, equal to every node's own
+    for stack in frames[1:]:
+        full = rolling._projectors(stack.frames, model.form)
+        assert full.shape == (grid.n_nodes,) + 2 * (model.form.dim,)
+        assert np.array_equal(full, _per_node_projectors_reference(stack.frames, model.form))
+    triple = intrinsic_roll(model, ctrl)
+    assert _peak(triple_gram_residual(triple), _triple_gram_einsum_reference(triple)) <= 1e-14

@@ -417,3 +417,55 @@ def test_singular_transport_gram_names_the_transported_bundle():
     with pytest.raises(ValueError, match="^normal transport frame Gram matrix is singular"):
         parallel_transport_embedded(np.zeros((11, 3)), null_frame, null_frame[0, :, 0], form,
                                     which="normal")
+
+
+# a stack with the same frame at every node (the flat development's frames)
+# is factored once; it is refused at node 0 with the per-node messages, and
+# one bad node in an otherwise constant stack is still refused at that node
+DEGENERATE_FRAMES = {
+    "zero": (np.zeros((3, 2)), "rank deficient at node"),
+    "cond_1e14": ([[1.0, 1e7], [0.0, 1.0], [0.0, 0.0]], "rank deficient at node"),
+    "nan": ([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]], "NaN or inf at node"),
+    "inf": ([[1.0, 0.0], [np.inf, 1.0], [0.0, 0.0]], "NaN or inf at node"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("defect", DEGENERATE_FRAMES)
+@pytest.mark.parametrize("check", FRAME_CHECKS)
+def test_constant_degenerate_frames_are_refused_at_node_0(check, defect):
+    path, ft, fn = _plane_on_plane(10)
+    frame, message = DEGENERATE_FRAMES[defect]
+    bad = np.broadcast_to(np.asarray(frame, dtype=float), ft.frames.shape).copy()
+    with pytest.raises(ValueError, match=f"{message} 0\\b"):
+        FRAME_CHECKS[check](path, TangentFramePath(ft.ts, bad), ft, fn)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("node", [1, 7, 10])
+@pytest.mark.parametrize("defect", DEGENERATE_FRAMES)
+@pytest.mark.parametrize("check", FRAME_CHECKS)
+def test_one_bad_node_in_a_constant_stack_is_refused_at_that_node(check, defect, node):
+    path, ft, fn = _plane_on_plane(10)
+    frame, message = DEGENERATE_FRAMES[defect]
+    bad = ft.frames.copy()
+    bad[node] = frame
+    with pytest.raises(ValueError, match=f"{message} {node}\\b"):
+        FRAME_CHECKS[check](path, TangentFramePath(ft.ts, bad), ft, fn)
+
+
+@pytest.mark.parametrize("node", [None, 0, 5, 10], ids=["constant", "node_0", "node_5", "node_10"])
+def test_null_development_frames_have_a_singular_gram(node):
+    form = SignatureForm(np.array([1.0, 1.0, -1.0]))
+    path, ft, fn = _plane_on_plane(10)
+    path.form = form
+    null_frame = np.array([[1.0], [0.0], [1.0]])
+    bad = fn.frames.copy()
+    if node is None:
+        bad[:] = null_frame
+    else:
+        bad[node] = null_frame
+    with pytest.raises(ValueError, match="normal development frame Gram matrix is singular"):
+        no_twist_residuals(path, ft, TangentFramePath(ft.ts, bad))
+    with pytest.raises(ValueError, match="normal transport frame Gram matrix is singular"):
+        parallel_transport_embedded(path.alpha, bad, bad[0][:, 0], form, which="normal")
