@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,9 +25,23 @@ import numpy as np
 from .homogeneous import ControlCurve, EmbeddedCurve, extrinsic_roll, intrinsic_roll, model_residual_report
 from .integrate import TimeGrid
 from .models import available_models, get_model
-from .rolling import RollingTriple, triple_gram_residual, triple_velocity_residual
+from .rolling import RollingMapPath, RollingTriple, triple_gram_residual, triple_velocity_residual
 
 FORMAT_VERSION = 1
+
+# A trajectory file holds the time column ``t`` and then, per mode, these
+# blocks: (document key, CSV column prefix, per-node shape in the ambient
+# dimension N and the p-dimension k).  A CSV column is the prefix followed by
+# the row-major index within the node's block: alpha_0, R_0_1, ...
+LAYOUT = {
+    "extrinsic": (("alpha", "alpha", "N"), ("alpha_hat", "alphahat", "N"),
+                  ("R", "R", "NN"), ("s", "s", "N")),
+    "intrinsic": (("alpha", "alpha", "N"), ("alpha_hat", "alphahat", "k"),
+                  ("A", "R", "kN")),
+}
+# the metadata that ``verify`` reads, by type; a CSV stores every value as text
+META_TYPES = {"format_version": int, "kind": str, "model": str, "mode": str,
+              "t0": float, "t1": float, "n_steps": int, "ambient_dim": int, "k_dim": int}
 
 
 def _fail(message):
@@ -98,48 +113,25 @@ def _build_input(cfg, grid, model):
     return EmbeddedCurve(grid=grid, points=points)
 
 
-def _csv_labels(mode, N, k):
-    cols = ["t"]
-    cols += [f"alpha_{i}" for i in range(N)]
-    width = k if mode == "intrinsic" else N
-    cols += [f"alphahat_{i}" for i in range(width)]
-    rows = k if mode == "intrinsic" else N
-    for i in range(rows):
-        cols += [f"R_{i}_{j}" for j in range(N)]
-    if mode == "extrinsic":
-        cols += [f"s_{i}" for i in range(N)]
-    return cols
+def _blocks(mode):
+    """The blocks of a ``mode`` trajectory after its time column."""
+    if not isinstance(mode, str) or mode not in LAYOUT:
+        _fail(f"unknown mode {mode!r}")
+    return LAYOUT[mode]
 
 
-def _trajectory_table(mode, grid, result):
-    blocks = [grid.ts[:, None], result.alpha]
-    if mode == "extrinsic":
-        blocks += [result.alpha_hat, result.R.reshape(grid.n_nodes, -1), result.s]
-    else:
-        blocks += [result.alpha_hat, result.maps.reshape(grid.n_nodes, -1)]
-    return np.hstack(blocks)
+def _write_csv(out, meta, arrays):
+    labels = ["t"]
+    for key, prefix, _ in _blocks(meta["mode"]):
+        node_shape = arrays[key].shape[1:]
+        labels += [prefix + "".join(f"_{i}" for i in idx) for idx in np.ndindex(node_shape)]
+    header = "".join(f"# {key}={value}\n" for key, value in meta.items()) + ",".join(labels)
+    table = np.hstack([block.reshape(len(block), -1) for block in arrays.values()])
+    np.savetxt(out, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-def _write_csv(out, meta, mode, grid, result, N, k):
-    for key, value in meta.items():
-        out.write(f"# {key}={value}\n")
-    out.write(",".join(_csv_labels(mode, N, k)) + "\n")
-    table = _trajectory_table(mode, grid, result)
-    for row in table:
-        out.write(",".join(format(x, ".17g") for x in row) + "\n")
-
-
-def _write_json(out, meta, mode, grid, result):
-    doc = dict(meta)
-    doc["t"] = grid.ts.tolist()
-    doc["alpha"] = result.alpha.tolist()
-    doc["alpha_hat"] = result.alpha_hat.tolist()
-    if mode == "extrinsic":
-        doc["R"] = result.R.tolist()
-        doc["s"] = result.s.tolist()
-    else:
-        doc["A"] = result.maps.tolist()
-    json.dump(doc, out, indent=1)
+def _write_json(out, meta, arrays):
+    json.dump({**meta, **{key: block.tolist() for key, block in arrays.items()}}, out, indent=1)
     out.write("\n")
 
 
@@ -156,8 +148,7 @@ def cmd_roll(args):
         _fail(str(exc))
     grid = _build_grid(cfg)
     mode = cfg.get("mode", "extrinsic")
-    if mode not in ("extrinsic", "intrinsic"):
-        _fail(f"unknown mode {mode!r}")
+    blocks = _blocks(mode)
     data = _build_input(cfg, grid, model)
     strategy = cfg.get("normal_strategy", "auto")
     try:
@@ -181,92 +172,62 @@ def cmd_roll(args):
     }
     if mode == "extrinsic":
         meta["normal_strategy"] = strategy
+    # an intrinsic roll holds A as its tangential ``maps``
+    arrays = {"t": grid.ts, **{key: getattr(result, "maps" if key == "A" else key)
+                               for key, _, _ in blocks}}
 
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out and args.out.endswith(".json") else "csv"
-    out = open(args.out, "w") if args.out else sys.stdout
+    write = _write_csv if fmt == "csv" else _write_json
+    if not args.out:
+        write(sys.stdout, meta, arrays)
+        return 0
     try:
-        if fmt == "csv":
-            _write_csv(out, meta, mode, grid, result, model.ambient_dim, model.p_dim)
-        else:
-            _write_json(out, meta, mode, grid, result)
-    finally:
-        if args.out:
-            out.close()
-    if args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
+        with open(args.out, "w") as out:
+            write(out, meta, arrays)
+    except OSError as exc:
+        _fail(f"cannot write trajectory: {exc}")
+    print(f"wrote {args.out}", file=sys.stderr)
     return 0
-
-
-def _parse_csv(path):
-    meta = {}
-    rows = []
-    header = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append([float(x) for x in line.split(",")])
-    if header is None or not rows:
-        _fail(f"{path}: no trajectory data found")
-    return meta, np.asarray(rows)
 
 
 def _load_trajectory(path):
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
-        meta = {key: doc[key] for key in
-                ("format_version", "kind", "model", "mode", "t0", "t1",
-                 "n_steps", "ambient_dim", "k_dim") if key in doc}
-        arrays = {key: np.asarray(doc[key], dtype=float)
-                  for key in ("t", "alpha", "alpha_hat", "R", "s", "A") if key in doc}
-        return meta, arrays
+        if not isinstance(doc, dict):
+            _fail(f"{path}: not a rolling trajectory file")
+        meta = {key: doc[key] for key in META_TYPES if key in doc}
+        keys = ["t"] + [key for key, _, _ in _blocks(meta.get("mode", "extrinsic"))]
+        return meta, {key: np.asarray(doc[key], dtype=float) for key in keys if key in doc}
 
-    meta, table = _parse_csv(path)
-    for key in ("format_version", "n_steps", "ambient_dim", "k_dim"):
-        if key in meta:
-            meta[key] = int(meta[key])
-    for key in ("t0", "t1"):
-        if key in meta:
-            meta[key] = float(meta[key])
-    N = meta["ambient_dim"]
-    k = meta["k_dim"]
-    mode = meta.get("mode", "extrinsic")
-    m = table.shape[0]
-    pos = 0
-
-    def take(width):
-        nonlocal pos
-        block = table[:, pos:pos + width]
-        pos += width
-        return block
-
-    arrays = {"t": take(1)[:, 0], "alpha": take(N)}
-    if mode == "extrinsic":
-        arrays["alpha_hat"] = take(N)
-        arrays["R"] = take(N * N).reshape(m, N, N)
-        arrays["s"] = take(N)
-    else:
-        arrays["alpha_hat"] = take(k)
-        arrays["A"] = take(k * N).reshape(m, k, N)
-    if pos != table.shape[1]:
+    meta = {}
+    lines = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value.strip()
+            elif line:
+                lines.append(line)
+    # lines[0] is the column header; loadtxt would only warn on an empty body
+    if len(lines) < 2:
+        _fail(f"{path}: no trajectory data found")
+    meta = {key: META_TYPES.get(key, str)(value) for key, value in meta.items()}
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    dims = {"N": meta["ambient_dim"], "k": meta["k_dim"]}
+    blocks = [(key, tuple(dims[d] for d in shape))
+              for key, _, shape in _blocks(meta.get("mode", "extrinsic"))]
+    ends = np.cumsum([1] + [math.prod(shape) for _, shape in blocks])
+    if ends[-1] != table.shape[1]:
         _fail(f"{path}: column count does not match metadata dimensions")
+    t, *columns = np.split(table, ends[:-1], axis=1)
+    arrays = {"t": t[:, 0]}
+    for (key, shape), block in zip(blocks, columns):
+        arrays[key] = block.reshape(len(table), *shape)
     return meta, arrays
-
-
-def _check(label, value, tol, lines):
-    ok = value <= tol
-    lines.append(f"{label}: {value:.6e} (tol {tol:.6e}) {'ok' if ok else 'BREACH'}")
-    return ok
 
 
 def cmd_verify(args):
@@ -297,11 +258,7 @@ def cmd_verify(args):
         _fail(f"{path}: time column does not match the declared grid")
 
     tol = args.tol if args.tol is not None else 50.0 * grid.h ** 2
-    mode = meta.get("mode", "extrinsic")
-    lines = []
-    if mode == "extrinsic":
-        from .rolling import RollingMapPath
-
+    if meta.get("mode", "extrinsic") == "extrinsic":
         try:
             traj = RollingMapPath(grid=grid, R=arrays["R"], s=arrays["s"],
                                   alpha=arrays["alpha"], alpha_hat=arrays["alpha_hat"],
@@ -309,9 +266,7 @@ def cmd_verify(args):
             report = model_residual_report(model, traj)
         except (ValueError, KeyError) as exc:
             _fail(f"cannot rebuild rolling path: {exc}")
-        ok = True
-        for field in report._FIELDS:
-            ok &= _check(field, getattr(report, field), tol, lines)
+        residuals = {field: getattr(report, field) for field in report._FIELDS}
     else:
         try:
             frames = model.pointwise_tangent_frames(grid, arrays["alpha"]).frames
@@ -321,12 +276,11 @@ def cmd_verify(args):
                                    target_gram=model.target_gram)
         except (ValueError, KeyError) as exc:
             _fail(f"cannot rebuild rolling triple: {exc}")
-        ok = _check("velocity_match", float(np.max(triple_velocity_residual(triple))),
-                    tol, lines)
-        ok &= _check("isometry_gram", float(np.max(triple_gram_residual(triple))),
-                     tol, lines)
-    for line in lines:
-        print(line)
+        residuals = {"velocity_match": float(np.max(triple_velocity_residual(triple))),
+                     "isometry_gram": float(np.max(triple_gram_residual(triple)))}
+    for label, value in residuals.items():
+        print(f"{label}: {value:.6e} (tol {tol:.6e}) {'ok' if value <= tol else 'BREACH'}")
+    ok = all(value <= tol for value in residuals.values())
     print("PASS" if ok else "FAIL")
     return 0 if ok else 2
 

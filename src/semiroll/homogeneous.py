@@ -58,6 +58,7 @@ __all__ = [
 LIFT_TRACK_TOL = 1e-8
 TANGENT_FIT_TOL = 1e-8
 MODEL_CHECK_TOL = 1e-10
+NORMAL_GRAM_TOL = 1e-6
 
 
 @dataclass
@@ -446,12 +447,12 @@ def _lift_from_control(model, control, q0):
     return GroupPath(grid=grid, samples=qs, control=control)
 
 
-def _lift_from_samples(model, curve, q0, track_tol):
+def _lift_from_samples(model, curve, q0):
     grid = curve.grid
     pts = curve.points
     scale = max(1.0, float(np.max(np.abs(pts))))
     start = np.asarray(model.rho(q0), dtype=float) @ model.obar
-    if np.linalg.norm(start - pts[0]) > track_tol * scale:
+    if np.linalg.norm(start - pts[0]) > LIFT_TRACK_TOL * scale:
         raise ValueError("curve does not start at the projection of q0")
 
     # the lift solves the linear flow q' = X q of the curve's transvections
@@ -468,7 +469,7 @@ def _lift_from_samples(model, curve, q0, track_tol):
     fit = np.linalg.norm(fitted - node_vel, axis=1)
     track = np.linalg.norm(np.einsum("kij,j->ki", rhos, model.obar) - pts, axis=1)
     bad_fit = fit > TANGENT_FIT_TOL * speed
-    bad = np.flatnonzero(bad_fit | (track > track_tol * scale))
+    bad = np.flatnonzero(bad_fit | (track > LIFT_TRACK_TOL * scale))
     if bad.size:
         k = bad[0]
         t = grid.ts[k]
@@ -482,7 +483,7 @@ def _lift_from_samples(model, curve, q0, track_tol):
     return GroupPath(grid=grid, samples=qs, control=ControlCurve(grid=grid, coords=coords))
 
 
-def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
+def horizontal_lift(model, data, q0=None):
     """Horizontal lift of a control or of a sampled curve on the manifold.
 
     With a ControlCurve the lift integrates qdot = q U(t) directly.  With an
@@ -507,7 +508,7 @@ def horizontal_lift(model, data, q0=None, track_tol=LIFT_TRACK_TOL):
     if isinstance(data, EmbeddedCurve):
         if data.points.shape[1] != model.ambient_dim:
             raise ValueError("curve ambient dimension does not match the model")
-        return _lift_from_samples(model, data, q0, track_tol)
+        return _lift_from_samples(model, data, q0)
     raise TypeError("data must be a ControlCurve or an EmbeddedCurve")
 
 
@@ -616,7 +617,7 @@ def intrinsic_roll(model, data, q0=None):
 
 
 def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
-                               normal_frames_dev, form, gram_tol=1e-6):
+                               normal_frames_dev, form):
     """Extend per-node tangential actions to full rotations via matched normal frames.
 
     The returned R(t) agrees with ``tangential_ops`` on the tangent frames and
@@ -631,7 +632,7 @@ def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
     g_a = np.einsum("kia,i,kib->kab", normal_frames, signs, normal_frames)
     g_b = np.einsum("kia,i,kib->kab", normal_frames_dev, signs, normal_frames_dev)
     worst = float(np.max(np.abs(g_a - g_b)))
-    if worst > gram_tol:
+    if worst > NORMAL_GRAM_TOL:
         raise ValueError(
             f"normal frames are not isometric (Gram mismatch {worst:.3e}); "
             "cannot extend the tangential action"

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 FRAME_COND_MAX = 1e6
+COMPOSE_CURVE_TOL = 1e-8
+NORMAL_GENERATOR_TOL = 1e-8
 
 
 @dataclass
@@ -350,7 +352,7 @@ def invert_rolling(path):
     )
 
 
-def compose_rolling(path01, path12, curve_tol=1e-8):
+def compose_rolling(path01, path12):
     """Chain a rolling of M0 on M1 with a rolling of M1 on M2.
 
     The intermediate curves must agree: path01 develops onto the same curve
@@ -362,10 +364,10 @@ def compose_rolling(path01, path12, curve_tol=1e-8):
     if path01.form != path12.form:
         raise ValueError("rolling paths use different ambient forms")
     mismatch = float(np.max(_node_norms(path01.alpha_hat - path12.alpha)))
-    if mismatch > curve_tol:
+    if mismatch > COMPOSE_CURVE_TOL:
         raise ValueError(
             f"intermediate contact curves disagree by {mismatch:.3e} "
-            f"(tolerance {curve_tol:.1e})"
+            f"(tolerance {COMPOSE_CURVE_TOL:.1e})"
         )
     R = path12.R @ path01.R
     s = path12.s + np.einsum("kij,kj->ki", path12.R, path01.s)
@@ -379,7 +381,7 @@ def compose_rolling(path01, path12, curve_tol=1e-8):
     )
 
 
-def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibility_tol=1e-8):
+def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     """Left-multiply the rotation path by a normal-bundle twist factor.
 
     ``omega0`` (a constant matrix, a callable of t, or per-node samples) must
@@ -421,7 +423,7 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat, admissibil
         ("does not annihilate the development tangent space", kills_tan),
         ("does not preserve the development normal space", leaks_tan),
     ):
-        if value > admissibility_tol * scale:
+        if value > NORMAL_GENERATOR_TOL * scale:
             raise ValueError(f"inadmissible normal generator: {label} (defect {value:.3e})")
 
     lam = flow_matrix_ode(omegas, np.eye(n), grid, side="left", reproject_form=path.form)

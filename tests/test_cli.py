@@ -208,6 +208,7 @@ def _json_edit(change):
     pytest.param("verify", (".json", _json_edit(lambda doc: doc.update(n_steps="10"))),
                  id="string_n_steps"),
     pytest.param("verify", (".json", _json_edit(lambda doc: doc["t"].pop())), id="short_t_column"),
+    pytest.param("verify", (".json", lambda text: "5"), id="json_not_an_object"),
     pytest.param("roll", {**_SMALL_ROLL, "control": {"kind": "sinusoid", "amplitude": [1.0, 0.5]}},
                  id="sinusoid_without_frequency"),
     pytest.param("roll", {**_SMALL_ROLL, "control": {"kind": "constant", "coords": ["a", 1]}},
@@ -279,3 +280,44 @@ def test_sampled_curve_drifting_off_the_manifold_is_refused(name, mode, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "not tangent" in err
+
+
+def test_roll_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "traj.csv"
+    assert main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write trajectory:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null", '"rolling_trajectory"'])
+def test_json_trajectory_that_is_not_an_object_is_refused(text, tmp_path, capsys):
+    out = tmp_path / "traj.json"
+    out.write_text(text)
+    assert main(["verify", "--in", str(out)]) == 1
+    assert "not a rolling trajectory file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_unknown_trajectory_mode_is_refused_not_checked(suffix, tmp_path, capsys):
+    out = tmp_path / f"traj{suffix}"
+    main(["roll", "--config", _cfg("stiefel_4_2_intrinsic.json"), "--out", str(out)])
+    text = out.read_text()
+    edited = text.replace("mode=intrinsic", "mode=bogus").replace('"mode": "intrinsic"', '"mode": "bogus"')
+    assert edited != text
+    out.write_text(edited)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown mode 'bogus'" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_trajectory_without_a_mode_is_extrinsic(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
+    text = out.read_text()
+    out.write_text("".join(line for line in text.splitlines(True) if line != "# mode=extrinsic\n"))
+    assert "mode=" not in out.read_text()
+    assert main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")

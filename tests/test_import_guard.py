@@ -3,7 +3,7 @@
 scipy serves ``CartanModel.validate`` (and so ``load_model_file``), the
 ``random_*`` helpers and the tests; a fresh interpreter that imports the
 package, builds every named model and rolls and verifies every bundled
-config must not import it.
+config, as CSV and as JSON, must not import it.
 """
 
 import os
@@ -27,10 +27,11 @@ configs = sorted(p for p in (resources.files("semiroll") / "configs").iterdir()
                  if p.name.endswith(".json"))
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     for config in configs:
-        out = os.path.join(tmp, config.name + ".csv")
-        codes = (semiroll.cli.main(["roll", "--config", str(config), "--out", out]),
-                 semiroll.cli.main(["verify", "--in", out]))
-        assert codes == (0, 0), (config.name, codes)
+        for suffix in (".csv", ".json"):
+            out = os.path.join(tmp, config.name + suffix)
+            codes = (semiroll.cli.main(["roll", "--config", str(config), "--out", out]),
+                     semiroll.cli.main(["verify", "--in", out]))
+            assert codes == (0, 0), (config.name, suffix, codes)
 print(len(configs), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

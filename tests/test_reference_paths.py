@@ -59,7 +59,18 @@ The per-node tangency target, projectors and column normalisation this
 replaced are kept here as references: every report field agrees to the
 last bit.  The triple Gram residual takes ``@`` products; the einsum form
 it replaced is kept here and agrees within 1e-14.
+
+The command's trajectory files are laid out by one declaration, written by
+``np.savetxt`` and read by ``np.loadtxt``.  The per-block writers and the
+per-number CSV parser this replaced are kept here as references: every
+bundled config, rolled in both modes, gives byte-identical CSV and JSON
+files, and both readers return the same metadata and bit-identical arrays,
+on those files and on edited ones (CRLF endings, blank lines, a comment
+after the header, a single row, a nan entry, no rows at all).
 """
+
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -93,7 +104,7 @@ from semiroll.linalg import (
 )
 from semiroll.models import get_model, hyperbolic, make_pseudo_orthogonal_model, sphere, stiefel
 from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
-from semiroll import rolling
+from semiroll import cli, rolling
 from semiroll.rolling import (
     FRAME_COND_MAX,
     RollingMapPath,
@@ -1088,3 +1099,253 @@ def test_constant_frames_factored_once_match_the_per_node_suite(name, n_steps):
         assert np.array_equal(full, _per_node_projectors_reference(stack.frames, model.form))
     triple = intrinsic_roll(model, ctrl)
     assert _peak(triple_gram_residual(triple), _triple_gram_einsum_reference(triple)) <= 1e-14
+
+
+# -- trajectory file codec against the per-block writers and parser ---------
+
+def _csv_labels_reference(mode, N, k):
+    cols = ["t"]
+    cols += [f"alpha_{i}" for i in range(N)]
+    width = k if mode == "intrinsic" else N
+    cols += [f"alphahat_{i}" for i in range(width)]
+    rows = k if mode == "intrinsic" else N
+    for i in range(rows):
+        cols += [f"R_{i}_{j}" for j in range(N)]
+    if mode == "extrinsic":
+        cols += [f"s_{i}" for i in range(N)]
+    return cols
+
+
+def _trajectory_table_reference(mode, grid, result):
+    blocks = [grid.ts[:, None], result.alpha]
+    if mode == "extrinsic":
+        blocks += [result.alpha_hat, result.R.reshape(grid.n_nodes, -1), result.s]
+    else:
+        blocks += [result.alpha_hat, result.maps.reshape(grid.n_nodes, -1)]
+    return np.hstack(blocks)
+
+
+def _write_csv_reference(out, meta, mode, grid, result, N, k):
+    for key, value in meta.items():
+        out.write(f"# {key}={value}\n")
+    out.write(",".join(_csv_labels_reference(mode, N, k)) + "\n")
+    table = _trajectory_table_reference(mode, grid, result)
+    for row in table:
+        out.write(",".join(format(x, ".17g") for x in row) + "\n")
+
+
+def _write_json_reference(out, meta, mode, grid, result):
+    doc = dict(meta)
+    doc["t"] = grid.ts.tolist()
+    doc["alpha"] = result.alpha.tolist()
+    doc["alpha_hat"] = result.alpha_hat.tolist()
+    if mode == "extrinsic":
+        doc["R"] = result.R.tolist()
+        doc["s"] = result.s.tolist()
+    else:
+        doc["A"] = result.maps.tolist()
+    json.dump(doc, out, indent=1)
+    out.write("\n")
+
+
+def _parse_csv_reference(path):
+    meta = {}
+    rows = []
+    header = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value.strip()
+            elif header is None:
+                header = line.split(",")
+            else:
+                rows.append([float(x) for x in line.split(",")])
+    if header is None or not rows:
+        cli._fail(f"{path}: no trajectory data found")
+    return meta, np.asarray(rows)
+
+
+def _load_trajectory_reference(path):
+    if path.endswith(".json"):
+        with open(path) as fh:
+            doc = json.load(fh)
+        meta = {key: doc[key] for key in
+                ("format_version", "kind", "model", "mode", "t0", "t1",
+                 "n_steps", "ambient_dim", "k_dim") if key in doc}
+        arrays = {key: np.asarray(doc[key], dtype=float)
+                  for key in ("t", "alpha", "alpha_hat", "R", "s", "A") if key in doc}
+        return meta, arrays
+
+    meta, table = _parse_csv_reference(path)
+    for key in ("format_version", "n_steps", "ambient_dim", "k_dim"):
+        if key in meta:
+            meta[key] = int(meta[key])
+    for key in ("t0", "t1"):
+        if key in meta:
+            meta[key] = float(meta[key])
+    N = meta["ambient_dim"]
+    k = meta["k_dim"]
+    mode = meta.get("mode", "extrinsic")
+    m = table.shape[0]
+    pos = 0
+
+    def take(width):
+        nonlocal pos
+        block = table[:, pos:pos + width]
+        pos += width
+        return block
+
+    arrays = {"t": take(1)[:, 0], "alpha": take(N)}
+    if mode == "extrinsic":
+        arrays["alpha_hat"] = take(N)
+        arrays["R"] = take(N * N).reshape(m, N, N)
+        arrays["s"] = take(N)
+    else:
+        arrays["alpha_hat"] = take(k)
+        arrays["A"] = take(k * N).reshape(m, k, N)
+    if pos != table.shape[1]:
+        cli._fail(f"{path}: column count does not match metadata dimensions")
+    return meta, arrays
+
+
+def _roll_file_reference(cfg, path):
+    """The trajectory file of ``cfg`` through the reference writers."""
+    model = get_model(cfg["model"])
+    grid = cli._build_grid(cfg)
+    data = cli._build_input(cfg, grid, model)
+    mode = cfg.get("mode", "extrinsic")
+    strategy = cfg.get("normal_strategy", "auto")
+    if mode == "extrinsic":
+        result = extrinsic_roll(model, data, normal_strategy=strategy)
+    else:
+        result = intrinsic_roll(model, data)
+    meta = {
+        "format_version": cli.FORMAT_VERSION,
+        "kind": "rolling_trajectory",
+        "model": cfg["model"],
+        "mode": mode,
+        "t0": grid.t0,
+        "t1": grid.t1,
+        "n_steps": grid.n_steps,
+        "ambient_dim": model.ambient_dim,
+        "k_dim": model.p_dim,
+    }
+    if mode == "extrinsic":
+        meta["normal_strategy"] = strategy
+    with open(path, "w") as out:
+        if str(path).endswith(".csv"):
+            _write_csv_reference(out, meta, mode, grid, result, model.ambient_dim, model.p_dim)
+        else:
+            _write_json_reference(out, meta, mode, grid, result)
+
+
+def _assert_same_trajectory(path):
+    """Both readers give equal metadata and bit-identical arrays of equal shape."""
+    meta, arrays = cli._load_trajectory(str(path))
+    ref_meta, ref_arrays = _load_trajectory_reference(str(path))
+    assert meta == ref_meta
+    assert {k: type(v) for k, v in meta.items()} == {k: type(v) for k, v in ref_meta.items()}
+    assert arrays.keys() == ref_arrays.keys()
+    for key, values in ref_arrays.items():
+        assert arrays[key].shape == values.shape, key
+        assert arrays[key].tobytes() == values.tobytes(), key
+
+
+CONFIG_DIR = resources.files("semiroll") / "configs"
+BUNDLED_CONFIGS = sorted(p.name for p in CONFIG_DIR.iterdir() if p.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+@pytest.mark.parametrize("config", BUNDLED_CONFIGS)
+def test_trajectory_files_match_the_per_block_codec(config, mode, tmp_path, capsys):
+    cfg = {**json.loads((CONFIG_DIR / config).read_text()), "mode": mode}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for suffix in (".csv", ".json"):
+        out, ref = tmp_path / f"traj{suffix}", tmp_path / f"ref{suffix}"
+        assert cli.main(["roll", "--config", str(cfg_path), "--out", str(out)]) == 0
+        _roll_file_reference(cfg, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        _assert_same_trajectory(out)
+    capsys.readouterr()
+
+
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def _blank_lines(text):
+    return "\n\n" + text.replace("\n", "\n\n  \n")
+
+
+def _comment_after_header(text):
+    lines = text.splitlines(True)
+    header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    return "".join(lines[:header + 1] + ["# note=after the header\n"] + lines[header + 1:])
+
+
+def _one_row(text):
+    lines = text.splitlines(True)
+    header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    return "".join(lines[:header + 2])
+
+
+def _nan_entry(text):
+    lines = text.splitlines()
+    row = lines[-3].split(",")
+    row[2] = "nan"
+    lines[-3] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+def _header_only(text):
+    return "".join(line for line in text.splitlines(True) if line.startswith(("#", "t,")))
+
+
+def _header_then_comments(text):
+    return _header_only(text) + "\n# trailing=1\n\n"
+
+
+_SMALL_CONFIGS = {
+    "extrinsic": {"model": "sphere", "mode": "extrinsic",
+                  "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 10},
+                  "control": {"kind": "constant", "coords": [1.0, 0.0]}},
+    "intrinsic": {"model": "stiefel_4_2", "mode": "intrinsic",
+                  "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 10},
+                  "control": {"kind": "constant", "coords": [0.5, 0.8, 0.3, -0.5, 0.4]}},
+}
+
+
+def _small_csv(mode, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_SMALL_CONFIGS[mode]))
+    out = tmp_path / "traj.csv"
+    assert cli.main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("edit", [_crlf, _blank_lines, _comment_after_header, _one_row, _nan_entry])
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+def test_csv_reader_matches_the_per_number_parser_on_edited_files(mode, edit, tmp_path, capsys):
+    out = _small_csv(mode, tmp_path)
+    out.write_bytes(edit(out.read_text()).encode())
+    _assert_same_trajectory(out)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [_header_only, _header_then_comments])
+def test_csv_without_data_rows_is_refused_by_both_readers(edit, tmp_path, capsys):
+    out = _small_csv("extrinsic", tmp_path)
+    out.write_text(edit(out.read_text()))
+    messages = []
+    for reader in (cli._load_trajectory, _load_trajectory_reference):
+        with pytest.raises(SystemExit) as exc:
+            reader(str(out))
+        messages.append(exc.value.code)
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("no trajectory data found")
+    capsys.readouterr()
