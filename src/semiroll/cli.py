@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -120,12 +121,22 @@ def _blocks(mode):
     return LAYOUT[mode]
 
 
-def _write_csv(out, meta, arrays):
+def _node_shapes(meta):
+    """(key, per-node shape, CSV column prefix) of each block after the time column."""
+    dims = {"N": meta["ambient_dim"], "k": meta["k_dim"]}
+    return [(key, tuple(dims[d] for d in shape), prefix)
+            for key, prefix, shape in _blocks(meta.get("mode", "extrinsic"))]
+
+
+def _csv_labels(meta):
     labels = ["t"]
-    for key, prefix, _ in _blocks(meta["mode"]):
-        node_shape = arrays[key].shape[1:]
-        labels += [prefix + "".join(f"_{i}" for i in idx) for idx in np.ndindex(node_shape)]
-    header = "".join(f"# {key}={value}\n" for key, value in meta.items()) + ",".join(labels)
+    for _, shape, prefix in _node_shapes(meta):
+        labels += [prefix + "".join(f"_{i}" for i in idx) for idx in np.ndindex(shape)]
+    return labels
+
+
+def _write_csv(out, meta, arrays):
+    header = "".join(f"# {key}={value}\n" for key, value in meta.items()) + ",".join(_csv_labels(meta))
     table = np.hstack([block.reshape(len(block), -1) for block in arrays.values()])
     np.savetxt(out, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
@@ -217,15 +228,20 @@ def _load_trajectory(path):
         _fail(f"{path}: no trajectory data found")
     meta = {key: META_TYPES.get(key, str)(value) for key, value in meta.items()}
     table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    dims = {"N": meta["ambient_dim"], "k": meta["k_dim"]}
-    blocks = [(key, tuple(dims[d] for d in shape))
-              for key, _, shape in _blocks(meta.get("mode", "extrinsic"))]
-    ends = np.cumsum([1] + [math.prod(shape) for _, shape in blocks])
+    blocks = _node_shapes(meta)
+    ends = np.cumsum([1] + [math.prod(shape) for _, shape, _ in blocks])
     if ends[-1] != table.shape[1]:
         _fail(f"{path}: column count does not match metadata dimensions")
+    header, labels = [label.strip() for label in lines[0].split(",")], _csv_labels(meta)
+    if len(header) != len(labels):
+        _fail(f"{path}: the header names {len(header)} columns, the layout {len(labels)}")
+    for column, (label, expected) in enumerate(zip(header, labels), start=1):
+        if label != expected:
+            _fail(f"{path}: column {column} is labelled {label!r}, the layout puts "
+                  f"{expected!r} there")
     t, *columns = np.split(table, ends[:-1], axis=1)
     arrays = {"t": t[:, 0]}
-    for (key, shape), block in zip(blocks, columns):
+    for (key, shape, _), block in zip(blocks, columns):
         arrays[key] = block.reshape(len(table), *shape)
     return meta, arrays
 
@@ -327,7 +343,14 @@ def main(argv=None):
         # argparse exits 2 on usage errors; reserve 2 for residual breaches
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

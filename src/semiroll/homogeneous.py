@@ -66,9 +66,10 @@ class ControlCurve:
     """Sampled control coordinates in the p-part of the algebra.
 
     ``coords[k]`` are the coefficients at node k; ``func`` (optional at
-    construction) maps a scalar t to the coefficients at t, defaults to a
-    cubic interpolant through the samples, and is read by the integrators
-    through ``at``.
+    construction) maps a scalar t to the coefficients at t and defaults to a
+    cubic interpolant through the samples.  The integrators take the node
+    values from ``coords`` and read ``func`` only at the step midpoints,
+    through ``stage_coords``.
     """
 
     grid: TimeGrid
@@ -96,6 +97,15 @@ class ControlCurve:
         if isinstance(self.func, NotAKnotCubic):
             return self.func(ts)
         return np.array([np.atleast_1d(self.func(t)) for t in ts], dtype=float)
+
+    def stage_coords(self):
+        """Coefficients at ``grid.stage_ts``, (2 n_steps + 1, dim): the node samples
+        ``coords`` in the even rows, ``at`` the step midpoints in the odd rows."""
+        grid = self.grid
+        out = np.empty((2 * grid.n_steps + 1, self.dim))
+        out[::2] = self.coords
+        out[1::2] = self.at(grid.stage_ts[1::2])
+        return out
 
 
 @dataclass
@@ -298,10 +308,10 @@ class CartanModel:
         return np.ascontiguousarray(self.rho(qs), dtype=float)
 
     def frames_along(self, rhos):
-        return np.einsum("kij,ja->kia", rhos, self.frame0)
+        return rhos @ self.frame0
 
     def normals_along(self, rhos):
-        return np.einsum("kij,ja->kia", rhos, self.normal0)
+        return rhos @ self.normal0
 
     def flat_tangent_frames(self, grid):
         frames = np.broadcast_to(self.frame0, (grid.n_nodes,) + self.frame0.shape).copy()
@@ -442,7 +452,7 @@ class CartanModel:
 
 def _lift_from_control(model, control, q0):
     grid = control.grid
-    generators = model.p_element(control.at(grid.stage_ts))
+    generators = model.p_element(control.stage_coords())
     qs = flow_matrix_ode(generators, q0, grid, side="right", reproject_form=model.group_form)
     return GroupPath(grid=grid, samples=qs, control=control)
 
@@ -538,7 +548,7 @@ def transport_homogeneous(model, lift, y0):
 
 def _tangential_maps(model, rots):
     """A(t) = d_e_pi ∘ coeffs_p ∘ R(t) on ambient tangent vectors, (n_nodes, k, N)."""
-    return np.einsum("ai,kij->kaj", model.d_e_pi @ model.cf0, rots)
+    return (model.d_e_pi @ model.cf0) @ rots
 
 
 def isometry_chain_A(model, lift):
@@ -637,10 +647,10 @@ def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
             f"normal frames are not isometric (Gram mismatch {worst:.3e}); "
             "cannot extend the tangential action"
         )
-    moved_tan = np.einsum("kij,kja->kia", np.asarray(tangential_ops, dtype=float), tangent_frames)
+    moved_tan = np.asarray(tangential_ops, dtype=float) @ tangent_frames
     src = np.concatenate([tangent_frames, normal_frames], axis=2)
     dst = np.concatenate([moved_tan, normal_frames_dev], axis=2)
-    return np.einsum("kij,kjl->kil", dst, np.linalg.inv(src))
+    return dst @ np.linalg.inv(src)
 
 
 def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):

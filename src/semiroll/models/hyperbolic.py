@@ -345,7 +345,7 @@ def kinematic_roll(model, control, grid, ubar_of):
     grid = control.grid
     form = model.form
 
-    ubars = ubar_of(control.at(grid.stage_ts))
+    ubars = ubar_of(control.stage_coords())
     qbar = flow_matrix_ode(ubars, np.eye(form.dim), grid, side="right", reproject_form=form)
     rots = j_transpose_inverse(qbar, form)
     obar = model.obar

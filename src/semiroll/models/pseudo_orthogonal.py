@@ -228,7 +228,7 @@ def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):
             f"control must have {skew.shape[0]} components for so({p},{q})"
         )
 
-    U = np.tensordot(control.at(grid.stage_ts), skew, axes=(-1, 0))
+    U = np.tensordot(control.stage_coords(), skew, axes=(-1, 0))
     Q1 = flow_matrix_ode(U, np.eye(n), grid, side="right", reproject_form=form_n)
     Q2 = flow_matrix_ode(-(P0inv @ U @ P0), np.eye(n), grid, side="right",
                          reproject_form=form_n)

@@ -167,7 +167,7 @@ def _correction_path(model, lift):
     control = lift.control
     if control is None:
         raise ValueError("lift carries no control curve")
-    omegas = stiefel_omega(n, k, model.p_element(control.at(grid.stage_ts)))
+    omegas = stiefel_omega(n, k, model.p_element(control.stage_coords()))
     form = SignatureForm(np.ones(n * k))
     return flow_matrix_ode(omegas, np.eye(n * k), grid, side="left",
                            reproject_form=form)

@@ -1,11 +1,16 @@
 """End-to-end CLI behaviour: exit codes, file formats, bundled configs."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiroll
 from semiroll.cli import main
 from semiroll.homogeneous import ControlCurve, extrinsic_roll
 from semiroll.integrate import TimeGrid
@@ -321,3 +326,65 @@ def test_trajectory_without_a_mode_is_extrinsic(tmp_path, capsys):
     assert "mode=" not in out.read_text()
     assert main(["verify", "--in", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+def test_csv_with_swapped_columns_is_refused_by_name(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
+    lines = out.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = lines[first].split(",")
+    a, b = header.index("alpha_0"), header.index("alphahat_0")
+    for i in range(first, len(lines)):
+        row = lines[i].split(",")
+        row[a], row[b] = row[b], row[a]
+        lines[i] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"column {a + 1} is labelled 'alphahat_0'" in captured.err
+    assert "'alpha_0'" in captured.err
+    assert "PASS" not in captured.out and "BREACH" not in captured.out
+
+
+def _command(*argv):
+    src = str(Path(semiroll.__file__).resolve().parents[1])
+    return dict(args=[sys.executable, "-m", "semiroll.cli", *argv], stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src})
+
+
+def test_roll_into_a_pipe_closed_early_exits_one_without_a_traceback(tmp_path):
+    # 2000 steps write about 0.5 MB, far more than a pipe buffers, so the
+    # command is still writing when the reader goes away after one line
+    cfg = json.loads((CONFIG_DIR / "sphere_quarter_equator.json").read_text())
+    cfg["grid"]["n_steps"] = 2000
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with subprocess.Popen(**_command("roll", "--config", str(path)), stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"# format_version=")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_verify_into_a_closed_pipe_exits_one_without_a_traceback(unbuffered, tmp_path):
+    # the pipe's read end is closed before the command starts, so its first
+    # write (or, with buffered stdout, its final flush) fails
+    out = tmp_path / "traj.csv"
+    main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    command = _command("verify", "--in", str(out))
+    command["env"]["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(**command, stdout=write_end, timeout=300)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error:")

@@ -15,9 +15,16 @@ sample-driven lift that fitted each stage velocity by ``lstsq``, are kept
 here as references.  The stage times differ from ``t_k + h/2`` and
 ``t_k + h`` in the last bit, so control-driven paths agree to rounding
 (1e-13).  A linear flow now takes all its RK4 step factors at once and
-their running product, with one Newton step on every node; at 2000 steps
+their running product, with one polishing step on every node; at 2000 steps
 the per-step loop never polishes and the two agree to rounding, at 250
 steps it polishes drifted states and they differ by about 4e-13.  The
+running product is a blocked scan and the node step the inverse-free
+Newton-Schulz step; the per-node product loop and the Newton node step
+``(X + J X^{-*} J)/2`` they replaced are kept here as the reference, which
+every model's lift generators match on both sides within 1e-13, with
+padded and square block layouts.  A control's node stage samples are its
+``coords``; for the package's interpolant they equal its readings at the
+stage times bit for bit.  The
 sample-driven lift of the sphere and the hyperboloid now integrates the
 linear flow of the curve's transvections (on the other models it takes
 p-coefficients from the J-orthogonal extractor ``cf0 rho(q)^{-1} v``,
@@ -88,6 +95,7 @@ from semiroll.homogeneous import (
 )
 from semiroll.integrate import (
     TimeGrid,
+    _step_factors,
     dense_from_samples,
     derivative_interpolant,
     fd_derivative,
@@ -553,6 +561,64 @@ def test_flows_match_callable_rk4_at_2000_steps(caller):
         assert _peak(new, reference) <= 1e-13
 
 
+def _newton_step_reference(X, form):
+    """The Newton step (X + J X^{-*} J)/2 the flow gave every node."""
+    Y = np.linalg.inv(np.swapaxes(X.conj(), -1, -2))
+    return 0.5 * (X + form.signs[:, None] * Y * form.signs)
+
+
+def _flow_loop_reference(generators, X0, grid, side, form):
+    """The flow with its running product as a per-node loop and the Newton node step."""
+    dtype = np.result_type(generators.dtype, X0.dtype, float)
+    factors = _step_factors(generators.astype(dtype), grid.h, side)
+    if form is not None:
+        factors = reproject(factors, form)
+    out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
+    out[0] = X0
+    for k in range(grid.n_steps):
+        if side == "left":
+            np.matmul(factors[k], out[k], out=out[k + 1])
+        else:
+            np.matmul(out[k], factors[k], out=out[k + 1])
+    if form is not None:
+        out[1:] = _newton_step_reference(out[1:], form)
+    return out
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 16, 17, 2000])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_blocked_flow_matches_the_per_node_loop(name, side, n_steps):
+    # 3, 17 and 2000 steps pad the last block with identities; 1, 2 and 16 fill
+    # their blocks exactly, 16 as four blocks of four
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    generators = model.p_element(_sinusoid(grid, model.p_dim, 1).stage_coords())
+    q0 = model.random_group_element(np.random.default_rng(n_steps))
+    for form in (None, model.group_form):
+        new = flow_matrix_ode(generators, q0, grid, side, form)
+        assert _peak(new, _flow_loop_reference(generators, q0, grid, side, form)) <= 1e-13
+
+
+@pytest.mark.parametrize("t0, t1, n_steps", [(0.0, 1.0, 1), (0.0, 1.0, 2), (-0.3, 1.7, 17),
+                                             (0.0, 1.0, 250), (0.0, 2 * np.pi, 2000)])
+def test_interpolant_stage_coords_equal_the_stage_samples(t0, t1, n_steps):
+    grid = TimeGrid(t0, t1, n_steps)
+    coords = np.random.default_rng(n_steps).standard_normal((grid.n_nodes, 3))
+    ctrl = ControlCurve(grid=grid, coords=coords)
+    assert np.array_equal(ctrl.stage_coords(), ctrl.at(grid.stage_ts))
+
+
+def test_bundled_control_stage_coords_equal_the_stage_samples():
+    for config in BUNDLED_CONFIGS:
+        cfg = json.loads((CONFIG_DIR / config).read_text())
+        if "control" not in cfg:
+            continue
+        grid = cli._build_grid(cfg)
+        ctrl = cli._build_control(cfg["control"], grid, get_model(cfg["model"]).p_dim)
+        assert np.array_equal(ctrl.stage_coords(), ctrl.at(grid.stage_ts)), config
+
+
 def test_normal_perturbation_matches_callable_rk4():
     model = get_model("stiefel_4_2")
     raw = np.random.default_rng(6).standard_normal((3, 3))
@@ -813,8 +879,8 @@ def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
 
     ctrl.func = counted
     extrinsic_roll(model, ctrl)
-    # the lift and the correction flow each read the 2n + 1 stage times
-    assert calls[0] <= 2 * (2 * grid.n_steps + 1)
+    # the lift and the correction flow each read the n step midpoints
+    assert calls[0] <= 2 * grid.n_steps
 
 
 # -- one rolling assembly against the per-kind builders it replaced ---------
@@ -921,8 +987,8 @@ def test_symmetric_intrinsic_roll_reads_the_control_once_per_stage(name):
 
     ctrl.func = counted
     intrinsic_roll(model, ctrl)
-    # the lift reads the 2n + 1 stage times; the development reads none
-    assert calls[0] == 2 * grid.n_steps + 1
+    # the lift reads the n step midpoints; the development reads none
+    assert calls[0] == grid.n_steps
 
 
 
