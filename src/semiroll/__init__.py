@@ -41,7 +41,6 @@ from .homogeneous import (
     horizontal_lift,
     horizontality_residual,
     intrinsic_roll,
-    isometry_chain_A,
     model_residual_report,
     normal_extension_by_frames,
     transport_homogeneous,
@@ -80,7 +79,6 @@ __all__ = [
     "horizontal_lift",
     "horizontality_residual",
     "transport_homogeneous",
-    "isometry_chain_A",
     "intrinsic_roll",
     "extrinsic_develop",
     "extrinsic_roll",

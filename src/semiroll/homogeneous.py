@@ -47,7 +47,6 @@ __all__ = [
     "horizontal_lift",
     "horizontality_residual",
     "transport_homogeneous",
-    "isometry_chain_A",
     "intrinsic_roll",
     "extrinsic_develop",
     "extrinsic_roll",
@@ -530,7 +529,7 @@ def horizontality_residual(model, path):
     return np.maximum(h_part, resid)
 
 
-# -- transport and tangential maps -----------------------------------------
+# -- transport --------------------------------------------------------------
 
 
 def transport_homogeneous(model, lift, y0):
@@ -544,20 +543,6 @@ def transport_homogeneous(model, lift, y0):
     v0 = np.asarray(model.d_e_rho(W), dtype=float) @ model.obar
     rhos = model.rho_path(lift.samples)
     return np.einsum("kij,j->ki", rhos, v0)
-
-
-def _tangential_maps(model, rots):
-    """A(t) = d_e_pi ∘ coeffs_p ∘ R(t) on ambient tangent vectors, (n_nodes, k, N)."""
-    return (model.d_e_pi @ model.cf0) @ rots
-
-
-def isometry_chain_A(model, lift):
-    """Per-node tangential maps A(t) of a symmetric model from the submersion chain.
-
-    ``A(t) = d_e_pi ∘ coeffs_p ∘ rho(q(t))^{-1}`` acting on ambient tangent
-    vectors at alpha(t), returned as (n_nodes, k, N) matrices.
-    """
-    return _tangential_maps(model, j_transpose_inverse(model.rho_path(lift.samples), model.form))
 
 
 # -- rolling ----------------------------------------------------------------
@@ -619,7 +604,7 @@ def intrinsic_roll(model, data, q0=None):
         grid=path.grid,
         alpha=path.alpha,
         alpha_hat=np.einsum("ai,ki->ka", head, path.alpha_hat - model.obar),
-        maps=_tangential_maps(model, path.R),
+        maps=head @ path.R,
         tangent_frames=model.frames_along(rhos),
         form=model.form,
         target_gram=model.target_gram,
@@ -639,8 +624,8 @@ def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
     normal_frames = np.asarray(normal_frames, dtype=float)
     normal_frames_dev = np.asarray(normal_frames_dev, dtype=float)
     signs = form.signs
-    g_a = np.einsum("kia,i,kib->kab", normal_frames, signs, normal_frames)
-    g_b = np.einsum("kia,i,kib->kab", normal_frames_dev, signs, normal_frames_dev)
+    g_a = np.swapaxes(normal_frames, 1, 2) @ (signs[:, None] * normal_frames)
+    g_b = np.swapaxes(normal_frames_dev, 1, 2) @ (signs[:, None] * normal_frames_dev)
     worst = float(np.max(np.abs(g_a - g_b)))
     if worst > NORMAL_GRAM_TOL:
         raise ValueError(

@@ -50,6 +50,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError(f"grid ends must be finite, got t0={self.t0}, t1={self.t1}")
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
         if not isinstance(self.n_steps, numbers.Integral):

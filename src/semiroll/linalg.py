@@ -88,9 +88,6 @@ class SignatureForm:
             )
         return np.sum(x * self.signs * y, axis=-1)
 
-    def norm_squared(self, x):
-        return self.ip(x, x)
-
     def __eq__(self, other):
         if not isinstance(other, SignatureForm):
             return NotImplemented

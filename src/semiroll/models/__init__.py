@@ -23,9 +23,9 @@ import numpy as np
 from ..homogeneous import CartanModel
 from ..linalg import SignatureForm
 from . import hyperbolic, pseudo_orthogonal, sphere, stiefel
-from .hyperbolic import hyperbolic_lift, make_hyperbolic_model, roll_hyperboloid
+from .hyperbolic import make_hyperbolic_model, roll_hyperboloid
 from .pseudo_orthogonal import make_pseudo_orthogonal_model, roll_pseudo_orthogonal
-from .sphere import make_sphere_model, roll_sphere, sphere_lift
+from .sphere import make_sphere_model, roll_sphere
 from .stiefel import make_stiefel_model, roll_stiefel
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "roll_sphere",
     "roll_pseudo_orthogonal",
     "roll_stiefel",
-    "hyperbolic_lift",
-    "sphere_lift",
 ]
 
 EMBEDDING_BUNDLES = {

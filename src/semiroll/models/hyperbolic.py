@@ -20,33 +20,22 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..homogeneous import ControlCurve, GroupPath, horizontality_residual
-from ..integrate import (
-    dense_from_samples,
-    fd_derivative,
-    flow_matrix_ode,
-    integrate_vector,
-)
+from ..homogeneous import ControlCurve
+from ..integrate import flow_matrix_ode, integrate_vector
 from ..linalg import j_transpose_inverse, stacked_null_spaces
 from ..rolling import RollingMapPath
 
 __all__ = [
-    "MoebiusElement",
     "SU11_BASIS",
     "su11_coords",
-    "moebius_adjoint",
     "embed_hyperbolic",
     "ubar_matrix",
     "quadric_transvection",
     "description",
     "bundle",
     "make_hyperbolic_model",
-    "moebius_lift",
-    "hyperbolic_lift",
     "kinematic_roll",
     "roll_hyperboloid",
 ]
@@ -59,44 +48,6 @@ SU11_BASIS = 0.5 * np.array(
     ]
 )
 
-HORIZONTALITY_TOL = 1e-5
-
-
-@dataclass
-class MoebiusElement:
-    """Group element of SU(1,1) (branch "su11") or SU(2) (branch "su2")."""
-
-    a: complex
-    b: complex
-    branch: str = "su11"
-
-    def __post_init__(self):
-        if self.branch not in ("su11", "su2"):
-            raise ValueError("branch must be 'su11' or 'su2'")
-        det = abs(self.a) ** 2 - abs(self.b) ** 2 if self.branch == "su11" \
-            else abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(det - 1.0) > 1e-10:
-            raise ValueError(f"(a, b) does not satisfy the {self.branch} determinant condition")
-
-    @property
-    def matrix(self):
-        if self.branch == "su11":
-            return np.array([[self.a, self.b], [np.conj(self.b), np.conj(self.a)]])
-        return np.array([[self.a, self.b], [-np.conj(self.b), np.conj(self.a)]])
-
-    @classmethod
-    def from_matrix(cls, M, branch="su11", tol=1e-10):
-        M = np.asarray(M)
-        a, b = complex(M[0, 0]), complex(M[0, 1])
-        expect = cls(a, b, branch).matrix
-        if np.max(np.abs(expect - M)) > tol:
-            raise ValueError(f"matrix does not have the {branch} structure")
-        return cls(a, b, branch)
-
-    def act(self, z):
-        M = self.matrix
-        return (M[0, 0] * z + M[0, 1]) / (M[1, 0] * z + M[1, 1])
-
 
 def su11_coords(X):
     """Coordinates (v, u1, u2) of su(1,1) matrices (..., 2, 2), as (..., 3).
@@ -107,24 +58,6 @@ def su11_coords(X):
     X = np.asarray(X)
     return np.stack([2.0 * X[..., 0, 0].imag, 2.0 * X[..., 0, 1].real, 2.0 * X[..., 0, 1].imag],
                     axis=-1)
-
-
-def moebius_adjoint(a, b):
-    """Adjoint matrix of [[a, b], [conj b, conj a]] in (v, u1, u2) coordinates."""
-    a = complex(a)
-    b = complex(b)
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    ab = a * b
-    abc = a * np.conj(b)
-    a2 = a * a
-    b2 = b * b
-    return np.array(
-        [
-            [aa + bb, 2.0 * np.imag(np.conj(a) * b), -2.0 * np.real(abc)],
-            [2.0 * np.imag(ab), np.real(a2 - b2), -np.imag(a2 + b2)],
-            [-2.0 * np.real(ab), np.imag(a2 - b2), np.real(a2 + b2)],
-        ]
-    )
 
 
 def embed_hyperbolic(z):
@@ -249,79 +182,6 @@ def make_hyperbolic_model():
     from . import get_model
 
     return get_model("hyperboloid")
-
-
-# model whose horizontality the explicit lift of each branch is checked against
-_BRANCH_MODELS = {"su11": "hyperboloid", "su2": "sphere"}
-
-
-def moebius_lift(z_samples, grid, branch, theta0=0.0):
-    """Horizontal lift g(t) = h(z(t)) exp(theta(t) A1) through explicit formulas.
-
-    ``branch`` is a MoebiusElement branch: "su11" lifts a curve in the
-    Poincare disc into SU(1,1), "su2" a curve in the Riemann sphere chart
-    into SU(2).  The two differ only in the sign sigma of |z|^2 in
-    1 + sigma |z|^2 (sigma = -1 on the disc), in the sign of g[1, 0] and
-    in the disc check.  theta solves a scalar quadrature whose sign depends
-    on orientation conventions, so both signs are integrated and the one
-    with the smaller horizontality residual wins; the loser must be worse
-    at every node or the input is rejected as ambiguous.  Serves as an
-    independent cross-check of the generic frame-based lift.
-    """
-    if branch not in _BRANCH_MODELS:
-        raise ValueError("branch must be 'su11' or 'su2'")
-    z = np.asarray(z_samples, dtype=complex)
-    if z.shape != (grid.n_nodes,):
-        raise ValueError("z samples must match the grid nodes")
-    disc = branch == "su11"
-    if disc and np.any(np.abs(z) >= 1.0):
-        raise ValueError("disc points must satisfy |z| < 1")
-    from . import get_model
-
-    model = get_model(_BRANCH_MODELS[branch])
-    sigma = -1.0 if disc else 1.0
-
-    x = z.real
-    y = z.imag
-    xdot = fd_derivative(x, grid.h)
-    ydot = fd_derivative(y, grid.h)
-    den = 1.0 + sigma * np.abs(z) ** 2
-    rate = 2.0 * (x * ydot - xdot * y) / den
-    theta_int = integrate_vector(dense_from_samples(grid.ts, rate)(grid.stage_ts), grid)
-
-    factor = 1.0 / np.sqrt(den)
-
-    def assemble(theta):
-        a = factor * np.exp(0.5j * theta)
-        b = factor * z * np.exp(-0.5j * theta)
-        g = np.empty((grid.n_nodes, 2, 2), dtype=complex)
-        g[:, 0, 0] = a
-        g[:, 0, 1] = b
-        g[:, 1, 0] = np.conj(b) if disc else -np.conj(b)
-        g[:, 1, 1] = np.conj(a)
-        return GroupPath(grid=grid, samples=g)
-
-    candidates = {}
-    residuals = {}
-    for sign in (+1.0, -1.0):
-        candidates[sign] = assemble(theta0 + sign * theta_int)
-        residuals[sign] = horizontality_residual(model, candidates[sign])
-    totals = {sign: float(np.max(res)) for sign, res in residuals.items()}
-    winner = min(totals, key=totals.get)
-    loser = -winner
-    if not np.all(residuals[winner] <= residuals[loser] + 1e-9):
-        raise ValueError("theta sign is ambiguous along the curve")
-    speed = float(np.max(np.abs(rate))) + float(np.max(np.abs(xdot))) + float(np.max(np.abs(ydot)))
-    if totals[winner] > HORIZONTALITY_TOL * max(1.0, speed):
-        raise ValueError(
-            f"no horizontal lift found (best residual {totals[winner]:.3e})"
-        )
-    return candidates[winner]
-
-
-def hyperbolic_lift(z_samples, grid, theta0=0.0):
-    """Explicit horizontal lift of a disc curve into SU(1,1); see moebius_lift."""
-    return moebius_lift(z_samples, grid, "su11", theta0)
 
 
 def kinematic_roll(model, control, grid, ubar_of):

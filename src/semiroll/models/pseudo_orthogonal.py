@@ -27,7 +27,6 @@ from ..rolling import RollingMapPath
 
 __all__ = [
     "so_pq_basis",
-    "j_symmetric_basis",
     "description",
     "bundle",
     "make_pseudo_orthogonal_model",
@@ -48,23 +47,6 @@ def so_pq_basis(p, q):
             B[i, j] = 1.0
             B[j, i] = 1.0 if (i < p) != (j < p) else -1.0
             out.append(B)
-    return np.array(out)
-
-
-def j_symmetric_basis(p, q):
-    """Basis of the J-symmetric complement {C : J C^T J = C} in gl(n)."""
-    n = p + q
-    out = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        out.append(E)
-    for i in range(n):
-        for j in range(i + 1, n):
-            C = np.zeros((n, n))
-            C[i, j] = 1.0
-            C[j, i] = -1.0 if (i < p) != (j < p) else 1.0
-            out.append(C)
     return np.array(out)
 
 

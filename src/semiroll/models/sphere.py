@@ -23,14 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..linalg import stacked_null_spaces
-from .hyperbolic import (
-    MoebiusElement,
-    _action,
-    _adjoint,
-    kinematic_roll,
-    moebius_lift,
-    quadric_transvection,
-)
+from .hyperbolic import _action, _adjoint, kinematic_roll, quadric_transvection
 from .hyperbolic import su11_coords as su2_coords
 
 __all__ = [
@@ -42,7 +35,6 @@ __all__ = [
     "description",
     "bundle",
     "make_sphere_model",
-    "sphere_lift",
     "roll_sphere",
 ]
 
@@ -146,12 +138,7 @@ def make_sphere_model():
 def chart_lift_matrix(z):
     """The standard section h(z) of SU(2) over the chart, h(z).0 = z."""
     f = 1.0 / np.sqrt(1.0 + abs(z) ** 2)
-    return MoebiusElement(a=f, b=f * z, branch="su2").matrix
-
-
-def sphere_lift(z_samples, grid, theta0=0.0):
-    """Explicit horizontal lift of a chart curve into SU(2); see moebius_lift."""
-    return moebius_lift(z_samples, grid, "su2", theta0)
+    return np.array([[f, f * z], [-np.conj(f * z), np.conj(f)]])
 
 
 def roll_sphere(control, grid=None):

@@ -24,18 +24,13 @@ through a frame A with velocity V depends on (A, V) alone: the bundle's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from ..homogeneous import EmbeddedCurve, extrinsic_roll
 from ..integrate import flow_matrix_ode
-from ..linalg import SignatureForm, stacked_kron, stacked_null_spaces, stacked_vec
+from ..linalg import stacked_kron, stacked_null_spaces, stacked_vec
 
 __all__ = [
-    "StiefelSubspaces",
-    "stiefel_subspaces",
     "stiefel_omega",
     "description",
     "bundle",
@@ -46,73 +41,23 @@ __all__ = [
 PBLOCK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class StiefelSubspaces:
-    """Orthonormal bases and projectors of the splitting at the base frame."""
-
-    tangent: np.ndarray
-    normal: np.ndarray
-    proj_tangent: np.ndarray
-    proj_normal: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def stiefel_subspaces(n, k):
-    n = int(n)
-    k = int(k)
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    tangent = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            W = np.zeros((n, k))
-            W[i, j] = 1.0 / np.sqrt(2.0)
-            W[j, i] = -1.0 / np.sqrt(2.0)
-            tangent.append(stacked_vec(W))
-    for r in range(n - k):
-        for c in range(k):
-            W = np.zeros((n, k))
-            W[k + r, c] = 1.0
-            tangent.append(stacked_vec(W))
-    tangent = np.column_stack(tangent)
-
-    normal = []
-    for i in range(k):
-        W = np.zeros((n, k))
-        W[i, i] = 1.0
-        normal.append(stacked_vec(W))
-    for i in range(k):
-        for j in range(i + 1, k):
-            W = np.zeros((n, k))
-            W[i, j] = 1.0 / np.sqrt(2.0)
-            W[j, i] = 1.0 / np.sqrt(2.0)
-            normal.append(stacked_vec(W))
-    normal = np.column_stack(normal)
-
-    return StiefelSubspaces(
-        tangent=tangent,
-        normal=normal,
-        proj_tangent=tangent @ tangent.T,
-        proj_normal=normal @ normal.T,
-    )
-
-
-def stiefel_omega(n, k, qdot):
+def stiefel_omega(model, qdot):
     """Correction generators for horizontal group velocities qdot in p.
 
     ``qdot`` is (..., n, n) and the result (..., n k, n k); each velocity is
-    checked against its own scale.
+    checked against its own scale.  Pi is the model's orthogonal projector
+    ``frame0 cf0`` onto the base tangent space.
     """
+    k = int(model.params["k"])
     U = np.asarray(qdot, dtype=float)
     tol = PBLOCK_TOL * np.maximum(1.0, np.max(np.abs(U), axis=(-2, -1)))
     if np.any(np.max(np.abs(U + np.swapaxes(U, -1, -2)), axis=(-2, -1)) > tol):
         raise ValueError("group velocity must be skew-symmetric")
     if np.any(np.max(np.abs(U[..., k:, k:]), axis=(-2, -1)) > tol):
         raise ValueError("group velocity must lie in the horizontal subalgebra")
-    sub = stiefel_subspaces(n, k)
     M = stacked_kron(np.eye(k), U)
-    Pt = sub.proj_tangent
-    Pn = sub.proj_normal
+    Pt = model.frame0 @ model.cf0
+    Pn = np.eye(Pt.shape[0]) - Pt
     return -(Pt @ M @ Pt + Pn @ M @ Pn)
 
 
@@ -161,16 +106,12 @@ def description(n, k):
 
 def _correction_path(model, lift):
     """Interpolating-frame correction S(t) along a horizontal lift."""
-    n = int(model.params["n"])
-    k = int(model.params["k"])
-    grid = lift.grid
     control = lift.control
     if control is None:
         raise ValueError("lift carries no control curve")
-    omegas = stiefel_omega(n, k, model.p_element(control.stage_coords()))
-    form = SignatureForm(np.ones(n * k))
-    return flow_matrix_ode(omegas, np.eye(n * k), grid, side="left",
-                           reproject_form=form)
+    omegas = stiefel_omega(model, model.p_element(control.stage_coords()))
+    return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
+                           reproject_form=model.form)
 
 
 def bundle(desc):

@@ -112,16 +112,22 @@ class RollingTriple:
 
     def __post_init__(self):
         m = self.grid.n_nodes
+        n = self.form.dim
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
         self.maps = np.asarray(self.maps, dtype=float)
         self.tangent_frames = np.asarray(self.tangent_frames, dtype=float)
         self.target_gram = np.asarray(self.target_gram, dtype=float)
-        if self.alpha.shape[0] != m or self.alpha_hat.shape[0] != m or self.maps.shape[0] != m:
-            raise ValueError("node counts of triple arrays must match the grid")
+        if self.maps.ndim != 3:
+            raise ValueError(f"maps must have shape (n_nodes, k, N), got {self.maps.shape}")
         k = self.maps.shape[1]
-        if self.alpha_hat.shape[1] != k or self.target_gram.shape != (k, k):
-            raise ValueError("development / Gram dimensions do not match the maps")
+        expected = {"alpha": (m, n), "alpha_hat": (m, k), "maps": (m, k, n), "target_gram": (k, k)}
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+        if self.tangent_frames.ndim != 3 or self.tangent_frames.shape[:2] != (m, n):
+            raise ValueError(f"tangent_frames must have shape ({m}, {n}, r), "
+                             f"got {self.tangent_frames.shape}")
 
 
 @dataclass
@@ -538,7 +544,7 @@ def triple_gram_residual(triple):
 
 def triple_orientation_flips(triple):
     """Number of sign changes of det(A(t) F(t)) along the path (0 = oriented)."""
-    dets = np.linalg.det(np.einsum("kai,kib->kab", triple.maps, triple.tangent_frames))
+    dets = np.linalg.det(triple.maps @ triple.tangent_frames)
     if np.any(dets == 0.0):
         raise ValueError("tangential map is singular at some node")
     return int(np.sum(np.sign(dets[1:]) != np.sign(dets[:-1])))

@@ -250,6 +250,25 @@ def test_roll_refuses_a_non_integer_step_count(n_steps, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad grid")
 
 
+@pytest.mark.parametrize("end, value", [("t1", np.inf), ("t0", -np.inf), ("t1", np.nan)])
+def test_roll_refuses_a_non_finite_grid_end(end, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "grid": {**_SMALL_ROLL["grid"], end: value}}))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad grid: grid ends must be finite")
+
+
+def test_verify_refuses_a_non_finite_grid_end(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.json"
+    cfg.write_text(json.dumps(_SMALL_ROLL))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    out.write_text(out.read_text().replace('"t1": 1.0', '"t1": Infinity'))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    assert "bad grid: grid ends must be finite" in capsys.readouterr().err
+
+
 def _sampled_curve_config(name, mode, drift=0.0):
     """A 400-step ``curve`` config holding the points of a library roll."""
     model = get_model(name)
@@ -346,6 +365,19 @@ def test_csv_with_swapped_columns_is_refused_by_name(tmp_path, capsys):
     assert f"column {a + 1} is labelled 'alphahat_0'" in captured.err
     assert "'alpha_0'" in captured.err
     assert "PASS" not in captured.out and "BREACH" not in captured.out
+
+
+def test_json_triple_with_short_map_rows_is_refused(tmp_path, capsys):
+    out = tmp_path / "traj.json"
+    main(["roll", "--config", _cfg("stiefel_4_2_intrinsic.json"), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["A"] = [[row[:-1] for row in node] for node in doc["A"]]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot rebuild rolling triple: maps must have shape")
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
 
 
 def _command(*argv):

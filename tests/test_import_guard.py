@@ -4,12 +4,19 @@ scipy serves ``CartanModel.validate`` (and so ``load_model_file``), the
 ``random_*`` helpers and the tests; a fresh interpreter that imports the
 package, builds every named model and rolls and verifies every bundled
 config, as CSV and as JSON, must not import it.
+
+Every name in the ``__all__`` of every ``semiroll`` module resolves, so a
+deletion leaves no stale export behind.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import semiroll
 
@@ -59,3 +66,12 @@ model = load_model_file(resources.files("semiroll") / "models" / "data" / "spher
 print(model.name, "scipy.linalg" in sys.modules)
 """
     assert _run(code) == ["sphere", "True"]
+
+
+MODULES = ["semiroll"] + sorted(m.name for m in pkgutil.walk_packages(semiroll.__path__, "semiroll."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    assert [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)] == []

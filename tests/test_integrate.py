@@ -33,6 +33,12 @@ def test_time_grid_rejects_bad_interval():
         TimeGrid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_time_grid_rejects_non_finite_ends(t0, t1):
+    with pytest.raises(ValueError, match="grid ends must be finite"):
+        TimeGrid(t0, t1, 10)
+
+
 def test_constant_generator_flow_matches_exponential():
     rng = np.random.default_rng(0)
     U = rng.standard_normal((4, 4))

@@ -1,49 +1,30 @@
-"""Hyperboloid model: chart algebra, embedding, lifts, and the direct roll."""
+"""Hyperboloid model: chart algebra, embedding, and the direct roll."""
 
 import numpy as np
 import pytest
 
-from semiroll.homogeneous import ControlCurve, TimeGrid, horizontal_lift, horizontality_residual
+from semiroll.homogeneous import ControlCurve, TimeGrid
 from semiroll.models import get_model
 from semiroll.models.hyperbolic import (
     SU11_BASIS,
-    MoebiusElement,
     embed_hyperbolic,
-    hyperbolic_lift,
-    moebius_adjoint,
     roll_hyperboloid,
     su11_coords,
     ubar_matrix,
 )
 
 
-def test_moebius_element_membership():
-    g = MoebiusElement(np.cosh(0.3) * np.exp(0.2j), np.sinh(0.3) * np.exp(-0.5j))
-    M = g.matrix
-    assert abs(np.linalg.det(M) - 1.0) <= 1e-12
-    back = MoebiusElement.from_matrix(M)
-    assert abs(back.a - g.a) + abs(back.b - g.b) <= 1e-12
-    with pytest.raises(ValueError):
-        MoebiusElement(1.5, 0.0)
-
-
 def test_moebius_action_stays_in_disc():
-    g = MoebiusElement(np.cosh(1.1), np.sinh(1.1) * 1j)
+    a, b = np.cosh(1.1), np.sinh(1.1) * 1j
+    g = np.array([[a, b], [np.conj(b), np.conj(a)]])
     for z in (0.0, 0.3 + 0.4j, -0.85j):
-        assert abs(g.act(z)) < 1.0
+        assert abs(get_model("hyperboloid").action(g, z)) < 1.0
 
 
 def test_algebra_coordinates_invert_the_basis():
     coords = np.array([0.7, -0.3, 0.2])
     X = sum(c * A for c, A in zip(coords, SU11_BASIS))
     assert np.max(np.abs(su11_coords(X) - coords)) <= 1e-14
-
-
-def test_adjoint_closed_form_matches_conjugation():
-    g = MoebiusElement(np.cosh(0.4) * np.exp(0.7j), np.sinh(0.4) * np.exp(0.1j))
-    M = g.matrix
-    numeric = np.column_stack([su11_coords(M @ A @ np.linalg.inv(M)) for A in SU11_BASIS])
-    assert np.max(np.abs(moebius_adjoint(g.a, g.b) - numeric)) <= 1e-12
 
 
 def test_embedding_hits_the_hyperboloid():
@@ -56,32 +37,14 @@ def test_embedding_hits_the_hyperboloid():
         x = embed_hyperbolic(z)
         assert abs(x @ J @ x + 1.0) <= 1e-12  # -x0^2 + x1^2 + x2^2 = -1
         assert x[0] >= 1.0  # upper sheet
+    with pytest.raises(ValueError, match="disc"):
+        embed_hyperbolic(np.linspace(0.0, 1.2, 11))
 
 
 def test_ubar_matrix_is_form_skew():
     J = np.diag([-1.0, 1.0, 1.0])
     U = ubar_matrix(np.array([0.4, -0.9]))
     assert np.max(np.abs(J @ U + U.T @ J)) <= 1e-15
-
-
-def test_explicit_lift_agrees_with_generic_lift():
-    model = get_model("hyperboloid")
-    grid = TimeGrid(0.0, 1.2, 400)
-    z = 0.4 * np.tanh(grid.ts) * np.exp(0.8j * grid.ts)
-    explicit = hyperbolic_lift(z, grid)
-    assert np.max(horizontality_residual(model, explicit)) <= 1e-6
-    points = np.array([embed_hyperbolic(w) for w in z])
-    from semiroll.homogeneous import EmbeddedCurve
-
-    generic = horizontal_lift(model, EmbeddedCurve(grid, points))
-    assert np.max(np.abs(explicit.samples - generic.samples)) <= 1e-6
-
-
-def test_lift_rejects_points_outside_disc():
-    grid = TimeGrid(0.0, 1.0, 10)
-    z = np.linspace(0.0, 1.2, grid.n_nodes).astype(complex)
-    with pytest.raises(ValueError, match="disc"):
-        hyperbolic_lift(z, grid)
 
 
 def test_unit_control_rolls_along_the_main_geodesic():

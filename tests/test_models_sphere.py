@@ -1,16 +1,9 @@
-"""Sphere model: chart, conjugator, lifts, and the direct kinematic roll."""
+"""Sphere model: chart, conjugator, chart section, and the direct kinematic roll."""
 
 import numpy as np
 import pytest
 
-from semiroll.homogeneous import (
-    ControlCurve,
-    EmbeddedCurve,
-    TimeGrid,
-    horizontal_lift,
-    horizontality_residual,
-    model_residual_report,
-)
+from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
 from semiroll.models import get_model
 from semiroll.models.sphere import (
     CHART_CONJUGATOR,
@@ -19,7 +12,6 @@ from semiroll.models.sphere import (
     embed_sphere,
     hat,
     roll_sphere,
-    sphere_lift,
     su2_coords,
 )
 
@@ -59,17 +51,6 @@ def test_chart_lift_matrix_is_special_unitary():
     h = chart_lift_matrix(z)
     assert np.max(np.abs(h @ h.conj().T - np.eye(2))) <= 1e-12
     assert abs(np.linalg.det(h) - 1.0) <= 1e-12
-
-
-def test_explicit_lift_agrees_with_generic_lift():
-    model = get_model("sphere")
-    grid = TimeGrid(0.0, 1.2, 400)
-    z = (0.5 * grid.ts) * np.exp(1.3j * grid.ts)
-    explicit = sphere_lift(z, grid)
-    assert np.max(horizontality_residual(model, explicit)) <= 1e-6
-    points = np.array([embed_sphere(w) for w in z])
-    generic = horizontal_lift(model, EmbeddedCurve(grid, points))
-    assert np.max(np.abs(explicit.samples - generic.samples)) <= 1e-6
 
 
 def test_unit_control_rolls_along_a_great_circle():

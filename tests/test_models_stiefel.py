@@ -1,4 +1,4 @@
-"""Stiefel manifolds: subspace geometry, the no-twist correction, rolling."""
+"""Stiefel manifolds: the model's base splitting, the no-twist correction, rolling."""
 
 import json
 from importlib import resources
@@ -12,53 +12,61 @@ from semiroll.models.stiefel import (
     make_stiefel_model,
     roll_stiefel,
     stiefel_omega,
-    stiefel_subspaces,
 )
 
 
+def _projectors(model):
+    """The model's orthogonal projectors onto the base tangent and normal spaces."""
+    Pt = model.frame0 @ model.cf0
+    return Pt, np.eye(model.ambient_dim) - Pt
+
+
 def test_subspaces_are_orthonormal_and_complementary():
-    sub = stiefel_subspaces(4, 2)
-    T, N = sub.tangent, sub.normal
-    assert T.shape == (8, 5) and N.shape == (8, 3)
-    assert np.max(np.abs(T.T @ T - np.eye(5))) <= 1e-14
+    model = make_stiefel_model(4, 2)
+    Pt, Pn = _projectors(model)
+    N = model.normal0
+    assert model.frame0.shape == (8, 5) and N.shape == (8, 3)
+    assert np.max(np.abs(Pt @ Pt - Pt)) <= 1e-14
+    assert np.max(np.abs(Pt - Pt.T)) <= 1e-14
     assert np.max(np.abs(N.T @ N - np.eye(3))) <= 1e-14
-    assert np.max(np.abs(T.T @ N)) <= 1e-14
-    assert np.max(np.abs(sub.proj_tangent + sub.proj_normal - np.eye(8))) <= 1e-14
+    assert np.max(np.abs(model.frame0.T @ N)) <= 1e-14
+    assert np.max(np.abs(Pn - N @ N.T)) <= 1e-14
 
 
 def test_subspace_dimensions_follow_the_general_count():
     for n, k in ((3, 1), (4, 2), (5, 2), (5, 3)):
-        sub = stiefel_subspaces(n, k)
+        model = make_stiefel_model(n, k)
         dim_st = n * k - k * (k + 1) // 2
-        assert sub.tangent.shape == (n * k, dim_st)
-        assert sub.normal.shape == (n * k, k * (k + 1) // 2)
+        assert model.frame0.shape == (n * k, dim_st)
+        assert model.normal0.shape == (n * k, k * (k + 1) // 2)
 
 
 def test_correction_is_skew_and_block_diagonal():
     model = make_stiefel_model(4, 2)
-    sub = stiefel_subspaces(4, 2)
+    Pt, Pn = _projectors(model)
     rng = np.random.default_rng(1)
     U = model.p_element(rng.standard_normal(model.p_dim) * 0.4)
-    omega = stiefel_omega(4, 2, U)
+    omega = stiefel_omega(model, U)
     assert np.max(np.abs(omega + omega.T)) <= 1e-14
-    assert np.max(np.abs(sub.proj_normal @ omega @ sub.tangent)) <= 1e-13
-    assert np.max(np.abs(sub.proj_tangent @ omega @ sub.normal)) <= 1e-13
+    assert np.max(np.abs(Pn @ omega @ Pt)) <= 1e-13
+    assert np.max(np.abs(Pt @ omega @ Pn)) <= 1e-13
 
 
 def test_correction_rejects_bad_velocities():
+    model = make_stiefel_model(4, 2)
     rng = np.random.default_rng(2)
     M = rng.standard_normal((4, 4))
     with pytest.raises(ValueError, match="skew-symmetric"):
-        stiefel_omega(4, 2, M)
+        stiefel_omega(model, M)
     with pytest.raises(ValueError, match="horizontal"):
-        stiefel_omega(4, 2, M - M.T)
+        stiefel_omega(model, M - M.T)
 
 
 def test_sphere_case_needs_no_correction():
     model = make_stiefel_model(3, 1)
     rng = np.random.default_rng(3)
     U = model.p_element(rng.standard_normal(model.p_dim))
-    assert np.max(np.abs(stiefel_omega(3, 1, U))) == 0.0
+    assert np.max(np.abs(stiefel_omega(model, U))) == 0.0
 
 
 def test_model_flags():

@@ -74,6 +74,11 @@ bundled config, rolled in both modes, gives byte-identical CSV and JSON
 files, and both readers return the same metadata and bit-identical arrays,
 on those files and on edited ones (CRLF endings, blank lines, a comment
 after the header, a single row, a nan entry, no rows at all).
+
+The explicit SU(1,1)/SU(2) lift ``g = h(z) exp(sigma theta A1)`` of a
+chart curve is kept here as the reference for the engine's sample-driven
+lift of the hyperboloid and the sphere.  It takes the sign sigma of theta
+as fixed by the branch, the sign the package's two-sign search always chose.
 """
 
 import json
@@ -435,7 +440,7 @@ def test_stiefel_correction_matches_callable_rk4(name):
     lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 2))
 
     def omega(t):
-        return stiefel.stiefel_omega(n, k, model.p_element(lift.control.func(t)))
+        return stiefel.stiefel_omega(model, model.p_element(lift.control.func(t)))
 
     reference = _rk4_callable(omega, np.eye(n * k), grid, "left", SignatureForm(np.ones(n * k)))
     assert _peak(stiefel._correction_path(model, lift), reference) <= 1e-13
@@ -503,7 +508,7 @@ def _flow_pairs(caller, grid):
         lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 2))
 
         def omega(t):
-            return stiefel.stiefel_omega(n, k, model.p_element(lift.control.func(t)))
+            return stiefel.stiefel_omega(model, model.p_element(lift.control.func(t)))
 
         reference = _rk4_callable(omega, np.eye(n * k), grid, "left",
                                   SignatureForm(np.ones(n * k)))
@@ -668,19 +673,50 @@ def test_normal_perturbation_matches_callable_rk4():
         assert _frobenius_peak(bent.R, lam_exact @ path.R) <= reference_err * (1.0 + 1e-3)
 
 
-@pytest.mark.parametrize("branch", ["su11", "su2"])
-def test_moebius_theta_matches_callable_simpson(branch):
+def _moebius_lift(z, grid, sigma):
+    """Explicit horizontal lift g = h(z) exp(sigma theta A1) of a chart curve z(t).
+
+    sigma = -1 lifts a Poincare disc curve into SU(1,1), sigma = +1 a Riemann
+    sphere chart curve into SU(2).  With f = (1 + sigma |z|^2)^(-1/2) the
+    section is h(z) = [[f, f z], [-sigma conj(f z), f]], and theta is the
+    quadrature of 2 (x y' - x' y) / (1 + sigma |z|^2), z = x + i y.
+    """
+    den = 1.0 + sigma * np.abs(z) ** 2
+    rate = 2.0 * (z.real * fd_derivative(z.imag, grid.h) - fd_derivative(z.real, grid.h) * z.imag) \
+        / den
+    theta = sigma * integrate_vector(dense_from_samples(grid.ts, rate)(grid.stage_ts), grid)
+    f = 1.0 / np.sqrt(den)
+    a = f * np.exp(0.5j * theta)
+    b = f * z * np.exp(-0.5j * theta)
+    rows = [np.stack([a, b], axis=-1), np.stack([-sigma * np.conj(b), np.conj(a)], axis=-1)]
+    return GroupPath(grid=grid, samples=np.stack(rows, axis=-2))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1.0], ids=["su11", "su2"])
+def test_moebius_theta_matches_callable_simpson(sigma):
     grid = TimeGrid(0.0, 1.0, 250)
     z = 0.4 * np.exp(2j * np.pi * grid.ts) * (1.0 + 0.3 * grid.ts)
-    sigma = -1.0 if branch == "su11" else 1.0
     rate = 2.0 * (z.real * fd_derivative(z.imag, grid.h) - fd_derivative(z.real, grid.h) * z.imag) \
         / (1.0 + sigma * np.abs(z) ** 2)
     dense_rate = dense_from_samples(grid.ts, rate)
     theta = _simpson_callable(lambda t: np.atleast_1d(dense_rate(t)), grid)[:, 0]
-    g00 = hyperbolic.moebius_lift(z, grid, branch).samples[:, 0, 0]
+    g00 = _moebius_lift(z, grid, sigma).samples[:, 0, 0]
     factor = 1.0 / np.sqrt(1.0 + sigma * np.abs(z) ** 2)
-    # the lift picks the sign of theta with the smaller horizontality residual
-    assert min(_peak(g00, factor * np.exp(0.5j * sign * theta)) for sign in (1.0, -1.0)) <= 1e-13
+    assert _peak(g00, factor * np.exp(0.5j * sigma * theta)) <= 1e-13
+
+
+@pytest.mark.parametrize("name, sigma, z_of", [
+    ("hyperboloid", -1.0, lambda t: 0.4 * np.tanh(t) * np.exp(0.8j * t)),
+    ("sphere", 1.0, lambda t: 0.5 * t * np.exp(1.3j * t)),
+], ids=["hyperboloid", "sphere"])
+def test_explicit_lift_agrees_with_generic_lift(name, sigma, z_of):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.2, 400)
+    z = z_of(grid.ts)
+    explicit = _moebius_lift(z, grid, sigma)
+    assert np.max(horizontality_residual(model, explicit)) <= 1e-6
+    generic = horizontal_lift(model, EmbeddedCurve(grid, model.embed(z)))
+    assert _peak(explicit.samples, generic.samples) <= 1e-6
 
 
 def _latitude_lift_errors(n_steps):
