@@ -185,8 +185,10 @@ class CartanModel:
         velocity v = rho(q) d_e_rho(U) obar; a horizontal lift of the curve
         solves q' = X q.  On every reductive model Ad_H p = p, so X depends
         only on alpha and v, not on the lift q.  The sphere and the
-        hyperboloid share one formula in the cross product alpha x v, and
-        SO+(p,q) and the Stiefel manifolds have closed forms of their own.
+        hyperboloid are built by one quadric construction
+        (``hyperbolic.quadric_bundle``) and share ``quadric_transvection``,
+        a formula in the cross product alpha x v; SO+(p,q) and the Stiefel
+        manifolds have closed forms of their own.
     rotation_correction : callable, optional
         (model, lift) -> (n_nodes, N, N) correction path S(t) for models
         whose rolling rotation is not the J-inverse of rho (the

@@ -16,6 +16,11 @@ hyperboloid by
 Moebius transformations z -> (a z + b)/(conj(b) z + conj(a)) with
 |a|^2 - |b|^2 = 1 act transitively; iota intertwines them with the adjoint
 action.
+
+The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
+construction held here: ``quadric_description``, ``quadric_bundle`` (Moebius
+action, null-space tangent frames, disc sampling, ``quadric_transvection``)
+and ``kinematic_roll``; each model passes its basis, embedding, rho, d_e_rho.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ from ..rolling import RollingMapPath
 __all__ = [
     "SU11_BASIS",
     "su11_coords",
+    "hat",
+    "adjoint_matrix",
     "embed_hyperbolic",
     "ubar_matrix",
     "quadric_transvection",
+    "quadric_description",
+    "quadric_bundle",
     "description",
     "bundle",
     "make_hyperbolic_model",
@@ -60,6 +69,20 @@ def su11_coords(X):
                     axis=-1)
 
 
+def hat(u):
+    """Cross-product matrices (..., 3, 3) of vectors u (..., 3): hat(u) w = u x w."""
+    u1, u2, u3 = np.moveaxis(np.asarray(u), -1, 0)
+    z = np.zeros_like(u1)
+    rows = [[z, -u3, u2], [u3, z, -u1], [-u2, u1, z]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def adjoint_matrix(g, basis):
+    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates, g (..., 2, 2)."""
+    g = np.asarray(g)[..., None, :, :]
+    return np.swapaxes(su11_coords(g @ basis @ np.linalg.inv(g)), -1, -2)
+
+
 def embed_hyperbolic(z):
     """Map disc points onto the hyperboloid; accepts scalars or arrays."""
     z = np.asarray(z, dtype=complex)
@@ -67,10 +90,7 @@ def embed_hyperbolic(z):
     if np.any(r2 >= 1.0):
         raise ValueError("disc points must satisfy |z| < 1")
     den = 1.0 - r2
-    out = np.stack(
-        [(1.0 + r2) / den, 2.0 * z.imag / den, -2.0 * z.real / den], axis=-1
-    )
-    return out
+    return np.stack([(1.0 + r2) / den, 2.0 * z.imag / den, -2.0 * z.real / den], axis=-1)
 
 
 def ubar_matrix(u):
@@ -102,46 +122,22 @@ def quadric_transvection(alpha, v, signs, axes):
     return np.tensordot(eps * np.cross(alpha, v), axes, axes=(-1, 0))
 
 
-def description():
-    """Declarative model data (JSON-serializable)."""
-    basis = [
-        [[[x.real, x.imag] for x in row] for row in mat] for mat in SU11_BASIS
-    ]
+def quadric_description(name, basis, signs, group_signs, embedding):
+    """Declarative data (JSON-serializable) of a quadric model with 2 x 2 ``basis``."""
     return {
         "format_version": 1,
-        "name": "hyperboloid",
+        "name": name,
         "dtype": "complex",
-        "J_signs": [-1, 1, 1],
-        "group_signs": [1, -1],
-        "basis": basis,
+        "J_signs": signs,
+        "group_signs": group_signs,
+        "basis": [[[[x.real, x.imag] for x in row] for row in mat] for mat in basis],
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
         "base_point": [0.0, 0.0],
-        "embedding": "builtin:hyperboloid12",
+        "embedding": embedding,
         "params": {},
     }
-
-
-def _adjoint(g, basis):
-    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates, g (..., 2, 2)."""
-    g = np.asarray(g)[..., None, :, :]
-    return np.swapaxes(su11_coords(g @ basis @ np.linalg.inv(g)), -1, -2)
-
-
-def _rho(g):
-    return _adjoint(g, SU11_BASIS)
-
-
-def _d_e_rho(X):
-    v, u1, u2 = su11_coords(X)
-    return np.array(
-        [
-            [0.0, u2, -u1],
-            [u2, 0.0, -v],
-            [-u1, v, 0.0],
-        ]
-    )
 
 
 def _action(g, z):
@@ -150,32 +146,47 @@ def _action(g, z):
     return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
 
 
-def _tangent_frame_at(xs):
-    signs = np.array([-1.0, 1.0, 1.0])
-    return stacked_null_spaces((signs * np.asarray(xs, dtype=float))[:, None, :])
+def quadric_bundle(desc, rho, d_e_rho, embed, radius, axes):
+    """Callables of a quadric model: the sphere or the hyperboloid.
+
+    The model supplies its own ``rho`` and ``d_e_rho``, its chart
+    embedding, the ``radius`` of the chart disc that ``random_point``
+    samples uniformly, and the ``axes`` of ``quadric_transvection``.  Both
+    models share the Moebius action, obar = embed(z0) and the tangent frame
+    at x, the null space of J x.
+    """
+    z0 = complex(desc["base_point"][0], desc["base_point"][1])
+    signs = np.asarray(desc["J_signs"], dtype=float)
+
+    def random_point(rng):
+        r = radius * np.sqrt(rng.uniform())
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        return r * np.exp(1j * phi)
+
+    return {
+        "rho": rho,
+        "d_e_rho": d_e_rho,
+        "action": _action,
+        "embed": embed,
+        "base_point": z0,
+        "obar": embed(z0),
+        "tangent_frame_at": lambda x: stacked_null_spaces((signs * np.asarray(x, float))[:, None]),
+        "random_point": random_point,
+        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
+    }
 
 
-def _random_point(rng):
-    r = 0.85 * np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return r * np.exp(1j * phi)
+def description():
+    """Declarative model data (JSON-serializable)."""
+    return quadric_description("hyperboloid", SU11_BASIS, [-1, 1, 1], [1, -1],
+                               "builtin:hyperboloid12")
 
 
 def bundle(desc):
-    z0 = complex(desc["base_point"][0], desc["base_point"][1])
     signs = np.asarray(desc["J_signs"], dtype=float)
-    axes = signs[:, None, None] * SU11_BASIS
-    return {
-        "rho": _rho,
-        "d_e_rho": _d_e_rho,
-        "action": _action,
-        "embed": lambda z: embed_hyperbolic(z),
-        "base_point": z0,
-        "obar": embed_hyperbolic(z0),
-        "tangent_frame_at": _tangent_frame_at,
-        "random_point": _random_point,
-        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
-    }
+    return quadric_bundle(desc, lambda g: adjoint_matrix(g, SU11_BASIS),
+                          lambda X: signs[:, None] * hat(su11_coords(X)),
+                          embed_hyperbolic, 0.85, signs[:, None, None] * SU11_BASIS)
 
 
 def make_hyperbolic_model():

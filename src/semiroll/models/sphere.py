@@ -16,14 +16,18 @@ so that the chart embedding
 
 satisfies iota(g.z) = P Ad(g) P^T iota(z) for every g in SU(2).  The chart
 origin lands on (0, -1, 0).
+
+The sphere and the hyperboloid share one quadric construction in
+``hyperbolic.py``, which also holds ``hat`` and ``su2_coords`` (there
+``su11_coords``); this module keeps the SU(2) basis, P, the embedding, the
+sampling radius, rho and d_e_rho.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import stacked_null_spaces
-from .hyperbolic import _action, _adjoint, kinematic_roll, quadric_transvection
+from .hyperbolic import adjoint_matrix, hat, kinematic_roll, quadric_bundle, quadric_description
 from .hyperbolic import su11_coords as su2_coords
 
 __all__ = [
@@ -54,79 +58,25 @@ CHART_CONJUGATOR = np.array(
     ]
 )
 
-def hat(u):
-    """Cross-product matrices (..., 3, 3) of vectors u (..., 3): hat(u) w = u x w."""
-    u1, u2, u3 = np.moveaxis(np.asarray(u), -1, 0)
-    z = np.zeros_like(u1)
-    rows = [[z, -u3, u2], [u3, z, -u1], [-u2, u1, z]]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
 
 def embed_sphere(z):
     """Map chart points onto the unit sphere; accepts scalars or arrays."""
     z = np.asarray(z, dtype=complex)
     r2 = np.abs(z) ** 2
     den = 1.0 + r2
-    return np.stack(
-        [-2.0 * z.real / den, (r2 - 1.0) / den, -2.0 * z.imag / den], axis=-1
-    )
+    return np.stack([-2.0 * z.real / den, (r2 - 1.0) / den, -2.0 * z.imag / den], axis=-1)
 
 
 def description():
     """Declarative model data (JSON-serializable)."""
-    basis = [
-        [[[x.real, x.imag] for x in row] for row in mat] for mat in SU2_BASIS
-    ]
-    return {
-        "format_version": 1,
-        "name": "sphere",
-        "dtype": "complex",
-        "J_signs": [1, 1, 1],
-        "group_signs": [1, 1],
-        "basis": basis,
-        "h_indices": [0],
-        "p_indices": [1, 2],
-        "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
-        "base_point": [0.0, 0.0],
-        "embedding": "builtin:riemann_sphere",
-        "params": {},
-    }
-
-
-def _rho(g):
-    P = CHART_CONJUGATOR
-    return P @ _adjoint(g, SU2_BASIS) @ P.T
-
-
-def _d_e_rho(X):
-    return hat(CHART_CONJUGATOR @ su2_coords(X))
-
-
-def _tangent_frame_at(xs):
-    return stacked_null_spaces(np.asarray(xs, dtype=float)[:, None, :])
-
-
-def _random_point(rng):
-    r = 2.0 * np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return r * np.exp(1j * phi)
+    return quadric_description("sphere", SU2_BASIS, [1, 1, 1], [1, 1], "builtin:riemann_sphere")
 
 
 def bundle(desc):
-    z0 = complex(desc["base_point"][0], desc["base_point"][1])
-    signs = np.asarray(desc["J_signs"], dtype=float)
-    axes = np.tensordot(CHART_CONJUGATOR, SU2_BASIS, axes=(1, 0))
-    return {
-        "rho": _rho,
-        "d_e_rho": _d_e_rho,
-        "action": _action,
-        "embed": lambda z: embed_sphere(z),
-        "base_point": z0,
-        "obar": embed_sphere(z0),
-        "tangent_frame_at": _tangent_frame_at,
-        "random_point": _random_point,
-        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
-    }
+    P = CHART_CONJUGATOR
+    return quadric_bundle(desc, lambda g: P @ adjoint_matrix(g, SU2_BASIS) @ P.T,
+                          lambda X: hat(P @ su2_coords(X)), embed_sphere, 2.0,
+                          np.tensordot(P, SU2_BASIS, axes=(1, 0)))
 
 
 def make_sphere_model():

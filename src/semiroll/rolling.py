@@ -234,18 +234,19 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     """Per-node largest principal angle between R(t) T_alpha M and T_alphahat M_hat.
 
     All nodes are handled in one stacked computation.  With Q1, Q2 the
-    orthonormal QR factors of R(t) F_M(t) and F_Mhat(t), the cosines of the
-    principal angles are the singular values of Q1^T Q2 and the sines those
-    of Q2 - Q1 Q1^T Q2.  The largest angle is taken from the largest sine
-    when the largest cosine squared is at least 1/2 and from the smallest
-    cosine otherwise, which keeps full accuracy at small angles (Bjorck &
-    Golub 1973; Knyazev & Argentati 2002) and matches the largest entry of
-    scipy's ``subspace_angles``.  Non-finite rotations or frames raise
-    ValueError, and so does a node where either frame is numerically rank
-    deficient: its exact condition number, the ratio of the extreme
-    singular values of its triangular QR factor, exceeds FRAME_COND_MAX, so
-    its QR basis would be arbitrary and no angle is measured.  A constant
-    F_Mhat (the flat development's frame) is factored and tested once.
+    orthonormal QR factors of R(t) F_M(t) and F_Mhat(t), the sines of the
+    principal angles are the singular values of Q2 - Q1 Q1^T Q2, and the
+    largest angle is arcsin of the largest of them (Bjorck & Golub 1973;
+    Knyazev & Argentati 2002).  This keeps full accuracy at small angles and
+    matches the largest entry of scipy's ``subspace_angles`` to rounding
+    below 45 degrees; towards pi/2 arcsin loses accuracy, to about 1e-9
+    within 1e-6 of pi/2 and 4e-8 at pi/2, where every angle is a breach.
+    Non-finite rotations or frames raise ValueError, and so does a node
+    where either frame is numerically rank deficient: its exact condition
+    number, the ratio of the extreme singular values of its triangular QR
+    factor, exceeds FRAME_COND_MAX, so its QR basis would be arbitrary and
+    no angle is measured.  A constant F_Mhat (the flat development's frame)
+    is factored and tested once.
     """
     R, frames, target = path.R, tangent_m.frames, tangent_mhat.frames
     finite = np.logical_and.reduce([np.all(np.isfinite(a), axis=(1, 2))
@@ -257,15 +258,8 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     _check_rank(r1, "tangency: R(t) F_M(t)")
     q2, r2 = np.linalg.qr(_once(target))
     _check_rank(r2, "tangency: F_Mhat(t)")
-    overlap = np.swapaxes(q1, 1, 2) @ q2
-    cosines = np.linalg.svd(overlap, compute_uv=False)
-    sines = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False)
-    use_sine = cosines[:, 0] ** 2 >= 0.5
-    return np.where(
-        use_sine,
-        np.arcsin(np.clip(sines[:, 0], -1.0, 1.0)),
-        np.arccos(np.clip(cosines[:, -1], -1.0, 1.0)),
-    )
+    sines = np.linalg.svd(q2 - q1 @ (np.swapaxes(q1, 1, 2) @ q2), compute_uv=False)
+    return np.arcsin(np.clip(sines[:, 0], -1.0, 1.0))
 
 
 def _rotation_generator(path):

@@ -79,6 +79,19 @@ The explicit SU(1,1)/SU(2) lift ``g = h(z) exp(sigma theta A1)`` of a
 chart curve is kept here as the reference for the engine's sample-driven
 lift of the hyperboloid and the sphere.  It takes the sign sigma of theta
 as fixed by the branch, the sign the package's two-sign search always chose.
+
+The sphere and the hyperboloid are built by one quadric construction
+(``hyperbolic.quadric_description`` and ``quadric_bundle``).  Each model's
+own description, rho, d_e_rho, tangent frames, random point and
+transvection axes it replaced are kept here as references: every map agrees
+to the last bit (d_e_rho by value: the hyperboloid's is now J hat(X), with
+-0.0 where the hand-written matrix had 0.0), and the shipped JSON files
+still equal the descriptions.
+
+``tangency_residual`` takes the largest angle from its sine alone.  Below
+45 degrees that is the branch it always took; towards pi/2 it drifts from
+scipy's ``subspace_angles`` by at most 1e-7 (at pi/2) and 1e-9 (within
+1e-6 of pi/2), which the right-angle cases check.
 """
 
 import json
@@ -113,6 +126,7 @@ from semiroll.linalg import (
     j_transpose_inverse,
     random_oriented_isometry,
     stacked_kron,
+    stacked_null_spaces,
     stacked_vec,
 )
 from semiroll.models import get_model, hyperbolic, make_pseudo_orthogonal_model, sphere, stiefel
@@ -132,13 +146,11 @@ from semiroll.rolling import (
 )
 
 
-def _tangency_case(signs, r, n_nodes=60, seed=0):
-    """Random J-orthogonal R(t) and frames at angles 1e-12 .. 0.1, plus one node at 60 degrees.
+def _tangency_case(signs, r, n_nodes=60, seed=0, top=np.pi / 3):
+    """Random J-orthogonal R(t) and frames at angles 1e-12 .. 0.1, plus one node at angle ``top``.
 
-    At the last node min(r, N - r) principal angles are 60 degrees and the
-    rest 0 (two r-planes in N < 2r dimensions share a direction).  When all
-    of them are 60 degrees (r = 1, or N >= 2r) the arccos branch is taken;
-    otherwise the arcsine branch sees a large angle.
+    At the last node min(r, N - r) principal angles are ``top`` and the
+    rest 0 (two r-planes in N < 2r dimensions share a direction).
     """
     rng = np.random.default_rng(seed)
     form = SignatureForm(signs)
@@ -152,34 +164,43 @@ def _tangency_case(signs, r, n_nodes=60, seed=0):
     basis = np.linalg.qr(np.hstack([mapped[-1], rng.standard_normal((N, N - r))]))[0]
     tilted = min(r, N - r)
     frames_hat[-1] = basis[:, :r]
-    frames_hat[-1][:, :tilted] = np.cos(np.pi / 3) * basis[:, :tilted] \
-        + np.sin(np.pi / 3) * basis[:, r:r + tilted]
+    frames_hat[-1][:, :tilted] = np.cos(top) * basis[:, :tilted] \
+        + np.sin(top) * basis[:, r:r + tilted]
     zeros = np.zeros((n_nodes, N))
     path = RollingMapPath(grid=grid, R=R, s=zeros, alpha=zeros, alpha_hat=zeros, form=form)
     return path, TangentFramePath(grid.ts, frames_m), TangentFramePath(grid.ts, frames_hat)
 
 
+SO12 = [1, -1, -1, -1, 1, 1, -1, 1, 1]
+
+
+# The angle is the arcsine of the largest sine: exact to rounding at the
+# 60 degree node, it loses accuracy towards pi/2 (about 4e-8 at pi/2).
 @pytest.mark.parametrize(
-    "signs, r",
+    "signs, r, top, tol",
     [
-        ([1, 1, 1], 1),
-        ([1, 1, 1], 2),
-        ([-1, 1, 1], 2),
-        ([1, -1, -1, -1, 1, 1, -1, 1, 1], 3),
-        ([1] * 8, 5),
+        ([1, 1, 1], 1, np.pi / 3, 1e-14),
+        ([1, 1, 1], 2, np.pi / 3, 1e-14),
+        ([-1, 1, 1], 2, np.pi / 3, 1e-14),
+        (SO12, 3, np.pi / 3, 1e-14),
+        ([1] * 8, 5, np.pi / 3, 1e-14),
+        ([1] * 5, 2, np.pi / 2, 1e-7),
+        (SO12, 3, np.pi / 2 - 1e-6, 1e-9),
     ],
-    ids=["euclid3_r1", "euclid3_r2", "lorentz3_r2", "so12_r3", "euclid8_r5"],
+    ids=["euclid3_r1", "euclid3_r2", "lorentz3_r2", "so12_r3", "euclid8_r5",
+         "euclid5_r2_right_angle", "so12_r3_near_right_angle"],
 )
-def test_batched_tangency_matches_scipy_subspace_angles(signs, r):
-    path, frames_m, frames_hat = _tangency_case(signs, r)
+def test_batched_tangency_matches_scipy_subspace_angles(signs, r, top, tol):
+    path, frames_m, frames_hat = _tangency_case(signs, r, top=top)
     reference = np.array([
         np.max(subspace_angles(path.R[k] @ frames_m.frames[k], frames_hat.frames[k]))
         for k in range(path.n_nodes)
     ])
-    assert reference[-1] == pytest.approx(np.pi / 3, abs=1e-12)
+    assert reference[-1] == pytest.approx(top, abs=1e-12)
     assert np.min(reference) < 1e-10
     batched = tangency_residual(path, frames_m, frames_hat)
-    assert np.max(np.abs(batched - reference)) <= 1e-14
+    assert np.max(np.abs(batched[:-1] - reference[:-1])) <= 1e-14
+    assert abs(batched[-1] - reference[-1]) <= tol
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -251,6 +272,158 @@ def test_pointwise_frames_reject_non_finite_points():
     points = np.array([[0.0, -1.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="NaN or inf"):
         model.pointwise_tangent_frames(grid, points)
+
+
+# -- the quadric construction against the per-model bundles it replaced ----
+
+
+def _adjoint_reference(g, basis):
+    g = np.asarray(g)[..., None, :, :]
+    return np.swapaxes(hyperbolic.su11_coords(g @ basis @ np.linalg.inv(g)), -1, -2)
+
+
+def _sphere_rho_reference(g):
+    P = sphere.CHART_CONJUGATOR
+    return P @ _adjoint_reference(g, sphere.SU2_BASIS) @ P.T
+
+
+def _sphere_d_e_rho_reference(X):
+    return sphere.hat(sphere.CHART_CONJUGATOR @ sphere.su2_coords(X))
+
+
+def _sphere_frame_reference(xs):
+    return stacked_null_spaces(np.asarray(xs, dtype=float)[:, None, :])
+
+
+def _sphere_random_point_reference(rng):
+    r = 2.0 * np.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return r * np.exp(1j * phi)
+
+
+def _sphere_description_reference():
+    basis = [
+        [[[x.real, x.imag] for x in row] for row in mat] for mat in sphere.SU2_BASIS
+    ]
+    return {
+        "format_version": 1,
+        "name": "sphere",
+        "dtype": "complex",
+        "J_signs": [1, 1, 1],
+        "group_signs": [1, 1],
+        "basis": basis,
+        "h_indices": [0],
+        "p_indices": [1, 2],
+        "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
+        "base_point": [0.0, 0.0],
+        "embedding": "builtin:riemann_sphere",
+        "params": {},
+    }
+
+
+def _hyperboloid_rho_reference(g):
+    return _adjoint_reference(g, hyperbolic.SU11_BASIS)
+
+
+def _hyperboloid_d_e_rho_reference(X):
+    v, u1, u2 = hyperbolic.su11_coords(X)
+    return np.array(
+        [
+            [0.0, u2, -u1],
+            [u2, 0.0, -v],
+            [-u1, v, 0.0],
+        ]
+    )
+
+
+def _hyperboloid_frame_reference(xs):
+    signs = np.array([-1.0, 1.0, 1.0])
+    return stacked_null_spaces((signs * np.asarray(xs, dtype=float))[:, None, :])
+
+
+def _hyperboloid_random_point_reference(rng):
+    r = 0.85 * np.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return r * np.exp(1j * phi)
+
+
+def _hyperboloid_description_reference():
+    basis = [
+        [[[x.real, x.imag] for x in row] for row in mat] for mat in hyperbolic.SU11_BASIS
+    ]
+    return {
+        "format_version": 1,
+        "name": "hyperboloid",
+        "dtype": "complex",
+        "J_signs": [-1, 1, 1],
+        "group_signs": [1, -1],
+        "basis": basis,
+        "h_indices": [0],
+        "p_indices": [1, 2],
+        "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
+        "base_point": [0.0, 0.0],
+        "embedding": "builtin:hyperboloid12",
+        "params": {},
+    }
+
+
+QUADRIC_REFERENCES = {
+    "sphere": (sphere, sphere.embed_sphere, _sphere_rho_reference, _sphere_d_e_rho_reference,
+               _sphere_frame_reference, _sphere_random_point_reference,
+               _sphere_description_reference,
+               np.tensordot(sphere.CHART_CONJUGATOR, sphere.SU2_BASIS, axes=(1, 0))),
+    "hyperboloid": (hyperbolic, hyperbolic.embed_hyperbolic, _hyperboloid_rho_reference,
+                    _hyperboloid_d_e_rho_reference, _hyperboloid_frame_reference, _hyperboloid_random_point_reference,
+                    _hyperboloid_description_reference,
+                    np.array([-1.0, 1.0, 1.0])[:, None, None] * hyperbolic.SU11_BASIS),
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(QUADRIC_REFERENCES))
+def test_quadric_bundles_match_the_per_model_bundles(name):
+    module, embed, rho, d_e_rho, frame, random_point, description, axes = QUADRIC_REFERENCES[name]
+    desc = description()
+    assert module.description() == desc
+    shipped = json.loads((resources.files("semiroll") / "models" / "data" / f"{name}.json")
+                         .read_text())
+    assert shipped == desc
+    parts = module.bundle(desc)
+    model = get_model(name)
+
+    rng = np.random.default_rng(19)
+    qs = np.array([model.random_group_element(rng) for _ in range(16)])
+    assert _same_bits(parts["rho"](qs), rho(qs))
+    assert all(_same_bits(parts["rho"](q), rho(q)) for q in qs)
+
+    # single basis elements and random combinations; the new hyperboloid
+    # d_e_rho is J hat(coords), whose (0, 0) entry is -0.0 where the
+    # hand-written matrix has 0.0, so it is compared by value
+    X = np.concatenate([model.basis, np.tensordot(rng.standard_normal((16, 3)), model.basis,
+                                                  axes=(1, 0))])
+    for x in X:
+        assert np.array_equal(parts["d_e_rho"](x), d_e_rho(x))
+
+    seeds = range(40)
+    zs = np.array([parts["random_point"](np.random.default_rng(k)) for k in seeds])
+    assert _same_bits(zs, np.array([random_point(np.random.default_rng(k)) for k in seeds]))
+    for g, z in zip(qs, zs):
+        moebius = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
+        assert _same_bits(parts["action"](g, z), moebius)
+
+    points = embed(zs)
+    assert _same_bits(parts["embed"](zs), points)
+    assert parts["base_point"] == 0j
+    assert _same_bits(parts["obar"], embed(complex(0.0, 0.0)))
+    assert _same_bits(parts["tangent_frame_at"](points), frame(points))
+    v = np.einsum("kij,kj->ki", frame(points), rng.standard_normal((len(zs), 2)))
+    signs = np.asarray(desc["J_signs"], dtype=float)
+    assert _same_bits(parts["transvection"](points, v),
+                      hyperbolic.quadric_transvection(points, v, signs, axes))
 
 
 BENCHMARK_MODELS = ("sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2")
