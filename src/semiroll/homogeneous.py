@@ -122,11 +122,17 @@ class EmbeddedCurve:
 
 @dataclass
 class GroupPath:
-    """Sampled path in the structure group, optionally with its control."""
+    """Sampled path in the structure group, optionally with its control.
+
+    A control-driven lift also carries ``stage_generators``, the algebra
+    elements ``p_element(control.stage_coords())`` it integrated, so a later
+    flow along the same control need not read it again.
+    """
 
     grid: TimeGrid
     samples: np.ndarray
     control: Optional[ControlCurve] = None
+    stage_generators: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -455,7 +461,7 @@ def _lift_from_control(model, control, q0):
     grid = control.grid
     generators = model.p_element(control.stage_coords())
     qs = flow_matrix_ode(generators, q0, grid, side="right", reproject_form=model.group_form)
-    return GroupPath(grid=grid, samples=qs, control=control)
+    return GroupPath(grid=grid, samples=qs, control=control, stage_generators=generators)
 
 
 def _lift_from_samples(model, curve, q0):

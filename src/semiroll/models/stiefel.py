@@ -105,11 +105,17 @@ def description(n, k):
 
 
 def _correction_path(model, lift):
-    """Interpolating-frame correction S(t) along a horizontal lift."""
-    control = lift.control
-    if control is None:
-        raise ValueError("lift carries no control curve")
-    omegas = stiefel_omega(model, model.p_element(control.stage_coords()))
+    """Interpolating-frame correction S(t) along a horizontal lift.
+
+    Takes the lift's own stage generators where it has them (a control-driven
+    lift), so the control is read once per roll.
+    """
+    generators = lift.stage_generators
+    if generators is None:
+        if lift.control is None:
+            raise ValueError("lift carries no control curve")
+        generators = model.p_element(lift.control.stage_coords())
+    omegas = stiefel_omega(model, generators)
     return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
                            reproject_form=model.form)
 

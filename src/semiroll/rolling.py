@@ -41,6 +41,8 @@ __all__ = [
     "triple_orientation_flips",
 ]
 
+# ``_check_rank`` certifies a frame by a Cholesky factor of its Gram matrix, which
+# resolves condition numbers only far below eps^-1/2 (about 7e7): keep this there
 FRAME_COND_MAX = 1e6
 COMPOSE_CURVE_TOL = 1e-8
 NORMAL_GENERATOR_TOL = 1e-8
@@ -172,26 +174,59 @@ class ResidualReport:
         return cls(grid=grid, per_node=per_node, **{k: float(v) for k, v in data["max"].items()})
 
 
-def _check_rank(r, what):
+def _check_rank(frames, what):
     """Refuse the first node whose frame is NaN, inf or numerically rank deficient.
 
-    ``r`` is the stacked triangular factor of ``frames = Q r``.  Q has
-    orthonormal columns, so cond(r) is exactly the frame's own condition
-    number; a node whose condition number exceeds FRAME_COND_MAX has an
-    arbitrary basis, angle or projector, so nothing is measured on it.
+    Returns ``U^-1`` per node, with ``frames = Q U`` and Q of orthonormal
+    columns, so ``frames @ U^-1`` is Q up to rounding.  U is first the
+    transposed Cholesky factor of the Gram matrix, ``F^T F = L L^T``.
+    cond(F) = cond(L) <= ||L||_F ||L^-1||_F, and the computed Gram is exact to
+    about N r eps ||F||^2 while FRAME_COND_MAX is far below eps^-1/2, so a node
+    whose bound is at most FRAME_COND_MAX / 2 (and whose Gram does not
+    underflow) is certified.  Every other node, and every node of a stack
+    whose Cholesky or its inverse fails, takes the exact test, and its U is
+    its triangular QR factor: the ratio of that factor's extreme singular
+    values is the frame's own condition number.  A node over FRAME_COND_MAX
+    has an arbitrary basis, angle or projector, so nothing is measured on it.
     """
-    finite = np.all(np.isfinite(r), axis=(1, 2))
+    finite = np.all(np.isfinite(frames), axis=(1, 2))
     if not np.all(finite):
         raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
-    sv = np.linalg.svd(r, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = sv[:, 0] / sv[:, -1]
-    bad = np.flatnonzero(~(conds <= FRAME_COND_MAX))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"{what} is rank deficient at node {k} (condition number {conds[k]:.1e})"
-        )
+    n, r = frames.shape[0], frames.shape[2]
+    try:
+        with np.errstate(all="ignore"):
+            chol = np.linalg.cholesky(np.swapaxes(frames, 1, 2) @ frames)
+            inverse = np.swapaxes(np.linalg.inv(chol), 1, 2)
+            size = np.linalg.norm(chol, axis=(1, 2))
+            bound = size * np.linalg.norm(inverse, axis=(1, 2))
+        exact = np.flatnonzero(~((bound <= 0.5 * FRAME_COND_MAX) & (size >= 1e-140)))
+    except np.linalg.LinAlgError:
+        inverse, exact = np.empty((n, r, r)), np.arange(n)
+    if exact.size:
+        factor = np.linalg.qr(frames[exact], mode="r")
+        sv = np.linalg.svd(factor, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # more columns than rows leave the factor short of r singular values
+            conds = sv[:, 0] / sv[:, -1] if factor.shape[1] == r else np.full(exact.size, np.inf)
+        bad = np.flatnonzero(~(conds <= FRAME_COND_MAX))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"{what} is rank deficient at node {int(exact[k])} "
+                             f"(condition number {conds[k]:.1e})")
+        inverse[exact] = np.linalg.inv(factor)
+    return inverse
+
+
+def _orthonormal_bases(frames, what):
+    """Orthonormal bases of the frames' spans by CholeskyQR2, after ``_check_rank``.
+
+    The second pass (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014) makes
+    the columns orthonormal to rounding for every accepted frame; the span
+    is the frame's own to about eps cond(F), as for a Householder QR.
+    """
+    q = frames @ _check_rank(frames, what)
+    second = np.linalg.cholesky(np.swapaxes(q, 1, 2) @ q)
+    return q @ np.swapaxes(np.linalg.inv(second), 1, 2)
 
 
 def _once(frames):
@@ -211,7 +246,7 @@ def _projectors(frames, form, what="frame"):
     broadcast of the one projector, built and rank-tested once.
     """
     one = _once(frames)
-    _check_rank(np.linalg.qr(one, mode="r"), what)
+    _check_rank(one, what)
     ft_j = np.swapaxes(one, 1, 2) * form.signs
     try:
         proj = one @ np.linalg.solve(ft_j @ one, ft_j)
@@ -233,20 +268,20 @@ def rolling_point_residual(path):
 def tangency_residual(path, tangent_m, tangent_mhat):
     """Per-node largest principal angle between R(t) T_alpha M and T_alphahat M_hat.
 
-    All nodes are handled in one stacked computation.  With Q1, Q2 the
-    orthonormal QR factors of R(t) F_M(t) and F_Mhat(t), the sines of the
-    principal angles are the singular values of Q2 - Q1 Q1^T Q2, and the
-    largest angle is arcsin of the largest of them (Bjorck & Golub 1973;
-    Knyazev & Argentati 2002).  This keeps full accuracy at small angles and
-    matches the largest entry of scipy's ``subspace_angles`` to rounding
+    All nodes are handled in one stacked computation.  With Q1, Q2
+    orthonormal bases of R(t) F_M(t) and F_Mhat(t) (CholeskyQR2, reusing the
+    rank test's Cholesky factor), the sines of the principal angles are the
+    singular values of D = Q1 - Q2 Q2^T Q1, and the largest angle is the
+    arcsine of the square root of the largest eigenvalue of the r x r matrix
+    D^T D (Bjorck & Golub 1973).  This keeps full accuracy at small angles
+    and matches the largest entry of scipy's ``subspace_angles`` to rounding
     below 45 degrees; towards pi/2 arcsin loses accuracy, to about 1e-9
     within 1e-6 of pi/2 and 4e-8 at pi/2, where every angle is a breach.
     Non-finite rotations or frames raise ValueError, and so does a node
-    where either frame is numerically rank deficient: its exact condition
-    number, the ratio of the extreme singular values of its triangular QR
-    factor, exceeds FRAME_COND_MAX, so its QR basis would be arbitrary and
-    no angle is measured.  A constant F_Mhat (the flat development's frame)
-    is factored and tested once.
+    where either frame is numerically rank deficient (``_check_rank``: its
+    condition number exceeds FRAME_COND_MAX), so its basis would be
+    arbitrary and no angle is measured.  A constant F_Mhat (the flat
+    development's frame) is factored and tested once.
     """
     R, frames, target = path.R, tangent_m.frames, tangent_mhat.frames
     finite = np.logical_and.reduce([np.all(np.isfinite(a), axis=(1, 2))
@@ -254,12 +289,11 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     if not np.all(finite):
         raise ValueError("tangency: rotations or tangent frames contain NaN or inf "
                          f"at node {int(np.argmin(finite))}")
-    q1, r1 = np.linalg.qr(R @ frames)
-    _check_rank(r1, "tangency: R(t) F_M(t)")
-    q2, r2 = np.linalg.qr(_once(target))
-    _check_rank(r2, "tangency: F_Mhat(t)")
-    sines = np.linalg.svd(q2 - q1 @ (np.swapaxes(q1, 1, 2) @ q2), compute_uv=False)
-    return np.arcsin(np.clip(sines[:, 0], -1.0, 1.0))
+    q1 = _orthonormal_bases(R @ frames, "tangency: R(t) F_M(t)")
+    q2 = _orthonormal_bases(_once(target), "tangency: F_Mhat(t)")
+    d = q1 - q2 @ (np.swapaxes(q2, 1, 2) @ q1)
+    largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
+    return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
 
 
 def _rotation_generator(path):
@@ -268,7 +302,7 @@ def _rotation_generator(path):
     return Rdot @ j_transpose_inverse(path.R, path.form)
 
 
-def no_slip_residual(path):
+def no_slip_residual(path, W=None):
     """Per-node slip defect.
 
     Two formulations of the same condition are evaluated and the larger one
@@ -276,9 +310,11 @@ def no_slip_residual(path):
     point, ``Rdot R^{-1} (alpha_hat - s) + sdot``, and the velocity-matching
     form ``alpha_hat' - R alpha'``.  They coincide on genuine rolling maps;
     taking the max keeps faults visible that park one of the two quantities.
+    ``W`` is the path's ``_rotation_generator`` when the caller has it.
     """
     h = path.grid.h
-    W = _rotation_generator(path)
+    if W is None:
+        W = _rotation_generator(path)
     sdot = fd_derivative(path.s, h)
     adot = fd_derivative(path.alpha, h)
     ahatdot = fd_derivative(path.alpha_hat, h)
@@ -287,16 +323,18 @@ def no_slip_residual(path):
     return np.maximum(_node_norms(w1), _node_norms(w2))
 
 
-def no_twist_residuals(path, tangent_mhat, normal_mhat):
+def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     """Per-node tangential and normal twist defects.
 
     The generator W = Rdot R^{-1} of a twist-free rolling exchanges the
     tangent and normal spaces of the development: W T_hat must have no
     tangential component and W N_hat no normal component.  Residuals are
     measured on Euclidean-normalized frame columns through the J-orthogonal
-    projectors of the respective subspaces.
+    projectors of the respective subspaces.  ``W`` is the path's
+    ``_rotation_generator`` when the caller has it.
     """
-    W = _rotation_generator(path)
+    if W is None:
+        W = _rotation_generator(path)
     p_tan = _projectors(tangent_mhat.frames, path.form, "no twist: tangent development frame")
     p_nor = _projectors(normal_mhat.frames, path.form, "no twist: normal development frame")
 
@@ -312,11 +350,16 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat):
 
 
 def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
-    """Bundle all defining-condition residuals into a ResidualReport."""
+    """Bundle all defining-condition residuals into a ResidualReport.
+
+    The rotation generator W = Rdot R^{-1} is taken once, for the slip and
+    both twist residuals.
+    """
     point = rolling_point_residual(path)
     tang = tangency_residual(path, tangent_m, tangent_mhat)
-    slip = no_slip_residual(path)
-    twist_t, twist_n = no_twist_residuals(path, tangent_mhat, normal_mhat)
+    W = _rotation_generator(path)
+    slip = no_slip_residual(path, W)
+    twist_t, twist_n = no_twist_residuals(path, tangent_mhat, normal_mhat, W)
     return ResidualReport(
         grid=path.grid,
         rolling_point=float(np.max(point)),

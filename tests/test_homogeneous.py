@@ -32,6 +32,7 @@ from semiroll.models import (
     make_stiefel_model,
     stiefel,
 )
+from semiroll import rolling
 from semiroll.linalg import j_transpose_inverse
 from semiroll.models.sphere import description as sphere_description
 from semiroll.rolling import (
@@ -299,6 +300,19 @@ def test_symmetric_extrinsic_roll_maps_rho_once(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["sphere", "so_plus_2_2", "stiefel_4_2"])
+def test_residual_report_differentiates_the_rotations_once(name, monkeypatch):
+    model = get_model(name)
+    path = _sinusoid_roll(model, "auto")
+    calls = []
+    fd = rolling.fd_derivative
+    monkeypatch.setattr(rolling, "fd_derivative",
+                        lambda samples, h: calls.append(samples is path.R) or fd(samples, h))
+    model_residual_report(model, path)
+    # one W = Rdot R^-1 serves the slip and both twist residuals
+    assert sum(calls) == 1
+
+
 def test_factories_return_the_registry_models():
     assert get_model("sphere") is make_sphere_model()
     assert get_model("hyperboloid") is make_hyperbolic_model()
@@ -392,16 +406,15 @@ def test_interpolated_control_is_evaluated_in_one_call(n_steps):
 def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
     model = get_model(name)
     path = _sinusoid_roll(model, "auto")
-    qr, development = np.linalg.qr, []
+    check_rank, development = rolling._check_rank, []
 
-    def recording_qr(a, *args, **kwargs):
-        a = np.asarray(a)
+    def recording_check(a, what):
         for frame in (model.frame0, model.normal0):
             if a.shape[1:] == frame.shape and np.array_equal(a, np.broadcast_to(frame, a.shape)):
                 development.append(a.shape[0])
-        return qr(a, *args, **kwargs)
+        return check_rank(a, what)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(rolling, "_check_rank", recording_check)
     report = model_residual_report(model, path)
     # the tangency target and both no-twist projectors, one node each
     assert development == [1, 1, 1]

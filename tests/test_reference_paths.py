@@ -51,21 +51,31 @@ that the engine takes the mid-step values of a symmetric control from the
 cubic interpolant of its node values instead of a second reading of the
 control.  They agree within 1e-10 at 250 steps and 1e-13 at 2000 steps.
 
-The residual suite refuses a degenerate frame by one test, the exact
-condition number of its triangular QR factor, and builds its projectors by
-matrix products, once per frame path.  The two frame tests this replaced
-(one SVD of every frame, and a lower bound from the QR diagonal that passes
-a frame of condition number 1e14) and the einsum projectors are kept here
-as references: the report fields and the projectors at every transport
-stride agree within 1e-13, the frame-matching rotations and transports
-within 1e-12.
+The residual suite refuses a degenerate frame by one test and builds its
+projectors by matrix products, once per frame path.  The two frame tests
+this replaced (one SVD of every frame, and a lower bound from the QR
+diagonal that passes a frame of condition number 1e14) and the einsum
+projectors are kept here as references: the report fields and the
+projectors at every transport stride agree within 1e-13, the
+frame-matching rotations and transports within 1e-12.  The frame test
+first certifies a node by the Cholesky factor L of its Gram matrix
+(cond(F) <= ||L||_F ||L^-1||_F at most FRAME_COND_MAX / 2) and sends every
+other node to the exact condition number of its triangular QR factor.  That
+exact-only test is kept here as the reference: on frames of condition 1 to
+9e5 both accept, on 1.1e6 to 1e14 both refuse at the same node with the
+same message.  ``tangency_residual`` now takes CholeskyQR2 bases that reuse
+the test's factor and the largest eigenvalue of the r x r matrix D^T D,
+D = Q1 - Q2 Q2^T Q1.  The QR bases and sine SVD it replaced are kept here
+as the reference: the two agree within 1e-15 cond(F) on ill-conditioned
+accepted frames, and within 1e-13 on every model's roll (the einsum suite).
 
 A frame stack whose nodes all equal node 0 bitwise (the flat development's
 frames) is now factored, rank-tested and solved once and broadcast back.
-The per-node tangency target, projectors and column normalisation this
-replaced are kept here as references: every report field agrees to the
-last bit.  The triple Gram residual takes ``@`` products; the einsum form
-it replaced is kept here and agrees within 1e-14.
+The per-node tangency target (by the same CholeskyQR2 and eigenvalue
+formula), projectors and column normalisation this replaced are kept here
+as references: every report field agrees to the last bit.  The triple
+Gram residual takes ``@`` products; the einsum form it replaced is kept
+here and agrees within 1e-14.
 
 The command's trajectory files are laid out by one declaration, written by
 ``np.savetxt`` and read by ``np.loadtxt``.  The per-block writers and the
@@ -92,6 +102,14 @@ still equal the descriptions.
 45 degrees that is the branch it always took; towards pi/2 it drifts from
 scipy's ``subspace_angles`` by at most 1e-7 (at pi/2) and 1e-9 (within
 1e-6 of pi/2), which the right-angle cases check.
+
+``j_transpose_inverse`` takes one product instead of two, into the memory
+layout the two products gave, and ``fd_derivative`` evaluates its interior
+stencil in blocks of rows, in place.  The whole-array expressions they
+replaced are kept here as references; both agree to the last bit, and the
+inverse has the reference's strides.  A control-driven lift carries its
+stage generators, and the Stiefel correction flow reuses them, so a Stiefel
+roll reads its control once.
 """
 
 import json
@@ -1087,9 +1105,11 @@ def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
         return func(t)
 
     ctrl.func = counted
-    extrinsic_roll(model, ctrl)
-    # the lift and the correction flow each read the n step midpoints
-    assert calls[0] <= 2 * grid.n_steps
+    for roll in (extrinsic_roll, intrinsic_roll):
+        calls[0] = 0
+        roll(model, ctrl)
+        # the lift reads the n step midpoints; the correction flow reuses its generators
+        assert calls[0] == grid.n_steps
 
 
 # -- one rolling assembly against the per-kind builders it replaced ---------
@@ -1309,7 +1329,7 @@ def test_frame_matching_matches_the_einsum_projectors(name, monkeypatch):
 
 def _per_node_projectors_reference(frames, form, what="frame"):
     # every node is rank-tested and solved on its own, constant or not
-    rolling._check_rank(np.linalg.qr(frames, mode="r"), what)
+    _check_rank_reference(frames, what)
     ft_j = np.swapaxes(frames, 1, 2) * form.signs
     try:
         return frames @ np.linalg.solve(ft_j @ frames, ft_j)
@@ -1319,16 +1339,11 @@ def _per_node_projectors_reference(frames, form, what="frame"):
 
 def _per_node_residuals_reference(path, tangent_m, tangent_mhat, normal_mhat):
     """Per-node fields of ``rolling_condition_residuals``, every frame node factored."""
-    q1, r1 = np.linalg.qr(path.R @ tangent_m.frames)
-    rolling._check_rank(r1, "tangency: R(t) F_M(t)")
-    q2, r2 = np.linalg.qr(tangent_mhat.frames)
-    rolling._check_rank(r2, "tangency: F_Mhat(t)")
-    overlap = np.swapaxes(q1, 1, 2) @ q2
-    cosines = np.linalg.svd(overlap, compute_uv=False)
-    sines = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False)
-    tangency = np.where(cosines[:, 0] ** 2 >= 0.5,
-                        np.arcsin(np.clip(sines[:, 0], -1.0, 1.0)),
-                        np.arccos(np.clip(cosines[:, -1], -1.0, 1.0)))
+    q1 = rolling._orthonormal_bases(path.R @ tangent_m.frames, "tangency: R(t) F_M(t)")
+    q2 = rolling._orthonormal_bases(tangent_mhat.frames, "tangency: F_Mhat(t)")
+    d = q1 - q2 @ (np.swapaxes(q2, 1, 2) @ q1)
+    largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
+    tangency = np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
     W = rolling._rotation_generator(path)
 
     def defect(frames):
@@ -1374,6 +1389,144 @@ def test_constant_frames_factored_once_match_the_per_node_suite(name, n_steps):
         assert np.array_equal(full, _per_node_projectors_reference(stack.frames, model.form))
     triple = intrinsic_roll(model, ctrl)
     assert _peak(triple_gram_residual(triple), _triple_gram_einsum_reference(triple)) <= 1e-14
+
+
+# -- the Cholesky-screened frame test and tangency against the QR paths ------
+
+
+def _check_rank_reference(frames, what):
+    """The exact-only frame test: QR, then the SVD of every triangular factor."""
+    finite = np.all(np.isfinite(frames), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
+    sv = np.linalg.svd(np.linalg.qr(frames, mode="r"), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = sv[:, 0] / sv[:, -1]
+    bad = np.flatnonzero(~(conds <= FRAME_COND_MAX))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{what} is rank deficient at node {k} (condition number {conds[k]:.1e})")
+
+
+def _qr_svd_tangency_reference(path, tangent_m, tangent_mhat):
+    """Largest principal angle from QR bases and the SVD of the sines Q2 - Q1 Q1^T Q2."""
+    mapped = path.R @ tangent_m.frames
+    _check_rank_reference(mapped, "tangency: R(t) F_M(t)")
+    _check_rank_reference(tangent_mhat.frames, "tangency: F_Mhat(t)")
+    q1, q2 = np.linalg.qr(mapped)[0], np.linalg.qr(tangent_mhat.frames)[0]
+    sines = np.linalg.svd(q2 - q1 @ (np.swapaxes(q1, 1, 2) @ q2), compute_uv=False)
+    return np.arcsin(np.clip(sines[:, 0], -1.0, 1.0))
+
+
+def _frame_of_condition(rng, cond, N, r):
+    u = np.linalg.qr(rng.standard_normal((N, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    return (u * np.geomspace(1.0, 1.0 / cond, r)) @ v.T
+
+
+def _frames_with(cond, node, N=5, r=3, n_nodes=12, seed=0):
+    """Frames of condition number 10, and ``cond`` at ``node``."""
+    rng = np.random.default_rng(seed)
+    frames = np.stack([_frame_of_condition(rng, 10.0, N, r) for _ in range(n_nodes)])
+    frames[node] = _frame_of_condition(rng, cond, N, r)
+    return frames
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 5e5, 9e5])
+def test_rank_screen_accepts_what_the_exact_test_accepts(cond, scale):
+    frames = scale * _frames_with(cond, 7)
+    assert np.linalg.cond(frames[7]) == pytest.approx(cond, rel=1e-6)
+    _check_rank_reference(frames, "frame")
+    rolling._check_rank(frames, "frame")
+    q = rolling._orthonormal_bases(frames, "frame")
+    assert _peak(np.swapaxes(q, 1, 2) @ q, np.eye(3)) <= 1e-14
+    # the bases span the frames: the frames are their own combinations of q
+    assert _peak(q @ (np.swapaxes(q, 1, 2) @ frames), frames) <= 1e-14 * scale
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cond", [1.1e6, 1e7, 1e9, "cond_1e14"])
+def test_rank_screen_refuses_what_the_exact_test_refuses(cond):
+    if cond == "cond_1e14":
+        frames = _frames_with(10.0, 7, N=3, r=2)
+        frames[7] = [[1.0, 1e7], [0.0, 1.0], [0.0, 0.0]]
+    else:
+        frames = _frames_with(cond, 7)
+    # an accepted node the screen cannot certify comes before the refused one
+    frames[3] = _frame_of_condition(np.random.default_rng(1), 9e5, *frames.shape[1:])
+    with pytest.raises(ValueError, match="rank deficient at node 7 ") as exact:
+        _check_rank_reference(frames, "frame")
+    with pytest.raises(ValueError) as screened:
+        rolling._check_rank(frames, "frame")
+    assert str(screened.value) == str(exact.value)
+
+
+def _ill_conditioned(frames, cond, seed):
+    """The frames' spans, each given by a basis of condition number ``cond``."""
+    rng = np.random.default_rng(seed)
+    r = frames.shape[2]
+    return np.linalg.qr(frames)[0] @ _frame_of_condition(rng, cond, r, r)
+
+
+@pytest.mark.parametrize("side", ["m", "mhat"])
+@pytest.mark.parametrize("cond", [1e3, 1e5, 5e5, 9e5])
+@pytest.mark.parametrize("signs, r", [(SO12, 3), ([1] * 8, 5)], ids=["so12_r3", "euclid8_r5"])
+def test_cholesky_tangency_matches_the_qr_svd_reference(signs, r, cond, side):
+    path, frames_m, frames_hat = _tangency_case(signs, r)
+    if side == "m":
+        mapped = _ill_conditioned(path.R @ frames_m.frames, cond, 2)
+        frames_m = TangentFramePath(frames_m.ts, j_transpose_inverse(path.R, path.form) @ mapped)
+    else:
+        frames_hat = TangentFramePath(frames_hat.ts, _ill_conditioned(frames_hat.frames, cond, 3))
+    reference = _qr_svd_tangency_reference(path, frames_m, frames_hat)
+    assert _peak(tangency_residual(path, frames_m, frames_hat), reference) <= 1e-15 * cond
+
+
+def _j_transpose_inverse_reference(mats, form):
+    signs = form.signs
+    return signs[:, None] * np.swapaxes(mats, -1, -2) * signs
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_j_transpose_inverse_keeps_the_bits_and_the_layout(name):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 40)
+    lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 13))
+    path = extrinsic_roll(model, lift.control)
+    rhos = model.rho_path(lift.samples)
+    for mats in (rhos, path.R, np.ascontiguousarray(path.R), path.R[5]):
+        before = mats.copy()
+        out = j_transpose_inverse(mats, model.form)
+        reference = _j_transpose_inverse_reference(mats, model.form)
+        assert _same_bits(out, reference)
+        # einsums over the result sum in the order of its memory layout
+        assert out.strides == reference.strides
+        assert _same_bits(mats, before)
+    # a rolled path's R is a stack of transposes, so W = Rdot R^-1 takes a C-contiguous inverse
+    assert j_transpose_inverse(path.R, model.form).flags.c_contiguous
+
+
+def _fd_interior_reference(a, h):
+    return (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+
+
+# one block of the stencil holds 128 rows of 16 x 16 matrices
+@pytest.mark.parametrize("shape", [(5, 16, 16), (132, 16, 16), (133, 16, 16), (2001, 16, 16),
+                                   (2001, 9), (7,), (40000,), (6, 0)])
+def test_blocked_fd_stencil_matches_the_whole_array_expression(shape):
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal(shape)
+    h = 1.0 / 3.0
+    assert _same_bits(fd_derivative(a, h)[2:-2], _fd_interior_reference(a, h))
+    z = a + 1j * rng.standard_normal(shape)
+    assert _same_bits(fd_derivative(z, h)[2:-2], _fd_interior_reference(z, h))
+    ints = rng.integers(-9, 9, shape)
+    assert _same_bits(fd_derivative(ints, h)[2:-2], _fd_interior_reference(ints, h))
+    # a strided view, as the rotation paths' transposes are
+    view = np.swapaxes(a, -1, -2) if a.ndim == 3 else a[:, ::-1] if a.ndim == 2 else a[::-1]
+    assert _same_bits(fd_derivative(view, h)[2:-2], _fd_interior_reference(view, h))
 
 
 # -- trajectory file codec against the per-block writers and parser ---------

@@ -269,6 +269,16 @@ def test_degenerate_frames_are_refused_at_their_node(check, frame, node, message
         FRAME_CHECKS[check](path, TangentFramePath(ft.ts, frames), ft, fn)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", FRAME_CHECKS)
+def test_frames_with_more_columns_than_rows_are_refused(check):
+    # four vectors in a three-dimensional space never span four dimensions
+    path, ft, fn = _plane_on_plane(10)
+    wide = np.random.default_rng(4).standard_normal((ft.frames.shape[0], 3, 4))
+    with pytest.raises(ValueError, match="rank deficient at node 0 "):
+        FRAME_CHECKS[check](path, TangentFramePath(ft.ts, wide), ft, fn)
+
+
 def test_residual_report_json_round_trip():
     path, ft, fn = _plane_on_plane(50)
     report = rolling_condition_residuals(path, ft, ft, fn)
