@@ -160,15 +160,11 @@ def j_orthogonality_residual(R, form):
 def j_transpose_inverse(mats, form):
     """Inverse J R^T J of J-orthogonal matrices, stacked over leading axes.
 
-    R^T times the sign matrix s_i s_j in one exact product, laid out in
-    memory as R^T is, as the two-product form ``s[:, None] * R^T * s`` gave
-    it: stacked einsums over the result sum in layout order, so their bits
-    stay the same.
+    R^T times the sign matrix s_i s_j in one exact product, as a C-ordered
+    stack.
     """
     signs = form.signs
-    swapped = np.swapaxes(mats, -1, -2)
-    out = np.empty_like(swapped, dtype=np.result_type(swapped, signs))
-    return np.multiply(swapped, signs[:, None] * signs, out=out)
+    return np.multiply(np.swapaxes(mats, -1, -2), signs[:, None] * signs, order="C")
 
 
 def is_oriented_isometry(R, form, tol=ORTHOGONALITY_TOL):

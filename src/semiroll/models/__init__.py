@@ -3,10 +3,15 @@
 Every model is constructed through one path: a JSON-serializable
 *description* (algebra basis, splitting, form signatures, submersion
 differential, base point) paired with a named *embedding bundle* that
-supplies the non-serializable callables (ambient representation, chart
-action, embedding, pointwise frames).  ``get_model`` resolves the fixed
-names and the parameterized family names from their generators, builds
-each model once and caches it, and also loads description files by path.
+supplies what only the model knows: ``rho``, ``d_e_rho``, the chart
+``action``, ``embed``, the chart ``base_point``, ``tangent_frame_at``,
+``transvection`` and, for a non-symmetric space, a ``rotation_correction``.
+``build_model`` passes the bundle straight to ``CartanModel``, which derives
+the embedded base point and the random points itself.  ``get_model`` is the
+one lookup: it resolves the fixed names and the parameterized family names
+from their generators, builds each model once and caches it, and also loads
+description files by path.  A model with a base point of its own is
+``build_model(description(..., base_point))``.
 The JSON files under ``data/`` are regression fixtures: tests check that
 they still match the generators, and they show the file format.
 """
@@ -23,20 +28,16 @@ import numpy as np
 from ..homogeneous import CartanModel
 from ..linalg import SignatureForm
 from . import hyperbolic, pseudo_orthogonal, sphere, stiefel
-from .hyperbolic import make_hyperbolic_model, roll_hyperboloid
-from .pseudo_orthogonal import make_pseudo_orthogonal_model, roll_pseudo_orthogonal
-from .sphere import make_sphere_model, roll_sphere
-from .stiefel import make_stiefel_model, roll_stiefel
+from .hyperbolic import roll_hyperboloid
+from .pseudo_orthogonal import roll_pseudo_orthogonal
+from .sphere import roll_sphere
+from .stiefel import roll_stiefel
 
 __all__ = [
     "build_model",
     "load_model_file",
     "get_model",
     "available_models",
-    "make_hyperbolic_model",
-    "make_sphere_model",
-    "make_pseudo_orthogonal_model",
-    "make_stiefel_model",
     "roll_hyperboloid",
     "roll_sphere",
     "roll_pseudo_orthogonal",
@@ -84,8 +85,6 @@ def build_model(desc, validate=False, rng=None):
     key = embedding.split(":", 1)[1]
     if key not in EMBEDDING_BUNDLES:
         raise ValueError(f"unknown embedding bundle: {key!r}")
-    parts = EMBEDDING_BUNDLES[key](desc)
-
     model = CartanModel(
         name=desc["name"],
         basis=_decode_basis(desc),
@@ -93,19 +92,10 @@ def build_model(desc, validate=False, rng=None):
         p_indices=desc["p_indices"],
         form=SignatureForm(desc["J_signs"]),
         group_form=SignatureForm(desc["group_signs"]),
-        base_point=parts["base_point"],
-        obar=parts["obar"],
         d_e_pi=np.asarray(desc["d_e_pi"], dtype=float),
-        rho=parts["rho"],
-        d_e_rho=parts["d_e_rho"],
-        action=parts["action"],
-        embed=parts["embed"],
-        random_point=parts["random_point"],
-        transvection=parts["transvection"],
-        tangent_frame_at=parts["tangent_frame_at"],
-        rotation_correction=parts.get("rotation_correction"),
         params=desc.get("params"),
         description=desc,
+        **EMBEDDING_BUNDLES[key](desc),
     )
     if validate:
         model.validate(rng=rng)
@@ -135,24 +125,25 @@ _CACHE = {}
 def get_model(name):
     """Look up a model by name, family pattern, or description-file path.
 
-    Named models are built once and cached; the ``make_*_model`` factories
-    return these cached objects.  A description file is read and validated
-    on every call, so an edited or corrupted file is never served stale.
+    Named models are built once and cached.  A description file is read
+    and validated on every call, so an edited or corrupted file is never
+    served stale.  A name that is neither a string nor a path is unknown.
     """
     if isinstance(name, os.PathLike):
         name = os.fspath(name)
-    if name in _CACHE:
-        return _CACHE[name]
-    desc = _description_for(name)
-    if desc is None:
+    if isinstance(name, str):
+        if name in _CACHE:
+            return _CACHE[name]
+        desc = _description_for(name)
+        if desc is not None:
+            model = _CACHE[name] = build_model(desc)
+            return model
         if Path(name).is_file():
             return load_model_file(name)
-        raise KeyError(
-            f"unknown model {name!r}; try one of {available_models()} "
-            "or a description-file path"
-        )
-    model = _CACHE[name] = build_model(desc)
-    return model
+    raise KeyError(
+        f"unknown model {name!r}; try one of {available_models()} "
+        "or a description-file path"
+    )
 
 
 def available_models():

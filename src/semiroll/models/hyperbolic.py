@@ -19,8 +19,8 @@ action.
 
 The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
 construction held here: ``quadric_description``, ``quadric_bundle`` (Moebius
-action, null-space tangent frames, disc sampling, ``quadric_transvection``)
-and ``kinematic_roll``; each model passes its basis, embedding, rho, d_e_rho.
+action, null-space tangent frames, ``quadric_transvection``) and
+``kinematic_roll``; each model passes its basis, embedding, rho, d_e_rho.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "quadric_bundle",
     "description",
     "bundle",
-    "make_hyperbolic_model",
     "kinematic_roll",
     "roll_hyperboloid",
 ]
@@ -146,32 +145,22 @@ def _action(g, z):
     return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
 
 
-def quadric_bundle(desc, rho, d_e_rho, embed, radius, axes):
+def quadric_bundle(desc, rho, d_e_rho, embed, axes):
     """Callables of a quadric model: the sphere or the hyperboloid.
 
     The model supplies its own ``rho`` and ``d_e_rho``, its chart
-    embedding, the ``radius`` of the chart disc that ``random_point``
-    samples uniformly, and the ``axes`` of ``quadric_transvection``.  Both
-    models share the Moebius action, obar = embed(z0) and the tangent frame
-    at x, the null space of J x.
+    embedding and the ``axes`` of ``quadric_transvection``.  Both models
+    share the Moebius action and the tangent frame at x, the null space of
+    J x.
     """
-    z0 = complex(desc["base_point"][0], desc["base_point"][1])
     signs = np.asarray(desc["J_signs"], dtype=float)
-
-    def random_point(rng):
-        r = radius * np.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        return r * np.exp(1j * phi)
-
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
         "action": _action,
         "embed": embed,
-        "base_point": z0,
-        "obar": embed(z0),
+        "base_point": complex(desc["base_point"][0], desc["base_point"][1]),
         "tangent_frame_at": lambda x: stacked_null_spaces((signs * np.asarray(x, float))[:, None]),
-        "random_point": random_point,
         "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
     }
 
@@ -186,13 +175,7 @@ def bundle(desc):
     signs = np.asarray(desc["J_signs"], dtype=float)
     return quadric_bundle(desc, lambda g: adjoint_matrix(g, SU11_BASIS),
                           lambda X: signs[:, None] * hat(su11_coords(X)),
-                          embed_hyperbolic, 0.85, signs[:, None, None] * SU11_BASIS)
-
-
-def make_hyperbolic_model():
-    from . import get_model
-
-    return get_model("hyperboloid")
+                          embed_hyperbolic, signs[:, None, None] * SU11_BASIS)
 
 
 def kinematic_roll(model, control, grid, ubar_of):
@@ -233,4 +216,6 @@ def roll_hyperboloid(control, grid=None):
     ``control`` holds the components (u1, u2); the ambient angular velocity
     is ubar_matrix(u(t)) (see kinematic_roll).
     """
-    return kinematic_roll(make_hyperbolic_model(), control, grid, ubar_matrix)
+    from . import get_model
+
+    return kinematic_roll(get_model("hyperboloid"), control, grid, ubar_matrix)

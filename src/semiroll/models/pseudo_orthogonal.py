@@ -21,7 +21,7 @@ import numpy as np
 
 from ..homogeneous import ControlCurve
 from ..integrate import flow_matrix_ode, integrate_vector
-from ..linalg import SignatureForm, is_oriented_isometry, random_oriented_isometry
+from ..linalg import SignatureForm, is_oriented_isometry
 from ..linalg import stacked_kron, stacked_vec
 from ..rolling import RollingMapPath
 
@@ -29,7 +29,6 @@ __all__ = [
     "so_pq_basis",
     "description",
     "bundle",
-    "make_pseudo_orthogonal_model",
     "roll_pseudo_orthogonal",
 ]
 
@@ -112,8 +111,6 @@ def bundle(desc):
     n = p + q
     jd = np.concatenate([np.ones(p), -np.ones(q)])
     J = np.diag(jd)
-    form_n = SignatureForm(jd)
-    P0 = np.asarray(desc["base_point"], dtype=float)
     skew = so_pq_basis(p, q)
 
     def rho(g):
@@ -150,28 +147,15 @@ def bundle(desc):
         Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
         return np.einsum("ail,kjl->kjia", skew, Xt).reshape(-1, n * n, skew.shape[0])
 
-    def random_point(rng):
-        return random_oriented_isometry(form_n, rng, scale=0.5) @ P0
-
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
         "action": action,
         "embed": embed,
-        "base_point": P0,
-        "obar": embed(P0),
+        "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
-        "random_point": random_point,
         "transvection": transvection,
     }
-
-
-def make_pseudo_orthogonal_model(p, q, base_point=None):
-    from . import build_model, get_model
-
-    if base_point is None:
-        return get_model(f"so_plus_{int(p)}_{int(q)}")
-    return build_model(description(p, q, base_point))
 
 
 def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):

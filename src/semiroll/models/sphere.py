@@ -19,8 +19,8 @@ origin lands on (0, -1, 0).
 
 The sphere and the hyperboloid share one quadric construction in
 ``hyperbolic.py``, which also holds ``hat`` and ``su2_coords`` (there
-``su11_coords``); this module keeps the SU(2) basis, P, the embedding, the
-sampling radius, rho and d_e_rho.
+``su11_coords``); this module keeps the SU(2) basis, P, the embedding, rho
+and d_e_rho.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "embed_sphere",
     "description",
     "bundle",
-    "make_sphere_model",
     "roll_sphere",
 ]
 
@@ -75,14 +74,8 @@ def description():
 def bundle(desc):
     P = CHART_CONJUGATOR
     return quadric_bundle(desc, lambda g: P @ adjoint_matrix(g, SU2_BASIS) @ P.T,
-                          lambda X: hat(P @ su2_coords(X)), embed_sphere, 2.0,
+                          lambda X: hat(P @ su2_coords(X)), embed_sphere,
                           np.tensordot(P, SU2_BASIS, axes=(1, 0)))
-
-
-def make_sphere_model():
-    from . import get_model
-
-    return get_model("sphere")
 
 
 def chart_lift_matrix(z):
@@ -98,7 +91,9 @@ def roll_sphere(control, grid=None):
     c2 A2 + c3 A3; the ambient angular velocity is hat(P (0, c2, c3)) (see
     kinematic_roll, here with the Euclidean form).
     """
+    from . import get_model
+
     def ubar_of(c):
         return hat(np.pad(c, ((0, 0), (1, 0))) @ CHART_CONJUGATOR.T)
 
-    return kinematic_roll(make_sphere_model(), control, grid, ubar_of)
+    return kinematic_roll(get_model("sphere"), control, grid, ubar_of)

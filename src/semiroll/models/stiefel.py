@@ -34,7 +34,6 @@ __all__ = [
     "stiefel_omega",
     "description",
     "bundle",
-    "make_stiefel_model",
     "roll_stiefel",
 ]
 
@@ -161,30 +160,17 @@ def bundle(desc):
                 out[:, c, :, a0 + r * k + c] = Pperp[:, :, r]
         return out.reshape(m, k * n, -1)
 
-    def random_point(rng):
-        G = rng.standard_normal((n, k))
-        Q, _ = np.linalg.qr(G)
-        return Q
-
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
         "action": action,
         "embed": embed,
-        "base_point": np.eye(n, k),
-        "obar": stacked_vec(np.eye(n, k)),
+        "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
-        "random_point": random_point,
         "transvection": transvection,
         # looked up at call time, so a rebinding of _correction_path is seen
         "rotation_correction": lambda model, lift: _correction_path(model, lift),
     }
-
-
-def make_stiefel_model(n, k):
-    from . import get_model
-
-    return get_model(f"stiefel_{int(n)}_{int(k)}")
 
 
 def roll_stiefel(n, k, data, grid=None, q0=None):
@@ -194,7 +180,9 @@ def roll_stiefel(n, k, data, grid=None, q0=None):
     first, then the lower block row-major), an EmbeddedCurve of flattened
     frames, or an (m, n, k) array of frames with an explicit grid.
     """
-    model = make_stiefel_model(n, k)
+    from . import get_model
+
+    model = get_model(f"stiefel_{int(n)}_{int(k)}")
     if isinstance(data, np.ndarray):
         if grid is None:
             raise ValueError("need a grid when data is a raw array")

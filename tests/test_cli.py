@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import semiroll
-from semiroll.cli import main
-from semiroll.homogeneous import ControlCurve, extrinsic_roll
+from semiroll.cli import _load_trajectory, main
+from semiroll.homogeneous import ControlCurve, extrinsic_roll, model_residual_report
 from semiroll.integrate import TimeGrid
 from semiroll.models import get_model
+from semiroll.rolling import RollingMapPath
 
 CONFIG_DIR = resources.files("semiroll") / "configs"
 BUNDLED = sorted(p.name for p in CONFIG_DIR.iterdir() if p.name.endswith(".json"))
@@ -214,6 +215,8 @@ def _json_edit(change):
                  id="string_n_steps"),
     pytest.param("verify", (".json", _json_edit(lambda doc: doc["t"].pop())), id="short_t_column"),
     pytest.param("verify", (".json", lambda text: "5"), id="json_not_an_object"),
+    pytest.param("verify", (".json", _json_edit(lambda doc: doc.update(model=5))),
+                 id="int_model_in_trajectory"),
     pytest.param("roll", {**_SMALL_ROLL, "control": {"kind": "sinusoid", "amplitude": [1.0, 0.5]}},
                  id="sinusoid_without_frequency"),
     pytest.param("roll", {**_SMALL_ROLL, "control": {"kind": "constant", "coords": ["a", 1]}},
@@ -221,6 +224,9 @@ def _json_edit(change):
     pytest.param("roll", {"model": "sphere", "grid": _SMALL_ROLL["grid"], "curve": {}},
                  id="curve_without_points"),
     pytest.param("roll", [_SMALL_ROLL], id="list_config"),
+    pytest.param("roll", {**_SMALL_ROLL, "model": 5}, id="int_model"),
+    pytest.param("roll", {**_SMALL_ROLL, "model": True}, id="bool_model"),
+    pytest.param("roll", {**_SMALL_ROLL, "model": ["sphere"]}, id="list_model"),
 ])
 def test_bad_input_is_an_error_message_not_a_traceback(command, payload, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -420,3 +426,40 @@ def test_verify_into_a_closed_pipe_exits_one_without_a_traceback(unbuffered, tmp
     assert proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error:")
+
+
+BENCHMARK_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1",
+                    "stiefel_4_2"]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_reloaded_roll_reports_bit_for_bit_as_the_in_process_roll(name, suffix, tmp_path):
+    # a trajectory file reloads the roll's arrays exactly, so verifying it must
+    # reproduce the in-process residuals exactly, whatever their memory layout
+    model = get_model(name)
+    rng = np.random.default_rng(3)
+    amp = rng.uniform(0.2, 0.6, model.p_dim) * rng.choice((-1.0, 1.0), model.p_dim)
+    freq = rng.uniform(0.5, 2.0, model.p_dim)
+    phase = rng.uniform(0.0, 2.0 * np.pi, model.p_dim)
+    grid = TimeGrid(0.0, 1.0, 2000)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": name, "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 2000},
+        "control": {"kind": "sinusoid", "amplitude": amp.tolist(),
+                    "frequency": freq.tolist(), "phase": phase.tolist()},
+    }))
+    out = tmp_path / f"traj{suffix}"
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    _, arrays = _load_trajectory(str(out))
+
+    coords = amp[None, :] * np.sin(freq[None, :] * grid.ts[:, None] + phase[None, :])
+    path = extrinsic_roll(model, ControlCurve(grid=grid, coords=coords))
+    fields = ("R", "s", "alpha", "alpha_hat")
+    assert all(np.array_equal(arrays[key], getattr(path, key)) for key in fields)
+    loaded = RollingMapPath(grid=grid, form=model.form, **{key: arrays[key] for key in fields})
+    expected = model_residual_report(model, path).per_node
+    got = model_residual_report(model, loaded).per_node
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert np.array_equal(got[key], expected[key]), key

@@ -26,14 +26,16 @@ from semiroll.models import (
     available_models,
     build_model,
     get_model,
-    make_hyperbolic_model,
-    make_pseudo_orthogonal_model,
-    make_sphere_model,
-    make_stiefel_model,
+    pseudo_orthogonal,
     stiefel,
 )
 from semiroll import rolling
-from semiroll.linalg import j_transpose_inverse
+from semiroll.linalg import (
+    SignatureForm,
+    is_oriented_isometry,
+    j_transpose_inverse,
+    random_oriented_isometry,
+)
 from semiroll.models.sphere import description as sphere_description
 from semiroll.rolling import (
     RollingMapPath,
@@ -269,6 +271,54 @@ def test_validate_passes_for_shipped_models(surface):
     surface.validate(rng=np.random.default_rng(0))
 
 
+def _rotated_stiefel_4_2():
+    c, s = np.cos(0.7), np.sin(0.7)
+    desc = stiefel.description(4, 2)
+    desc["base_point"] = (np.eye(4, 2) @ np.array([[c, -s], [s, c]])).tolist()
+    return build_model(desc)
+
+
+def _moved_so_plus_2_2():
+    form = SignatureForm([1, 1, -1, -1])
+    base = random_oriented_isometry(form, np.random.default_rng(11), scale=0.5)
+    return build_model(pseudo_orthogonal.description(2, 2, base))
+
+
+RANDOM_POINT_MODELS = {
+    **{name: lambda name=name: get_model(name) for name in available_models()},
+    "so_plus_2_2@base": _moved_so_plus_2_2,
+    "stiefel_4_2@rotated": _rotated_stiefel_4_2,
+}
+
+
+def _defining_equation_defect(model, x):
+    """Distance of an embedded point x from the model's defining equations."""
+    if model.name in ("sphere", "hyperboloid"):
+        radius2 = 1.0 if model.name == "sphere" else -1.0
+        return abs(np.sum(model.form.signs * x * x) - radius2)
+    if model.name.startswith("so_plus_"):
+        p, q = model.params["p"], model.params["q"]
+        X = x.reshape(p + q, p + q, order="F")
+        ok, residual = is_oriented_isometry(X, SignatureForm([1] * p + [-1] * q), tol=1e-12)
+        return residual if ok else np.inf
+    n, k = model.params["n"], model.params["k"]
+    A = x.reshape(n, k, order="F")
+    return np.max(np.abs(A.T @ A - np.eye(k)))
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_POINT_MODELS))
+@pytest.mark.filterwarnings("ignore:model stiefel")
+def test_random_points_lie_on_the_manifold(name):
+    # random points are the base point moved by random group elements
+    model = RANDOM_POINT_MODELS[name]()
+    rng = np.random.default_rng(5)
+    points = np.array([np.asarray(model.embed(model.random_point(rng)), dtype=float).ravel()
+                       for _ in range(20)])
+    assert max(_defining_equation_defect(model, x) for x in points) <= 1e-12
+    assert np.max(np.abs(points - model.obar)) > 0.1
+    model.validate()
+
+
 @pytest.mark.parametrize("name", ["so_plus_1_2", "stiefel_3_1", "stiefel_4_2"])
 def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, monkeypatch):
     model = get_model(name)
@@ -313,16 +363,11 @@ def test_residual_report_differentiates_the_rotations_once(name, monkeypatch):
     assert sum(calls) == 1
 
 
-def test_factories_return_the_registry_models():
-    assert get_model("sphere") is make_sphere_model()
-    assert get_model("hyperboloid") is make_hyperbolic_model()
-    assert get_model("so_plus_1_2") is make_pseudo_orthogonal_model(1, 2)
-    assert get_model("stiefel_4_2") is make_stiefel_model(4, 2)
-    # out-of-range sizes still reach the generators' checks
+def test_out_of_range_family_sizes_reach_the_generators_checks():
     with pytest.raises(ValueError, match="signature"):
-        make_pseudo_orthogonal_model(-1, 3)
+        get_model("so_plus_-1_3")
     with pytest.raises(ValueError, match="1 <= k < n"):
-        make_stiefel_model(-1, 2)
+        get_model("stiefel_-1_2")
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "stiefel_4_2"])
@@ -380,6 +425,13 @@ def test_get_model_accepts_path_objects(tmp_path):
     bad.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match="brackets leave the algebra span"):
         get_model(bad)
+
+
+@pytest.mark.parametrize("name", [5, True, None, ["sphere"]],
+                         ids=["int", "bool", "none", "list"])
+def test_a_name_neither_string_nor_path_is_an_unknown_model(name):
+    with pytest.raises(KeyError, match="unknown model"):
+        get_model(name)
 
 
 @pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2"}))

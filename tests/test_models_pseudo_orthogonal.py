@@ -5,9 +5,9 @@ import pytest
 from scipy.linalg import expm
 
 from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
+from semiroll.models import build_model, get_model
 from semiroll.models.pseudo_orthogonal import (
     description,
-    make_pseudo_orthogonal_model,
     roll_pseudo_orthogonal,
     so_pq_basis,
 )
@@ -38,7 +38,7 @@ def test_description_rejects_off_group_base_point():
 
 
 def test_model_dimensions():
-    model = make_pseudo_orthogonal_model(2, 1)
+    model = get_model("so_plus_2_1")
     assert model.p_dim == 3
     assert model.ambient_dim == 9
     assert model.symmetric_space
@@ -57,7 +57,7 @@ def test_constant_control_rolls_along_a_one_parameter_subgroup():
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 0), (2, 2)])
 def test_random_control_passes_the_condition_suite(p, q):
-    model = make_pseudo_orthogonal_model(p, q)
+    model = get_model(f"so_plus_{p}_{q}")
     grid = TimeGrid(0.0, 1.0, 200)
     rng = np.random.default_rng(10 * p + q)
     amp = rng.standard_normal(model.p_dim) * 0.4
@@ -69,13 +69,13 @@ def test_random_control_passes_the_condition_suite(p, q):
 
 
 def test_roll_from_nonidentity_base_point():
-    model = make_pseudo_orthogonal_model(2, 1)
+    model = get_model("so_plus_2_1")
     rng = np.random.default_rng(7)
     base = model.random_point(rng).reshape(3, 3, order="F")
     grid = TimeGrid(0.0, 1.0, 200)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.2, 0.5 * np.sin(t), -0.3]))
     path = roll_pseudo_orthogonal(2, 1, ctrl, grid, base_point=base)
-    moved = make_pseudo_orthogonal_model(2, 1, base_point=base)
+    moved = build_model(description(2, 1, base))
     report = model_residual_report(moved, path)
     assert report.passed(50 * grid.h**2)
     assert np.max(np.abs(path.alpha[0] - base.reshape(-1, order="F"))) <= 1e-12

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
+from semiroll.models import build_model, get_model
 from semiroll.models.stiefel import (
     description,
-    make_stiefel_model,
     roll_stiefel,
     stiefel_omega,
 )
@@ -22,7 +22,7 @@ def _projectors(model):
 
 
 def test_subspaces_are_orthonormal_and_complementary():
-    model = make_stiefel_model(4, 2)
+    model = get_model("stiefel_4_2")
     Pt, Pn = _projectors(model)
     N = model.normal0
     assert model.frame0.shape == (8, 5) and N.shape == (8, 3)
@@ -35,14 +35,14 @@ def test_subspaces_are_orthonormal_and_complementary():
 
 def test_subspace_dimensions_follow_the_general_count():
     for n, k in ((3, 1), (4, 2), (5, 2), (5, 3)):
-        model = make_stiefel_model(n, k)
+        model = get_model(f"stiefel_{n}_{k}")
         dim_st = n * k - k * (k + 1) // 2
         assert model.frame0.shape == (n * k, dim_st)
         assert model.normal0.shape == (n * k, k * (k + 1) // 2)
 
 
 def test_correction_is_skew_and_block_diagonal():
-    model = make_stiefel_model(4, 2)
+    model = get_model("stiefel_4_2")
     Pt, Pn = _projectors(model)
     rng = np.random.default_rng(1)
     U = model.p_element(rng.standard_normal(model.p_dim) * 0.4)
@@ -53,7 +53,7 @@ def test_correction_is_skew_and_block_diagonal():
 
 
 def test_correction_rejects_bad_velocities():
-    model = make_stiefel_model(4, 2)
+    model = get_model("stiefel_4_2")
     rng = np.random.default_rng(2)
     M = rng.standard_normal((4, 4))
     with pytest.raises(ValueError, match="skew-symmetric"):
@@ -63,23 +63,23 @@ def test_correction_rejects_bad_velocities():
 
 
 def test_sphere_case_needs_no_correction():
-    model = make_stiefel_model(3, 1)
+    model = get_model("stiefel_3_1")
     rng = np.random.default_rng(3)
     U = model.p_element(rng.standard_normal(model.p_dim))
     assert np.max(np.abs(stiefel_omega(model, U))) == 0.0
 
 
 def test_model_flags():
-    model = make_stiefel_model(4, 2)
+    model = get_model("stiefel_4_2")
     assert not model.symmetric_space
     assert model.rotation_correction is not None
-    sphere_like = make_stiefel_model(3, 1)
+    sphere_like = get_model("stiefel_3_1")
     assert sphere_like.ambient_dim == 3
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
 def test_rolling_passes_the_condition_suite(n, k):
-    model = make_stiefel_model(n, k)
+    model = get_model(f"stiefel_{n}_{k}")
     grid = TimeGrid(0.0, 1.0, 200)
     rng = np.random.default_rng(n * 10 + k)
     amp = rng.standard_normal(model.p_dim) * 0.4
@@ -92,7 +92,7 @@ def test_rolling_passes_the_condition_suite(n, k):
 def test_roll_accepts_sampled_matrices():
     # feed the same geodesic once as a control and once as point samples
     grid = TimeGrid(0.0, 1.0, 300)
-    model = make_stiefel_model(4, 2)
+    model = get_model("stiefel_4_2")
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.7, 0.0, 0.0, 0.0, 0.0]))
     from_control = roll_stiefel(4, 2, ctrl, grid)
     mats = from_control.alpha.reshape(grid.n_nodes, 2, 4).transpose(0, 2, 1)
@@ -118,3 +118,26 @@ def test_bundled_descriptions_match_the_generators():
         shipped = json.loads((data_dir / f"{stem}.json").read_text())
         fresh = json.loads(json.dumps(gen()))
         assert shipped == fresh, f"bundled {stem}.json drifted from its generator"
+
+
+def _stiefel_4_2_at(frame):
+    desc = description(4, 2)
+    desc["base_point"] = frame.tolist()
+    return desc
+
+
+@pytest.mark.filterwarnings("ignore:model stiefel")
+def test_bundle_takes_the_base_point_of_the_description():
+    # a frame rotated inside the top k x k block is fixed by the isotropy SO(n - k)
+    c, s = np.cos(0.7), np.sin(0.7)
+    frame = np.eye(4, 2) @ np.array([[c, -s], [s, c]])
+    model = build_model(_stiefel_4_2_at(frame), validate=True)
+    assert np.array_equal(model.base_point, frame)
+    assert np.array_equal(model.obar, frame.reshape(-1, order="F"))
+
+
+@pytest.mark.filterwarnings("ignore:model stiefel")
+def test_base_point_off_the_fixed_frames_of_the_isotropy_is_refused():
+    frame = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
+    with pytest.raises(ValueError, match="isotropy algebra does not fix the base point"):
+        build_model(_stiefel_4_2_at(frame), validate=True)

@@ -92,8 +92,8 @@ as fixed by the branch, the sign the package's two-sign search always chose.
 
 The sphere and the hyperboloid are built by one quadric construction
 (``hyperbolic.quadric_description`` and ``quadric_bundle``).  Each model's
-own description, rho, d_e_rho, tangent frames, random point and
-transvection axes it replaced are kept here as references: every map agrees
+own description, rho, d_e_rho, tangent frames and transvection axes it
+replaced are kept here as references: every map agrees
 to the last bit (d_e_rho by value: the hyperboloid's is now J hat(X), with
 -0.0 where the hand-written matrix had 0.0), and the shipped JSON files
 still equal the descriptions.
@@ -103,11 +103,10 @@ still equal the descriptions.
 scipy's ``subspace_angles`` by at most 1e-7 (at pi/2) and 1e-9 (within
 1e-6 of pi/2), which the right-angle cases check.
 
-``j_transpose_inverse`` takes one product instead of two, into the memory
-layout the two products gave, and ``fd_derivative`` evaluates its interior
-stencil in blocks of rows, in place.  The whole-array expressions they
-replaced are kept here as references; both agree to the last bit, and the
-inverse has the reference's strides.  A control-driven lift carries its
+``j_transpose_inverse`` takes one product instead of two, into a C-ordered
+stack, and ``fd_derivative`` evaluates its interior stencil in blocks of
+rows, in place.  The whole-array expressions they replaced are kept here as
+references; both agree to the last bit.  A control-driven lift carries its
 stage generators, and the Stiefel correction flow reuses them, so a Stiefel
 roll reads its control once.
 """
@@ -147,7 +146,7 @@ from semiroll.linalg import (
     stacked_null_spaces,
     stacked_vec,
 )
-from semiroll.models import get_model, hyperbolic, make_pseudo_orthogonal_model, sphere, stiefel
+from semiroll.models import build_model, get_model, hyperbolic, pseudo_orthogonal, sphere, stiefel
 from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
 from semiroll import cli, rolling
 from semiroll.rolling import (
@@ -313,12 +312,6 @@ def _sphere_frame_reference(xs):
     return stacked_null_spaces(np.asarray(xs, dtype=float)[:, None, :])
 
 
-def _sphere_random_point_reference(rng):
-    r = 2.0 * np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return r * np.exp(1j * phi)
-
-
 def _sphere_description_reference():
     basis = [
         [[[x.real, x.imag] for x in row] for row in mat] for mat in sphere.SU2_BASIS
@@ -359,12 +352,6 @@ def _hyperboloid_frame_reference(xs):
     return stacked_null_spaces((signs * np.asarray(xs, dtype=float))[:, None, :])
 
 
-def _hyperboloid_random_point_reference(rng):
-    r = 0.85 * np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return r * np.exp(1j * phi)
-
-
 def _hyperboloid_description_reference():
     basis = [
         [[[x.real, x.imag] for x in row] for row in mat] for mat in hyperbolic.SU11_BASIS
@@ -387,11 +374,10 @@ def _hyperboloid_description_reference():
 
 QUADRIC_REFERENCES = {
     "sphere": (sphere, sphere.embed_sphere, _sphere_rho_reference, _sphere_d_e_rho_reference,
-               _sphere_frame_reference, _sphere_random_point_reference,
-               _sphere_description_reference,
+               _sphere_frame_reference, _sphere_description_reference,
                np.tensordot(sphere.CHART_CONJUGATOR, sphere.SU2_BASIS, axes=(1, 0))),
     "hyperboloid": (hyperbolic, hyperbolic.embed_hyperbolic, _hyperboloid_rho_reference,
-                    _hyperboloid_d_e_rho_reference, _hyperboloid_frame_reference, _hyperboloid_random_point_reference,
+                    _hyperboloid_d_e_rho_reference, _hyperboloid_frame_reference,
                     _hyperboloid_description_reference,
                     np.array([-1.0, 1.0, 1.0])[:, None, None] * hyperbolic.SU11_BASIS),
 }
@@ -404,7 +390,7 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("name", sorted(QUADRIC_REFERENCES))
 def test_quadric_bundles_match_the_per_model_bundles(name):
-    module, embed, rho, d_e_rho, frame, random_point, description, axes = QUADRIC_REFERENCES[name]
+    module, embed, rho, d_e_rho, frame, description, axes = QUADRIC_REFERENCES[name]
     desc = description()
     assert module.description() == desc
     shipped = json.loads((resources.files("semiroll") / "models" / "data" / f"{name}.json")
@@ -427,8 +413,7 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
         assert np.array_equal(parts["d_e_rho"](x), d_e_rho(x))
 
     seeds = range(40)
-    zs = np.array([parts["random_point"](np.random.default_rng(k)) for k in seeds])
-    assert _same_bits(zs, np.array([random_point(np.random.default_rng(k)) for k in seeds]))
+    zs = np.array([model.random_point(np.random.default_rng(k)) for k in seeds])
     for g, z in zip(qs, zs):
         moebius = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
         assert _same_bits(parts["action"](g, z), moebius)
@@ -436,7 +421,7 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
     points = embed(zs)
     assert _same_bits(parts["embed"](zs), points)
     assert parts["base_point"] == 0j
-    assert _same_bits(parts["obar"], embed(complex(0.0, 0.0)))
+    assert _same_bits(model.obar, embed(complex(0.0, 0.0)))
     assert _same_bits(parts["tangent_frame_at"](points), frame(points))
     v = np.einsum("kij,kj->ki", frame(points), rng.standard_normal((len(zs), 2)))
     signs = np.asarray(desc["J_signs"], dtype=float)
@@ -978,7 +963,7 @@ def _transvection_lift_model(name):
     if name != "so_plus_2_1@base":
         return get_model(name)
     base = get_model("so_plus_2_1").random_point(np.random.default_rng(7))
-    return make_pseudo_orthogonal_model(2, 1, base_point=base)
+    return build_model(pseudo_orthogonal.description(2, 1, base))
 
 
 def _constant_control_lift_errors(model, n_steps):
@@ -1501,11 +1486,9 @@ def test_j_transpose_inverse_keeps_the_bits_and_the_layout(name):
         out = j_transpose_inverse(mats, model.form)
         reference = _j_transpose_inverse_reference(mats, model.form)
         assert _same_bits(out, reference)
-        # einsums over the result sum in the order of its memory layout
-        assert out.strides == reference.strides
+        # one layout for every input, so stacked einsums over the result sum in one order
+        assert out.flags.c_contiguous
         assert _same_bits(mats, before)
-    # a rolled path's R is a stack of transposes, so W = Rdot R^-1 takes a C-contiguous inverse
-    assert j_transpose_inverse(path.R, model.form).flags.c_contiguous
 
 
 def _fd_interior_reference(a, h):
