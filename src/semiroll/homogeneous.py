@@ -14,7 +14,6 @@ R(t) alpha'(t).  The intrinsic rolling is the tangential part of that map.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -340,9 +339,10 @@ class CartanModel:
         of the base point, J-orthogonality and equivariance of the ambient
         representation (on random samples), the homomorphism property of
         d_e_rho, the transvection map against the horizontal generator, and
-        Ad_H-invariance of the derived p-metric.  A broken [p,p] subset h
-        only warns when the model is not a symmetric space (it has a
-        ``rotation_correction``).  Returns the measured defects.
+        Ad_H-invariance of the derived p-metric.  A broken [p,p] subset h is
+        refused only when the model claims to be a symmetric space; a model
+        with a ``rotation_correction`` declares it, and its defect is only
+        reported under ``"pp"``.  Returns the measured defects.
         """
         from scipy.linalg import expm
         rng = rng or np.random.default_rng(2357)
@@ -375,13 +375,8 @@ class CartanModel:
             raise ValueError("[h,h] is not contained in h")
         if worst["hp"] > lim:
             raise ValueError("[h,p] is not contained in p")
-        if worst["pp"] > lim:
-            if self.symmetric_space:
-                raise ValueError("[p,p] is not contained in h but the model claims symmetry")
-            warnings.warn(
-                f"model {self.name}: [p,p] not contained in h (reductive, non-symmetric)",
-                stacklevel=2,
-            )
+        if worst["pp"] > lim and self.symmetric_space:
+            raise ValueError("[p,p] is not contained in h but the model claims symmetry")
         if worst["orth"] > lim:
             raise ValueError("h and p are not orthogonal under -Re tr(XY)")
 

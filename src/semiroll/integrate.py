@@ -8,7 +8,8 @@ step factors at once, as matrix polynomials of the stage samples, and its
 path is their running product, taken as a blocked scan; group-valued flows
 polish the factors onto the J-orthogonal group, give every node one
 inverse-free Newton-Schulz step, and check every node.  Every matrix flow of
-the package is such a linear flow.
+the package is such a linear flow; a complex one (SU(2), SU(1,1)) runs in its
+real form, where the products are real and cheaper.
 ``reproject`` polishes one matrix or a whole stack.  Vector quadrature is the
 cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
 for cubic polynomials).  Grid differentiation is fourth order, with one-sided
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import j_orthogonality_residual
+from .linalg import SignatureForm, j_orthogonality_residual
 
 __all__ = [
     "TimeGrid",
@@ -87,6 +88,47 @@ def _newton_step(X, form):
     return 0.5 * (X + signs[:, None] * Y * signs)
 
 
+class _TiledForm(SignatureForm):
+    """J tiled twice: the form of the real forms r(X) of complex J-orthogonal matrices.
+
+    r(X) = [[Re X, -Im X], [Im X, Re X]] is multiplicative and r(X*) = r(X)^T,
+    so r(X)^T (J + J) r(X) = r(X* J X): r(X) is orthogonal under this form
+    exactly when X is under J.  Its residual (``_group_residual``) keeps the
+    complex meaning, the modulus of X* J X - J.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, form):
+        super().__init__(np.tile(form.signs, 2))
+
+
+def _real_form(X):
+    """r(X) = [[Re X, -Im X], [Im X, Re X]] of matrices (..., d, d), as float64 (..., 2d, 2d)."""
+    d = X.shape[-1]
+    out = np.empty(X.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = X.real
+    out[..., d:, :d] = X.imag
+    np.negative(X.imag, out=out[..., :d, d:])
+    return out
+
+
+def _group_residual(X, form):
+    """max |X* J X - J| per matrix of a stack (a float for one matrix).
+
+    Under a ``_TiledForm`` the stack holds real forms r(Y), and the residual is
+    Y's complex modulus, taken from the left column blocks [Re C; Im C] of the
+    real Gram matrix r(C) = r(Y)^T (J + J) r(Y), C = Y* J Y.  A max-entry
+    residual of r(Y) would read up to sqrt(2) lower.
+    """
+    if not isinstance(form, _TiledForm):
+        return j_orthogonality_residual(X, form)
+    d = form.dim // 2
+    gram = np.swapaxes(X, -1, -2) @ (form.signs[:, None] * X[..., :d])
+    gram[..., np.arange(d), np.arange(d)] -= form.signs[:d]
+    return np.max(np.hypot(gram[..., :d, :], gram[..., d:, :]), axis=(-2, -1))
+
+
 def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     """Newton iteration X <- (X + J X^{-*} J)/2 onto the J-orthogonal group.
 
@@ -99,12 +141,12 @@ def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     X = np.array(X, dtype=complex if np.iscomplexobj(X) else float)
     if X.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
+    residual = np.max(_group_residual(X, form), initial=0.0)
     for it in range(max_iter):
         if residual <= tol:
             return X, it, residual
         X = _newton_step(X, form)
-        residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
+        residual = np.max(_group_residual(X, form), initial=0.0)
     if residual <= tol:
         return X, max_iter, residual
     raise ValueError(
@@ -202,6 +244,14 @@ def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
     residual of every node is checked; a node off the group by more than
     ``REPROJECT_TOL`` raises, naming the node.  Non-finite generators or
     start values are refused.
+
+    A complex flow (complex generators or start value) runs in its real form
+    r(X) = [[Re X, -Im X], [Im X, Re X]], in float64 under the form's signs
+    tiled twice: r is multiplicative and r(X*) = r(X)^T, so the real flow is
+    the complex one exactly, and its real 2d x 2d products are cheaper than
+    complex d x d ones.  The path is returned complex, read off the left
+    column blocks of r.  The factor polish and the node check still compare
+    the complex modulus max |X* J X - J| with ``REPROJECT_TOL``.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -212,19 +262,29 @@ def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
         raise ValueError("generators and X0 must be square matrices of equal size")
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(X0))):
         raise ValueError("flow generators or start value contain NaN or inf")
-    dtype = np.result_type(L.dtype, X0.dtype, float)
-    factors = _step_factors(L.astype(dtype, copy=False), grid.h, side)
-    if reproject_form is not None:
-        factors = reproject(factors, reproject_form)
+    if not (np.iscomplexobj(L) or np.iscomplexobj(X0)):
+        dtype = np.result_type(L.dtype, X0.dtype, float)
+        return _flow(L.astype(dtype, copy=False), X0, grid, side, reproject_form)
+    form = None if reproject_form is None else _TiledForm(reproject_form)
+    out = _flow(_real_form(L), _real_form(X0), grid, side, form)
+    d = X0.shape[0]
+    return out[:, :d, :d] + 1j * out[:, d:, :d]
 
-    out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
+
+def _flow(L, X0, grid, side, form):
+    """The node path of ``flow_matrix_ode`` for checked real generators L of the path's dtype."""
+    factors = _step_factors(L, grid.h, side)
+    if form is not None:
+        factors = reproject(factors, form)
+
+    out = np.empty((grid.n_nodes,) + X0.shape, dtype=L.dtype)
     out[0] = X0
     out[1:] = _running_product(factors, X0, side)
-    if reproject_form is None:
+    if form is None:
         return out
 
-    out[1:] = _newton_schulz_step(out[1:], reproject_form)
-    residual = j_orthogonality_residual(out[1:], reproject_form)
+    out[1:] = _newton_schulz_step(out[1:], form)
+    residual = _group_residual(out[1:], form)
     worst = int(np.argmax(residual))
     if not residual[worst] <= REPROJECT_TOL:
         raise ValueError(

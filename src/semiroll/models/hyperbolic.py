@@ -77,9 +77,21 @@ def hat(u):
 
 
 def adjoint_matrix(g, basis):
-    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates, g (..., 2, 2)."""
+    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates, g (..., 2, 2).
+
+    Column j holds the coordinates of M = g B_j g^{-1}, which ``su11_coords``
+    reads from the entries (0, 0) and (0, 1) of M alone.  Those two are formed
+    elementwise from the entries of g with the adjugate formula
+    g^{-1} = [[d, -b], [-c, a]] / (a d - b c): with (x, y) the top row of g B_j,
+    M_00 = (x d - y c) / det g and M_01 = (y a - x b) / det g.
+    """
     g = np.asarray(g)[..., None, :, :]
-    return np.swapaxes(su11_coords(g @ basis @ np.linalg.inv(g)), -1, -2)
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    x = a * basis[:, 0, 0] + b * basis[:, 1, 0]
+    y = a * basis[:, 0, 1] + b * basis[:, 1, 1]
+    det = a * d - b * c
+    m00, m01 = (x * d - y * c) / det, (y * a - x * b) / det
+    return np.stack([2.0 * m00.imag, 2.0 * m01.real, 2.0 * m01.imag], axis=-2)
 
 
 def embed_hyperbolic(z):

@@ -428,6 +428,28 @@ def test_verify_into_a_closed_pipe_exits_one_without_a_traceback(unbuffered, tmp
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+def test_stiefel_description_file_rolls_and_verifies_without_stderr(mode, tmp_path):
+    # a Stiefel manifold is declared non-symmetric by its rotation correction,
+    # so loading its description file has nothing to warn about
+    desc = resources.files("semiroll") / "models" / "data" / "stiefel_4_2.json"
+    cfg = json.loads((CONFIG_DIR / "stiefel_4_2_intrinsic.json").read_text())
+    cfg.update(model=str(desc), mode=mode)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "traj.csv"
+    # to stdout, as "--out" reports the file it wrote on stderr
+    rolled = subprocess.run(**_command("roll", "--config", str(path)), stdout=subprocess.PIPE,
+                            timeout=300)
+    out.write_bytes(rolled.stdout)
+    checked = subprocess.run(**_command("verify", "--in", str(out)), stdout=subprocess.PIPE,
+                             timeout=300)
+    for proc in (rolled, checked):
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
+    assert checked.stdout.decode().strip().endswith("PASS")
+
+
 BENCHMARK_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1",
                     "stiefel_4_2"]
 

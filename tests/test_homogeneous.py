@@ -130,7 +130,6 @@ def test_coarse_grid_refusal_names_the_step_count():
 
 
 @pytest.mark.parametrize("name", BUNDLE_CONTROLS)
-@pytest.mark.filterwarnings("ignore:model stiefel")
 def test_validate_refuses_a_transvection_off_the_horizontal_generator(name):
     model = build_model(get_model(name).description)
     honest = model.transvection
@@ -307,7 +306,6 @@ def _defining_equation_defect(model, x):
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_POINT_MODELS))
-@pytest.mark.filterwarnings("ignore:model stiefel")
 def test_random_points_lie_on_the_manifold(name):
     # random points are the base point moved by random group elements
     model = RANDOM_POINT_MODELS[name]()

@@ -8,6 +8,9 @@ from scipy.linalg import expm
 from semiroll.integrate import (
     REPROJECT_TOL,
     TimeGrid,
+    _group_residual,
+    _real_form,
+    _TiledForm,
     dense_from_samples,
     derivative_interpolant,
     fd_derivative,
@@ -140,14 +143,17 @@ def test_group_flows_stay_on_the_group_and_match_the_exponential(pq, n_steps, sc
     assert np.max(np.abs(X - exact)) <= truncation + 1e-12
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("where", ["generator", "start"])
-def test_flow_rejects_non_finite_input(side, where):
+def test_flow_rejects_non_finite_input(side, where, dtype):
+    # a complex flow runs in real form, but its input is checked as given
     grid = TimeGrid(0.0, 1.0, 10)
-    gens = np.zeros((grid.stage_ts.size, 3, 3))
-    X0 = np.eye(3)
+    gens = np.zeros((grid.stage_ts.size, 3, 3), dtype=dtype)
+    X0 = np.eye(3, dtype=dtype)
     if where == "generator":
-        gens[7, 0, 1] = np.nan  # one stage time, a step midpoint
+        # one stage time, a step midpoint; a complex one in its imaginary part
+        gens[7, 0, 1] = np.nan if dtype is float else complex(0.0, np.nan)
     else:
         X0[1, 2] = np.inf
     for form in (None, SignatureForm.from_pq(3, 0)):
@@ -172,6 +178,34 @@ def test_flow_names_the_node_that_leaves_the_group():
     gens = np.zeros((grid.stage_ts.size, 3, 3))
     with pytest.raises(ValueError, match="node 1 "):
         flow_matrix_ode(gens, 1.1 * np.eye(3), grid, reproject_form=SignatureForm.from_pq(3, 0))
+
+
+SU11_SIGNS = SignatureForm([1.0, -1.0])
+
+
+def _defect_stack(seed, scale):
+    """SU(1,1) matrices times I + E, with complex E of the given scale."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    a = a / np.abs(a) * np.sqrt(1.0 + np.abs(b) ** 2)
+    g = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), np.conj(a)], -1)], -2)
+    E = scale * (rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2)))
+    return g @ (np.eye(2) + E)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-13, 1e-9, 0.1])
+def test_real_form_residual_is_the_complex_modulus(scale):
+    # the flow checks a complex path on its real form r(X); the residual it
+    # compares with REPROJECT_TOL is the complex one, to rounding, not the
+    # largest entry of r's Gram matrix, which reads up to sqrt(2) lower
+    X = _defect_stack(3, scale)
+    R, form = _real_form(X), _TiledForm(SU11_SIGNS)
+    expected = j_orthogonality_residual(X, SU11_SIGNS)
+    got = _group_residual(R, form)
+    bound = 8 * np.finfo(float).eps * np.max(np.abs(X), axis=(-2, -1)) ** 2
+    assert np.all(np.abs(got - expected) <= bound)
+    assert reproject_info(R, form, tol=1.0)[2] == np.max(got)
 
 
 def test_stacked_reproject_matches_per_matrix_calls():

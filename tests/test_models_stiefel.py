@@ -126,7 +126,6 @@ def _stiefel_4_2_at(frame):
     return desc
 
 
-@pytest.mark.filterwarnings("ignore:model stiefel")
 def test_bundle_takes_the_base_point_of_the_description():
     # a frame rotated inside the top k x k block is fixed by the isotropy SO(n - k)
     c, s = np.cos(0.7), np.sin(0.7)
@@ -136,7 +135,6 @@ def test_bundle_takes_the_base_point_of_the_description():
     assert np.array_equal(model.obar, frame.reshape(-1, order="F"))
 
 
-@pytest.mark.filterwarnings("ignore:model stiefel")
 def test_base_point_off_the_fixed_frames_of_the_isotropy_is_refused():
     frame = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
     with pytest.raises(ValueError, match="isotropy algebra does not fix the base point"):

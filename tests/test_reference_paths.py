@@ -95,8 +95,18 @@ The sphere and the hyperboloid are built by one quadric construction
 own description, rho, d_e_rho, tangent frames and transvection axes it
 replaced are kept here as references: every map agrees
 to the last bit (d_e_rho by value: the hyperboloid's is now J hat(X), with
--0.0 where the hand-written matrix had 0.0), and the shipped JSON files
-still equal the descriptions.
+-0.0 where the hand-written matrix had 0.0; rho within 1e-15 max(1, |rho|),
+as below), and the shipped JSON files still equal the descriptions.
+
+Complex flows (SU(2), SU(1,1)) run in their real form
+r(X) = [[Re X, -Im X], [Im X, Re X]], and ``hyperbolic.adjoint_matrix``
+forms rho by the adjugate formula, elementwise.  The complex-arithmetic flow
+and the LU-based conjugation they replaced are kept here as references: on
+control, sampled-curve and latitude (criterion 11, complex q0) lifts of the
+sphere and the hyperboloid, the lifts, R, alpha_hat and intrinsic maps agree
+within 1e-14 of their largest entry, and within 1e-11 on a boost to
+|q| = 8; a start value off the group is refused at the same node with the
+same message.
 
 ``tangency_residual`` takes the largest angle from its sine alone.  Below
 45 degrees that is the branch it always took; towards pi/2 it drifts from
@@ -129,7 +139,10 @@ from semiroll.homogeneous import (
     model_residual_report,
 )
 from semiroll.integrate import (
+    REPROJECT_TOL,
     TimeGrid,
+    _newton_schulz_step,
+    _running_product,
     _step_factors,
     dense_from_samples,
     derivative_interpolant,
@@ -140,6 +153,7 @@ from semiroll.integrate import (
 )
 from semiroll.linalg import (
     SignatureForm,
+    j_orthogonality_residual,
     j_transpose_inverse,
     random_oriented_isometry,
     stacked_kron,
@@ -148,7 +162,7 @@ from semiroll.linalg import (
 )
 from semiroll.models import build_model, get_model, hyperbolic, pseudo_orthogonal, sphere, stiefel
 from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
-from semiroll import cli, rolling
+from semiroll import cli, homogeneous, rolling
 from semiroll.rolling import (
     FRAME_COND_MAX,
     RollingMapPath,
@@ -388,6 +402,13 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _within_rounding(new, old):
+    """Same dtype and shape, and every entry within 1e-15 max(1, |old|)."""
+    new, old = np.asarray(new), np.asarray(old)
+    return new.dtype == old.dtype and new.shape == old.shape and \
+        bool(np.all(np.abs(new - old) <= 1e-15 * np.maximum(1.0, np.abs(old))))
+
+
 @pytest.mark.parametrize("name", sorted(QUADRIC_REFERENCES))
 def test_quadric_bundles_match_the_per_model_bundles(name):
     module, embed, rho, d_e_rho, frame, description, axes = QUADRIC_REFERENCES[name]
@@ -401,8 +422,10 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
 
     rng = np.random.default_rng(19)
     qs = np.array([model.random_group_element(rng) for _ in range(16)])
-    assert _same_bits(parts["rho"](qs), rho(qs))
-    assert all(_same_bits(parts["rho"](q), rho(q)) for q in qs)
+    # rho is now the adjugate closed form of ``adjoint_matrix``; the LU-based
+    # conjugation of the per-model bundles agrees with it to rounding
+    assert _within_rounding(parts["rho"](qs), rho(qs))
+    assert all(_within_rounding(parts["rho"](q), rho(q)) for q in qs)
 
     # single basis elements and random combinations; the new hyperboloid
     # d_e_rho is J hat(coords), whose (0, 0) entry is -0.0 where the
@@ -779,6 +802,119 @@ def test_blocked_flow_matches_the_per_node_loop(name, side, n_steps):
     for form in (None, model.group_form):
         new = flow_matrix_ode(generators, q0, grid, side, form)
         assert _peak(new, _flow_loop_reference(generators, q0, grid, side, form)) <= 1e-13
+
+
+def _complex_flow_reference(generators, X0, grid, side="left", reproject_form=None):
+    """The flow in complex arithmetic, as complex flows ran before they took their real form."""
+    L = np.asarray(generators)
+    X0 = np.asarray(X0)
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(X0))):
+        raise ValueError("flow generators or start value contain NaN or inf")
+    dtype = np.result_type(L.dtype, X0.dtype, float)
+    factors = _step_factors(L.astype(dtype, copy=False), grid.h, side)
+    if reproject_form is not None:
+        factors = reproject(factors, reproject_form)
+    out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
+    out[0] = X0
+    out[1:] = _running_product(factors, X0, side)
+    if reproject_form is None:
+        return out
+    out[1:] = _newton_schulz_step(out[1:], reproject_form)
+    residual = j_orthogonality_residual(out[1:], reproject_form)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= REPROJECT_TOL:
+        raise ValueError(
+            f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
+            f"residual {residual[worst]:.3e})"
+        )
+    return out
+
+
+def _boost_control(grid):
+    """A hyperboloid control whose lift reaches max |q| of about 8."""
+    def func(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([5.2 + 0.5 * np.sin(3.0 * t), 0.8 * np.cos(2.0 * t)], axis=-1)
+
+    return ControlCurve(grid=grid, coords=func(grid.ts), func=func)
+
+
+def _quadric_case(name, case, n_steps):
+    """(model, lift input, q0) of one sphere or hyperboloid case."""
+    model = get_model(name)
+    if case == "latitude":
+        # criterion 11: the latitude at polar angle 1, from a complex q0
+        grid = TimeGrid(0.0, 2 * np.pi, n_steps)
+        z = np.tan(0.5) * np.exp(1j * grid.ts)
+        return model, EmbeddedCurve(grid, sphere.embed_sphere(z)), sphere.chart_lift_matrix(z[0])
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ctrl = _boost_control(grid) if case == "boost" else _sinusoid(grid, model.p_dim, 1)
+    if case == "sampled":
+        return model, EmbeddedCurve(grid, extrinsic_roll(model, ctrl).alpha), None
+    return model, ctrl, None
+
+
+def _quadric_outputs(model, data, q0):
+    lift = horizontal_lift(model, data, q0=q0)
+    path = extrinsic_roll(model, data, q0=q0)
+    return lift.samples, path.R, path.alpha_hat, intrinsic_roll(model, data, q0=q0).maps
+
+
+def _relative_peak(new, reference):
+    return _peak(new, reference) / max(1.0, float(np.max(np.abs(reference))))
+
+
+# the latitude runs on [0, 2 pi], where 250 steps are too coarse for a sampled lift
+QUADRIC_FLOW_CASES = [
+    (name, case, n_steps)
+    for name, case in [("sphere", "control"), ("sphere", "sampled"), ("hyperboloid", "control"),
+                       ("hyperboloid", "sampled"), ("hyperboloid", "boost")]
+    for n_steps in (250, 2000)
+] + [("sphere", "latitude", 1000), ("sphere", "latitude", 2000)]
+
+
+@pytest.mark.parametrize("name, case, n_steps", QUADRIC_FLOW_CASES)
+def test_real_form_flows_match_the_complex_arithmetic(name, case, n_steps, monkeypatch):
+    # the SU(2) and SU(1,1) lifts run in real form, and rho is the adjugate
+    # closed form; the complex-arithmetic flow and the LU-based adjoint they
+    # replaced agree to rounding: within 3e-15 of the largest entry at unit
+    # amplitude.  The boost's group samples reach |q| = 8, its R entries
+    # |q|^2, and its development sums their rounding (1.7e-12 measured)
+    model, data, q0 = _quadric_case(name, case, n_steps)
+    new = _quadric_outputs(model, data, q0)
+    with monkeypatch.context() as patch:
+        patch.setattr(homogeneous, "flow_matrix_ode", _complex_flow_reference)
+        patch.setattr(hyperbolic, "adjoint_matrix", _adjoint_reference)
+        patch.setattr(sphere, "adjoint_matrix", _adjoint_reference)
+        reference = _quadric_outputs(model, data, q0)
+    assert new[0].dtype == reference[0].dtype == complex
+    if case == "boost":
+        assert 7.5 <= np.max(np.abs(new[0])) <= 8.5
+    # lift samples, R, alpha_hat, intrinsic maps
+    tols = (1e-13, 5e-13, 1e-11, 5e-13) if case == "boost" else (1e-14,) * 4
+    for got, expected, tol in zip(new, reference, tols):
+        assert _relative_peak(got, expected) <= tol
+
+
+@pytest.mark.parametrize("case, side, node", [("constant", "left", 1), ("constant", "right", 1),
+                                              ("varying", "right", 50)])
+def test_complex_flow_off_the_group_is_refused_at_the_reference_node(case, side, node):
+    # a start value off SU(1,1) keeps a defect that one node step cannot
+    # remove.  From 1.1 I under a zero generator every node is the same, and
+    # node 1 is named; diag(1.1, 1) carried on the right by an su(1,1)
+    # sinusoid has a defect X_k* J X_k - J that varies, largest at the end
+    grid = TimeGrid(0.0, 1.0, 50)
+    model = get_model("hyperboloid")
+    if case == "constant":
+        gens, X0 = np.zeros((grid.stage_ts.size, 2, 2), dtype=complex), 1.1 * np.eye(2)
+    else:
+        gens = model.p_element(_sinusoid(grid, 2, 1).stage_coords())
+        X0 = np.diag([1.1, 1.0]) * np.exp(0.3j)
+    with pytest.raises(ValueError, match=f"flow left the group at node {node} ") as reference:
+        _complex_flow_reference(gens, X0, grid, side, model.group_form)
+    with pytest.raises(ValueError, match="flow left the group") as new:
+        flow_matrix_ode(gens, X0, grid, side, model.group_form)
+    assert str(new.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("t0, t1, n_steps", [(0.0, 1.0, 1), (0.0, 1.0, 2), (-0.3, 1.7, 17),
