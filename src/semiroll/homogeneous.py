@@ -91,10 +91,25 @@ class ControlCurve:
         return self.coords.shape[1]
 
     def at(self, ts):
-        """Coefficients at ``ts``, (len(ts), dim): one interpolant call, else one call per t."""
+        """Coefficients at ``ts``, (len(ts), dim): one interpolant call, else one call per t.
+
+        A user ``func`` is read once per t and its results are stacked by one
+        ``np.array``; the table's shape is checked once.  A func returning
+        scalars is accepted for a 1-dim control; rows of any other length
+        than ``dim`` are refused.
+        """
         if isinstance(self.func, NotAKnotCubic):
             return self.func(ts)
-        return np.array([np.atleast_1d(self.func(t)) for t in ts], dtype=float)
+        try:
+            table = np.array([self.func(t) for t in ts], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"control func returned rows of unequal shape: {exc}") from None
+        if table.ndim == 1 and self.dim == 1:
+            table = table[:, None]
+        if table.shape[1:] != (self.dim,):
+            raise ValueError(f"control func returned rows of shape {table.shape[1:]}, "
+                             f"expected ({self.dim},)")
+        return table
 
     def stage_coords(self):
         """Coefficients at ``grid.stage_ts``, (2 n_steps + 1, dim): the node samples
@@ -483,7 +498,11 @@ def _lift_from_samples(model, curve, q0):
                 f"manifold (defect {fit[k]:.3e}); input must be smooth and tangent, "
                 "or the grid is too coarse for its finite-difference velocity; refine n_steps"
             )
-        raise ValueError(f"lift drifted from the curve (defect {track[k]:.3e} at t={t:.6g})")
+        raise ValueError(
+            f"lift drifted from the curve (defect {track[k]:.3e} at t={t:.6g}); the lift's "
+            f"truncation error exceeds LIFT_TRACK_TOL = {LIFT_TRACK_TOL:.0e} when the grid "
+            "is too coarse for a curve on the manifold; refine n_steps"
+        )
     return GroupPath(grid=grid, samples=qs, control=ControlCurve(grid=grid, coords=coords))
 
 
@@ -554,7 +573,8 @@ def extrinsic_develop(rots, velocity, grid):
 
 
 def _rolling_path(model, lift, differenced=False):
-    """The extrinsic rolling map along a horizontal lift, and rho along the lift.
+    """The extrinsic rolling map along a horizontal lift, rho along the lift, and
+    the tangent frames ``frames_along(rho)`` (None for a ``differenced`` path).
 
     The rotation is the J-inverse of rho(q) S, with S the model's
     ``rotation_correction`` (the identity for a symmetric space).  The
@@ -573,14 +593,16 @@ def _rolling_path(model, lift, differenced=False):
         rotated = rhos @ model.rotation_correction(model, lift)
     rots = j_transpose_inverse(rotated, model.form)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
+    frames = None
     if differenced:
         velocity = fd_derivative(alpha, grid.h)
     else:
-        velocity = np.einsum("kia,ka->ki", model.frames_along(rhos), lift.control.coords)
+        frames = model.frames_along(rhos)
+        velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
     alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
     s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
-                          form=model.form), rhos
+                          form=model.form), rhos, frames
 
 
 def intrinsic_roll(model, data, q0=None):
@@ -593,14 +615,14 @@ def intrinsic_roll(model, data, q0=None):
     off the lift, so on a symmetric space the development differs from that
     of ``extrinsic_roll`` by the latter's finite-difference truncation error.
     """
-    path, rhos = _rolling_path(model, horizontal_lift(model, data, q0=q0))
+    path, _, frames = _rolling_path(model, horizontal_lift(model, data, q0=q0))
     head = model.d_e_pi @ model.cf0
     return RollingTriple(
         grid=path.grid,
         alpha=path.alpha,
         alpha_hat=np.einsum("ai,ki->ka", head, path.alpha_hat - model.obar),
         maps=head @ path.R,
-        tangent_frames=model.frames_along(rhos),
+        tangent_frames=frames,
         form=model.form,
         target_gram=model.target_gram,
     )
@@ -642,9 +664,12 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     one), "frame_matching" transports a normal frame along the curve and
     matches it to the constant development frame, and "auto" is
     "closed_form".  A model with a ``rotation_correction`` (Stiefel) refuses
-    "frame_matching".  The development integrates R alpha', with alpha' read
-    exactly off the lift on a Stiefel manifold and differenced from the
-    samples of alpha on a symmetric space.
+    "frame_matching".  So does a transported normal frame that is not
+    isometric to the development's; when ``n_steps`` is not a multiple of 4
+    the refusal names that as the likely cause, since the transport takes
+    its second Richardson level only then.  The development integrates
+    R alpha', with alpha' read exactly off the lift on a Stiefel manifold and
+    differenced from the samples of alpha on a symmetric space.
     """
     if normal_strategy not in ("auto", "closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy '{normal_strategy}'")
@@ -656,8 +681,8 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     # residual checks difference the path with; the exact one is more accurate
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
     # path by the checks' own truncation error
-    path, rhos = _rolling_path(model, horizontal_lift(model, data, q0=q0),
-                               differenced=model.symmetric_space)
+    path, rhos, _ = _rolling_path(model, horizontal_lift(model, data, q0=q0),
+                                  differenced=model.symmetric_space)
     if normal_strategy != "frame_matching":
         return path
     alpha = path.alpha
@@ -667,10 +692,19 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
                                     which="normal")
         for j in range(normals.shape[2])
     ]
-    rots = normal_extension_by_frames(
-        path.R, model.frames_along(rhos), np.stack(cols, axis=2),
-        model.flat_normal_frames(path.grid).frames, model.form
-    )
+    n_steps = path.grid.n_steps
+    try:
+        rots = normal_extension_by_frames(
+            path.R, model.frames_along(rhos), np.stack(cols, axis=2),
+            model.flat_normal_frames(path.grid).frames, model.form
+        )
+    except ValueError as exc:
+        if n_steps % 4 == 0 or isinstance(exc, np.linalg.LinAlgError):
+            raise
+        raise ValueError(
+            f"{exc}: n_steps = {n_steps} is not a multiple of 4, so the normal transport "
+            "skipped its second Richardson level; use a multiple of 4"
+        ) from None
     s = path.alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(
         grid=path.grid, R=rots, s=s, alpha=alpha, alpha_hat=path.alpha_hat, form=model.form

@@ -24,6 +24,8 @@ through a frame A with velocity V depends on (A, V) alone: the bundle's
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..homogeneous import EmbeddedCurve, extrinsic_roll
@@ -39,13 +41,34 @@ __all__ = [
 
 PBLOCK_TOL = 1e-10
 
+# the (n^2, N^2) map of stiefel_omega, per model object
+_OMEGA_MAPS = weakref.WeakKeyDictionary()
+
+
+def _omega_map(model):
+    """The (n^2, N^2) matrix of the linear map U -> Omega(U), built once per model.
+
+    Row a is Omega(E_a) of the a-th unit matrix, with Pi the model's
+    orthogonal projector ``frame0 cf0`` onto the base tangent space.
+    """
+    omap = _OMEGA_MAPS.get(model)
+    if omap is None:
+        n = int(model.params["n"])
+        k = int(model.params["k"])
+        M = stacked_kron(np.eye(k), np.eye(n * n).reshape(n * n, n, n))
+        Pt = model.frame0 @ model.cf0
+        Pn = np.eye(Pt.shape[0]) - Pt
+        omap = _OMEGA_MAPS[model] = (-(Pt @ M @ Pt + Pn @ M @ Pn)).reshape(n * n, -1)
+    return omap
+
 
 def stiefel_omega(model, qdot):
     """Correction generators for horizontal group velocities qdot in p.
 
     ``qdot`` is (..., n, n) and the result (..., n k, n k); each velocity is
-    checked against its own scale.  Pi is the model's orthogonal projector
-    ``frame0 cf0`` onto the base tangent space.
+    checked against its own scale.  Omega(U) = -(Pi M_U Pi + Pi_perp M_U Pi_perp)
+    is linear in U, so every generator of the stack is one row of a single
+    product with the model's (n^2, N^2) map (``_omega_map``).
     """
     k = int(model.params["k"])
     U = np.asarray(qdot, dtype=float)
@@ -54,10 +77,10 @@ def stiefel_omega(model, qdot):
         raise ValueError("group velocity must be skew-symmetric")
     if np.any(np.max(np.abs(U[..., k:, k:]), axis=(-2, -1)) > tol):
         raise ValueError("group velocity must lie in the horizontal subalgebra")
-    M = stacked_kron(np.eye(k), U)
-    Pt = model.frame0 @ model.cf0
-    Pn = np.eye(Pt.shape[0]) - Pt
-    return -(Pt @ M @ Pt + Pn @ M @ Pn)
+    N = model.ambient_dim
+    lead = U.shape[:-2]
+    flat = U.reshape((-1, U.shape[-2] * U.shape[-1]))
+    return (flat @ _omega_map(model)).reshape(lead + (N, N))
 
 
 def description(n, k):
@@ -107,7 +130,9 @@ def _correction_path(model, lift):
     """Interpolating-frame correction S(t) along a horizontal lift.
 
     Takes the lift's own stage generators where it has them (a control-driven
-    lift), so the control is read once per roll.
+    lift), so the control is read once per roll.  When every Omega is exactly
+    zero (always for k = 1), S is the identity stack and no flow is run: the
+    RK4 flow of zero generators is the identity to the bit.
     """
     generators = lift.stage_generators
     if generators is None:
@@ -115,8 +140,10 @@ def _correction_path(model, lift):
             raise ValueError("lift carries no control curve")
         generators = model.p_element(lift.control.stage_coords())
     omegas = stiefel_omega(model, generators)
-    return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
-                           reproject_form=model.form)
+    eye = np.eye(model.ambient_dim)
+    if not np.any(omegas):
+        return np.broadcast_to(eye, (lift.grid.n_nodes,) + eye.shape).copy()
+    return flow_matrix_ode(omegas, eye, lift.grid, side="left", reproject_form=model.form)
 
 
 def bundle(desc):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
+from .integrate import TimeGrid, _running_product, dense_from_samples, fd_derivative, flow_matrix_ode
 from .linalg import RigidMotion, SignatureForm, j_transpose_inverse
 
 __all__ = [
@@ -501,7 +501,11 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
         rescaling preserves the (indefinite) squared norm of v0 unless v0 is
         numerically null, in which case rescaling is skipped.
 
-    The base scheme is first order; two Richardson levels over stride-2 and
+    The base scheme is first order: ``out[k] = P_k out[k-1]`` with P_k the
+    J-orthogonal projector at node k.  That recursion is linear, so it is
+    taken as the running product of the projectors (the blocked scan of the
+    matrix flows, ``integrate._running_product``) and one product with v0,
+    not as a loop over the nodes.  Two Richardson levels over stride-2 and
     stride-4 coarsenings of the node path buy one order each (a level
     applies when the node count minus one is divisible by its stride and
     leaves at least two coarse steps).
@@ -532,8 +536,8 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
         steps = projectors[::stride]
         out = np.empty((steps.shape[0], curve.shape[1]))
         out[0] = v0
-        for k in range(1, out.shape[0]):
-            np.matmul(steps[k], out[k - 1], out=out[k])
+        if steps.shape[0] > 1:
+            out[1:] = _running_product(steps[1:], np.eye(curve.shape[1]), "left") @ v0
         if not null_like:
             nw = form.ip(out[1:], out[1:])
             if np.any(nw * n0 <= 0.0):

@@ -469,3 +469,64 @@ def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
     # the tangency target and both no-twist projectors, one node each
     assert development == [1, 1, 1]
     assert report.max_residual() <= 50 * path.grid.h ** 2
+
+
+@pytest.mark.parametrize("func, message", [
+    (lambda t: np.array([np.sin(t), t, 1.0]), r"shape \(3,\), expected \(2,\)"),
+    (lambda t: np.sin(t), r"shape \(\), expected \(2,\)"),
+    (lambda t: np.ones((2, 1)), r"shape \(2, 1\), expected \(2,\)"),
+    (lambda t: np.ones(2 if t < 0.5 else 3), "unequal shape"),
+], ids=["long", "scalar", "matrix", "ragged"])
+def test_control_rows_of_the_wrong_length_are_refused(func, message):
+    grid = TimeGrid(0.0, 1.0, 10)
+    control = ControlCurve(grid=grid, coords=np.zeros((grid.n_nodes, 2)), func=func)
+    with pytest.raises(ValueError, match=f"^control func returned rows of {message}"):
+        control.stage_coords()
+
+
+def test_lift_drift_refusal_names_the_tolerance_and_the_remedy():
+    # criterion 11's latitude lies exactly on the sphere; 250 steps on [0, 2 pi] are too coarse
+    sphere_model = get_model("sphere")
+    from semiroll.models.sphere import chart_lift_matrix, embed_sphere
+    for n_steps, refused in ((250, True), (400, False)):
+        grid = TimeGrid(0.0, 2 * np.pi, n_steps)
+        z = np.tan(0.5) * np.exp(1j * grid.ts)
+        curve = EmbeddedCurve(grid, embed_sphere(z))
+        if not refused:
+            horizontal_lift(sphere_model, curve, q0=chart_lift_matrix(z[0]))
+            continue
+        with pytest.raises(ValueError, match=r"lift drifted from the curve \(defect .*\); the "
+                           r"lift's truncation error exceeds LIFT_TRACK_TOL = 1e-08 .*"
+                           "refine n_steps$"):
+            horizontal_lift(sphere_model, curve, q0=chart_lift_matrix(z[0]))
+
+
+def _rng5_control(model, n_steps):
+    rng = np.random.default_rng(5)
+    freq = rng.uniform(0.5, 2.0, model.p_dim)
+    phase = rng.uniform(0.0, 2 * np.pi, model.p_dim)
+    return ControlCurve.from_function(TimeGrid(0.0, 1.0, n_steps),
+                                      lambda t: 0.4 * np.sin(freq * t + phase))
+
+
+@pytest.mark.parametrize("name", ["so_plus_1_2", "so_plus_2_2"])
+def test_frame_matching_refusal_names_a_step_count_off_the_multiples_of_4(name):
+    model = get_model(name)
+    with pytest.raises(ValueError, match=r"^normal frames are not isometric .*: n_steps = 250 "
+                       "is not a multiple of 4, so the normal transport skipped its second "
+                       "Richardson level; use a multiple of 4$"):
+        extrinsic_roll(model, _rng5_control(model, 250), normal_strategy="frame_matching")
+    path = extrinsic_roll(model, _rng5_control(model, 252), normal_strategy="frame_matching")
+    assert model_residual_report(model, path).max_residual() <= 50 * path.grid.h ** 2
+
+
+@pytest.mark.parametrize("name", ["sphere", "so_plus_2_2", "stiefel_4_2"])
+def test_intrinsic_roll_forms_the_moving_frames_once(name, monkeypatch):
+    model = get_model(name)
+    ctrl = ControlCurve.from_function(TimeGrid(0.0, 1.0, 40), _phased(model.p_dim))
+    frames_along, calls = model.frames_along, []
+    monkeypatch.setattr(model, "frames_along", lambda rhos: calls.append(1) or frames_along(rhos))
+    triple = intrinsic_roll(model, ctrl)
+    assert len(calls) == 1
+    lift = horizontal_lift(model, ctrl)
+    assert np.array_equal(triple.tangent_frames, frames_along(model.rho_path(lift.samples)))

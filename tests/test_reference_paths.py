@@ -119,6 +119,22 @@ rows, in place.  The whole-array expressions they replaced are kept here as
 references; both agree to the last bit.  A control-driven lift carries its
 stage generators, and the Stiefel correction flow reuses them, so a Stiefel
 roll reads its control once.
+
+``parallel_transport_embedded`` takes its step-and-project recursion as the
+blocked running product of the projectors, applied once to v0.  The
+per-node loop it replaced is kept here as the reference: tangent and
+normal transports on the sphere, the hyperboloid and so_plus_1_2 agree
+within 1e-13 of their largest entry at 250 and 2000 steps, a null vector
+is carried the same way, and a lost causal type is refused with the same
+message.  ``stiefel_omega`` forms every generator by one product through
+the (n^2, N^2) map of the linear U -> Omega(U); the Kronecker product and
+four stacked products it replaced are kept here and agree within 1e-15 (to
+the bit on these inputs), with the same refusals.  Where every Omega is
+zero (k = 1) the correction is the identity stack with no flow; the
+always-flowing correction is kept here, and the rolls agree to the bit.
+``ControlCurve.at`` stacks a user func's readings with one ``np.array``;
+the per-call ``np.atleast_1d`` table is kept here and agrees to the bit,
+for vector funcs and for a scalar func of a 1-dim control.
 """
 
 import json
@@ -1896,3 +1912,200 @@ def test_csv_without_data_rows_is_refused_by_both_readers(edit, tmp_path, capsys
     assert messages[0] == messages[1]
     assert messages[0].endswith("no trajectory data found")
     capsys.readouterr()
+
+
+# -- scanned transport, one-product Omega, skipped correction, one-array controls --
+
+
+def _parallel_transport_loop_reference(curve, frames, v0, form, which="tangent"):
+    """``parallel_transport_embedded`` with its per-node step-and-project loop."""
+    curve = np.asarray(curve, dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    m = curve.shape[0]
+    projectors = rolling._projectors(frames, form, f"{which} transport frame")
+    coeffs = np.linalg.lstsq(frames[0], v0, rcond=None)[0]
+    if np.linalg.norm(frames[0] @ coeffs - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
+        raise ValueError(f"v0 does not lie in the initial {which} space")
+    n0 = float(form.ip(v0, v0))
+    null_like = abs(n0) <= 1e-10 * float(v0 @ v0)
+
+    def _raw(stride):
+        steps = projectors[::stride]
+        out = np.empty((steps.shape[0], curve.shape[1]))
+        out[0] = v0
+        for k in range(1, out.shape[0]):
+            np.matmul(steps[k], out[k - 1], out=out[k])
+        if not null_like:
+            nw = form.ip(out[1:], out[1:])
+            if np.any(nw * n0 <= 0.0):
+                raise ValueError(
+                    "transport step lost the causal type of the vector; refine the grid"
+                )
+            out[1:] *= np.sqrt(n0 / nw)[:, None]
+        return out
+
+    def _usable(stride):
+        return (m - 1) % stride == 0 and (m - 1) // stride >= 2
+
+    ts = np.linspace(0.0, 1.0, m)
+    path1 = _raw(1)
+    if not _usable(2):
+        return path1
+    path2 = _raw(2)
+    e1_fine = 2.0 * path1[::2] - path2
+    result = path1 + dense_from_samples(ts[::2], e1_fine - path1[::2])(ts)
+    if _usable(4):
+        path4 = _raw(4)
+        e1_coarse = 2.0 * path2[::2] - path4
+        e2 = (4.0 * e1_fine[::2] - e1_coarse) / 3.0
+        result = result + dense_from_samples(ts[::4], e2 - e1_fine[::2])(ts)
+    return result
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2"])
+def test_scanned_transport_matches_the_per_node_loop(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 12))
+    rhos = model.rho_path(lift.samples)
+    alpha = np.einsum("kij,j->ki", rhos, model.obar)
+    for which, frames in (("tangent", model.frames_along(rhos)),
+                          ("normal", model.normals_along(rhos))):
+        for j in range(frames.shape[2]):
+            args = (alpha, frames, frames[0][:, j], model.form, which)
+            new = parallel_transport_embedded(*args)
+            reference = _parallel_transport_loop_reference(*args)
+            assert _peak(new, reference) <= 1e-13 * np.max(np.abs(reference)), (which, j)
+
+
+def test_scanned_transport_keeps_the_null_vector_path_and_the_causal_refusal():
+    form = SignatureForm(np.array([1.0, 1.0, -1.0]))
+    ts = np.linspace(0.0, 1.0, 21)
+    curve = np.zeros((21, 3))
+    curve[:, 1] = ts
+    # a rotating plane that contains the null vector (1, 0, 1) at every node
+    frames = np.zeros((21, 3, 2))
+    frames[:, 0, 0] = frames[:, 2, 0] = 1.0
+    frames[:, 1, 1] = np.cos(ts + 0.5)
+    frames[:, 0, 1] = np.sin(ts + 0.5)
+    v0 = np.array([1.0, 0.0, 1.0])
+    new = parallel_transport_embedded(curve, frames, v0, form)
+    assert _peak(new, _parallel_transport_loop_reference(curve, frames, v0, form)) <= 1e-13
+    assert np.max(np.abs(form.ip(new, new))) <= 1e-14
+    # a spacelike start frame continued by a timelike one
+    turning, lorentz = np.zeros((2, 2, 1)), SignatureForm(np.array([1.0, -1.0]))
+    turning[0, 0, 0] = turning[1, 1, 0] = 1.0
+    messages = []
+    for transport in (parallel_transport_embedded, _parallel_transport_loop_reference):
+        with pytest.raises(ValueError, match="causal type") as exc:
+            transport(np.zeros((2, 2)), turning, np.array([1.0, 0.0]), lorentz)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def _stiefel_omega_reference(model, qdot):
+    """Omega by the Kronecker product and four stacked products per generator."""
+    k = int(model.params["k"])
+    U = np.asarray(qdot, dtype=float)
+    tol = stiefel.PBLOCK_TOL * np.maximum(1.0, np.max(np.abs(U), axis=(-2, -1)))
+    if np.any(np.max(np.abs(U + np.swapaxes(U, -1, -2)), axis=(-2, -1)) > tol):
+        raise ValueError("group velocity must be skew-symmetric")
+    if np.any(np.max(np.abs(U[..., k:, k:]), axis=(-2, -1)) > tol):
+        raise ValueError("group velocity must lie in the horizontal subalgebra")
+    M = stacked_kron(np.eye(k), U)
+    Pt = model.frame0 @ model.cf0
+    Pn = np.eye(Pt.shape[0]) - Pt
+    return -(Pt @ M @ Pt + Pn @ M @ Pn)
+
+
+@pytest.mark.parametrize("name", ["stiefel_4_2", "stiefel_5_2"])
+def test_one_product_omega_matches_the_kronecker_products(name):
+    model = get_model(name)
+    rng = np.random.default_rng(13)
+    for U in (model.p_element(rng.standard_normal((64, model.p_dim))),
+              model.p_element(rng.standard_normal(model.p_dim)),
+              model.p_element(rng.standard_normal((3, 5, model.p_dim)))):
+        new = stiefel.stiefel_omega(model, U)
+        reference = _stiefel_omega_reference(model, U)
+        assert new.shape == reference.shape
+        assert _peak(new, reference) <= 1e-15
+    M = rng.standard_normal((4, model.group_dim, model.group_dim))
+    for bad in (M, M - np.swapaxes(M, 1, 2)):
+        messages = []
+        for omega in (stiefel.stiefel_omega, _stiefel_omega_reference):
+            with pytest.raises(ValueError) as exc:
+                omega(model, bad)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+def _correction_flow_reference(model, lift):
+    """The Stiefel correction always by the RK4 flow, as before the zero skip."""
+    omegas = _stiefel_omega_reference(model, lift.stage_generators)
+    return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
+                           reproject_form=model.form)
+
+
+@pytest.mark.parametrize("name", ["stiefel_3_1", "stiefel_4_1", "stiefel_4_2"])
+def test_zero_correction_skips_the_flow_and_keeps_the_bits(name, monkeypatch):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 250)
+    ctrl = _sinusoid(grid, model.p_dim, 14)
+    flows = [0]
+
+    def counted(*args, **kwargs):
+        flows[0] += 1
+        return flow_matrix_ode(*args, **kwargs)
+
+    monkeypatch.setattr(stiefel, "flow_matrix_ode", counted)
+    lift = horizontal_lift(model, ctrl)
+    S = stiefel._correction_path(model, lift)
+    ext, intr = extrinsic_roll(model, ctrl), intrinsic_roll(model, ctrl)
+    k = int(model.params["k"])
+    # one flow per correction where Omega is not zero, none for k = 1
+    assert flows[0] == (0 if k == 1 else 3)
+    if k == 1:
+        assert np.array_equal(S, np.broadcast_to(np.eye(model.ambient_dim), S.shape))
+    assert np.array_equal(S, _correction_flow_reference(model, lift))
+    monkeypatch.setattr(stiefel, "_correction_path", _correction_flow_reference)
+    ext_ref, intr_ref = extrinsic_roll(model, ctrl), intrinsic_roll(model, ctrl)
+    for field in ("R", "s", "alpha", "alpha_hat"):
+        assert np.array_equal(getattr(ext, field), getattr(ext_ref, field)), field
+    for field in ("alpha", "alpha_hat", "maps", "tangent_frames"):
+        assert np.array_equal(getattr(intr, field), getattr(intr_ref, field)), field
+
+
+def _stage_coords_reference(control):
+    """Stage samples with every midpoint reading wrapped in ``np.atleast_1d``."""
+    grid = control.grid
+    out = np.empty((2 * grid.n_steps + 1, control.dim))
+    out[::2] = control.coords
+    out[1::2] = np.array([np.atleast_1d(control.func(t)) for t in grid.stage_ts[1::2]],
+                         dtype=float)
+    return out
+
+
+def _scalar_control(grid):
+    return ControlCurve(grid=grid, coords=np.sin(grid.ts)[:, None],
+                        func=lambda t: float(np.sin(t)))
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 2000])
+@pytest.mark.parametrize("make", [lambda grid: _sinusoid(grid, 5, 15), _scalar_control],
+                         ids=["vector", "scalar"])
+def test_one_array_control_table_matches_the_per_call_table(make, n_steps):
+    control = make(TimeGrid(0.0, 1.3, n_steps))
+    reference = _stage_coords_reference(control)
+    calls, func = [0], control.func
+
+    def counted(t):
+        calls[0] += 1
+        return func(t)
+
+    control.func = counted
+    table = control.stage_coords()
+    assert calls[0] == n_steps
+    assert table.shape == reference.shape
+    assert np.array_equal(table, reference)
