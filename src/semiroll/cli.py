@@ -142,7 +142,8 @@ def _write_csv(out, meta, arrays):
 
 
 def _write_json(out, meta, arrays):
-    json.dump({**meta, **{key: block.tolist() for key, block in arrays.items()}}, out, indent=1)
+    doc = {**meta, **{key: block.tolist() for key, block in arrays.items()}}
+    out.write(json.dumps(doc, indent=1))
     out.write("\n")
 
 

@@ -84,7 +84,7 @@ class ControlCurve:
     @classmethod
     def from_function(cls, grid, func):
         coords = np.array([np.atleast_1d(func(t)) for t in grid.ts], dtype=float)
-        return cls(grid=grid, coords=coords, func=lambda t: np.atleast_1d(func(t)))
+        return cls(grid=grid, coords=coords, func=func)
 
     @property
     def dim(self):
@@ -264,7 +264,9 @@ class CartanModel:
         self.target_gram = d_inv.T @ self.ip_p @ d_inv
         # coefficient extractor at the base point: cf0 @ v = p-coefficients of v
         self.cf0 = np.linalg.solve(self.ip_p, self.frame0.T * self.form.signs[None, :])
-        self.normal0 = stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0]
+        # C-ordered like frame0, so products with the flat frames do not depend on the SVD layout
+        self.normal0 = np.ascontiguousarray(
+            stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0])
         if self.normal0.size:
             gram_n = self.normal0.T @ (self.form.signs[:, None] * self.normal0)
             if abs(np.linalg.det(gram_n)) < 1e-12:
@@ -332,11 +334,13 @@ class CartanModel:
         return rhos @ self.normal0
 
     def flat_tangent_frames(self, grid):
-        frames = np.broadcast_to(self.frame0, (grid.n_nodes,) + self.frame0.shape).copy()
+        """The base-point tangent frame at every node: a read-only zero-stride broadcast."""
+        frames = np.broadcast_to(self.frame0, (grid.n_nodes,) + self.frame0.shape)
         return TangentFramePath(grid.ts, frames)
 
     def flat_normal_frames(self, grid):
-        frames = np.broadcast_to(self.normal0, (grid.n_nodes,) + self.normal0.shape).copy()
+        """The base-point normal frame at every node: a read-only zero-stride broadcast."""
+        frames = np.broadcast_to(self.normal0, (grid.n_nodes,) + self.normal0.shape)
         return TangentFramePath(grid.ts, frames)
 
     def pointwise_tangent_frames(self, grid, points):

@@ -174,6 +174,23 @@ class ResidualReport:
         return cls(grid=grid, per_node=per_node, **{k: float(v) for k, v in data["max"].items()})
 
 
+def _lower_inverse(lower):
+    """Inverses of a stack of lower triangular matrices (n, r, r), by forward substitution.
+
+    Row i of X = L^-1 is (e_i - L[i, :i] X[:i]) / L[i, i]: one loop over the
+    r rows, each step vectorised over the stack.  A zero or non-finite
+    diagonal gives inf or NaN rows at that node instead of an exception.
+    """
+    r = lower.shape[-1]
+    inverse = np.zeros(lower.shape)
+    diag = np.diagonal(lower, axis1=1, axis2=2)
+    for i in range(r):
+        row = -np.einsum("kj,kjc->kc", lower[:, i, :i], inverse[:, :i, :i + 1])
+        row[:, i] += 1.0
+        inverse[:, i, :i + 1] = row / diag[:, i, None]
+    return inverse
+
+
 def _check_rank(frames, what):
     """Refuse the first node whose frame is NaN, inf or numerically rank deficient.
 
@@ -184,10 +201,12 @@ def _check_rank(frames, what):
     about N r eps ||F||^2 while FRAME_COND_MAX is far below eps^-1/2, so a node
     whose bound is at most FRAME_COND_MAX / 2 (and whose Gram does not
     underflow) is certified.  Every other node, and every node of a stack
-    whose Cholesky or its inverse fails, takes the exact test, and its U is
-    its triangular QR factor: the ratio of that factor's extreme singular
-    values is the frame's own condition number.  A node over FRAME_COND_MAX
-    has an arbitrary basis, angle or projector, so nothing is measured on it.
+    whose Cholesky fails, takes the exact test, and its U is its triangular
+    QR factor: the ratio of that factor's extreme singular values is the
+    frame's own condition number.  A node over FRAME_COND_MAX has an
+    arbitrary basis, angle or projector, so nothing is measured on it.  Both
+    triangular factors are inverted by substitution (``_lower_inverse``, the
+    QR factor through its transpose), not by a general LU.
     """
     finite = np.all(np.isfinite(frames), axis=(1, 2))
     if not np.all(finite):
@@ -196,7 +215,7 @@ def _check_rank(frames, what):
     try:
         with np.errstate(all="ignore"):
             chol = np.linalg.cholesky(np.swapaxes(frames, 1, 2) @ frames)
-            inverse = np.swapaxes(np.linalg.inv(chol), 1, 2)
+            inverse = np.swapaxes(_lower_inverse(chol), 1, 2)
             size = np.linalg.norm(chol, axis=(1, 2))
             bound = size * np.linalg.norm(inverse, axis=(1, 2))
         exact = np.flatnonzero(~((bound <= 0.5 * FRAME_COND_MAX) & (size >= 1e-140)))
@@ -213,7 +232,7 @@ def _check_rank(frames, what):
             k = int(bad[0])
             raise ValueError(f"{what} is rank deficient at node {int(exact[k])} "
                              f"(condition number {conds[k]:.1e})")
-        inverse[exact] = np.linalg.inv(factor)
+        inverse[exact] = np.swapaxes(_lower_inverse(np.swapaxes(factor, 1, 2)), 1, 2)
     return inverse
 
 
@@ -226,17 +245,17 @@ def _orthonormal_bases(frames, what):
     """
     q = frames @ _check_rank(frames, what)
     second = np.linalg.cholesky(np.swapaxes(q, 1, 2) @ q)
-    return q @ np.swapaxes(np.linalg.inv(second), 1, 2)
+    return q @ np.swapaxes(_lower_inverse(second), 1, 2)
 
 
 def _once(frames):
-    """``frames[:1]`` when every node equals node 0 bitwise, else ``frames``.
+    """``frames[:1]`` for a zero-stride stack (a broadcast of one frame), else ``frames``.
 
-    A constant stack (the flat development's frames) is then factored once
-    and broadcast; NaN never equals itself, so a non-finite stack keeps the
-    per-node path and is refused at its node.
+    The flat development's frames are such broadcasts, so they are factored
+    once and broadcast back; reading the strides costs nothing per node.  A
+    non-finite broadcast is refused at node 0.
     """
-    return frames[:1] if np.all(frames == frames[:1]) else frames
+    return frames[:1] if frames.strides[0] == 0 else frames
 
 
 def _projectors(frames, form, what="frame"):
@@ -271,27 +290,30 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     All nodes are handled in one stacked computation.  With Q1, Q2
     orthonormal bases of R(t) F_M(t) and F_Mhat(t) (CholeskyQR2, reusing the
     rank test's Cholesky factor), the sines of the principal angles are the
-    singular values of D = Q1 - Q2 Q2^T Q1, and the largest angle is the
+    singular values of D = (I - Q2 Q2^T) Q1, and the largest angle is the
     arcsine of the square root of the largest eigenvalue of the r x r matrix
-    D^T D (Bjorck & Golub 1973).  This keeps full accuracy at small angles
-    and matches the largest entry of scipy's ``subspace_angles`` to rounding
-    below 45 degrees; towards pi/2 arcsin loses accuracy, to about 1e-9
-    within 1e-6 of pi/2 and 4e-8 at pi/2, where every angle is a breach.
-    Non-finite rotations or frames raise ValueError, and so does a node
-    where either frame is numerically rank deficient (``_check_rank``: its
-    condition number exceeds FRAME_COND_MAX), so its basis would be
-    arbitrary and no angle is measured.  A constant F_Mhat (the flat
-    development's frame) is factored and tested once.
+    D^T D (Bjorck & Golub 1973).  The projector I - Q2 Q2^T is formed once
+    per distinct F_Mhat node: a constant F_Mhat (the flat development's
+    frame, a zero-stride broadcast) is factored and tested once, and its
+    one N x N projector is broadcast over the nodes.  This keeps full
+    accuracy at small angles and matches the largest entry of scipy's
+    ``subspace_angles`` to rounding below 45 degrees; towards pi/2 arcsin
+    loses accuracy, to about 1e-9 within 1e-6 of pi/2 and 4e-8 at pi/2,
+    where every angle is a breach.  Non-finite rotations or frames raise
+    ValueError, and so does a node where either frame is numerically rank
+    deficient (``_check_rank``: its condition number exceeds
+    FRAME_COND_MAX), so its basis would be arbitrary and no angle is
+    measured.
     """
-    R, frames, target = path.R, tangent_m.frames, tangent_mhat.frames
-    finite = np.logical_and.reduce([np.all(np.isfinite(a), axis=(1, 2))
-                                    for a in (R, frames, target)])
+    R, frames, target = path.R, tangent_m.frames, _once(tangent_mhat.frames)
+    finite = np.all(np.isfinite(R), axis=(1, 2)) & np.all(np.isfinite(frames), axis=(1, 2)) \
+        & np.all(np.isfinite(target), axis=(1, 2))
     if not np.all(finite):
         raise ValueError("tangency: rotations or tangent frames contain NaN or inf "
                          f"at node {int(np.argmin(finite))}")
     q1 = _orthonormal_bases(R @ frames, "tangency: R(t) F_M(t)")
-    q2 = _orthonormal_bases(_once(target), "tangency: F_Mhat(t)")
-    d = q1 - q2 @ (np.swapaxes(q2, 1, 2) @ q1)
+    q2 = _orthonormal_bases(target, "tangency: F_Mhat(t)")
+    d = (np.eye(q2.shape[1]) - q2 @ np.swapaxes(q2, 1, 2)) @ q1
     largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
     return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
 

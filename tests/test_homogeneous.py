@@ -5,6 +5,7 @@ model-specific beyond construction lives in the per-model test files.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,28 @@ def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
     # the tangency target and both no-twist projectors, one node each
     assert development == [1, 1, 1]
     assert report.max_residual() <= 50 * path.grid.h ** 2
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
+                                  "stiefel_3_1", "stiefel_4_2"])
+def test_residual_report_takes_no_lu_inverse_and_no_frame_copies(name, monkeypatch):
+    model = get_model(name)
+    path = _sinusoid_roll(model, "auto")
+    inv, calls = np.linalg.inv, []
+
+    def counted(a):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    report = model_residual_report(model, path)
+    # the triangular factors are inverted by substitution
+    assert "semiroll.rolling" not in calls
+    assert report.max_residual() <= 50 * path.grid.h ** 2
+    # the development frames are read-only broadcasts of the base-point frames
+    for stack in (model.flat_tangent_frames(path.grid), model.flat_normal_frames(path.grid)):
+        assert stack.frames.strides[0] == 0
+        assert not stack.frames.flags.writeable
 
 
 @pytest.mark.parametrize("func, message", [

@@ -429,15 +429,27 @@ def test_singular_transport_gram_names_the_transported_bundle():
                                     which="normal")
 
 
-# a stack with the same frame at every node (the flat development's frames)
-# is factored once; it is refused at node 0 with the per-node messages, and
-# one bad node in an otherwise constant stack is still refused at that node
+# a zero-stride broadcast of one frame (the flat development's frames) is
+# factored once, a copied constant stack node by node; both are refused at
+# node 0 with the per-node messages, and one bad node in an otherwise
+# constant stack is still refused at that node
 DEGENERATE_FRAMES = {
     "zero": (np.zeros((3, 2)), "rank deficient at node"),
     "cond_1e14": ([[1.0, 1e7], [0.0, 1.0], [0.0, 0.0]], "rank deficient at node"),
     "nan": ([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]], "NaN or inf at node"),
     "inf": ([[1.0, 0.0], [np.inf, 1.0], [0.0, 0.0]], "NaN or inf at node"),
 }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("defect", DEGENERATE_FRAMES)
+@pytest.mark.parametrize("check", FRAME_CHECKS)
+def test_broadcast_degenerate_frames_are_refused_at_node_0(check, defect):
+    path, ft, fn = _plane_on_plane(10)
+    frame, message = DEGENERATE_FRAMES[defect]
+    bad = np.broadcast_to(np.asarray(frame, dtype=float), ft.frames.shape)
+    with pytest.raises(ValueError, match=f"{message} 0\\b"):
+        FRAME_CHECKS[check](path, TangentFramePath(ft.ts, bad), ft, fn)
 
 
 @pytest.mark.filterwarnings("error")
