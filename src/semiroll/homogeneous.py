@@ -639,7 +639,8 @@ def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
     The returned R(t) agrees with ``tangential_ops`` on the tangent frames and
     maps the transported normal frame onto the development-side normal frame.
     Both normal frames must have matching J-Gram matrices nodewise; otherwise
-    no isometric extension exists and a ValueError is raised.
+    no isometric extension exists and a ValueError names the remedy, a finer
+    grid for the transport that produced ``normal_frames``.
     """
     tangent_frames = np.asarray(tangent_frames, dtype=float)
     normal_frames = np.asarray(normal_frames, dtype=float)
@@ -650,8 +651,8 @@ def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
     worst = float(np.max(np.abs(g_a - g_b)))
     if worst > NORMAL_GRAM_TOL:
         raise ValueError(
-            f"normal frames are not isometric (Gram mismatch {worst:.3e}); "
-            "cannot extend the tangential action"
+            f"normal frames are not isometric (Gram mismatch {worst:.3e} > NORMAL_GRAM_TOL = "
+            f"{NORMAL_GRAM_TOL:g}); cannot extend the tangential action; refine n_steps"
         )
     moved_tan = np.asarray(tangential_ops, dtype=float) @ tangent_frames
     src = np.concatenate([tangent_frames, normal_frames], axis=2)
@@ -668,10 +669,10 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     one), "frame_matching" transports a normal frame along the curve and
     matches it to the constant development frame, and "auto" is
     "closed_form".  A model with a ``rotation_correction`` (Stiefel) refuses
-    "frame_matching".  So does a transported normal frame that is not
-    isometric to the development's; when ``n_steps`` is not a multiple of 4
-    the refusal names that as the likely cause, since the transport takes
-    its second Richardson level only then.  The development integrates
+    "frame_matching".  The normal frame is transported as one (N, c) block
+    along the whole path; a grid too coarse for its Richardson levels leaves
+    it non-isometric to the development's, and the roll is refused with the
+    remedy.  The development integrates
     R alpha', with alpha' read exactly off the lift on a Stiefel manifold and
     differenced from the samples of alpha on a symmetric space.
     """
@@ -691,24 +692,11 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
         return path
     alpha = path.alpha
     normals = model.normals_along(rhos)
-    cols = [
-        parallel_transport_embedded(alpha, normals, normals[0][:, j], model.form,
-                                    which="normal")
-        for j in range(normals.shape[2])
-    ]
-    n_steps = path.grid.n_steps
-    try:
-        rots = normal_extension_by_frames(
-            path.R, model.frames_along(rhos), np.stack(cols, axis=2),
-            model.flat_normal_frames(path.grid).frames, model.form
-        )
-    except ValueError as exc:
-        if n_steps % 4 == 0 or isinstance(exc, np.linalg.LinAlgError):
-            raise
-        raise ValueError(
-            f"{exc}: n_steps = {n_steps} is not a multiple of 4, so the normal transport "
-            "skipped its second Richardson level; use a multiple of 4"
-        ) from None
+    rots = normal_extension_by_frames(
+        path.R, model.frames_along(rhos),
+        parallel_transport_embedded(alpha, normals, normals[0], model.form, which="normal"),
+        model.flat_normal_frames(path.grid).frames, model.form
+    )
     s = path.alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(
         grid=path.grid, R=rots, s=s, alpha=alpha, alpha_hat=path.alpha_hat, form=model.form

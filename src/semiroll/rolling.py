@@ -305,14 +305,12 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     FRAME_COND_MAX), so its basis would be arbitrary and no angle is
     measured.
     """
-    R, frames, target = path.R, tangent_m.frames, _once(tangent_mhat.frames)
-    finite = np.all(np.isfinite(R), axis=(1, 2)) & np.all(np.isfinite(frames), axis=(1, 2)) \
-        & np.all(np.isfinite(target), axis=(1, 2))
-    if not np.all(finite):
-        raise ValueError("tangency: rotations or tangent frames contain NaN or inf "
-                         f"at node {int(np.argmin(finite))}")
-    q1 = _orthonormal_bases(R @ frames, "tangency: R(t) F_M(t)")
-    q2 = _orthonormal_bases(target, "tangency: F_Mhat(t)")
+    # a NaN or inf in R(t) or F_M(t) leaves their product non-finite at that
+    # node (NaN x and inf 0 are NaN), so the rank test refuses it there
+    with np.errstate(invalid="ignore"):
+        mapped = path.R @ tangent_m.frames
+    q1 = _orthonormal_bases(mapped, "tangency: R(t) F_M(t)")
+    q2 = _orthonormal_bases(_once(tangent_mhat.frames), "tangency: F_Mhat(t)")
     d = (np.eye(q2.shape[1]) - q2 @ np.swapaxes(q2, 1, 2)) @ q1
     largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
     return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
@@ -516,23 +514,28 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
         Per-node bases of the subspace the transported vector lives in
         (tangent bundle for ``which="tangent"``, normal bundle for
         ``which="normal"``).
-    v0 : (N,) array
-        Start vector, must lie in the span of ``frames[0]``.
+    v0 : (N,) or (N, c) array
+        Start vector, or c start vectors as columns; each must lie in the
+        span of ``frames[0]``.
     form : SignatureForm
         Ambient scalar product; projections are J-orthogonal and the step
-        rescaling preserves the (indefinite) squared norm of v0 unless v0 is
-        numerically null, in which case rescaling is skipped.
+        rescaling preserves the (indefinite) squared norm of each column of
+        v0 unless that column is numerically null, in which case its
+        rescaling is skipped.
 
     The base scheme is first order: ``out[k] = P_k out[k-1]`` with P_k the
     J-orthogonal projector at node k.  That recursion is linear, so it is
     taken as the running product of the projectors (the blocked scan of the
-    matrix flows, ``integrate._running_product``) and one product with v0,
-    not as a loop over the nodes.  Two Richardson levels over stride-2 and
-    stride-4 coarsenings of the node path buy one order each (a level
-    applies when the node count minus one is divisible by its stride and
-    leaves at least two coarse steps).
+    matrix flows, ``integrate._running_product``), built and rank-tested
+    once, and one product with the whole block, not as a loop over the
+    nodes or the columns.  Two Richardson levels over stride-2 and stride-4
+    coarsenings of the node path buy one order each.  A level runs over the
+    longest prefix of the path that its stride divides, if that prefix has
+    at least two coarse steps, and its cubic correction extends past the
+    prefix to the last nodes.
 
-    Returns the transported vectors at every node, shape (n_nodes, N).
+    Returns the transported vectors at every node, shape (n_nodes, N) or
+    (n_nodes, N, c).
     """
     if which not in ("tangent", "normal"):
         raise ValueError("which must be 'tangent' or 'normal'")
@@ -541,50 +544,50 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     v0 = np.asarray(v0, dtype=float)
     if curve.ndim != 2 or frames.shape[:2] != curve.shape:
         raise ValueError("curve and frames disagree on node count or ambient dimension")
-    m = curve.shape[0]
+    m, dim = curve.shape
+    if v0.ndim not in (1, 2) or v0.shape[0] != dim or v0.size == 0:
+        raise ValueError(f"v0 has shape {v0.shape}, expected ({dim},) or ({dim}, c)")
     projectors = _projectors(frames, form, f"{which} transport frame")
 
-    coeffs, res, _, _ = np.linalg.lstsq(frames[0], v0, rcond=None)
-    recon = frames[0] @ coeffs
-    if np.linalg.norm(recon - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
-        raise ValueError(f"v0 does not lie in the initial {which} space")
+    block = v0 if v0.ndim == 2 else v0[:, None]
+    coeffs = np.linalg.lstsq(frames[0], block, rcond=None)[0]
+    off = np.linalg.norm(frames[0] @ coeffs - block, axis=0) \
+        > 1e-8 * np.maximum(1.0, np.linalg.norm(block, axis=0))
+    if np.any(off):
+        column = f" column {int(np.argmax(off))}" if v0.ndim == 2 else ""
+        raise ValueError(f"v0{column} does not lie in the initial {which} space")
 
-    n0 = float(form.ip(v0, v0))
-    null_like = abs(n0) <= 1e-10 * float(v0 @ v0)
+    n0 = form.ip(block.T, block.T)
+    scaled = np.abs(n0) > 1e-10 * np.sum(block * block, axis=0)
 
     def _raw(stride):
         # the projections are linear, so rescaling after each step is the
         # same as rescaling each node of the unscaled recursion once
         steps = projectors[::stride]
-        out = np.empty((steps.shape[0], curve.shape[1]))
-        out[0] = v0
+        out = np.empty((steps.shape[0],) + block.shape)
+        out[0] = block
         if steps.shape[0] > 1:
-            out[1:] = _running_product(steps[1:], np.eye(curve.shape[1]), "left") @ v0
-        if not null_like:
-            nw = form.ip(out[1:], out[1:])
-            if np.any(nw * n0 <= 0.0):
-                raise ValueError(
-                    "transport step lost the causal type of the vector; refine the grid"
-                )
-            out[1:] *= np.sqrt(n0 / nw)[:, None]
+            out[1:] = _running_product(steps[1:], np.eye(dim), "left") @ block
+        tail = np.swapaxes(out[1:, :, scaled], 1, 2)
+        nw = form.ip(tail, tail)
+        if np.any(nw * n0[scaled] <= 0.0):
+            raise ValueError("transport step lost the causal type of the vector; refine the grid")
+        out[1:, :, scaled] *= np.sqrt(n0[scaled] / nw)[:, None, :]
         return out
 
-    def _usable(stride):
-        return (m - 1) % stride == 0 and (m - 1) // stride >= 2
-
+    # rows[j]: the j-th Richardson extrapolant on the current stride's nodes
     ts = np.linspace(0.0, 1.0, m)
-    path1 = _raw(1)
-    if not _usable(2):
-        return path1
-    path2 = _raw(2)
-    e1_fine = 2.0 * path1[::2] - path2
-    result = path1 + dense_from_samples(ts[::2], e1_fine - path1[::2])(ts)
-    if _usable(4):
-        path4 = _raw(4)
-        e1_coarse = 2.0 * path2[::2] - path4
-        e2 = (4.0 * e1_fine[::2] - e1_coarse) / 3.0
-        result = result + dense_from_samples(ts[::4], e2 - e1_fine[::2])(ts)
-    return result
+    result = _raw(1)
+    rows = [result]
+    for stride in (2, 4):
+        if (m - 1) // stride < 2:
+            break
+        row = [_raw(stride)]
+        for j, fine in enumerate(rows, start=1):
+            row.append((2.0 ** j * fine[::2] - row[-1]) / (2.0 ** j - 1.0))
+        result = result + dense_from_samples(ts[::stride], row[-1] - rows[-1][::2])(ts)
+        rows = row
+    return result if v0.ndim == 2 else result[:, :, 0]
 
 
 def triple_velocity_residual(triple):

@@ -312,6 +312,26 @@ def test_sampled_curve_drifting_off_the_manifold_is_refused(name, mode, tmp_path
     assert "not tangent" in err
 
 
+def test_frame_matching_so_plus_2_2_off_the_multiples_of_4_rolls_and_verifies(tmp_path, capsys):
+    # the roll refused this grid while the normal transport's second Richardson
+    # level needed a step count divisible by 4
+    p_dim = get_model("so_plus_2_2").p_dim
+    rng = np.random.default_rng(5)
+    freq = rng.uniform(0.5, 2.0, p_dim)
+    phase = rng.uniform(0.0, 2 * np.pi, p_dim)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "so_plus_2_2", "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 250},
+        "control": {"kind": "sinusoid", "amplitude": [0.4] * p_dim, "frequency": freq.tolist(),
+                    "phase": phase.tolist()},
+        "normal_strategy": "frame_matching",
+    }))
+    out = tmp_path / "traj.csv"
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
 def test_roll_into_a_missing_directory_is_an_error(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "traj.csv"
     assert main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)]) == 1

@@ -30,7 +30,7 @@ from semiroll.models import (
     pseudo_orthogonal,
     stiefel,
 )
-from semiroll import rolling
+from semiroll import homogeneous, rolling
 from semiroll.linalg import (
     SignatureForm,
     is_oriented_isometry,
@@ -532,15 +532,36 @@ def _rng5_control(model, n_steps):
                                       lambda t: 0.4 * np.sin(freq * t + phase))
 
 
+@pytest.mark.parametrize("n_steps", [250, 251, 253, 254, 1001])
 @pytest.mark.parametrize("name", ["so_plus_1_2", "so_plus_2_2"])
-def test_frame_matching_refusal_names_a_step_count_off_the_multiples_of_4(name):
+def test_frame_matching_rolls_at_step_counts_off_the_multiples_of_4(name, n_steps):
+    # each Richardson level of the normal transport runs over the longest
+    # prefix its stride divides, so no step count loses a level
     model = get_model(name)
-    with pytest.raises(ValueError, match=r"^normal frames are not isometric .*: n_steps = 250 "
-                       "is not a multiple of 4, so the normal transport skipped its second "
-                       "Richardson level; use a multiple of 4$"):
-        extrinsic_roll(model, _rng5_control(model, 250), normal_strategy="frame_matching")
-    path = extrinsic_roll(model, _rng5_control(model, 252), normal_strategy="frame_matching")
+    path = extrinsic_roll(model, _rng5_control(model, n_steps), normal_strategy="frame_matching")
     assert model_residual_report(model, path).max_residual() <= 50 * path.grid.h ** 2
+
+
+@pytest.mark.parametrize("n_steps", [40, 60])
+def test_frame_matching_refusal_on_a_coarse_grid_names_the_remedy(n_steps):
+    model = get_model("so_plus_2_2")
+    with pytest.raises(ValueError, match=r"^normal frames are not isometric \(Gram mismatch "
+                       r".* > NORMAL_GRAM_TOL = 1e-06\); cannot extend the tangential action; "
+                       "refine n_steps$"):
+        extrinsic_roll(model, _rng5_control(model, n_steps), normal_strategy="frame_matching")
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
+def test_frame_matching_transports_the_normal_frame_in_one_call(name, monkeypatch):
+    model = get_model(name)
+    transport, projectors, calls = homogeneous.parallel_transport_embedded, rolling._projectors, []
+    monkeypatch.setattr(homogeneous, "parallel_transport_embedded",
+                        lambda *args, **kw: calls.append("transport") or transport(*args, **kw))
+    monkeypatch.setattr(rolling, "_projectors",
+                        lambda *args: calls.append("projectors") or projectors(*args))
+    extrinsic_roll(model, _rng5_control(model, 250), normal_strategy="frame_matching")
+    # the one projector stack is built inside the one transport
+    assert calls == ["transport", "projectors"]
 
 
 @pytest.mark.parametrize("name", ["sphere", "so_plus_2_2", "stiefel_4_2"])

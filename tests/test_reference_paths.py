@@ -123,11 +123,14 @@ roll reads its control once.
 
 ``parallel_transport_embedded`` takes its step-and-project recursion as the
 blocked running product of the projectors, applied once to v0.  The
-per-node loop it replaced is kept here as the reference: tangent and
-normal transports on the sphere, the hyperboloid and so_plus_1_2 agree
-within 1e-13 of their largest entry at 250 and 2000 steps, a null vector
-is carried the same way, and a lost causal type is refused with the same
-message.  ``stiefel_omega`` forms every generator by one product through
+per-node loop it replaced is kept here as the reference, with the same
+level rule (each Richardson level over the longest prefix its stride
+divides): tangent and normal transports on the sphere, the hyperboloid,
+so_plus_1_2 and so_plus_2_2 agree within 1e-13 of their largest entry at
+250, 251, 253 and 2000 steps, a null vector is carried the same way, and a
+lost causal type is refused with the same message.  A whole (N, c) frame
+transported as one block equals the stacked one-column transports to the
+bit on the sphere and the hyperboloid, and within 1e-14 on SO+.  ``stiefel_omega`` forms every generator by one product through
 the (n^2, N^2) map of the linear U -> Omega(U); the Kronecker product and
 four stacked products it replaced are kept here and agree within 1e-15 (to
 the bit on these inputs), with the same refusals.  Where every Omega is
@@ -2040,17 +2043,16 @@ def _parallel_transport_loop_reference(curve, frames, v0, form, which="tangent")
             out[1:] *= np.sqrt(n0 / nw)[:, None]
         return out
 
-    def _usable(stride):
-        return (m - 1) % stride == 0 and (m - 1) // stride >= 2
-
+    # a level runs over the longest prefix its stride divides, if that has two
+    # coarse steps, and its cubic correction extrapolates to the last nodes
     ts = np.linspace(0.0, 1.0, m)
     path1 = _raw(1)
-    if not _usable(2):
+    if (m - 1) // 2 < 2:
         return path1
     path2 = _raw(2)
     e1_fine = 2.0 * path1[::2] - path2
     result = path1 + dense_from_samples(ts[::2], e1_fine - path1[::2])(ts)
-    if _usable(4):
+    if (m - 1) // 4 >= 2:
         path4 = _raw(4)
         e1_coarse = 2.0 * path2[::2] - path4
         e2 = (4.0 * e1_fine[::2] - e1_coarse) / 3.0
@@ -2058,8 +2060,8 @@ def _parallel_transport_loop_reference(curve, frames, v0, form, which="tangent")
     return result
 
 
-@pytest.mark.parametrize("n_steps", [250, 2000])
-@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2"])
+@pytest.mark.parametrize("n_steps", [250, 251, 253, 2000])
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
 def test_scanned_transport_matches_the_per_node_loop(name, n_steps):
     model = get_model(name)
     grid = TimeGrid(0.0, 1.0, n_steps)
@@ -2073,6 +2075,27 @@ def test_scanned_transport_matches_the_per_node_loop(name, n_steps):
             new = parallel_transport_embedded(*args)
             reference = _parallel_transport_loop_reference(*args)
             assert _peak(new, reference) <= 1e-13 * np.max(np.abs(reference)), (which, j)
+
+
+@pytest.mark.parametrize("n_steps", [250, 251, 2000])
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
+def test_block_transport_matches_the_stacked_column_transports(name, n_steps):
+    # one running product applied to the whole frame, against one call per column
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 12))
+    rhos = model.rho_path(lift.samples)
+    alpha = np.einsum("kij,j->ki", rhos, model.obar)
+    for which, frames in (("tangent", model.frames_along(rhos)),
+                          ("normal", model.normals_along(rhos))):
+        block = parallel_transport_embedded(alpha, frames, frames[0], model.form, which)
+        columns = np.stack([parallel_transport_embedded(alpha, frames, frames[0][:, j],
+                                                        model.form, which)
+                            for j in range(frames.shape[2])], axis=2)
+        if name in ("sphere", "hyperboloid"):
+            assert np.array_equal(block, columns), which
+        else:
+            assert _peak(block, columns) <= 1e-14 * np.max(np.abs(columns)), which
 
 
 def test_scanned_transport_keeps_the_null_vector_path_and_the_causal_refusal():

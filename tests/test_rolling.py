@@ -317,6 +317,28 @@ def test_transport_rejects_vector_outside_start_space():
         parallel_transport_embedded(curve, frames, np.array([0.0, 0.0, 1.0]), EUCLID3)
 
 
+@pytest.mark.parametrize("v0", [
+    np.float64(1.0), np.zeros((3, 2, 1)), np.zeros(2), np.zeros((4, 2)), np.zeros((3, 0)),
+], ids=["scalar", "ndim_3", "short_vector", "long_block", "no_columns"])
+def test_transport_refuses_a_malformed_start_by_its_shape(v0):
+    curve = np.zeros((11, 3))
+    frames = np.broadcast_to(np.eye(3)[:, :2], (11, 3, 2)).copy()
+    shape = str(v0.shape).replace("(", r"\(").replace(")", r"\)")
+    with pytest.raises(ValueError, match=rf"^v0 has shape {shape}, expected \(3,\) or \(3, c\)$"):
+        parallel_transport_embedded(curve, frames, v0, EUCLID3)
+
+
+def test_transport_of_a_block_names_the_column_outside_the_start_space():
+    curve = np.zeros((11, 3))
+    frames = np.broadcast_to(np.eye(3)[:, :2], (11, 3, 2)).copy()
+    block = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="^v0 column 2 does not lie in the initial normal space$"):
+        parallel_transport_embedded(curve, frames, block, EUCLID3, which="normal")
+    out = parallel_transport_embedded(curve, frames, block[:, :2], EUCLID3)
+    assert out.shape == (11, 3, 2)
+    assert np.max(np.abs(out - block[None, :, :2])) <= 1e-15
+
+
 def test_transport_carries_null_vectors_without_rescaling():
     form = SignatureForm(np.array([1.0, 1.0, -1.0]))
     curve = np.zeros((21, 3))
@@ -346,6 +368,18 @@ def test_singular_frame_gram_is_reported():
     null_frame[:, 2, 0] = 1.0  # null column: Gram vanishes identically
     with pytest.raises(ValueError, match="Gram matrix is singular"):
         parallel_transport_embedded(curve, null_frame, null_frame[0, :, 0], form)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [(0, 0), (2, 2), (1, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tangency_refuses_a_non_finite_rotation_at_its_node(bad, entry):
+    # (2, 2) meets only the zero third row of the tangent frame: inf 0 is NaN
+    path, ft, _ = _plane_on_plane(10)
+    path.R[4][entry] = bad
+    with pytest.raises(ValueError, match=r"^tangency: R\(t\) F_M\(t\) contains NaN or inf "
+                       "at node 4$"):
+        tangency_residual(path, ft, ft)
 
 
 def _tiny_triple(det_signs):
