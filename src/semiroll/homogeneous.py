@@ -8,8 +8,9 @@ integrate ``qdot = q U(t)`` with U(t) in p (a sampled curve integrates the
 equivalent linear flow ``qdot = X(t) q``, X the transvection along the
 curve, on every model), and one assembly builds the extrinsic rolling
 map along the lift, its rotation the J-inverse of the ambient representation
-(times a model's correction) and its development the quadrature of
-R(t) alpha'(t).  The intrinsic rolling is the tangential part of that map.
+(times the correction S(t) that a non-symmetric space derives from its own
+``d_e_rho``) and its development the quadrature of R(t) alpha'(t).  The
+intrinsic rolling is the tangential part of that map.
 """
 
 from __future__ import annotations
@@ -138,15 +139,15 @@ class EmbeddedCurve:
 class GroupPath:
     """Sampled path in the structure group, optionally with its control.
 
-    A control-driven lift also carries ``stage_generators``, the algebra
-    elements ``p_element(control.stage_coords())`` it integrated, so a later
-    flow along the same control need not read it again.
+    A control-driven lift also carries ``stage_coords``, the control's
+    ``stage_coords()`` it integrated, so a later flow along the same control
+    need not read it again.
     """
 
     grid: TimeGrid
     samples: np.ndarray
     control: Optional[ControlCurve] = None
-    stage_generators: Optional[np.ndarray] = None
+    stage_coords: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -205,20 +206,23 @@ class CartanModel:
         (``hyperbolic.quadric_bundle``) and share ``quadric_transvection``,
         a formula in the cross product alpha x v; SO+(p,q) and the Stiefel
         manifolds have closed forms of their own.
-    rotation_correction : callable, optional
-        (model, lift) -> (n_nodes, N, N) correction path S(t) for models
-        whose rolling rotation is not the J-inverse of rho (the
-        non-symmetric Stiefel manifolds): their rotation is the J-inverse
-        of rho(q) S.  A model without one is a symmetric space
-        (``symmetric_space``): S is the identity and the normal completion
-        has that closed form.
 
     Everything else is *derived*, not declared: the embedded base point
     ``obar = embed(base_point)``, the random points of ``random_point`` (the
     base point moved by a random group element, since the action is
-    transitive), and the scalar product on p, ``ip_p = F0^T J F0`` with
+    transitive), the scalar product on p, ``ip_p = F0^T J F0`` with
     ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that makes
-    d_e_pi an isometry onto the embedded tangent space.
+    d_e_pi an isometry onto the embedded tangent space, and the rolling
+    correction generators ``omega_basis[i] = -(P A_i P + (I - P) A_i (I - P))``
+    with ``A_i = d_e_rho(p_i)`` and P = ``frame0 cf0`` the J-orthogonal
+    tangent projector at the base point.  Omega = sum_i U_i omega_basis[i]
+    cancels the part of d_e_rho(U) that keeps the tangent and the normal
+    space; along a lift the rotation is the J-inverse of rho(q) S with
+    S' = Omega S (Hüper, Kleinsteuber & Silva Leite, "Rolling Stiefel
+    manifolds", 2008).  ``symmetric_space`` is true where ``omega_basis``
+    vanishes (within ``MODEL_CHECK_TOL`` scaled by the sizes of P and the
+    A_i): there d_e_rho(p) swaps the two spaces, S is the identity and the
+    normal completion has that closed form.
 
     Like ``rho``, the methods ``p_element`` and ``algebra_coords`` broadcast
     over leading axes; ``d_e_rho`` takes one matrix.
@@ -226,7 +230,7 @@ class CartanModel:
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  base_point, d_e_pi, rho, d_e_rho, action, embed, transvection,
-                 tangent_frame_at, rotation_correction=None, params=None, description=None):
+                 tangent_frame_at, params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
@@ -245,7 +249,6 @@ class CartanModel:
         self.action = action
         self.embed = embed
         self.tangent_frame_at = tangent_frame_at
-        self.rotation_correction = rotation_correction
         self.transvection = transvection
         self.params = dict(params or {})
         self.description = description
@@ -253,10 +256,9 @@ class CartanModel:
         k = len(self.p_indices)
         if self.d_e_pi.shape != (k, k):
             raise ValueError("d_e_pi must be square of size len(p_indices)")
-        self.frame0 = np.column_stack(
-            [np.asarray(self.d_e_rho(self.basis[i]), dtype=float) @ self.obar
-             for i in self.p_indices]
-        )
+        d_rho_p = np.array([np.asarray(self.d_e_rho(self.basis[i]), dtype=float)
+                            for i in self.p_indices])
+        self.frame0 = np.column_stack([A @ self.obar for A in d_rho_p])
         self.ip_p = self.frame0.T @ (self.form.signs[:, None] * self.frame0)
         if abs(np.linalg.det(self.ip_p)) < 1e-12:
             raise ValueError("embedded tangent frame is degenerate under the ambient form")
@@ -271,6 +273,11 @@ class CartanModel:
             gram_n = self.normal0.T @ (self.form.signs[:, None] * self.normal0)
             if abs(np.linalg.det(gram_n)) < 1e-12:
                 raise ValueError("normal complement is degenerate under the ambient form")
+        P = self.frame0 @ self.cf0
+        Q = np.eye(P.shape[0]) - P
+        self.omega_basis = -(P @ d_rho_p @ P + Q @ d_rho_p @ Q)
+        size = max(1.0, float(np.max(np.abs(P)))) ** 2 * max(1.0, float(np.max(np.abs(d_rho_p))))
+        self.symmetric_space = bool(np.max(np.abs(self.omega_basis)) <= MODEL_CHECK_TOL * size)
 
         self._p_basis = self.basis[list(self.p_indices)]
         flat = self.basis.reshape(self.basis.shape[0], -1).T
@@ -289,10 +296,6 @@ class CartanModel:
     @property
     def ambient_dim(self):
         return self.form.dim
-
-    @property
-    def symmetric_space(self):
-        return self.rotation_correction is None
 
     def p_element(self, coeffs):
         """p-coefficients (..., k) -> algebra matrices (..., d, d)."""
@@ -359,9 +362,9 @@ class CartanModel:
         representation (on random samples), the homomorphism property of
         d_e_rho, the transvection map against the horizontal generator, and
         Ad_H-invariance of the derived p-metric.  A broken [p,p] subset h is
-        refused only when the model claims to be a symmetric space; a model
-        with a ``rotation_correction`` declares it, and its defect is only
-        reported under ``"pp"``.  Returns the measured defects.
+        refused only where ``omega_basis`` vanishes (``symmetric_space``);
+        a model with a correction of its own only reports it under ``"pp"``.
+        Returns the measured defects.
         """
         from scipy.linalg import expm
         rng = rng or np.random.default_rng(2357)
@@ -395,7 +398,7 @@ class CartanModel:
         if worst["hp"] > lim:
             raise ValueError("[h,p] is not contained in p")
         if worst["pp"] > lim and self.symmetric_space:
-            raise ValueError("[p,p] is not contained in h but the model claims symmetry")
+            raise ValueError("[p,p] is not contained in h but omega_basis vanishes")
         if worst["orth"] > lim:
             raise ValueError("h and p are not orthogonal under -Re tr(XY)")
 
@@ -465,9 +468,10 @@ class CartanModel:
 
 def _lift_from_control(model, control, q0):
     grid = control.grid
-    generators = model.p_element(control.stage_coords())
-    qs = flow_matrix_ode(generators, q0, grid, side="right", reproject_form=model.group_form)
-    return GroupPath(grid=grid, samples=qs, control=control, stage_generators=generators)
+    coords = control.stage_coords()
+    qs = flow_matrix_ode(model.p_element(coords), q0, grid, side="right",
+                         reproject_form=model.group_form)
+    return GroupPath(grid=grid, samples=qs, control=control, stage_coords=coords)
 
 
 def _lift_from_samples(model, curve, q0):
@@ -487,7 +491,7 @@ def _lift_from_samples(model, curve, q0):
     rhos = model.rho_path(qs)
     node_vel = vel[::2]
     coords = np.einsum("ai,kij,kj->ka", model.cf0, j_transpose_inverse(rhos, model.form), node_vel)
-    speed = max(1.0, float(np.max(np.linalg.norm(fd_derivative(pts, grid.h), axis=1))))
+    speed = max(1.0, float(np.max(np.linalg.norm(node_vel, axis=1))))
     fitted = np.einsum("kia,ka->ki", model.frames_along(rhos), coords)
     fit = np.linalg.norm(fitted - node_vel, axis=1)
     track = np.linalg.norm(np.einsum("kij,j->ki", rhos, model.obar) - pts, axis=1)
@@ -576,12 +580,26 @@ def extrinsic_develop(rots, velocity, grid):
     return integrate_vector(dense(grid.stage_ts), grid)
 
 
+def _correction_path(model, lift):
+    """The rolling correction S(t) along a horizontal lift: S' = Omega S, S(0) = I.
+
+    Omega = sum_i U_i ``omega_basis[i]`` is read from the stage coordinates the
+    control lift integrated, else from ``lift.control.stage_coords()``.
+    """
+    coords = lift.stage_coords
+    if coords is None:
+        coords = lift.control.stage_coords()
+    omegas = np.tensordot(coords, model.omega_basis, axes=(-1, 0))
+    return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
+                           reproject_form=model.form)
+
+
 def _rolling_path(model, lift, differenced=False):
     """The extrinsic rolling map along a horizontal lift, rho along the lift, and
     the tangent frames ``frames_along(rho)`` (None for a ``differenced`` path).
 
-    The rotation is the J-inverse of rho(q) S, with S the model's
-    ``rotation_correction`` (the identity for a symmetric space).  The
+    The rotation is the J-inverse of rho(q) S, with S the ``_correction_path``
+    of a non-symmetric model (the identity for a symmetric space).  The
     development is ``alpha_hat = obar + extrinsic_develop(R, alpha', grid)``
     and the translation ``s = alpha_hat - R alpha``.  The velocity alpha' is
     read exactly off the lift, ``rho(q) d_e_rho(U) obar`` with U the lift's
@@ -593,8 +611,8 @@ def _rolling_path(model, lift, differenced=False):
     grid = lift.grid
     rhos = model.rho_path(lift.samples)
     rotated = rhos
-    if model.rotation_correction is not None:
-        rotated = rhos @ model.rotation_correction(model, lift)
+    if not model.symmetric_space:
+        rotated = rhos @ _correction_path(model, lift)
     rots = j_transpose_inverse(rotated, model.form)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
     frames = None
@@ -665,16 +683,16 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
 
     ``normal_strategy`` selects how the rotation acts on the normal bundle:
     "closed_form" takes the rolling rotation of the lift (the J-inverse of
-    rho, corrected by the model's ``rotation_correction`` where it has
-    one), "frame_matching" transports a normal frame along the curve and
-    matches it to the constant development frame, and "auto" is
-    "closed_form".  A model with a ``rotation_correction`` (Stiefel) refuses
+    rho, corrected by the flow of ``omega_basis`` where the model is not a
+    symmetric space), "frame_matching" transports a normal frame along the
+    curve and matches it to the constant development frame, and "auto" is
+    "closed_form".  A non-symmetric model (V_k(R^n) with k >= 2) refuses
     "frame_matching".  The normal frame is transported as one (N, c) block
     along the whole path; a grid too coarse for its Richardson levels leaves
     it non-isometric to the development's, and the roll is refused with the
-    remedy.  The development integrates
-    R alpha', with alpha' read exactly off the lift on a Stiefel manifold and
-    differenced from the samples of alpha on a symmetric space.
+    remedy.  The development integrates R alpha', with alpha' read exactly
+    off the lift on a non-symmetric space and differenced from the samples
+    of alpha on a symmetric space.
     """
     if normal_strategy not in ("auto", "closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy '{normal_strategy}'")

@@ -418,11 +418,13 @@ def dense_from_samples(ts, samples):
     ``samples`` (len(ts), ...) may be complex; the result maps a scalar or an array t to
     shape ``t.shape + samples.shape[1:]``, extrapolates by its end pieces and has degree
     min(3, len(ts) - 1).  Refuses NaN or inf (also in t), fewer than two or non-uniform
-    nodes.
+    nodes, and samples with an empty trailing shape.
     """
     ts, samples = np.asarray(ts, dtype=float), np.asarray(samples)
     if ts.ndim != 1 or ts.size < 2 or samples.shape[:1] != ts.shape:
         raise ValueError("need one sample at each of at least two interpolation nodes")
+    if samples.size == 0:
+        raise ValueError(f"samples of shape {samples.shape} are empty at every node")
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(samples))):
         raise ValueError("interpolation nodes or samples contain NaN or inf")
     h = (ts[-1] - ts[0]) / (ts.size - 1)

@@ -4,13 +4,13 @@ Every model is constructed through one path: a JSON-serializable
 *description* (algebra basis, splitting, form signatures, submersion
 differential, base point) paired with a named *embedding bundle* that
 supplies what only the model knows: ``rho``, ``d_e_rho``, the chart
-``action``, ``embed``, the chart ``base_point``, ``tangent_frame_at``,
-``transvection`` and, for a non-symmetric space, a ``rotation_correction``.
-``build_model`` passes the bundle straight to ``CartanModel``, which derives
-the embedded base point and the random points itself.  ``get_model`` is the
-one lookup: it resolves the fixed names and the parameterized family names
-from their generators, builds each model once and caches it, and also loads
-description files by path.  A model with a base point of its own is
+``action``, ``embed``, the chart ``base_point``, ``tangent_frame_at`` and
+``transvection``.  ``build_model`` passes the bundle straight to
+``CartanModel``, which derives the embedded base point, the random points
+and the rolling correction (``omega_basis``, zero on a symmetric space)
+itself.  ``get_model`` is the one lookup: it resolves the fixed names and
+the parameterized family names from their generators, builds each model
+once and caches it, and also loads description files by path.  A model with a base point of its own is
 ``build_model(description(..., base_point))``.
 The JSON files under ``data/`` are regression fixtures: tests check that
 they still match the generators, and they show the file format.

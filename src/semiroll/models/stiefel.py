@@ -3,84 +3,39 @@
 Points are n x k orthonormal frames, flattened column-major; SO(n) acts by
 left multiplication, rho(Q) = kron(I_k, Q).  At the base frame E (first k
 columns of the identity) the tangent space holds matrices (A; B) with A
-skew and the normal space (S; 0) with S symmetric.  This is a reductive
-but NOT symmetric splitting: [p, p] leaks into p, so the rolling rotation
-is the transpose of rho(q) S(t), the lift composed with an
+skew and the normal space (S; 0) with S symmetric.  For k >= 2 this is a
+reductive but NOT symmetric splitting: [p, p] leaks into p, so the rolling
+rotation is the transpose of rho(q) S(t), the lift composed with an
 interpolating-frame correction S(t) solving
 
     S' = Omega(t) S,   Omega = -(Pi M_U Pi + Pi_perp M_U Pi_perp),
 
-with M_U = kron(I_k, U(t)) for the horizontal control U and Pi the
-orthogonal projector onto the base tangent space.  For k = 1 (the sphere)
-Omega vanishes identically and the correction is the identity.  The bundle
-supplies S(t) as the model's ``rotation_correction``; the rolling map itself
-is assembled by ``homogeneous.extrinsic_roll`` as for every other model.
-Although the space is not symmetric, Ad_H p = p, so the horizontal generator
-through a frame A with velocity V depends on (A, V) alone: the bundle's
-``transvection`` is X with W = A^T V and
+with M_U = kron(I_k, U(t)) = d_e_rho(U) for the horizontal control U and Pi
+the orthogonal projector onto the base tangent space.  The bundle supplies
+nothing for it: ``CartanModel`` derives Omega from ``d_e_rho`` on every
+model (``omega_basis``).  For k = 1, V_1(R^n) = S^{n-1} is a symmetric
+space: Omega vanishes identically and the model is classified symmetric.
+The rolling map itself is assembled by ``homogeneous.extrinsic_roll`` as
+for every other model.  For every k, Ad_H p = p, so the horizontal
+generator through a frame A with velocity V depends on (A, V) alone: the
+bundle's ``transvection`` is X with W = A^T V and
 
     X = V A^T - A V^T - 1/2 A (W - W^T) A^T.
 """
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from ..homogeneous import EmbeddedCurve, extrinsic_roll
-from ..integrate import flow_matrix_ode
+# the benchmark tracer (perfbench/tracer.py) times the correction under this module's name
+from ..homogeneous import EmbeddedCurve, _correction_path, extrinsic_roll  # noqa: F401
 from ..linalg import stacked_kron, stacked_null_spaces, stacked_vec
 
 __all__ = [
-    "stiefel_omega",
     "description",
     "bundle",
     "roll_stiefel",
 ]
-
-PBLOCK_TOL = 1e-10
-
-# the (n^2, N^2) map of stiefel_omega, per model object
-_OMEGA_MAPS = weakref.WeakKeyDictionary()
-
-
-def _omega_map(model):
-    """The (n^2, N^2) matrix of the linear map U -> Omega(U), built once per model.
-
-    Row a is Omega(E_a) of the a-th unit matrix, with Pi the model's
-    orthogonal projector ``frame0 cf0`` onto the base tangent space.
-    """
-    omap = _OMEGA_MAPS.get(model)
-    if omap is None:
-        n = int(model.params["n"])
-        k = int(model.params["k"])
-        M = stacked_kron(np.eye(k), np.eye(n * n).reshape(n * n, n, n))
-        Pt = model.frame0 @ model.cf0
-        Pn = np.eye(Pt.shape[0]) - Pt
-        omap = _OMEGA_MAPS[model] = (-(Pt @ M @ Pt + Pn @ M @ Pn)).reshape(n * n, -1)
-    return omap
-
-
-def stiefel_omega(model, qdot):
-    """Correction generators for horizontal group velocities qdot in p.
-
-    ``qdot`` is (..., n, n) and the result (..., n k, n k); each velocity is
-    checked against its own scale.  Omega(U) = -(Pi M_U Pi + Pi_perp M_U Pi_perp)
-    is linear in U, so every generator of the stack is one row of a single
-    product with the model's (n^2, N^2) map (``_omega_map``).
-    """
-    k = int(model.params["k"])
-    U = np.asarray(qdot, dtype=float)
-    tol = PBLOCK_TOL * np.maximum(1.0, np.max(np.abs(U), axis=(-2, -1)))
-    if np.any(np.max(np.abs(U + np.swapaxes(U, -1, -2)), axis=(-2, -1)) > tol):
-        raise ValueError("group velocity must be skew-symmetric")
-    if np.any(np.max(np.abs(U[..., k:, k:]), axis=(-2, -1)) > tol):
-        raise ValueError("group velocity must lie in the horizontal subalgebra")
-    N = model.ambient_dim
-    lead = U.shape[:-2]
-    flat = U.reshape((-1, U.shape[-2] * U.shape[-1]))
-    return (flat @ _omega_map(model)).reshape(lead + (N, N))
 
 
 def description(n, k):
@@ -124,26 +79,6 @@ def description(n, k):
         "embedding": "builtin:stiefel",
         "params": {"n": n, "k": k},
     }
-
-
-def _correction_path(model, lift):
-    """Interpolating-frame correction S(t) along a horizontal lift.
-
-    Takes the lift's own stage generators where it has them (a control-driven
-    lift), so the control is read once per roll.  When every Omega is exactly
-    zero (always for k = 1), S is the identity stack and no flow is run: the
-    RK4 flow of zero generators is the identity to the bit.
-    """
-    generators = lift.stage_generators
-    if generators is None:
-        if lift.control is None:
-            raise ValueError("lift carries no control curve")
-        generators = model.p_element(lift.control.stage_coords())
-    omegas = stiefel_omega(model, generators)
-    eye = np.eye(model.ambient_dim)
-    if not np.any(omegas):
-        return np.broadcast_to(eye, (lift.grid.n_nodes,) + eye.shape).copy()
-    return flow_matrix_ode(omegas, eye, lift.grid, side="left", reproject_form=model.form)
 
 
 def bundle(desc):
@@ -195,8 +130,6 @@ def bundle(desc):
         "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
         "transvection": transvection,
-        # looked up at call time, so a rebinding of _correction_path is seen
-        "rotation_correction": lambda model, lift: _correction_path(model, lift),
     }
 
 

@@ -49,5 +49,13 @@ def test_tracer_reproject_and_counter_hooks_resolve():
     assert callable(_resolve("semiroll.linalg", "j_orthogonality_residual"))
 
 
+def test_correction_span_times_the_live_correction():
+    # the models.stiefel.correction span rebinds this name; it must be the function
+    # the rolling assembly calls, or the span would time nothing
+    stiefel = importlib.import_module("semiroll.models.stiefel")
+    homogeneous = importlib.import_module("semiroll.homogeneous")
+    assert stiefel._correction_path is homogeneous._correction_path
+
+
 def test_workload_module_imports():
     assert callable(_load("workloads").roll_ops)

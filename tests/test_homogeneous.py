@@ -326,14 +326,14 @@ def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, mon
     ctrl = ControlCurve.from_function(grid, lambda t: amp * np.sin(t + np.arange(model.p_dim)))
     path = extrinsic_roll(model, ctrl)
     calls = []
-    correction = stiefel._correction_path
-    monkeypatch.setattr(stiefel, "_correction_path",
+    correction = homogeneous._correction_path
+    monkeypatch.setattr(homogeneous, "_correction_path",
                         lambda *args: calls.append(args) or correction(*args))
     triple = intrinsic_roll(model, ctrl)
     head = model.d_e_pi @ model.cf0
     assert np.max(np.abs(triple.maps - np.einsum("ai,kij->kaj", head, path.R))) <= 1e-12
-    # the Stiefel correction flow is integrated once per roll
-    assert len(calls) == (0 if model.rotation_correction is None else 1)
+    # the correction flow is integrated once per roll on a non-symmetric space
+    assert len(calls) == (0 if model.symmetric_space else 1)
 
 
 def test_symmetric_extrinsic_roll_maps_rho_once(monkeypatch):
@@ -406,10 +406,45 @@ def test_closed_form_strategy_is_the_auto_choice(name):
 
 
 def test_stiefel_refuses_frame_matching():
-    model = get_model("stiefel_3_1")
+    model = get_model("stiefel_4_2")
     assert not model.symmetric_space
-    with pytest.raises(ValueError, match="'frame_matching' is unavailable for model stiefel_3_1"):
+    with pytest.raises(ValueError, match="'frame_matching' is unavailable for model stiefel_4_2"):
         _sinusoid_roll(model, "frame_matching")
+
+
+def test_frame_matching_rolls_the_sphere_as_v_1_r3():
+    # V_1(R^3) = S^2 is symmetric, so the normal frame can be transported and matched
+    model = get_model("stiefel_3_1")
+    grid = TimeGrid(0.0, 1.0, 250)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.sin(t + np.arange(model.p_dim)))
+    path = extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+    assert model_residual_report(model, path).passed(50 * grid.h**2)
+
+
+# symmetric_space by model: every name of available_models() and its data/ fixture;
+# V_1(R^3) = S^2 is symmetric, V_2(R^4) is not
+SYMMETRIC_SPACE = {"hyperboloid": True, "so_plus_1_2": True, "sphere": True,
+                   "stiefel_3_1": True, "stiefel_4_2": False}
+
+
+def test_symmetric_space_is_where_the_derived_correction_vanishes():
+    assert {name: get_model(name).symmetric_space
+            for name in available_models()} == SYMMETRIC_SPACE
+    data_dir = Path(stiefel.__file__).parent / "data"
+    fixtures = sorted(data_dir.glob("*.json"))
+    assert fixtures
+    for path in fixtures:
+        assert get_model(path).symmetric_space == SYMMETRIC_SPACE[path.stem], path.stem
+    # a strong boost makes the tangent projector's entries large (~370) but
+    # leaves so(2,2) symmetric
+    from scipy.linalg import expm
+
+    X = np.zeros((4, 4))
+    X[0, 2] = X[2, 0] = 4.0
+    X[1, 3] = X[3, 1] = 2.8
+    boosted = build_model(pseudo_orthogonal.description(2, 2, expm(X)))
+    assert np.max(np.abs(boosted.frame0 @ boosted.cf0)) > 300.0
+    assert boosted.symmetric_space
 
 
 def test_get_model_accepts_path_objects(tmp_path):

@@ -1,5 +1,7 @@
 """Grid, quadrature, and flow integrator behaviour on cases with exact answers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,6 +360,12 @@ def test_dense_from_samples_reproduces_cubics(n_nodes):
 def test_dense_from_samples_refuses_bad_nodes_and_samples(ts, samples, message):
     with pytest.raises(ValueError, match=message):
         dense_from_samples(ts, samples)
+
+
+@pytest.mark.parametrize("shape", [(9, 0), (9, 3, 0), (9, 0, 2)])
+def test_dense_from_samples_refuses_an_empty_trailing_shape_by_name(shape):
+    with pytest.raises(ValueError, match=re.escape(f"samples of shape {shape} are empty")):
+        dense_from_samples(np.linspace(0.0, 1.0, 9), np.zeros(shape))
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, np.array([0.25, np.nan, 0.5]),

@@ -8,11 +8,7 @@ import pytest
 
 from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
 from semiroll.models import build_model, get_model
-from semiroll.models.stiefel import (
-    description,
-    roll_stiefel,
-    stiefel_omega,
-)
+from semiroll.models.stiefel import description, roll_stiefel
 
 
 def _projectors(model):
@@ -45,34 +41,22 @@ def test_correction_is_skew_and_block_diagonal():
     model = get_model("stiefel_4_2")
     Pt, Pn = _projectors(model)
     rng = np.random.default_rng(1)
-    U = model.p_element(rng.standard_normal(model.p_dim) * 0.4)
-    omega = stiefel_omega(model, U)
+    omega = np.tensordot(rng.standard_normal(model.p_dim) * 0.4, model.omega_basis, axes=(0, 0))
     assert np.max(np.abs(omega + omega.T)) <= 1e-14
     assert np.max(np.abs(Pn @ omega @ Pt)) <= 1e-13
     assert np.max(np.abs(Pt @ omega @ Pn)) <= 1e-13
 
 
-def test_correction_rejects_bad_velocities():
-    model = get_model("stiefel_4_2")
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((4, 4))
-    with pytest.raises(ValueError, match="skew-symmetric"):
-        stiefel_omega(model, M)
-    with pytest.raises(ValueError, match="horizontal"):
-        stiefel_omega(model, M - M.T)
-
-
 def test_sphere_case_needs_no_correction():
+    # V_1(R^3) = S^2 is a symmetric space, and the derived correction says so
     model = get_model("stiefel_3_1")
-    rng = np.random.default_rng(3)
-    U = model.p_element(rng.standard_normal(model.p_dim))
-    assert np.max(np.abs(stiefel_omega(model, U))) == 0.0
+    assert np.max(np.abs(model.omega_basis)) == 0.0
+    assert model.symmetric_space
 
 
 def test_model_flags():
     model = get_model("stiefel_4_2")
     assert not model.symmetric_space
-    assert model.rotation_correction is not None
     sphere_like = get_model("stiefel_3_1")
     assert sphere_like.ambient_dim == 3
 

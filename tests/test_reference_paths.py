@@ -118,8 +118,8 @@ scipy's ``subspace_angles`` by at most 1e-7 (at pi/2) and 1e-9 (within
 stack, and ``fd_derivative`` evaluates its interior stencil in blocks of
 rows, in place.  The whole-array expressions they replaced are kept here as
 references; both agree to the last bit.  A control-driven lift carries its
-stage generators, and the Stiefel correction flow reuses them, so a Stiefel
-roll reads its control once.
+stage coordinates, and the correction flow reuses them, so a Stiefel roll
+reads its control once.
 
 ``parallel_transport_embedded`` takes its step-and-project recursion as the
 blocked running product of the projectors, applied once to v0.  The
@@ -130,12 +130,14 @@ so_plus_1_2 and so_plus_2_2 agree within 1e-13 of their largest entry at
 250, 251, 253 and 2000 steps, a null vector is carried the same way, and a
 lost causal type is refused with the same message.  A whole (N, c) frame
 transported as one block equals the stacked one-column transports to the
-bit on the sphere and the hyperboloid, and within 1e-14 on SO+.  ``stiefel_omega`` forms every generator by one product through
-the (n^2, N^2) map of the linear U -> Omega(U); the Kronecker product and
-four stacked products it replaced are kept here and agree within 1e-15 (to
-the bit on these inputs), with the same refusals.  Where every Omega is
-zero (k = 1) the correction is the identity stack with no flow; the
-always-flowing correction is kept here, and the rolls agree to the bit.
+bit on the sphere and the hyperboloid, and within 1e-14 on SO+.  The
+rolling correction is derived for every model: Omega is the product of the
+stage coordinates with ``CartanModel.omega_basis``.  The Stiefel-only
+Kronecker product and four stacked products it replaced are kept here and
+agree within 1e-15 (to the bit on these inputs), and the Stiefel rolls with
+the correction flow of that reference agree to the bit.  Where
+``omega_basis`` vanishes (k = 1, V_1(R^n) a sphere) the model is symmetric
+and runs no correction flow.
 ``ControlCurve.at`` stacks a user func's readings with one ``np.array``;
 the per-call ``np.atleast_1d`` table is kept here and agrees to the bit,
 for vector funcs and for a scalar func of a 1-dim control, also when
@@ -682,7 +684,7 @@ def test_stiefel_correction_matches_callable_rk4(name):
     lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 2))
 
     def omega(t):
-        return stiefel.stiefel_omega(model, model.p_element(lift.control.func(t)))
+        return _stiefel_omega_reference(model, model.p_element(lift.control.func(t)))
 
     reference = _rk4_callable(omega, np.eye(n * k), grid, "left", SignatureForm(np.ones(n * k)))
     assert _peak(stiefel._correction_path(model, lift), reference) <= 1e-13
@@ -750,7 +752,7 @@ def _flow_pairs(caller, grid):
         lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 2))
 
         def omega(t):
-            return stiefel.stiefel_omega(model, model.p_element(lift.control.func(t)))
+            return _stiefel_omega_reference(model, model.p_element(lift.control.func(t)))
 
         reference = _rk4_callable(omega, np.eye(n * k), grid, "left",
                                   SignatureForm(np.ones(n * k)))
@@ -2126,13 +2128,7 @@ def test_scanned_transport_keeps_the_null_vector_path_and_the_causal_refusal():
 def _stiefel_omega_reference(model, qdot):
     """Omega by the Kronecker product and four stacked products per generator."""
     k = int(model.params["k"])
-    U = np.asarray(qdot, dtype=float)
-    tol = stiefel.PBLOCK_TOL * np.maximum(1.0, np.max(np.abs(U), axis=(-2, -1)))
-    if np.any(np.max(np.abs(U + np.swapaxes(U, -1, -2)), axis=(-2, -1)) > tol):
-        raise ValueError("group velocity must be skew-symmetric")
-    if np.any(np.max(np.abs(U[..., k:, k:]), axis=(-2, -1)) > tol):
-        raise ValueError("group velocity must lie in the horizontal subalgebra")
-    M = stacked_kron(np.eye(k), U)
+    M = stacked_kron(np.eye(k), np.asarray(qdot, dtype=float))
     Pt = model.frame0 @ model.cf0
     Pn = np.eye(Pt.shape[0]) - Pt
     return -(Pt @ M @ Pt + Pn @ M @ Pn)
@@ -2142,52 +2138,37 @@ def _stiefel_omega_reference(model, qdot):
 def test_one_product_omega_matches_the_kronecker_products(name):
     model = get_model(name)
     rng = np.random.default_rng(13)
-    for U in (model.p_element(rng.standard_normal((64, model.p_dim))),
-              model.p_element(rng.standard_normal(model.p_dim)),
-              model.p_element(rng.standard_normal((3, 5, model.p_dim)))):
-        new = stiefel.stiefel_omega(model, U)
-        reference = _stiefel_omega_reference(model, U)
+    for coords in (rng.standard_normal((64, model.p_dim)), rng.standard_normal(model.p_dim),
+                   rng.standard_normal((3, 5, model.p_dim))):
+        new = np.tensordot(coords, model.omega_basis, axes=(-1, 0))
+        reference = _stiefel_omega_reference(model, model.p_element(coords))
         assert new.shape == reference.shape
         assert _peak(new, reference) <= 1e-15
-    M = rng.standard_normal((4, model.group_dim, model.group_dim))
-    for bad in (M, M - np.swapaxes(M, 1, 2)):
-        messages = []
-        for omega in (stiefel.stiefel_omega, _stiefel_omega_reference):
-            with pytest.raises(ValueError) as exc:
-                omega(model, bad)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
 
 
 def _correction_flow_reference(model, lift):
-    """The Stiefel correction always by the RK4 flow, as before the zero skip."""
-    omegas = _stiefel_omega_reference(model, lift.stage_generators)
+    """The Stiefel correction by the RK4 flow of the Kronecker-product Omega."""
+    omegas = _stiefel_omega_reference(model, model.p_element(lift.stage_coords))
     return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
                            reproject_form=model.form)
 
 
-@pytest.mark.parametrize("name", ["stiefel_3_1", "stiefel_4_1", "stiefel_4_2"])
-def test_zero_correction_skips_the_flow_and_keeps_the_bits(name, monkeypatch):
+@pytest.mark.parametrize("name", ["stiefel_3_1", "stiefel_4_1"])
+def test_symmetric_stiefel_runs_no_correction_flow(name, monkeypatch):
     model = get_model(name)
-    grid = TimeGrid(0.0, 1.0, 250)
-    ctrl = _sinusoid(grid, model.p_dim, 14)
-    flows = [0]
+    ctrl = _sinusoid(TimeGrid(0.0, 1.0, 250), model.p_dim, 14)
+    calls = []
+    monkeypatch.setattr(homogeneous, "_correction_path", lambda *args: calls.append(args))
+    extrinsic_roll(model, ctrl)
+    intrinsic_roll(model, ctrl)
+    assert model.symmetric_space and not calls
 
-    def counted(*args, **kwargs):
-        flows[0] += 1
-        return flow_matrix_ode(*args, **kwargs)
 
-    monkeypatch.setattr(stiefel, "flow_matrix_ode", counted)
-    lift = horizontal_lift(model, ctrl)
-    S = stiefel._correction_path(model, lift)
+def test_derived_correction_keeps_the_bits_of_the_kronecker_products(monkeypatch):
+    model = get_model("stiefel_4_2")
+    ctrl = _sinusoid(TimeGrid(0.0, 1.0, 250), model.p_dim, 14)
     ext, intr = extrinsic_roll(model, ctrl), intrinsic_roll(model, ctrl)
-    k = int(model.params["k"])
-    # one flow per correction where Omega is not zero, none for k = 1
-    assert flows[0] == (0 if k == 1 else 3)
-    if k == 1:
-        assert np.array_equal(S, np.broadcast_to(np.eye(model.ambient_dim), S.shape))
-    assert np.array_equal(S, _correction_flow_reference(model, lift))
-    monkeypatch.setattr(stiefel, "_correction_path", _correction_flow_reference)
+    monkeypatch.setattr(homogeneous, "_correction_path", _correction_flow_reference)
     ext_ref, intr_ref = extrinsic_roll(model, ctrl), intrinsic_roll(model, ctrl)
     for field in ("R", "s", "alpha", "alpha_hat"):
         assert np.array_equal(getattr(ext, field), getattr(ext_ref, field)), field
