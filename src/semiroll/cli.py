@@ -10,7 +10,7 @@ models  [--long]
 trajectory; ``verify`` re-reads a trajectory file, rebuilds the model named in
 its metadata and re-checks the rolling conditions, exiting 0 when every
 residual passes, 2 on a breach, and 1 on any structural error.  The default
-verification tolerance is 50 h^2 for step size h.
+verification tolerance is 50 h^2 for step size h; ``--tol`` must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -249,6 +249,8 @@ def _load_trajectory(path):
 
 def cmd_verify(args):
     path = args.infile
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        _fail(f"--tol must be finite and > 0, got {args.tol}")
     try:
         meta, arrays = _load_trajectory(path)
     except OSError as exc:

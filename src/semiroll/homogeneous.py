@@ -30,7 +30,7 @@ from .integrate import (
     integrate_vector,
     reproject,
 )
-from .linalg import j_orthogonality_residual, j_transpose_inverse, stacked_null_spaces
+from .linalg import expm, j_orthogonality_residual, j_transpose_inverse, stacked_null_spaces
 from .rolling import (
     RollingMapPath,
     RollingTriple,
@@ -315,7 +315,6 @@ class CartanModel:
         return coeffs.T.reshape(lead + (-1,)), resid.reshape(lead)[()]
 
     def random_group_element(self, rng):
-        from scipy.linalg import expm
         coeffs = 0.5 * rng.standard_normal(self.basis.shape[0])
         X = np.tensordot(coeffs, self.basis, axes=(0, 0))
         return reproject(expm(X), self.group_form)
@@ -366,7 +365,6 @@ class CartanModel:
         a model with a correction of its own only reports it under ``"pp"``.
         Returns the measured defects.
         """
-        from scipy.linalg import expm
         rng = rng or np.random.default_rng(2357)
         defects = {}
         scale = float(np.max(np.abs(self.basis)))

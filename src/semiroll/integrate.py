@@ -55,7 +55,7 @@ class TimeGrid:
             raise ValueError(f"grid ends must be finite, got t0={self.t0}, t1={self.t1}")
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
-        if not isinstance(self.n_steps, numbers.Integral):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
             raise TypeError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")

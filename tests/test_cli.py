@@ -104,6 +104,18 @@ def test_overtight_tolerance_breaches(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_positive(tol, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps(_SMALL_ROLL))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --tol must be finite and > 0, got {float(tol)}")
+    assert captured.out == ""
+
+
 def test_wrong_kind_is_an_error_not_a_breach(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
@@ -247,7 +259,7 @@ def test_bad_input_is_an_error_message_not_a_traceback(command, payload, tmp_pat
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n_steps", [10.7, "10"], ids=["float", "string"])
+@pytest.mark.parametrize("n_steps", [10.7, "10", True], ids=["float", "string", "bool"])
 def test_roll_refuses_a_non_integer_step_count(n_steps, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_SMALL_ROLL, "grid": {**_SMALL_ROLL["grid"], "n_steps": n_steps}}))

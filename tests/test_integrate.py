@@ -38,6 +38,12 @@ def test_time_grid_rejects_bad_interval():
         TimeGrid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("n_steps", [True, False])
+def test_time_grid_refuses_a_boolean_step_count(n_steps):
+    with pytest.raises(TypeError, match=f"n_steps must be an integer, got {n_steps}"):
+        TimeGrid(0.0, 1.0, n_steps)
+
+
 @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
 def test_time_grid_rejects_non_finite_ends(t0, t1):
     with pytest.raises(ValueError, match="grid ends must be finite"):
