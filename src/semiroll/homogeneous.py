@@ -191,9 +191,11 @@ class CartanModel:
         Stacked pointwise tangent frames: an (m, N) array of embedded
         points -> an (m, N, r) array whose k-th slice spans the tangent
         space at the k-th point, r = len(p_indices).  Where a frame is a
-        null space (sphere, hyperboloid, the Stiefel complement P_perp), its
-        basis is the one scipy's ``null_space`` returns for that node: the
-        trailing right singular vectors of the SVD, with LAPACK's signs.
+        null space (sphere, hyperboloid, the Stiefel complement P_perp), it
+        comes from ``linalg.stacked_null_spaces``: Householder reflections
+        under LAPACK's convention, vectorised over the nodes, whose basis is
+        the one scipy's ``null_space`` (an SVD) returns for that node, signs
+        included.  The signs may change from node to node.
     transvection : callable
         Stacked transvections: points alpha (m, N) of the embedded manifold
         and tangent vectors v (m, N) there -> the (m, d, d) algebra elements
@@ -266,9 +268,8 @@ class CartanModel:
         self.target_gram = d_inv.T @ self.ip_p @ d_inv
         # coefficient extractor at the base point: cf0 @ v = p-coefficients of v
         self.cf0 = np.linalg.solve(self.ip_p, self.frame0.T * self.form.signs[None, :])
-        # C-ordered like frame0, so products with the flat frames do not depend on the SVD layout
-        self.normal0 = np.ascontiguousarray(
-            stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0])
+        # a new C-ordered array like frame0, so products with the flat frames share one layout
+        self.normal0 = stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0]
         if self.normal0.size:
             gram_n = self.normal0.T @ (self.form.signs[:, None] * self.normal0)
             if abs(np.linalg.det(gram_n)) < 1e-12:

@@ -225,15 +225,53 @@ def random_motion(form, rng, rotation_scale=1.0, translation_scale=1.0):
     return RigidMotion(R, s)
 
 
+def _householder(x):
+    """LAPACK ``dlarfg`` reflectors of a stack of columns x (m, n): v (m, n), tau (m,).
+
+    ``I - tau v vᵀ``, with v[:, 0] = 1, maps each column to a multiple of e_0.
+    The pivot sign is taken by ``copysign`` (-0.0 counts as negative), and a
+    column that is exactly zero below its pivot gets tau = 0 and no division.
+    """
+    alpha, below = x[:, 0], x[:, 1:]
+    xnorm = np.sqrt(np.einsum("mi,mi->m", below, below))
+    reflect = xnorm != 0.0
+    beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
+    tau = np.where(reflect, (beta - alpha) / np.where(reflect, beta, 1.0), 0.0)
+    scale = 1.0 / np.where(reflect, alpha - beta, 1.0)
+    return np.concatenate([np.ones_like(alpha)[:, None], below * scale[:, None]], axis=1), tau
+
+
+def _reflect(C, v, tau):
+    """Apply the reflectors of ``_householder`` to a stack of blocks C (m, n, c) in place."""
+    C -= (tau[:, None] * v)[:, :, None] * np.einsum("mi,mic->mc", v, C)[:, None, :]
+
+
 def stacked_null_spaces(rows):
     """Null spaces of a stack of full-row-rank (m, k, N) matrices, as (m, N, N - k).
 
-    Each slice gets the basis scipy's ``null_space`` returns for it: the
-    trailing right singular vectors of its SVD, with LAPACK's signs.
+    The trailing N - k columns of the Householder QR of each ``rowsᵀ``: k
+    reflections under LAPACK's reflector convention (``dlarfg``), vectorised
+    over the stack and applied in reverse to ``[0; I_{N-k}]``.  LAPACK's SVD
+    (``dgesdd``) takes this same LQ step first where N >= int(11 k / 6), so there,
+    as on every model's frames and ``normal0``, the basis equals scipy's
+    ``null_space``, signs included; elsewhere it spans the same space.  The
+    result is a new C-ordered array; NaN or inf rows are refused.
     """
     rows = np.asarray(rows, dtype=float)
-    vh = np.linalg.svd(rows)[2]
-    return np.swapaxes(vh[:, rows.shape[1]:, :], 1, 2)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("null-space rows contain NaN or inf")
+    m, k, N = rows.shape
+    A = np.swapaxes(rows, 1, 2).copy()
+    reflectors = []
+    for j in range(k):
+        v, tau = _householder(A[:, j:, j])
+        _reflect(A[:, j:, j + 1:], v, tau)
+        reflectors.append((v, tau))
+    basis = np.zeros((m, N, N - k))
+    basis[:, k:, :] = np.eye(N - k)
+    for j in reversed(range(k)):
+        _reflect(basis[:, j:, :], *reflectors[j])
+    return basis
 
 
 def stacked_kron(A, B):

@@ -609,8 +609,23 @@ def triple_gram_residual(triple):
 
 
 def triple_orientation_flips(triple):
-    """Number of sign changes of det(A(t) F(t)) along the path (0 = oriented)."""
-    dets = np.linalg.det(triple.maps @ triple.tangent_frames)
+    """Number of sign changes of the orientation of A(t) along the path (0 = oriented).
+
+    det(A(t_k) F_k) gives the orientation of A against the frame F_k, and the
+    frames' own orientations may change from node to node (a null-space
+    basis carries arbitrary signs).  Each determinant is therefore taken
+    relative to the first frame: times the running product of
+    sign det(F_k^T F_{k-1}).  The overlap is Euclidean, since the J-Gram
+    of a constant indefinite frame has a negative determinant.
+    """
+    frames = triple.tangent_frames
+    dets = np.linalg.det(triple.maps @ frames)
     if np.any(dets == 0.0):
         raise ValueError("tangential map is singular at some node")
-    return int(np.sum(np.sign(dets[1:]) != np.sign(dets[:-1])))
+    overlaps = np.linalg.det(np.swapaxes(frames[1:], 1, 2) @ frames[:-1])
+    if np.any(overlaps == 0.0):
+        k = int(np.flatnonzero(overlaps == 0.0)[0]) + 1
+        raise ValueError(f"tangent frames at nodes {k - 1} and {k} do not overlap; "
+                         "refine n_steps")
+    signs = np.sign(dets) * np.cumprod(np.concatenate([[1.0], np.sign(overlaps)]))
+    return int(np.sum(signs[1:] != signs[:-1]))

@@ -16,6 +16,7 @@ from semiroll.linalg import (
     se_act,
     se_compose,
     se_inverse,
+    stacked_null_spaces,
 )
 from semiroll.models import available_models, get_model
 
@@ -222,3 +223,54 @@ def test_expm_keeps_j_orthogonality_no_worse_than_scipy():
             defects.append(j_orthogonality_residual(E, form) / np.max(np.abs(E)) ** 2)
     assert np.percentile(ours, 99) <= np.percentile(ref, 99)
     assert max(ours) <= max(ref)
+
+
+# -- stacked_null_spaces: LAPACK's reflector conventions at the edge cases --
+
+
+def test_null_space_of_an_axis_aligned_row_with_a_negative_zero_pivot_is_scipys():
+    # the hyperboloid's frame0^T J: its first entry is -0.0, which LAPACK
+    # counts as negative; a ">= 0" pivot sign would flip the basis
+    model = get_model("hyperboloid")
+    rows = model.frame0.T * model.form.signs[None, :]
+    assert np.any(np.signbit(rows) & (rows == 0.0))
+    basis = stacked_null_spaces(rows[None])[0]
+    assert np.max(np.abs(basis - scipy.linalg.null_space(rows))) <= 1e-15
+    for row in ([-0.0, 1.0, 0.0], [-0.0, 0.0, 2.0], [0.0, -0.0, 3.0], [-0.0, -0.0, -1.0]):
+        row = np.array([row])
+        basis = stacked_null_spaces(row[None])[0]
+        assert np.max(np.abs(basis - scipy.linalg.null_space(row))) <= 1e-15
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 0.0, 0.0]],                          # a zero row
+    [[2.0, 0.0, 0.0]],                          # nothing below the pivot
+    [[-0.0, 0.0, 0.0]],
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 1.0]],
+], ids=["zero", "axis", "negative-zero", "axis-then-zero", "row-then-zero", "zero-then-row"])
+def test_null_space_of_zero_columns_below_the_pivot_is_finite_and_orthonormal(rows):
+    # pytest turns a 0/0 or x/0 RuntimeWarning into an error
+    rows = np.array([rows])
+    _, k, N = rows.shape
+    basis = stacked_null_spaces(rows)
+    assert basis.shape == (1, N, N - k)
+    assert np.all(np.isfinite(basis))
+    assert np.max(np.abs(np.swapaxes(basis, 1, 2) @ basis - np.eye(N - k))) <= 1e-15
+    if np.linalg.matrix_rank(rows[0]) == rows.shape[1]:
+        assert np.max(np.abs(rows @ basis)) <= 1e-15
+
+
+@pytest.mark.parametrize("k, N", [(1, 1), (2, 2), (3, 3)])
+def test_null_space_of_a_square_stack_is_empty(k, N):
+    rows = np.random.default_rng(k).standard_normal((5, k, N))
+    assert stacked_null_spaces(rows).shape == (5, N, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_null_space_refuses_non_finite_rows_by_name(bad):
+    rows = np.ones((4, 1, 3))
+    rows[2, 0, 1] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        stacked_null_spaces(rows)

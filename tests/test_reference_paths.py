@@ -151,6 +151,15 @@ they agree within 1e-15 on every benchmark model's roll at 250 and 2000
 steps, and the substitution matches ``np.linalg.inv`` within 1e-15 cond(L)
 on factors of condition 1 to 9e5.  A JSON trajectory is one ``json.dumps``
 string, byte-identical to the ``json.dump`` it replaced.
+
+``linalg.stacked_null_spaces`` takes k Householder reflections of each
+``rowsᵀ``, vectorised over the stack, instead of one SVD per node.  The SVD
+construction is kept here as the reference: every model's frames and
+``normal0`` agree within 1e-15, and random stacks agree with a per-node
+complete QR within 1e-14.  Where LAPACK's SVD takes no LQ step first (k
+rows in R^N with N < int(11 k / 6)) it picks another basis of the same
+space, so there the projectors agree within 1e-14.  A clean report and the
+command's intrinsic check take no SVD at all.
 """
 
 import io
@@ -2212,3 +2221,93 @@ def test_one_array_control_table_matches_the_per_call_table(make, n_steps):
     assert calls[0] == n_steps
     assert table.shape == reference.shape
     assert np.array_equal(table, reference)
+
+
+# -- Householder null spaces against the per-node SVD they replaced ----------
+
+
+def _svd_null_spaces_reference(rows):
+    """The trailing right singular vectors of each slice: scipy's ``null_space``."""
+    rows = np.asarray(rows, dtype=float)
+    vh = np.linalg.svd(rows)[2]
+    return np.swapaxes(vh[:, rows.shape[1]:, :], 1, 2)
+
+
+def _model_points(model, n, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([np.asarray(model.embed(model.random_point(rng)), dtype=float).ravel()
+                     for _ in range(n)])
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_householder_null_spaces_match_the_svd_on_every_model(name, monkeypatch):
+    model = get_model(name)
+    points = _model_points(model, 200, 11)
+    frames = model.tangent_frame_at(points)
+    for module in (hyperbolic, stiefel):
+        monkeypatch.setattr(module, "stacked_null_spaces", _svd_null_spaces_reference)
+    reference = model.tangent_frame_at(points)
+    assert frames.shape == reference.shape == (200, model.ambient_dim, model.p_dim)
+    assert np.max(np.abs(frames - reference)) <= 1e-15
+    rows = (model.frame0.T * model.form.signs[None, :])[None]
+    normal = _svd_null_spaces_reference(rows)[0]
+    assert model.normal0.shape == normal.shape
+    assert np.max(np.abs(model.normal0 - normal), initial=0.0) <= 1e-15
+
+
+# (k, N) and whether LAPACK's SVD takes the LQ step, and so the same basis; on
+# the others it picks another basis of the same space
+NULL_SPACE_SHAPES = [((1, 3), True), ((2, 4), True), ((3, 4), False), ((5, 8), False),
+                     ((6, 16), True), ((10, 16), False)]
+
+
+@pytest.mark.parametrize("shape, same_basis", NULL_SPACE_SHAPES,
+                         ids=[f"{k}x{N}" for (k, N), _ in NULL_SPACE_SHAPES])
+def test_householder_null_spaces_match_per_node_qr_and_the_svd(shape, same_basis):
+    k, N = shape
+    rows = np.random.default_rng(k * N).standard_normal((60, k, N))
+    basis = stacked_null_spaces(rows)
+    qr = np.array([np.linalg.qr(row.T, mode="complete")[0][:, k:] for row in rows])
+    assert basis.shape == qr.shape == (60, N, N - k)
+    assert np.max(np.abs(basis - qr)) <= 1e-14
+    svd = _svd_null_spaces_reference(rows)
+    if same_basis:
+        assert np.max(np.abs(basis - svd)) <= 1e-14
+    else:
+        projector = basis @ np.swapaxes(basis, 1, 2)
+        assert np.max(np.abs(projector - svd @ np.swapaxes(svd, 1, 2))) <= 1e-14
+
+
+def _count_svd_calls(monkeypatch):
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_clean_report_and_intrinsic_check_take_no_svd(name, tmp_path, monkeypatch, capsys):
+    # the exact condition number in ``_check_rank`` takes SVDs of the nodes the
+    # Cholesky screen does not certify; clean 250-step rolls have none
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 250)
+    path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 5))
+    amp = np.linspace(0.2, 0.5, model.p_dim)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": name, "mode": "intrinsic", "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 250},
+        "control": {"kind": "sinusoid", "amplitude": amp.tolist(),
+                    "frequency": [1.0] * model.p_dim, "phase": [0.3] * model.p_dim}}))
+    out = tmp_path / "traj.csv"
+    assert cli.main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    calls = _count_svd_calls(monkeypatch)
+    assert model_residual_report(model, path).passed(50.0 * grid.h ** 2)
+    assert calls[0] == 0
+    assert cli.main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+    assert calls[0] == 0

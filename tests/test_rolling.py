@@ -411,6 +411,29 @@ def test_orientation_flip_rejects_singular_map():
         triple_orientation_flips(_tiny_triple([1, 0, 1]))
 
 
+def _with_frames(triple, frames):
+    return RollingTriple(grid=triple.grid, alpha=triple.alpha, alpha_hat=triple.alpha_hat,
+                         maps=triple.maps, tangent_frames=frames, form=triple.form,
+                         target_gram=triple.target_gram)
+
+
+def test_orientation_flip_follows_the_frame_signs():
+    # the frame's sign changes at nodes 1 and 3: det(A F) changes with it, and
+    # the propagated frame orientation cancels that, not a change of A itself
+    frames = np.array([sign * np.eye(2)[:, :1] for sign in (1.0, -1.0, -1.0, 1.0)])
+    assert triple_orientation_flips(_with_frames(_tiny_triple([1, 1, 1, 1]), frames)) == 0
+    assert triple_orientation_flips(_with_frames(_tiny_triple([1, -1, -1, 1]), frames)) == 2
+
+
+def test_orientation_flip_refuses_frames_that_do_not_overlap():
+    frames = np.array([np.eye(2)[:, :1], np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+    triple = _with_frames(_tiny_triple([1, 1, 1]), frames)
+    triple.maps = np.array([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]])
+    with pytest.raises(ValueError, match=r"^tangent frames at nodes 1 and 2 do not overlap; "
+                       "refine n_steps$"):
+        triple_orientation_flips(triple)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ResidualReport._FIELDS)
 def test_report_with_non_finite_field_fails_closed(field, bad):
