@@ -39,7 +39,6 @@ from .homogeneous import (
     extrinsic_develop,
     extrinsic_roll,
     horizontal_lift,
-    horizontality_residual,
     intrinsic_roll,
     model_residual_report,
     normal_extension_by_frames,
@@ -77,7 +76,6 @@ __all__ = [
     "EmbeddedCurve",
     "GroupPath",
     "horizontal_lift",
-    "horizontality_residual",
     "transport_homogeneous",
     "intrinsic_roll",
     "extrinsic_develop",

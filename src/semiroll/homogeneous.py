@@ -45,7 +45,6 @@ __all__ = [
     "GroupPath",
     "CartanModel",
     "horizontal_lift",
-    "horizontality_residual",
     "transport_homogeneous",
     "intrinsic_roll",
     "extrinsic_develop",
@@ -214,10 +213,11 @@ class CartanModel:
     base point moved by a random group element, since the action is
     transitive), the scalar product on p, ``ip_p = F0^T J F0`` with
     ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that makes
-    d_e_pi an isometry onto the embedded tangent space, and the rolling
-    correction generators ``omega_basis[i] = -(P A_i P + (I - P) A_i (I - P))``
-    with ``A_i = d_e_rho(p_i)`` and P = ``frame0 cf0`` the J-orthogonal
-    tangent projector at the base point.  Omega = sum_i U_i omega_basis[i]
+    d_e_pi an isometry onto the embedded tangent space, the ambient angular
+    velocities ``d_rho_p[i] = A_i = d_e_rho(p_i)`` of the p basis, and the
+    rolling correction generators
+    ``omega_basis[i] = -(P A_i P + (I - P) A_i (I - P))`` with P = ``frame0 cf0``
+    the J-orthogonal tangent projector at the base point.  Omega = sum_i U_i omega_basis[i]
     cancels the part of d_e_rho(U) that keeps the tangent and the normal
     space; along a lift the rotation is the J-inverse of rho(q) S with
     S' = Omega S (Hüper, Kleinsteuber & Silva Leite, "Rolling Stiefel
@@ -258,8 +258,8 @@ class CartanModel:
         k = len(self.p_indices)
         if self.d_e_pi.shape != (k, k):
             raise ValueError("d_e_pi must be square of size len(p_indices)")
-        d_rho_p = np.array([np.asarray(self.d_e_rho(self.basis[i]), dtype=float)
-                            for i in self.p_indices])
+        self.d_rho_p = d_rho_p = np.array([np.asarray(self.d_e_rho(self.basis[i]), dtype=float)
+                                           for i in self.p_indices])
         self.frame0 = np.column_stack([A @ self.obar for A in d_rho_p])
         self.ip_p = self.frame0.T @ (self.form.signs[:, None] * self.frame0)
         if abs(np.linalg.det(self.ip_p)) < 1e-12:
@@ -542,14 +542,6 @@ def horizontal_lift(model, data, q0=None):
     raise TypeError("data must be a ControlCurve or an EmbeddedCurve")
 
 
-def horizontality_residual(model, path):
-    """Per-node h-component (and off-span part) of q^{-1} qdot."""
-    qdot = fd_derivative(path.samples, path.grid.h)
-    coeffs, resid = model.algebra_coords(np.linalg.solve(path.samples, qdot))
-    h_part = np.max(np.abs(coeffs[:, list(model.h_indices)]), axis=1, initial=0.0)
-    return np.maximum(h_part, resid)
-
-
 # -- transport --------------------------------------------------------------
 
 
@@ -685,20 +677,17 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     rho, corrected by the flow of ``omega_basis`` where the model is not a
     symmetric space), "frame_matching" transports a normal frame along the
     curve and matches it to the constant development frame, and "auto" is
-    "closed_form".  A non-symmetric model (V_k(R^n) with k >= 2) refuses
-    "frame_matching".  The normal frame is transported as one (N, c) block
-    along the whole path; a grid too coarse for its Richardson levels leaves
-    it non-isometric to the development's, and the roll is refused with the
+    "closed_form".  Both run on every model; on a non-symmetric one the
+    transported normal frame replaces the normal part of the corrected
+    rotation.  The normal frame is transported as one (N, c) block along the
+    whole path; a grid too coarse for its Richardson levels leaves it
+    non-isometric to the development's, and the roll is refused with the
     remedy.  The development integrates R alpha', with alpha' read exactly
     off the lift on a non-symmetric space and differenced from the samples
     of alpha on a symmetric space.
     """
     if normal_strategy not in ("auto", "closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy '{normal_strategy}'")
-    if normal_strategy == "frame_matching" and not model.symmetric_space:
-        raise ValueError(
-            f"normal strategy '{normal_strategy}' is unavailable for model {model.name}"
-        )
     # a symmetric space develops the differenced velocity of alpha, which the
     # residual checks difference the path with; the exact one is more accurate
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the

@@ -29,7 +29,6 @@ from ..homogeneous import CartanModel
 from ..linalg import SignatureForm
 from . import hyperbolic, pseudo_orthogonal, sphere, stiefel
 from .hyperbolic import roll_hyperboloid
-from .pseudo_orthogonal import roll_pseudo_orthogonal
 from .sphere import roll_sphere
 from .stiefel import roll_stiefel
 
@@ -40,7 +39,6 @@ __all__ = [
     "available_models",
     "roll_hyperboloid",
     "roll_sphere",
-    "roll_pseudo_orthogonal",
     "roll_stiefel",
 ]
 

@@ -18,9 +18,11 @@ Moebius transformations z -> (a z + b)/(conj(b) z + conj(a)) with
 action.
 
 The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
-construction held here: ``quadric_description``, ``quadric_bundle`` (Moebius
-action, null-space tangent frames, ``quadric_transvection``) and
-``kinematic_roll``; each model passes its basis, embedding, rho, d_e_rho.
+construction held here: ``quadric_description`` and ``quadric_bundle``
+(Moebius action, null-space tangent frames, ``quadric_transvection``); each
+model passes its basis, embedding, rho, d_e_rho.  ``kinematic_roll``, also
+held here, integrates the paper's kinematic equations on every symmetric
+model (the two quadrics, SO+(p, q), V_1(R^n)) and refuses the others.
 """
 
 from __future__ import annotations
@@ -190,26 +192,39 @@ def bundle(desc):
                           embed_hyperbolic, signs[:, None, None] * SU11_BASIS)
 
 
-def kinematic_roll(model, control, grid, ubar_of):
-    """Extrinsic rolling of the sphere or the hyperboloid on its affine tangent plane.
+def kinematic_roll(model, control, grid=None, ubar_of=None):
+    """Extrinsic rolling of a symmetric model on its affine tangent space.
 
-    ``ubar_of`` maps control coordinates (..., k) to ambient angular
-    velocities Ubar (..., N, N), and the kinematic equations
+    The kinematic equations of the rolling (Hüper & Silva Leite, 2007)
 
         qbar' = qbar Ubar,   sbar' = Ubar obar
 
     are integrated directly (independently of the lift-based assembly in the
-    engine) under the model's ambient form.  The curve is alphabar = qbar obar
-    and the rotation is Rbar = J qbar^T J, the J-inverse of qbar, which solves
-    Rbar' = -Ubar Rbar.  ``control`` is a ControlCurve, or raw samples with a
-    ``grid``.  Returns a RollingMapPath.
+    engine) under the model's ambient form, with Ubar = d_e_rho(U) the
+    ambient angular velocity of the control U(t) in p.  By default
+    ``Ubar = sum_i c_i d_e_rho(p_i)`` from the model's ``d_rho_p``;
+    ``ubar_of`` maps control coordinates (..., k) of another convention to
+    Ubar (..., N, N).  The curve is alphabar = qbar obar and the rotation is
+    Rbar = J qbar^T J, the J-inverse of qbar, which solves Rbar' = -Ubar
+    Rbar.  Only on a symmetric space does this rotation roll without twist,
+    so any other model is refused.  ``control`` is a ControlCurve, or raw
+    samples with a ``grid``.  Returns a RollingMapPath.
     """
+    if not model.symmetric_space:
+        raise ValueError(f"kinematic_roll needs a symmetric space; model {model.name} is not "
+                         "one, roll it with extrinsic_roll")
     if not isinstance(control, ControlCurve):
         if grid is None:
             raise ValueError("need a grid when control is a raw array")
         control = ControlCurve(grid=grid, coords=control)
+    if control.dim != model.p_dim:
+        raise ValueError(f"control has {control.dim} components, model p-dimension is "
+                         f"{model.p_dim}")
     grid = control.grid
     form = model.form
+    if ubar_of is None:
+        def ubar_of(c):
+            return np.tensordot(c, model.d_rho_p, axes=(-1, 0))
 
     ubars = ubar_of(control.stage_coords())
     qbar = flow_matrix_ode(ubars, np.eye(form.dim), grid, side="right", reproject_form=form)
@@ -226,7 +241,8 @@ def roll_hyperboloid(control, grid=None):
     """Extrinsic rolling of the hyperboloid on its affine tangent plane.
 
     ``control`` holds the components (u1, u2); the ambient angular velocity
-    is ubar_matrix(u(t)) (see kinematic_roll).
+    is ubar_matrix(u(t)) (see kinematic_roll), which is the default Ubar of
+    the model's coordinates (-u2, u1).
     """
     from . import get_model
 

@@ -19,17 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..homogeneous import ControlCurve
-from ..integrate import flow_matrix_ode, integrate_vector
-from ..linalg import SignatureForm, is_oriented_isometry
-from ..linalg import stacked_kron, stacked_vec
-from ..rolling import RollingMapPath
+from ..linalg import SignatureForm, is_oriented_isometry, stacked_kron, stacked_vec
 
 __all__ = [
     "so_pq_basis",
     "description",
     "bundle",
-    "roll_pseudo_orthogonal",
 ]
 
 
@@ -156,54 +151,3 @@ def bundle(desc):
         "tangent_frame_at": tangent_frame_at,
         "transvection": transvection,
     }
-
-
-def roll_pseudo_orthogonal(p, q, control, grid=None, base_point=None):
-    """Extrinsic rolling of SO+(p, q) inside the matrix space R^{n x n}.
-
-    ``control`` carries coefficients in the so_pq_basis order; U(t) is the
-    corresponding left angular velocity of the first factor.  The two group
-    flows
-
-        Q1' = Q1 U,   Q2' = -Q2 P0^{-1} U P0
-
-    are integrated directly (independently of the lift-based assembly in the
-    engine), s' = vec(2 U(t) P0), and the rolling map acts on flattened
-    matrices by X -> R1 X R2^{-1} with R1 = J Q1^T J and R2 = J Q2^T J, the
-    J-inverses of the two factors.
-    """
-    if not isinstance(control, ControlCurve):
-        if grid is None:
-            raise ValueError("need a grid when control is a raw array")
-        control = ControlCurve(grid=grid, coords=control)
-    grid = control.grid
-    p = int(p)
-    q = int(q)
-    n = p + q
-    jd = np.concatenate([np.ones(p), -np.ones(q)])
-    J = np.diag(jd)
-    form_n = SignatureForm(jd)
-    if base_point is None:
-        P0 = np.eye(n)
-    else:
-        P0 = np.asarray(base_point, dtype=float)
-    P0inv = np.linalg.inv(P0)
-    skew = so_pq_basis(p, q)
-    if control.dim != skew.shape[0]:
-        raise ValueError(
-            f"control must have {skew.shape[0]} components for so({p},{q})"
-        )
-
-    U = np.tensordot(control.stage_coords(), skew, axes=(-1, 0))
-    Q1 = flow_matrix_ode(U, np.eye(n), grid, side="right", reproject_form=form_n)
-    Q2 = flow_matrix_ode(-(P0inv @ U @ P0), np.eye(n), grid, side="right",
-                         reproject_form=form_n)
-    s = integrate_vector(stacked_vec(2.0 * U @ P0), grid)
-    alpha = stacked_vec(Q1 @ P0 @ (J @ np.swapaxes(Q2, 1, 2) @ J))
-    rots = stacked_kron(np.swapaxes(Q2, 1, 2), J @ np.swapaxes(Q1, 1, 2) @ J)
-    obar = stacked_vec(P0)
-    alpha_hat = obar[None, :] + s
-    return RollingMapPath(
-        grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
-        form=SignatureForm(np.kron(jd, jd)),
-    )

@@ -88,12 +88,9 @@ def roll_sphere(control, grid=None):
     """Extrinsic rolling of the unit sphere on its affine tangent plane.
 
     ``control`` holds the coefficients (c2, c3) of the horizontal generator
-    c2 A2 + c3 A3; the ambient angular velocity is hat(P (0, c2, c3)) (see
-    kinematic_roll, here with the Euclidean form).
+    c2 A2 + c3 A3; the ambient angular velocity is hat(P (0, c2, c3)), the
+    default of kinematic_roll, here with the Euclidean form.
     """
     from . import get_model
 
-    def ubar_of(c):
-        return hat(np.pad(c, ((0, 0), (1, 0))) @ CHART_CONJUGATOR.T)
-
-    return kinematic_roll(get_model("sphere"), control, grid, ubar_of)
+    return kinematic_roll(get_model("sphere"), control, grid)

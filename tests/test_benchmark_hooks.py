@@ -1,12 +1,15 @@
 """The benchmark under perfbench/ reaches into semiroll by name.
 
 Its tracer rebinds functions by module and attribute name, and its
-workloads import a few model helpers directly.  A rename in the library
-would only surface in a benchmark run; these tests make it fail here.
+workloads import a few model helpers directly and read the rest off module
+aliases at run time.  A rename in the library would only surface in a
+benchmark run; these tests make it fail here.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -59,3 +62,26 @@ def test_correction_span_times_the_live_correction():
 
 def test_workload_module_imports():
     assert callable(_load("workloads").roll_ops)
+
+
+def test_workload_late_lookups_resolve():
+    # the workloads read functions off semiroll module aliases (H.extrinsic_roll,
+    # hyperbolic.roll_hyperboloid inside a lambda) only when an op runs, which
+    # importing the module does not check
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: importlib.import_module(a.name) for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("semiroll"):
+            source = importlib.import_module(node.module)
+            bound.update({a.asname or a.name: getattr(source, a.name) for a in node.names})
+    modules = {name: value for name, value in bound.items()
+               if inspect.ismodule(value) and value.__name__.startswith("semiroll")}
+    assert {"H", "R", "hyperbolic"} <= set(modules)
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert ("hyperbolic", "roll_hyperboloid") in reads
+    missing = sorted(f"{name}.{attr}" for name, attr in reads if not hasattr(modules[name], attr))
+    assert not missing, missing

@@ -8,10 +8,13 @@ from semiroll.models import get_model
 from semiroll.models.hyperbolic import (
     SU11_BASIS,
     embed_hyperbolic,
+    hat,
+    kinematic_roll,
     roll_hyperboloid,
     su11_coords,
     ubar_matrix,
 )
+from semiroll.models.sphere import CHART_CONJUGATOR, roll_sphere
 
 
 def test_moebius_action_stays_in_disc():
@@ -58,6 +61,26 @@ def test_unit_control_rolls_along_the_main_geodesic():
     assert np.max(np.abs(path.s - s_bar)) <= 1e-12
     # development stays in the affine tangent plane x0 = 1
     assert np.max(np.abs(path.alpha_hat[:, 0] - 1.0)) <= 1e-12
+
+
+def test_quadric_rolls_keep_their_values_under_the_default_ubar():
+    # the inputs of acceptance criteria 04 and 07; the sphere's explicit
+    # hat(P (0, c2, c3)) is the Ubar roll_sphere passed before the default,
+    # and the hyperboloid's (u1, u2) are the model coordinates (-u2, u1)
+    g04 = TimeGrid(0.0, 2.0, 500)
+    u = ControlCurve.from_function(g04, lambda t: np.array([1.0, 0.0]))
+    c = ControlCurve.from_function(g04, lambda t: np.array([-0.0, 1.0]))
+    g07 = TimeGrid(0.0, 1.3, 300)
+    c07 = ControlCurve.from_function(g07, lambda t: np.array([0.0, -1.0]))
+    pairs = [
+        (roll_hyperboloid(u, g04), kinematic_roll(get_model("hyperboloid"), c)),
+        (roll_sphere(c07, g07),
+         kinematic_roll(get_model("sphere"), c07,
+                        ubar_of=lambda c: hat(np.pad(c, ((0, 0), (1, 0))) @ CHART_CONJUGATOR.T))),
+    ]
+    for new, old in pairs:
+        for field in ("R", "s", "alpha", "alpha_hat"):
+            assert np.array_equal(getattr(new, field), getattr(old, field)), field
 
 
 def test_direct_roll_passes_the_condition_suite():

@@ -6,11 +6,8 @@ from scipy.linalg import expm
 
 from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
 from semiroll.models import build_model, get_model
-from semiroll.models.pseudo_orthogonal import (
-    description,
-    roll_pseudo_orthogonal,
-    so_pq_basis,
-)
+from semiroll.models.hyperbolic import kinematic_roll
+from semiroll.models.pseudo_orthogonal import description, so_pq_basis
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 0), (2, 2)])
@@ -48,7 +45,7 @@ def test_constant_control_rolls_along_a_one_parameter_subgroup():
     grid = TimeGrid(0.0, 1.0, 250)
     coef = np.array([0.3, -0.2, 0.4])
     ctrl = ControlCurve.from_function(grid, lambda t: coef)
-    path = roll_pseudo_orthogonal(2, 1, ctrl, grid)
+    path = kinematic_roll(get_model("so_plus_2_1"), ctrl, grid)
     U = sum(c * B for c, B in zip(coef, so_pq_basis(2, 1)))
     expected = np.array([expm(2 * t * U).reshape(-1, order="F") for t in grid.ts])
     assert np.max(np.abs(path.alpha - expected)) <= 1e-10
@@ -63,7 +60,7 @@ def test_random_control_passes_the_condition_suite(p, q):
     amp = rng.standard_normal(model.p_dim) * 0.4
     frq = rng.uniform(0.5, 2.0, model.p_dim)
     ctrl = ControlCurve.from_function(grid, lambda t: amp * np.sin(frq * t))
-    path = roll_pseudo_orthogonal(p, q, ctrl, grid)
+    path = kinematic_roll(model, ctrl, grid)
     report = model_residual_report(model, path)
     assert report.passed(50 * grid.h**2)
 
@@ -74,8 +71,8 @@ def test_roll_from_nonidentity_base_point():
     base = model.random_point(rng).reshape(3, 3, order="F")
     grid = TimeGrid(0.0, 1.0, 200)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.2, 0.5 * np.sin(t), -0.3]))
-    path = roll_pseudo_orthogonal(2, 1, ctrl, grid, base_point=base)
     moved = build_model(description(2, 1, base))
+    path = kinematic_roll(moved, ctrl, grid)
     report = model_residual_report(moved, path)
     assert report.passed(50 * grid.h**2)
     assert np.max(np.abs(path.alpha[0] - base.reshape(-1, order="F"))) <= 1e-12

@@ -5,9 +5,9 @@ in one batched computation.  The per-node constructions they replaced are
 kept here as references: scipy's ``subspace_angles`` for the tangency angle,
 and ``null_space`` (or the explicit column loop) for each bundle's frames.
 The model maps ``rho``, ``p_element`` and ``algebra_coords`` broadcast over
-leading axes; a stack must give the per-matrix results, and
-``horizontality_residual`` must match the per-node ``solve`` plus ``lstsq``
-loop it replaced.
+leading axes; a stack must give the per-matrix results, and the tests'
+stacked ``horizontality_residual`` must match the per-node ``solve`` plus
+``lstsq`` loop it replaced.
 
 Time integration reads each integrand once at ``TimeGrid.stage_ts``.  The
 RK4 and Simpson loops that called a Python callable at every stage, and the
@@ -176,7 +176,6 @@ from semiroll.homogeneous import (
     GroupPath,
     extrinsic_roll,
     horizontal_lift,
-    horizontality_residual,
     intrinsic_roll,
     model_residual_report,
 )
@@ -200,10 +199,9 @@ from semiroll.linalg import (
     random_oriented_isometry,
     stacked_kron,
     stacked_null_spaces,
-    stacked_vec,
 )
 from semiroll.models import build_model, get_model, hyperbolic, pseudo_orthogonal, sphere, stiefel
-from semiroll.models.pseudo_orthogonal import roll_pseudo_orthogonal, so_pq_basis
+from semiroll.models.pseudo_orthogonal import so_pq_basis
 from semiroll import cli, homogeneous, rolling
 from semiroll.rolling import (
     FRAME_COND_MAX,
@@ -217,6 +215,8 @@ from semiroll.rolling import (
     tangency_residual,
     triple_gram_residual,
 )
+
+from horizontality import horizontality_residual
 
 
 def _tangency_case(signs, r, n_nodes=60, seed=0, top=np.pi / 3, target="moving"):
@@ -699,51 +699,44 @@ def test_stiefel_correction_matches_callable_rk4(name):
     assert _peak(stiefel._correction_path(model, lift), reference) <= 1e-13
 
 
-@pytest.mark.parametrize("which", ["sphere", "hyperboloid"])
-def test_kinematic_rolls_match_callable_integrators(which):
-    grid = TimeGrid(0.0, 1.0, 250)
-    ctrl = _sinusoid(grid, 2, 3)
-    if which == "sphere":
-        model, roll = get_model("sphere"), sphere.roll_sphere
+def _kinematic_case(name, grid):
+    """A kinematic roll of ``name`` and its ambient angular velocity Ubar(t), a callable.
+
+    The sphere and the hyperboloid take Ubar in their own closed forms; the
+    other models take d_e_rho of the control's p element.
+    """
+    model = get_model(name)
+    if name == "sphere":
+        ctrl = _sinusoid(grid, 2, 3)
+        path = sphere.roll_sphere(ctrl)
 
         def ubar(t):
             c = ctrl.func(t)
             return sphere.hat(sphere.CHART_CONJUGATOR @ np.array([0.0, c[0], c[1]]))
-    else:
-        model, roll = get_model("hyperboloid"), hyperbolic.roll_hyperboloid
+    elif name == "hyperboloid":
+        ctrl = _sinusoid(grid, 2, 3)
+        path = hyperbolic.roll_hyperboloid(ctrl)
 
         def ubar(t):
             return hyperbolic.ubar_matrix(ctrl.func(t))
+    else:
+        ctrl = _sinusoid(grid, model.p_dim, 4)
+        path = hyperbolic.kinematic_roll(model, ctrl)
 
-    eye = np.eye(3)
-    path = roll(ctrl)
+        def ubar(t):
+            return model.d_e_rho(model.p_element(ctrl.func(t)))
+    return model, path, ubar
+
+
+@pytest.mark.parametrize("which", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
+def test_kinematic_rolls_match_callable_integrators(which):
+    grid = TimeGrid(0.0, 1.0, 250)
+    model, path, ubar = _kinematic_case(which, grid)
+    eye = np.eye(model.ambient_dim)
     qbar = _rk4_callable(ubar, eye, grid, "right", model.form)
     assert _peak(path.alpha, qbar @ model.obar) <= 1e-13
     assert _peak(path.R, _rk4_callable(lambda t: -ubar(t), eye, grid, "left", model.form)) <= 1e-13
     assert _peak(path.s, _simpson_callable(lambda t: ubar(t) @ model.obar, grid)) <= 1e-13
-
-
-@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
-def test_pseudo_orthogonal_roll_matches_callable_integrators(p, q):
-    n = p + q
-    skew = so_pq_basis(p, q)
-    jd = np.concatenate([np.ones(p), -np.ones(q)])
-    form_n = SignatureForm(jd)
-    grid = TimeGrid(0.0, 1.0, 250)
-    ctrl = _sinusoid(grid, skew.shape[0], 4)
-
-    def U(t):
-        return np.tensordot(ctrl.func(t), skew, axes=(0, 0))
-
-    path = roll_pseudo_orthogonal(p, q, ctrl)
-    R1 = _rk4_callable(lambda t: -U(t), np.eye(n), grid, "left", form_n)
-    R2 = _rk4_callable(U, np.eye(n), grid, "left", form_n)
-    Q1 = _rk4_callable(U, np.eye(n), grid, "right", form_n)
-    Q2 = _rk4_callable(lambda t: -U(t), np.eye(n), grid, "right", form_n)
-    J = np.diag(jd)
-    assert _peak(path.R, stacked_kron(J @ R2 @ J, R1)) <= 1e-13
-    assert _peak(path.alpha, stacked_vec(Q1 @ J @ np.swapaxes(Q2, 1, 2) @ J)) <= 1e-13
-    assert _peak(path.s, _simpson_callable(lambda t: stacked_vec(2.0 * U(t)), grid)) <= 1e-13
 
 
 def _flow_pairs(caller, grid):
@@ -766,47 +759,16 @@ def _flow_pairs(caller, grid):
         reference = _rk4_callable(omega, np.eye(n * k), grid, "left",
                                   SignatureForm(np.ones(n * k)))
         return [(stiefel._correction_path(model, lift), reference)]
-    if kind == "kinematic":
-        model = get_model(name)
-        ctrl = _sinusoid(grid, 2, 3)
-        if name == "sphere":
-            path = sphere.roll_sphere(ctrl)
-
-            def ubar(t):
-                c = ctrl.func(t)
-                return sphere.hat(sphere.CHART_CONJUGATOR @ np.array([0.0, c[0], c[1]]))
-        else:
-            path = hyperbolic.roll_hyperboloid(ctrl)
-
-            def ubar(t):
-                return hyperbolic.ubar_matrix(ctrl.func(t))
-
-        qbar = _rk4_callable(ubar, np.eye(3), grid, "right", model.form)
-        rots = _rk4_callable(lambda t: -ubar(t), np.eye(3), grid, "left", model.form)
-        return [(path.alpha, qbar @ model.obar), (path.R, rots)]
-    p, q = (int(c) for c in name.split("_"))
-    n = p + q
-    skew = so_pq_basis(p, q)
-    jd = np.concatenate([np.ones(p), -np.ones(q)])
-    form_n = SignatureForm(jd)
-    ctrl = _sinusoid(grid, skew.shape[0], 4)
-
-    def U(t):
-        return np.tensordot(ctrl.func(t), skew, axes=(0, 0))
-
-    path = roll_pseudo_orthogonal(p, q, ctrl)
-    R1 = _rk4_callable(lambda t: -U(t), np.eye(n), grid, "left", form_n)
-    R2 = _rk4_callable(U, np.eye(n), grid, "left", form_n)
-    Q1 = _rk4_callable(U, np.eye(n), grid, "right", form_n)
-    Q2 = _rk4_callable(lambda t: -U(t), np.eye(n), grid, "right", form_n)
-    J = np.diag(jd)
-    return [(path.R, stacked_kron(J @ R2 @ J, R1)),
-            (path.alpha, stacked_vec(Q1 @ J @ np.swapaxes(Q2, 1, 2) @ J))]
+    model, path, ubar = _kinematic_case(name, grid)
+    eye = np.eye(model.ambient_dim)
+    qbar = _rk4_callable(ubar, eye, grid, "right", model.form)
+    rots = _rk4_callable(lambda t: -ubar(t), eye, grid, "left", model.form)
+    return [(path.alpha, qbar @ model.obar), (path.R, rots)]
 
 
 FLOW_CALLERS = BENCHMARK_MODELS + (
     "correction:stiefel_3_1", "correction:stiefel_4_2", "kinematic:sphere",
-    "kinematic:hyperboloid", "pseudo_orthogonal:1_2", "pseudo_orthogonal:2_2",
+    "kinematic:hyperboloid", "kinematic:so_plus_1_2", "kinematic:so_plus_2_2",
 )
 
 
