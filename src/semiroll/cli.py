@@ -293,10 +293,10 @@ def cmd_verify(args):
                                    alpha_hat=arrays["alpha_hat"], maps=arrays["A"],
                                    tangent_frames=frames, form=model.form,
                                    target_gram=model.target_gram)
+            residuals = {"velocity_match": float(np.max(triple_velocity_residual(triple))),
+                         "isometry_gram": float(np.max(triple_gram_residual(triple)))}
         except (ValueError, KeyError) as exc:
             _fail(f"cannot rebuild rolling triple: {exc}")
-        residuals = {"velocity_match": float(np.max(triple_velocity_residual(triple))),
-                     "isometry_gram": float(np.max(triple_gram_residual(triple)))}
     for label, value in residuals.items():
         print(f"{label}: {value:.6e} (tol {tol:.6e}) {'ok' if value <= tol else 'BREACH'}")
     ok = all(value <= tol for value in residuals.values())

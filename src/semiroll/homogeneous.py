@@ -354,12 +354,12 @@ class CartanModel:
 
     # -- consistency checks ------------------------------------------------
 
-    def validate(self, rng=None, n_samples=4, tol=MODEL_CHECK_TOL):
+    def validate(self, rng=None):
         """Check the structural invariants; raises ValueError on violation.
 
         Bracket closures of the h/p splitting, h perpendicular to p, isotropy
         of the base point, J-orthogonality and equivariance of the ambient
-        representation (on random samples), the homomorphism property of
+        representation (on four random samples), the homomorphism property of
         d_e_rho, the transvection map against the horizontal generator, and
         Ad_H-invariance of the derived p-metric.  A broken [p,p] subset h is
         refused only where ``omega_basis`` vanishes (``symmetric_space``);
@@ -389,7 +389,7 @@ class CartanModel:
             "orth": peak(np.einsum("iab,jba->ij", B[p], B[h]).real),
         }
         defects.update(worst)
-        lim = tol * max(1.0, scale) ** 2
+        lim = MODEL_CHECK_TOL * max(1.0, scale) ** 2
         if worst["span"] > lim:
             raise ValueError(f"brackets leave the algebra span (defect {worst['span']:.3e})")
         if worst["hh"] > lim:
@@ -411,7 +411,7 @@ class CartanModel:
         jorth = 0.0
         hom = 0.0
         transv = 0.0
-        for _ in range(n_samples):
+        for _ in range(4):
             q = self.random_group_element(rng)
             pt = self.random_point(rng)
             rq = np.asarray(self.rho(q), dtype=float)
@@ -627,6 +627,7 @@ def intrinsic_roll(model, data, q0=None):
     extrinsic rolling map along the same lift.  Its alpha' is read exactly
     off the lift, so on a symmetric space the development differs from that
     of ``extrinsic_roll`` by the latter's finite-difference truncation error.
+    Along a control it needs no derivative, so it rolls on 1 to 3 steps too.
     """
     path, _, frames = _rolling_path(model, horizontal_lift(model, data, q0=q0))
     head = model.d_e_pi @ model.cf0
@@ -684,7 +685,7 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="auto"):
     non-isometric to the development's, and the roll is refused with the
     remedy.  The development integrates R alpha', with alpha' read exactly
     off the lift on a non-symmetric space and differenced from the samples
-    of alpha on a symmetric space.
+    of alpha on a symmetric space, which needs at least 4 steps.
     """
     if normal_strategy not in ("auto", "closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy '{normal_strategy}'")

@@ -5,16 +5,16 @@ the grid nodes and the step midpoints, which are the only times an RK4 or
 Simpson step reads.  Matrix flows use the classical fourth-order Runge-Kutta
 scheme.  A linear flow ``Xdot = L(t) X`` (or ``X L(t)``) takes all its RK4
 step factors at once, as matrix polynomials of the stage samples, and its
-path is their running product, taken as a blocked scan; group-valued flows
-polish the factors onto the J-orthogonal group, give every node one
-inverse-free Newton-Schulz step, and check every node.  Every matrix flow of
-the package is such a linear flow; a complex one (SU(2), SU(1,1)) runs in its
-real form, where the products are real and cheaper.
+path is their running product, taken as a blocked scan.  Every flow is a
+group flow: it polishes the factors onto the J-orthogonal group of its form,
+gives every node one inverse-free Newton-Schulz step, and checks every node.
+Every matrix flow of the package is such a linear flow; a complex one (SU(2),
+SU(1,1)) runs in its real form, where the products are real and cheaper.
 ``reproject`` polishes one matrix or a whole stack.  Vector quadrature is the
 cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
 for cubic polynomials).  Grid differentiation is fourth order, with one-sided
-stencils at the two nodes on each end of the grid.  Dense output is the
-not-a-knot cubic spline through samples at uniform nodes.
+stencils at the two nodes on each end of the grid, and needs five nodes.
+Dense output is the not-a-knot cubic spline through samples at uniform nodes.
 """
 
 from __future__ import annotations
@@ -228,22 +228,22 @@ def _newton_schulz_step(X, form):
     return 1.5 * X - 0.5 * (X @ (adjoint @ X))
 
 
-def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
-    """Integrate Xdot = L(t) X (side="left") or Xdot = X L(t) (side="right").
+def flow_matrix_ode(generators, X0, grid, side, reproject_form):
+    """Integrate Xdot = L(t) X (side="left") or Xdot = X L(t) (side="right") on a group.
 
-    ``generators`` holds L at ``grid.stage_ts``, shape (2 n_steps + 1, d, d).
-    Returns the full node path, shape (n_nodes, d, d).
+    ``generators`` holds L at ``grid.stage_ts``, shape (2 n_steps + 1, d, d),
+    J-skew under ``reproject_form`` J, so the flow stays on the J-orthogonal
+    group.  Returns the full node path, shape (n_nodes, d, d).
 
     The flow is linear, so an RK4 step is a matrix polynomial in the step's
     three stage samples: all step factors are built at once by stacked
     products, and the path is their running product, a two-level blocked
-    scan of about 2 sqrt(n_steps) stacked products.  With ``reproject_form``
-    set, the factors are polished onto the J-orthogonal group (one stacked
-    ``reproject``), every node then takes one inverse-free Newton-Schulz
-    step, which removes the drift the product accumulates, and the group
-    residual of every node is checked; a node off the group by more than
-    ``REPROJECT_TOL`` raises, naming the node.  Non-finite generators or
-    start values are refused.
+    scan of about 2 sqrt(n_steps) stacked products.  The factors are polished
+    onto the group (one stacked ``reproject``), every node then takes one
+    inverse-free Newton-Schulz step, which removes the drift the product
+    accumulates, and the group residual of every node is checked; a node off
+    the group by more than ``REPROJECT_TOL`` raises, naming the node.
+    Non-finite generators or start values are refused.
 
     A complex flow (complex generators or start value) runs in its real form
     r(X) = [[Re X, -Im X], [Im X, Re X]], in float64 under the form's signs
@@ -265,24 +265,17 @@ def flow_matrix_ode(generators, X0, grid, side="left", reproject_form=None):
     if not (np.iscomplexobj(L) or np.iscomplexobj(X0)):
         dtype = np.result_type(L.dtype, X0.dtype, float)
         return _flow(L.astype(dtype, copy=False), X0, grid, side, reproject_form)
-    form = None if reproject_form is None else _TiledForm(reproject_form)
-    out = _flow(_real_form(L), _real_form(X0), grid, side, form)
+    out = _flow(_real_form(L), _real_form(X0), grid, side, _TiledForm(reproject_form))
     d = X0.shape[0]
     return out[:, :d, :d] + 1j * out[:, d:, :d]
 
 
 def _flow(L, X0, grid, side, form):
     """The node path of ``flow_matrix_ode`` for checked real generators L of the path's dtype."""
-    factors = _step_factors(L, grid.h, side)
-    if form is not None:
-        factors = reproject(factors, form)
-
+    factors = reproject(_step_factors(L, grid.h, side), form)
     out = np.empty((grid.n_nodes,) + X0.shape, dtype=L.dtype)
     out[0] = X0
     out[1:] = _running_product(factors, X0, side)
-    if form is None:
-        return out
-
     out[1:] = _newton_schulz_step(out[1:], form)
     residual = _group_residual(out[1:], form)
     worst = int(np.argmax(residual))
@@ -335,29 +328,22 @@ def _interior_stencil(a, scale, out):
 
 
 def fd_derivative(samples, h):
-    """Differentiate uniformly sampled data along axis 0.
+    """Differentiate uniformly sampled data along axis 0, to fourth order.
 
-    Fourth-order five-point stencils when the grid has at least five nodes
-    (one-sided variants at the two nodes on each end), second-order fallback
-    on shorter grids.
+    Five-point stencils, one-sided at the two nodes on each end.  Fewer than
+    five samples are refused: a lower-order difference there is silently
+    less accurate than every other derivative of the package.
     """
     a = np.asarray(samples)
-    m = a.shape[0]
-    if m < 2:
-        raise ValueError("need at least two samples to differentiate")
+    if a.shape[0] < 5:
+        raise ValueError(f"need at least 5 nodes for a fourth-order derivative, got "
+                         f"{a.shape[0]}; refine n_steps")
     d = np.empty_like(a, dtype=np.result_type(a.dtype, float))
-    if m >= 5:
-        _interior_stencil(a, 12.0 * h, d[2:-2])
-        d[0] = (-25.0 * a[0] + 48.0 * a[1] - 36.0 * a[2] + 16.0 * a[3] - 3.0 * a[4]) / (12.0 * h)
-        d[1] = (-3.0 * a[0] - 10.0 * a[1] + 18.0 * a[2] - 6.0 * a[3] + a[4]) / (12.0 * h)
-        d[-2] = (3.0 * a[-1] + 10.0 * a[-2] - 18.0 * a[-3] + 6.0 * a[-4] - a[-5]) / (12.0 * h)
-        d[-1] = (25.0 * a[-1] - 48.0 * a[-2] + 36.0 * a[-3] - 16.0 * a[-4] + 3.0 * a[-5]) / (12.0 * h)
-    elif m >= 3:
-        d[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-        d[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
-    else:
-        d[0] = d[1] = (a[1] - a[0]) / h
+    _interior_stencil(a, 12.0 * h, d[2:-2])
+    d[0] = (-25.0 * a[0] + 48.0 * a[1] - 36.0 * a[2] + 16.0 * a[3] - 3.0 * a[4]) / (12.0 * h)
+    d[1] = (-3.0 * a[0] - 10.0 * a[1] + 18.0 * a[2] - 6.0 * a[3] + a[4]) / (12.0 * h)
+    d[-2] = (3.0 * a[-1] + 10.0 * a[-2] - 18.0 * a[-3] + 6.0 * a[-4] - a[-5]) / (12.0 * h)
+    d[-1] = (25.0 * a[-1] - 48.0 * a[-2] + 36.0 * a[-3] - 16.0 * a[-4] + 3.0 * a[-5]) / (12.0 * h)
     return d
 
 

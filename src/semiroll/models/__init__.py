@@ -72,7 +72,7 @@ def _decode_basis(desc):
     return raw
 
 
-def build_model(desc, validate=False, rng=None):
+def build_model(desc, validate=False):
     """Instantiate a CartanModel from a description dictionary."""
     version = desc.get("format_version")
     if version != 1:
@@ -96,7 +96,7 @@ def build_model(desc, validate=False, rng=None):
         **EMBEDDING_BUNDLES[key](desc),
     )
     if validate:
-        model.validate(rng=rng)
+        model.validate()
     return model
 
 

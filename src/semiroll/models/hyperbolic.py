@@ -22,7 +22,9 @@ construction held here: ``quadric_description`` and ``quadric_bundle``
 (Moebius action, null-space tangent frames, ``quadric_transvection``); each
 model passes its basis, embedding, rho, d_e_rho.  ``kinematic_roll``, also
 held here, integrates the paper's kinematic equations on every symmetric
-model (the two quadrics, SO+(p, q), V_1(R^n)) and refuses the others.
+model (the two quadrics, SO+(p, q), V_1(R^n)) with the one ambient angular
+velocity Ubar = d_e_rho(U), and refuses the others.  ``roll_hyperboloid``
+takes its control as (u1, u2), which are the model coordinates (-u2, u1).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "hat",
     "adjoint_matrix",
     "embed_hyperbolic",
-    "ubar_matrix",
     "quadric_transvection",
     "quadric_description",
     "quadric_bundle",
@@ -104,17 +105,6 @@ def embed_hyperbolic(z):
         raise ValueError("disc points must satisfy |z| < 1")
     den = 1.0 - r2
     return np.stack([(1.0 + r2) / den, 2.0 * z.imag / den, -2.0 * z.real / den], axis=-1)
-
-
-def ubar_matrix(u):
-    """Ambient control matrices [[0,u1,u2],[u1,0,0],[u2,0,0]] of the rolling kinematics.
-
-    ``u`` is (..., 2); the result is (..., 3, 3).
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape[:-1] + (3, 3))
-    out[..., 0, 1:] = out[..., 1:, 0] = u[..., :2]
-    return out
 
 
 def quadric_transvection(alpha, v, signs, axes):
@@ -192,42 +182,24 @@ def bundle(desc):
                           embed_hyperbolic, signs[:, None, None] * SU11_BASIS)
 
 
-def kinematic_roll(model, control, grid=None, ubar_of=None):
-    """Extrinsic rolling of a symmetric model on its affine tangent space.
-
-    The kinematic equations of the rolling (Hüper & Silva Leite, 2007)
-
-        qbar' = qbar Ubar,   sbar' = Ubar obar
-
-    are integrated directly (independently of the lift-based assembly in the
-    engine) under the model's ambient form, with Ubar = d_e_rho(U) the
-    ambient angular velocity of the control U(t) in p.  By default
-    ``Ubar = sum_i c_i d_e_rho(p_i)`` from the model's ``d_rho_p``;
-    ``ubar_of`` maps control coordinates (..., k) of another convention to
-    Ubar (..., N, N).  The curve is alphabar = qbar obar and the rotation is
-    Rbar = J qbar^T J, the J-inverse of qbar, which solves Rbar' = -Ubar
-    Rbar.  Only on a symmetric space does this rotation roll without twist,
-    so any other model is refused.  ``control`` is a ControlCurve, or raw
-    samples with a ``grid``.  Returns a RollingMapPath.
-    """
-    if not model.symmetric_space:
-        raise ValueError(f"kinematic_roll needs a symmetric space; model {model.name} is not "
-                         "one, roll it with extrinsic_roll")
+def _control_curve(control, grid, dim):
+    """``control`` as a ControlCurve of ``dim`` components; a given ``grid`` must be its grid."""
     if not isinstance(control, ControlCurve):
         if grid is None:
             raise ValueError("need a grid when control is a raw array")
         control = ControlCurve(grid=grid, coords=control)
-    if control.dim != model.p_dim:
-        raise ValueError(f"control has {control.dim} components, model p-dimension is "
-                         f"{model.p_dim}")
-    grid = control.grid
-    form = model.form
-    if ubar_of is None:
-        def ubar_of(c):
-            return np.tensordot(c, model.d_rho_p, axes=(-1, 0))
+    elif grid is not None and grid != control.grid:
+        raise ValueError(f"grid {grid} contradicts the control's grid {control.grid}")
+    if control.dim != dim:
+        raise ValueError(f"control has {control.dim} components, model p-dimension is {dim}")
+    return control
 
-    ubars = ubar_of(control.stage_coords())
-    qbar = flow_matrix_ode(ubars, np.eye(form.dim), grid, side="right", reproject_form=form)
+
+def _kinematic_path(model, grid, coords):
+    """The kinematic roll of ``model`` for p-coordinates ``coords`` at ``grid.stage_ts``."""
+    form = model.form
+    ubars = np.tensordot(coords, model.d_rho_p, axes=(-1, 0))
+    qbar = flow_matrix_ode(ubars, np.eye(form.dim), grid, "right", form)
     rots = j_transpose_inverse(qbar, form)
     obar = model.obar
     s = integrate_vector(ubars @ obar, grid)
@@ -237,13 +209,39 @@ def kinematic_roll(model, control, grid=None, ubar_of=None):
                           form=form)
 
 
+def kinematic_roll(model, control, grid=None):
+    """Extrinsic rolling of a symmetric model on its affine tangent space.
+
+    The kinematic equations of the rolling (Hüper & Silva Leite, 2007)
+
+        qbar' = qbar Ubar,   sbar' = Ubar obar
+
+    are integrated directly (independently of the lift-based assembly in the
+    engine) under the model's ambient form, with Ubar = d_e_rho(U) =
+    sum_i c_i d_e_rho(p_i) (the model's ``d_rho_p``) the ambient angular
+    velocity of the control U(t) in p.  The curve is alphabar = qbar obar and
+    the rotation is Rbar = J qbar^T J, the J-inverse of qbar, which solves
+    Rbar' = -Ubar Rbar.  Only on a symmetric space does this rotation roll
+    without twist, so any other model is refused.  ``control`` is a
+    ControlCurve (a given ``grid`` must be its own), or raw samples with a
+    ``grid``.  Returns a RollingMapPath.
+    """
+    if not model.symmetric_space:
+        raise ValueError(f"kinematic_roll needs a symmetric space; model {model.name} is not "
+                         "one, roll it with extrinsic_roll")
+    control = _control_curve(control, grid, model.p_dim)
+    return _kinematic_path(model, control.grid, control.stage_coords())
+
+
 def roll_hyperboloid(control, grid=None):
     """Extrinsic rolling of the hyperboloid on its affine tangent plane.
 
-    ``control`` holds the components (u1, u2); the ambient angular velocity
-    is ubar_matrix(u(t)) (see kinematic_roll), which is the default Ubar of
-    the model's coordinates (-u2, u1).
+    ``control`` holds the components (u1, u2), the model coordinates
+    (-u2, u1); the ambient angular velocity [[0, u1, u2], [u1, 0, 0],
+    [u2, 0, 0]] is the Ubar of kinematic_roll for those coordinates.
     """
     from . import get_model
 
-    return kinematic_roll(get_model("hyperboloid"), control, grid, ubar_matrix)
+    control = _control_curve(control, grid, 2)
+    u = control.stage_coords()
+    return _kinematic_path(get_model("hyperboloid"), control.grid, np.stack([-u[:, 1], u[:, 0]], 1))

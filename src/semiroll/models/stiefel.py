@@ -138,7 +138,8 @@ def roll_stiefel(n, k, data, grid=None, q0=None):
 
     ``data`` is a ControlCurve (p-coordinates: skew pairs of the top block
     first, then the lower block row-major), an EmbeddedCurve of flattened
-    frames, or an (m, n, k) array of frames with an explicit grid.
+    frames, or an (m, n, k) array of frames with an explicit grid.  A curve
+    carries its own grid, and a given ``grid`` that differs from it is refused.
     """
     from . import get_model
 
@@ -149,4 +150,6 @@ def roll_stiefel(n, k, data, grid=None, q0=None):
         arr = np.asarray(data, dtype=float)
         pts = stacked_vec(arr) if arr.ndim == 3 else arr
         data = EmbeddedCurve(grid=grid, points=pts)
+    elif grid is not None and hasattr(data, "grid") and grid != data.grid:
+        raise ValueError(f"grid {grid} contradicts the data's grid {data.grid}")
     return extrinsic_roll(model, data, q0=q0)

@@ -13,13 +13,12 @@ cross-check for the homogeneous-space machinery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .integrate import TimeGrid, _running_product, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import RigidMotion, SignatureForm, j_transpose_inverse
+from .linalg import SignatureForm, j_transpose_inverse
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -89,9 +88,6 @@ class RollingMapPath:
     @property
     def n_nodes(self):
         return self.grid.n_nodes
-
-    def motion(self, k):
-        return RigidMotion(self.R[k], self.s[k])
 
 
 @dataclass
@@ -163,15 +159,6 @@ class ResidualReport:
             "max": {name: getattr(self, name) for name in self._FIELDS},
             "per_node": {key: np.asarray(val).tolist() for key, val in self.per_node.items()},
         }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data):
-        grid = TimeGrid(**data["grid"])
-        per_node = {key: np.asarray(val) for key, val in data["per_node"].items()}
-        return cls(grid=grid, per_node=per_node, **{k: float(v) for k, v in data["max"].items()})
 
 
 def _lower_inverse(lower):

@@ -287,6 +287,32 @@ def test_verify_refuses_a_non_finite_grid_end(tmp_path, capsys):
     assert "bad grid: grid ends must be finite" in capsys.readouterr().err
 
 
+def test_short_grid_extrinsic_roll_is_refused_by_name(tmp_path, capsys):
+    # the sphere's extrinsic roll differentiates its curve, which needs five nodes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "grid": {**_SMALL_ROLL["grid"], "n_steps": 3}}))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need at least 5 nodes for a fourth-order derivative, got 4; refine n_steps" \
+        in captured.err
+
+
+def test_short_grid_intrinsic_file_is_refused_not_passed(tmp_path, capsys):
+    # the intrinsic roll takes no derivative and writes the file; checking
+    # its velocity residual does, and is refused
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "mode": "intrinsic",
+                               "grid": {**_SMALL_ROLL["grid"], "n_steps": 3}}))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "got 4; refine n_steps" in captured.err
+
+
 def _sampled_curve_config(name, mode, drift=0.0):
     """A 400-step ``curve`` config holding the points of a library roll."""
     model = get_model(name)

@@ -56,8 +56,8 @@ def test_constant_generator_flow_matches_exponential():
     U = U - U.T
     grid = TimeGrid(0.0, 1.5, 600)
     Us = np.broadcast_to(U, (grid.stage_ts.size, 4, 4))
-    left = flow_matrix_ode(Us, np.eye(4), grid, side="left")
-    right = flow_matrix_ode(Us, np.eye(4), grid, side="right")
+    left = flow_matrix_ode(Us, np.eye(4), grid, "left", SignatureForm.from_pq(4, 0))
+    right = flow_matrix_ode(Us, np.eye(4), grid, "right", SignatureForm.from_pq(4, 0))
     for k in (0, 150, 600):
         E = expm(grid.ts[k] * U)
         assert np.max(np.abs(left[k] - E)) <= 1e-9
@@ -77,8 +77,8 @@ def test_left_and_right_flows_are_transposes_for_skew_generator():
 
     grid = TimeGrid(0.0, 2.0, 800)
     gens = np.array([gen(t) for t in grid.stage_ts])
-    X = flow_matrix_ode(gens, np.eye(3), grid, side="left")
-    Y = flow_matrix_ode(-gens, np.eye(3), grid, side="right")
+    X = flow_matrix_ode(gens, np.eye(3), grid, "left", SignatureForm.from_pq(3, 0))
+    Y = flow_matrix_ode(-gens, np.eye(3), grid, "right", SignatureForm.from_pq(3, 0))
     resid = max(np.max(np.abs(Y[k] @ X[k] - np.eye(3))) for k in range(0, 801, 100))
     assert resid <= 1e-9
 
@@ -93,7 +93,8 @@ def test_flow_is_fourth_order():
         return M - M.T
 
     def flow(grid):
-        return flow_matrix_ode(np.array([gen(t) for t in grid.stage_ts]), np.eye(3), grid)
+        return flow_matrix_ode(np.array([gen(t) for t in grid.stage_ts]), np.eye(3), grid,
+                               "left", SignatureForm.from_pq(3, 0))
 
     errs = []
     for n in (50, 100, 200):
@@ -114,7 +115,7 @@ def test_flow_reprojection_keeps_group_residual_flat():
 
     grid = TimeGrid(0.0, 4.0, 2000)
     X = flow_matrix_ode(np.broadcast_to(U, (grid.stage_ts.size, 3, 3)), np.eye(3), grid,
-                        reproject_form=form)
+                        "left", form)
     worst = max(j_orthogonality_residual(X[k], form) for k in range(0, 2001, 200))
     assert worst <= 1e-12
 
@@ -164,9 +165,8 @@ def test_flow_rejects_non_finite_input(side, where, dtype):
         gens[7, 0, 1] = np.nan if dtype is float else complex(0.0, np.nan)
     else:
         X0[1, 2] = np.inf
-    for form in (None, SignatureForm.from_pq(3, 0)):
-        with pytest.raises(ValueError, match="NaN or inf"):
-            flow_matrix_ode(gens, X0, grid, side=side, reproject_form=form)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        flow_matrix_ode(gens, X0, grid, side, SignatureForm.from_pq(3, 0))
 
 
 def test_flow_refuses_a_singular_step_factor():
@@ -176,7 +176,7 @@ def test_flow_refuses_a_singular_step_factor():
     gens = np.zeros((grid.stage_ts.size, 3, 3))
     gens[4] = np.diag([-6.0 / grid.h, 0.0, 0.0])
     with pytest.raises(ValueError, match="singular"):
-        flow_matrix_ode(gens, np.eye(3), grid, reproject_form=SignatureForm.from_pq(3, 0))
+        flow_matrix_ode(gens, np.eye(3), grid, "left", SignatureForm.from_pq(3, 0))
 
 
 def test_flow_names_the_node_that_leaves_the_group():
@@ -185,7 +185,7 @@ def test_flow_names_the_node_that_leaves_the_group():
     grid = TimeGrid(0.0, 1.0, 5)
     gens = np.zeros((grid.stage_ts.size, 3, 3))
     with pytest.raises(ValueError, match="node 1 "):
-        flow_matrix_ode(gens, 1.1 * np.eye(3), grid, reproject_form=SignatureForm.from_pq(3, 0))
+        flow_matrix_ode(gens, 1.1 * np.eye(3), grid, "left", SignatureForm.from_pq(3, 0))
 
 
 SU11_SIGNS = SignatureForm([1.0, -1.0])
@@ -258,6 +258,15 @@ def test_fd_derivative_exact_on_cubics():
     d = fd_derivative(samples, h)
     exact = np.stack([3 * ts**2, 4 * ts - 1], axis=1)
     assert np.max(np.abs(d - exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_fd_derivative_refuses_fewer_than_five_samples(m):
+    with pytest.raises(ValueError, match=f"need at least 5 nodes .*, got {m}; refine n_steps"):
+        fd_derivative(np.linspace(0.0, 1.0, m) ** 3, 0.25)
+    # five samples carry the stencils, exact on a cubic
+    ts = np.linspace(0.0, 1.0, 5)
+    assert np.max(np.abs(fd_derivative(ts**3, 0.25) - 3 * ts**2)) <= 1e-13
 
 
 def test_fd_derivative_fourth_order_interior():

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from semiroll.homogeneous import ControlCurve, TimeGrid
+from semiroll.homogeneous import ControlCurve, EmbeddedCurve, TimeGrid
+from semiroll.integrate import flow_matrix_ode, integrate_vector
+from semiroll.linalg import j_transpose_inverse
 from semiroll.models import get_model
 from semiroll.models.hyperbolic import (
     SU11_BASIS,
     embed_hyperbolic,
-    hat,
     kinematic_roll,
     roll_hyperboloid,
     su11_coords,
-    ubar_matrix,
 )
-from semiroll.models.sphere import CHART_CONJUGATOR, roll_sphere
+from semiroll.models.sphere import roll_sphere
+from semiroll.models.stiefel import roll_stiefel
 
 
 def test_moebius_action_stays_in_disc():
@@ -44,12 +45,6 @@ def test_embedding_hits_the_hyperboloid():
         embed_hyperbolic(np.linspace(0.0, 1.2, 11))
 
 
-def test_ubar_matrix_is_form_skew():
-    J = np.diag([-1.0, 1.0, 1.0])
-    U = ubar_matrix(np.array([0.4, -0.9]))
-    assert np.max(np.abs(J @ U + U.T @ J)) <= 1e-15
-
-
 def test_unit_control_rolls_along_the_main_geodesic():
     grid = TimeGrid(0.0, 2.0, 400)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.0]))
@@ -64,23 +59,59 @@ def test_unit_control_rolls_along_the_main_geodesic():
 
 
 def test_quadric_rolls_keep_their_values_under_the_default_ubar():
-    # the inputs of acceptance criteria 04 and 07; the sphere's explicit
-    # hat(P (0, c2, c3)) is the Ubar roll_sphere passed before the default,
-    # and the hyperboloid's (u1, u2) are the model coordinates (-u2, u1)
+    # the input of acceptance criterion 04: the hyperboloid's (u1, u2) are
+    # the model coordinates (-u2, u1)
     g04 = TimeGrid(0.0, 2.0, 500)
     u = ControlCurve.from_function(g04, lambda t: np.array([1.0, 0.0]))
     c = ControlCurve.from_function(g04, lambda t: np.array([-0.0, 1.0]))
-    g07 = TimeGrid(0.0, 1.3, 300)
-    c07 = ControlCurve.from_function(g07, lambda t: np.array([0.0, -1.0]))
-    pairs = [
-        (roll_hyperboloid(u, g04), kinematic_roll(get_model("hyperboloid"), c)),
-        (roll_sphere(c07, g07),
-         kinematic_roll(get_model("sphere"), c07,
-                        ubar_of=lambda c: hat(np.pad(c, ((0, 0), (1, 0))) @ CHART_CONJUGATOR.T))),
-    ]
-    for new, old in pairs:
-        for field in ("R", "s", "alpha", "alpha_hat"):
-            assert np.array_equal(getattr(new, field), getattr(old, field)), field
+    new, old = roll_hyperboloid(u, g04), kinematic_roll(get_model("hyperboloid"), c)
+    for field in ("R", "s", "alpha", "alpha_hat"):
+        assert np.array_equal(getattr(new, field), getattr(old, field)), field
+
+
+def _explicit_ubar_roll(control):
+    """The hyperboloid roll from the explicit Ubar [[0, u1, u2], [u1, 0, 0], [u2, 0, 0]]
+    of the control (u1, u2), in the arithmetic of the kinematic equations."""
+    model, grid = get_model("hyperboloid"), control.grid
+    u = control.stage_coords()
+    ubars = np.zeros((u.shape[0], 3, 3))
+    ubars[:, 0, 1:] = ubars[:, 1:, 0] = u
+    qbar = flow_matrix_ode(ubars, np.eye(3), grid, side="right", reproject_form=model.form)
+    s = integrate_vector(ubars @ model.obar, grid)
+    return (j_transpose_inverse(qbar, model.form), s, qbar @ model.obar, model.obar + s)
+
+
+def test_hyperboloid_roll_is_bit_for_bit_the_explicit_ubar_roll():
+    # criterion 04's control, and a control known only by its samples
+    g04, grid = TimeGrid(0.0, 2.0, 500), TimeGrid(0.0, 1.5, 300)
+    ts = grid.ts
+    controls = [ControlCurve.from_function(g04, lambda t: np.array([1.0, 0.0])),
+                ControlCurve(grid=grid, coords=np.stack([np.sin(ts), 0.5 * np.cos(3 * ts)], 1))]
+    for control in controls:
+        path = roll_hyperboloid(control, control.grid)
+        for field, value in zip(("R", "s", "alpha", "alpha_hat"), _explicit_ubar_roll(control)):
+            assert np.array_equal(getattr(path, field), value), field
+
+
+@pytest.mark.parametrize("roll", ["kinematic", "sphere", "hyperboloid", "stiefel"])
+def test_a_grid_that_contradicts_the_data_is_refused(roll):
+    grid = TimeGrid(0.0, 1.0, 100)
+    control = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.5 * t]))
+    calls = {
+        "kinematic": lambda g: kinematic_roll(get_model("sphere"), control, g),
+        "sphere": lambda g: roll_sphere(control, g),
+        "hyperboloid": lambda g: roll_hyperboloid(control, g),
+        "stiefel": lambda g: roll_stiefel(3, 1, control, g),
+    }
+    for same in (None, grid, TimeGrid(0.0, 1.0, 100)):
+        assert calls[roll](same).n_nodes == 101
+    with pytest.raises(ValueError, match="contradicts"):
+        calls[roll](TimeGrid(0.0, 1.0, 50))
+    if roll == "stiefel":
+        curve = EmbeddedCurve(grid=grid, points=roll_stiefel(3, 1, control).alpha)
+        assert roll_stiefel(3, 1, curve, grid).n_nodes == 101
+        with pytest.raises(ValueError, match="contradicts"):
+            roll_stiefel(3, 1, curve, TimeGrid(0.0, 2.0, 100))
 
 
 def test_direct_roll_passes_the_condition_suite():

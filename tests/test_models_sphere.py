@@ -91,3 +91,24 @@ def test_direct_and_engine_rolls_coincide():
     assert np.max(np.abs(direct.alpha - engine.alpha)) <= 1e-7
     assert np.max(np.abs(direct.R - engine.R)) <= 1e-7
     assert np.max(np.abs(direct.s - engine.s)) <= 1e-7
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+def test_quarter_equator_on_a_short_grid_is_refused_not_rolled(n_steps):
+    # criterion 03's control: the development's length is pi/2.  Below five
+    # nodes a lower-order difference rolled 1.000, 1.552 and 1.550 at 1, 2
+    # and 3 steps, and the condition suite passed them
+    from semiroll.homogeneous import extrinsic_roll, intrinsic_roll
+
+    model = get_model("sphere")
+    grid = TimeGrid(0.0, np.pi / 2, n_steps)
+    ctrl = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.0]))
+    if n_steps < 4:
+        with pytest.raises(ValueError, match=f"got {n_steps + 1}; refine n_steps"):
+            extrinsic_roll(model, ctrl)
+    else:
+        assert abs(np.linalg.norm(extrinsic_roll(model, ctrl).s[-1]) - np.pi / 2) <= 1e-4
+    # the intrinsic roll takes no derivative along a control: its development
+    # is d_e_pi (1/2) times the arc length, exact on every grid
+    triple = intrinsic_roll(model, ctrl)
+    assert abs(np.linalg.norm(triple.alpha_hat[-1]) - np.pi / 4) <= 1e-14

@@ -702,8 +702,9 @@ def test_stiefel_correction_matches_callable_rk4(name):
 def _kinematic_case(name, grid):
     """A kinematic roll of ``name`` and its ambient angular velocity Ubar(t), a callable.
 
-    The sphere and the hyperboloid take Ubar in their own closed forms; the
-    other models take d_e_rho of the control's p element.
+    The sphere and the hyperboloid take Ubar in their own closed forms, the
+    hyperboloid's checked J-skew; the other models take d_e_rho of the
+    control's p element.
     """
     model = get_model(name)
     if name == "sphere":
@@ -718,7 +719,10 @@ def _kinematic_case(name, grid):
         path = hyperbolic.roll_hyperboloid(ctrl)
 
         def ubar(t):
-            return hyperbolic.ubar_matrix(ctrl.func(t))
+            u1, u2 = ctrl.func(t)
+            U = np.array([[0.0, u1, u2], [u1, 0.0, 0.0], [u2, 0.0, 0.0]])
+            assert np.max(np.abs(model.form.matrix @ U + U.T @ model.form.matrix)) <= 1e-15
+            return U
     else:
         ctrl = _sinusoid(grid, model.p_dim, 4)
         path = hyperbolic.kinematic_roll(model, ctrl)
@@ -790,9 +794,7 @@ def _newton_step_reference(X, form):
 def _flow_loop_reference(generators, X0, grid, side, form):
     """The flow with its running product as a per-node loop and the Newton node step."""
     dtype = np.result_type(generators.dtype, X0.dtype, float)
-    factors = _step_factors(generators.astype(dtype), grid.h, side)
-    if form is not None:
-        factors = reproject(factors, form)
+    factors = reproject(_step_factors(generators.astype(dtype), grid.h, side), form)
     out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
     out[0] = X0
     for k in range(grid.n_steps):
@@ -800,8 +802,7 @@ def _flow_loop_reference(generators, X0, grid, side, form):
             np.matmul(factors[k], out[k], out=out[k + 1])
         else:
             np.matmul(out[k], factors[k], out=out[k + 1])
-    if form is not None:
-        out[1:] = _newton_step_reference(out[1:], form)
+    out[1:] = _newton_step_reference(out[1:], form)
     return out
 
 
@@ -815,26 +816,22 @@ def test_blocked_flow_matches_the_per_node_loop(name, side, n_steps):
     grid = TimeGrid(0.0, 1.0, n_steps)
     generators = model.p_element(_sinusoid(grid, model.p_dim, 1).stage_coords())
     q0 = model.random_group_element(np.random.default_rng(n_steps))
-    for form in (None, model.group_form):
-        new = flow_matrix_ode(generators, q0, grid, side, form)
-        assert _peak(new, _flow_loop_reference(generators, q0, grid, side, form)) <= 1e-13
+    new = flow_matrix_ode(generators, q0, grid, side, model.group_form)
+    reference = _flow_loop_reference(generators, q0, grid, side, model.group_form)
+    assert _peak(new, reference) <= 1e-13
 
 
-def _complex_flow_reference(generators, X0, grid, side="left", reproject_form=None):
+def _complex_flow_reference(generators, X0, grid, side, reproject_form):
     """The flow in complex arithmetic, as complex flows ran before they took their real form."""
     L = np.asarray(generators)
     X0 = np.asarray(X0)
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(X0))):
         raise ValueError("flow generators or start value contain NaN or inf")
     dtype = np.result_type(L.dtype, X0.dtype, float)
-    factors = _step_factors(L.astype(dtype, copy=False), grid.h, side)
-    if reproject_form is not None:
-        factors = reproject(factors, reproject_form)
+    factors = reproject(_step_factors(L.astype(dtype, copy=False), grid.h, side), reproject_form)
     out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
     out[0] = X0
     out[1:] = _running_product(factors, X0, side)
-    if reproject_form is None:
-        return out
     out[1:] = _newton_schulz_step(out[1:], reproject_form)
     residual = j_orthogonality_residual(out[1:], reproject_form)
     worst = int(np.argmax(residual))
