@@ -162,7 +162,7 @@ def cmd_roll(args):
     mode = cfg.get("mode", "extrinsic")
     blocks = _blocks(mode)
     data = _build_input(cfg, grid, model)
-    strategy = cfg.get("normal_strategy", "auto")
+    strategy = cfg.get("normal_strategy", "closed_form")
     try:
         if mode == "extrinsic":
             result = extrinsic_roll(model, data, normal_strategy=strategy)
@@ -205,25 +205,29 @@ def cmd_roll(args):
 
 
 def _load_trajectory(path):
-    if path.endswith(".json"):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            _fail(f"{path}: not a rolling trajectory file")
-        meta = {key: doc[key] for key in META_TYPES if key in doc}
-        keys = ["t"] + [key for key, _, _ in _blocks(meta.get("mode", "extrinsic"))]
-        return meta, {key: np.asarray(doc[key], dtype=float) for key in keys if key in doc}
-
+    """Metadata and arrays of a trajectory file, whatever its name: a JSON
+    document if its first non-blank character is ``{``, else a CSV table."""
+    with open(path) as fh:
+        text = fh.read()
+    doc = json.loads(text) if text.lstrip().startswith("{") else None
     meta = {}
     lines = []
-    with open(path) as fh:
-        for line in fh:
+    if doc is not None:
+        meta = {key: doc[key] for key in META_TYPES if key in doc}
+    else:
+        for line in text.splitlines():
             line = line.strip()
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
             elif line:
                 lines.append(line)
+    if meta.get("kind") != "rolling_trajectory":
+        _fail(f"{path}: not a rolling trajectory file")
+    if doc is not None:
+        keys = ["t"] + [key for key, _, _ in _blocks(meta.get("mode", "extrinsic"))]
+        return meta, {key: np.asarray(doc[key], dtype=float) for key in keys if key in doc}
+
     # lines[0] is the column header; loadtxt would only warn on an empty body
     if len(lines) < 2:
         _fail(f"{path}: no trajectory data found")
@@ -255,10 +259,8 @@ def cmd_verify(args):
         meta, arrays = _load_trajectory(path)
     except OSError as exc:
         _fail(f"cannot read trajectory: {exc}")
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
-        _fail(f"cannot parse trajectory: {exc}")
-    if meta.get("kind") != "rolling_trajectory":
-        _fail(f"{path}: not a rolling trajectory file")
+    except (ValueError, KeyError) as exc:
+        _fail(f"{path}: cannot parse trajectory: {exc}")
     if meta.get("format_version") != FORMAT_VERSION:
         _fail(f"{path}: unsupported format_version {meta.get('format_version')!r}")
 

@@ -67,10 +67,6 @@ class SignatureForm:
         return int(np.sum(self.signs < 0))
 
     @property
-    def matrix(self):
-        return np.diag(self.signs)
-
-    @property
     def pos_indices(self):
         return np.flatnonzero(self.signs > 0)
 
@@ -219,10 +215,8 @@ def random_oriented_isometry(form, rng, scale=1.0):
     return expm(scale * (form.signs[:, None] * K))
 
 
-def random_motion(form, rng, rotation_scale=1.0, translation_scale=1.0):
-    R = random_oriented_isometry(form, rng, scale=rotation_scale)
-    s = translation_scale * rng.standard_normal(form.dim)
-    return RigidMotion(R, s)
+def random_motion(form, rng):
+    return RigidMotion(random_oriented_isometry(form, rng), rng.standard_normal(form.dim))
 
 
 def _householder(x):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..homogeneous import ControlCurve
+from ..homogeneous import ControlCurve, _on_grid
 from ..integrate import flow_matrix_ode, integrate_vector
 from ..linalg import j_transpose_inverse, stacked_null_spaces
 from ..rolling import RollingMapPath
@@ -183,13 +183,8 @@ def bundle(desc):
 
 
 def _control_curve(control, grid, dim):
-    """``control`` as a ControlCurve of ``dim`` components; a given ``grid`` must be its grid."""
-    if not isinstance(control, ControlCurve):
-        if grid is None:
-            raise ValueError("need a grid when control is a raw array")
-        control = ControlCurve(grid=grid, coords=control)
-    elif grid is not None and grid != control.grid:
-        raise ValueError(f"grid {grid} contradicts the control's grid {control.grid}")
+    """``control``, a ControlCurve of ``dim`` components; a given ``grid`` must be its grid."""
+    control = _on_grid(control, grid, (ControlCurve,))
     if control.dim != dim:
         raise ValueError(f"control has {control.dim} components, model p-dimension is {dim}")
     return control
@@ -223,8 +218,8 @@ def kinematic_roll(model, control, grid=None):
     the rotation is Rbar = J qbar^T J, the J-inverse of qbar, which solves
     Rbar' = -Ubar Rbar.  Only on a symmetric space does this rotation roll
     without twist, so any other model is refused.  ``control`` is a
-    ControlCurve (a given ``grid`` must be its own), or raw samples with a
-    ``grid``.  Returns a RollingMapPath.
+    ControlCurve, and a given ``grid`` must be its own.  Returns a
+    RollingMapPath.
     """
     if not model.symmetric_space:
         raise ValueError(f"kinematic_roll needs a symmetric space; model {model.name} is not "

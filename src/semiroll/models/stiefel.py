@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 # the benchmark tracer (perfbench/tracer.py) times the correction under this module's name
-from ..homogeneous import EmbeddedCurve, _correction_path, extrinsic_roll  # noqa: F401
+from ..homogeneous import _correction_path, _on_grid, extrinsic_roll  # noqa: F401
 from ..linalg import stacked_kron, stacked_null_spaces, stacked_vec
 
 __all__ = [
@@ -133,23 +133,14 @@ def bundle(desc):
     }
 
 
-def roll_stiefel(n, k, data, grid=None, q0=None):
+def roll_stiefel(n, k, data, grid=None):
     """Extrinsic rolling of V_k(R^n) on its affine tangent space at the base.
 
     ``data`` is a ControlCurve (p-coordinates: skew pairs of the top block
-    first, then the lower block row-major), an EmbeddedCurve of flattened
-    frames, or an (m, n, k) array of frames with an explicit grid.  A curve
-    carries its own grid, and a given ``grid`` that differs from it is refused.
+    first, then the lower block row-major) or an EmbeddedCurve of frames
+    flattened by ``linalg.stacked_vec``.  It carries its own grid, and a
+    given ``grid`` that differs from it is refused.
     """
     from . import get_model
 
-    model = get_model(f"stiefel_{int(n)}_{int(k)}")
-    if isinstance(data, np.ndarray):
-        if grid is None:
-            raise ValueError("need a grid when data is a raw array")
-        arr = np.asarray(data, dtype=float)
-        pts = stacked_vec(arr) if arr.ndim == 3 else arr
-        data = EmbeddedCurve(grid=grid, points=pts)
-    elif grid is not None and hasattr(data, "grid") and grid != data.grid:
-        raise ValueError(f"grid {grid} contradicts the data's grid {data.grid}")
-    return extrinsic_roll(model, data, q0=q0)
+    return extrinsic_roll(get_model(f"stiefel_{int(n)}_{int(k)}"), _on_grid(data, grid))

@@ -434,48 +434,35 @@ def compose_rolling(path01, path12):
 def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     """Left-multiply the rotation path by a normal-bundle twist factor.
 
-    ``omega0`` (a constant matrix, a callable of t, or per-node samples) must
-    be J-skew, annihilate the development tangent frames and preserve the
-    normal space; the perturbed rotations are Lambda(t) R(t) where Lambda
-    solves Lambda' = omega0 Lambda from the identity, and the translations
-    are recomputed so the contact condition is preserved.  Because Lambda
+    ``omega0`` is one constant (N, N) matrix.  It must be J-skew, annihilate
+    the development tangent frames and preserve the normal space; the
+    perturbed rotations are Lambda(t) R(t) where Lambda solves
+    Lambda' = omega0 Lambda from the identity, and the translations are
+    recomputed so the contact condition is preserved.  Because Lambda
     fixes the development tangent space pointwise, contact, tangency,
     no-slip and tangential no-twist are untouched and only the normal
     no-twist condition breaks.
     """
     grid = path.grid
-    m = grid.n_nodes
     n = path.form.dim
-
-    stages = grid.stage_ts
-    if callable(omega0):
-        omegas = np.array([np.asarray(omega0(t), dtype=float) for t in stages])
-    else:
-        omega_arr = np.asarray(omega0, dtype=float)
-        if omega_arr.shape == (n, n):
-            omegas = np.broadcast_to(omega_arr, (stages.size, n, n))
-        elif omega_arr.shape == (m, n, n):
-            omegas = dense_from_samples(grid.ts, omega_arr)(stages)
-        else:
-            raise ValueError("omega0 must be (N,N), (n_nodes,N,N) or callable")
-    omega_nodes = omegas[::2]
+    if np.shape(omega0) != (n, n):
+        raise ValueError(f"omega0 must be one constant ({n}, {n}) matrix")
+    omega = np.asarray(omega0, dtype=float)
 
     signs = path.form.signs
     p_tan = _projectors(tangent_mhat.frames, path.form, "normal generator: tangent frame")
-    scale = max(1.0, float(np.max(np.abs(omega_nodes))))
-    skew = omega_nodes.transpose(0, 2, 1) * signs[None, None, :] \
-        + signs[None, :, None] * omega_nodes
-    worst_skew = float(np.max(np.abs(skew)))
-    kills_tan = float(np.max(np.abs(omega_nodes @ tangent_mhat.frames)))
-    leaks_tan = float(np.max(np.abs(p_tan @ (omega_nodes @ normal_mhat.frames))))
+    scale = max(1.0, float(np.max(np.abs(omega))))
     for label, value in (
-        ("not J-skew", worst_skew),
-        ("does not annihilate the development tangent space", kills_tan),
-        ("does not preserve the development normal space", leaks_tan),
+        ("not J-skew", np.abs(omega.T * signs + signs[:, None] * omega)),
+        ("does not annihilate the development tangent space", np.abs(omega @ tangent_mhat.frames)),
+        ("does not preserve the development normal space",
+         np.abs(p_tan @ (omega @ normal_mhat.frames))),
     ):
+        value = float(np.max(value))
         if value > NORMAL_GENERATOR_TOL * scale:
             raise ValueError(f"inadmissible normal generator: {label} (defect {value:.3e})")
 
+    omegas = np.broadcast_to(omega, (grid.stage_ts.size, n, n))
     lam = flow_matrix_ode(omegas, np.eye(n), grid, side="left", reproject_form=path.form)
     R_new = lam @ path.R
     s_new = path.alpha_hat - np.einsum("kij,kj->ki", R_new, path.alpha)

@@ -543,3 +543,50 @@ def test_reloaded_roll_reports_bit_for_bit_as_the_in_process_roll(name, suffix, 
     assert got.keys() == expected.keys()
     for key in expected:
         assert np.array_equal(got[key], expected[key]), key
+
+
+def test_normal_strategy_defaults_to_closed_form_and_auto_is_refused(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps(_SMALL_ROLL))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "# normal_strategy=closed_form\n" in out.read_text()
+    capsys.readouterr()
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "normal_strategy": "auto"}))
+    assert main(["roll", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown normal strategy 'auto'; "
+                                   "use 'closed_form' or 'frame_matching'")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt, name", [("json", "t.csv"), ("csv", "t.json"), ("json", "t.txt"),
+                                       (None, "t.txt")])
+def test_verify_reads_the_format_from_the_content_not_the_suffix(fmt, name, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / name
+    cfg.write_text(json.dumps(_SMALL_ROLL))
+    argv = ["roll", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--format", fmt] if fmt else [])) == 0
+    assert out.read_text().startswith("{") == (fmt == "json")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "hello\nworld\n", "1,2,3\n4,5,6\n", "{}"],
+                         ids=["empty", "blank", "words", "bare_table", "empty_object"])
+@pytest.mark.parametrize("suffix", [".csv", ".json", ".txt"])
+def test_a_file_that_is_no_trajectory_is_refused_by_name(text, suffix, tmp_path, capsys):
+    out = tmp_path / f"traj{suffix}"
+    out.write_text(text)
+    assert main(["verify", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: not a rolling trajectory file")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json", ".txt"])
+def test_a_broken_json_document_is_refused_by_name(suffix, tmp_path, capsys):
+    out = tmp_path / f"traj{suffix}"
+    out.write_text('  {"kind": "rolling_trajectory",')
+    assert main(["verify", "--in", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot parse trajectory:")

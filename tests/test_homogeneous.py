@@ -32,6 +32,7 @@ from semiroll.models import (
 from semiroll import homogeneous, rolling
 from semiroll.linalg import (
     SignatureForm,
+    expm,
     is_oriented_isometry,
     j_transpose_inverse,
     random_oriented_isometry,
@@ -270,7 +271,7 @@ def test_model_file_with_corrupted_basis_is_rejected(tmp_path):
 
 
 def test_validate_passes_for_shipped_models(surface):
-    surface.validate(rng=np.random.default_rng(0))
+    surface.validate()
 
 
 def _rotated_stiefel_4_2():
@@ -284,6 +285,57 @@ def _moved_so_plus_2_2():
     form = SignatureForm([1, 1, -1, -1])
     base = random_oriented_isometry(form, np.random.default_rng(11), scale=0.5)
     return build_model(pseudo_orthogonal.description(2, 2, base))
+
+
+def _boosted_so_plus_2_2(a, b):
+    """so_plus_2_2 at the base point exp of the boost with entries a (0, 2) and b (1, 3)."""
+    X = np.zeros((4, 4))
+    X[0, 2] = X[2, 0] = a
+    X[1, 3] = X[3, 1] = b
+    return build_model(pseudo_orthogonal.description(2, 2, expm(X)))
+
+
+def test_validate_passes_at_a_boosted_base_point():
+    # the random group elements are exact exponentials, not reprojected
+    defects = _boosted_so_plus_2_2(3.0, 2.1).validate()
+    assert defects["rho_orthogonality"] <= 1e-9
+    assert defects["transvection"] <= 1e-8
+
+
+def test_validate_still_refuses_a_stronger_boost_on_its_absolute_bound():
+    # an open refusal: rho(q) is large at this base point, and the rounding
+    # of rho(q)^T J rho(q) alone exceeds the absolute 1e-9 bound
+    model = _boosted_so_plus_2_2(4.0, 2.8)
+    with pytest.raises(ValueError, match="ambient representation does not preserve the form"):
+        model.validate()
+
+
+def _scaled_stiefel_5_2(factor):
+    desc = stiefel.description(5, 2)
+    desc["basis"] = (factor * np.array(desc["basis"])).tolist()
+    return build_model(desc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _scaled_stiefel_5_2(0.1),
+    lambda: _boosted_so_plus_2_2(4.0, 2.8),
+    lambda: _boosted_so_plus_2_2(4.5, 3.15),
+    lambda: _boosted_so_plus_2_2(5.0, 3.5),
+    lambda: _boosted_so_plus_2_2(6.0, 4.2),
+], ids=["stiefel_5_2x0.1", "boost4.0", "boost4.5", "boost5.0", "boost6.0"])
+def test_well_conditioned_grams_build_at_any_scale(build):
+    # the J-Grams are judged by their condition number, not by |det|
+    model = build()
+    gram_n = model.normal0.T @ (model.form.signs[:, None] * model.normal0)
+    assert np.linalg.cond(model.ip_p) <= rolling.FRAME_COND_MAX
+    assert np.linalg.cond(gram_n) <= rolling.FRAME_COND_MAX
+
+
+def test_a_tangent_frame_with_a_zero_column_is_refused():
+    desc = stiefel.description(4, 2)
+    desc["basis"][1] = np.zeros((4, 4)).tolist()
+    with pytest.raises(ValueError, match="embedded tangent frame is degenerate under the ambient form"):
+        build_model(desc)
 
 
 RANDOM_POINT_MODELS = {
@@ -354,7 +406,7 @@ def test_symmetric_extrinsic_roll_maps_rho_once(monkeypatch):
 @pytest.mark.parametrize("name", ["sphere", "so_plus_2_2", "stiefel_4_2"])
 def test_residual_report_differentiates_the_rotations_once(name, monkeypatch):
     model = get_model(name)
-    path = _sinusoid_roll(model, "auto")
+    path = _sinusoid_roll(model, "closed_form")
     calls = []
     fd = rolling.fd_derivative
     monkeypatch.setattr(rolling, "fd_derivative",
@@ -397,14 +449,18 @@ def _sinusoid_roll(model, normal_strategy):
     return extrinsic_roll(model, ctrl, normal_strategy=normal_strategy)
 
 
-@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2"])
-def test_closed_form_strategy_is_the_auto_choice(name):
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "stiefel_4_2"])
+def test_closed_form_is_the_default_and_auto_is_refused(name):
     model = get_model(name)
-    assert model.symmetric_space
-    auto = _sinusoid_roll(model, "auto")
+    grid = TimeGrid(0.0, 1.0, 80)
+    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.sin(t + np.arange(model.p_dim)))
+    default = extrinsic_roll(model, ctrl)
     closed = _sinusoid_roll(model, "closed_form")
     for field in ("R", "s", "alpha", "alpha_hat"):
-        assert np.array_equal(getattr(auto, field), getattr(closed, field))
+        assert np.array_equal(getattr(default, field), getattr(closed, field))
+    with pytest.raises(ValueError, match="unknown normal strategy 'auto'; use 'closed_form' or "
+                                         "'frame_matching'"):
+        _sinusoid_roll(model, "auto")
 
 
 def _phased_rng5_control(model, n_steps):
@@ -536,7 +592,7 @@ def test_interpolated_control_is_evaluated_in_one_call(n_steps):
 @pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2"}))
 def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
     model = get_model(name)
-    path = _sinusoid_roll(model, "auto")
+    path = _sinusoid_roll(model, "closed_form")
     check_rank, development = rolling._check_rank, []
 
     def recording_check(a, what):
@@ -556,7 +612,7 @@ def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
                                   "stiefel_3_1", "stiefel_4_2"])
 def test_residual_report_takes_no_lu_inverse_and_no_frame_copies(name, monkeypatch):
     model = get_model(name)
-    path = _sinusoid_roll(model, "auto")
+    path = _sinusoid_roll(model, "closed_form")
     inv, calls = np.linalg.inv, []
 
     def counted(a):

@@ -108,7 +108,7 @@ def test_flow_is_fourth_order():
 
 def test_flow_reprojection_keeps_group_residual_flat():
     form = SignatureForm(np.array([1.0, 1.0, -1.0]))
-    J = form.matrix
+    J = np.diag(form.signs)
     rng = np.random.default_rng(7)
     M = rng.standard_normal((3, 3))
     U = M - J @ M.T @ J  # J-skew, so the flow stays in the isometry group

@@ -97,7 +97,7 @@ def test_signature_form_basics():
     assert form.ip(e[0], e[0]) == 1.0
     assert form.ip(e[2], e[2]) == -1.0
     assert form.ip(e[0], e[2]) == 0.0
-    assert np.allclose(form.matrix, np.diag([1.0, 1.0, -1.0]))
+    assert np.array_equal(form.signs, [1.0, 1.0, -1.0])
 
 
 def test_orientation_accepts_lorentz_boost():

@@ -114,6 +114,27 @@ def test_a_grid_that_contradicts_the_data_is_refused(roll):
             roll_stiefel(3, 1, curve, TimeGrid(0.0, 2.0, 100))
 
 
+@pytest.mark.parametrize("roll", ["kinematic", "sphere", "hyperboloid", "stiefel"])
+def test_raw_arrays_are_refused_by_the_accepted_types(roll):
+    grid = TimeGrid(0.0, 1.0, 100)
+    control = ControlCurve(grid, np.stack([np.ones(grid.n_nodes), 0.5 * grid.ts], 1))
+    points = roll_stiefel(3, 1, control).alpha
+    calls = {
+        "kinematic": lambda data: kinematic_roll(get_model("sphere"), data, grid),
+        "sphere": lambda data: roll_sphere(data, grid),
+        "hyperboloid": lambda data: roll_hyperboloid(data, grid),
+        "stiefel": lambda data: roll_stiefel(3, 1, data, grid),
+    }
+    accepted = "a ControlCurve or EmbeddedCurve" if roll == "stiefel" else "a ControlCurve"
+    # raw control coordinates, (m, nk) and (m, n, k) frames; a curve is not a control
+    rejected = [control.coords, points, points[:, :, None]]
+    if roll != "stiefel":
+        rejected.append(EmbeddedCurve(grid, points))
+    for data in rejected:
+        with pytest.raises(TypeError, match=f"data must be {accepted}, got {type(data).__name__}"):
+            calls[roll](data)
+
+
 def test_direct_roll_passes_the_condition_suite():
     from semiroll.homogeneous import model_residual_report
 

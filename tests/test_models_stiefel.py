@@ -6,7 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
+from semiroll.homogeneous import ControlCurve, EmbeddedCurve, TimeGrid, model_residual_report
+from semiroll.linalg import stacked_vec
 from semiroll.models import build_model, get_model
 from semiroll.models.stiefel import description, roll_stiefel
 
@@ -80,7 +81,7 @@ def test_roll_accepts_sampled_matrices():
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.7, 0.0, 0.0, 0.0, 0.0]))
     from_control = roll_stiefel(4, 2, ctrl, grid)
     mats = from_control.alpha.reshape(grid.n_nodes, 2, 4).transpose(0, 2, 1)
-    from_samples = roll_stiefel(4, 2, mats, grid)
+    from_samples = roll_stiefel(4, 2, EmbeddedCurve(grid, stacked_vec(mats)), grid)
     assert np.max(np.abs(from_samples.alpha - from_control.alpha)) <= 1e-7
     assert np.max(np.abs(from_samples.R - from_control.R)) <= 1e-6
 

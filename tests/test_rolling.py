@@ -167,6 +167,10 @@ def test_perturbation_rejects_inadmissible_generators():
     hits_tangent[1, 0] = -1e-2
     with pytest.raises(ValueError, match="annihilate"):
         perturb_normal_generator(path, hits_tangent, ft, fn)
+    # one constant generator: a callable or per-node samples are refused by shape
+    for other in (lambda t: np.zeros((3, 3)), np.zeros((path.grid.n_nodes, 3, 3)), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=r"omega0 must be one constant \(3, 3\) matrix"):
+            perturb_normal_generator(path, other, ft, fn)
 
 
 def test_invert_is_an_involution():
