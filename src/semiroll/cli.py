@@ -161,6 +161,9 @@ def cmd_roll(args):
     grid = _build_grid(cfg)
     mode = cfg.get("mode", "extrinsic")
     blocks = _blocks(mode)
+    if mode == "intrinsic" and "normal_strategy" in cfg:
+        _fail("'normal_strategy' applies to extrinsic rolls only; remove it from an "
+              "intrinsic config")
     data = _build_input(cfg, grid, model)
     strategy = cfg.get("normal_strategy", "closed_form")
     try:

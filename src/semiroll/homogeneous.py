@@ -9,8 +9,10 @@ equivalent linear flow ``qdot = X(t) q``, X the transvection along the
 curve, on every model), and one assembly builds the extrinsic rolling
 map along the lift, its rotation the J-inverse of the ambient representation
 (times the correction S(t) that a non-symmetric space derives from its own
-``d_e_rho``) and its development the quadrature of R(t) alpha'(t).  The
-intrinsic rolling is the tangential part of that map.
+``d_e_rho``) and its development the exact integral of the spline through
+R(t) alpha'(t).  The intrinsic rolling is the tangential part of that map,
+built on its own from the same lift: only the (k, N) maps and a
+k-dimensional development.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .integrate import (
     derivative_interpolant,
     fd_derivative,
     flow_matrix_ode,
-    integrate_vector,
 )
 from .linalg import expm, j_orthogonality_residual, j_transpose_inverse, stacked_null_spaces
 from .rolling import (
@@ -75,15 +76,17 @@ class ControlCurve:
     func: Optional[Callable] = None
 
     def __post_init__(self):
-        self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if self.coords.shape[0] != self.grid.n_nodes:
-            raise ValueError("control sample count does not match the grid")
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.ndim != 2 or coords.shape[0] != self.grid.n_nodes:
+            raise ValueError(f"control coords must have shape (n_nodes, dim) = "
+                             f"({self.grid.n_nodes}, dim), got {coords.shape}")
+        self.coords = coords
         if self.func is None:
             self.func = dense_from_samples(self.grid.ts, self.coords)
 
     @classmethod
     def from_function(cls, grid, func):
-        coords = np.array([np.atleast_1d(func(t)) for t in grid.ts], dtype=float)
+        coords = np.array([np.atleast_1d(func(t)) for t in grid.ts.tolist()], dtype=float)
         return cls(grid=grid, coords=coords, func=func)
 
     @property
@@ -98,10 +101,12 @@ class ControlCurve:
         scalars is accepted for a 1-dim control; rows of any other length
         than ``dim`` are refused.
         """
+        ts = np.asarray(ts, dtype=float)
         if isinstance(self.func, NotAKnotCubic):
             return self.func(ts)
         try:
-            table = np.array([self.func(t) for t in ts], dtype=float)
+            # plain floats: np.float64 is a float subclass, and a user func reads them cheaper
+            table = np.array([self.func(t) for t in ts.tolist()], dtype=float)
         except ValueError as exc:
             raise ValueError(f"control func returned rows of unequal shape: {exc}") from None
         if table.ndim == 1 and self.dim == 1:
@@ -570,14 +575,14 @@ def transport_homogeneous(model, lift, y0):
 # -- rolling ----------------------------------------------------------------
 
 
-def extrinsic_develop(rots, velocity, grid):
-    """Flat development: quadrature from zero of R(t) alpha'(t).
+def extrinsic_develop(maps, velocity, grid):
+    """Flat development: the integral from zero of M(t) alpha'(t), shape (n_nodes, k).
 
-    ``rots`` are the rolling rotations and ``velocity`` the curve velocity
-    alpha' at the grid's nodes.
+    ``maps`` (n_nodes, k, N) act on the curve velocity alpha' (n_nodes, N) at
+    the grid's nodes: the rolling rotations (k = N) or the intrinsic maps.  The
+    integral is the exact one of the not-a-knot cubic through M alpha'.
     """
-    dense = dense_from_samples(grid.ts, np.einsum("kij,kj->ki", rots, velocity))
-    return integrate_vector(dense(grid.stage_ts), grid)
+    return dense_from_samples(grid.ts, np.einsum("kij,kj->ki", maps, velocity)).integral()
 
 
 def _correction_path(model, lift):
@@ -595,8 +600,7 @@ def _correction_path(model, lift):
 
 
 def _rolling_path(model, lift, differenced=False):
-    """The extrinsic rolling map along a horizontal lift, rho along the lift, and
-    the tangent frames ``frames_along(rho)`` (None for a ``differenced`` path).
+    """The extrinsic rolling map along a horizontal lift, and rho along the lift.
 
     The rotation is the J-inverse of rho(q) S, with S the ``_correction_path``
     of a non-symmetric model (the identity for a symmetric space).  The
@@ -606,7 +610,7 @@ def _rolling_path(model, lift, differenced=False):
     control at the nodes, so on a symmetric space ``R alpha' = F0 U`` and the
     development is the quadrature of the control itself; with
     ``differenced`` it is the finite-difference derivative of the samples
-    of alpha instead.  Both kinds of roll, for every model, are built here.
+    of alpha instead.
     """
     grid = lift.grid
     rhos = model.rho_path(lift.samples)
@@ -615,36 +619,44 @@ def _rolling_path(model, lift, differenced=False):
         rotated = rhos @ _correction_path(model, lift)
     rots = j_transpose_inverse(rotated, model.form)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    frames = None
     if differenced:
         velocity = fd_derivative(alpha, grid.h)
     else:
-        frames = model.frames_along(rhos)
-        velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
+        velocity = np.einsum("kia,ka->ki", model.frames_along(rhos), lift.control.coords)
     alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
     s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
-                          form=model.form), rhos, frames
+                          form=model.form), rhos
 
 
 def intrinsic_roll(model, data, q0=None):
     """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
 
     The intrinsic rolling is the tangential part of the extrinsic one: with
-    ``head = d_e_pi ∘ coeffs_p`` the maps are ``A(t) = head ∘ R(t)`` and the
-    development is ``head (alpha_hat(t) - obar)``, both read off the
-    extrinsic rolling map along the same lift.  Its alpha' is read exactly
-    off the lift, so on a symmetric space the development differs from that
-    of ``extrinsic_roll`` by the latter's finite-difference truncation error.
-    Along a control it needs no derivative, so it rolls on 1 to 3 steps too.
+    ``head = d_e_pi ∘ coeffs_p`` the maps are ``A(t) = head ∘ R(t)``, R the
+    J-inverse of rho(q) S, and the development is the integral of
+    ``A(t) alpha'(t)``.  Only the (k, N) maps are built, as the transpose of
+    ``J rho(q) S J head^T``, and the development integrates in k dimensions.
+    Its alpha' is read exactly off the lift, so on a symmetric space the
+    development differs from that of ``extrinsic_roll`` by the latter's
+    finite-difference truncation error.  Along a control it needs no
+    derivative, so it rolls on 1 to 3 steps too.
     """
-    path, _, frames = _rolling_path(model, horizontal_lift(model, data, q0=q0))
-    head = model.d_e_pi @ model.cf0
+    lift = horizontal_lift(model, data, q0=q0)
+    grid = lift.grid
+    signs = model.form.signs
+    right = signs[:, None] * (model.d_e_pi @ model.cf0).T
+    if not model.symmetric_space:
+        right = _correction_path(model, lift) @ right
+    rhos = model.rho_path(lift.samples)
+    maps = np.multiply(np.swapaxes(rhos @ right, 1, 2), signs, order="C")
+    frames = model.frames_along(rhos)
+    velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
     return RollingTriple(
-        grid=path.grid,
-        alpha=path.alpha,
-        alpha_hat=np.einsum("ai,ki->ka", head, path.alpha_hat - model.obar),
-        maps=head @ path.R,
+        grid=grid,
+        alpha=np.einsum("kij,j->ki", rhos, model.obar),
+        alpha_hat=extrinsic_develop(maps, velocity, grid),
+        maps=maps,
         tangent_frames=frames,
         form=model.form,
         target_gram=model.target_gram,
@@ -702,8 +714,8 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     # residual checks difference the path with; the exact one is more accurate
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
     # path by the checks' own truncation error
-    path, rhos, _ = _rolling_path(model, horizontal_lift(model, data, q0=q0),
-                                  differenced=model.symmetric_space)
+    path, rhos = _rolling_path(model, horizontal_lift(model, data, q0=q0),
+                               differenced=model.symmetric_space)
     if normal_strategy == "closed_form":
         return path
     alpha = path.alpha

@@ -14,7 +14,8 @@ SU(1,1)) runs in its real form, where the products are real and cheaper.
 cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
 for cubic polynomials).  Grid differentiation is fourth order, with one-sided
 stencils at the two nodes on each end of the grid, and needs five nodes.
-Dense output is the not-a-knot cubic spline through samples at uniform nodes.
+Dense output is the not-a-knot cubic spline through samples at uniform nodes,
+which also gives its own exact integral (``NotAKnotCubic.integral``).
 """
 
 from __future__ import annotations
@@ -167,19 +168,34 @@ def _check_stage_samples(samples, grid):
         )
 
 
+def _identity_plus(c, X, out=None):
+    """I + c X for a stack of square matrices: one scaling into a C-ordered array
+    (``out``, which may be X itself) plus an add to its diagonal."""
+    out = np.multiply(c, X, out=out, order="C")
+    d = X.shape[-1]
+    out.reshape(out.shape[:-2] + (d * d,))[..., ::d + 1] += 1.0
+    return out
+
+
 def _step_factors(L, h, side):
-    """RK4 step maps M_k of a linear flow, stacked: X_{k+1} = M_k X_k (left) or X_k M_k."""
+    """RK4 step maps M_k of a linear flow, stacked: X_{k+1} = M_k X_k (left) or X_k M_k.
+
+    The stage sum L0 + 2 K2 + 2 K3 + K4 is taken in place, in that order."""
     L0, Lh, L1 = L[:-1:2], L[1::2], L[2::2]
-    eye = np.eye(L.shape[-1], dtype=L.dtype)
     if side == "left":
-        K2 = Lh @ (eye + (0.5 * h) * L0)
-        K3 = Lh @ (eye + (0.5 * h) * K2)
-        K4 = L1 @ (eye + h * K3)
+        K2 = Lh @ _identity_plus(0.5 * h, L0)
+        K3 = Lh @ _identity_plus(0.5 * h, K2)
+        K4 = L1 @ _identity_plus(h, K3)
     else:
-        K2 = (eye + (0.5 * h) * L0) @ Lh
-        K3 = (eye + (0.5 * h) * K2) @ Lh
-        K4 = (eye + h * K3) @ L1
-    return eye + (h / 6.0) * (L0 + 2.0 * K2 + 2.0 * K3 + K4)
+        K2 = _identity_plus(0.5 * h, L0) @ Lh
+        K3 = _identity_plus(0.5 * h, K2) @ Lh
+        K4 = _identity_plus(h, K3) @ L1
+    K2 *= 2.0
+    K2 += L0
+    K3 *= 2.0
+    K2 += K3
+    K2 += K4
+    return _identity_plus(h / 6.0, K2, out=K2)
 
 
 def _running_product(factors, X0, side):
@@ -224,8 +240,13 @@ def _newton_schulz_step(X, form):
     with the Newton step ``(X + J X^{-*} J)/2`` to second order in the drift.
     """
     signs = form.signs
-    adjoint = signs[:, None] * np.swapaxes(X.conj(), -1, -2) * signs
-    return 1.5 * X - 0.5 * (X @ (adjoint @ X))
+    # J X^* J in one C-ordered product: the signs are +-1, so one factor J_ii J_jj
+    # carries the bits of the two scalings
+    adjoint = np.multiply(np.swapaxes(X.conj(), -1, -2), signs[:, None] * signs, order="C")
+    out = X @ (adjoint @ X)
+    out *= -0.5
+    out += 1.5 * X
+    return out
 
 
 def flow_matrix_ode(generators, X0, grid, side, reproject_form):
@@ -296,8 +317,13 @@ def integrate_vector(samples, grid):
     """
     f = np.asarray(samples)
     _check_stage_samples(f, grid)
-    steps = (grid.h / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2])
-    out = np.zeros((grid.n_nodes,) + f.shape[1:], dtype=np.result_type(steps.dtype, float))
+    return _running_sum((grid.h / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]))
+
+
+def _running_sum(steps):
+    """Node values from zero of the per-step increments ``steps`` (n_steps, ...)."""
+    out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:],
+                   dtype=np.result_type(steps.dtype, float))
     np.cumsum(steps, axis=0, out=out[1:])
     return out
 
@@ -396,6 +422,18 @@ class NotAKnotCubic:
         v, c = 1.0 - u, width * width / 6.0
         weights = np.stack([v, u, c * v * (v * v - 1.0), c * u * (u * u - 1.0)], axis=-1)
         return np.einsum("...j,...jc->...c", weights, self._rows[k]).reshape(t.shape + self._tail)
+
+    def integral(self):
+        """The spline's exact integral from the first node to every node, (n_nodes, ...).
+
+        Simpson's rule is exact on a cubic: each piece takes it with the midpoint value
+        (y_k + y_{k+1})/2 - h^2/16 (M_k + M_{k+1}), summed in ``__call__``'s order, so the
+        sum rounds like ``integrate_vector`` of the spline at the stage times.
+        """
+        h, (y0, y1, m0, m1) = self.h, np.moveaxis(self._rows, 1, 0)
+        c = h * h / 16.0
+        mid = 0.5 * y0 + 0.5 * y1 - c * m0 - c * m1
+        return _running_sum((h / 6.0) * (y0 + 4.0 * mid + y1)).reshape(self.ts.shape + self._tail)
 
 
 def dense_from_samples(ts, samples):

@@ -60,6 +60,27 @@ def test_correction_span_times_the_live_correction():
     assert stiefel._correction_path is homogeneous._correction_path
 
 
+def test_correction_span_times_both_rolls_on_a_non_symmetric_model():
+    import numpy as np
+    from semiroll.homogeneous import ControlCurve, extrinsic_roll, intrinsic_roll
+    from semiroll.integrate import TimeGrid
+    from semiroll.models import get_model
+
+    model = get_model("stiefel_4_2")
+    grid = TimeGrid(0.0, 1.0, 20)
+    ctrl = ControlCurve(grid=grid, coords=np.tile(np.linspace(0.5, -0.3, model.p_dim),
+                                                  (grid.n_nodes, 1)))
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        intrinsic_roll(model, ctrl)
+        extrinsic_roll(model, ctrl)
+    finally:
+        tracer.uninstall()
+    # one correction flow per roll, each seen by the span
+    assert [name for name, *_ in tracer.spans].count("models.stiefel.correction") == 2
+
+
 def test_workload_module_imports():
     assert callable(_load("workloads").roll_ops)
 

@@ -590,3 +590,39 @@ def test_a_broken_json_document_is_refused_by_name(suffix, tmp_path, capsys):
     out.write_text('  {"kind": "rolling_trajectory",')
     assert main(["verify", "--in", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {out}: cannot parse trajectory:")
+
+
+@pytest.mark.parametrize("strategy", ["bogus", "closed_form"])
+def test_an_intrinsic_config_with_a_normal_strategy_is_refused(strategy, tmp_path, capsys):
+    # an intrinsic roll has no normal bundle to complete, so the key is refused
+    # whatever its value, and no file is written
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "mode": "intrinsic", "normal_strategy": strategy}))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 'normal_strategy' applies to extrinsic rolls only")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy, code", [("closed_form", 0), ("frame_matching", 0),
+                                            ("bogus", 1)])
+def test_an_extrinsic_config_still_takes_its_normal_strategy(strategy, code, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "mode": "extrinsic", "normal_strategy": strategy}))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error: unknown normal strategy 'bogus'")
+    else:
+        assert f"# normal_strategy={strategy}\n" in out.read_text()
+
+
+def test_an_intrinsic_config_without_a_normal_strategy_rolls(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "mode": "intrinsic"}))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "normal_strategy" not in out.read_text()
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
