@@ -278,7 +278,9 @@ def cmd_verify(args):
     except (TypeError, ValueError) as exc:
         _fail(f"{path}: bad grid: {exc}")
     t = arrays.get("t")
-    if t is None or t.shape != grid.ts.shape or not np.allclose(grid.ts, t, atol=1e-12):
+    # absolute in the grid's own scale: a relative slack would pass a stretched column
+    atol = 1e-12 * max(1.0, abs(grid.t0), abs(grid.t1))
+    if t is None or t.shape != grid.ts.shape or not np.allclose(grid.ts, t, rtol=0.0, atol=atol):
         _fail(f"{path}: time column does not match the declared grid")
 
     tol = args.tol if args.tol is not None else 50.0 * grid.h ** 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TimeGrid, _running_product, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import SignatureForm, j_transpose_inverse
+from .linalg import SignatureForm, j_transpose_inverse, stacked_null_spaces
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -277,18 +277,22 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     All nodes are handled in one stacked computation.  With Q1, Q2
     orthonormal bases of R(t) F_M(t) and F_Mhat(t) (CholeskyQR2, reusing the
     rank test's Cholesky factor), the sines of the principal angles are the
-    singular values of D = (I - Q2 Q2^T) Q1, and the largest angle is the
-    arcsine of the square root of the largest eigenvalue of the r x r matrix
-    D^T D (Bjorck & Golub 1973).  The projector I - Q2 Q2^T is formed once
-    per distinct F_Mhat node: a constant F_Mhat (the flat development's
-    frame, a zero-stride broadcast) is factored and tested once, and its
-    one N x N projector is broadcast over the nodes.  This keeps full
-    accuracy at small angles and matches the largest entry of scipy's
-    ``subspace_angles`` to rounding below 45 degrees; towards pi/2 arcsin
-    loses accuracy, to about 1e-9 within 1e-6 of pi/2 and 4e-8 at pi/2,
-    where every angle is a breach.  Non-finite rotations or frames raise
-    ValueError, and so does a node where either frame is numerically rank
-    deficient (``_check_rank``: its condition number exceeds
+    singular values of C^T Q1, where C is an orthonormal N x c basis of the
+    Euclidean complement of span Q2, c = N - r (Bjorck & Golub 1973).  The
+    angle is measured on the smaller side: the largest sine squared is the
+    largest eigenvalue of the smaller Gram matrix of E = C^T Q1, E E^T
+    (c x c) when c <= r, else E^T E (r x r).  That is 1 x 1 on the sphere,
+    the hyperboloid and stiefel_3_1, and a frame with c = 0 (r = N) reads 0
+    at every node.  C is built once per distinct F_Mhat node
+    (``stacked_null_spaces`` of Q2^T): a constant F_Mhat (the flat
+    development's frame, a zero-stride broadcast) is factored, tested and
+    completed once, and its one complement is broadcast over the nodes.
+    This keeps full accuracy at small angles and matches the largest entry
+    of scipy's ``subspace_angles`` to rounding below 45 degrees; towards
+    pi/2 arcsin loses accuracy, to about 1e-9 within 1e-6 of pi/2 and 4e-8
+    at pi/2, where every angle is a breach.  Non-finite rotations or frames
+    raise ValueError, and so does a node where either frame is numerically
+    rank deficient (``_check_rank``: its condition number exceeds
     FRAME_COND_MAX), so its basis would be arbitrary and no angle is
     measured.
     """
@@ -298,8 +302,12 @@ def tangency_residual(path, tangent_m, tangent_mhat):
         mapped = path.R @ tangent_m.frames
     q1 = _orthonormal_bases(mapped, "tangency: R(t) F_M(t)")
     q2 = _orthonormal_bases(_once(tangent_mhat.frames), "tangency: F_Mhat(t)")
-    d = (np.eye(q2.shape[1]) - q2 @ np.swapaxes(q2, 1, 2)) @ q1
-    largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
+    complement = stacked_null_spaces(np.swapaxes(q2, 1, 2))
+    e = np.swapaxes(complement, 1, 2) @ q1
+    et = np.swapaxes(e, 1, 2)
+    # with c = 0 the eigenvalue stack is empty and every node reads 0
+    largest = np.linalg.eigvalsh(e @ et if e.shape[1] <= e.shape[2] else et @ e).max(
+        axis=-1, initial=0.0)
     return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
 
 

@@ -106,3 +106,41 @@ def test_workload_late_lookups_resolve():
     assert ("hyperbolic", "roll_hyperboloid") in reads
     missing = sorted(f"{name}.{attr}" for name, attr in reads if not hasattr(modules[name], attr))
     assert not missing, missing
+
+
+EXTRINSIC_FIELDS = ("rolling_point", "tangency", "no_slip", "no_twist_tan", "no_twist_norm")
+
+
+@pytest.mark.parametrize("config, suffix, labels, tampered", [
+    ("sphere_quarter_equator.json", ".csv", EXTRINSIC_FIELDS, False),
+    ("stiefel_4_2_intrinsic.json", ".json", ("velocity_match", "isometry_gram"), False),
+    ("sphere_quarter_equator.json", ".csv", EXTRINSIC_FIELDS, True),
+], ids=["extrinsic_pass", "intrinsic_pass", "tampered_fail"])
+def test_parse_verify_reads_every_field_of_the_verify_output(config, suffix, labels, tampered,
+                                                             tmp_path, capsys):
+    # the benchmark scores verify ops through this parser; a field it cannot
+    # read would make every verify op of the cli workload unparsable
+    from importlib import resources
+
+    from semiroll.cli import main
+
+    workloads = _load("workloads")
+    out = tmp_path / f"traj{suffix}"
+    assert main(["roll", "--config", str(resources.files("semiroll") / "configs" / config),
+                 "--out", str(out)]) == 0
+    if tampered:
+        workloads.tamper(out, tmp_path / "tampered.csv")
+        out = tmp_path / "tampered.csv"
+    capsys.readouterr()
+    code = main(["verify", "--in", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == (2 if tampered else 0)
+    fields, verdict = workloads.parse_verify(stdout)
+    assert fields is not None and tuple(fields) == labels
+    assert verdict == ("FAIL" if tampered else "PASS")
+    printed = stdout.strip().splitlines()[:-1]
+    for (label, (value, tol, ok)), line in zip(fields.items(), printed):
+        assert line == f"{label}: {value:.6e} (tol {tol:.6e}) {'ok' if ok else 'BREACH'}"
+        assert ok == (value <= tol)
+    outcome = workloads.verify_outcome(workloads.CliResult(code, stdout), expect_breach=tampered)
+    assert outcome.ok, outcome.detail

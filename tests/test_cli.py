@@ -97,6 +97,37 @@ def test_tampered_trajectory_breaches(tmp_path, capsys):
     assert captured.strip().endswith("FAIL")
 
 
+def _scale_time_column(out, factor):
+    if out.suffix == ".json":
+        doc = json.loads(out.read_text())
+        doc["t"] = [t * factor for t in doc["t"]]
+        out.write_text(json.dumps(doc))
+        return
+    lines = out.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    for i in range(first + 1, len(lines)):
+        row = lines[i].split(",")
+        row[0] = f"{float(row[0]) * factor:.17g}"
+        lines[i] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("factor, code", [(1.0, 0), (1 + 1e-13, 0), (1 + 1e-9, 1), (1 + 1e-6, 1)])
+def test_a_stretched_time_column_is_refused(suffix, factor, code, tmp_path, capsys):
+    out = tmp_path / f"traj{suffix}"
+    assert main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)]) == 0
+    _scale_time_column(out, factor)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "time column does not match the declared grid" in captured.err
+        assert captured.out == ""
+    else:
+        assert captured.out.strip().endswith("PASS")
+
+
 def test_overtight_tolerance_breaches(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])

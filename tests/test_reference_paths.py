@@ -64,19 +64,29 @@ other node to the exact condition number of its triangular QR factor.  That
 exact-only test is kept here as the reference: on frames of condition 1 to
 9e5 both accept, on 1.1e6 to 1e14 both refuse at the same node with the
 same message.  ``tangency_residual`` now takes CholeskyQR2 bases that reuse
-the test's factor and the largest eigenvalue of the r x r matrix D^T D,
-D = Q1 - Q2 Q2^T Q1.  The QR bases and sine SVD it replaced are kept here
+the test's factor.  The QR bases and sine SVD it replaced are kept here
 as the reference: the two agree within 1e-15 cond(F) on ill-conditioned
 accepted frames, and within 1e-13 on every model's roll (the einsum suite).
+
+The tangency angle is measured on the smaller side.  Its sines are the
+singular values of E = C^T Q1, with C an orthonormal basis of the
+c = N - r dimensional complement of the target span (``stacked_null_spaces``
+of Q2^T), and the largest is read off E E^T (c x c) when c <= r, else off
+E^T E.  The r x r eigenproblem on D = (I - Q2 Q2^T) Q1 that this replaced,
+and the two-product D = Q1 - Q2 Q2^T Q1 before it, are kept here as
+references: on the six models at 250 and 2000 steps they agree within
+5e-16 (1e-31 where c = 1).  scipy's ``subspace_angles`` checks the sides
+c < r, c = r and c > r under Euclidean and indefinite forms, and a
+full-dimensional frame (c = 0) reads 0.
 
 A frame stack that is a zero-stride broadcast of one frame (the flat
 development's frames) is now factored, rank-tested and solved once and
 broadcast back.
-The per-node tangency target (by the same CholeskyQR2 and eigenvalue
-formula), projectors and column normalisation this replaced are kept here
-as references: every report field agrees to the last bit.  The triple
-Gram residual takes ``@`` products; the einsum form it replaced is kept
-here and agrees within 1e-14.
+The per-node tangency target (by the same CholeskyQR2 bases and one
+complement per node), projectors and column normalisation this replaced
+are kept here as references: every report field agrees to the last bit.
+The triple Gram residual takes ``@`` products; the einsum form it replaced
+is kept here and agrees within 1e-14.
 
 The command's trajectory files are laid out by one declaration, written by
 ``np.savetxt`` and read by ``np.loadtxt``.  The per-block writers and the
@@ -263,6 +273,10 @@ TANGENCY_CASES = {
     "lorentz3_r2": ([-1, 1, 1], 2, np.pi / 3, 1e-14),
     "so12_r3": (SO12, 3, np.pi / 3, 1e-14),
     "euclid8_r5": ([1] * 8, 5, np.pi / 3, 1e-14),
+    # the complement side: c = r, 2 <= c < r and c = 1 under indefinite forms
+    "lorentz4_r2": ([-1, 1, 1, 1], 2, np.pi / 3, 1e-14),
+    "so12_r6": (SO12, 6, np.pi / 3, 1e-14),
+    "so12_r8": (SO12, 8, np.pi / 3, 1e-14),
     "euclid5_r2_right_angle": ([1] * 5, 2, np.pi / 2, 1e-7),
     "so12_r3_near_right_angle": (SO12, 3, np.pi / 2 - 1e-6, 1e-9),
 }
@@ -286,6 +300,13 @@ def test_batched_tangency_matches_scipy_subspace_angles(signs, r, top, tol, targ
     batched = tangency_residual(path, frames_m, frames_hat)
     assert np.max(np.abs(batched[:-1] - reference[:-1])) <= 1e-14
     assert abs(batched[-1] - reference[-1]) <= tol
+
+
+@pytest.mark.parametrize("target", ["moving", "constant"])
+def test_full_dimensional_frames_read_zero_tangency(target):
+    # r = N leaves no complement (c = 0): every node reads 0, nothing raises
+    path, frames_m, frames_hat = _tangency_case([1, -1, 1, 1], 4, n_nodes=8, target=target)
+    assert np.array_equal(tangency_residual(path, frames_m, frames_hat), np.zeros(8))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1458,8 +1479,9 @@ def _per_node_residuals_reference(path, tangent_m, tangent_mhat, normal_mhat):
     """Per-node fields of ``rolling_condition_residuals``, every frame node factored."""
     q1 = rolling._orthonormal_bases(path.R @ tangent_m.frames, "tangency: R(t) F_M(t)")
     q2 = rolling._orthonormal_bases(np.array(tangent_mhat.frames), "tangency: F_Mhat(t)")
-    d = (np.eye(q2.shape[1]) - q2 @ np.swapaxes(q2, 1, 2)) @ q1
-    largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
+    e = np.swapaxes(stacked_null_spaces(np.swapaxes(q2, 1, 2)), 1, 2) @ q1
+    et = np.swapaxes(e, 1, 2)
+    largest = np.linalg.eigvalsh(e @ et if e.shape[1] <= e.shape[2] else et @ e)[:, -1]
     tangency = np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
     W = rolling._rotation_generator(path)
 
@@ -1500,6 +1522,28 @@ def test_one_projector_tangency_matches_the_two_product_sines(name, n_steps):
     target = model.flat_tangent_frames(grid)
     reference = _cholesky_qr2_tangency_reference(path, tangent_m, target)
     assert _peak(tangency_residual(path, tangent_m, target), reference) <= 1e-15
+
+
+def _projector_eigenproblem_tangency_reference(path, tangent_m, tangent_mhat):
+    """The tangency before the complement side: the largest eigenvalue of the r x r
+    matrix D^T D, D = (I - Q2 Q2^T) Q1, with one N x N projector for a constant target."""
+    q1 = rolling._orthonormal_bases(path.R @ tangent_m.frames, "tangency: R(t) F_M(t)")
+    q2 = rolling._orthonormal_bases(rolling._once(tangent_mhat.frames), "tangency: F_Mhat(t)")
+    d = (np.eye(q2.shape[1]) - q2 @ np.swapaxes(q2, 1, 2)) @ q1
+    largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
+    return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("n_steps", [250, 2000])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_complement_tangency_matches_the_projector_eigenproblem(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 12))
+    tangent_m = model.pointwise_tangent_frames(grid, path.alpha)
+    target = model.flat_tangent_frames(grid)
+    reference = _projector_eigenproblem_tangency_reference(path, tangent_m, target)
+    assert _peak(tangency_residual(path, tangent_m, target), reference) <= 5e-16
 
 
 def _triple_gram_einsum_reference(triple):
