@@ -41,7 +41,6 @@ from .homogeneous import (
     horizontal_lift,
     intrinsic_roll,
     model_residual_report,
-    normal_extension_by_frames,
     transport_homogeneous,
 )
 
@@ -81,6 +80,5 @@ __all__ = [
     "extrinsic_develop",
     "extrinsic_roll",
     "model_residual_report",
-    "normal_extension_by_frames",
     "__version__",
 ]

@@ -36,7 +36,7 @@ from .rolling import (
     RollingMapPath,
     RollingTriple,
     TangentFramePath,
-    parallel_transport_embedded,
+    _transport_flow,
     rolling_condition_residuals,
 )
 
@@ -50,14 +50,31 @@ __all__ = [
     "intrinsic_roll",
     "extrinsic_develop",
     "extrinsic_roll",
-    "normal_extension_by_frames",
     "model_residual_report",
 ]
 
 LIFT_TRACK_TOL = 1e-8
 TANGENT_FIT_TOL = 1e-8
 MODEL_CHECK_TOL = 1e-10
-NORMAL_GRAM_TOL = 1e-6
+
+
+def _read_func(func, ts, dim=None):
+    """A user control func read once per t, its rows stacked by one ``np.array``.
+
+    Scalar results give one column where ``dim`` is 1 or not yet known; rows
+    of unequal shape, or of another shape than (dim,), are refused by name.
+    """
+    try:
+        # plain floats: np.float64 is a float subclass, and a user func reads them cheaper
+        table = np.array([func(t) for t in ts.tolist()], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"control func returned rows of unequal shape: {exc}") from None
+    if table.ndim == 1 and dim in (None, 1):
+        table = table[:, None]
+    if dim is not None and table.shape[1:] != (dim,):
+        raise ValueError(f"control func returned rows of shape {table.shape[1:]}, "
+                         f"expected ({dim},)")
+    return table
 
 
 @dataclass
@@ -86,35 +103,19 @@ class ControlCurve:
 
     @classmethod
     def from_function(cls, grid, func):
-        coords = np.array([np.atleast_1d(func(t)) for t in grid.ts.tolist()], dtype=float)
-        return cls(grid=grid, coords=coords, func=func)
+        return cls(grid=grid, coords=_read_func(func, grid.ts), func=func)
 
     @property
     def dim(self):
         return self.coords.shape[1]
 
     def at(self, ts):
-        """Coefficients at ``ts``, (len(ts), dim): one interpolant call, else one call per t.
-
-        A user ``func`` is read once per t and its results are stacked by one
-        ``np.array``; the table's shape is checked once.  A func returning
-        scalars is accepted for a 1-dim control; rows of any other length
-        than ``dim`` are refused.
-        """
+        """Coefficients at ``ts``, (len(ts), dim): one interpolant call, else
+        a user ``func`` read by ``_read_func``, its shape checked once."""
         ts = np.asarray(ts, dtype=float)
         if isinstance(self.func, NotAKnotCubic):
             return self.func(ts)
-        try:
-            # plain floats: np.float64 is a float subclass, and a user func reads them cheaper
-            table = np.array([self.func(t) for t in ts.tolist()], dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"control func returned rows of unequal shape: {exc}") from None
-        if table.ndim == 1 and self.dim == 1:
-            table = table[:, None]
-        if table.shape[1:] != (self.dim,):
-            raise ValueError(f"control func returned rows of shape {table.shape[1:]}, "
-                             f"expected ({self.dim},)")
-        return table
+        return _read_func(self.func, ts, self.dim)
 
     def stage_coords(self):
         """Coefficients at ``grid.stage_ts``, (2 n_steps + 1, dim): the node samples
@@ -338,9 +339,6 @@ class CartanModel:
 
     def frames_along(self, rhos):
         return rhos @ self.frame0
-
-    def normals_along(self, rhos):
-        return rhos @ self.normal0
 
     def flat_tangent_frames(self, grid):
         """The base-point tangent frame at every node: a read-only zero-stride broadcast."""
@@ -599,12 +597,13 @@ def _correction_path(model, lift):
                            reproject_form=model.form)
 
 
-def _rolling_path(model, lift, differenced=False):
+def _rolling_path(model, lift, differenced=False, transported=False):
     """The extrinsic rolling map along a horizontal lift, and rho along the lift.
 
     The rotation is the J-inverse of rho(q) S, with S the ``_correction_path``
-    of a non-symmetric model (the identity for a symmetric space).  The
-    development is ``alpha_hat = obar + extrinsic_develop(R, alpha', grid)``
+    of a non-symmetric model (the identity for a symmetric space), or with
+    ``transported`` of the ``_transport_flow`` along the moving tangent frames.
+    The development is ``alpha_hat = obar + extrinsic_develop(R, alpha', grid)``
     and the translation ``s = alpha_hat - R alpha``.  The velocity alpha' is
     read exactly off the lift, ``rho(q) d_e_rho(U) obar`` with U the lift's
     control at the nodes, so on a symmetric space ``R alpha' = F0 U`` and the
@@ -615,7 +614,9 @@ def _rolling_path(model, lift, differenced=False):
     grid = lift.grid
     rhos = model.rho_path(lift.samples)
     rotated = rhos
-    if not model.symmetric_space:
+    if transported:
+        rotated = _transport_flow(model.frames_along(rhos), model.form, "moving tangent frame")
+    elif not model.symmetric_space:
         rotated = rhos @ _correction_path(model, lift)
     rots = j_transpose_inverse(rotated, model.form)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
@@ -663,49 +664,19 @@ def intrinsic_roll(model, data, q0=None):
     )
 
 
-def normal_extension_by_frames(tangential_ops, tangent_frames, normal_frames,
-                               normal_frames_dev, form):
-    """Extend per-node tangential actions to full rotations via matched normal frames.
-
-    The returned R(t) agrees with ``tangential_ops`` on the tangent frames and
-    maps the transported normal frame onto the development-side normal frame.
-    Both normal frames must have matching J-Gram matrices nodewise; otherwise
-    no isometric extension exists and a ValueError names the remedy, a finer
-    grid for the transport that produced ``normal_frames``.
-    """
-    tangent_frames = np.asarray(tangent_frames, dtype=float)
-    normal_frames = np.asarray(normal_frames, dtype=float)
-    normal_frames_dev = np.asarray(normal_frames_dev, dtype=float)
-    signs = form.signs
-    g_a = np.swapaxes(normal_frames, 1, 2) @ (signs[:, None] * normal_frames)
-    g_b = np.swapaxes(normal_frames_dev, 1, 2) @ (signs[:, None] * normal_frames_dev)
-    worst = float(np.max(np.abs(g_a - g_b)))
-    if worst > NORMAL_GRAM_TOL:
-        raise ValueError(
-            f"normal frames are not isometric (Gram mismatch {worst:.3e} > NORMAL_GRAM_TOL = "
-            f"{NORMAL_GRAM_TOL:g}); cannot extend the tangential action; refine n_steps"
-        )
-    moved_tan = np.asarray(tangential_ops, dtype=float) @ tangent_frames
-    src = np.concatenate([tangent_frames, normal_frames], axis=2)
-    dst = np.concatenate([moved_tan, normal_frames_dev], axis=2)
-    return dst @ np.linalg.inv(src)
-
-
 def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     """Extrinsic rolling map along a control or sampled curve.
 
-    ``normal_strategy`` selects how the rotation acts on the normal bundle:
-    "closed_form" takes the rolling rotation of the lift (the J-inverse of
-    rho, corrected by the flow of ``omega_basis`` where the model is not a
-    symmetric space), and "frame_matching" transports a normal frame along
-    the curve and matches it to the constant development frame.  Both run
-    on every model; on a non-symmetric one the transported normal frame
-    replaces the normal part of the corrected rotation.  The normal frame is transported as one (N, c) block along the
-    whole path; a grid too coarse for its Richardson levels leaves it
-    non-isometric to the development's, and the roll is refused with the
-    remedy.  The development integrates R alpha', with alpha' read exactly
-    off the lift on a non-symmetric space and differenced from the samples
-    of alpha on a symmetric space, which needs at least 4 steps.
+    ``normal_strategy`` selects how the rotation is built: "closed_form"
+    takes the rolling rotation of the lift (the J-inverse of rho, corrected
+    by the flow of ``omega_basis`` where the model is not a symmetric
+    space), and "frame_matching" the J-inverse of the parallel transport of
+    the whole ambient frame along the curve's tangent spaces, a fourth-order
+    group flow that carries the tangent and the normal frame at once.  Both
+    run on every model and agree at fourth order.  The development
+    integrates R alpha', with alpha' read exactly off the lift on a
+    non-symmetric space and differenced from the samples of alpha on a
+    symmetric space, which needs at least 4 steps.
     """
     if normal_strategy not in ("closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy {normal_strategy!r}; "
@@ -714,21 +685,9 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     # residual checks difference the path with; the exact one is more accurate
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
     # path by the checks' own truncation error
-    path, rhos = _rolling_path(model, horizontal_lift(model, data, q0=q0),
-                               differenced=model.symmetric_space)
-    if normal_strategy == "closed_form":
-        return path
-    alpha = path.alpha
-    normals = model.normals_along(rhos)
-    rots = normal_extension_by_frames(
-        path.R, model.frames_along(rhos),
-        parallel_transport_embedded(alpha, normals, normals[0], model.form, which="normal"),
-        model.flat_normal_frames(path.grid).frames, model.form
-    )
-    s = path.alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
-    return RollingMapPath(
-        grid=path.grid, R=rots, s=s, alpha=alpha, alpha_hat=path.alpha_hat, form=model.form
-    )
+    return _rolling_path(model, horizontal_lift(model, data, q0=q0),
+                         differenced=model.symmetric_space,
+                         transported=normal_strategy == "frame_matching")[0]
 
 
 def model_residual_report(model, path):

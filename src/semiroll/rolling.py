@@ -6,9 +6,9 @@ M and alpha_hat on M_hat.  This module stores such paths, measures the
 defining conditions as per-node residuals (contact, tangency, no-slip and
 the two no-twist conditions), and provides the algebraic operations on
 rolling maps: inversion, composition, and a controlled fault injection that
-perturbs the normal part of the rotation generator.  A projection-based
-parallel transport along sampled frame paths serves as an independent
-cross-check for the homogeneous-space machinery.
+perturbs the normal part of the rotation generator.  Parallel transport
+along sampled frame paths is one group flow of the whole ambient frame: it
+cross-checks the homogeneous-space transport and builds frame matching.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import TimeGrid, _running_product, dense_from_samples, fd_derivative, flow_matrix_ode
+from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
 from .linalg import SignatureForm, j_transpose_inverse, stacked_null_spaces
 
 __all__ = [
@@ -249,15 +249,24 @@ def _projectors(frames, form, what="frame"):
     """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``.
 
     Returns an (n_nodes, N, N) array; for a constant stack it is a read-only
-    broadcast of the one projector, built and rank-tested once.
+    broadcast of the one projector, built and tested once.  A node whose
+    span is numerically null under J is refused: with Q the orthonormal basis
+    ``_check_rank`` gives, Q^T J Q has eigenvalues in [-1, 1], and
+    1 / min |eigenvalue|, a bound on the projector's norm, may be at most
+    FRAME_COND_MAX.
     """
     one = _once(frames)
-    _check_rank(one, what)
+    q = one @ _check_rank(one, what)
+    gram_q = np.swapaxes(q, 1, 2) @ (form.signs[:, None] * q)
+    with np.errstate(divide="ignore"):
+        conds = 1.0 / np.min(np.abs(np.linalg.eigvalsh(gram_q)), axis=-1, initial=np.inf)
+    bad = np.flatnonzero(~(conds <= FRAME_COND_MAX))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{what} Gram matrix is singular under the ambient form at node {k} "
+                         f"(condition number {conds[k]:.1e})")
     ft_j = np.swapaxes(one, 1, 2) * form.signs
-    try:
-        proj = one @ np.linalg.solve(ft_j @ one, ft_j)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{what} Gram matrix is singular under the ambient form") from exc
+    proj = one @ np.linalg.solve(ft_j @ one, ft_j)
     return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
 
 
@@ -484,40 +493,45 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     )
 
 
+def _transport_flow(frames, form, what):
+    """Parallel transport X (n_nodes, N, N) of the ambient frame along the spans of ``frames``.
+
+    X' = [P', P] X from X(0) = I, P the J-orthogonal projector onto the span,
+    is the ambient form of the span's and its J-complement's connections
+    (Hüper & Silva Leite 2007), and J-skew: a checked group flow.  P is the
+    cubic through the node ``_projectors``, P' its fourth-order difference at
+    the stage times; transport does not depend on the parametrisation.
+    """
+    m = frames.shape[0]
+    if m < 3:
+        raise ValueError(f"{what} needs at least 3 nodes for a fourth-order transport, got {m}")
+    grid = TimeGrid(0.0, 1.0, m - 1)
+    P = dense_from_samples(grid.ts, _projectors(frames, form, what))(grid.stage_ts)
+    dP = fd_derivative(P, 0.5 * grid.h)
+    return flow_matrix_ode(dP @ P - P @ dP, np.eye(form.dim), grid, "left", form)
+
+
 def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
-    """Transport v0 along a sampled curve by step-and-project in the ambient space.
+    """Transport v0 along a sampled curve within the subspaces spanned by ``frames``.
 
     Parameters
     ----------
     curve : (n_nodes, N) array
-        Sampled points of the base curve (used for validation; the scheme
-        itself only needs the subspaces).
+        Sampled points of the base curve (used for validation; the
+        transport itself only needs the subspaces).
     frames : (n_nodes, N, r) array
         Per-node bases of the subspace the transported vector lives in
         (tangent bundle for ``which="tangent"``, normal bundle for
-        ``which="normal"``).
+        ``which="normal"``); at least 3 nodes.
     v0 : (N,) or (N, c) array
         Start vector, or c start vectors as columns; each must lie in the
         span of ``frames[0]``.
     form : SignatureForm
-        Ambient scalar product; projections are J-orthogonal and the step
-        rescaling preserves the (indefinite) squared norm of each column of
-        v0 unless that column is numerically null, in which case its
-        rescaling is skipped.
+        Ambient scalar product; the projectors are J-orthogonal, and the
+        transport preserves it, null vectors included.
 
-    The base scheme is first order: ``out[k] = P_k out[k-1]`` with P_k the
-    J-orthogonal projector at node k.  That recursion is linear, so it is
-    taken as the running product of the projectors (the blocked scan of the
-    matrix flows, ``integrate._running_product``), built and rank-tested
-    once, and one product with the whole block, not as a loop over the
-    nodes or the columns.  Two Richardson levels over stride-2 and stride-4
-    coarsenings of the node path buy one order each.  A level runs over the
-    longest prefix of the path that its stride divides, if that prefix has
-    at least two coarse steps, and its cubic correction extends past the
-    prefix to the last nodes.
-
-    Returns the transported vectors at every node, shape (n_nodes, N) or
-    (n_nodes, N, c).
+    Returns ``X @ v0``, X the ``_transport_flow`` of the frames: the
+    transported vectors at every node, (n_nodes, N) or (n_nodes, N, c).
     """
     if which not in ("tangent", "normal"):
         raise ValueError("which must be 'tangent' or 'normal'")
@@ -526,10 +540,10 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     v0 = np.asarray(v0, dtype=float)
     if curve.ndim != 2 or frames.shape[:2] != curve.shape:
         raise ValueError("curve and frames disagree on node count or ambient dimension")
-    m, dim = curve.shape
+    dim = curve.shape[1]
     if v0.ndim not in (1, 2) or v0.shape[0] != dim or v0.size == 0:
         raise ValueError(f"v0 has shape {v0.shape}, expected ({dim},) or ({dim}, c)")
-    projectors = _projectors(frames, form, f"{which} transport frame")
+    flow = _transport_flow(frames, form, f"{which} transport frame")
 
     block = v0 if v0.ndim == 2 else v0[:, None]
     coeffs = np.linalg.lstsq(frames[0], block, rcond=None)[0]
@@ -538,38 +552,7 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
     if np.any(off):
         column = f" column {int(np.argmax(off))}" if v0.ndim == 2 else ""
         raise ValueError(f"v0{column} does not lie in the initial {which} space")
-
-    n0 = form.ip(block.T, block.T)
-    scaled = np.abs(n0) > 1e-10 * np.sum(block * block, axis=0)
-
-    def _raw(stride):
-        # the projections are linear, so rescaling after each step is the
-        # same as rescaling each node of the unscaled recursion once
-        steps = projectors[::stride]
-        out = np.empty((steps.shape[0],) + block.shape)
-        out[0] = block
-        if steps.shape[0] > 1:
-            out[1:] = _running_product(steps[1:], np.eye(dim), "left") @ block
-        tail = np.swapaxes(out[1:, :, scaled], 1, 2)
-        nw = form.ip(tail, tail)
-        if np.any(nw * n0[scaled] <= 0.0):
-            raise ValueError("transport step lost the causal type of the vector; refine the grid")
-        out[1:, :, scaled] *= np.sqrt(n0[scaled] / nw)[:, None, :]
-        return out
-
-    # rows[j]: the j-th Richardson extrapolant on the current stride's nodes
-    ts = np.linspace(0.0, 1.0, m)
-    result = _raw(1)
-    rows = [result]
-    for stride in (2, 4):
-        if (m - 1) // stride < 2:
-            break
-        row = [_raw(stride)]
-        for j, fine in enumerate(rows, start=1):
-            row.append((2.0 ** j * fine[::2] - row[-1]) / (2.0 ** j - 1.0))
-        result = result + dense_from_samples(ts[::stride], row[-1] - rows[-1][::2])(ts)
-        rows = row
-    return result if v0.ndim == 2 else result[:, :, 0]
+    return flow @ v0
 
 
 def triple_velocity_residual(triple):

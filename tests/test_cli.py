@@ -382,8 +382,8 @@ def test_sampled_curve_drifting_off_the_manifold_is_refused(name, mode, tmp_path
 
 
 def test_frame_matching_so_plus_2_2_off_the_multiples_of_4_rolls_and_verifies(tmp_path, capsys):
-    # the roll refused this grid while the normal transport's second Richardson
-    # level needed a step count divisible by 4
+    # the roll once refused step counts that 4 does not divide; the transport
+    # flow takes every step count alike
     p_dim = get_model("so_plus_2_2").p_dim
     rng = np.random.default_rng(5)
     freq = rng.uniform(0.5, 2.0, p_dim)

@@ -19,7 +19,6 @@ from semiroll.homogeneous import (
     horizontal_lift,
     intrinsic_roll,
     model_residual_report,
-    normal_extension_by_frames,
     transport_homogeneous,
 )
 from semiroll.models import (
@@ -241,16 +240,6 @@ def test_intrinsic_maps_ride_on_the_extrinsic_rotation(surface):
 def test_flat_frames_anchor_the_projection(surface):
     head = surface.d_e_pi @ surface.cf0
     assert np.max(np.abs(head @ surface.frame0 - surface.d_e_pi)) <= 1e-14
-
-
-def test_normal_extension_requires_isometric_frames():
-    m = get_model("sphere")
-    nodes = 11
-    ops = np.broadcast_to(np.eye(2, 3), (nodes, 2, 3)).copy()
-    tangent = np.broadcast_to(np.eye(3)[:, :2], (nodes, 3, 2)).copy()
-    normal = np.broadcast_to(np.eye(3)[:, 2:], (nodes, 3, 1)).copy()
-    with pytest.raises(ValueError, match="Gram mismatch"):
-        normal_extension_by_frames(ops, tangent, normal, 2.0 * normal, m.form)
 
 
 def test_validate_catches_tampered_subalgebra_split():
@@ -643,6 +632,12 @@ def test_control_rows_of_the_wrong_length_are_refused(func, message):
         control.stage_coords()
 
 
+def test_a_ragged_control_func_is_named_by_from_function():
+    # ``at`` reads a func through the same reader: the "ragged" case above
+    with pytest.raises(ValueError, match="^control func returned rows of unequal shape"):
+        ControlCurve.from_function(TimeGrid(0.0, 1.0, 10), lambda t: np.ones(2 if t < 0.5 else 3))
+
+
 def test_lift_drift_refusal_names_the_tolerance_and_the_remedy():
     # criterion 11's latitude lies exactly on the sphere; 250 steps on [0, 2 pi] are too coarse
     sphere_model = get_model("sphere")
@@ -660,43 +655,62 @@ def test_lift_drift_refusal_names_the_tolerance_and_the_remedy():
             horizontal_lift(sphere_model, curve, q0=chart_lift_matrix(z[0]))
 
 
-def _rng5_control(model, n_steps):
+def _rng5_control(model, n_steps, amplitude=0.4):
     rng = np.random.default_rng(5)
     freq = rng.uniform(0.5, 2.0, model.p_dim)
     phase = rng.uniform(0.0, 2 * np.pi, model.p_dim)
     return ControlCurve.from_function(TimeGrid(0.0, 1.0, n_steps),
-                                      lambda t: 0.4 * np.sin(freq * t + phase))
+                                      lambda t: amplitude * np.sin(freq * t + phase))
 
 
 @pytest.mark.parametrize("n_steps", [250, 251, 253, 254, 1001])
 @pytest.mark.parametrize("name", ["so_plus_1_2", "so_plus_2_2"])
 def test_frame_matching_rolls_at_step_counts_off_the_multiples_of_4(name, n_steps):
-    # each Richardson level of the normal transport runs over the longest
-    # prefix its stride divides, so no step count loses a level
+    # the transport flow takes every step count alike
     model = get_model(name)
     path = extrinsic_roll(model, _rng5_control(model, n_steps), normal_strategy="frame_matching")
     assert model_residual_report(model, path).max_residual() <= 50 * path.grid.h ** 2
 
 
-@pytest.mark.parametrize("n_steps", [40, 60])
-def test_frame_matching_refusal_on_a_coarse_grid_names_the_remedy(n_steps):
-    model = get_model("so_plus_2_2")
-    with pytest.raises(ValueError, match=r"^normal frames are not isometric \(Gram mismatch "
-                       r".* > NORMAL_GRAM_TOL = 1e-06\); cannot extend the tangential action; "
-                       "refine n_steps$"):
-        extrinsic_roll(model, _rng5_control(model, n_steps), normal_strategy="frame_matching")
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
+                                  "stiefel_3_1", "stiefel_4_2", "stiefel_5_3"])
+def test_frame_matching_agrees_with_the_closed_form_at_fourth_order(name):
+    model = get_model(name)
+    errors = []
+    for n_steps in (250, 500):
+        ctrl = _rng5_control(model, n_steps)
+        closed = extrinsic_roll(model, ctrl)
+        matched = extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+        errors.append(float(np.max(np.abs(matched.R - closed.R))))
+    assert errors[1] <= 1e-13 or errors[0] >= 12.0 * errors[1], errors
+
+
+# inputs whose normal frames the earlier step-and-project transport left
+# non-isometric to the development's (a refusal at every step count shown,
+# and a residual of 1.08 tol at so_plus_1_2's 2000 steps)
+@pytest.mark.parametrize("name, amplitude, n_steps", [
+    *(("so_plus_1_2", 2.0, n) for n in (125, 250, 500, 1000, 2000)),
+    *(("so_plus_2_2", 1.2, n) for n in (125, 250, 500)),
+    ("so_plus_2_2", 0.4, 40), ("so_plus_2_2", 0.4, 60),
+    ("stiefel_5_3", 2.0, 125), ("stiefel_5_3", 2.0, 250), ("stiefel_4_2", 2.0, 125),
+])
+def test_frame_matching_rolls_where_the_normal_gram_check_refused(name, amplitude, n_steps):
+    model = get_model(name)
+    path = extrinsic_roll(model, _rng5_control(model, n_steps, amplitude),
+                          normal_strategy="frame_matching")
+    assert model_residual_report(model, path).passed(50 * path.grid.h ** 2)
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
 def test_frame_matching_transports_the_normal_frame_in_one_call(name, monkeypatch):
     model = get_model(name)
-    transport, projectors, calls = homogeneous.parallel_transport_embedded, rolling._projectors, []
-    monkeypatch.setattr(homogeneous, "parallel_transport_embedded",
-                        lambda *args, **kw: calls.append("transport") or transport(*args, **kw))
+    flow, projectors, calls = homogeneous._transport_flow, rolling._projectors, []
+    monkeypatch.setattr(homogeneous, "_transport_flow",
+                        lambda *args, **kw: calls.append("transport") or flow(*args, **kw))
     monkeypatch.setattr(rolling, "_projectors",
                         lambda *args: calls.append("projectors") or projectors(*args))
     extrinsic_roll(model, _rng5_control(model, 250), normal_strategy="frame_matching")
-    # the one projector stack is built inside the one transport
+    # one flow carries the whole ambient frame, tangent and normal, from one projector stack
     assert calls == ["transport", "projectors"]
 
 

@@ -312,7 +312,7 @@ def test_latitude_transport_matches_closed_form():
     angle = -ct * phis
     predicted = np.cos(angle)[:, None] * e_th + np.sin(angle)[:, None] * e_ph
     assert np.max(np.linalg.norm(out - predicted, axis=1)) <= 1e-6
-    # extrapolation blends raw paths, so norm preservation is only approximate
+    # the transport is a group flow, so it keeps the norm to its group check
     norms = np.linalg.norm(out, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-8
 
@@ -359,13 +359,18 @@ def test_transport_carries_null_vectors_without_rescaling():
 
 
 def test_transport_detects_causal_type_loss():
+    # a Lorentz frame turning from spacelike to timelike is null at its middle
+    # node, where its J-Gram is 2.2e-16, not exactly singular
     form = SignatureForm(np.array([1.0, -1.0]))
-    curve = np.zeros((2, 2))
-    frames = np.zeros((2, 2, 1))
-    frames[0, 0, 0] = 1.0  # spacelike start
-    frames[1, 1, 0] = 1.0  # timelike continuation
-    with pytest.raises(ValueError, match="causal type"):
-        parallel_transport_embedded(curve, frames, np.array([1.0, 0.0]), form)
+    angle = 0.5 * np.pi * np.linspace(0.0, 1.0, 41)
+    frames = np.stack([np.cos(angle), np.sin(angle)], axis=1)[:, :, None]
+    with pytest.raises(ValueError, match=r"^tangent transport frame Gram matrix is singular "
+                       r"under the ambient form at node 20 \(condition number"):
+        parallel_transport_embedded(np.zeros((41, 2)), frames, np.array([1.0, 0.0]), form)
+    # a spacelike start continued by a timelike node at once: two nodes are too few
+    with pytest.raises(ValueError, match="^tangent transport frame needs at least 3 nodes "
+                       "for a fourth-order transport, got 2$"):
+        parallel_transport_embedded(np.zeros((2, 2)), frames[[0, -1]], np.array([1.0, 0.0]), form)
 
 
 def test_singular_frame_gram_is_reported():
