@@ -602,7 +602,8 @@ def _rolling_path(model, lift, differenced=False, transported=False):
 
     The rotation is the J-inverse of rho(q) S, with S the ``_correction_path``
     of a non-symmetric model (the identity for a symmetric space), or with
-    ``transported`` of the ``_transport_flow`` along the moving tangent frames.
+    ``transported`` of rho(q0) Y, Y the ``_transport_flow`` along the frames
+    rho(q0)^-1 rho(q) ``frame0``: from the base point, clear of q0's norm.
     The development is ``alpha_hat = obar + extrinsic_develop(R, alpha', grid)``
     and the translation ``s = alpha_hat - R alpha``.  The velocity alpha' is
     read exactly off the lift, ``rho(q) d_e_rho(U) obar`` with U the lift's
@@ -615,7 +616,8 @@ def _rolling_path(model, lift, differenced=False, transported=False):
     rhos = model.rho_path(lift.samples)
     rotated = rhos
     if transported:
-        rotated = _transport_flow(model.frames_along(rhos), model.form, "moving tangent frame")
+        frames = j_transpose_inverse(rhos[0], model.form) @ model.frames_along(rhos)
+        rotated = rhos[0] @ _transport_flow(frames, model.form, "moving tangent frame")
     elif not model.symmetric_space:
         rotated = rhos @ _correction_path(model, lift)
     rots = j_transpose_inverse(rotated, model.form)

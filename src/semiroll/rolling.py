@@ -483,14 +483,8 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     lam = flow_matrix_ode(omegas, np.eye(n), grid, side="left", reproject_form=path.form)
     R_new = lam @ path.R
     s_new = path.alpha_hat - np.einsum("kij,kj->ki", R_new, path.alpha)
-    return RollingMapPath(
-        grid=grid,
-        R=R_new,
-        s=s_new,
-        alpha=path.alpha.copy(),
-        alpha_hat=path.alpha_hat.copy(),
-        form=path.form,
-    )
+    return RollingMapPath(grid=grid, R=R_new, s=s_new, alpha=path.alpha.copy(),
+                          alpha_hat=path.alpha_hat.copy(), form=path.form)
 
 
 def _transport_flow(frames, form, what):
@@ -520,15 +514,16 @@ def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
         Sampled points of the base curve (used for validation; the
         transport itself only needs the subspaces).
     frames : (n_nodes, N, r) array
-        Per-node bases of the subspace the transported vector lives in
-        (tangent bundle for ``which="tangent"``, normal bundle for
-        ``which="normal"``); at least 3 nodes.
+        Per-node bases of the subspace the transported vector lives in, the
+        tangent or the normal bundle; at least 3 nodes.
     v0 : (N,) or (N, c) array
         Start vector, or c start vectors as columns; each must lie in the
         span of ``frames[0]``.
     form : SignatureForm
         Ambient scalar product; the projectors are J-orthogonal, and the
         transport preserves it, null vectors included.
+    which : "tangent" or "normal"
+        Names the frames in messages only; both bundles share one flow.
 
     Returns ``X @ v0``, X the ``_transport_flow`` of the frames: the
     transported vectors at every node, (n_nodes, N) or (n_nodes, N, c).

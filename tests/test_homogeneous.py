@@ -685,6 +685,42 @@ def test_frame_matching_agrees_with_the_closed_form_at_fourth_order(name):
     assert errors[1] <= 1e-13 or errors[0] >= 12.0 * errors[1], errors
 
 
+def _latitude_from_its_lift_start(n_steps):
+    # criterion 11's latitude at polar angle 1, whose lift starts at a complex q0
+    from semiroll.models.sphere import chart_lift_matrix, embed_sphere
+    grid = TimeGrid(0.0, 2 * np.pi, n_steps)
+    z = np.tan(0.5) * np.exp(1j * grid.ts)
+    return EmbeddedCurve(grid, embed_sphere(z)), chart_lift_matrix(z[0])
+
+
+def _rng5_control_from_q0(name):
+    model = get_model(name)
+    q0 = model.random_group_element(np.random.default_rng(3))
+    return lambda n_steps: (_rng5_control(model, n_steps), q0)
+
+
+# so_plus_2_2's seed-3 q0 is boosted, max |rho(q0)| = 13; the latitude's lift
+# refuses 250 steps
+@pytest.mark.parametrize("name, inputs, steps", [
+    ("sphere", _latitude_from_its_lift_start, (500, 1000)),
+    *((name, _rng5_control_from_q0(name), (250, 500))
+      for name in ("so_plus_1_2", "so_plus_2_2", "stiefel_4_2")),
+], ids=["sphere-latitude", "so_plus_1_2", "so_plus_2_2", "stiefel_4_2"])
+def test_frame_matching_starts_at_the_lift_start(name, inputs, steps):
+    # R(0) = rho(q0)^-1 as for the closed form, so tangency holds at node 0
+    # and the two rotations agree at fourth order from any q0
+    model = get_model(name)
+    errors = []
+    for n_steps in steps:
+        data, q0 = inputs(n_steps)
+        closed = extrinsic_roll(model, data, q0=q0)
+        matched = extrinsic_roll(model, data, q0=q0, normal_strategy="frame_matching")
+        assert np.allclose(matched.R[0], closed.R[0], rtol=0.0, atol=1e-12)
+        assert model_residual_report(model, matched).passed(50 * matched.grid.h ** 2)
+        errors.append(float(np.max(np.abs(matched.R - closed.R))))
+    assert errors[1] <= 1e-13 or errors[0] >= 12.0 * errors[1], errors
+
+
 # inputs whose normal frames the earlier step-and-project transport left
 # non-isometric to the development's (a refusal at every step count shown,
 # and a residual of 1.08 tol at so_plus_1_2's 2000 steps)
