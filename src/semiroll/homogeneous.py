@@ -32,10 +32,10 @@ from .integrate import (
 )
 from .linalg import expm, j_orthogonality_residual, j_transpose_inverse, stacked_null_spaces
 from .rolling import (
-    FRAME_COND_MAX,
     RollingMapPath,
     RollingTriple,
     TangentFramePath,
+    _projectors,
     _transport_flow,
     rolling_condition_residuals,
 )
@@ -223,8 +223,12 @@ class CartanModel:
     velocities ``d_rho_p[i] = A_i = d_e_rho(p_i)`` of the p basis, and the
     rolling correction generators
     ``omega_basis[i] = -(P A_i P + (I - P) A_i (I - P))`` with P = ``frame0 cf0``
-    the J-orthogonal tangent projector at the base point.  Omega = sum_i U_i omega_basis[i]
-    cancels the part of d_e_rho(U) that keeps the tangent and the normal
+    the J-orthogonal tangent projector at the base point, built and refused
+    by ``rolling._projectors``, the one rule for a span under J: F0 must
+    have full rank and the J-Gram of its orthonormal basis no |eigenvalue|
+    below that rule's bound.  The J-complement ``normal0`` shares that
+    smallest |eigenvalue|, so it needs no test of its own.
+    Omega = sum_i U_i omega_basis[i] cancels the part of d_e_rho(U) that keeps the tangent and the normal
     space; along a lift the rotation is the J-inverse of rho(q) S with
     S' = Omega S (Hüper, Kleinsteuber & Silva Leite, "Rolling Stiefel
     manifolds", 2008).  ``symmetric_space`` is true where ``omega_basis``
@@ -267,21 +271,14 @@ class CartanModel:
         self.d_rho_p = d_rho_p = np.array([np.asarray(self.d_e_rho(self.basis[i]), dtype=float)
                                            for i in self.p_indices])
         self.frame0 = np.column_stack([A @ self.obar for A in d_rho_p])
+        P = _projectors(self.frame0[None], self.form, "embedded tangent frame")[0]
         self.ip_p = self.frame0.T @ (self.form.signs[:, None] * self.frame0)
-        # both J-Grams are judged by condition number, so a rescaled basis builds alike
-        if not np.linalg.cond(self.ip_p) <= FRAME_COND_MAX:
-            raise ValueError("embedded tangent frame is degenerate under the ambient form")
         d_inv = np.linalg.inv(self.d_e_pi)
         self.target_gram = d_inv.T @ self.ip_p @ d_inv
         # coefficient extractor at the base point: cf0 @ v = p-coefficients of v
         self.cf0 = np.linalg.solve(self.ip_p, self.frame0.T * self.form.signs[None, :])
         # a new C-ordered array like frame0, so products with the flat frames share one layout
         self.normal0 = stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0]
-        if self.normal0.size:
-            gram_n = self.normal0.T @ (self.form.signs[:, None] * self.normal0)
-            if not np.linalg.cond(gram_n) <= FRAME_COND_MAX:
-                raise ValueError("normal complement is degenerate under the ambient form")
-        P = self.frame0 @ self.cf0
         Q = np.eye(P.shape[0]) - P
         self.omega_basis = -(P @ d_rho_p @ P + Q @ d_rho_p @ Q)
         size = max(1.0, float(np.max(np.abs(P)))) ** 2 * max(1.0, float(np.max(np.abs(d_rho_p))))

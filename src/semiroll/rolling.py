@@ -505,48 +505,38 @@ def _transport_flow(frames, form, what):
     return flow_matrix_ode(dP @ P - P @ dP, np.eye(form.dim), grid, "left", form)
 
 
-def parallel_transport_embedded(curve, frames, v0, form, which="tangent"):
-    """Transport v0 along a sampled curve within the subspaces spanned by ``frames``.
+def parallel_transport_embedded(frames, v0, form):
+    """Transport v0 within the subspaces spanned by ``frames`` along a sampled curve.
 
     Parameters
     ----------
-    curve : (n_nodes, N) array
-        Sampled points of the base curve (used for validation; the
-        transport itself only needs the subspaces).
     frames : (n_nodes, N, r) array
         Per-node bases of the subspace the transported vector lives in, the
         tangent or the normal bundle; at least 3 nodes.
     v0 : (N,) or (N, c) array
         Start vector, or c start vectors as columns; each must lie in the
-        span of ``frames[0]``.
+        span of ``frames[0]``: |v0 - P0 v0| <= 1e-8 max(1, |v0|), P0 the
+        node-0 projector.
     form : SignatureForm
         Ambient scalar product; the projectors are J-orthogonal, and the
         transport preserves it, null vectors included.
-    which : "tangent" or "normal"
-        Names the frames in messages only; both bundles share one flow.
 
     Returns ``X @ v0``, X the ``_transport_flow`` of the frames: the
     transported vectors at every node, (n_nodes, N) or (n_nodes, N, c).
     """
-    if which not in ("tangent", "normal"):
-        raise ValueError("which must be 'tangent' or 'normal'")
-    curve = np.asarray(curve, dtype=float)
     frames = np.asarray(frames, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if curve.ndim != 2 or frames.shape[:2] != curve.shape:
-        raise ValueError("curve and frames disagree on node count or ambient dimension")
-    dim = curve.shape[1]
+    dim = form.dim
     if v0.ndim not in (1, 2) or v0.shape[0] != dim or v0.size == 0:
         raise ValueError(f"v0 has shape {v0.shape}, expected ({dim},) or ({dim}, c)")
-    flow = _transport_flow(frames, form, f"{which} transport frame")
+    flow = _transport_flow(frames, form, "transport frame")
 
     block = v0 if v0.ndim == 2 else v0[:, None]
-    coeffs = np.linalg.lstsq(frames[0], block, rcond=None)[0]
-    off = np.linalg.norm(frames[0] @ coeffs - block, axis=0) \
+    off = np.linalg.norm(block - _projectors(frames[:1], form)[0] @ block, axis=0) \
         > 1e-8 * np.maximum(1.0, np.linalg.norm(block, axis=0))
     if np.any(off):
         column = f" column {int(np.argmax(off))}" if v0.ndim == 2 else ""
-        raise ValueError(f"v0{column} does not lie in the initial {which} space")
+        raise ValueError(f"v0{column} does not lie in the initial transport space")
     return flow @ v0
 
 

@@ -147,7 +147,7 @@ def test_criterion_06_transport_cross_check(name, geodesic):
     points = np.array([model.embed(model.action(q, model.base_point)) for q in lift.samples])
     field = transport_homogeneous(model, lift, np.array([0.3, -0.7]))
     frames = model.pointwise_tangent_frames(grid, points).frames
-    reference = parallel_transport_embedded(points, frames, field[0], model.form)
+    reference = parallel_transport_embedded(frames, field[0], model.form)
     worst = float(np.max(np.linalg.norm(field - reference, axis=1)))
     kind = "geodesic" if geodesic else "generic"
     ok = _report(f"criterion 06: transport cross-check {name} {kind}", worst, 1e-6)

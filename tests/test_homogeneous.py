@@ -157,7 +157,7 @@ def test_transport_agrees_with_projection_scheme(surface):
     points = _embedded(surface, lift)
     field = transport_homogeneous(surface, lift, np.array([0.3, -0.7]))
     frames = surface.pointwise_tangent_frames(grid, points)
-    reference = parallel_transport_embedded(points, frames.frames, field[0], surface.form)
+    reference = parallel_transport_embedded(frames.frames, field[0], surface.form)
     assert np.max(np.linalg.norm(field - reference, axis=1)) <= 1e-6
 
 
@@ -305,25 +305,92 @@ def _scaled_stiefel_5_2(factor):
     return build_model(desc)
 
 
+def _smallest_j_eigenvalue(frame, form):
+    """min |eigenvalue| of the J-Gram of an orthonormal basis of the frame's span."""
+    q = np.linalg.qr(frame)[0]
+    return float(np.min(np.abs(np.linalg.eigvalsh(q.T @ (form.signs[:, None] * q)))))
+
+
 @pytest.mark.parametrize("build", [
     lambda: _scaled_stiefel_5_2(0.1),
     lambda: _boosted_so_plus_2_2(4.0, 2.8),
     lambda: _boosted_so_plus_2_2(4.5, 3.15),
     lambda: _boosted_so_plus_2_2(5.0, 3.5),
     lambda: _boosted_so_plus_2_2(6.0, 4.2),
-], ids=["stiefel_5_2x0.1", "boost4.0", "boost4.5", "boost5.0", "boost6.0"])
+    lambda: _boosted_so_plus_2_2(7.1, 4.97),
+], ids=["stiefel_5_2x0.1", "boost4.0", "boost4.5", "boost5.0", "boost6.0", "boost7.1"])
 def test_well_conditioned_grams_build_at_any_scale(build):
-    # the J-Grams are judged by their condition number, not by |det|
+    # the tangent span is judged by the J-Gram of its orthonormal basis, so a
+    # rescaled basis builds alike; the J-complement shares its smallest
+    # |eigenvalue| and needs no test of its own
     model = build()
-    gram_n = model.normal0.T @ (model.form.signs[:, None] * model.normal0)
-    assert np.linalg.cond(model.ip_p) <= rolling.FRAME_COND_MAX
-    assert np.linalg.cond(gram_n) <= rolling.FRAME_COND_MAX
+    assert _smallest_j_eigenvalue(model.frame0, model.form) >= 1.0 / rolling.FRAME_COND_MAX
+    assert _smallest_j_eigenvalue(model.normal0, model.form) >= 1.0 / rolling.FRAME_COND_MAX
+
+
+def test_a_boosted_base_point_past_the_bound_is_refused_by_its_tangent_frame():
+    with pytest.raises(ValueError, match=r"^embedded tangent frame Gram matrix is singular under "
+                       r"the ambient form at node 0 \(condition number 1\.3e\+06\)$"):
+        _boosted_so_plus_2_2(7.4, 5.18)
+
+
+SEVEN_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
+                "stiefel_3_1", "stiefel_4_2", "stiefel_5_3"]
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda name=name: get_model(name) for name in SEVEN_MODELS],
+    lambda: _boosted_so_plus_2_2(3.0, 2.1),
+    lambda: _boosted_so_plus_2_2(5.0, 3.5),
+    lambda: _boosted_so_plus_2_2(7.0, 4.9),
+], ids=SEVEN_MODELS + ["boost3.0", "boost5.0", "boost7.0"])
+def test_tangent_and_normal_spans_share_their_smallest_j_eigenvalue(build):
+    # with orthonormal bases Q of a span and C of its complement, the blocks
+    # of the involution [Q C]^T J [Q C] give A^2 + B B^T = I = D^2 + B^T B,
+    # so one test of the tangent span covers the normal one
+    model = build()
+    tangent = _smallest_j_eigenvalue(model.frame0, model.form)
+    normal = _smallest_j_eigenvalue(model.normal0, model.form)
+    assert abs(tangent - normal) <= 1e-9 * tangent
+
+
+@pytest.mark.parametrize("name", SEVEN_MODELS)
+def test_omega_basis_is_unchanged_by_the_shared_projector(name):
+    model = get_model(name)
+    P = model.frame0 @ model.cf0
+    Q = np.eye(P.shape[0]) - P
+    assert np.array_equal(model.omega_basis, -(P @ model.d_rho_p @ P + Q @ model.d_rho_p @ Q))
+
+
+def _lorentz_line(obar):
+    """A CartanModel on R^{1,1}: the boost generator moving obar, identity maps."""
+    form = SignatureForm([-1, 1])
+    same = lambda x: x  # noqa: E731
+    return homogeneous.CartanModel(
+        "lorentz_line", np.array([[[0.0, 1.0], [1.0, 0.0]]]), (), (0,), form, form,
+        np.asarray(obar, dtype=float), [[1.0]], same, same, lambda g, x: g @ x, same,
+        None, None)
+
+
+@pytest.mark.parametrize("obar", [(1.0, 1.0 + 2.0 ** -52), (1.0, 1.0 + 1e-9)],
+                         ids=["eps", "1e-9"])
+def test_a_nearly_null_one_dimensional_tangent_frame_is_refused(obar):
+    # a 1 x 1 J-Gram of -4.4e-16 or -2.0e-9 has condition number 1.0 as a
+    # matrix; the J-Gram of the unit tangent is what shows it null
+    with pytest.raises(ValueError, match="^embedded tangent frame Gram matrix is singular under "
+                       "the ambient form at node 0"):
+        _lorentz_line(obar)
+
+
+def test_a_spacelike_one_dimensional_tangent_frame_builds():
+    model = _lorentz_line((1.0, 2.0))
+    assert np.array_equal(model.ip_p, [[-3.0]])
 
 
 def test_a_tangent_frame_with_a_zero_column_is_refused():
     desc = stiefel.description(4, 2)
     desc["basis"][1] = np.zeros((4, 4)).tolist()
-    with pytest.raises(ValueError, match="embedded tangent frame is degenerate under the ambient form"):
+    with pytest.raises(ValueError, match="^embedded tangent frame is rank deficient at node 0"):
         build_model(desc)
 
 

@@ -251,7 +251,7 @@ FRAME_CHECKS = {
     "no_twist": lambda path, bad, ft, fn: no_twist_residuals(path, bad, fn),
     "perturb": lambda path, bad, ft, fn: perturb_normal_generator(path, np.zeros((3, 3)), bad, fn),
     "transport": lambda path, bad, ft, fn: parallel_transport_embedded(
-        path.alpha, bad.frames, np.eye(3)[0], EUCLID3),
+        bad.frames, np.eye(3)[0], EUCLID3),
 }
 
 
@@ -304,11 +304,10 @@ def test_latitude_transport_matches_closed_form():
     m = 1601
     phis = np.linspace(0.0, 2 * np.pi, m)
     st, ct = np.sin(theta0), np.cos(theta0)
-    curve = np.stack([st * np.cos(phis), st * np.sin(phis), ct * np.ones_like(phis)], axis=1)
     e_th = np.stack([ct * np.cos(phis), ct * np.sin(phis), -st * np.ones_like(phis)], axis=1)
     e_ph = np.stack([-np.sin(phis), np.cos(phis), np.zeros_like(phis)], axis=1)
     frames = np.stack([e_th, e_ph], axis=2)
-    out = parallel_transport_embedded(curve, frames, e_th[0], EUCLID3)
+    out = parallel_transport_embedded(frames, e_th[0], EUCLID3)
     angle = -ct * phis
     predicted = np.cos(angle)[:, None] * e_th + np.sin(angle)[:, None] * e_ph
     assert np.max(np.linalg.norm(out - predicted, axis=1)) <= 1e-6
@@ -318,43 +317,37 @@ def test_latitude_transport_matches_closed_form():
 
 
 def test_transport_rejects_vector_outside_start_space():
-    curve = np.zeros((11, 3))
-    curve[:, 0] = np.linspace(0, 1, 11)
     frames = np.broadcast_to(np.eye(3)[:, :2], (11, 3, 2)).copy()
     with pytest.raises(ValueError, match="does not lie in the initial"):
-        parallel_transport_embedded(curve, frames, np.array([0.0, 0.0, 1.0]), EUCLID3)
+        parallel_transport_embedded(frames, np.array([0.0, 0.0, 1.0]), EUCLID3)
 
 
 @pytest.mark.parametrize("v0", [
     np.float64(1.0), np.zeros((3, 2, 1)), np.zeros(2), np.zeros((4, 2)), np.zeros((3, 0)),
 ], ids=["scalar", "ndim_3", "short_vector", "long_block", "no_columns"])
 def test_transport_refuses_a_malformed_start_by_its_shape(v0):
-    curve = np.zeros((11, 3))
     frames = np.broadcast_to(np.eye(3)[:, :2], (11, 3, 2)).copy()
     shape = str(v0.shape).replace("(", r"\(").replace(")", r"\)")
     with pytest.raises(ValueError, match=rf"^v0 has shape {shape}, expected \(3,\) or \(3, c\)$"):
-        parallel_transport_embedded(curve, frames, v0, EUCLID3)
+        parallel_transport_embedded(frames, v0, EUCLID3)
 
 
 def test_transport_of_a_block_names_the_column_outside_the_start_space():
-    curve = np.zeros((11, 3))
     frames = np.broadcast_to(np.eye(3)[:, :2], (11, 3, 2)).copy()
     block = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="^v0 column 2 does not lie in the initial normal space$"):
-        parallel_transport_embedded(curve, frames, block, EUCLID3, which="normal")
-    out = parallel_transport_embedded(curve, frames, block[:, :2], EUCLID3)
+    with pytest.raises(ValueError, match="^v0 column 2 does not lie in the initial transport space$"):
+        parallel_transport_embedded(frames, block, EUCLID3)
+    out = parallel_transport_embedded(frames, block[:, :2], EUCLID3)
     assert out.shape == (11, 3, 2)
     assert np.max(np.abs(out - block[None, :, :2])) <= 1e-15
 
 
 def test_transport_carries_null_vectors_without_rescaling():
     form = SignatureForm(np.array([1.0, 1.0, -1.0]))
-    curve = np.zeros((21, 3))
-    curve[:, 1] = np.linspace(0, 1, 21)
     span = np.stack([np.eye(3)[:, 0], np.eye(3)[:, 2]], axis=1)
     frames = np.broadcast_to(span, (21, 3, 2)).copy()
     v0 = np.array([1.0, 0.0, 1.0])  # null for the (+,+,-) form
-    out = parallel_transport_embedded(curve, frames, v0, form)
+    out = parallel_transport_embedded(frames, v0, form)
     assert np.max(np.abs(out - v0[None, :])) <= 1e-12
 
 
@@ -364,23 +357,23 @@ def test_transport_detects_causal_type_loss():
     form = SignatureForm(np.array([1.0, -1.0]))
     angle = 0.5 * np.pi * np.linspace(0.0, 1.0, 41)
     frames = np.stack([np.cos(angle), np.sin(angle)], axis=1)[:, :, None]
-    with pytest.raises(ValueError, match=r"^tangent transport frame Gram matrix is singular "
+    with pytest.raises(ValueError, match=r"^transport frame Gram matrix is singular "
                        r"under the ambient form at node 20 \(condition number"):
-        parallel_transport_embedded(np.zeros((41, 2)), frames, np.array([1.0, 0.0]), form)
+        parallel_transport_embedded(frames, np.array([1.0, 0.0]), form)
     # a spacelike start continued by a timelike node at once: two nodes are too few
-    with pytest.raises(ValueError, match="^tangent transport frame needs at least 3 nodes "
+    with pytest.raises(ValueError, match="^transport frame needs at least 3 nodes "
                        "for a fourth-order transport, got 2$"):
-        parallel_transport_embedded(np.zeros((2, 2)), frames[[0, -1]], np.array([1.0, 0.0]), form)
+        parallel_transport_embedded(frames[[0, -1]], np.array([1.0, 0.0]), form)
 
 
 def test_singular_frame_gram_is_reported():
     form = SignatureForm(np.array([1.0, 1.0, -1.0]))
-    curve = np.zeros((11, 3))
     null_frame = np.zeros((11, 3, 1))
     null_frame[:, 0, 0] = 1.0
     null_frame[:, 2, 0] = 1.0  # null column: Gram vanishes identically
-    with pytest.raises(ValueError, match="Gram matrix is singular"):
-        parallel_transport_embedded(curve, null_frame, null_frame[0, :, 0], form)
+    with pytest.raises(ValueError, match="^transport frame Gram matrix is singular under the "
+                       "ambient form at node 0"):
+        parallel_transport_embedded(null_frame, null_frame[0, :, 0], form)
 
 
 @pytest.mark.filterwarnings("error")
@@ -460,7 +453,7 @@ def test_report_with_non_finite_field_fails_closed(field, bad):
 
 # a refusal names the frame path at fault: the tangent or the normal
 # development frame of a no-twist check, the frame of a normal generator's
-# admissibility check, the frames of a tangent or a normal transport
+# admissibility check, the frames of a transport
 FRAME_LABELS = {
     "no_twist_tangent": (lambda path, bad, ft, fn: no_twist_residuals(path, bad, fn),
                          "no twist: tangent development frame"),
@@ -468,11 +461,8 @@ FRAME_LABELS = {
                         "no twist: normal development frame"),
     "perturb": (lambda path, bad, ft, fn: perturb_normal_generator(path, np.zeros((3, 3)), bad, fn),
                 "normal generator: tangent frame"),
-    "transport_tangent": (lambda path, bad, ft, fn: parallel_transport_embedded(
-        path.alpha, bad.frames, bad.frames[0][:, 0], EUCLID3), "tangent transport frame"),
-    "transport_normal": (lambda path, bad, ft, fn: parallel_transport_embedded(
-        path.alpha, bad.frames, bad.frames[0][:, 0], EUCLID3, which="normal"),
-        "normal transport frame"),
+    "transport": (lambda path, bad, ft, fn: parallel_transport_embedded(
+        bad.frames, bad.frames[0][:, 0], EUCLID3), "transport frame"),
 }
 
 
@@ -488,15 +478,6 @@ def test_frame_refusals_name_their_frame_path(check, defect, message):
     bad[3] = 0.0 if defect == "zero" else np.nan
     with pytest.raises(ValueError, match=f"^{label} {message}"):
         run(path, TangentFramePath(ft.ts, bad), ft, fn)
-
-
-def test_singular_transport_gram_names_the_transported_bundle():
-    form = SignatureForm(np.array([1.0, 1.0, -1.0]))
-    null_frame = np.zeros((11, 3, 1))
-    null_frame[:, 0, 0] = null_frame[:, 2, 0] = 1.0
-    with pytest.raises(ValueError, match="^normal transport frame Gram matrix is singular"):
-        parallel_transport_embedded(np.zeros((11, 3)), null_frame, null_frame[0, :, 0], form,
-                                    which="normal")
 
 
 # a zero-stride broadcast of one frame (the flat development's frames) is
@@ -559,5 +540,5 @@ def test_null_development_frames_have_a_singular_gram(node):
         bad[node] = null_frame
     with pytest.raises(ValueError, match="normal development frame Gram matrix is singular"):
         no_twist_residuals(path, ft, TangentFramePath(ft.ts, bad))
-    with pytest.raises(ValueError, match="normal transport frame Gram matrix is singular"):
-        parallel_transport_embedded(path.alpha, bad, bad[0][:, 0], form, which="normal")
+    with pytest.raises(ValueError, match="^transport frame Gram matrix is singular"):
+        parallel_transport_embedded(bad, bad[0][:, 0], form)
