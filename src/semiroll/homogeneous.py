@@ -524,6 +524,15 @@ def _on_grid(data, grid, kinds=(ControlCurve, EmbeddedCurve)):
     return data
 
 
+def _control_curve(control, dim, grid=None):
+    """``control``, a ControlCurve of ``dim`` components, the model's p-dimension; a given
+    ``grid`` must be the control's own.  The one check of a control against a model."""
+    control = _on_grid(control, grid, (ControlCurve,))
+    if control.dim != dim:
+        raise ValueError(f"control has {control.dim} components, model p-dimension is {dim}")
+    return control
+
+
 def horizontal_lift(model, data, q0=None):
     """Horizontal lift of a control or of a sampled curve on the manifold.
 
@@ -541,11 +550,7 @@ def horizontal_lift(model, data, q0=None):
     else:
         q0 = np.asarray(q0)
     if isinstance(_on_grid(data, None), ControlCurve):
-        if data.dim != model.p_dim:
-            raise ValueError(
-                f"control has {data.dim} components, model p-dimension is {model.p_dim}"
-            )
-        return _lift_from_control(model, data, q0)
+        return _lift_from_control(model, _control_curve(data, model.p_dim), q0)
     if data.points.shape[1] != model.ambient_dim:
         raise ValueError("curve ambient dimension does not match the model")
     return _lift_from_samples(model, data, q0)

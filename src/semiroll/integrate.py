@@ -43,6 +43,14 @@ REPROJECT_TOL = 1e-12
 REPROJECT_MAX_ITER = 50
 
 
+def _integer(value, name):
+    """``value`` as an int if it is a plain or numpy integer; a bool or any other
+    number, which a cast would truncate, is refused with a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid with n_steps intervals on [t0, t1]."""
@@ -56,9 +64,7 @@ class TimeGrid:
             raise ValueError(f"grid ends must be finite, got t0={self.t0}, t1={self.t1}")
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise TypeError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError("need at least one step")
 
     @property

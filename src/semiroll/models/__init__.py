@@ -10,8 +10,10 @@ supplies what only the model knows: ``rho``, ``d_e_rho``, the chart
 and the rolling correction (``omega_basis``, zero on a symmetric space)
 itself.  ``get_model`` is the one lookup: it resolves the fixed names and
 the parameterized family names from their generators, builds each model
-once and caches it, and also loads description files by path.  A model with a base point of its own is
-``build_model(description(..., base_point))``.
+once and caches it, and builds and validates a description file by path.
+A model with a base point of its own is ``build_model(description(...,
+base_point))``.  Every model rolls through ``homogeneous``, and a symmetric
+one also through ``hyperbolic.kinematic_roll``.
 The JSON files under ``data/`` are regression fixtures: tests check that
 they still match the generators, and they show the file format.
 """
@@ -29,17 +31,12 @@ from ..homogeneous import CartanModel
 from ..linalg import SignatureForm
 from . import hyperbolic, pseudo_orthogonal, sphere, stiefel
 from .hyperbolic import roll_hyperboloid
-from .sphere import roll_sphere
-from .stiefel import roll_stiefel
 
 __all__ = [
     "build_model",
-    "load_model_file",
     "get_model",
     "available_models",
     "roll_hyperboloid",
-    "roll_sphere",
-    "roll_stiefel",
 ]
 
 EMBEDDING_BUNDLES = {
@@ -100,13 +97,6 @@ def build_model(desc, validate=False):
     return model
 
 
-def load_model_file(path):
-    """Build a model from a description file and validate it."""
-    with open(path) as fh:
-        desc = json.load(fh)
-    return build_model(desc, validate=True)
-
-
 def _description_for(name):
     if name in _FIXED_DESCRIPTIONS:
         return _FIXED_DESCRIPTIONS[name]()
@@ -137,7 +127,8 @@ def get_model(name):
             model = _CACHE[name] = build_model(desc)
             return model
         if Path(name).is_file():
-            return load_model_file(name)
+            with open(name) as fh:
+                return build_model(json.load(fh), validate=True)
     raise KeyError(
         f"unknown model {name!r}; try one of {available_models()} "
         "or a description-file path"

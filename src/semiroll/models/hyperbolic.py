@@ -23,15 +23,16 @@ construction held here: ``quadric_description`` and ``quadric_bundle``
 model passes its basis, embedding, rho, d_e_rho.  ``kinematic_roll``, also
 held here, integrates the paper's kinematic equations on every symmetric
 model (the two quadrics, SO+(p, q), V_1(R^n)) with the one ambient angular
-velocity Ubar = d_e_rho(U), and refuses the others.  ``roll_hyperboloid``
-takes its control as (u1, u2), which are the model coordinates (-u2, u1).
+velocity Ubar = d_e_rho(U), on the control's own grid, and refuses the
+others.  ``roll_hyperboloid`` takes its control as (u1, u2), which are the
+model coordinates (-u2, u1), and is the one roll entry point with a ``grid``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..homogeneous import ControlCurve, _on_grid
+from ..homogeneous import _control_curve
 from ..integrate import flow_matrix_ode, integrate_vector
 from ..linalg import j_transpose_inverse, stacked_null_spaces
 from ..rolling import RollingMapPath
@@ -182,14 +183,6 @@ def bundle(desc):
                           embed_hyperbolic, signs[:, None, None] * SU11_BASIS)
 
 
-def _control_curve(control, grid, dim):
-    """``control``, a ControlCurve of ``dim`` components; a given ``grid`` must be its grid."""
-    control = _on_grid(control, grid, (ControlCurve,))
-    if control.dim != dim:
-        raise ValueError(f"control has {control.dim} components, model p-dimension is {dim}")
-    return control
-
-
 def _kinematic_path(model, grid, coords):
     """The kinematic roll of ``model`` for p-coordinates ``coords`` at ``grid.stage_ts``."""
     form = model.form
@@ -204,7 +197,7 @@ def _kinematic_path(model, grid, coords):
                           form=form)
 
 
-def kinematic_roll(model, control, grid=None):
+def kinematic_roll(model, control):
     """Extrinsic rolling of a symmetric model on its affine tangent space.
 
     The kinematic equations of the rolling (Hüper & Silva Leite, 2007)
@@ -218,13 +211,12 @@ def kinematic_roll(model, control, grid=None):
     the rotation is Rbar = J qbar^T J, the J-inverse of qbar, which solves
     Rbar' = -Ubar Rbar.  Only on a symmetric space does this rotation roll
     without twist, so any other model is refused.  ``control`` is a
-    ControlCurve, and a given ``grid`` must be its own.  Returns a
-    RollingMapPath.
+    ControlCurve, rolled on its own grid.  Returns a RollingMapPath.
     """
     if not model.symmetric_space:
         raise ValueError(f"kinematic_roll needs a symmetric space; model {model.name} is not "
                          "one, roll it with extrinsic_roll")
-    control = _control_curve(control, grid, model.p_dim)
+    control = _control_curve(control, model.p_dim)
     return _kinematic_path(model, control.grid, control.stage_coords())
 
 
@@ -233,10 +225,11 @@ def roll_hyperboloid(control, grid=None):
 
     ``control`` holds the components (u1, u2), the model coordinates
     (-u2, u1); the ambient angular velocity [[0, u1, u2], [u1, 0, 0],
-    [u2, 0, 0]] is the Ubar of kinematic_roll for those coordinates.
+    [u2, 0, 0]] is the Ubar of kinematic_roll for those coordinates.  A
+    given ``grid`` must be the control's own.
     """
     from . import get_model
 
-    control = _control_curve(control, grid, 2)
+    control = _control_curve(control, 2, grid)
     u = control.stage_coords()
     return _kinematic_path(get_model("hyperboloid"), control.grid, np.stack([-u[:, 1], u[:, 0]], 1))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..integrate import _integer
 from ..linalg import SignatureForm, is_oriented_isometry, stacked_kron, stacked_vec
 
 __all__ = [
@@ -60,8 +61,7 @@ def _j_skew(M, J):
 
 def description(p, q, base_point=None):
     """Declarative model data (JSON-serializable)."""
-    p = int(p)
-    q = int(q)
+    p, q = _integer(p, "p"), _integer(q, "q")
     if p < 0 or q < 0 or p + q < 2:
         raise ValueError("signature requires p, q >= 0 with p + q >= 2")
     n = p + q

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hyperbolic import adjoint_matrix, hat, kinematic_roll, quadric_bundle, quadric_description
+from .hyperbolic import adjoint_matrix, hat, quadric_bundle, quadric_description
 from .hyperbolic import su11_coords as su2_coords
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "embed_sphere",
     "description",
     "bundle",
-    "roll_sphere",
 ]
 
 SU2_BASIS = 0.5 * np.array(
@@ -82,15 +81,3 @@ def chart_lift_matrix(z):
     """The standard section h(z) of SU(2) over the chart, h(z).0 = z."""
     f = 1.0 / np.sqrt(1.0 + abs(z) ** 2)
     return np.array([[f, f * z], [-np.conj(f * z), np.conj(f)]])
-
-
-def roll_sphere(control, grid=None):
-    """Extrinsic rolling of the unit sphere on its affine tangent plane.
-
-    ``control`` holds the coefficients (c2, c3) of the horizontal generator
-    c2 A2 + c3 A3; the ambient angular velocity is hat(P (0, c2, c3)), the
-    default of kinematic_roll, here with the Euclidean form.
-    """
-    from . import get_model
-
-    return kinematic_roll(get_model("sphere"), control, grid)

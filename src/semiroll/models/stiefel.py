@@ -28,20 +28,20 @@ from __future__ import annotations
 import numpy as np
 
 # the benchmark tracer (perfbench/tracer.py) times the correction under this module's name
-from ..homogeneous import _correction_path, _on_grid, extrinsic_roll  # noqa: F401
+from ..homogeneous import _correction_path  # noqa: F401
+from ..integrate import _integer
 from ..linalg import stacked_kron, stacked_null_spaces, stacked_vec
 
 __all__ = [
     "description",
     "bundle",
-    "roll_stiefel",
 ]
 
 
 def description(n, k):
-    """Declarative model data (JSON-serializable)."""
-    n = int(n)
-    k = int(k)
+    """Declarative model data (JSON-serializable).  The p basis, and so a control's
+    coordinates, lists the top block's skew pairs first, then the lower block row-major."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     basis = []
@@ -131,16 +131,3 @@ def bundle(desc):
         "tangent_frame_at": tangent_frame_at,
         "transvection": transvection,
     }
-
-
-def roll_stiefel(n, k, data, grid=None):
-    """Extrinsic rolling of V_k(R^n) on its affine tangent space at the base.
-
-    ``data`` is a ControlCurve (p-coordinates: skew pairs of the top block
-    first, then the lower block row-major) or an EmbeddedCurve of frames
-    flattened by ``linalg.stacked_vec``.  It carries its own grid, and a
-    given ``grid`` that differs from it is refused.
-    """
-    from . import get_model
-
-    return extrinsic_roll(get_model(f"stiefel_{int(n)}_{int(k)}"), _on_grid(data, grid))

@@ -253,8 +253,10 @@ def _projectors(frames, form, what="frame"):
     span is numerically null under J is refused: with Q the orthonormal basis
     ``_check_rank`` gives, Q^T J Q has eigenvalues in [-1, 1], and
     1 / min |eigenvalue|, a bound on the projector's norm, may be at most
-    FRAME_COND_MAX.
+    FRAME_COND_MAX.  Frames not of shape (n_nodes, form.dim, r) are refused.
     """
+    if frames.ndim != 3 or frames.shape[1] != form.dim:
+        raise ValueError(f"{what} has shape {frames.shape}, expected (n_nodes, {form.dim}, r)")
     one = _once(frames)
     q = one @ _check_rank(one, what)
     gram_q = np.swapaxes(q, 1, 2) @ (form.signs[:, None] * q)

@@ -20,9 +20,8 @@ from semiroll.homogeneous import (
 from semiroll.integrate import TimeGrid
 from semiroll.linalg import SignatureForm, random_motion, se_act, se_compose, se_inverse
 from semiroll.models import get_model
-from semiroll.models.hyperbolic import roll_hyperboloid
-from semiroll.models.sphere import chart_lift_matrix, embed_sphere, roll_sphere
-from semiroll.models.stiefel import roll_stiefel
+from semiroll.models.hyperbolic import kinematic_roll, roll_hyperboloid
+from semiroll.models.sphere import chart_lift_matrix, embed_sphere
 from semiroll.rolling import (
     no_slip_residual,
     no_twist_residuals,
@@ -156,8 +155,10 @@ def test_criterion_06_transport_cross_check(name, geodesic):
 
 def test_criterion_07_stiefel_column_matches_sphere():
     grid = TimeGrid(0.0, 1.3, 300)
-    sphere_path = roll_sphere(ControlCurve.from_function(grid, lambda t: np.array([0.0, -1.0])), grid)
-    stiefel_path = roll_stiefel(3, 1, ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.0])), grid)
+    sphere_path = kinematic_roll(get_model("sphere"),
+                                 ControlCurve.from_function(grid, lambda t: np.array([0.0, -1.0])))
+    stiefel_path = extrinsic_roll(get_model("stiefel_3_1"),
+                                  ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.0])))
     O = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
     worst = max(
         np.max(np.abs(stiefel_path.alpha - sphere_path.alpha @ O.T)),

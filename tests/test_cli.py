@@ -290,6 +290,39 @@ def test_bad_input_is_an_error_message_not_a_traceback(command, payload, tmp_pat
     assert "Traceback" not in err
 
 
+def _samples_config(values):
+    """A 100-step so_plus_1_2 config whose control is known only by its node ``values``."""
+    return {"model": "so_plus_1_2", "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 100},
+            "control": {"kind": "samples", "values": np.asarray(values).tolist()}}
+
+
+def _smooth_samples(n_rows=101, n_cols=3):
+    ts = np.linspace(0.0, 1.0, 101)[:n_rows]
+    return np.stack([0.4 * np.sin(2 * ts), -0.3 * np.cos(3 * ts), 0.25 * ts], 1)[:, :n_cols]
+
+
+def test_a_samples_control_rolls_and_verifies(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps(_samples_config(_smooth_samples())))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 0
+    *fields, verdict = capsys.readouterr().out.strip().splitlines()
+    assert verdict == "PASS" and len(fields) == 5
+    # the cubic through the samples is smooth: every residual sits far below 50 h^2
+    assert all(float(line.split()[1]) <= 1e-6 for line in fields), fields
+
+
+@pytest.mark.parametrize("values", [_smooth_samples(n_rows=100), _smooth_samples(n_cols=2)],
+                         ids=["rows", "columns"])
+def test_a_samples_control_of_the_wrong_shape_is_refused(values, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_samples_config(values)))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: control samples must be (101, 3)\n"
+
+
 @pytest.mark.parametrize("n_steps", [10.7, "10", True], ids=["float", "string", "bool"])
 def test_roll_refuses_a_non_integer_step_count(n_steps, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -4,7 +4,9 @@ The sphere and hyperboloid models double as fixtures here; anything
 model-specific beyond construction lives in the per-model test files.
 """
 
+import copy
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from semiroll.homogeneous import (
     transport_homogeneous,
 )
 from semiroll.models import (
+    EMBEDDING_BUNDLES,
     available_models,
     build_model,
     get_model,
@@ -140,6 +143,92 @@ def test_validate_refuses_a_transvection_off_the_horizontal_generator(name):
     model.transvection = lambda alpha, v: -honest(alpha, v)
     with pytest.raises(ValueError, match="transvection is not the horizontal generator"):
         model.validate()
+
+
+def _basis_edit(edit):
+    """A corruption of the description's basis: ``edit(basis, h, p)`` edits it in place."""
+    def corrupt(desc):
+        basis = np.array(desc["basis"])
+        edit(basis, desc["h_indices"], desc["p_indices"])
+        desc["basis"] = basis.tolist()
+    return corrupt
+
+
+def _swap_only(desc):
+    # the Stiefel d_e_rho without the parts that keep the tangent and the normal
+    # space: omega_basis vanishes, while the basis still brackets [p, p] into p
+    honest = get_model("stiefel_4_2")
+    P = honest.frame0 @ honest.cf0
+    Q = np.eye(P.shape[0]) - P
+    return {"d_e_rho": lambda X: P @ honest.d_e_rho(X) @ Q + Q @ honest.d_e_rho(X) @ P}
+
+
+def _bundle_edit(field, wrap):
+    """A corruption of one bundle callable: ``wrap(honest)`` replaces it."""
+    def corrupt(desc):
+        key = desc["embedding"].split(":", 1)[1]
+        return {field: wrap(EMBEDDING_BUNDLES[key](desc)[field])}
+    return corrupt
+
+
+# each case corrupts one field of a registered model's description or bundle;
+# a corruption returns the bundle callables it replaces
+VALIDATE_REFUSALS = {
+    "hh": ("so_plus_1_2", _basis_edit(lambda b, h, p: b.__setitem__(h[0], b[h[0]] + b[p[0]])),
+           "[h,h] is not contained in h"),
+    "hp": ("sphere", _basis_edit(lambda b, h, p: b.__setitem__(p[0], b[p[0]] + b[h[0]])),
+           "[h,p] is not contained in p"),
+    "pp": ("stiefel_4_2", _swap_only, "[p,p] is not contained in h but omega_basis vanishes"),
+    "orth": ("so_plus_1_2", _basis_edit(lambda b, h, p: b.__setitem__(p, 0.5 * (b[h] + b[p]))),
+             "h and p are not orthogonal under -Re tr(XY)"),
+    "isotropy": ("hyperboloid", lambda desc: desc.update(base_point=[0.3, 0.1]),
+                 "isotropy algebra does not fix the base point"),
+    "equivariance": ("sphere", _bundle_edit("action", lambda f: lambda g, z: np.conj(f(g, z))),
+                     "embedding is not equivariant"),
+    "homomorphism": ("sphere", _bundle_edit("d_e_rho", lambda f: lambda X: 2.0 * f(X)),
+                     "d_e_rho is not a Lie algebra homomorphism"),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_REFUSALS)
+def test_validate_refuses_each_broken_invariant(case, monkeypatch):
+    name, corrupt, message = VALIDATE_REFUSALS[case]
+    desc = copy.deepcopy(get_model(name).description)
+    key = desc["embedding"].split(":", 1)[1]
+    honest = EMBEDDING_BUNDLES[key]
+    replaced = corrupt(desc) or {}
+    monkeypatch.setitem(EMBEDDING_BUNDLES, key, lambda d: {**honest(d), **replaced})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build_model(desc, validate=True)
+
+
+def test_validate_refuses_a_p_metric_that_ad_h_moves():
+    # a bundle whose transvection passes fixes the tangent frame F0, and with
+    # it an Ad_H-invariant ip_p = F0^T J F0; so no corrupted description or
+    # bundle reaches this refusal, and the derived metric is corrupted instead
+    model = build_model(get_model("sphere").description)
+    model.validate()
+    model.ip_p = np.diag([2.0, 1.0]) @ model.ip_p @ np.diag([2.0, 1.0])
+    with pytest.raises(ValueError, match="^p-metric is not Ad_H-invariant$"):
+        model.validate()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda desc: desc.update(format_version=2), "unsupported model format_version: 2"),
+    (lambda desc: desc.pop("format_version"), "unsupported model format_version: None"),
+    (lambda desc: desc.update(embedding="module:riemann_sphere"),
+     "unknown embedding scheme: 'module:riemann_sphere'"),
+    (lambda desc: desc.update(embedding="builtin:torus"), "unknown embedding bundle: 'torus'"),
+    (lambda desc: desc.update(basis=np.array(desc["basis"])[..., 0].tolist()),
+     "complex basis must store [re, im] entry pairs"),
+], ids=["format_version", "no_format_version", "scheme", "bundle", "complex_basis"])
+def test_a_description_file_with_a_bad_header_is_refused_by_name(edit, message, tmp_path):
+    desc = sphere_description()
+    edit(desc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        get_model(path)
 
 
 def test_lift_rejects_mismatched_start(surface):
@@ -477,6 +566,42 @@ def test_out_of_range_family_sizes_reach_the_generators_checks():
         get_model("so_plus_-1_3")
     with pytest.raises(ValueError, match="1 <= k < n"):
         get_model("stiefel_-1_2")
+
+
+SIZED_GENERATORS = {"stiefel": (stiefel.description, "n", "k"),
+                    "so_plus": (pseudo_orthogonal.description, "p", "q")}
+
+
+@pytest.mark.parametrize("bad", [4.7, 1.9, 3.0, np.float64(4.0), True, "3"],
+                         ids=["4.7", "1.9", "3.0", "float64", "bool", "string"])
+@pytest.mark.parametrize("family", SIZED_GENERATORS)
+def test_generators_refuse_a_size_that_is_not_an_integer(family, bad):
+    # int() truncated 4.7 to 4 and 1.9 to 1, and so built stiefel_4_2 and so_plus_1_2
+    generator, first, second = SIZED_GENERATORS[family]
+    for sizes, name in (((bad, 2), first), ((4, bad), second)):
+        message = re.escape(f"{name} must be an integer, got {bad!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            generator(*sizes)
+
+
+def test_generators_take_numpy_integers_and_build_every_registered_name():
+    numpy_sized = [stiefel.description(np.int64(4), np.int32(2)),
+                   pseudo_orthogonal.description(np.int64(1), np.uint8(2))]
+    assert numpy_sized == [stiefel.description(4, 2), pseudo_orthogonal.description(1, 2)]
+    assert all(type(size) is int for desc in numpy_sized for size in desc["params"].values())
+    json.dumps(numpy_sized)
+    for name in {*available_models(), "so_plus_2_2", "so_plus_3_0", "stiefel_5_3"}:
+        assert get_model(name).name == name
+
+
+@pytest.mark.parametrize("roll", [horizontal_lift, extrinsic_roll, intrinsic_roll, kinematic_roll])
+def test_every_roll_refuses_a_control_of_another_model_by_one_check(roll):
+    model = get_model("so_plus_1_2")
+    short = ControlCurve(TimeGrid(0.0, 1.0, 50), np.zeros((51, 2)))
+    with pytest.raises(ValueError, match="^control has 2 components, model p-dimension is 3$"):
+        roll(model, short)
+    with pytest.raises(TypeError, match="^data must be a ControlCurve.*, got ndarray$"):
+        roll(model, short.coords)
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "stiefel_4_2"])

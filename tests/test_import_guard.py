@@ -3,8 +3,8 @@
 A fresh interpreter that imports the package, builds every named model and
 rolls and verifies every bundled config, as CSV and as JSON, must not import
 scipy.  With scipy blocked outright, the same run still works, and so do
-``CartanModel.validate`` on every named model, ``load_model_file`` on every
-bundled description file and the ``random_*`` draws.
+``CartanModel.validate`` on every named model, ``get_model`` of every
+bundled description file by path and the ``random_*`` draws.
 
 Every name in the ``__all__`` of every ``semiroll`` module resolves, so a
 deletion leaves no stale export behind.
@@ -65,7 +65,7 @@ sys.modules["scipy"] = None
 from importlib import resources
 import numpy as np
 from semiroll.linalg import random_motion
-from semiroll.models import available_models, get_model, load_model_file
+from semiroll.models import available_models, get_model
 
 rng = np.random.default_rng(7)
 for name in available_models():
@@ -76,7 +76,7 @@ for name in available_models():
 files = sorted(p for p in (resources.files("semiroll") / "models" / "data").iterdir()
                if p.name.endswith(".json"))
 for path in files:
-    load_model_file(path)
+    get_model(path)
 print(len(files))
 """ + GUARDED
     n_files, n_configs, scipy_modules = _run(code)

@@ -319,6 +319,31 @@ def test_reproject_refuses_far_from_group():
         reproject(np.diag([1.0, 1.0, 0.0]), form)
 
 
+_GRID4 = TimeGrid(0.0, 1.0, 4)
+_EUCLID2 = SignatureForm.from_pq(2, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reproject_info(2.0 * np.eye(2), _EUCLID2, max_iter=1),
+     "reprojection did not converge in 1 iterations (residual 5.625e-01)"),
+    (lambda: reproject_info(np.eye(3), _EUCLID2), "matrix shape does not match the form"),
+    (lambda: flow_matrix_ode(np.zeros((8, 2, 2)), np.eye(2), _GRID4, "left", _EUCLID2),
+     "need 9 samples at the grid's stage times, got shape (8, 2, 2)"),
+    (lambda: integrate_vector(np.zeros(10), _GRID4),
+     "need 9 samples at the grid's stage times, got shape (10,)"),
+    (lambda: flow_matrix_ode(np.zeros((9, 2, 2)), np.eye(2), _GRID4, "up", _EUCLID2),
+     "side must be 'left' or 'right'"),
+    (lambda: flow_matrix_ode(np.zeros((9, 2, 2)), np.eye(3), _GRID4, "left", _EUCLID2),
+     "generators and X0 must be square matrices of equal size"),
+    (lambda: flow_matrix_ode(np.zeros((9, 2, 3)), np.zeros((2, 3)), _GRID4, "left", _EUCLID2),
+     "generators and X0 must be square matrices of equal size"),
+], ids=["no_convergence", "form_size", "flow_samples", "quadrature_samples", "side",
+        "unequal_sizes", "not_square"])
+def test_integrator_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # the interpolant against scipy's not-a-knot spline, on the node counts the
 # package uses and the block edges of its Toeplitz solve (32 rows a block)
 @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])

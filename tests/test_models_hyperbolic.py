@@ -14,8 +14,6 @@ from semiroll.models.hyperbolic import (
     roll_hyperboloid,
     su11_coords,
 )
-from semiroll.models.sphere import roll_sphere
-from semiroll.models.stiefel import roll_stiefel
 
 
 def test_moebius_action_stays_in_disc():
@@ -93,45 +91,29 @@ def test_hyperboloid_roll_is_bit_for_bit_the_explicit_ubar_roll():
             assert np.array_equal(getattr(path, field), value), field
 
 
-@pytest.mark.parametrize("roll", ["kinematic", "sphere", "hyperboloid", "stiefel"])
-def test_a_grid_that_contradicts_the_data_is_refused(roll):
+def test_a_grid_that_contradicts_the_data_is_refused():
+    # roll_hyperboloid is the one roll entry point that takes a grid
     grid = TimeGrid(0.0, 1.0, 100)
     control = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.5 * t]))
-    calls = {
-        "kinematic": lambda g: kinematic_roll(get_model("sphere"), control, g),
-        "sphere": lambda g: roll_sphere(control, g),
-        "hyperboloid": lambda g: roll_hyperboloid(control, g),
-        "stiefel": lambda g: roll_stiefel(3, 1, control, g),
-    }
     for same in (None, grid, TimeGrid(0.0, 1.0, 100)):
-        assert calls[roll](same).n_nodes == 101
+        assert roll_hyperboloid(control, same).n_nodes == 101
     with pytest.raises(ValueError, match="contradicts"):
-        calls[roll](TimeGrid(0.0, 1.0, 50))
-    if roll == "stiefel":
-        curve = EmbeddedCurve(grid=grid, points=roll_stiefel(3, 1, control).alpha)
-        assert roll_stiefel(3, 1, curve, grid).n_nodes == 101
-        with pytest.raises(ValueError, match="contradicts"):
-            roll_stiefel(3, 1, curve, TimeGrid(0.0, 2.0, 100))
+        roll_hyperboloid(control, TimeGrid(0.0, 1.0, 50))
 
 
-@pytest.mark.parametrize("roll", ["kinematic", "sphere", "hyperboloid", "stiefel"])
+@pytest.mark.parametrize("roll", ["kinematic", "hyperboloid"])
 def test_raw_arrays_are_refused_by_the_accepted_types(roll):
     grid = TimeGrid(0.0, 1.0, 100)
     control = ControlCurve(grid, np.stack([np.ones(grid.n_nodes), 0.5 * grid.ts], 1))
-    points = roll_stiefel(3, 1, control).alpha
+    points = kinematic_roll(get_model("sphere"), control).alpha
     calls = {
-        "kinematic": lambda data: kinematic_roll(get_model("sphere"), data, grid),
-        "sphere": lambda data: roll_sphere(data, grid),
+        "kinematic": lambda data: kinematic_roll(get_model("sphere"), data),
         "hyperboloid": lambda data: roll_hyperboloid(data, grid),
-        "stiefel": lambda data: roll_stiefel(3, 1, data, grid),
     }
-    accepted = "a ControlCurve or EmbeddedCurve" if roll == "stiefel" else "a ControlCurve"
-    # raw control coordinates, (m, nk) and (m, n, k) frames; a curve is not a control
-    rejected = [control.coords, points, points[:, :, None]]
-    if roll != "stiefel":
-        rejected.append(EmbeddedCurve(grid, points))
-    for data in rejected:
-        with pytest.raises(TypeError, match=f"data must be {accepted}, got {type(data).__name__}"):
+    # raw control coordinates, (m, 3) and (m, 3, 1) points; a curve is not a control
+    for data in [control.coords, points, points[:, :, None], EmbeddedCurve(grid, points)]:
+        message = f"data must be a ControlCurve, got {type(data).__name__}"
+        with pytest.raises(TypeError, match=message):
             calls[roll](data)
 
 

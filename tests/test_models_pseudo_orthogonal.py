@@ -45,7 +45,7 @@ def test_constant_control_rolls_along_a_one_parameter_subgroup():
     grid = TimeGrid(0.0, 1.0, 250)
     coef = np.array([0.3, -0.2, 0.4])
     ctrl = ControlCurve.from_function(grid, lambda t: coef)
-    path = kinematic_roll(get_model("so_plus_2_1"), ctrl, grid)
+    path = kinematic_roll(get_model("so_plus_2_1"), ctrl)
     U = sum(c * B for c, B in zip(coef, so_pq_basis(2, 1)))
     expected = np.array([expm(2 * t * U).reshape(-1, order="F") for t in grid.ts])
     assert np.max(np.abs(path.alpha - expected)) <= 1e-10
@@ -60,7 +60,7 @@ def test_random_control_passes_the_condition_suite(p, q):
     amp = rng.standard_normal(model.p_dim) * 0.4
     frq = rng.uniform(0.5, 2.0, model.p_dim)
     ctrl = ControlCurve.from_function(grid, lambda t: amp * np.sin(frq * t))
-    path = kinematic_roll(model, ctrl, grid)
+    path = kinematic_roll(model, ctrl)
     report = model_residual_report(model, path)
     assert report.passed(50 * grid.h**2)
 
@@ -72,7 +72,7 @@ def test_roll_from_nonidentity_base_point():
     grid = TimeGrid(0.0, 1.0, 200)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.2, 0.5 * np.sin(t), -0.3]))
     moved = build_model(description(2, 1, base))
-    path = kinematic_roll(moved, ctrl, grid)
+    path = kinematic_roll(moved, ctrl)
     report = model_residual_report(moved, path)
     assert report.passed(50 * grid.h**2)
     assert np.max(np.abs(path.alpha[0] - base.reshape(-1, order="F"))) <= 1e-12

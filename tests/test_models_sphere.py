@@ -5,13 +5,13 @@ import pytest
 
 from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
 from semiroll.models import get_model
+from semiroll.models.hyperbolic import kinematic_roll
 from semiroll.models.sphere import (
     CHART_CONJUGATOR,
     SU2_BASIS,
     chart_lift_matrix,
     embed_sphere,
     hat,
-    roll_sphere,
     su2_coords,
 )
 
@@ -56,7 +56,7 @@ def test_chart_lift_matrix_is_special_unitary():
 def test_unit_control_rolls_along_a_great_circle():
     grid = TimeGrid(0.0, 2.0, 400)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.0]))
-    path = roll_sphere(ctrl, grid)
+    path = kinematic_roll(get_model("sphere"), ctrl)
     ts = grid.ts
     c, s = np.cos(ts), np.sin(ts)
     alpha = np.stack([-s, -c, np.zeros_like(ts)], axis=1)
@@ -76,7 +76,7 @@ def test_direct_roll_passes_the_condition_suite():
     model = get_model("sphere")
     grid = TimeGrid(0.0, 1.5, 300)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([np.sin(t), 0.5 * np.cos(3 * t)]))
-    report = model_residual_report(model, roll_sphere(ctrl, grid))
+    report = model_residual_report(model, kinematic_roll(model, ctrl))
     assert report.passed(50 * grid.h**2)
 
 
@@ -86,7 +86,7 @@ def test_direct_and_engine_rolls_coincide():
     model = get_model("sphere")
     grid = TimeGrid(0.0, 1.0, 200)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.8, -0.4 * np.sin(t)]))
-    direct = roll_sphere(ctrl, grid)
+    direct = kinematic_roll(model, ctrl)
     engine = extrinsic_roll(model, ctrl)
     assert np.max(np.abs(direct.alpha - engine.alpha)) <= 1e-7
     assert np.max(np.abs(direct.R - engine.R)) <= 1e-7

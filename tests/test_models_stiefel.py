@@ -6,10 +6,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from semiroll.homogeneous import ControlCurve, EmbeddedCurve, TimeGrid, model_residual_report
+from semiroll.homogeneous import (
+    ControlCurve,
+    EmbeddedCurve,
+    TimeGrid,
+    extrinsic_roll,
+    model_residual_report,
+)
 from semiroll.linalg import stacked_vec
 from semiroll.models import build_model, get_model
-from semiroll.models.stiefel import description, roll_stiefel
+from semiroll.models.stiefel import description
 
 
 def _projectors(model):
@@ -69,7 +75,7 @@ def test_rolling_passes_the_condition_suite(n, k):
     rng = np.random.default_rng(n * 10 + k)
     amp = rng.standard_normal(model.p_dim) * 0.4
     ctrl = ControlCurve.from_function(grid, lambda t: amp * np.cos(t + np.arange(model.p_dim)))
-    path = roll_stiefel(n, k, ctrl, grid)
+    path = extrinsic_roll(model, ctrl)
     report = model_residual_report(model, path)
     assert report.passed(50 * grid.h**2)
 
@@ -79,9 +85,9 @@ def test_roll_accepts_sampled_matrices():
     grid = TimeGrid(0.0, 1.0, 300)
     model = get_model("stiefel_4_2")
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.7, 0.0, 0.0, 0.0, 0.0]))
-    from_control = roll_stiefel(4, 2, ctrl, grid)
+    from_control = extrinsic_roll(model, ctrl)
     mats = from_control.alpha.reshape(grid.n_nodes, 2, 4).transpose(0, 2, 1)
-    from_samples = roll_stiefel(4, 2, EmbeddedCurve(grid, stacked_vec(mats)), grid)
+    from_samples = extrinsic_roll(model, EmbeddedCurve(grid, stacked_vec(mats)))
     assert np.max(np.abs(from_samples.alpha - from_control.alpha)) <= 1e-7
     assert np.max(np.abs(from_samples.R - from_control.R)) <= 1e-6
 

@@ -730,7 +730,7 @@ def _kinematic_case(name, grid):
     model = get_model(name)
     if name == "sphere":
         ctrl = _sinusoid(grid, 2, 3)
-        path = sphere.roll_sphere(ctrl)
+        path = hyperbolic.kinematic_roll(model, ctrl)
 
         def ubar(t):
             c = ctrl.func(t)

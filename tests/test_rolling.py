@@ -7,6 +7,7 @@ faults must surface in the one condition they violate.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -478,6 +479,27 @@ def test_frame_refusals_name_their_frame_path(check, defect, message):
     bad[3] = 0.0 if defect == "zero" else np.nan
     with pytest.raises(ValueError, match=f"^{label} {message}"):
         run(path, TangentFramePath(ft.ts, bad), ft, fn)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(11, 4, 2), (11, 2, 1)], ids=["wider", "narrower"])
+@pytest.mark.parametrize("check", FRAME_LABELS)
+def test_frames_of_another_ambient_dimension_are_refused_by_name(check, shape):
+    # the projectors refuse them before any product, not by numpy's broadcast error
+    path, ft, fn = _plane_on_plane(10)
+    run, label = FRAME_LABELS[check]
+    if check == "transport":
+        def run(path, bad, ft, fn):
+            return parallel_transport_embedded(bad.frames, np.eye(3)[0], EUCLID3)
+    expected = re.escape(f"{label} has shape {shape}, expected (n_nodes, 3, r)")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        run(path, TangentFramePath(ft.ts, np.ones(shape)), ft, fn)
+
+
+def test_transport_refuses_frames_that_are_not_a_stack_of_matrices():
+    with pytest.raises(ValueError, match=r"^transport frame has shape \(11, 3\), "
+                       r"expected \(n_nodes, 3, r\)$"):
+        parallel_transport_embedded(np.ones((11, 3)), np.eye(3)[0], EUCLID3)
 
 
 # a zero-stride broadcast of one frame (the flat development's frames) is
