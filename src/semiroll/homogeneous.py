@@ -35,7 +35,7 @@ from .rolling import (
     RollingMapPath,
     RollingTriple,
     TangentFramePath,
-    _projectors,
+    _span_factors,
     _transport_flow,
     rolling_condition_residuals,
 )
@@ -224,10 +224,11 @@ class CartanModel:
     rolling correction generators
     ``omega_basis[i] = -(P A_i P + (I - P) A_i (I - P))`` with P = ``frame0 cf0``
     the J-orthogonal tangent projector at the base point, built and refused
-    by ``rolling._projectors``, the one rule for a span under J: F0 must
+    by ``rolling._span_factors``, the one rule for a span under J: F0 must
     have full rank and the J-Gram of its orthonormal basis no |eigenvalue|
-    below that rule's bound.  The J-complement ``normal0`` shares that
-    smallest |eigenvalue|, so it needs no test of its own.
+    below that rule's bound.  Before it, a p element with d_e_rho(p_i) obar
+    = 0 is refused by its index, as one that belongs to h.  The J-complement
+    ``normal0`` shares that smallest |eigenvalue|, so it needs no test of its own.
     Omega = sum_i U_i omega_basis[i] cancels the part of d_e_rho(U) that keeps the tangent and the normal
     space; along a lift the rotation is the J-inverse of rho(q) S with
     S' = Omega S (Hüper, Kleinsteuber & Silva Leite, "Rolling Stiefel
@@ -271,7 +272,12 @@ class CartanModel:
         self.d_rho_p = d_rho_p = np.array([np.asarray(self.d_e_rho(self.basis[i]), dtype=float)
                                            for i in self.p_indices])
         self.frame0 = np.column_stack([A @ self.obar for A in d_rho_p])
-        P = _projectors(self.frame0[None], self.form, "embedded tangent frame")[0]
+        fixed = np.flatnonzero(~np.any(self.frame0, axis=0))
+        if fixed.size:
+            i = self.p_indices[fixed[0]]
+            raise ValueError(f"p element {i} fixes the base point (d_e_rho(p_{i}) obar = 0): "
+                             "it belongs to h")
+        P = _span_factors(self.frame0[None], self.form, "embedded tangent frame")[0][0]
         self.ip_p = self.frame0.T @ (self.form.signs[:, None] * self.frame0)
         d_inv = np.linalg.inv(self.d_e_pi)
         self.target_gram = d_inv.T @ self.ip_p @ d_inv

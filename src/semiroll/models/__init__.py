@@ -124,8 +124,10 @@ def get_model(name):
             return _CACHE[name]
         desc = _description_for(name)
         if desc is not None:
-            model = _CACHE[name] = build_model(desc)
-            return model
+            # under the canonical name, so "so_plus_01_2" is "so_plus_1_2"
+            if desc["name"] not in _CACHE:
+                _CACHE[desc["name"]] = build_model(desc)
+            return _CACHE[desc["name"]]
         if Path(name).is_file():
             with open(name) as fh:
                 return build_model(json.load(fh), validate=True)

@@ -45,6 +45,9 @@ __all__ = [
 FRAME_COND_MAX = 1e6
 COMPOSE_CURVE_TOL = 1e-8
 NORMAL_GENERATOR_TOL = 1e-8
+# ``_once`` keeps the factors of this many constant frames: a process rolls a few models
+_FACTORED_MAX = 64
+_FACTORED = {}
 
 
 @dataclass
@@ -235,30 +238,46 @@ def _orthonormal_bases(frames, what):
     return q @ np.swapaxes(_lower_inverse(second), 1, 2)
 
 
-def _once(frames):
-    """``frames[:1]`` for a zero-stride stack (a broadcast of one frame), else ``frames``.
+def _once(build, frames, form, what):
+    """``build(frames, form, what)``, a tuple of arrays, built once per distinct constant frame.
 
-    The flat development's frames are such broadcasts, so they are factored
-    once and broadcast back; reading the strides costs nothing per node.  A
-    non-finite broadcast is refused at node 0.
+    A zero-stride stack (a broadcast of one frame, as the flat development's
+    frames are) is built as ``frames[:1]``.  The result is kept read-only
+    under ``build``, the frame's shape and bytes and the form's signs, and
+    every later call with the same frame reuses it; reading the strides
+    costs nothing per node.  A moving stack is built on every call.  A
+    refusal keeps nothing, so a refused frame is refused on every call, a
+    broadcast one at node 0.  The oldest of ``_FACTORED_MAX`` kept frames
+    makes room for a new one.
     """
-    return frames[:1] if frames.strides[0] == 0 else frames
+    if frames.strides[0] != 0:
+        return build(frames, form, what)
+    one = frames[:1]
+    key = (build, one.shape, one.tobytes(), form.signs.tobytes())
+    value = _FACTORED.get(key)
+    if value is None:
+        value = build(one, form, what)
+        for array in value:
+            array.flags.writeable = False
+        if len(_FACTORED) >= _FACTORED_MAX:
+            _FACTORED.pop(next(iter(_FACTORED), None), None)
+        _FACTORED[key] = value
+    return value
 
 
-def _projectors(frames, form, what="frame"):
-    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``.
+def _span_factors(frames, form, what):
+    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``,
+    and the frames' Euclidean-normalized columns.
 
-    Returns an (n_nodes, N, N) array; for a constant stack it is a read-only
-    broadcast of the one projector, built and tested once.  A node whose
-    span is numerically null under J is refused: with Q the orthonormal basis
-    ``_check_rank`` gives, Q^T J Q has eigenvalues in [-1, 1], and
-    1 / min |eigenvalue|, a bound on the projector's norm, may be at most
-    FRAME_COND_MAX.  Frames not of shape (n_nodes, form.dim, r) are refused.
+    A node whose span is numerically null under J is refused: with Q the
+    orthonormal basis ``_check_rank`` gives, Q^T J Q has eigenvalues in
+    [-1, 1], and 1 / min |eigenvalue|, a bound on the projector's norm, may
+    be at most FRAME_COND_MAX.  Frames not of shape (n_nodes, form.dim, r)
+    are refused.
     """
     if frames.ndim != 3 or frames.shape[1] != form.dim:
         raise ValueError(f"{what} has shape {frames.shape}, expected (n_nodes, {form.dim}, r)")
-    one = _once(frames)
-    q = one @ _check_rank(one, what)
+    q = frames @ _check_rank(frames, what)
     gram_q = np.swapaxes(q, 1, 2) @ (form.signs[:, None] * q)
     with np.errstate(divide="ignore"):
         conds = 1.0 / np.min(np.abs(np.linalg.eigvalsh(gram_q)), axis=-1, initial=np.inf)
@@ -267,9 +286,26 @@ def _projectors(frames, form, what="frame"):
         k = int(bad[0])
         raise ValueError(f"{what} Gram matrix is singular under the ambient form at node {k} "
                          f"(condition number {conds[k]:.1e})")
-    ft_j = np.swapaxes(one, 1, 2) * form.signs
-    proj = one @ np.linalg.solve(ft_j @ one, ft_j)
+    ft_j = np.swapaxes(frames, 1, 2) * form.signs
+    return (frames @ np.linalg.solve(ft_j @ frames, ft_j),
+            frames / np.linalg.norm(frames, axis=1, keepdims=True))
+
+
+def _projectors(frames, form, what="frame"):
+    """The read-only (n_nodes, N, N) projectors of ``_span_factors``.
+
+    For a constant stack this is a broadcast of the one projector ``_once`` keeps.
+    """
+    proj = _once(_span_factors, frames, form, what)[0]
     return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
+
+
+def _complements(frames, form, what):
+    """``(C,)``, C orthonormal bases (n_nodes, N, N - r) of the spans' Euclidean complements.
+
+    ``stacked_null_spaces`` of the CholeskyQR2 bases; ``form`` is not read.
+    """
+    return (stacked_null_spaces(np.swapaxes(_orthonormal_bases(frames, what), 1, 2)),)
 
 
 def _node_norms(vectors):
@@ -294,10 +330,10 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     largest eigenvalue of the smaller Gram matrix of E = C^T Q1, E E^T
     (c x c) when c <= r, else E^T E (r x r).  That is 1 x 1 on the sphere,
     the hyperboloid and stiefel_3_1, and a frame with c = 0 (r = N) reads 0
-    at every node.  C is built once per distinct F_Mhat node
-    (``stacked_null_spaces`` of Q2^T): a constant F_Mhat (the flat
-    development's frame, a zero-stride broadcast) is factored, tested and
-    completed once, and its one complement is broadcast over the nodes.
+    at every node.  C is ``stacked_null_spaces`` of Q2^T at every F_Mhat
+    node; a constant F_Mhat (the flat development's frame, a zero-stride
+    broadcast) is factored, tested and completed once per distinct frame
+    (``_once``), and its one complement is broadcast over the nodes.
     This keeps full accuracy at small angles and matches the largest entry
     of scipy's ``subspace_angles`` to rounding below 45 degrees; towards
     pi/2 arcsin loses accuracy, to about 1e-9 within 1e-6 of pi/2 and 4e-8
@@ -312,8 +348,7 @@ def tangency_residual(path, tangent_m, tangent_mhat):
     with np.errstate(invalid="ignore"):
         mapped = path.R @ tangent_m.frames
     q1 = _orthonormal_bases(mapped, "tangency: R(t) F_M(t)")
-    q2 = _orthonormal_bases(_once(tangent_mhat.frames), "tangency: F_Mhat(t)")
-    complement = stacked_null_spaces(np.swapaxes(q2, 1, 2))
+    (complement,) = _once(_complements, tangent_mhat.frames, path.form, "tangency: F_Mhat(t)")
     e = np.swapaxes(complement, 1, 2) @ q1
     et = np.swapaxes(e, 1, 2)
     # with c = 0 the eigenvalue stack is empty and every node reads 0
@@ -356,23 +391,20 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     tangent and normal spaces of the development: W T_hat must have no
     tangential component and W N_hat no normal component.  Residuals are
     measured on Euclidean-normalized frame columns through the J-orthogonal
-    projectors of the respective subspaces.  ``W`` is the path's
+    projectors of the respective subspaces; a constant frame's are built
+    once per distinct frame (``_once``).  ``W`` is the path's
     ``_rotation_generator`` when the caller has it.
     """
     if W is None:
         W = _rotation_generator(path)
-    p_tan = _projectors(tangent_mhat.frames, path.form, "no twist: tangent development frame")
-    p_nor = _projectors(normal_mhat.frames, path.form, "no twist: normal development frame")
 
-    def _defect(frames, projector):
-        one = _once(frames)
-        cols = one / np.linalg.norm(one, axis=1, keepdims=True)
+    def _defect(frames, what):
+        projector, cols = _once(_span_factors, frames, path.form, f"no twist: {what} frame")
         comp = projector @ (W @ cols)
         return np.max(np.linalg.norm(comp, axis=1), axis=-1)
 
-    tan = _defect(tangent_mhat.frames, p_tan)
-    nor = _defect(normal_mhat.frames, p_nor)
-    return tan, nor
+    return (_defect(tangent_mhat.frames, "tangent development"),
+            _defect(normal_mhat.frames, "normal development"))
 
 
 def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):

@@ -81,6 +81,34 @@ def test_correction_span_times_both_rolls_on_a_non_symmetric_model():
     assert [name for name, *_ in tracer.spans].count("models.stiefel.correction") == 2
 
 
+def test_report_spans_are_children_of_the_report_span():
+    # the verify per-layer metrics read these spans' self times; a report
+    # routed around them would move its time into the report's own
+    import numpy as np
+    from semiroll import homogeneous
+    from semiroll.homogeneous import ControlCurve, extrinsic_roll
+    from semiroll.integrate import TimeGrid
+    from semiroll.models import get_model
+
+    model = get_model("so_plus_1_2")
+    grid = TimeGrid(0.0, 1.0, 40)
+    path = extrinsic_roll(model, ControlCurve.from_function(
+        grid, lambda t: 0.4 * np.sin(t + np.arange(model.p_dim))))
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        # read off the module, where the tracer rebinds it
+        homogeneous.model_residual_report(model, path)
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    report = names.index("homogeneous.model_residual_report")
+    for span in ("rolling.tangency_residual", "rolling.no_twist_residuals",
+                 "rolling.no_slip_residual", "rolling.rolling_point_residual"):
+        assert names.count(span) == 1, span
+        assert tracer.spans[names.index(span)][3] == report, span
+
+
 def test_workload_module_imports():
     assert callable(_load("workloads").roll_ops)
 

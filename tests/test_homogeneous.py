@@ -31,7 +31,7 @@ from semiroll.models import (
     pseudo_orthogonal,
     stiefel,
 )
-from semiroll import homogeneous, rolling
+from semiroll import homogeneous, models, rolling
 from semiroll.linalg import (
     SignatureForm,
     expm,
@@ -46,6 +46,7 @@ from semiroll.rolling import (
     no_slip_residual,
     no_twist_residuals,
     parallel_transport_embedded,
+    perturb_normal_generator,
     rolling_point_residual,
     triple_gram_residual,
     triple_velocity_residual,
@@ -479,7 +480,31 @@ def test_a_spacelike_one_dimensional_tangent_frame_builds():
 def test_a_tangent_frame_with_a_zero_column_is_refused():
     desc = stiefel.description(4, 2)
     desc["basis"][1] = np.zeros((4, 4)).tolist()
+    with pytest.raises(ValueError, match=re.escape(
+            "p element 1 fixes the base point (d_e_rho(p_1) obar = 0): it belongs to h")):
+        build_model(desc)
+
+
+def test_a_rank_deficient_tangent_frame_is_refused():
+    desc = stiefel.description(4, 2)
+    p = desc["p_indices"]
+    desc["basis"][p[1]] = (2.0 * np.array(desc["basis"][p[0]])).tolist()
     with pytest.raises(ValueError, match="^embedded tangent frame is rank deficient at node 0"):
+        build_model(desc)
+
+
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("j", range(3))
+def test_a_wrong_h_p_split_is_refused_by_the_moved_element(i, j):
+    # an h element moved into p fixes obar, so its tangent column is exactly zero
+    desc = pseudo_orthogonal.description(1, 2)
+    h, p = list(desc["h_indices"]), list(desc["p_indices"])
+    h[i], p[j] = p[j], h[i]
+    desc.update(h_indices=h, p_indices=p)
+    moved = p[j]
+    with pytest.raises(ValueError, match=re.escape(
+            f"p element {moved} fixes the base point (d_e_rho(p_{moved}) obar = 0): "
+            "it belongs to h")):
         build_model(desc)
 
 
@@ -566,6 +591,16 @@ def test_out_of_range_family_sizes_reach_the_generators_checks():
         get_model("so_plus_-1_3")
     with pytest.raises(ValueError, match="1 <= k < n"):
         get_model("stiefel_-1_2")
+
+
+@pytest.mark.parametrize("alias, name", [("so_plus_01_2", "so_plus_1_2"),
+                                         ("stiefel_04_002", "stiefel_4_2"),
+                                         ("so_plus_002_0002", "so_plus_2_2")])
+def test_a_family_name_with_leading_zeros_is_the_one_cached_model(alias, name):
+    # either name first: the model is built once, under its canonical name
+    assert get_model(alias) is get_model(name) is get_model(alias)
+    assert get_model(alias).name == name
+    assert alias not in models._CACHE
 
 
 SIZED_GENERATORS = {"stiefel": (stiefel.description, "n", "k"),
@@ -774,19 +809,36 @@ def test_interpolated_control_is_evaluated_in_one_call(n_steps):
 def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
     model = get_model(name)
     path = _sinusoid_roll(model, "closed_form")
-    check_rank, development = rolling._check_rank, []
+    check_rank, null_spaces, development = rolling._check_rank, rolling.stacked_null_spaces, []
 
     def recording_check(a, what):
-        for frame in (model.frame0, model.normal0):
-            if a.shape[1:] == frame.shape and np.array_equal(a, np.broadcast_to(frame, a.shape)):
-                development.append(a.shape[0])
+        if any(a.shape[1:] == frame.shape and np.array_equal(a, np.broadcast_to(frame, a.shape))
+               for frame in (model.frame0, model.normal0)):
+            development.append(("rank", a.shape[0]))
         return check_rank(a, what)
 
+    def recording_null_spaces(rows):
+        # the complement is taken of the target's orthonormal basis, not of frame0
+        if rows.shape[0] == 1:
+            development.append(("complement", 1))
+        return null_spaces(rows)
+
+    monkeypatch.setattr(rolling, "_FACTORED", {})
     monkeypatch.setattr(rolling, "_check_rank", recording_check)
+    monkeypatch.setattr(rolling, "stacked_null_spaces", recording_null_spaces)
     report = model_residual_report(model, path)
     # the tangency target and both no-twist projectors, one node each
-    assert development == [1, 1, 1]
+    assert development == [("rank", 1), ("complement", 1), ("rank", 1), ("rank", 1)]
     assert report.max_residual() <= 50 * path.grid.h ** 2
+    # a second report reuses all three, and so does a twist injection
+    del development[:]
+    again = model_residual_report(model, path)
+    perturb_normal_generator(path, np.zeros((model.ambient_dim,) * 2),
+                             model.flat_tangent_frames(path.grid),
+                             model.flat_normal_frames(path.grid))
+    assert development == []
+    for field, values in report.per_node.items():
+        assert np.array_equal(again.per_node[field], values), field
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",

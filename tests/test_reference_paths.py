@@ -1523,11 +1523,16 @@ def test_one_projector_tangency_matches_the_two_product_sines(name, n_steps):
     assert _peak(tangency_residual(path, tangent_m, target), reference) <= 1e-15
 
 
+def _one_frame(frames):
+    # the frame a zero-stride broadcast repeats, or the whole moving stack
+    return frames[:1] if frames.strides[0] == 0 else frames
+
+
 def _projector_eigenproblem_tangency_reference(path, tangent_m, tangent_mhat):
     """The tangency before the complement side: the largest eigenvalue of the r x r
     matrix D^T D, D = (I - Q2 Q2^T) Q1, with one N x N projector for a constant target."""
     q1 = rolling._orthonormal_bases(path.R @ tangent_m.frames, "tangency: R(t) F_M(t)")
-    q2 = rolling._orthonormal_bases(rolling._once(tangent_mhat.frames), "tangency: F_Mhat(t)")
+    q2 = rolling._orthonormal_bases(_one_frame(tangent_mhat.frames), "tangency: F_Mhat(t)")
     d = (np.eye(q2.shape[1]) - q2 @ np.swapaxes(q2, 1, 2)) @ q1
     largest = np.linalg.eigvalsh(np.swapaxes(d, 1, 2) @ d)[:, -1]
     return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
@@ -1543,6 +1548,47 @@ def test_complement_tangency_matches_the_projector_eigenproblem(name, n_steps):
     target = model.flat_tangent_frames(grid)
     reference = _projector_eigenproblem_tangency_reference(path, tangent_m, target)
     assert _peak(tangency_residual(path, tangent_m, target), reference) <= 5e-16
+
+
+def _faulted(model, path, fault):
+    """``path`` with a criterion-09 normal twist or an eps sin^2(pi t) slip of the development."""
+    grid = path.grid
+    if fault == "twist":
+        N0 = model.normal0
+        raw = np.random.default_rng(9).standard_normal((N0.shape[1],) * 2)
+        # N0 X N0^T J with X skew is J-skew, kills the tangent space and keeps the normal one
+        omega = N0 @ (0.7 * (raw - raw.T)) @ N0.T * model.form.signs
+        return perturb_normal_generator(path, omega, model.flat_tangent_frames(grid),
+                                        model.flat_normal_frames(grid))
+    v = model.frame0 @ np.linspace(1.0, 0.5, model.p_dim)
+    bump = 1e-2 * np.sin(np.pi * grid.ts) ** 2
+    alpha_hat = path.alpha_hat + bump[:, None] * v / np.linalg.norm(v)
+    return RollingMapPath(grid=grid, R=path.R, alpha=path.alpha, alpha_hat=alpha_hat,
+                          s=alpha_hat - np.einsum("kij,kj->ki", path.R, path.alpha),
+                          form=path.form)
+
+
+@pytest.mark.parametrize("fault", ["clean", "twist", "slip"])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS + ("stiefel_5_3",))
+def test_kept_constant_frame_factors_match_a_cleared_cache(name, fault, monkeypatch):
+    # the second report reads the one-frame factors the first one kept; the
+    # third factors them again from an empty cache, as every report once did
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 250)
+    path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 13))
+    if fault != "clean":
+        path = _faulted(model, path, fault)
+    model_residual_report(model, path)
+    kept = model_residual_report(model, path)
+    monkeypatch.setattr(rolling, "_FACTORED", {})
+    cleared = model_residual_report(model, path)
+    assert set(kept.per_node) == set(cleared.per_node)
+    for field, values in cleared.per_node.items():
+        assert np.array_equal(kept.per_node[field], values), field
+    # a one-dimensional normal space has no twist
+    expected = {"clean": set(), "slip": {"no_slip"},
+                "twist": {"no_twist_norm"} if model.normal0.shape[1] > 1 else set()}[fault]
+    assert {f for f, v in cleared.per_node.items() if np.max(v) > 50 * grid.h ** 2} == expected
 
 
 def _triple_gram_einsum_reference(triple):
@@ -1684,7 +1730,7 @@ def test_cholesky_tangency_matches_the_qr_svd_reference(signs, r, target, cond, 
         frames_m = TangentFramePath(frames_m.ts, j_transpose_inverse(path.R, path.form) @ mapped)
     else:
         # a constant target stays one broadcast frame
-        bent = _ill_conditioned(rolling._once(frames_hat.frames), cond, 3)
+        bent = _ill_conditioned(_one_frame(frames_hat.frames), cond, 3)
         frames_hat = TangentFramePath(frames_hat.ts,
                                       np.broadcast_to(bent, frames_hat.frames.shape))
     assert (frames_hat.frames.strides[0] == 0) == (target == "constant")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiroll import rolling
 from semiroll.integrate import TimeGrid
 from semiroll.linalg import SignatureForm, random_oriented_isometry
 from semiroll.rolling import (
@@ -564,3 +565,76 @@ def test_null_development_frames_have_a_singular_gram(node):
         no_twist_residuals(path, ft, TangentFramePath(ft.ts, bad))
     with pytest.raises(ValueError, match="^transport frame Gram matrix is singular"):
         parallel_transport_embedded(bad, bad[0][:, 0], form)
+
+
+# -- the factors of a constant development frame are kept across calls ----------
+
+
+def _tilted(frame, angle):
+    """``frame`` turned by ``angle`` in the plane of its first and last rows."""
+    c, s_ = np.cos(angle), np.sin(angle)
+    turn = np.eye(frame.shape[0])
+    turn[[0, 0, -1, -1], [0, -1, 0, -1]] = c, -s_, s_, c
+    return turn @ frame
+
+
+def _broadcast(frame, like):
+    return TangentFramePath(like.ts, np.broadcast_to(frame, like.frames.shape))
+
+
+def test_a_changed_constant_frame_misses_the_kept_factors(monkeypatch):
+    monkeypatch.setattr(rolling, "_FACTORED", {})
+    path, fm, ft, fn = _sphere_equator(40)
+    first = rolling_condition_residuals(path, fm, _broadcast(ft.frames[0], ft),
+                                        _broadcast(fn.frames[0], fn))
+    # the tangency complement and both no-twist projectors
+    assert len(rolling._FACTORED) == 3
+    tilted = (_broadcast(_tilted(ft.frames[0], 0.01), ft),
+              _broadcast(_tilted(fn.frames[0], 0.01), fn))
+    changed = rolling_condition_residuals(path, fm, *tilted)
+    assert len(rolling._FACTORED) == 6
+    # the tilted frames are factored as their copied, moving stacks are, node by node
+    moving = [TangentFramePath(f.ts, np.array(f.frames)) for f in tilted]
+    reference = rolling_condition_residuals(path, fm, *moving)
+    for field, values in reference.per_node.items():
+        assert np.array_equal(changed.per_node[field], values), field
+    assert changed.tangency > first.tangency + 1e-3
+    assert changed.no_twist_tan > first.no_twist_tan + 1e-3
+
+
+# a Lorentz-null plane, e1 + e3 and e2 under diag(1, 1, -1): its J-Gram is singular
+NULL_PLANE = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check, defect", [
+    *((check, defect) for check in ("tangency_mhat", "no_twist", "perturb")
+      for defect in ("zero", "cond_1e14", "nan")),
+    ("no_twist", "null"), ("perturb", "null")])
+def test_a_refused_constant_frame_is_refused_on_every_call(check, defect, monkeypatch):
+    monkeypatch.setattr(rolling, "_FACTORED", {})
+    path, ft, fn = _plane_on_plane(10)
+    if defect == "null":
+        path.form = SignatureForm(np.array([1.0, 1.0, -1.0]))
+        frame, message = NULL_PLANE, "Gram matrix is singular under the ambient form at node 0"
+    else:
+        frame, message = DEGENERATE_FRAMES[defect]
+        message = f"{message} 0\\b"
+    bad = _broadcast(np.asarray(frame, dtype=float), ft)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            FRAME_CHECKS[check](path, bad, ft, fn)
+    assert rolling._FACTORED == {}
+
+
+def test_kept_factors_are_read_only(monkeypatch):
+    monkeypatch.setattr(rolling, "_FACTORED", {})
+    path, fm, ft, fn = _sphere_equator(40)
+    flat_t = _broadcast(ft.frames[0], ft)
+    rolling_condition_residuals(path, fm, flat_t, _broadcast(fn.frames[0], fn))
+    kept = [array for value in rolling._FACTORED.values() for array in value]
+    # one complement, and a projector and unit columns for each no-twist frame
+    assert len(kept) == 5
+    for array in kept + [rolling._projectors(flat_t.frames, EUCLID3)]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
