@@ -164,6 +164,9 @@ def cmd_roll(args):
     if mode == "intrinsic" and "normal_strategy" in cfg:
         _fail("'normal_strategy' applies to extrinsic rolls only; remove it from an "
               "intrinsic config")
+    if "curve" in cfg and "normal_strategy" in cfg:
+        _fail("'normal_strategy' applies to controls only: a sampled curve rolls by "
+              "transport; remove it from a curve config")
     data = _build_input(cfg, grid, model)
     strategy = cfg.get("normal_strategy", "closed_form")
     try:
@@ -185,7 +188,7 @@ def cmd_roll(args):
         "ambient_dim": model.ambient_dim,
         "k_dim": model.p_dim,
     }
-    if mode == "extrinsic":
+    if mode == "extrinsic" and "control" in cfg:
         meta["normal_strategy"] = strategy
     # an intrinsic roll holds A as its tangential ``maps``
     arrays = {"t": grid.ts, **{key: getattr(result, "maps" if key == "A" else key)

@@ -3,16 +3,16 @@
 A curved space enters as a ``CartanModel``: a matrix realization of a Lie
 algebra with a declared h/p splitting, an equivariant isometric embedding of
 M = G/H into a flat ambient space V, and the linearization of the G-action
-on V.  Everything downstream is sampled on uniform grids: horizontal lifts
-integrate ``qdot = q U(t)`` with U(t) in p (a sampled curve integrates the
-equivalent linear flow ``qdot = X(t) q``, X the transvection along the
-curve, on every model), and one assembly builds the extrinsic rolling
-map along the lift, its rotation the J-inverse of the ambient representation
-(times the correction S(t) that a non-symmetric space derives from its own
-``d_e_rho``) and its development the exact integral of the spline through
-R(t) alpha'(t).  The intrinsic rolling is the tangential part of that map,
-built on its own from the same lift: only the (k, N) maps and a
-k-dimensional development.
+on V.  Everything downstream is sampled on uniform grids.  A control rolls
+along its horizontal lift, ``qdot = q U(t)`` with U(t) in p: the rotation is
+the J-inverse of the ambient representation (times the correction S(t) that
+a non-symmetric space derives from its own ``d_e_rho``).  A sampled curve on
+the manifold rolls by parallel transport alone (Hüper & Silva Leite, 2007):
+the rotation is the J-inverse of the group flow that transports the whole
+ambient frame along the curve's tangent spaces, and needs no lift.  Either
+way the development is the exact integral of the spline through
+R(t) alpha'(t), and the intrinsic rolling is the tangential part of the map,
+built on its own: only the (k, N) maps and a k-dimensional development.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .integrate import (
     NotAKnotCubic,
     TimeGrid,
     dense_from_samples,
-    derivative_interpolant,
     fd_derivative,
     flow_matrix_ode,
 )
@@ -53,8 +52,13 @@ __all__ = [
     "model_residual_report",
 ]
 
-LIFT_TRACK_TOL = 1e-8
-TANGENT_FIT_TOL = 1e-8
+# a sampled point x lies on the manifold, and at the projection of q0, within
+# CURVE_TOL max(1, |x|^2): the defining equations are quadratic in x
+CURVE_TOL = 1e-8
+# a sampled step jumps where its chord x_{k+1} - x_k and the trapezoid h/2 (x'_k +
+# x'_{k+1}) of the differenced velocity differ by more than CHORD_TOL h^2 times the
+# longest chord, plus CURVE_TOL max(1, |x_k|); on a smooth curve they differ by h^3 x'''/12
+CHORD_TOL = 50.0
 MODEL_CHECK_TOL = 1e-10
 
 
@@ -144,9 +148,8 @@ class EmbeddedCurve:
 class GroupPath:
     """Sampled path in the structure group, optionally with its control.
 
-    A control-driven lift also carries ``stage_coords``, the control's
-    ``stage_coords()`` it integrated, so a later flow along the same control
-    need not read it again.
+    A lift also carries ``stage_coords``, the control's ``stage_coords()`` it
+    integrated, so a later flow along the same control need not read it again.
     """
 
     grid: TimeGrid
@@ -201,18 +204,11 @@ class CartanModel:
         under LAPACK's convention, vectorised over the nodes, whose basis is
         the one scipy's ``null_space`` (an SVD) returns for that node, signs
         included.  The signs may change from node to node.
-    transvection : callable
-        Stacked transvections: points alpha (m, N) of the embedded manifold
-        and tangent vectors v (m, N) there -> the (m, d, d) algebra elements
-        X = q U q^{-1}, U in p, in the matrix realization of the group, that
-        generate the horizontal motion through alpha = rho(q) obar with
-        velocity v = rho(q) d_e_rho(U) obar; a horizontal lift of the curve
-        solves q' = X q.  On every reductive model Ad_H p = p, so X depends
-        only on alpha and v, not on the lift q.  The sphere and the
-        hyperboloid are built by one quadric construction
-        (``hyperbolic.quadric_bundle``) and share ``quadric_transvection``,
-        a formula in the cross product alpha x v; SO+(p,q) and the Stiefel
-        manifolds have closed forms of their own.
+    constraint : callable
+        The defining equations, stacked: an (m, N) array of ambient points
+        -> an (m, c) array that vanishes exactly where a point lies on the
+        embedded manifold.  A sampled curve is refused at the first node
+        where it does not (``CURVE_TOL``).
 
     Everything else is *derived*, not declared: the embedded base point
     ``obar = embed(base_point)``, the random points of ``random_point`` (the
@@ -242,7 +238,7 @@ class CartanModel:
     """
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
-                 base_point, d_e_pi, rho, d_e_rho, action, embed, transvection,
+                 base_point, d_e_pi, rho, d_e_rho, action, embed, constraint,
                  tangent_frame_at, params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
@@ -262,7 +258,7 @@ class CartanModel:
         self.action = action
         self.embed = embed
         self.tangent_frame_at = tangent_frame_at
-        self.transvection = transvection
+        self.constraint = constraint
         self.params = dict(params or {})
         self.description = description
 
@@ -367,11 +363,12 @@ class CartanModel:
         Bracket closures of the h/p splitting, h perpendicular to p, isotropy
         of the base point, J-orthogonality and equivariance of the ambient
         representation (on four random samples), the homomorphism property of
-        d_e_rho, the transvection map against the horizontal generator, and
-        Ad_H-invariance of the derived p-metric.  A broken [p,p] subset h is
-        refused only where ``omega_basis`` vanishes (``symmetric_space``);
-        a model with a correction of its own only reports it under ``"pp"``.
-        Returns the measured defects.
+        d_e_rho, the bundle's ``constraint`` at the base point and at its four
+        sampled images rho(q) obar (and that it does not vanish at 2 obar), and Ad_H-invariance of the derived
+        p-metric.  A broken [p,p] subset h is refused only where
+        ``omega_basis`` vanishes (``symmetric_space``); a model with a
+        correction of its own only reports it under ``"pp"``.  Returns the
+        measured defects.
         """
         rng = np.random.default_rng(2357)
         defects = {}
@@ -417,7 +414,7 @@ class CartanModel:
         equiv = 0.0
         jorth = 0.0
         hom = 0.0
-        transv = 0.0
+        orbit = [self.obar]
         for _ in range(4):
             q = self.random_group_element(rng)
             pt = self.random_point(rng)
@@ -427,13 +424,7 @@ class CartanModel:
             norm = max(1.0, float(np.linalg.norm(rhs)))
             equiv = max(equiv, float(np.linalg.norm(lhs - rhs)) / norm)
             jorth = max(jorth, j_orthogonality_residual(rq, self.form))
-            # the transvection at rho(q) obar along rho(q) d_e_rho(U) obar is
-            # the horizontal generator q U q^{-1}
-            U = self.p_element(rng.standard_normal(self.p_dim))
-            vel = rq @ np.asarray(self.d_e_rho(U), dtype=float) @ self.obar
-            gen = self.transvection((rq @ self.obar)[None], vel[None])[0]
-            expect = q @ U @ np.linalg.inv(q)
-            transv = max(transv, peak(gen - expect) / max(1.0, peak(expect)))
+            orbit.append(rq @ self.obar)
             cx = rng.standard_normal(self.basis.shape[0])
             cy = rng.standard_normal(self.basis.shape[0])
             X = np.tensordot(cx, self.basis, axes=(0, 0))
@@ -445,15 +436,19 @@ class CartanModel:
         defects["equivariance"] = equiv
         defects["rho_orthogonality"] = jorth
         defects["d_e_rho_homomorphism"] = hom
-        defects["transvection"] = transv
+        defects["constraint"] = con = float(np.max(_constraint_defects(self, np.array(orbit))))
         if equiv > 1e-10:
             raise ValueError(f"embedding is not equivariant (defect {equiv:.3e})")
         if jorth > 1e-9:
             raise ValueError("ambient representation does not preserve the form")
         if hom > 1e-8:
             raise ValueError("d_e_rho is not a Lie algebra homomorphism")
-        if transv > 1e-8:
-            raise ValueError(f"transvection is not the horizontal generator (defect {transv:.3e})")
+        if not con <= CURVE_TOL:
+            raise ValueError(f"constraint does not vanish on the orbit of the base point "
+                             f"(defect {con:.3e})")
+        off = float(_constraint_defects(self, 2.0 * self.obar[None, :])[0])
+        if not off > CURVE_TOL:
+            raise ValueError(f"constraint vanishes at 2 obar, off the manifold (defect {off:.3e})")
 
         adh = 0.0
         if self.h_indices:
@@ -472,52 +467,11 @@ class CartanModel:
 # -- lifts ----------------------------------------------------------------
 
 
-def _lift_from_control(model, control, q0):
-    grid = control.grid
-    coords = control.stage_coords()
-    qs = flow_matrix_ode(model.p_element(coords), q0, grid, side="right",
-                         reproject_form=model.group_form)
-    return GroupPath(grid=grid, samples=qs, control=control, stage_coords=coords)
-
-
-def _lift_from_samples(model, curve, q0):
-    grid = curve.grid
-    pts = curve.points
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    start = np.asarray(model.rho(q0), dtype=float) @ model.obar
-    if np.linalg.norm(start - pts[0]) > LIFT_TRACK_TOL * scale:
-        raise ValueError("curve does not start at the projection of q0")
-
-    # the lift solves the linear flow q' = X q of the curve's transvections
-    vel = derivative_interpolant(grid, pts)(grid.stage_ts)
-    alpha = dense_from_samples(grid.ts, pts)(grid.stage_ts)
-    qs = flow_matrix_ode(model.transvection(alpha, vel), q0, grid, side="left",
-                         reproject_form=model.group_form)
-
-    rhos = model.rho_path(qs)
-    node_vel = vel[::2]
-    coords = np.einsum("ai,kij,kj->ka", model.cf0, j_transpose_inverse(rhos, model.form), node_vel)
-    speed = max(1.0, float(np.max(np.linalg.norm(node_vel, axis=1))))
-    fitted = np.einsum("kia,ka->ki", model.frames_along(rhos), coords)
-    fit = np.linalg.norm(fitted - node_vel, axis=1)
-    track = np.linalg.norm(np.einsum("kij,j->ki", rhos, model.obar) - pts, axis=1)
-    bad_fit = fit > TANGENT_FIT_TOL * speed
-    bad = np.flatnonzero(bad_fit | (track > LIFT_TRACK_TOL * scale))
-    if bad.size:
-        k = bad[0]
-        t = grid.ts[k]
-        if bad_fit[k]:
-            raise ValueError(
-                f"curve velocity at t={t:.6g} is not tangent to the model "
-                f"manifold (defect {fit[k]:.3e}); input must be smooth and tangent, "
-                "or the grid is too coarse for its finite-difference velocity; refine n_steps"
-            )
-        raise ValueError(
-            f"lift drifted from the curve (defect {track[k]:.3e} at t={t:.6g}); the lift's "
-            f"truncation error exceeds LIFT_TRACK_TOL = {LIFT_TRACK_TOL:.0e} when the grid "
-            "is too coarse for a curve on the manifold; refine n_steps"
-        )
-    return GroupPath(grid=grid, samples=qs, control=ControlCurve(grid=grid, coords=coords))
+def _constraint_defects(model, xs):
+    """Per point of xs (m, N): the largest |``constraint``| over max(1, |x|^2)."""
+    xs = np.asarray(xs, dtype=float)
+    defects = np.max(np.abs(np.asarray(model.constraint(xs), dtype=float)), axis=1, initial=0.0)
+    return defects / np.maximum(1.0, np.sum(xs * xs, axis=1))
 
 
 def _on_grid(data, grid, kinds=(ControlCurve, EmbeddedCurve)):
@@ -539,27 +493,19 @@ def _control_curve(control, dim, grid=None):
     return control
 
 
-def horizontal_lift(model, data, q0=None):
-    """Horizontal lift of a control or of a sampled curve on the manifold.
+def horizontal_lift(model, control, q0=None):
+    """Horizontal lift of a control: qdot = q U(t) from ``q0``, the group identity by default.
 
-    With a ControlCurve the lift integrates qdot = q U(t) directly.  With an
-    EmbeddedCurve it integrates the linear flow qdot = X(t) q, with X the
-    model's transvection at the curve point along the curve velocity.  The
-    control of a sampled curve's lift is read off the curve velocity in the
-    moving frame at the nodes, inputs whose velocity leaves the tangent
-    space or whose lift drifts from the curve are rejected, and the control
-    is attached to the returned path.  ``q0`` defaults to the
-    group identity and must project onto the first curve point.
+    The lift carries the control and the stage coordinates it integrated.
+    Anything but a ControlCurve is refused with a TypeError: a sampled curve
+    rolls by transport and has no lift.
     """
-    if q0 is None:
-        q0 = np.eye(model.group_dim, dtype=model.basis.dtype)
-    else:
-        q0 = np.asarray(q0)
-    if isinstance(_on_grid(data, None), ControlCurve):
-        return _lift_from_control(model, _control_curve(data, model.p_dim), q0)
-    if data.points.shape[1] != model.ambient_dim:
-        raise ValueError("curve ambient dimension does not match the model")
-    return _lift_from_samples(model, data, q0)
+    control = _control_curve(control, model.p_dim)
+    q0 = np.eye(model.group_dim, dtype=model.basis.dtype) if q0 is None else np.asarray(q0)
+    coords = control.stage_coords()
+    qs = flow_matrix_ode(model.p_element(coords), q0, control.grid, side="right",
+                         reproject_form=model.group_form)
+    return GroupPath(grid=control.grid, samples=qs, control=control, stage_coords=coords)
 
 
 # -- transport --------------------------------------------------------------
@@ -595,14 +541,62 @@ def _correction_path(model, lift):
     """The rolling correction S(t) along a horizontal lift: S' = Omega S, S(0) = I.
 
     Omega = sum_i U_i ``omega_basis[i]`` is read from the stage coordinates the
-    control lift integrated, else from ``lift.control.stage_coords()``.
+    lift integrated.
     """
-    coords = lift.stage_coords
-    if coords is None:
-        coords = lift.control.stage_coords()
-    omegas = np.tensordot(coords, model.omega_basis, axes=(-1, 0))
+    omegas = np.tensordot(lift.stage_coords, model.omega_basis, axes=(-1, 0))
     return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
                            reproject_form=model.form)
+
+
+def _transported(model, r0, frames):
+    """Rotations by transport along the tangent ``frames`` of a curve from r0 obar: the
+    J-inverse of r0 Y, Y the ``_transport_flow`` along r0^-1 ``frames``, which start at
+    the base point, clear of r0's norm; R(0) is r0^-1 as for the closed form."""
+    flow = _transport_flow(j_transpose_inverse(r0, model.form) @ frames, model.form,
+                           "moving tangent frame")
+    return j_transpose_inverse(r0 @ flow, model.form)
+
+
+def _sampled_roll(model, curve, q0):
+    """Rotations (``_transported`` from r0 = rho(q0), the identity when q0 is None),
+    differenced velocity and pointwise tangent frames of a sampled curve.  A point
+    whose ``constraint`` exceeds CURVE_TOL max(1, |x|^2) is refused by its time, and
+    so is a first point that far from r0 obar, and the worst step that jumps (``CHORD_TOL``)."""
+    points, grid = curve.points, curve.grid
+    if points.shape[1] != model.ambient_dim:
+        raise ValueError("curve ambient dimension does not match the model")
+    frames = model.pointwise_tangent_frames(grid, points).frames
+    defects = _constraint_defects(model, points)
+    bad = np.flatnonzero(~(defects <= CURVE_TOL))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"curve leaves the model manifold at t={grid.ts[k]:.6g} "
+                         f"(defect {defects[k]:.3e})")
+    r0 = np.eye(model.ambient_dim) if q0 is None else np.asarray(model.rho(q0), dtype=float)
+    start = points[0]
+    if not np.linalg.norm(r0 @ model.obar - start) <= CURVE_TOL * max(1.0, start @ start):
+        raise ValueError("curve does not start at the projection of q0")
+    velocity = fd_derivative(points, grid.h)
+    chords = np.diff(points, axis=0)
+    gaps = np.linalg.norm(chords - 0.5 * grid.h * (velocity[:-1] + velocity[1:]), axis=1)
+    bound = CHORD_TOL * grid.h ** 2 * np.max(np.linalg.norm(chords, axis=1)) + \
+        CURVE_TOL * np.maximum(1.0, np.linalg.norm(points[:-1], axis=1))
+    # a jump spreads over the stencil's steps and is largest at its own
+    k = int(np.argmax(gaps / bound))
+    if not gaps[k] <= bound[k]:
+        raise ValueError(f"curve jumps between t={grid.ts[k]:.6g} and t={grid.ts[k + 1]:.6g} "
+                         f"(chord defect {gaps[k]:.3e}, bound {bound[k]:.3e}); refine "
+                         f"n_steps if the curve is smooth")
+    return _transported(model, r0, frames), velocity, frames
+
+
+def _rolling_map(model, grid, rots, alpha, velocity):
+    """The rolling path with rotations ``rots`` along alpha: ``alpha_hat = obar +
+    extrinsic_develop(R, alpha', grid)`` and ``s = alpha_hat - R alpha``."""
+    alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
+    s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
+    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
+                          form=model.form)
 
 
 def _rolling_path(model, lift, differenced=False, transported=False):
@@ -610,11 +604,9 @@ def _rolling_path(model, lift, differenced=False, transported=False):
 
     The rotation is the J-inverse of rho(q) S, with S the ``_correction_path``
     of a non-symmetric model (the identity for a symmetric space), or with
-    ``transported`` of rho(q0) Y, Y the ``_transport_flow`` along the frames
-    rho(q0)^-1 rho(q) ``frame0``: from the base point, clear of q0's norm.
-    The development is ``alpha_hat = obar + extrinsic_develop(R, alpha', grid)``
-    and the translation ``s = alpha_hat - R alpha``.  The velocity alpha' is
-    read exactly off the lift, ``rho(q) d_e_rho(U) obar`` with U the lift's
+    ``transported`` the rotation ``_transported`` along the frames
+    rho(q) ``frame0``, from r0 = rho(q0).  The velocity alpha' is read
+    exactly off the lift, ``rho(q) d_e_rho(U) obar`` with U the lift's
     control at the nodes, so on a symmetric space ``R alpha' = F0 U`` and the
     development is the quadrature of the control itself; with
     ``differenced`` it is the finite-difference derivative of the samples
@@ -622,50 +614,53 @@ def _rolling_path(model, lift, differenced=False, transported=False):
     """
     grid = lift.grid
     rhos = model.rho_path(lift.samples)
-    rotated = rhos
     if transported:
-        frames = j_transpose_inverse(rhos[0], model.form) @ model.frames_along(rhos)
-        rotated = rhos[0] @ _transport_flow(frames, model.form, "moving tangent frame")
-    elif not model.symmetric_space:
-        rotated = rhos @ _correction_path(model, lift)
-    rots = j_transpose_inverse(rotated, model.form)
+        rots = _transported(model, rhos[0], model.frames_along(rhos))
+    elif model.symmetric_space:
+        rots = j_transpose_inverse(rhos, model.form)
+    else:
+        rots = j_transpose_inverse(rhos @ _correction_path(model, lift), model.form)
     alpha = np.einsum("kij,j->ki", rhos, model.obar)
     if differenced:
         velocity = fd_derivative(alpha, grid.h)
     else:
         velocity = np.einsum("kia,ka->ki", model.frames_along(rhos), lift.control.coords)
-    alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
-    s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
-    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
-                          form=model.form), rhos
+    return _rolling_map(model, grid, rots, alpha, velocity), rhos
 
 
 def intrinsic_roll(model, data, q0=None):
     """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
 
     The intrinsic rolling is the tangential part of the extrinsic one: with
-    ``head = d_e_pi ∘ coeffs_p`` the maps are ``A(t) = head ∘ R(t)``, R the
-    J-inverse of rho(q) S, and the development is the integral of
-    ``A(t) alpha'(t)``.  Only the (k, N) maps are built, as the transpose of
-    ``J rho(q) S J head^T``, and the development integrates in k dimensions.
+    ``head = d_e_pi ∘ coeffs_p`` the maps are ``A(t) = head ∘ R(t)``, and the
+    development is the integral of ``A(t) alpha'(t)``.  Along a control, R is
+    the J-inverse of rho(q) S; only the (k, N) maps are built, as the
+    transpose of ``J rho(q) S J head^T``, and the frames are rho(q) ``frame0``.
     Its alpha' is read exactly off the lift, so on a symmetric space the
     development differs from that of ``extrinsic_roll`` by the latter's
-    finite-difference truncation error.  Along a control it needs no
-    derivative, so it rolls on 1 to 3 steps too.
+    finite-difference truncation error, and it needs no derivative, so it
+    rolls on 1 to 3 steps too.  A sampled curve takes the R and alpha' of
+    its transport roll (``extrinsic_roll``) and its pointwise frames.
     """
-    lift = horizontal_lift(model, data, q0=q0)
-    grid = lift.grid
-    signs = model.form.signs
-    right = signs[:, None] * (model.d_e_pi @ model.cf0).T
-    if not model.symmetric_space:
-        right = _correction_path(model, lift) @ right
-    rhos = model.rho_path(lift.samples)
-    maps = np.multiply(np.swapaxes(rhos @ right, 1, 2), signs, order="C")
-    frames = model.frames_along(rhos)
-    velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
+    if isinstance(_on_grid(data, None), EmbeddedCurve):
+        rots, velocity, frames = _sampled_roll(model, data, q0)
+        grid, alpha = data.grid, data.points.copy()
+        maps = (model.d_e_pi @ model.cf0) @ rots
+    else:
+        lift = horizontal_lift(model, data, q0=q0)
+        grid = lift.grid
+        signs = model.form.signs
+        right = signs[:, None] * (model.d_e_pi @ model.cf0).T
+        if not model.symmetric_space:
+            right = _correction_path(model, lift) @ right
+        rhos = model.rho_path(lift.samples)
+        maps = np.multiply(np.swapaxes(rhos @ right, 1, 2), signs, order="C")
+        frames = model.frames_along(rhos)
+        velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
+        alpha = np.einsum("kij,j->ki", rhos, model.obar)
     return RollingTriple(
         grid=grid,
-        alpha=np.einsum("kij,j->ki", rhos, model.obar),
+        alpha=alpha,
         alpha_hat=extrinsic_develop(maps, velocity, grid),
         maps=maps,
         tangent_frames=frames,
@@ -677,20 +672,25 @@ def intrinsic_roll(model, data, q0=None):
 def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     """Extrinsic rolling map along a control or sampled curve.
 
-    ``normal_strategy`` selects how the rotation is built: "closed_form"
-    takes the rolling rotation of the lift (the J-inverse of rho, corrected
-    by the flow of ``omega_basis`` where the model is not a symmetric
-    space), and "frame_matching" the J-inverse of the parallel transport of
-    the whole ambient frame along the curve's tangent spaces, a fourth-order
-    group flow that carries the tangent and the normal frame at once.  Both
-    run on every model and agree at fourth order.  The development
-    integrates R alpha', with alpha' read exactly off the lift on a
-    non-symmetric space and differenced from the samples of alpha on a
-    symmetric space, which needs at least 4 steps.
+    Along a control, ``normal_strategy`` selects how the rotation is built:
+    "closed_form" takes the rolling rotation of the lift (the J-inverse of
+    rho, corrected by the flow of ``omega_basis`` where the model is not a
+    symmetric space), and "frame_matching" the J-inverse of the parallel
+    transport of the whole ambient frame along the curve's tangent spaces, a
+    fourth-order group flow that carries the tangent and the normal frame at
+    once.  Both run on every model and agree at fourth order.  The
+    development integrates R alpha', with alpha' read exactly off the lift
+    on a non-symmetric space and differenced from the samples of alpha on a
+    symmetric space, which needs at least 4 steps.  A sampled curve has no
+    lift: under either strategy it rolls by the transport along its
+    pointwise tangent frames, and alpha' is differenced from its points.
     """
     if normal_strategy not in ("closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy {normal_strategy!r}; "
                          "use 'closed_form' or 'frame_matching'")
+    if isinstance(_on_grid(data, None), EmbeddedCurve):
+        rots, velocity, _ = _sampled_roll(model, data, q0)
+        return _rolling_map(model, data.grid, rots, data.points.copy(), velocity)
     # a symmetric space develops the differenced velocity of alpha, which the
     # residual checks difference the path with; the exact one is more accurate
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the

@@ -36,7 +36,6 @@ __all__ = [
     "integrate_vector",
     "fd_derivative",
     "dense_from_samples",
-    "derivative_interpolant",
 ]
 
 REPROJECT_TOL = 1e-12
@@ -269,7 +268,8 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     onto the group (one stacked ``reproject``), every node then takes one
     inverse-free Newton-Schulz step, which removes the drift the product
     accumulates, and the group residual of every node is checked; a node off
-    the group by more than ``REPROJECT_TOL`` raises, naming the node.
+    the group by more than ``REPROJECT_TOL`` max(1, max|X_ij|^2), the scale of
+    its rounding, raises, naming the node.
     Non-finite generators or start values are refused.
 
     A complex flow (complex generators or start value) runs in its real form
@@ -277,8 +277,8 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     tiled twice: r is multiplicative and r(X*) = r(X)^T, so the real flow is
     the complex one exactly, and its real 2d x 2d products are cheaper than
     complex d x d ones.  The path is returned complex, read off the left
-    column blocks of r.  The factor polish and the node check still compare
-    the complex modulus max |X* J X - J| with ``REPROJECT_TOL``.
+    column blocks of r.  The factor polish and the node check still read the
+    complex modulus max |X* J X - J|.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -305,6 +305,10 @@ def _flow(L, X0, grid, side, form):
     out[1:] = _running_product(factors, X0, side)
     out[1:] = _newton_schulz_step(out[1:], form)
     residual = _group_residual(out[1:], form)
+    if not np.max(residual) <= REPROJECT_TOL:
+        # rounding grows X^T J X - J with |X|^2 (Higham, "J-orthogonal matrices",
+        # 2003): a node is off the group relative to max(1, max|X_ij|^2)
+        residual = residual / np.maximum(1.0, np.max(np.abs(out[1:]), axis=(-2, -1)) ** 2)
     worst = int(np.argmax(residual))
     if not residual[worst] <= REPROJECT_TOL:
         raise ValueError(
@@ -463,7 +467,3 @@ def dense_from_samples(ts, samples):
         raise ValueError("interpolation nodes must be increasing and uniformly spaced")
     return NotAKnotCubic(ts, samples)
 
-
-def derivative_interpolant(grid, samples):
-    """Dense derivative of node samples: 4th-order stencils + cubic interpolation."""
-    return dense_from_samples(grid.ts, fd_derivative(samples, grid.h))

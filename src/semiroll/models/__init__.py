@@ -5,7 +5,8 @@ Every model is constructed through one path: a JSON-serializable
 differential, base point) paired with a named *embedding bundle* that
 supplies what only the model knows: ``rho``, ``d_e_rho``, the chart
 ``action``, ``embed``, the chart ``base_point``, ``tangent_frame_at`` and
-``transvection``.  ``build_model`` passes the bundle straight to
+``constraint``, the defining equations that refuse a sampled curve off the
+manifold.  ``build_model`` passes the bundle straight to
 ``CartanModel``, which derives the embedded base point, the random points
 and the rolling correction (``omega_basis``, zero on a symmetric space)
 itself.  ``get_model`` is the one lookup: it resolves the fixed names and

@@ -19,13 +19,14 @@ action.
 
 The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
 construction held here: ``quadric_description`` and ``quadric_bundle``
-(Moebius action, null-space tangent frames, ``quadric_transvection``); each
-model passes its basis, embedding, rho, d_e_rho.  ``kinematic_roll``, also
-held here, integrates the paper's kinematic equations on every symmetric
-model (the two quadrics, SO+(p, q), V_1(R^n)) with the one ambient angular
-velocity Ubar = d_e_rho(U), on the control's own grid, and refuses the
-others.  ``roll_hyperboloid`` takes its control as (u1, u2), which are the
-model coordinates (-u2, u1), and is the one roll entry point with a ``grid``.
+(Moebius action, null-space tangent frames, the constraint <x, x> =
+<obar, obar>); each model passes its basis, embedding, rho, d_e_rho.
+``kinematic_roll``, also held here, integrates the paper's kinematic
+equations on every symmetric model (the two quadrics, SO+(p, q), V_1(R^n))
+with the one ambient angular velocity Ubar = d_e_rho(U), on the control's
+own grid, and refuses the others.  ``roll_hyperboloid`` takes its control as
+(u1, u2), which are the model coordinates (-u2, u1), and is the one roll
+entry point with a ``grid``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "hat",
     "adjoint_matrix",
     "embed_hyperbolic",
-    "quadric_transvection",
     "quadric_description",
     "quadric_bundle",
     "description",
@@ -108,24 +108,6 @@ def embed_hyperbolic(z):
     return np.stack([(1.0 + r2) / den, 2.0 * z.imag / den, -2.0 * z.real / den], axis=-1)
 
 
-def quadric_transvection(alpha, v, signs, axes):
-    """Transvections |<alpha, alpha>| sum_i (alpha x v)_i axes_i, stacked.
-
-    For points alpha (..., 3) of a quadric <x, x> = +-1 under the sign
-    vector ``signs`` (J = diag(signs)) and tangent vectors v (..., 3)
-    there, this is the algebra element (..., d, d) that generates the
-    infinitesimal isometry translating along the geodesic through alpha
-    with velocity v: its linearized action eps (v alpha^T J - alpha v^T J),
-    eps = <alpha, alpha>, maps alpha to v and the normal line at alpha into
-    the tangent space.  ``axes`` (3, d, d) are the algebra elements with
-    d_e_rho(axes[i]) = J_ii J hat(e_i), hat the cross-product matrix; the
-    sphere and the hyperboloid share the formula.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    eps = np.abs(np.sum(alpha * alpha * signs, axis=-1))[..., None]
-    return np.tensordot(eps * np.cross(alpha, v), axes, axes=(-1, 0))
-
-
 def quadric_description(name, basis, signs, group_signs, embedding):
     """Declarative data (JSON-serializable) of a quadric model with 2 x 2 ``basis``."""
     return {
@@ -150,23 +132,24 @@ def _action(g, z):
     return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
 
 
-def quadric_bundle(desc, rho, d_e_rho, embed, axes):
+def quadric_bundle(desc, rho, d_e_rho, embed):
     """Callables of a quadric model: the sphere or the hyperboloid.
 
-    The model supplies its own ``rho`` and ``d_e_rho``, its chart
-    embedding and the ``axes`` of ``quadric_transvection``.  Both models
-    share the Moebius action and the tangent frame at x, the null space of
-    J x.
+    The model supplies its own ``rho`` and ``d_e_rho`` and its chart
+    embedding.  Both models share the Moebius action, the tangent frame at
+    x, the null space of J x, and the constraint <x, x> - <obar, obar>.
     """
     signs = np.asarray(desc["J_signs"], dtype=float)
+    base_point = complex(desc["base_point"][0], desc["base_point"][1])
+    level = float(np.sum(signs * embed(base_point) ** 2))
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
         "action": _action,
         "embed": embed,
-        "base_point": complex(desc["base_point"][0], desc["base_point"][1]),
+        "base_point": base_point,
         "tangent_frame_at": lambda x: stacked_null_spaces((signs * np.asarray(x, float))[:, None]),
-        "transvection": lambda alpha, v: quadric_transvection(alpha, v, signs, axes),
+        "constraint": lambda x: (np.asarray(x, dtype=float) ** 2 @ signs - level)[:, None],
     }
 
 
@@ -179,8 +162,7 @@ def description():
 def bundle(desc):
     signs = np.asarray(desc["J_signs"], dtype=float)
     return quadric_bundle(desc, lambda g: adjoint_matrix(g, SU11_BASIS),
-                          lambda X: signs[:, None] * hat(su11_coords(X)),
-                          embed_hyperbolic, signs[:, None, None] * SU11_BASIS)
+                          lambda X: signs[:, None] * hat(su11_coords(X)), embed_hyperbolic)
 
 
 def _kinematic_path(model, grid, coords):

@@ -9,10 +9,8 @@ The embedding flattens X column-major into R^{n^2}, where the invariant form
 
 has sign pattern kron(j, j) for j the diagonal of J.  With base point P0 the
 isotropy algebra is {diag(B, P0^{-1} B P0)} and its complement
-{diag(B, -P0^{-1} B P0)} maps onto tangent vectors 2 B P0.  The horizontal
-motion through X with velocity V is the pair (B1, B2) = (B, -X^{-1} B X)
-with V = 2 B X, X^{-1} = J X^T J; the bundle's ``transvection`` is
-diag(B1, B2).
+{diag(B, -P0^{-1} B P0)} maps onto tangent vectors 2 B P0.  The bundle's
+``constraint`` is X^T J X - J, the group's defining equations.
 """
 
 from __future__ import annotations
@@ -52,11 +50,6 @@ def _block_diag(A, B):
     out[..., :n, :n] = A
     out[..., n:, n:] = B
     return out
-
-
-def _j_skew(M, J):
-    """Half the J-skew part, (M - J M^T J) / 4, of a stack of matrices."""
-    return 0.25 * (M - J @ np.swapaxes(M, -1, -2) @ J)
 
 
 def description(p, q, base_point=None):
@@ -129,12 +122,10 @@ def bundle(desc):
     def embed(X):
         return stacked_vec(np.asarray(X, dtype=float))
 
-    def transvection(alpha, v):
-        # B1 = V X^{-1} / 2 and B2 = -X^{-1} V / 2, each projected onto the
-        # J-skew matrices; a C-order reshape of vec(X) gives X^T
-        Xinv = J @ np.asarray(alpha, dtype=float).reshape(-1, n, n) @ J
-        V = np.swapaxes(np.asarray(v, dtype=float).reshape(-1, n, n), 1, 2)
-        return _block_diag(_j_skew(V @ Xinv, J), -_j_skew(Xinv @ V, J))
+    def constraint(xs):
+        # a C-order reshape of vec(X) gives X^T, so X^T J X is Xt J Xt^T
+        Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
+        return (Xt @ (jd[:, None] * np.swapaxes(Xt, 1, 2)) - J).reshape(len(Xt), -1)
 
     def tangent_frame_at(xs):
         # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;
@@ -149,5 +140,5 @@ def bundle(desc):
         "embed": embed,
         "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
-        "transvection": transvection,
+        "constraint": constraint,
     }

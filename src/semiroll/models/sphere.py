@@ -73,8 +73,7 @@ def description():
 def bundle(desc):
     P = CHART_CONJUGATOR
     return quadric_bundle(desc, lambda g: P @ adjoint_matrix(g, SU2_BASIS) @ P.T,
-                          lambda X: hat(P @ su2_coords(X)), embed_sphere,
-                          np.tensordot(P, SU2_BASIS, axes=(1, 0)))
+                          lambda X: hat(P @ su2_coords(X)), embed_sphere)
 
 
 def chart_lift_matrix(z):

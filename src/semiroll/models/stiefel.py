@@ -16,11 +16,8 @@ nothing for it: ``CartanModel`` derives Omega from ``d_e_rho`` on every
 model (``omega_basis``).  For k = 1, V_1(R^n) = S^{n-1} is a symmetric
 space: Omega vanishes identically and the model is classified symmetric.
 The rolling map itself is assembled by ``homogeneous.extrinsic_roll`` as
-for every other model.  For every k, Ad_H p = p, so the horizontal
-generator through a frame A with velocity V depends on (A, V) alone: the
-bundle's ``transvection`` is X with W = A^T V and
-
-    X = V A^T - A V^T - 1/2 A (W - W^T) A^T.
+for every other model, and the bundle's ``constraint`` is A^T A - I, the
+orthonormality of the frame A.
 """
 
 from __future__ import annotations
@@ -97,13 +94,10 @@ def bundle(desc):
     def embed(X):
         return stacked_vec(np.asarray(X, dtype=float))
 
-    def transvection(alpha, v):
-        # the generator X of the module docstring at frames A, velocities V
-        A = np.swapaxes(np.asarray(alpha, dtype=float).reshape(-1, k, n), 1, 2)
-        V = np.swapaxes(np.asarray(v, dtype=float).reshape(-1, k, n), 1, 2)
-        At = np.swapaxes(A, 1, 2)
-        W = At @ V
-        return V @ At - A @ np.swapaxes(V, 1, 2) - 0.5 * A @ (W - np.swapaxes(W, 1, 2)) @ At
+    def constraint(xs):
+        # a C-order reshape of vec(A) gives A^T
+        At = np.asarray(xs, dtype=float).reshape(-1, k, n)
+        return (At @ np.swapaxes(At, 1, 2) - np.eye(k)).reshape(len(At), -1)
 
     def tangent_frame_at(xs):
         # each row of xs is vec(P) column-major, so a C-order reshape gives P^T;
@@ -129,5 +123,5 @@ def bundle(desc):
         "embed": embed,
         "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
-        "transvection": transvection,
+        "constraint": constraint,
     }

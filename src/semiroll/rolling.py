@@ -8,7 +8,8 @@ the two no-twist conditions), and provides the algebraic operations on
 rolling maps: inversion, composition, and a controlled fault injection that
 perturbs the normal part of the rotation generator.  Parallel transport
 along sampled frame paths is one group flow of the whole ambient frame: it
-cross-checks the homogeneous-space transport and builds frame matching.
+cross-checks the homogeneous-space transport, and it builds frame matching
+and the roll of a sampled curve.
 """
 
 from __future__ import annotations
@@ -155,13 +156,6 @@ class ResidualReport:
     def passed(self, tol):
         """True only when every field is finite and at most ``tol``."""
         return bool(self.max_residual() <= tol)
-
-    def to_dict(self):
-        return {
-            "grid": {"t0": self.grid.t0, "t1": self.grid.t1, "n_steps": self.grid.n_steps},
-            "max": {name: getattr(self, name) for name in self._FIELDS},
-            "per_node": {key: np.asarray(val).tolist() for key, val in self.per_node.items()},
-        }
 
 
 def _lower_inverse(lower):

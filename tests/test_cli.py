@@ -14,6 +14,7 @@ import semiroll
 from semiroll.cli import _load_trajectory, main
 from semiroll.homogeneous import ControlCurve, extrinsic_roll, model_residual_report
 from semiroll.integrate import TimeGrid
+from semiroll.linalg import expm
 from semiroll.models import get_model
 from semiroll.rolling import RollingMapPath
 
@@ -377,13 +378,16 @@ def test_short_grid_intrinsic_file_is_refused_not_passed(tmp_path, capsys):
     assert "got 4; refine n_steps" in captured.err
 
 
-def _sampled_curve_config(name, mode, drift=0.0):
-    """A 400-step ``curve`` config holding the points of a library roll."""
+def _sampled_curve_config(name, mode, drift=0.0, edit=None):
+    """A 400-step ``curve`` config holding the points of a library roll, edited by
+    ``edit(model, points)`` in place if given."""
     model = get_model(name)
     grid = TimeGrid(0.0, 1.0, 400)
     i = np.arange(1, model.p_dim + 1)
     ctrl = ControlCurve.from_function(grid, lambda t: 0.4 * np.sin(i * t + 0.3))
     points = extrinsic_roll(model, ctrl).alpha * (1.0 + drift * grid.ts)[:, None]
+    if edit is not None:
+        edit(model, points)
     return {"model": name, "mode": mode, "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 400},
             "curve": {"points": points.tolist()}}
 
@@ -400,6 +404,18 @@ def test_sampled_curve_configs_roll_and_verify(name, mode, tmp_path, capsys):
     assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["verify", "--in", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+    # a sampled curve rolls by transport, whatever a strategy would select
+    assert "normal_strategy" not in out.read_text()
+
+
+@pytest.mark.parametrize("strategy", ["closed_form", "frame_matching"])
+def test_a_curve_config_with_a_normal_strategy_is_refused(strategy, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_sampled_curve_config("sphere", "extrinsic"),
+                               "normal_strategy": strategy}))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'normal_strategy' applies to controls only")
 
 
 @pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
@@ -411,7 +427,40 @@ def test_sampled_curve_drifting_off_the_manifold_is_refused(name, mode, tmp_path
     assert main(["roll", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "not tangent" in err
+    assert "curve leaves the model manifold at t=" in err
+
+
+def _moved(model, points):
+    """The whole curve moved by a group element: on the manifold, away from the base point."""
+    g = model.random_group_element(np.random.default_rng(3))
+    points[:] = points @ np.asarray(model.rho(g), dtype=float).T
+
+
+def _turned(model, points):
+    """points[120:] carried by rho(exp(0.05 p_0)): a jump at t=0.3 that stays on the manifold."""
+    g = expm(0.05 * model.basis[model.p_indices[0]])
+    points[120:] = points[120:] @ np.asarray(model.rho(g), dtype=float).T
+
+
+CURVE_REFUSALS = {
+    "jump": (lambda model, points: points[120:].__imul__(1.02),
+             "curve leaves the model manifold at t=0.3 "),
+    "turn": (_turned, "curve jumps between t=0.2975 and t=0.3 "),
+    "start": (_moved, "curve does not start at the projection of q0"),
+}
+
+
+@pytest.mark.parametrize("case", CURVE_REFUSALS)
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+@pytest.mark.parametrize("name", ["sphere", "stiefel_4_2"])
+def test_a_sampled_curve_that_jumps_or_starts_elsewhere_is_refused(name, mode, case, tmp_path,
+                                                                    capsys):
+    edit, message = CURVE_REFUSALS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_sampled_curve_config(name, mode, edit=edit)))
+    capsys.readouterr()
+    assert main(["roll", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_frame_matching_so_plus_2_2_off_the_multiples_of_4_rolls_and_verifies(tmp_path, capsys):

@@ -14,7 +14,6 @@ from semiroll.integrate import (
     _real_form,
     _TiledForm,
     dense_from_samples,
-    derivative_interpolant,
     fd_derivative,
     flow_matrix_ode,
     integrate_vector,
@@ -188,6 +187,23 @@ def test_flow_names_the_node_that_leaves_the_group():
         flow_matrix_ode(gens, 1.1 * np.eye(3), grid, "left", SignatureForm.from_pq(3, 0))
 
 
+def test_flow_node_check_is_relative_to_the_size_of_the_node():
+    # a boost with entries near 800 is J-orthogonal to the rounding of its
+    # entries, eps 800^2, far above an absolute 1e-12; a node is measured
+    # against max(1, max|X_ij|^2), so it flows, and a 10% defect is still refused
+    form = SignatureForm([1.0, -1.0, 1.0])
+    a = np.arccosh(800.0)
+    boost = np.array([[np.cosh(a), np.sinh(a), 0.0], [np.sinh(a), np.cosh(a), 0.0],
+                      [0.0, 0.0, 1.0]])
+    assert j_orthogonality_residual(boost, form) > REPROJECT_TOL
+    grid = TimeGrid(0.0, 1.0, 5)
+    gens = np.zeros((grid.stage_ts.size, 3, 3))
+    path = flow_matrix_ode(gens, boost, grid, "left", form)
+    assert np.max(np.abs(path - boost)) <= 1e-9 * 800.0
+    with pytest.raises(ValueError, match="node 1 "):
+        flow_matrix_ode(gens, 1.1 * boost, grid, "left", form)
+
+
 SU11_SIGNS = SignatureForm([1.0, -1.0])
 
 
@@ -287,15 +303,6 @@ def test_dense_from_samples_handles_complex_values():
     probe = np.array([0.123, 0.5, 0.877])
     out = np.array([f(t)[0] for t in probe])
     assert np.max(np.abs(out - np.exp(1j * 2 * np.pi * probe))) <= 1e-6
-
-
-def test_derivative_interpolant_matches_analytic_rate():
-    grid = TimeGrid(0.0, 1.0, 200)
-    samples = np.stack([np.sin(2 * grid.ts), np.cos(grid.ts)], axis=1)
-    df = derivative_interpolant(grid, samples)
-    t = 0.437
-    exact = np.array([2 * np.cos(2 * t), -np.sin(t)])
-    assert np.max(np.abs(df(t) - exact)) <= 1e-7
 
 
 def test_reproject_restores_group_membership():

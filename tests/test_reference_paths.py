@@ -10,8 +10,7 @@ stacked ``horizontality_residual`` must match the per-node ``solve`` plus
 ``lstsq`` loop it replaced.
 
 Time integration reads each integrand once at ``TimeGrid.stage_ts``.  The
-RK4 and Simpson loops that called a Python callable at every stage, and the
-sample-driven lift that fitted each stage velocity by ``lstsq``, are kept
+RK4 and Simpson loops that called a Python callable at every stage are kept
 here as references.  The stage times differ from ``t_k + h/2`` and
 ``t_k + h`` in the last bit, so control-driven paths agree to rounding
 (1e-13).  A linear flow now takes all its RK4 step factors at once and
@@ -24,18 +23,11 @@ Newton-Schulz step; the per-node product loop and the Newton node step
 every model's lift generators match on both sides within 1e-13, with
 padded and square block layouts.  A control's node stage samples are its
 ``coords``; for the package's interpolant they equal its readings at the
-stage times bit for bit.  The
-sample-driven lift of the sphere and the hyperboloid now integrates the
-linear flow of the curve's transvections (on the other models it takes
-p-coefficients from the J-orthogonal extractor ``cf0 rho(q)^{-1} v``,
-which equals the least-squares fit for a tangent v).  It matches the
-per-stage ``lstsq`` lift to 1e-12 on a 2000-step hyperboloid curve; on
-criterion 11's latitude both are compared with the exact lift instead,
-which the transvection flow tracks more closely.  Every model's
-``transvection`` now returns the lift generator X in the algebra; the
-ambient generators d_e_rho(X) the bundles returned before, and the stacked
-``lstsq`` that pulled them back through d_e_rho, are kept here as the
-reference for the generators and the lifts (1e-13).
+stage times bit for bit.  A
+sampled curve has no lift: it rolls by the transport of the whole ambient
+frame along its tangent spaces.  Its rotation is compared with exact
+rollings instead: criterion 11's latitude, and the curve of a constant
+control on SO+(p,q) and the Stiefel manifolds, at fourth order.
 
 Every roll is assembled by one engine: the rotation is the J-inverse of
 rho(q) S, with S the identity for a symmetric space and the Stiefel
@@ -97,13 +89,13 @@ on those files and on edited ones (CRLF endings, blank lines, a comment
 after the header, a single row, a nan entry, no rows at all).
 
 The explicit SU(1,1)/SU(2) lift ``g = h(z) exp(sigma theta A1)`` of a
-chart curve is kept here as the reference for the engine's sample-driven
-lift of the hyperboloid and the sphere.  It takes the sign sigma of theta
-as fixed by the branch, the sign the package's two-sign search always chose.
+chart curve is kept here as the reference for the rotation of the
+engine's sampled roll of the hyperboloid and the sphere.  It takes the sign
+sigma of theta as fixed by the branch, the sign the package's two-sign search always chose.
 
 The sphere and the hyperboloid are built by one quadric construction
 (``hyperbolic.quadric_description`` and ``quadric_bundle``).  Each model's
-own description, rho, d_e_rho, tangent frames and transvection axes it
+own description, rho, d_e_rho and tangent frames it
 replaced are kept here as references: every map agrees
 to the last bit (d_e_rho by value: the hyperboloid's is now J hat(X), with
 -0.0 where the hand-written matrix had 0.0; rho within 1e-15 max(1, |rho|),
@@ -113,8 +105,7 @@ Complex flows (SU(2), SU(1,1)) run in their real form
 r(X) = [[Re X, -Im X], [Im X, Re X]], and ``hyperbolic.adjoint_matrix``
 forms rho by the adjugate formula, elementwise.  The complex-arithmetic flow
 and the LU-based conjugation they replaced are kept here as references: on
-control, sampled-curve and latitude (criterion 11, complex q0) lifts of the
-sphere and the hyperboloid, the lifts, R, alpha_hat and intrinsic maps agree
+control lifts of the sphere and the hyperboloid, the lifts, R, alpha_hat and intrinsic maps agree
 within 1e-14 of their largest entry, and within 1e-11 on a boost to
 |q| = 8; a start value off the group is refused at the same node with the
 same message.
@@ -196,7 +187,6 @@ from semiroll.integrate import (
     _running_product,
     _step_factors,
     dense_from_samples,
-    derivative_interpolant,
     fd_derivative,
     flow_matrix_ode,
     integrate_vector,
@@ -463,12 +453,10 @@ def _hyperboloid_description_reference():
 
 QUADRIC_REFERENCES = {
     "sphere": (sphere, sphere.embed_sphere, _sphere_rho_reference, _sphere_d_e_rho_reference,
-               _sphere_frame_reference, _sphere_description_reference,
-               np.tensordot(sphere.CHART_CONJUGATOR, sphere.SU2_BASIS, axes=(1, 0))),
+               _sphere_frame_reference, _sphere_description_reference),
     "hyperboloid": (hyperbolic, hyperbolic.embed_hyperbolic, _hyperboloid_rho_reference,
                     _hyperboloid_d_e_rho_reference, _hyperboloid_frame_reference,
-                    _hyperboloid_description_reference,
-                    np.array([-1.0, 1.0, 1.0])[:, None, None] * hyperbolic.SU11_BASIS),
+                    _hyperboloid_description_reference),
 }
 
 
@@ -486,7 +474,7 @@ def _within_rounding(new, old):
 
 @pytest.mark.parametrize("name", sorted(QUADRIC_REFERENCES))
 def test_quadric_bundles_match_the_per_model_bundles(name):
-    module, embed, rho, d_e_rho, frame, description, axes = QUADRIC_REFERENCES[name]
+    module, embed, rho, d_e_rho, frame, description = QUADRIC_REFERENCES[name]
     desc = description()
     assert module.description() == desc
     shipped = json.loads((resources.files("semiroll") / "models" / "data" / f"{name}.json")
@@ -521,10 +509,11 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
     assert parts["base_point"] == 0j
     assert _same_bits(model.obar, embed(complex(0.0, 0.0)))
     assert _same_bits(parts["tangent_frame_at"](points), frame(points))
-    v = np.einsum("kij,kj->ki", frame(points), rng.standard_normal((len(zs), 2)))
+    # the constraint <x, x> - <obar, obar> vanishes on the quadric, to rounding
     signs = np.asarray(desc["J_signs"], dtype=float)
-    assert _same_bits(parts["transvection"](points, v),
-                      hyperbolic.quadric_transvection(points, v, signs, axes))
+    level = {"sphere": 1.0, "hyperboloid": -1.0}[name]
+    assert _same_bits(parts["constraint"](points), (points ** 2 @ signs - level)[:, None])
+    assert np.max(np.abs(parts["constraint"](points))) <= 1e-14 * np.max(points ** 2)
 
 
 BENCHMARK_MODELS = ("sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2")
@@ -653,28 +642,6 @@ def _simpson_callable(rhs, grid):
     for t in grid.ts[:-1]:
         x = x + (h / 6.0) * (rhs(t) + 4.0 * rhs(t + 0.5 * h) + rhs(t + h))
         out.append(x)
-    return np.array(out)
-
-
-def _lift_from_samples_lstsq(model, points, grid, q0):
-    """Sample-driven lift fitting every stage velocity by ``lstsq`` in the moving frame."""
-    adot = derivative_interpolant(grid, points)
-
-    def rhs(q, t):
-        F = np.asarray(model.rho(q), dtype=float) @ model.frame0
-        coeffs = np.linalg.lstsq(F, adot(t), rcond=None)[0]
-        return q @ model.p_element(coeffs)
-
-    h = grid.h
-    q = np.asarray(q0, dtype=model.basis.dtype if np.iscomplexobj(model.basis) else float)
-    out = [q]
-    for t in grid.ts[:-1]:
-        k1 = rhs(q, t)
-        k2 = rhs(q + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(q + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(q + h * k3, t + h)
-        q = reproject(q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), model.group_form)
-        out.append(q)
     return np.array(out)
 
 
@@ -875,37 +842,29 @@ def _boost_control(grid):
 
 
 def _quadric_case(name, case, n_steps):
-    """(model, lift input, q0) of one sphere or hyperboloid case."""
+    """(model, control) of one sphere or hyperboloid case."""
     model = get_model(name)
-    if case == "latitude":
-        # criterion 11: the latitude at polar angle 1, from a complex q0
-        grid = TimeGrid(0.0, 2 * np.pi, n_steps)
-        z = np.tan(0.5) * np.exp(1j * grid.ts)
-        return model, EmbeddedCurve(grid, sphere.embed_sphere(z)), sphere.chart_lift_matrix(z[0])
     grid = TimeGrid(0.0, 1.0, n_steps)
-    ctrl = _boost_control(grid) if case == "boost" else _sinusoid(grid, model.p_dim, 1)
-    if case == "sampled":
-        return model, EmbeddedCurve(grid, extrinsic_roll(model, ctrl).alpha), None
-    return model, ctrl, None
+    return model, _boost_control(grid) if case == "boost" else _sinusoid(grid, model.p_dim, 1)
 
 
-def _quadric_outputs(model, data, q0):
-    lift = horizontal_lift(model, data, q0=q0)
-    path = extrinsic_roll(model, data, q0=q0)
-    return lift.samples, path.R, path.alpha_hat, intrinsic_roll(model, data, q0=q0).maps
+def _quadric_outputs(model, ctrl):
+    path = extrinsic_roll(model, ctrl)
+    return horizontal_lift(model, ctrl).samples, path.R, path.alpha_hat, \
+        intrinsic_roll(model, ctrl).maps
 
 
 def _relative_peak(new, reference):
     return _peak(new, reference) / max(1.0, float(np.max(np.abs(reference))))
 
 
-# the latitude runs on [0, 2 pi], where 250 steps are too coarse for a sampled lift
+# a sampled curve has no lift, so it runs no complex flow
 QUADRIC_FLOW_CASES = [
     (name, case, n_steps)
-    for name, case in [("sphere", "control"), ("sphere", "sampled"), ("hyperboloid", "control"),
-                       ("hyperboloid", "sampled"), ("hyperboloid", "boost")]
+    for name, case in [("sphere", "control"), ("hyperboloid", "control"),
+                       ("hyperboloid", "boost")]
     for n_steps in (250, 2000)
-] + [("sphere", "latitude", 1000), ("sphere", "latitude", 2000)]
+]
 
 
 @pytest.mark.parametrize("name, case, n_steps", QUADRIC_FLOW_CASES)
@@ -915,13 +874,13 @@ def test_real_form_flows_match_the_complex_arithmetic(name, case, n_steps, monke
     # replaced agree to rounding: within 3e-15 of the largest entry at unit
     # amplitude.  The boost's group samples reach |q| = 8, its R entries
     # |q|^2, and its development sums their rounding (1.7e-12 measured)
-    model, data, q0 = _quadric_case(name, case, n_steps)
-    new = _quadric_outputs(model, data, q0)
+    model, ctrl = _quadric_case(name, case, n_steps)
+    new = _quadric_outputs(model, ctrl)
     with monkeypatch.context() as patch:
         patch.setattr(homogeneous, "flow_matrix_ode", _complex_flow_reference)
         patch.setattr(hyperbolic, "adjoint_matrix", _adjoint_reference)
         patch.setattr(sphere, "adjoint_matrix", _adjoint_reference)
-        reference = _quadric_outputs(model, data, q0)
+        reference = _quadric_outputs(model, ctrl)
     assert new[0].dtype == reference[0].dtype == complex
     if case == "boost":
         assert 7.5 <= np.max(np.abs(new[0])) <= 8.5
@@ -1038,23 +997,26 @@ def test_moebius_theta_matches_callable_simpson(sigma):
     ("hyperboloid", -1.0, lambda t: 0.4 * np.tanh(t) * np.exp(0.8j * t)),
     ("sphere", 1.0, lambda t: 0.5 * t * np.exp(1.3j * t)),
 ], ids=["hyperboloid", "sphere"])
-def test_explicit_lift_agrees_with_generic_lift(name, sigma, z_of):
+def test_explicit_lift_agrees_with_the_transport_roll(name, sigma, z_of):
+    # the rotation of a sampled curve's transport roll is the J-inverse of rho
+    # along its explicit horizontal lift, which starts at the identity
     model = get_model(name)
     grid = TimeGrid(0.0, 1.2, 400)
     z = z_of(grid.ts)
     explicit = _moebius_lift(z, grid, sigma)
     assert np.max(horizontality_residual(model, explicit)) <= 1e-6
-    generic = horizontal_lift(model, EmbeddedCurve(grid, model.embed(z)))
-    assert _peak(explicit.samples, generic.samples) <= 1e-6
+    path = extrinsic_roll(model, EmbeddedCurve(grid, model.embed(z)))
+    assert _peak(path.R, j_transpose_inverse(model.rho_path(explicit.samples), model.form)) <= 1e-6
 
 
-def _latitude_lift_errors(n_steps):
-    """Errors of the transvection and ``lstsq`` lifts of criterion 11's latitude.
+def _latitude_roll_error(n_steps):
+    """Error of the transport roll of criterion 11's latitude against its exact rotation.
 
     The latitude at polar angle 1 is alpha(t) = expm(t Z) alpha0 with Z the
     rotation about the sphere's axis, and its transvections are
     expm(t Z) Omega0 expm(-t Z), Omega0 = v0 alpha0^T - alpha0 v0^T, so the
-    exact lift is rho(q(t)) = expm(t Z) expm(t (Omega0 - Z)) rho(q0).
+    exact lift has rho(q(t)) = expm(t Z) expm(t (Omega0 - Z)) rho(q0), and the
+    rotation is its transpose.
     """
     sph = get_model("sphere")
     grid = TimeGrid(0.0, 2 * np.pi, n_steps)
@@ -1068,167 +1030,70 @@ def _latitude_lift_errors(n_steps):
     omega0 = np.outer(v0, alpha0) - np.outer(alpha0, v0)
     ts = grid.ts[:, None, None]
     exact = expm_stack(ts * Z) @ expm_stack(ts * (omega0 - Z)) @ np.asarray(sph.rho(q0))
-    lift = horizontal_lift(sph, EmbeddedCurve(grid, points), q0=q0)
-    reference = _lift_from_samples_lstsq(sph, points, grid, q0)
-    return _peak(sph.rho_path(lift.samples), exact), _peak(sph.rho_path(reference), exact)
+    path = extrinsic_roll(sph, EmbeddedCurve(grid, points), q0=q0)
+    return _peak(path.R, np.swapaxes(exact, 1, 2))
 
 
-def test_sample_driven_lifts_match_lstsq_fit():
-    hyp = get_model("hyperboloid")
-    grid = TimeGrid(0.0, 1.0, 2000)
-    points = extrinsic_roll(hyp, _sinusoid(grid, hyp.p_dim, 7)).alpha
-    q0 = np.eye(2, dtype=complex)
-    lift = horizontal_lift(hyp, EmbeddedCurve(grid, points))
-    assert _peak(lift.samples, _lift_from_samples_lstsq(hyp, points, grid, q0)) <= 1e-12
-
-    # criterion 11: the latitude at polar angle 1 on the sphere, against its
-    # exact lift; the transvection flow is closer to it than the lstsq fit
-    err, reference_err = _latitude_lift_errors(2000)
-    assert err <= reference_err
+def test_the_latitude_transport_roll_converges_to_its_exact_rotation():
+    # criterion 11: the latitude at polar angle 1 on the sphere, from a complex q0
+    err = _latitude_roll_error(2000)
     assert err <= 2e-11
-    coarse_err, _ = _latitude_lift_errors(1000)
-    assert coarse_err / err >= 8.0
+    assert _latitude_roll_error(1000) >= 12.0 * err
 
 
-def _lift_from_samples_rk4(model, points, grid, q0):
-    """Sample-driven lift taking p-coefficients ``cf0 rho(q)^{-1} v`` in a per-step RK4 loop."""
-    vel = derivative_interpolant(grid, points)(grid.stage_ts)
-
-    def velocity(j, q):
-        rinv = j_transpose_inverse(np.asarray(model.rho(q), dtype=float), model.form)
-        return q @ model.p_element(model.cf0 @ (rinv @ vel[j]))
-
-    h = grid.h
-    X = np.asarray(q0, dtype=float)
-    out = [X]
-    for k in range(grid.n_steps):
-        j = 2 * k
-        k1 = velocity(j, X)
-        k2 = velocity(j + 1, X + 0.5 * h * k1)
-        k3 = velocity(j + 1, X + 0.5 * h * k2)
-        k4 = velocity(j + 2, X + h * k3)
-        X = reproject(X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), model.group_form)
-        out.append(X)
-    return np.array(out)
-
-
-def _transvection_lift_model(name):
+def _base_point_model(name):
     if name != "so_plus_2_1@base":
         return get_model(name)
     base = get_model("so_plus_2_1").random_point(np.random.default_rng(7))
     return build_model(pseudo_orthogonal.description(2, 1, base))
 
 
-def _constant_control_lift_errors(model, n_steps):
-    """Errors of the transvection and RK4 lifts of the curve of a constant control.
+def _constant_control_roll_error(model, n_steps):
+    """Error of the transport roll of the curve of a constant control U.
 
-    The lift of the constant control U is exactly q(t) = expm(t U).
+    The lift of U is exactly q(t) = expm(t U), and the correction exactly
+    S(t) = expm(t Omega), Omega = sum_i U_i ``omega_basis[i]``, so the exact
+    rotation is the J-inverse of rho(expm(t U)) expm(t Omega).
     """
     grid = TimeGrid(0.0, 1.5, n_steps)
-    U = model.p_element(np.linspace(0.6, -0.8, model.p_dim))
-    exact = expm_stack(grid.ts[:, None, None] * U)
-    points = np.einsum("kij,j->ki", model.rho_path(exact), model.obar)
-    lift = horizontal_lift(model, EmbeddedCurve(grid, points))
-    reference = _lift_from_samples_rk4(model, points, grid, np.eye(model.group_dim))
-    return _peak(lift.samples, exact), _peak(reference, exact)
+    coords = np.linspace(0.6, -0.8, model.p_dim)
+    ts = grid.ts[:, None, None]
+    rhos = model.rho_path(expm_stack(ts * model.p_element(coords)))
+    exact = j_transpose_inverse(
+        rhos @ expm_stack(ts * np.tensordot(coords, model.omega_basis, axes=(0, 0))), model.form)
+    points = np.einsum("kij,j->ki", rhos, model.obar)
+    return _peak(extrinsic_roll(model, EmbeddedCurve(grid, points)).R, exact)
 
 
 @pytest.mark.parametrize("name", ["so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2",
                                   "so_plus_2_1@base"])
-def test_transvection_lifts_match_the_rk4_fit(name):
-    # SO+(p,q) and the Stiefel manifolds lift sampled curves by the linear
-    # flow of their transvections, like the sphere and the hyperboloid
-    model = _transvection_lift_model(name)
-    grid = TimeGrid(0.0, 1.0, 2000)
-    ctrl_lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 11))
-    points = np.einsum("kij,j->ki", model.rho_path(ctrl_lift.samples), model.obar)
-    lift = horizontal_lift(model, EmbeddedCurve(grid, points))
-    reference = _lift_from_samples_rk4(model, points, grid, np.eye(model.group_dim))
-    assert _peak(lift.samples, reference) <= 1e-13
-
-    # against the exact lift of a constant control the flow is no worse than
-    # the RK4 fit, and fourth order
-    err, reference_err = _constant_control_lift_errors(model, 250)
-    assert err <= reference_err
-    fine_err, _ = _constant_control_lift_errors(model, 500)
-    assert err / fine_err >= 8.0
+def test_a_constant_control_curve_rolls_to_its_exact_rotation(name):
+    # SO+(p,q) and the Stiefel manifolds roll sampled curves by the transport,
+    # like the sphere and the hyperboloid: fourth order against the exact
+    # rolling of a constant control, with the Stiefel correction flow
+    model = _base_point_model(name)
+    err = _constant_control_roll_error(model, 500)
+    assert err <= 1e-13 or _constant_control_roll_error(model, 250) >= 12.0 * err
 
 
-def _ambient_transvection(model, alpha, v):
-    """The ambient generators Omega = d_e_rho(X) the bundles returned before X itself."""
-    alpha = np.asarray(alpha, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if model.name in ("sphere", "hyperboloid"):
-        signs = model.form.signs
-        j_alpha = alpha * signs
-        eps = np.sum(alpha * j_alpha, axis=-1)[:, None, None]
-        return eps * (v[:, :, None] * j_alpha[:, None, :]
-                      - alpha[:, :, None] * (v * signs)[:, None, :])
-    if model.name.startswith("so_plus"):
-        n = model.params["p"] + model.params["q"]
-        J = np.diag(np.concatenate([np.ones(model.params["p"]), -np.ones(model.params["q"])]))
-
-        def j_skew(M):
-            return 0.25 * (M - J @ np.swapaxes(M, -1, -2) @ J)
-
-        Xinv = J @ alpha.reshape(-1, n, n) @ J
-        V = np.swapaxes(v.reshape(-1, n, n), 1, 2)
-        B1 = j_skew(V @ Xinv)
-        B2 = -j_skew(Xinv @ V)
-        return stacked_kron(np.eye(n), B1) - stacked_kron(np.swapaxes(B2, 1, 2), np.eye(n))
-    n, k = model.params["n"], model.params["k"]
-    A = np.swapaxes(alpha.reshape(-1, k, n), 1, 2)
-    V = np.swapaxes(v.reshape(-1, k, n), 1, 2)
-    At = np.swapaxes(A, 1, 2)
-    W = At @ V
-    X = V @ At - A @ np.swapaxes(V, 1, 2) - 0.5 * A @ (W - np.swapaxes(W, 1, 2)) @ At
-    return stacked_kron(np.eye(k), X)
+def _frame_matching_reference(model, lift):
+    """The frame-matching rotation as ``_rolling_path`` built it before sampled curves
+    shared its transport rule."""
+    rhos = model.rho_path(lift.samples)
+    frames = j_transpose_inverse(rhos[0], model.form) @ model.frames_along(rhos)
+    rotated = rhos[0] @ rolling._transport_flow(frames, model.form, "moving tangent frame")
+    return j_transpose_inverse(rotated, model.form)
 
 
-def _pulled_back_generators(model, omegas):
-    """Algebra generators X with d_e_rho(X) = Omega, by one stacked ``lstsq``."""
-    images = np.stack([np.asarray(model.d_e_rho(B), dtype=float).ravel() for B in model.basis],
-                      axis=1)
-    target = omegas.reshape(omegas.shape[0], -1).T
-    coeffs = np.linalg.lstsq(images, target, rcond=None)[0]
-    off = np.linalg.norm(images @ coeffs - target, axis=0)
-    assert np.max(off) <= 1e-10 * max(1.0, float(np.max(np.abs(omegas))))
-    return np.tensordot(coeffs.T, model.basis, axes=(1, 0))
-
-
-@pytest.mark.parametrize("n_steps", [250, 2000])
-@pytest.mark.parametrize("name", BENCHMARK_MODELS + ("so_plus_2_1@base",))
-def test_transvection_generators_match_the_ambient_pullback(name, n_steps):
-    # every bundle returns the lift generator X itself; the ambient
-    # transvection pulled back through d_e_rho gives the same X and lift
-    model = _transvection_lift_model(name)
-    grid = TimeGrid(0.0, 1.0, n_steps)
-    ctrl_lift = horizontal_lift(model, _sinusoid(grid, model.p_dim, 11))
-    points = np.einsum("kij,j->ki", model.rho_path(ctrl_lift.samples), model.obar)
-    alpha = dense_from_samples(grid.ts, points)(grid.stage_ts)
-    vel = derivative_interpolant(grid, points)(grid.stage_ts)
-    reference = _pulled_back_generators(model, _ambient_transvection(model, alpha, vel))
-    assert _peak(model.transvection(alpha, vel), reference) <= 1e-13
-
-    q0 = np.eye(model.group_dim, dtype=model.basis.dtype)
-    reference_lift = flow_matrix_ode(reference, q0, grid, side="left",
-                                     reproject_form=model.group_form)
-    lift = horizontal_lift(model, EmbeddedCurve(grid, points))
-    assert _peak(lift.samples, reference_lift) <= 1e-13
-
-
-@pytest.mark.parametrize("name", BENCHMARK_MODELS + ("so_plus_2_1@base",))
-def test_transvections_lie_in_the_algebra_off_the_manifold(name):
-    # the lift takes the transvections as generators unchecked: they lie in
-    # the span of the basis even at points and velocities off the manifold
-    model = _transvection_lift_model(name)
-    rng = np.random.default_rng(13)
-    alpha = rng.standard_normal((64, model.ambient_dim))
-    v = rng.standard_normal((64, model.ambient_dim))
-    X = model.transvection(alpha, v)
-    assert X.shape == (64, model.group_dim, model.group_dim)
-    _, off = model.algebra_coords(X)
-    assert np.all(off <= 1e-13 * np.maximum(1.0, np.linalg.norm(X, axis=(1, 2))))
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_frame_matching_rotations_equal_the_inline_transport(name):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 250)
+    ctrl = _sinusoid(grid, model.p_dim, 4)
+    for q0 in (None, model.random_group_element(np.random.default_rng(3))):
+        path = extrinsic_roll(model, ctrl, q0=q0, normal_strategy="frame_matching")
+        assert np.array_equal(path.R, _frame_matching_reference(model, horizontal_lift(
+            model, ctrl, q0=q0)))
 
 
 def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
@@ -1319,25 +1184,6 @@ def test_rolls_match_the_per_kind_builders(name, n_steps):
         tol = DEVELOPMENT_TOL[n_steps]
         for field in ("s", "alpha_hat"):
             assert _peak(getattr(path, field), getattr(reference, field)) <= tol, field
-
-
-@pytest.mark.parametrize("n_steps", [250, 2000])
-def test_sampled_hyperboloid_intrinsic_roll_matches_the_control_development(n_steps):
-    hyp = get_model("hyperboloid")
-    grid = TimeGrid(0.0, 1.0, n_steps)
-    curve = EmbeddedCurve(grid, extrinsic_roll(hyp, _sinusoid(grid, hyp.p_dim, 7)).alpha)
-    _assert_triples_agree(intrinsic_roll(hyp, curve), _intrinsic_roll_reference(hyp, curve))
-
-
-def test_latitude_intrinsic_roll_matches_the_control_development():
-    # criterion 11: the latitude at polar angle 1 on the sphere
-    sph = get_model("sphere")
-    grid = TimeGrid(0.0, 2 * np.pi, 2000)
-    z = np.tan(0.5) * np.exp(1j * grid.ts)
-    curve = EmbeddedCurve(grid, sphere.embed_sphere(z))
-    q0 = sphere.chart_lift_matrix(z[0])
-    _assert_triples_agree(intrinsic_roll(sph, curve, q0=q0),
-                          _intrinsic_roll_reference(sph, curve, q0=q0))
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])

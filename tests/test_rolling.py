@@ -6,7 +6,6 @@ genuine rollings must come out at discretization level and injected
 faults must surface in the one condition they violate.
 """
 
-import json
 import re
 
 import numpy as np
@@ -285,18 +284,6 @@ def test_frames_with_more_columns_than_rows_are_refused(check):
     wide = np.random.default_rng(4).standard_normal((ft.frames.shape[0], 3, 4))
     with pytest.raises(ValueError, match="rank deficient at node 0 "):
         FRAME_CHECKS[check](path, TangentFramePath(ft.ts, wide), ft, fn)
-
-
-def test_residual_report_json_round_trip():
-    path, ft, fn = _plane_on_plane(50)
-    report = rolling_condition_residuals(path, ft, ft, fn)
-    clone = json.loads(json.dumps(report.to_dict()))
-    for name in ResidualReport._FIELDS:
-        assert clone["max"][name] == getattr(report, name)
-    assert set(clone["per_node"]) == set(report.per_node)
-    for key, values in report.per_node.items():
-        assert np.array_equal(clone["per_node"][key], values), key
-    assert TimeGrid(**clone["grid"]) == report.grid
 
 
 def test_latitude_transport_matches_closed_form():
