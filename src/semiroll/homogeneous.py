@@ -1,12 +1,15 @@
 """Homogeneous-space engine: models, horizontal lifts, developments, rolling.
 
-A curved space enters as a ``CartanModel``: a matrix realization of a Lie
-algebra with a declared h/p splitting, an equivariant isometric embedding of
-M = G/H into a flat ambient space V, and the linearization of the G-action
-on V.  Everything downstream is sampled on uniform grids.  A control rolls
-along its horizontal lift, ``qdot = q U(t)`` with U(t) in p: the rotation is
-the J-inverse of the ambient representation (times the correction S(t) that
-a non-symmetric space derives from its own ``d_e_rho``).  A sampled curve on
+A curved space enters as a ``CartanModel``: a real matrix realization of a
+Lie algebra with a declared h/p splitting (a complex group as its real
+form), an equivariant isometric embedding of M = G/H into a flat ambient
+space V, and the linearization of the G-action on V.  Everything downstream
+is sampled on uniform grids.  A control rolls along its horizontal lift,
+``qdot = q U(t)`` with U(t) in p, from a start value q0 that one check
+(``_start_value``) refuses unless it is a finite real group matrix: the
+rotation is the J-inverse of the ambient representation (times the
+correction S(t) that a non-symmetric space derives from its own
+``d_e_rho``).  A sampled curve on
 the manifold rolls by parallel transport alone (Hüper & Silva Leite, 2007):
 the rotation is the J-inverse of the group flow that transports the whole
 ambient frame along the curve's tangent spaces, and needs no lift.  Either
@@ -170,7 +173,7 @@ class CartanModel:
     ----------
     name : str
     basis : (m, d, d) array
-        Lie algebra basis in the matrix realization (possibly complex).
+        Real Lie algebra basis in the matrix realization.
     h_indices, p_indices : sequences of int
         Index split of the basis into isotropy part and its reductive
         complement.
@@ -287,8 +290,7 @@ class CartanModel:
         self.symmetric_space = bool(np.max(np.abs(self.omega_basis)) <= MODEL_CHECK_TOL * size)
 
         self._p_basis = self.basis[list(self.p_indices)]
-        flat = self.basis.reshape(self.basis.shape[0], -1).T
-        self._basis_flat = np.vstack([flat.real, flat.imag])
+        self._basis_flat = self.basis.reshape(self.basis.shape[0], -1).T
 
     # -- algebra helpers -------------------------------------------------
 
@@ -315,8 +317,7 @@ class CartanModel:
         """Basis coefficients (..., m) and off-span residual norms (...) of X (..., d, d)."""
         X = np.asarray(X)
         lead = X.shape[:-2]
-        flat = X.reshape((-1, X.shape[-2] * X.shape[-1]))
-        target = np.concatenate([flat.real, flat.imag], axis=1).T
+        target = X.reshape((-1, X.shape[-2] * X.shape[-1])).T
         coeffs, _, _, _ = np.linalg.lstsq(self._basis_flat, target, rcond=None)
         resid = np.linalg.norm(self._basis_flat @ coeffs - target, axis=0)
         return coeffs.T.reshape(lead + (-1,)), resid.reshape(lead)[()]
@@ -364,8 +365,10 @@ class CartanModel:
         of the base point, J-orthogonality and equivariance of the ambient
         representation (on four random samples), the homomorphism property of
         d_e_rho, the bundle's ``constraint`` at the base point and at its four
-        sampled images rho(q) obar (and that it does not vanish at 2 obar), and Ad_H-invariance of the derived
-        p-metric.  A broken [p,p] subset h is refused only where
+        sampled images rho(q) obar (and that it does not vanish at 2 obar),
+        Ad_H-invariance of the derived p-metric, and last that rho integrates
+        d_e_rho: rho(expm X) = expm(d_e_rho X) relative to max|rho| at the four
+        algebra samples X.  A broken [p,p] subset h is refused only where
         ``omega_basis`` vanishes (``symmetric_space``); a model with a
         correction of its own only reports it under ``"pp"``.  Returns the
         measured defects.
@@ -390,7 +393,7 @@ class CartanModel:
             "hp": peak(c[np.ix_(h, p, h)]),
             "pp": peak(c[np.ix_(p, p, p)]),
             "span": peak(r),
-            "orth": peak(np.einsum("iab,jba->ij", B[p], B[h]).real),
+            "orth": peak(np.einsum("iab,jba->ij", B[p], B[h])),
         }
         defects.update(worst)
         lim = MODEL_CHECK_TOL * max(1.0, scale) ** 2
@@ -403,7 +406,7 @@ class CartanModel:
         if worst["pp"] > lim and self.symmetric_space:
             raise ValueError("[p,p] is not contained in h but omega_basis vanishes")
         if worst["orth"] > lim:
-            raise ValueError("h and p are not orthogonal under -Re tr(XY)")
+            raise ValueError("h and p are not orthogonal under -tr(XY)")
 
         iso = peak([np.asarray(self.d_e_rho(self.basis[i]), dtype=float) @ self.obar
                     for i in self.h_indices])
@@ -414,6 +417,7 @@ class CartanModel:
         equiv = 0.0
         jorth = 0.0
         hom = 0.0
+        tie = 0.0
         orbit = [self.obar]
         for _ in range(4):
             q = self.random_group_element(rng)
@@ -433,9 +437,12 @@ class CartanModel:
             rhs_h = bracket(np.asarray(self.d_e_rho(X), dtype=float),
                             np.asarray(self.d_e_rho(Y), dtype=float))
             hom = max(hom, peak(lhs_h - rhs_h) / max(1.0, peak(rhs_h)))
+            rx = np.asarray(self.rho(expm(X)), dtype=float)
+            tie = max(tie, peak(rx - expm(np.asarray(self.d_e_rho(X), dtype=float))) / peak(rx))
         defects["equivariance"] = equiv
         defects["rho_orthogonality"] = jorth
         defects["d_e_rho_homomorphism"] = hom
+        defects["rho_integrates_d_e_rho"] = tie
         defects["constraint"] = con = float(np.max(_constraint_defects(self, np.array(orbit))))
         if equiv > 1e-10:
             raise ValueError(f"embedding is not equivariant (defect {equiv:.3e})")
@@ -461,6 +468,10 @@ class CartanModel:
         defects["ad_h_invariance"] = adh
         if adh > 1e-8:
             raise ValueError("p-metric is not Ad_H-invariant")
+        # last: a d_e_rho that is not rho's differential reaches the Ad_H refusal first
+        if not tie <= 1e-8:
+            raise ValueError(f"rho is not the representation d_e_rho integrates: rho(expm X) "
+                             f"and expm(d_e_rho X) differ by {tie:.3e} of max|rho|")
         return defects
 
 
@@ -493,6 +504,19 @@ def _control_curve(control, dim, grid=None):
     return control
 
 
+def _start_value(model, q0):
+    """``q0`` as a float (group_dim, group_dim) matrix, the identity when None; any other
+    q0, a complex one included, is refused by name.  The one check for both roll paths."""
+    d = model.group_dim
+    if q0 is None:
+        return np.eye(d)
+    q0 = np.asarray(q0)
+    if q0.dtype.kind not in "biuf" or q0.shape != (d, d) or not np.all(np.isfinite(q0)):
+        raise ValueError(f"q0 must be a finite real ({d}, {d}) matrix of the model's group, "
+                         f"got a {q0.dtype} array of shape {q0.shape}")
+    return q0.astype(float)
+
+
 def horizontal_lift(model, control, q0=None):
     """Horizontal lift of a control: qdot = q U(t) from ``q0``, the group identity by default.
 
@@ -501,7 +525,7 @@ def horizontal_lift(model, control, q0=None):
     rolls by transport and has no lift.
     """
     control = _control_curve(control, model.p_dim)
-    q0 = np.eye(model.group_dim, dtype=model.basis.dtype) if q0 is None else np.asarray(q0)
+    q0 = _start_value(model, q0)
     coords = control.stage_coords()
     qs = flow_matrix_ode(model.p_element(coords), q0, control.grid, side="right",
                          reproject_form=model.group_form)
@@ -562,6 +586,8 @@ def _sampled_roll(model, curve, q0):
     differenced velocity and pointwise tangent frames of a sampled curve.  A point
     whose ``constraint`` exceeds CURVE_TOL max(1, |x|^2) is refused by its time, and
     so is a first point that far from r0 obar, and the worst step that jumps (``CHORD_TOL``)."""
+    r0 = np.eye(model.ambient_dim) if q0 is None else \
+        np.asarray(model.rho(_start_value(model, q0)), dtype=float)
     points, grid = curve.points, curve.grid
     if points.shape[1] != model.ambient_dim:
         raise ValueError("curve ambient dimension does not match the model")
@@ -572,7 +598,6 @@ def _sampled_roll(model, curve, q0):
         k = bad[0]
         raise ValueError(f"curve leaves the model manifold at t={grid.ts[k]:.6g} "
                          f"(defect {defects[k]:.3e})")
-    r0 = np.eye(model.ambient_dim) if q0 is None else np.asarray(model.rho(q0), dtype=float)
     start = points[0]
     if not np.linalg.norm(r0 @ model.obar - start) <= CURVE_TOL * max(1.0, start @ start):
         raise ValueError("curve does not start at the projection of q0")

@@ -8,9 +8,9 @@ step factors at once, as matrix polynomials of the stage samples, and its
 path is their running product, taken as a blocked scan.  Every flow is a
 group flow: it polishes the factors onto the J-orthogonal group of its form,
 gives every node one inverse-free Newton-Schulz step, and checks every node.
-Every matrix flow of the package is such a linear flow; a complex one (SU(2),
-SU(1,1)) runs in its real form, where the products are real and cheaper.
-``reproject`` polishes one matrix or a whole stack.  Vector quadrature is the
+Every matrix flow of the package is such a linear flow, and real: complex
+input is refused (a complex group enters as its real form).  ``reproject``
+polishes one matrix or a whole stack.  Vector quadrature is the
 cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
 for cubic polynomials).  Grid differentiation is fourth order, with one-sided
 stencils at the two nodes on each end of the grid, and needs five nodes.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SignatureForm, j_orthogonality_residual
+from .linalg import j_orthogonality_residual
 
 __all__ = [
     "TimeGrid",
@@ -85,74 +85,41 @@ class TimeGrid:
 
 
 def _newton_step(X, form):
-    """One Newton step X <- (X + J X^{-*} J)/2 on a stack of matrices."""
+    """One Newton step X <- (X + J X^{-T} J)/2 on a stack of matrices."""
     try:
-        Y = np.linalg.inv(np.swapaxes(X.conj(), -1, -2))
+        Y = np.linalg.inv(np.swapaxes(X, -1, -2))
     except np.linalg.LinAlgError as exc:
         raise ValueError("reprojection hit a singular iterate") from exc
     signs = form.signs
     return 0.5 * (X + signs[:, None] * Y * signs)
 
 
-class _TiledForm(SignatureForm):
-    """J tiled twice: the form of the real forms r(X) of complex J-orthogonal matrices.
-
-    r(X) = [[Re X, -Im X], [Im X, Re X]] is multiplicative and r(X*) = r(X)^T,
-    so r(X)^T (J + J) r(X) = r(X* J X): r(X) is orthogonal under this form
-    exactly when X is under J.  Its residual (``_group_residual``) keeps the
-    complex meaning, the modulus of X* J X - J.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, form):
-        super().__init__(np.tile(form.signs, 2))
-
-
-def _real_form(X):
-    """r(X) = [[Re X, -Im X], [Im X, Re X]] of matrices (..., d, d), as float64 (..., 2d, 2d)."""
-    d = X.shape[-1]
-    out = np.empty(X.shape[:-2] + (2 * d, 2 * d))
-    out[..., :d, :d] = out[..., d:, d:] = X.real
-    out[..., d:, :d] = X.imag
-    np.negative(X.imag, out=out[..., :d, d:])
-    return out
-
-
-def _group_residual(X, form):
-    """max |X* J X - J| per matrix of a stack (a float for one matrix).
-
-    Under a ``_TiledForm`` the stack holds real forms r(Y), and the residual is
-    Y's complex modulus, taken from the left column blocks [Re C; Im C] of the
-    real Gram matrix r(C) = r(Y)^T (J + J) r(Y), C = Y* J Y.  A max-entry
-    residual of r(Y) would read up to sqrt(2) lower.
-    """
-    if not isinstance(form, _TiledForm):
-        return j_orthogonality_residual(X, form)
-    d = form.dim // 2
-    gram = np.swapaxes(X, -1, -2) @ (form.signs[:, None] * X[..., :d])
-    gram[..., np.arange(d), np.arange(d)] -= form.signs[:d]
-    return np.max(np.hypot(gram[..., :d, :], gram[..., d:, :]), axis=(-2, -1))
+def _real(X, name):
+    """X as a float array; a complex one, which a cast would truncate, is refused by name."""
+    if np.iscomplexobj(X):
+        raise ValueError(f"{name} must be real, got a complex array; a complex group enters "
+                         "as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
+    return np.asarray(X, dtype=float)
 
 
 def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
-    """Newton iteration X <- (X + J X^{-*} J)/2 onto the J-orthogonal group.
+    """Newton iteration X <- (X + J X^{-T} J)/2 onto the J-orthogonal group.
 
-    ``X`` is one (d, d) matrix or a stack (..., d, d); a stack is polished
+    ``X`` is one real (d, d) matrix or a stack (..., d, d); a stack is polished
     as a whole, every matrix stepping until the worst residual is at most
     ``tol``.  Returns (projected matrices, iterations used, worst final
     residual).  Quadratic convergence near the group; raises if the
     iteration stalls or hits a singular iterate anywhere in the stack.
     """
-    X = np.array(X, dtype=complex if np.iscomplexobj(X) else float)
+    X = np.array(_real(X, "reproject input"))
     if X.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    residual = np.max(_group_residual(X, form), initial=0.0)
+    residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
     for it in range(max_iter):
         if residual <= tol:
             return X, it, residual
         X = _newton_step(X, form)
-        residual = np.max(_group_residual(X, form), initial=0.0)
+        residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
     if residual <= tol:
         return X, max_iter, residual
     raise ValueError(
@@ -238,16 +205,16 @@ def _running_product(factors, X0, side):
 
 
 def _newton_schulz_step(X, form):
-    """One inverse-free step X <- X (3I - J X^* J X)/2 towards the J-orthogonal group.
+    """One inverse-free step X <- X (3I - J X^T J X)/2 towards the J-orthogonal group.
 
     The Newton-Schulz iteration for the generalized polar factor (Higham,
     Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 25, 2004): it agrees
-    with the Newton step ``(X + J X^{-*} J)/2`` to second order in the drift.
+    with the Newton step ``(X + J X^{-T} J)/2`` to second order in the drift.
     """
     signs = form.signs
-    # J X^* J in one C-ordered product: the signs are +-1, so one factor J_ii J_jj
+    # J X^T J in one C-ordered product: the signs are +-1, so one factor J_ii J_jj
     # carries the bits of the two scalings
-    adjoint = np.multiply(np.swapaxes(X.conj(), -1, -2), signs[:, None] * signs, order="C")
+    adjoint = np.multiply(np.swapaxes(X, -1, -2), signs[:, None] * signs, order="C")
     out = X @ (adjoint @ X)
     out *= -0.5
     out += 1.5 * X
@@ -270,41 +237,23 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     accumulates, and the group residual of every node is checked; a node off
     the group by more than ``REPROJECT_TOL`` max(1, max|X_ij|^2), the scale of
     its rounding, raises, naming the node.
-    Non-finite generators or start values are refused.
-
-    A complex flow (complex generators or start value) runs in its real form
-    r(X) = [[Re X, -Im X], [Im X, Re X]], in float64 under the form's signs
-    tiled twice: r is multiplicative and r(X*) = r(X)^T, so the real flow is
-    the complex one exactly, and its real 2d x 2d products are cheaper than
-    complex d x d ones.  The path is returned complex, read off the left
-    column blocks of r.  The factor polish and the node check still read the
-    complex modulus max |X* J X - J|.
+    Non-finite or complex generators or start values are refused.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    L = np.asarray(generators)
-    X0 = np.asarray(X0)
+    L = _real(generators, "flow generators")
+    X0 = _real(X0, "flow start value")
     _check_stage_samples(L, grid)
     if L.shape[1:] != X0.shape or X0.ndim != 2 or X0.shape[0] != X0.shape[1]:
         raise ValueError("generators and X0 must be square matrices of equal size")
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(X0))):
         raise ValueError("flow generators or start value contain NaN or inf")
-    if not (np.iscomplexobj(L) or np.iscomplexobj(X0)):
-        dtype = np.result_type(L.dtype, X0.dtype, float)
-        return _flow(L.astype(dtype, copy=False), X0, grid, side, reproject_form)
-    out = _flow(_real_form(L), _real_form(X0), grid, side, _TiledForm(reproject_form))
-    d = X0.shape[0]
-    return out[:, :d, :d] + 1j * out[:, d:, :d]
-
-
-def _flow(L, X0, grid, side, form):
-    """The node path of ``flow_matrix_ode`` for checked real generators L of the path's dtype."""
-    factors = reproject(_step_factors(L, grid.h, side), form)
-    out = np.empty((grid.n_nodes,) + X0.shape, dtype=L.dtype)
+    factors = reproject(_step_factors(L, grid.h, side), reproject_form)
+    out = np.empty((grid.n_nodes,) + X0.shape)
     out[0] = X0
     out[1:] = _running_product(factors, X0, side)
-    out[1:] = _newton_schulz_step(out[1:], form)
-    residual = _group_residual(out[1:], form)
+    out[1:] = _newton_schulz_step(out[1:], reproject_form)
+    residual = j_orthogonality_residual(out[1:], reproject_form)
     if not np.max(residual) <= REPROJECT_TOL:
         # rounding grows X^T J X - J with |X|^2 (Higham, "J-orthogonal matrices",
         # 2003): a node is off the group relative to max(1, max|X_ij|^2)

@@ -1,7 +1,7 @@
 """Model registry: bundled geometries plus declarative JSON descriptions.
 
 Every model is constructed through one path: a JSON-serializable
-*description* (algebra basis, splitting, form signatures, submersion
+*description* (real algebra basis, splitting, form signatures, submersion
 differential, base point) paired with a named *embedding bundle* that
 supplies what only the model knows: ``rho``, ``d_e_rho``, the chart
 ``action``, ``embed``, the chart ``base_point``, ``tangent_frame_at`` and
@@ -15,6 +15,7 @@ once and caches it, and builds and validates a description file by path.
 A model with a base point of its own is ``build_model(description(...,
 base_point))``.  Every model rolls through ``homogeneous``, and a symmetric
 one also through ``hyperbolic.kinematic_roll``.
+SU(2) and SU(1,1) are stored as real forms r(X) = [[Re X, -Im X], [Im X, Re X]].
 The JSON files under ``data/`` are regression fixtures: tests check that
 they still match the generators, and they show the file format.
 """
@@ -61,15 +62,6 @@ _FIXED_DESCRIPTIONS = {
 }
 
 
-def _decode_basis(desc):
-    raw = np.asarray(desc["basis"], dtype=float)
-    if desc.get("dtype", "real") == "complex":
-        if raw.ndim != 4 or raw.shape[-1] != 2:
-            raise ValueError("complex basis must store [re, im] entry pairs")
-        return raw[..., 0] + 1j * raw[..., 1]
-    return raw
-
-
 def build_model(desc, validate=False):
     """Instantiate a CartanModel from a description dictionary."""
     version = desc.get("format_version")
@@ -81,9 +73,12 @@ def build_model(desc, validate=False):
     key = embedding.split(":", 1)[1]
     if key not in EMBEDDING_BUNDLES:
         raise ValueError(f"unknown embedding bundle: {key!r}")
+    if desc.get("dtype", "real") != "real":
+        raise ValueError(f"unsupported basis dtype {desc['dtype']!r}: a basis is real; store "
+                         "a complex matrix X as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
     model = CartanModel(
         name=desc["name"],
-        basis=_decode_basis(desc),
+        basis=np.asarray(desc["basis"], dtype=float),
         h_indices=desc["h_indices"],
         p_indices=desc["p_indices"],
         form=SignatureForm(desc["J_signs"]),

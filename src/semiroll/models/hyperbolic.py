@@ -1,15 +1,16 @@
 """Hyperbolic plane: Poincare disc acted on by SU(1,1), hyperboloid embedding.
 
-The algebra su(1,1) is realized by
+The algebra su(1,1) is spanned by
 
     A1 = 1/2 [[i, 0], [0, -i]],  A2 = 1/2 [[0, 1], [1, 0]],  A3 = 1/2 [[0, i], [-i, 0]],
 
 a general element ``X = 1/2 [[i v, u], [conj(u), -i v]]`` carrying coordinates
-(v, u1, u2) with u = u1 + i u2.  In these coordinates the adjoint action on
-the algebra preserves ``-v^2 + u1^2 + u2^2``; the orbit of (1, 0, 0) is the
-upper sheet (v > 0) of the two-sheeted hyperboloid -v^2 + u1^2 + u2^2 = -1,
-and the ambient form is diag(-1, 1, 1).  The disc coordinate z maps onto the
-hyperboloid by
+(v, u1, u2) with u = u1 + i u2, held as its real 4 x 4 form (``real_form``);
+only the chart maps read complex entries.  In these coordinates the adjoint
+action on the algebra preserves ``-v^2 + u1^2 + u2^2``; the orbit of
+(1, 0, 0) is the upper sheet (v > 0) of the two-sheeted hyperboloid
+-v^2 + u1^2 + u2^2 = -1, and the ambient form is diag(-1, 1, 1).  The disc
+coordinate z maps onto the hyperboloid by
 
     iota(z) = ( (1+|z|^2)/(1-|z|^2), 2 Im z/(1-|z|^2), -2 Re z/(1-|z|^2) ).
 
@@ -18,9 +19,10 @@ Moebius transformations z -> (a z + b)/(conj(b) z + conj(a)) with
 action.
 
 The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
-construction held here: ``quadric_description`` and ``quadric_bundle``
-(Moebius action, null-space tangent frames, the constraint <x, x> =
-<obar, obar>); each model passes its basis, embedding, rho, d_e_rho.
+construction held here: ``quadric_description`` (real forms) and
+``quadric_bundle`` (Moebius action, null-space tangent frames, the
+constraint <x, x> = <obar, obar>); each model passes its basis, embedding,
+rho, d_e_rho.
 ``kinematic_roll``, also held here, integrates the paper's kinematic
 equations on every symmetric model (the two quadrics, SO+(p, q), V_1(R^n))
 with the one ambient angular velocity Ubar = d_e_rho(U), on the control's
@@ -40,6 +42,7 @@ from ..rolling import RollingMapPath
 
 __all__ = [
     "SU11_BASIS",
+    "real_form",
     "su11_coords",
     "hat",
     "adjoint_matrix",
@@ -61,15 +64,25 @@ SU11_BASIS = 0.5 * np.array(
 )
 
 
+def real_form(X):
+    """r(X) = [[Re X, -Im X], [Im X, Re X]] of matrices (..., d, d), as (..., 2d, 2d).
+
+    r is multiplicative and r(X*) = r(X)^T, so r(X)^T (J + J) r(X) = r(X* J X):
+    r(X) preserves J tiled twice exactly when X preserves J.
+    """
+    X = np.asarray(X)
+    return np.block([[X.real, -X.imag], [X.imag, X.real]])
+
+
 def su11_coords(X):
-    """Coordinates (v, u1, u2) of su(1,1) matrices (..., 2, 2), as (..., 3).
+    """Coordinates (v, u1, u2) of su(1,1) matrices in real form (..., 4, 4), as (..., 3):
+    2 Im X_00, 2 Re X_01 and 2 Im X_01, the entries (2, 0), (0, 1) and (2, 1) of r(X).
 
     su(2) matrices keep their coordinates (u1, u2, u3) in the same entries,
     so the sphere model reads them with this function too.
     """
     X = np.asarray(X)
-    return np.stack([2.0 * X[..., 0, 0].imag, 2.0 * X[..., 0, 1].real, 2.0 * X[..., 0, 1].imag],
-                    axis=-1)
+    return np.stack([2.0 * X[..., 2, 0], 2.0 * X[..., 0, 1], 2.0 * X[..., 2, 1]], axis=-1)
 
 
 def hat(u):
@@ -81,15 +94,17 @@ def hat(u):
 
 
 def adjoint_matrix(g, basis):
-    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates, g (..., 2, 2).
+    """Matrices (..., 3, 3) of X -> g X g^{-1} in ``basis`` coordinates.
 
+    g (..., 4, 4) holds real forms, ``basis`` the complex 2 x 2 matrices B_j.
     Column j holds the coordinates of M = g B_j g^{-1}, which ``su11_coords``
     reads from the entries (0, 0) and (0, 1) of M alone.  Those two are formed
-    elementwise from the entries of g with the adjugate formula
-    g^{-1} = [[d, -b], [-c, a]] / (a d - b c): with (x, y) the top row of g B_j,
-    M_00 = (x d - y c) / det g and M_01 = (y a - x b) / det g.
+    elementwise from the complex entries a, b, c, d of g with the adjugate
+    formula g^{-1} = [[d, -b], [-c, a]] / (a d - b c): with (x, y) the top row
+    of g B_j, M_00 = (x d - y c) / det g and M_01 = (y a - x b) / det g.
     """
     g = np.asarray(g)[..., None, :, :]
+    g = g[..., :2, :2] + 1j * g[..., 2:, :2]
     a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
     x = a * basis[:, 0, 0] + b * basis[:, 1, 0]
     y = a * basis[:, 0, 1] + b * basis[:, 1, 1]
@@ -109,14 +124,15 @@ def embed_hyperbolic(z):
 
 
 def quadric_description(name, basis, signs, group_signs, embedding):
-    """Declarative data (JSON-serializable) of a quadric model with 2 x 2 ``basis``."""
+    """Declarative data (JSON-serializable) of a quadric model with complex 2 x 2 ``basis``
+    preserving ``group_signs``, stored as its real forms under those signs tiled twice."""
     return {
         "format_version": 1,
         "name": name,
-        "dtype": "complex",
+        "dtype": "real",
         "J_signs": signs,
-        "group_signs": group_signs,
-        "basis": [[[[x.real, x.imag] for x in row] for row in mat] for mat in basis],
+        "group_signs": group_signs * 2,
+        "basis": real_form(basis).tolist(),
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
@@ -127,8 +143,9 @@ def quadric_description(name, basis, signs, group_signs, embedding):
 
 
 def _action(g, z):
-    """Moebius action of a 2 x 2 group matrix of either branch on a chart point."""
+    """Moebius action of a group matrix of either branch, in real form, on a chart point."""
     g = np.asarray(g)
+    g = g[:2, :2] + 1j * g[2:, :2]
     return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
 
 

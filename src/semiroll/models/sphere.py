@@ -5,7 +5,8 @@ su(2) basis:
     A1 = 1/2 [[i, 0], [0, -i]],  A2 = 1/2 [[0, 1], [-1, 0]],  A3 = 1/2 [[0, i], [i, 0]],
 
 with a general element ``1/2 [[i u1, u2 + i u3], [-u2 + i u3, -i u1]]``
-carrying coordinates (u1, u2, u3).  The adjoint action in these coordinates
+carrying coordinates (u1, u2, u3), held as its real 4 x 4 form r(X), so SU(2)
+sits in SO(4).  The adjoint action in these coordinates
 is rotation by hat(u); the embedded picture conjugates it by the permutation
 
     P = [[0, 0, 1], [-1, 0, 0], [0, -1, 0]]
@@ -15,19 +16,19 @@ so that the chart embedding
     iota(z) = ( -2 Re z, (|z|^2 - 1), -2 Im z ) / (1 + |z|^2)
 
 satisfies iota(g.z) = P Ad(g) P^T iota(z) for every g in SU(2).  The chart
-origin lands on (0, -1, 0).
+origin lands on (0, -1, 0); ``chart_lift_matrix`` is the section over the chart.
 
 The sphere and the hyperboloid share one quadric construction in
-``hyperbolic.py``, which also holds ``hat`` and ``su2_coords`` (there
-``su11_coords``); this module keeps the SU(2) basis, P, the embedding, rho
-and d_e_rho.
+``hyperbolic.py``, which also holds ``real_form``, ``hat`` and ``su2_coords``
+(there ``su11_coords``); this module keeps the SU(2) basis, P, the embedding,
+rho, d_e_rho and the chart section.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hyperbolic import adjoint_matrix, hat, quadric_bundle, quadric_description
+from .hyperbolic import adjoint_matrix, hat, quadric_bundle, quadric_description, real_form
 from .hyperbolic import su11_coords as su2_coords
 
 __all__ = [
@@ -77,6 +78,6 @@ def bundle(desc):
 
 
 def chart_lift_matrix(z):
-    """The standard section h(z) of SU(2) over the chart, h(z).0 = z."""
+    """The real form of the standard section h(z) of SU(2) over the chart, h(z).0 = z."""
     f = 1.0 / np.sqrt(1.0 + abs(z) ** 2)
-    return np.array([[f, f * z], [-np.conj(f * z), np.conj(f)]])
+    return real_form(np.array([[f, f * z], [-np.conj(f * z), np.conj(f)]]))

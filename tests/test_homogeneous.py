@@ -217,6 +217,26 @@ def _bundle_edit(field, wrap):
     return corrupt
 
 
+def _conjugated_group(desc):
+    # rho and action read Q as K Q K^T: still a representation, equivariant and
+    # form-preserving, but no longer the one d_e_rho integrates
+    honest = EMBEDDING_BUNDLES["stiefel"](desc)
+    A = np.random.default_rng(1).standard_normal((4, 4))
+    K = expm(0.4 * (A - A.T))
+    return {"rho": lambda q: honest["rho"](K @ q @ K.T),
+            "action": lambda q, x: honest["action"](K @ q @ K.T, x)}
+
+
+def _conjugated_d_e_rho(name):
+    """d_e_rho conjugated by a T with T obar = obar: brackets and isotropy still hold,
+    but the tangent frame T d_e_rho(p_i) obar carries a p-metric that Ad_H moves."""
+    obar = get_model(name).obar
+    u, w = np.random.default_rng(5).standard_normal((2, obar.size))
+    T = np.eye(obar.size) + 0.5 * np.outer(u, w - (w @ obar) / (obar @ obar) * obar)
+    T_inv = np.linalg.inv(T)
+    return _bundle_edit("d_e_rho", lambda f: lambda X: T @ f(X) @ T_inv)
+
+
 # each case corrupts one field of a registered model's description or bundle;
 # a corruption returns the bundle callables it replaces
 VALIDATE_REFUSALS = {
@@ -226,7 +246,7 @@ VALIDATE_REFUSALS = {
            "[h,p] is not contained in p"),
     "pp": ("stiefel_4_2", _swap_only, "[p,p] is not contained in h but omega_basis vanishes"),
     "orth": ("so_plus_1_2", _basis_edit(lambda b, h, p: b.__setitem__(p, 0.5 * (b[h] + b[p]))),
-             "h and p are not orthogonal under -Re tr(XY)"),
+             "h and p are not orthogonal under -tr(XY)"),
     "isotropy": ("hyperboloid", lambda desc: desc.update(base_point=[0.3, 0.1]),
                  "isotropy algebra does not fix the base point"),
     "equivariance": ("sphere", _bundle_edit("action", lambda f: lambda g, z: np.conj(f(g, z))),
@@ -239,6 +259,10 @@ VALIDATE_REFUSALS = {
     "vacuous constraint": ("stiefel_4_2",
                            _bundle_edit("constraint", lambda f: lambda xs: 0.0 * f(xs)),
                            "constraint vanishes at 2 obar, off the manifold"),
+    **{f"ad_h:{name}": (name, _conjugated_d_e_rho(name), "p-metric is not Ad_H-invariant")
+       for name in ("sphere", "so_plus_1_2", "stiefel_4_2")},
+    "rho integrates d_e_rho": ("stiefel_4_2", _conjugated_group,
+                               "rho is not the representation d_e_rho integrates"),
 }
 
 
@@ -255,9 +279,8 @@ def test_validate_refuses_each_broken_invariant(case, monkeypatch):
 
 
 def test_validate_refuses_a_p_metric_that_ad_h_moves():
-    # a bundle whose transvection passes fixes the tangent frame F0, and with
-    # it an Ad_H-invariant ip_p = F0^T J F0; so no corrupted description or
-    # bundle reaches this refusal, and the derived metric is corrupted instead
+    # the derived metric corrupted directly; VALIDATE_REFUSALS reaches the
+    # same refusal through a conjugated d_e_rho
     model = build_model(get_model("sphere").description)
     model.validate()
     model.ip_p = np.diag([2.0, 1.0]) @ model.ip_p @ np.diag([2.0, 1.0])
@@ -271,8 +294,9 @@ def test_validate_refuses_a_p_metric_that_ad_h_moves():
     (lambda desc: desc.update(embedding="module:riemann_sphere"),
      "unknown embedding scheme: 'module:riemann_sphere'"),
     (lambda desc: desc.update(embedding="builtin:torus"), "unknown embedding bundle: 'torus'"),
-    (lambda desc: desc.update(basis=np.array(desc["basis"])[..., 0].tolist()),
-     "complex basis must store [re, im] entry pairs"),
+    (lambda desc: desc.update(dtype="complex"),
+     "unsupported basis dtype 'complex': a basis is real; store a complex matrix X as its "
+     "real form r(X) = [[Re X, -Im X], [Im X, Re X]]"),
 ], ids=["format_version", "no_format_version", "scheme", "bundle", "complex_basis"])
 def test_a_description_file_with_a_bad_header_is_refused_by_name(edit, message, tmp_path):
     desc = sphere_description()
@@ -394,7 +418,7 @@ def test_validate_catches_tampered_subalgebra_split():
 
 def test_model_file_with_corrupted_basis_is_rejected(tmp_path):
     desc = sphere_description()
-    desc["basis"][1][0][1][0] += 0.25  # real part of A2[0, 1]
+    desc["basis"][1][0][1] += 0.25  # one of the two copies of Re A2[0, 1] in r(A2)
     path = tmp_path / "sphere_bad.json"
     path.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match="brackets leave the algebra span"):
@@ -478,6 +502,35 @@ def test_a_boosted_base_point_past_the_bound_is_refused_by_its_tangent_frame():
 
 SEVEN_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
                 "stiefel_3_1", "stiefel_4_2", "stiefel_5_3"]
+
+
+def _bad_start_values(d):
+    """(q0, refusal) of start values that no model of group dimension d rolls from."""
+    def refusal(q0):
+        return (q0, rf"^q0 must be a finite real \({d}, {d}\) matrix of the model's group, "
+                    rf"got a {q0.dtype} array of shape {re.escape(str(q0.shape))}$")
+    section = np.array([[0.8, 0.36 + 0.48j], [-0.36 + 0.48j, 0.8]])  # the old complex h(z)
+    nan = np.eye(d)
+    nan[0, -1] = np.nan
+    return [refusal(q0) for q0 in (np.eye(d - 1), np.eye(d + 1), np.eye(d)[None],
+                                   np.eye(d, dtype=complex), section, nan, np.eye(d).astype(str))]
+
+
+@pytest.mark.parametrize("path", ["control", "curve"])
+@pytest.mark.parametrize("name", SEVEN_MODELS)
+def test_a_start_value_is_checked_alike_on_every_path(name, path):
+    # the quadrics' real forms are 4 x 4: the old complex 2 x 2 section, or the
+    # sphere's 3 x 3 identity that a sampled roll used to read the corner of,
+    # is refused by name, on a control's lift and on a sampled curve alike
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 40)
+    data = ControlCurve.from_function(grid, _phased(model.p_dim))
+    if path == "curve":
+        data = EmbeddedCurve(grid, extrinsic_roll(model, data).alpha)
+    for q0, refusal in _bad_start_values(model.group_dim):
+        for roll in (extrinsic_roll, intrinsic_roll):
+            with pytest.raises(ValueError, match=refusal):
+                roll(model, data, q0=q0)
 
 
 @pytest.mark.parametrize("build", [
@@ -823,7 +876,7 @@ def test_get_model_accepts_path_objects(tmp_path):
     assert np.array_equal(model.frame0, get_model("sphere").frame0)
     # the Path route validates as the string route does
     desc = sphere_description()
-    desc["basis"][1][0][1][0] += 0.25
+    desc["basis"][1][0][1] += 0.25
     bad = tmp_path / "sphere_bad.json"
     bad.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match="brackets leave the algebra span"):
@@ -981,7 +1034,8 @@ def _rng5_control_from_q0(name):
     return lambda n_steps: (_rng5_control(model, n_steps), q0)
 
 
-# so_plus_2_2's seed-3 q0 is boosted, max |rho(q0)| = 13, and the sphere's is complex
+# so_plus_2_2's seed-3 q0 is boosted, max |rho(q0)| = 13, and the sphere's is the real
+# form of an SU(2) matrix
 @pytest.mark.parametrize("name, inputs, steps", [
     (name, _rng5_control_from_q0(name), (250, 500))
     for name in ("sphere", "so_plus_1_2", "so_plus_2_2", "stiefel_4_2")

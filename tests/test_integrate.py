@@ -10,9 +10,6 @@ from scipy.linalg import expm
 from semiroll.integrate import (
     REPROJECT_TOL,
     TimeGrid,
-    _group_residual,
-    _real_form,
-    _TiledForm,
     dense_from_samples,
     fd_derivative,
     flow_matrix_ode,
@@ -155,7 +152,8 @@ def test_group_flows_stay_on_the_group_and_match_the_exponential(pq, n_steps, sc
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("where", ["generator", "start"])
 def test_flow_rejects_non_finite_input(side, where, dtype):
-    # a complex flow runs in real form, but its input is checked as given
+    # a complex input is refused as complex before its values are read: a
+    # float cast would drop a NaN in its imaginary part
     grid = TimeGrid(0.0, 1.0, 10)
     gens = np.zeros((grid.stage_ts.size, 3, 3), dtype=dtype)
     X0 = np.eye(3, dtype=dtype)
@@ -164,8 +162,25 @@ def test_flow_rejects_non_finite_input(side, where, dtype):
         gens[7, 0, 1] = np.nan if dtype is float else complex(0.0, np.nan)
     else:
         X0[1, 2] = np.inf
-    with pytest.raises(ValueError, match="NaN or inf"):
+    message = "NaN or inf" if dtype is float else "must be real, got a complex array"
+    with pytest.raises(ValueError, match=message):
         flow_matrix_ode(gens, X0, grid, side, SignatureForm.from_pq(3, 0))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda X, form, grid: flow_matrix_ode(np.zeros((grid.stage_ts.size, 2, 2)), X, grid,
+                                           "left", form), "flow start value"),
+    (lambda X, form, grid: flow_matrix_ode(np.broadcast_to(0.0 * X, (grid.stage_ts.size, 2, 2)),
+                                           np.eye(2), grid, "left", form), "flow generators"),
+    (lambda X, form, grid: reproject(X, form), "reproject input"),
+    (lambda X, form, grid: reproject_info(X, form), "reproject input"),
+], ids=["flow_start", "flow_generators", "reproject", "reproject_info"])
+def test_complex_input_is_refused_not_cast(call, name):
+    # a float cast would keep the real part of a J-unitary matrix and drop the
+    # rest with only a ComplexWarning; a complex group enters as its real form
+    X = np.diag(np.exp([0.3j, -0.3j]))
+    with pytest.raises(ValueError, match=f"^{name} must be real, got a complex array"):
+        call(X, SignatureForm([1.0, -1.0]), TimeGrid(0.0, 1.0, 4))
 
 
 def test_flow_refuses_a_singular_step_factor():
@@ -202,34 +217,6 @@ def test_flow_node_check_is_relative_to_the_size_of_the_node():
     assert np.max(np.abs(path - boost)) <= 1e-9 * 800.0
     with pytest.raises(ValueError, match="node 1 "):
         flow_matrix_ode(gens, 1.1 * boost, grid, "left", form)
-
-
-SU11_SIGNS = SignatureForm([1.0, -1.0])
-
-
-def _defect_stack(seed, scale):
-    """SU(1,1) matrices times I + E, with complex E of the given scale."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    a = a / np.abs(a) * np.sqrt(1.0 + np.abs(b) ** 2)
-    g = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), np.conj(a)], -1)], -2)
-    E = scale * (rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2)))
-    return g @ (np.eye(2) + E)
-
-
-@pytest.mark.parametrize("scale", [0.0, 1e-13, 1e-9, 0.1])
-def test_real_form_residual_is_the_complex_modulus(scale):
-    # the flow checks a complex path on its real form r(X); the residual it
-    # compares with REPROJECT_TOL is the complex one, to rounding, not the
-    # largest entry of r's Gram matrix, which reads up to sqrt(2) lower
-    X = _defect_stack(3, scale)
-    R, form = _real_form(X), _TiledForm(SU11_SIGNS)
-    expected = j_orthogonality_residual(X, SU11_SIGNS)
-    got = _group_residual(R, form)
-    bound = 8 * np.finfo(float).eps * np.max(np.abs(X), axis=(-2, -1)) ** 2
-    assert np.all(np.abs(got - expected) <= bound)
-    assert reproject_info(R, form, tol=1.0)[2] == np.max(got)
 
 
 def test_stacked_reproject_matches_per_matrix_calls():

@@ -18,7 +18,7 @@ from semiroll.linalg import (
     se_inverse,
     stacked_null_spaces,
 )
-from semiroll.models import available_models, get_model
+from semiroll.models import available_models, get_model, hyperbolic, sphere
 
 ALGEBRA_TOL = 1e-12
 
@@ -168,10 +168,14 @@ def _relative_expm_gap(X):
     return np.max(np.abs(expm(X) - ref)) / np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2"}))
+# the sphere and the hyperboloid hold their algebras as real forms; expm also
+# takes the complex SU(2) / SU(1,1) bases they are the real forms of
+COMPLEX_BASES = {"su2": sphere.SU2_BASIS, "su11": hyperbolic.SU11_BASIS}
+
+
+@pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2", *COMPLEX_BASES}))
 def test_expm_matches_scipy_on_the_model_algebras(name):
-    # the sphere and the hyperboloid have complex SU(2) / SU(1,1) bases
-    basis = get_model(name).basis
+    basis = COMPLEX_BASES[name] if name in COMPLEX_BASES else get_model(name).basis
     rng = np.random.default_rng(11)
     gaps = [_relative_expm_gap(np.tensordot(0.5 * rng.standard_normal(len(basis)), basis,
                                             axes=(0, 0))) for _ in range(20)]

@@ -11,6 +11,7 @@ from semiroll.models.hyperbolic import (
     SU11_BASIS,
     embed_hyperbolic,
     kinematic_roll,
+    real_form,
     roll_hyperboloid,
     su11_coords,
 )
@@ -18,7 +19,7 @@ from semiroll.models.hyperbolic import (
 
 def test_moebius_action_stays_in_disc():
     a, b = np.cosh(1.1), np.sinh(1.1) * 1j
-    g = np.array([[a, b], [np.conj(b), np.conj(a)]])
+    g = real_form(np.array([[a, b], [np.conj(b), np.conj(a)]]))
     for z in (0.0, 0.3 + 0.4j, -0.85j):
         assert abs(get_model("hyperboloid").action(g, z)) < 1.0
 
@@ -26,7 +27,11 @@ def test_moebius_action_stays_in_disc():
 def test_algebra_coordinates_invert_the_basis():
     coords = np.array([0.7, -0.3, 0.2])
     X = sum(c * A for c, A in zip(coords, SU11_BASIS))
-    assert np.max(np.abs(su11_coords(X) - coords)) <= 1e-14
+    assert np.max(np.abs(su11_coords(real_form(X)) - coords)) <= 1e-14
+    # the model's basis is the real form of SU11_BASIS, its group signs tiled twice
+    model = get_model("hyperboloid")
+    assert np.array_equal(model.basis, real_form(SU11_BASIS))
+    assert np.array_equal(model.group_form.signs, [1.0, -1.0, 1.0, -1.0])
 
 
 def test_embedding_hits_the_hyperboloid():

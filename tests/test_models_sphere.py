@@ -5,7 +5,7 @@ import pytest
 
 from semiroll.homogeneous import ControlCurve, TimeGrid, model_residual_report
 from semiroll.models import get_model
-from semiroll.models.hyperbolic import kinematic_roll
+from semiroll.models.hyperbolic import kinematic_roll, real_form
 from semiroll.models.sphere import (
     CHART_CONJUGATOR,
     SU2_BASIS,
@@ -19,7 +19,11 @@ from semiroll.models.sphere import (
 def test_su2_coordinates_invert_the_basis():
     coords = np.array([0.7, -0.3, 0.2])
     X = sum(c * A for c, A in zip(coords, SU2_BASIS))
-    assert np.max(np.abs(su2_coords(X) - coords)) <= 1e-14
+    assert np.max(np.abs(su2_coords(real_form(X)) - coords)) <= 1e-14
+    # the model's basis is the real form of SU2_BASIS, in SO(4)
+    model = get_model("sphere")
+    assert np.array_equal(model.basis, real_form(SU2_BASIS))
+    assert np.array_equal(model.group_form.signs, np.ones(4))
 
 
 def test_hat_matches_cross_product():
@@ -47,10 +51,14 @@ def test_embedding_hits_the_unit_sphere():
 
 
 def test_chart_lift_matrix_is_special_unitary():
+    # the section is returned as its real form r(h); h is read off its left column blocks
     z = 0.3 - 0.8j
-    h = chart_lift_matrix(z)
+    r = chart_lift_matrix(z)
+    h = r[:2, :2] + 1j * r[2:, :2]
+    assert np.array_equal(r, real_form(h))
     assert np.max(np.abs(h @ h.conj().T - np.eye(2))) <= 1e-12
     assert abs(np.linalg.det(h) - 1.0) <= 1e-12
+    assert abs(get_model("sphere").action(r, 0.0) - z) <= 1e-15
 
 
 def test_unit_control_rolls_along_a_great_circle():

@@ -101,14 +101,16 @@ to the last bit (d_e_rho by value: the hyperboloid's is now J hat(X), with
 -0.0 where the hand-written matrix had 0.0; rho within 1e-15 max(1, |rho|),
 as below), and the shipped JSON files still equal the descriptions.
 
-Complex flows (SU(2), SU(1,1)) run in their real form
-r(X) = [[Re X, -Im X], [Im X, Re X]], and ``hyperbolic.adjoint_matrix``
-forms rho by the adjugate formula, elementwise.  The complex-arithmetic flow
-and the LU-based conjugation they replaced are kept here as references: on
-control lifts of the sphere and the hyperboloid, the lifts, R, alpha_hat and intrinsic maps agree
-within 1e-14 of their largest entry, and within 1e-11 on a boost to
-|q| = 8; a start value off the group is refused at the same node with the
-same message.
+SU(2) and SU(1,1) enter the models as their real forms
+r(X) = [[Re X, -Im X], [Im X, Re X]], so every flow is real, and
+``hyperbolic.adjoint_matrix`` forms rho by the adjugate formula,
+elementwise.  The complex-arithmetic flow and the LU-based conjugation they
+replaced are kept here as references, on the same quadrics built on their
+complex bases: on control lifts of the sphere and the hyperboloid, the
+lifts (read off the left column blocks of the real forms), R, alpha_hat and
+intrinsic maps agree within 1e-14 of their largest entry, and within 1e-11
+on a boost to |q| = 8; a start value off the group is refused at the same
+node.
 
 ``tangency_residual`` takes the largest angle from its sine alone.  Below
 45 degrees that is the branch it always took; towards pi/2 it drifts from
@@ -172,6 +174,7 @@ import pytest
 from scipy.linalg import expm, null_space, subspace_angles
 
 from semiroll.homogeneous import (
+    CartanModel,
     ControlCurve,
     EmbeddedCurve,
     GroupPath,
@@ -183,7 +186,6 @@ from semiroll.homogeneous import (
 from semiroll.integrate import (
     REPROJECT_TOL,
     TimeGrid,
-    _newton_schulz_step,
     _running_product,
     _step_factors,
     dense_from_samples,
@@ -373,9 +375,23 @@ def test_pointwise_frames_reject_non_finite_points():
 # -- the quadric construction against the per-model bundles it replaced ----
 
 
+def _complex(r):
+    """The complex matrices (..., 2, 2) whose real forms are r (..., 4, 4): r's left column blocks."""
+    r = np.asarray(r)
+    return r[..., :2, :2] + 1j * r[..., 2:, :2]
+
+
+def _su_coords_reference(X):
+    """Coordinates of complex su(2) or su(1,1) matrices, read off as before their real forms."""
+    X = np.asarray(X)
+    return np.stack([2.0 * X[..., 0, 0].imag, 2.0 * X[..., 0, 1].real, 2.0 * X[..., 0, 1].imag],
+                    axis=-1)
+
+
 def _adjoint_reference(g, basis):
+    """Ad(g) in ``basis`` coordinates by LU-based conjugation of complex g (..., 2, 2)."""
     g = np.asarray(g)[..., None, :, :]
-    return np.swapaxes(hyperbolic.su11_coords(g @ basis @ np.linalg.inv(g)), -1, -2)
+    return np.swapaxes(_su_coords_reference(g @ basis @ np.linalg.inv(g)), -1, -2)
 
 
 def _sphere_rho_reference(g):
@@ -384,7 +400,7 @@ def _sphere_rho_reference(g):
 
 
 def _sphere_d_e_rho_reference(X):
-    return sphere.hat(sphere.CHART_CONJUGATOR @ sphere.su2_coords(X))
+    return sphere.hat(sphere.CHART_CONJUGATOR @ _su_coords_reference(X))
 
 
 def _sphere_frame_reference(xs):
@@ -392,16 +408,13 @@ def _sphere_frame_reference(xs):
 
 
 def _sphere_description_reference():
-    basis = [
-        [[[x.real, x.imag] for x in row] for row in mat] for mat in sphere.SU2_BASIS
-    ]
     return {
         "format_version": 1,
         "name": "sphere",
-        "dtype": "complex",
+        "dtype": "real",
         "J_signs": [1, 1, 1],
-        "group_signs": [1, 1],
-        "basis": basis,
+        "group_signs": [1, 1, 1, 1],
+        "basis": hyperbolic.real_form(sphere.SU2_BASIS).tolist(),
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
@@ -416,7 +429,7 @@ def _hyperboloid_rho_reference(g):
 
 
 def _hyperboloid_d_e_rho_reference(X):
-    v, u1, u2 = hyperbolic.su11_coords(X)
+    v, u1, u2 = _su_coords_reference(X)
     return np.array(
         [
             [0.0, u2, -u1],
@@ -432,16 +445,13 @@ def _hyperboloid_frame_reference(xs):
 
 
 def _hyperboloid_description_reference():
-    basis = [
-        [[[x.real, x.imag] for x in row] for row in mat] for mat in hyperbolic.SU11_BASIS
-    ]
     return {
         "format_version": 1,
         "name": "hyperboloid",
-        "dtype": "complex",
+        "dtype": "real",
         "J_signs": [-1, 1, 1],
-        "group_signs": [1, -1],
-        "basis": basis,
+        "group_signs": [1, -1, 1, -1],
+        "basis": hyperbolic.real_form(hyperbolic.SU11_BASIS).tolist(),
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
@@ -485,10 +495,12 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
 
     rng = np.random.default_rng(19)
     qs = np.array([model.random_group_element(rng) for _ in range(16)])
-    # rho is now the adjugate closed form of ``adjoint_matrix``; the LU-based
-    # conjugation of the per-model bundles agrees with it to rounding
-    assert _within_rounding(parts["rho"](qs), rho(qs))
-    assert all(_within_rounding(parts["rho"](q), rho(q)) for q in qs)
+    # the model's group matrices are real forms, whose complex matrices the
+    # references read; rho is now the adjugate closed form of
+    # ``adjoint_matrix``, and the LU-based conjugation of the per-model
+    # bundles agrees with it to rounding
+    assert _within_rounding(parts["rho"](qs), rho(_complex(qs)))
+    assert all(_within_rounding(parts["rho"](q), rho(_complex(q))) for q in qs)
 
     # single basis elements and random combinations; the new hyperboloid
     # d_e_rho is J hat(coords), whose (0, 0) entry is -0.0 where the
@@ -496,13 +508,14 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
     X = np.concatenate([model.basis, np.tensordot(rng.standard_normal((16, 3)), model.basis,
                                                   axes=(1, 0))])
     for x in X:
-        assert np.array_equal(parts["d_e_rho"](x), d_e_rho(x))
+        assert np.array_equal(parts["d_e_rho"](x), d_e_rho(_complex(x)))
 
     seeds = range(40)
     zs = np.array([model.random_point(np.random.default_rng(k)) for k in seeds])
-    for g, z in zip(qs, zs):
+    for q, z in zip(qs, zs):
+        g = _complex(q)
         moebius = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
-        assert _same_bits(parts["action"](g, z), moebius)
+        assert _same_bits(parts["action"](q, z), moebius)
 
     points = embed(zs)
     assert _same_bits(parts["embed"](zs), points)
@@ -810,6 +823,25 @@ def test_blocked_flow_matches_the_per_node_loop(name, side, n_steps):
     assert _peak(new, reference) <= 1e-13
 
 
+def _complex_reproject_reference(X, form):
+    """The Newton polish (X + J X^{-*} J)/2 of a complex stack, as ``reproject`` ran it."""
+    for _ in range(50):
+        if np.max(j_orthogonality_residual(X, form)) <= REPROJECT_TOL:
+            return X
+        X = _newton_step_reference(X, form)
+    raise ValueError("reprojection did not converge")
+
+
+def _complex_newton_schulz_reference(X, form):
+    """The node step X (3I - J X^* J X)/2 of a complex stack, as the flow ran it."""
+    signs = form.signs
+    adjoint = np.multiply(np.swapaxes(X.conj(), -1, -2), signs[:, None] * signs, order="C")
+    out = X @ (adjoint @ X)
+    out *= -0.5
+    out += 1.5 * X
+    return out
+
+
 def _complex_flow_reference(generators, X0, grid, side, reproject_form):
     """The flow in complex arithmetic, as complex flows ran before they took their real form."""
     L = np.asarray(generators)
@@ -817,11 +849,12 @@ def _complex_flow_reference(generators, X0, grid, side, reproject_form):
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(X0))):
         raise ValueError("flow generators or start value contain NaN or inf")
     dtype = np.result_type(L.dtype, X0.dtype, float)
-    factors = reproject(_step_factors(L.astype(dtype, copy=False), grid.h, side), reproject_form)
+    factors = _complex_reproject_reference(_step_factors(L.astype(dtype, copy=False), grid.h, side),
+                                           reproject_form)
     out = np.empty((grid.n_nodes,) + X0.shape, dtype=dtype)
     out[0] = X0
     out[1:] = _running_product(factors, X0, side)
-    out[1:] = _newton_schulz_step(out[1:], reproject_form)
+    out[1:] = _complex_newton_schulz_reference(out[1:], reproject_form)
     residual = j_orthogonality_residual(out[1:], reproject_form)
     worst = int(np.argmax(residual))
     if not residual[worst] <= REPROJECT_TOL:
@@ -854,11 +887,25 @@ def _quadric_outputs(model, ctrl):
         intrinsic_roll(model, ctrl).maps
 
 
+def _complex_quadric_model(name):
+    """The quadric on its complex 2 x 2 basis, as it was built before its real forms: the
+    LU-based rho and the complex d_e_rho of the per-model references, the group form untiled."""
+    model = get_model(name)
+    _, _, rho, d_e_rho, _, _ = QUADRIC_REFERENCES[name]
+    basis = sphere.SU2_BASIS if name == "sphere" else hyperbolic.SU11_BASIS
+    return CartanModel(
+        name=name, basis=basis, h_indices=model.h_indices, p_indices=model.p_indices,
+        form=model.form, group_form=SignatureForm(model.group_form.signs[:2]),
+        base_point=model.base_point, d_e_pi=model.d_e_pi, rho=rho, d_e_rho=d_e_rho,
+        action=lambda g, z: (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1]),
+        embed=model.embed, constraint=model.constraint, tangent_frame_at=model.tangent_frame_at)
+
+
 def _relative_peak(new, reference):
     return _peak(new, reference) / max(1.0, float(np.max(np.abs(reference))))
 
 
-# a sampled curve has no lift, so it runs no complex flow
+# a sampled curve has no lift, so it runs no group flow in complex arithmetic
 QUADRIC_FLOW_CASES = [
     (name, case, n_steps)
     for name, case in [("sphere", "control"), ("hyperboloid", "control"),
@@ -869,19 +916,21 @@ QUADRIC_FLOW_CASES = [
 
 @pytest.mark.parametrize("name, case, n_steps", QUADRIC_FLOW_CASES)
 def test_real_form_flows_match_the_complex_arithmetic(name, case, n_steps, monkeypatch):
-    # the SU(2) and SU(1,1) lifts run in real form, and rho is the adjugate
-    # closed form; the complex-arithmetic flow and the LU-based adjoint they
-    # replaced agree to rounding: within 3e-15 of the largest entry at unit
-    # amplitude.  The boost's group samples reach |q| = 8, its R entries
-    # |q|^2, and its development sums their rounding (1.7e-12 measured)
+    # the SU(2) and SU(1,1) models hold real forms, and rho is the adjugate
+    # closed form; the same model on the complex basis, rolled by the
+    # complex-arithmetic flow with the LU-based adjoint, agrees to rounding:
+    # within 3e-15 of the largest entry at unit amplitude, the lift read off
+    # the left column blocks of its real forms.  The boost's group samples
+    # reach |q| = 8, its R entries |q|^2, and its development sums their
+    # rounding (1.7e-12 measured)
     model, ctrl = _quadric_case(name, case, n_steps)
     new = _quadric_outputs(model, ctrl)
     with monkeypatch.context() as patch:
         patch.setattr(homogeneous, "flow_matrix_ode", _complex_flow_reference)
-        patch.setattr(hyperbolic, "adjoint_matrix", _adjoint_reference)
-        patch.setattr(sphere, "adjoint_matrix", _adjoint_reference)
-        reference = _quadric_outputs(model, ctrl)
-    assert new[0].dtype == reference[0].dtype == complex
+        reference = _quadric_outputs(_complex_quadric_model(name), ctrl)
+    assert new[0].dtype == float and new[0].shape[1:] == (4, 4)
+    assert reference[0].dtype == complex
+    new = (_complex(new[0]),) + new[1:]
     if case == "boost":
         assert 7.5 <= np.max(np.abs(new[0])) <= 8.5
     # lift samples, R, alpha_hat, intrinsic maps
@@ -896,19 +945,22 @@ def test_complex_flow_off_the_group_is_refused_at_the_reference_node(case, side,
     # a start value off SU(1,1) keeps a defect that one node step cannot
     # remove.  From 1.1 I under a zero generator every node is the same, and
     # node 1 is named; diag(1.1, 1) carried on the right by an su(1,1)
-    # sinusoid has a defect X_k* J X_k - J that varies, largest at the end
+    # sinusoid has a defect X_k* J X_k - J that varies, largest at the end.
+    # The real form's flow names the same node; its residual is the largest
+    # entry of r(X_k* J X_k - J), which reads up to sqrt(2) below the modulus
     grid = TimeGrid(0.0, 1.0, 50)
     model = get_model("hyperboloid")
     if case == "constant":
         gens, X0 = np.zeros((grid.stage_ts.size, 2, 2), dtype=complex), 1.1 * np.eye(2)
     else:
-        gens = model.p_element(_sinusoid(grid, 2, 1).stage_coords())
+        coords = _sinusoid(grid, 2, 1).stage_coords()
+        gens = np.tensordot(coords, hyperbolic.SU11_BASIS[1:], axes=(-1, 0))
         X0 = np.diag([1.1, 1.0]) * np.exp(0.3j)
-    with pytest.raises(ValueError, match=f"flow left the group at node {node} ") as reference:
-        _complex_flow_reference(gens, X0, grid, side, model.group_form)
-    with pytest.raises(ValueError, match="flow left the group") as new:
-        flow_matrix_ode(gens, X0, grid, side, model.group_form)
-    assert str(new.value) == str(reference.value)
+    with pytest.raises(ValueError, match=f"flow left the group at node {node} "):
+        _complex_flow_reference(gens, X0, grid, side, SignatureForm([1.0, -1.0]))
+    with pytest.raises(ValueError, match=f"flow left the group at node {node} "):
+        flow_matrix_ode(hyperbolic.real_form(gens), hyperbolic.real_form(X0), grid, side,
+                        model.group_form)
 
 
 @pytest.mark.parametrize("t0, t1, n_steps", [(0.0, 1.0, 1), (0.0, 1.0, 2), (-0.3, 1.7, 17),
@@ -967,7 +1019,8 @@ def _moebius_lift(z, grid, sigma):
     sigma = -1 lifts a Poincare disc curve into SU(1,1), sigma = +1 a Riemann
     sphere chart curve into SU(2).  With f = (1 + sigma |z|^2)^(-1/2) the
     section is h(z) = [[f, f z], [-sigma conj(f z), f]], and theta is the
-    quadrature of 2 (x y' - x' y) / (1 + sigma |z|^2), z = x + i y.
+    quadrature of 2 (x y' - x' y) / (1 + sigma |z|^2), z = x + i y.  The
+    samples are the real forms of g, as the models hold their group.
     """
     den = 1.0 + sigma * np.abs(z) ** 2
     rate = 2.0 * (z.real * fd_derivative(z.imag, grid.h) - fd_derivative(z.real, grid.h) * z.imag) \
@@ -977,7 +1030,7 @@ def _moebius_lift(z, grid, sigma):
     a = f * np.exp(0.5j * theta)
     b = f * z * np.exp(-0.5j * theta)
     rows = [np.stack([a, b], axis=-1), np.stack([-sigma * np.conj(b), np.conj(a)], axis=-1)]
-    return GroupPath(grid=grid, samples=np.stack(rows, axis=-2))
+    return GroupPath(grid=grid, samples=hyperbolic.real_form(np.stack(rows, axis=-2)))
 
 
 @pytest.mark.parametrize("sigma", [-1.0, 1.0], ids=["su11", "su2"])
@@ -988,7 +1041,7 @@ def test_moebius_theta_matches_callable_simpson(sigma):
         / (1.0 + sigma * np.abs(z) ** 2)
     dense_rate = dense_from_samples(grid.ts, rate)
     theta = _simpson_callable(lambda t: np.atleast_1d(dense_rate(t)), grid)[:, 0]
-    g00 = _moebius_lift(z, grid, sigma).samples[:, 0, 0]
+    g00 = _complex(_moebius_lift(z, grid, sigma).samples)[:, 0, 0]
     factor = 1.0 / np.sqrt(1.0 + sigma * np.abs(z) ** 2)
     assert _peak(g00, factor * np.exp(0.5j * sigma * theta)) <= 1e-13
 

@@ -31,9 +31,7 @@ from semiroll.homogeneous import (
 )
 from semiroll.integrate import (
     TimeGrid,
-    _TiledForm,
     _newton_schulz_step,
-    _real_form,
     _running_product,
     _step_factors,
     dense_from_samples,
@@ -207,42 +205,36 @@ def _step_factors_reference(L, h, side):
 
 
 def _newton_schulz_reference(X, form):
-    """X (3I - J X^* J X)/2 with the adjoint scaled row- then column-wise."""
+    """X (3I - J X^T J X)/2 with the adjoint scaled row- then column-wise."""
     signs = form.signs
-    adjoint = signs[:, None] * np.swapaxes(X.conj(), -1, -2) * signs
+    adjoint = signs[:, None] * np.swapaxes(X, -1, -2) * signs
     return 1.5 * X - 0.5 * (X @ (adjoint @ X))
 
 
 def _flow_stacks(model, n_steps=250):
-    """(generators, start value, form) of a control lift, plus its real form if complex."""
+    """(grid, generators, start value) of a control lift."""
     grid = TimeGrid(0.0, 1.0, n_steps)
     L = model.p_element(_sinusoid(grid, model.p_dim, 11).stage_coords())
-    q0 = model.random_group_element(np.random.default_rng(n_steps))
-    stacks = [(L, q0, model.group_form)]
-    if np.iscomplexobj(L):
-        stacks.append((_real_form(L), _real_form(q0), _TiledForm(model.group_form)))
-    return grid, stacks
+    return grid, L, model.random_group_element(np.random.default_rng(n_steps))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("name", BENCHMARK_MODELS)
 def test_step_factors_keep_the_bits_of_the_whole_array_expression(name, side):
-    grid, stacks = _flow_stacks(get_model(name))
-    for L, _, _ in stacks:
-        assert np.array_equal(_step_factors(L, grid.h, side),
-                              _step_factors_reference(L, grid.h, side))
+    grid, L, _ = _flow_stacks(get_model(name))
+    assert np.array_equal(_step_factors(L, grid.h, side), _step_factors_reference(L, grid.h, side))
     # a generator stack that is not C-ordered takes the same scaling
-    L = np.swapaxes(stacks[-1][0], -1, -2)
+    L = np.swapaxes(L, -1, -2)
     assert np.array_equal(_step_factors(L, grid.h, side), _step_factors_reference(L, grid.h, side))
 
 
 @pytest.mark.parametrize("name", BENCHMARK_MODELS)
 def test_newton_schulz_step_keeps_the_bits_of_the_whole_array_expression(name):
-    grid, stacks = _flow_stacks(get_model(name))
-    for L, X0, form in stacks:
-        nodes = _running_product(reproject(_step_factors(L, grid.h, "right"), form), X0, "right")
-        assert np.array_equal(_newton_schulz_step(nodes, form),
-                              _newton_schulz_reference(nodes, form))
+    model = get_model(name)
+    grid, L, X0 = _flow_stacks(model)
+    form = model.group_form
+    nodes = _running_product(reproject(_step_factors(L, grid.h, "right"), form), X0, "right")
+    assert np.array_equal(_newton_schulz_step(nodes, form), _newton_schulz_reference(nodes, form))
 
 
 # -- controls read at Python floats ---------------------------------------------
