@@ -182,9 +182,9 @@ class CartanModel:
     group_form : SignatureForm
         Form preserved by the group matrices themselves (used to reproject
         integrated group paths).
-    base_point : object
-        Chart representation of the base point o (model specific); the
-        embedded base point ``obar`` is ``embed(base_point)``.
+    obar : (N,) array
+        The embedded base point, the model's only point: a finite vector,
+        refused by name otherwise.
     d_e_pi : (k, k) array
         Matrix of the submersion differential from p-coefficients to the
         model's tangent coordinates at o.
@@ -194,10 +194,6 @@ class CartanModel:
         matrix or a whole sampled path.
     d_e_rho : callable
         Algebra matrix -> (N, N) linearized representation.
-    action : callable
-        (group matrix, chart point) -> chart point.
-    embed : callable
-        chart point -> (N,) ambient vector.
     tangent_frame_at : callable
         Stacked pointwise tangent frames: an (m, N) array of embedded
         points -> an (m, N, r) array whose k-th slice spans the tangent
@@ -213,10 +209,9 @@ class CartanModel:
         embedded manifold.  A sampled curve is refused at the first node
         where it does not (``CURVE_TOL``).
 
-    Everything else is *derived*, not declared: the embedded base point
-    ``obar = embed(base_point)``, the random points of ``random_point`` (the
-    base point moved by a random group element, since the action is
-    transitive), the scalar product on p, ``ip_p = F0^T J F0`` with
+    Everything else is *derived*, not declared: the random points of
+    ``random_point`` (``rho(q) obar`` for a random group element q, since the
+    action is transitive), the scalar product on p, ``ip_p = F0^T J F0`` with
     ``F0[:, i] = d_e_rho(p_i) obar``, which is exactly the choice that makes
     d_e_pi an isometry onto the embedded tangent space, the ambient angular
     velocities ``d_rho_p[i] = A_i = d_e_rho(p_i)`` of the p basis, and the
@@ -241,8 +236,8 @@ class CartanModel:
     """
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
-                 base_point, d_e_pi, rho, d_e_rho, action, embed, constraint,
-                 tangent_frame_at, params=None, description=None):
+                 obar, d_e_pi, rho, d_e_rho, constraint, tangent_frame_at,
+                 params=None, description=None):
         self.name = name
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
@@ -253,13 +248,13 @@ class CartanModel:
             raise ValueError("h_indices and p_indices must partition the basis")
         self.form = form
         self.group_form = group_form
-        self.base_point = base_point
-        self.obar = np.asarray(embed(base_point), dtype=float)
+        self.obar = np.asarray(obar, dtype=float)
+        if self.obar.shape != (form.dim,) or not np.all(np.isfinite(self.obar)):
+            raise ValueError(f"obar must be a finite ({form.dim},) vector, got an array of "
+                             f"shape {self.obar.shape}")
         self.d_e_pi = np.asarray(d_e_pi, dtype=float)
         self.rho = rho
         self.d_e_rho = d_e_rho
-        self.action = action
-        self.embed = embed
         self.tangent_frame_at = tangent_frame_at
         self.constraint = constraint
         self.params = dict(params or {})
@@ -328,8 +323,8 @@ class CartanModel:
         return expm(np.tensordot(coeffs, self.basis, axes=(0, 0)))
 
     def random_point(self, rng):
-        """A random chart point: the base point moved by a random group element."""
-        return self.action(self.random_group_element(rng), self.base_point)
+        """A random embedded point: rho(q) obar for a random group element q."""
+        return np.asarray(self.rho(self.random_group_element(rng)), dtype=float) @ self.obar
 
     # -- paths along group samples ---------------------------------------
 
@@ -362,16 +357,18 @@ class CartanModel:
         """Check the structural invariants; raises ValueError on violation.
 
         Bracket closures of the h/p splitting, h perpendicular to p, isotropy
-        of the base point, J-orthogonality and equivariance of the ambient
-        representation (on four random samples), the homomorphism property of
-        d_e_rho, the bundle's ``constraint`` at the base point and at its four
-        sampled images rho(q) obar (and that it does not vanish at 2 obar),
-        Ad_H-invariance of the derived p-metric, and last that rho integrates
-        d_e_rho: rho(expm X) = expm(d_e_rho X) relative to max|rho| at the four
-        algebra samples X.  A broken [p,p] subset h is refused only where
-        ``omega_basis`` vanishes (``symmetric_space``); a model with a
-        correction of its own only reports it under ``"pp"``.  Returns the
-        measured defects.
+        of the base point, J-orthogonality of the ambient representation (on
+        four random samples), the homomorphism property of d_e_rho, the
+        bundle's ``constraint`` at the base point and at its four sampled
+        images rho(q) obar (and that it does not vanish at 2 obar),
+        Ad_H-invariance of the derived p-metric, that rho integrates d_e_rho:
+        rho(expm X) = expm(d_e_rho X) relative to max|rho| at the four algebra
+        samples X, and last the bundle's ``tangent_frame_at`` at the four
+        images, whose span must be that of rho(q) frame0 (largest
+        principal-angle sine at most 1e-8).  A broken [p,p] subset h is
+        refused only where ``omega_basis`` vanishes (``symmetric_space``); a
+        model with a correction of its own only reports it under ``"pp"``.
+        Returns the measured defects.
         """
         rng = np.random.default_rng(2357)
         defects = {}
@@ -414,21 +411,19 @@ class CartanModel:
         if iso > lim:
             raise ValueError(f"isotropy algebra does not fix the base point (defect {iso:.3e})")
 
-        equiv = 0.0
         jorth = 0.0
         hom = 0.0
         tie = 0.0
+        turn = 0.0
         orbit = [self.obar]
         for _ in range(4):
-            q = self.random_group_element(rng)
-            pt = self.random_point(rng)
-            rq = np.asarray(self.rho(q), dtype=float)
-            lhs = np.asarray(self.embed(self.action(q, pt)), dtype=float)
-            rhs = rq @ np.asarray(self.embed(pt), dtype=float)
-            norm = max(1.0, float(np.linalg.norm(rhs)))
-            equiv = max(equiv, float(np.linalg.norm(lhs - rhs)) / norm)
+            rq = np.asarray(self.rho(self.random_group_element(rng)), dtype=float)
             jorth = max(jorth, j_orthogonality_residual(rq, self.form))
             orbit.append(rq @ self.obar)
+            # |P_a - P_b| of the two orthogonal projectors: the largest principal-angle sine
+            qa = np.linalg.qr(np.asarray(self.tangent_frame_at(orbit[-1][None, :]))[0])[0]
+            qb = np.linalg.qr(rq @ self.frame0)[0]
+            turn = max(turn, float(np.linalg.norm(qa @ qa.T - qb @ qb.T, 2)))
             cx = rng.standard_normal(self.basis.shape[0])
             cy = rng.standard_normal(self.basis.shape[0])
             X = np.tensordot(cx, self.basis, axes=(0, 0))
@@ -439,13 +434,11 @@ class CartanModel:
             hom = max(hom, peak(lhs_h - rhs_h) / max(1.0, peak(rhs_h)))
             rx = np.asarray(self.rho(expm(X)), dtype=float)
             tie = max(tie, peak(rx - expm(np.asarray(self.d_e_rho(X), dtype=float))) / peak(rx))
-        defects["equivariance"] = equiv
         defects["rho_orthogonality"] = jorth
         defects["d_e_rho_homomorphism"] = hom
         defects["rho_integrates_d_e_rho"] = tie
+        defects["tangent_frame"] = turn
         defects["constraint"] = con = float(np.max(_constraint_defects(self, np.array(orbit))))
-        if equiv > 1e-10:
-            raise ValueError(f"embedding is not equivariant (defect {equiv:.3e})")
         if jorth > 1e-9:
             raise ValueError("ambient representation does not preserve the form")
         if hom > 1e-8:
@@ -472,6 +465,10 @@ class CartanModel:
         if not tie <= 1e-8:
             raise ValueError(f"rho is not the representation d_e_rho integrates: rho(expm X) "
                              f"and expm(d_e_rho X) differ by {tie:.3e} of max|rho|")
+        # after it: a wrong rho or d_e_rho also turns rho(q) frame0 off the frames
+        if not turn <= 1e-8:
+            raise ValueError(f"tangent_frame_at does not span the tangent space rho(q) frame0 "
+                             f"on the orbit (largest principal-angle sine {turn:.3e})")
         return defects
 
 

@@ -2,22 +2,22 @@
 
 Every model is constructed through one path: a JSON-serializable
 *description* (real algebra basis, splitting, form signatures, submersion
-differential, base point) paired with a named *embedding bundle* that
-supplies what only the model knows: ``rho``, ``d_e_rho``, the chart
-``action``, ``embed``, the chart ``base_point``, ``tangent_frame_at`` and
-``constraint``, the defining equations that refuse a sampled curve off the
-manifold.  ``build_model`` passes the bundle straight to
-``CartanModel``, which derives the embedded base point, the random points
-and the rolling correction (``omega_basis``, zero on a symmetric space)
-itself.  ``get_model`` is the one lookup: it resolves the fixed names and
-the parameterized family names from their generators, builds each model
-once and caches it, and builds and validates a description file by path.
-A model with a base point of its own is ``build_model(description(...,
-base_point))``.  Every model rolls through ``homogeneous``, and a symmetric
-one also through ``hyperbolic.kinematic_roll``.
-SU(2) and SU(1,1) are stored as real forms r(X) = [[Re X, -Im X], [Im X, Re X]].
-The JSON files under ``data/`` are regression fixtures: tests check that
-they still match the generators, and they show the file format.
+differential, the embedded base point ``obar``) paired with a named
+*embedding bundle* that supplies what only the model knows: ``rho``,
+``d_e_rho``, ``tangent_frame_at`` and ``constraint``, the defining
+equations that refuse a sampled curve off the manifold.  ``build_model``
+passes the bundle straight to ``CartanModel``, which derives the random
+points rho(q) obar and the rolling correction (``omega_basis``, zero on a
+symmetric space) itself.  ``get_model`` is the one lookup: it resolves the
+fixed names and the parameterized family names from their generators,
+builds each model once and caches it, and builds and validates a
+description file by path.  A model with a base point of its own is built
+from a description with that ``obar``.  Every model rolls through
+``homogeneous``, and a symmetric one also through
+``hyperbolic.kinematic_roll``.  SU(2) and SU(1,1) are stored as real forms
+r(X) = [[Re X, -Im X], [Im X, Re X]].  The JSON files under ``data/`` are
+regression fixtures: tests check that they still match the generators, and
+they show the file format.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ _FIXED_DESCRIPTIONS = {
 }
 
 
-def build_model(desc, validate=False):
+def build_model(desc):
     """Instantiate a CartanModel from a description dictionary."""
     version = desc.get("format_version")
-    if version != 1:
+    if version != 2:
         raise ValueError(f"unsupported model format_version: {version!r}")
     embedding = desc.get("embedding", "")
     if not embedding.startswith("builtin:"):
@@ -76,21 +76,19 @@ def build_model(desc, validate=False):
     if desc.get("dtype", "real") != "real":
         raise ValueError(f"unsupported basis dtype {desc['dtype']!r}: a basis is real; store "
                          "a complex matrix X as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
-    model = CartanModel(
+    return CartanModel(
         name=desc["name"],
         basis=np.asarray(desc["basis"], dtype=float),
         h_indices=desc["h_indices"],
         p_indices=desc["p_indices"],
         form=SignatureForm(desc["J_signs"]),
         group_form=SignatureForm(desc["group_signs"]),
+        obar=desc["obar"],
         d_e_pi=np.asarray(desc["d_e_pi"], dtype=float),
         params=desc.get("params"),
         description=desc,
         **EMBEDDING_BUNDLES[key](desc),
     )
-    if validate:
-        model.validate()
-    return model
 
 
 def _description_for(name):
@@ -126,7 +124,9 @@ def get_model(name):
             return _CACHE[desc["name"]]
         if Path(name).is_file():
             with open(name) as fh:
-                return build_model(json.load(fh), validate=True)
+                model = build_model(json.load(fh))
+            model.validate()
+            return model
     raise KeyError(
         f"unknown model {name!r}; try one of {available_models()} "
         "or a description-file path"

@@ -1,28 +1,24 @@
-"""Hyperbolic plane: Poincare disc acted on by SU(1,1), hyperboloid embedding.
+"""Hyperbolic plane: the hyperboloid, an orbit of the adjoint action of SU(1,1).
 
 The algebra su(1,1) is spanned by
 
     A1 = 1/2 [[i, 0], [0, -i]],  A2 = 1/2 [[0, 1], [1, 0]],  A3 = 1/2 [[0, i], [-i, 0]],
 
 a general element ``X = 1/2 [[i v, u], [conj(u), -i v]]`` carrying coordinates
-(v, u1, u2) with u = u1 + i u2, held as its real 4 x 4 form (``real_form``);
-only the chart maps read complex entries.  In these coordinates the adjoint
-action on the algebra preserves ``-v^2 + u1^2 + u2^2``; the orbit of
-(1, 0, 0) is the upper sheet (v > 0) of the two-sheeted hyperboloid
--v^2 + u1^2 + u2^2 = -1, and the ambient form is diag(-1, 1, 1).  The disc
-coordinate z maps onto the hyperboloid by
+(v, u1, u2) with u = u1 + i u2, held as its real 4 x 4 form (``real_form``).
+In these coordinates the adjoint action on the algebra preserves
+``-v^2 + u1^2 + u2^2``; the orbit of (1, 0, 0), the base point obar, is the
+upper sheet (v > 0) of the two-sheeted hyperboloid -v^2 + u1^2 + u2^2 = -1,
+and the ambient form is diag(-1, 1, 1).  The curve helper
+``embed_hyperbolic`` maps the Poincare disc onto it, with iota(0) = obar:
 
     iota(z) = ( (1+|z|^2)/(1-|z|^2), 2 Im z/(1-|z|^2), -2 Re z/(1-|z|^2) ).
 
-Moebius transformations z -> (a z + b)/(conj(b) z + conj(a)) with
-|a|^2 - |b|^2 = 1 act transitively; iota intertwines them with the adjoint
-action.
-
 The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
-construction held here: ``quadric_description`` (real forms) and
-``quadric_bundle`` (Moebius action, null-space tangent frames, the
-constraint <x, x> = <obar, obar>); each model passes its basis, embedding,
-rho, d_e_rho.
+construction held here: ``quadric_description`` (real forms and obar) and
+``quadric_bundle`` (null-space tangent frames and the constraint
+<x, x>_J = +-1, the quadric's fixed level); each model passes its basis,
+obar, rho, d_e_rho and level.
 ``kinematic_roll``, also held here, integrates the paper's kinematic
 equations on every symmetric model (the two quadrics, SO+(p, q), V_1(R^n))
 with the one ambient angular velocity Ubar = d_e_rho(U), on the control's
@@ -123,11 +119,11 @@ def embed_hyperbolic(z):
     return np.stack([(1.0 + r2) / den, 2.0 * z.imag / den, -2.0 * z.real / den], axis=-1)
 
 
-def quadric_description(name, basis, signs, group_signs, embedding):
+def quadric_description(name, basis, signs, group_signs, obar, embedding):
     """Declarative data (JSON-serializable) of a quadric model with complex 2 x 2 ``basis``
     preserving ``group_signs``, stored as its real forms under those signs tiled twice."""
     return {
-        "format_version": 1,
+        "format_version": 2,
         "name": name,
         "dtype": "real",
         "J_signs": signs,
@@ -136,35 +132,24 @@ def quadric_description(name, basis, signs, group_signs, embedding):
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
-        "base_point": [0.0, 0.0],
+        "obar": obar,
         "embedding": embedding,
         "params": {},
     }
 
 
-def _action(g, z):
-    """Moebius action of a group matrix of either branch, in real form, on a chart point."""
-    g = np.asarray(g)
-    g = g[:2, :2] + 1j * g[2:, :2]
-    return (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
-
-
-def quadric_bundle(desc, rho, d_e_rho, embed):
+def quadric_bundle(desc, rho, d_e_rho, level):
     """Callables of a quadric model: the sphere or the hyperboloid.
 
-    The model supplies its own ``rho`` and ``d_e_rho`` and its chart
-    embedding.  Both models share the Moebius action, the tangent frame at
-    x, the null space of J x, and the constraint <x, x> - <obar, obar>.
+    The model supplies its own ``rho`` and ``d_e_rho`` and the quadric's fixed
+    ``level``, so a description's obar is checked against it, not trusted.
+    Both models share the tangent frame at x, the null space of J x, and the
+    constraint <x, x>_J - level.
     """
     signs = np.asarray(desc["J_signs"], dtype=float)
-    base_point = complex(desc["base_point"][0], desc["base_point"][1])
-    level = float(np.sum(signs * embed(base_point) ** 2))
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
-        "action": _action,
-        "embed": embed,
-        "base_point": base_point,
         "tangent_frame_at": lambda x: stacked_null_spaces((signs * np.asarray(x, float))[:, None]),
         "constraint": lambda x: (np.asarray(x, dtype=float) ** 2 @ signs - level)[:, None],
     }
@@ -173,13 +158,13 @@ def quadric_bundle(desc, rho, d_e_rho, embed):
 def description():
     """Declarative model data (JSON-serializable)."""
     return quadric_description("hyperboloid", SU11_BASIS, [-1, 1, 1], [1, -1],
-                               "builtin:hyperboloid12")
+                               embed_hyperbolic(0.0).tolist(), "builtin:hyperboloid12")
 
 
 def bundle(desc):
     signs = np.asarray(desc["J_signs"], dtype=float)
     return quadric_bundle(desc, lambda g: adjoint_matrix(g, SU11_BASIS),
-                          lambda X: signs[:, None] * hat(su11_coords(X)), embed_hyperbolic)
+                          lambda X: signs[:, None] * hat(su11_coords(X)), -1.0)
 
 
 def _kinematic_path(model, grid, coords):

@@ -7,9 +7,10 @@ The embedding flattens X column-major into R^{n^2}, where the invariant form
 
     <A, B> = tr(J A^T J B)
 
-has sign pattern kron(j, j) for j the diagonal of J.  With base point P0 the
-isotropy algebra is {diag(B, P0^{-1} B P0)} and its complement
-{diag(B, -P0^{-1} B P0)} maps onto tangent vectors 2 B P0.  The bundle's
+has sign pattern kron(j, j) for j the diagonal of J.  The description
+stores the base point P0 as obar = vec(P0); the isotropy algebra is
+{diag(B, P0^{-1} B P0)} and its complement {diag(B, -P0^{-1} B P0)} maps
+onto tangent vectors 2 B P0.  The bundle's
 ``constraint`` is X^T J X - J, the group's defining equations.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..integrate import _integer
-from ..linalg import SignatureForm, is_oriented_isometry, stacked_kron, stacked_vec
+from ..linalg import SignatureForm, is_oriented_isometry, stacked_kron
 
 __all__ = [
     "so_pq_basis",
@@ -78,7 +79,7 @@ def description(p, q, base_point=None):
         _block_diag(B, -(P0inv @ B @ P0)).tolist() for B in small
     ]
     return {
-        "format_version": 1,
+        "format_version": 2,
         "name": f"so_plus_{p}_{q}",
         "dtype": "real",
         "J_signs": np.kron(jd, jd).astype(int).tolist(),
@@ -87,7 +88,7 @@ def description(p, q, base_point=None):
         "h_indices": list(range(d)),
         "p_indices": list(range(d, 2 * d)),
         "d_e_pi": (2.0 * np.eye(d)).tolist(),
-        "base_point": P0.tolist(),
+        "obar": P0.T.ravel().tolist(),
         "embedding": "builtin:pseudo_orth",
         "params": {"p": p, "q": q},
     }
@@ -113,15 +114,6 @@ def bundle(desc):
         U2 = X[n:, n:]
         return np.kron(np.eye(n), U1) - np.kron(U2.T, np.eye(n))
 
-    def action(g, X):
-        g = np.asarray(g)
-        Q1 = g[:n, :n]
-        Q2 = g[n:, n:]
-        return Q1 @ X @ (J @ Q2.T @ J)
-
-    def embed(X):
-        return stacked_vec(np.asarray(X, dtype=float))
-
     def constraint(xs):
         # a C-order reshape of vec(X) gives X^T, so X^T J X is Xt J Xt^T
         Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
@@ -136,9 +128,6 @@ def bundle(desc):
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
-        "action": action,
-        "embed": embed,
-        "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
         "constraint": constraint,
     }

@@ -1,4 +1,4 @@
-"""Round sphere: Riemann sphere chart acted on by SU(2), unit-sphere embedding.
+"""Round sphere: the unit sphere, an orbit of SU(2) acting through SO(3).
 
 su(2) basis:
 
@@ -6,22 +6,22 @@ su(2) basis:
 
 with a general element ``1/2 [[i u1, u2 + i u3], [-u2 + i u3, -i u1]]``
 carrying coordinates (u1, u2, u3), held as its real 4 x 4 form r(X), so SU(2)
-sits in SO(4).  The adjoint action in these coordinates
-is rotation by hat(u); the embedded picture conjugates it by the permutation
+sits in SO(4).  The adjoint action in these coordinates is rotation by
+hat(u); rho(g) = P Ad(g) P^T conjugates it by the permutation
 
-    P = [[0, 0, 1], [-1, 0, 0], [0, -1, 0]]
+    P = [[0, 0, 1], [-1, 0, 0], [0, -1, 0]],
 
-so that the chart embedding
+and obar = (0, -1, 0) lies on the quadric <x, x> = 1.  The curve helpers
+read the Riemann sphere: ``embed_sphere`` is
 
-    iota(z) = ( -2 Re z, (|z|^2 - 1), -2 Im z ) / (1 + |z|^2)
+    iota(z) = ( -2 Re z, (|z|^2 - 1), -2 Im z ) / (1 + |z|^2),
 
-satisfies iota(g.z) = P Ad(g) P^T iota(z) for every g in SU(2).  The chart
-origin lands on (0, -1, 0); ``chart_lift_matrix`` is the section over the chart.
+iota(0) = obar, and ``chart_lift_matrix`` a section: rho(h(z)) obar = iota(z).
 
 The sphere and the hyperboloid share one quadric construction in
 ``hyperbolic.py``, which also holds ``real_form``, ``hat`` and ``su2_coords``
-(there ``su11_coords``); this module keeps the SU(2) basis, P, the embedding,
-rho, d_e_rho and the chart section.
+(there ``su11_coords``); this module keeps the SU(2) basis, P, rho, d_e_rho
+and the two curve helpers.
 """
 
 from __future__ import annotations
@@ -68,16 +68,17 @@ def embed_sphere(z):
 
 def description():
     """Declarative model data (JSON-serializable)."""
-    return quadric_description("sphere", SU2_BASIS, [1, 1, 1], [1, 1], "builtin:riemann_sphere")
+    return quadric_description("sphere", SU2_BASIS, [1, 1, 1], [1, 1],
+                               embed_sphere(0.0).tolist(), "builtin:riemann_sphere")
 
 
 def bundle(desc):
     P = CHART_CONJUGATOR
     return quadric_bundle(desc, lambda g: P @ adjoint_matrix(g, SU2_BASIS) @ P.T,
-                          lambda X: hat(P @ su2_coords(X)), embed_sphere)
+                          lambda X: hat(P @ su2_coords(X)), 1.0)
 
 
 def chart_lift_matrix(z):
-    """The real form of the standard section h(z) of SU(2) over the chart, h(z).0 = z."""
+    """The real form of the standard section h(z) of SU(2): rho(h(z)) obar = embed_sphere(z)."""
     f = 1.0 / np.sqrt(1.0 + abs(z) ** 2)
     return real_form(np.array([[f, f * z], [-np.conj(f * z), np.conj(f)]]))

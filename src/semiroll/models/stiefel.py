@@ -1,12 +1,12 @@
 """Stiefel manifolds V_k(R^n) = SO(n)/SO(n-k) rolling inside R^{n x k}.
 
 Points are n x k orthonormal frames, flattened column-major; SO(n) acts by
-left multiplication, rho(Q) = kron(I_k, Q).  At the base frame E (first k
-columns of the identity) the tangent space holds matrices (A; B) with A
-skew and the normal space (S; 0) with S symmetric.  For k >= 2 this is a
-reductive but NOT symmetric splitting: [p, p] leaks into p, so the rolling
-rotation is the transpose of rho(q) S(t), the lift composed with an
-interpolating-frame correction S(t) solving
+left multiplication, rho(Q) = kron(I_k, Q).  The base point is obar = vec(E),
+E the first k columns of the identity; at E the tangent space holds
+matrices (A; B) with A skew and the normal space (S; 0) with S symmetric.
+For k >= 2 this is a reductive but NOT symmetric splitting: [p, p] leaks
+into p, so the rolling rotation is the transpose of rho(q) S(t), the lift
+composed with an interpolating-frame correction S(t) solving
 
     S' = Omega(t) S,   Omega = -(Pi M_U Pi + Pi_perp M_U Pi_perp),
 
@@ -27,7 +27,7 @@ import numpy as np
 # the benchmark tracer (perfbench/tracer.py) times the correction under this module's name
 from ..homogeneous import _correction_path  # noqa: F401
 from ..integrate import _integer
-from ..linalg import stacked_kron, stacked_null_spaces, stacked_vec
+from ..linalg import stacked_kron, stacked_null_spaces
 
 __all__ = [
     "description",
@@ -63,7 +63,7 @@ def description(n, k):
             basis.append(M.tolist())
     dh = len(basis) - dp
     return {
-        "format_version": 1,
+        "format_version": 2,
         "name": f"stiefel_{n}_{k}",
         "dtype": "real",
         "J_signs": [1] * (n * k),
@@ -72,7 +72,7 @@ def description(n, k):
         "h_indices": list(range(dp, dp + dh)),
         "p_indices": list(range(dp)),
         "d_e_pi": np.eye(dp).tolist(),
-        "base_point": np.eye(n, k).tolist(),
+        "obar": np.eye(n, k).T.ravel().tolist(),
         "embedding": "builtin:stiefel",
         "params": {"n": n, "k": k},
     }
@@ -87,12 +87,6 @@ def bundle(desc):
 
     def d_e_rho(X):
         return np.kron(np.eye(k), np.asarray(X))
-
-    def action(Q, X):
-        return np.asarray(Q) @ np.asarray(X)
-
-    def embed(X):
-        return stacked_vec(np.asarray(X, dtype=float))
 
     def constraint(xs):
         # a C-order reshape of vec(A) gives A^T
@@ -119,9 +113,6 @@ def bundle(desc):
     return {
         "rho": rho,
         "d_e_rho": d_e_rho,
-        "action": action,
-        "embed": embed,
-        "base_point": np.asarray(desc["base_point"], dtype=float),
         "tangent_frame_at": tangent_frame_at,
         "constraint": constraint,
     }

@@ -143,7 +143,7 @@ def test_criterion_06_transport_cross_check(name, geodesic):
     else:
         ctrl = ControlCurve.from_function(grid, lambda t: np.array([np.sin(t), 0.4 * np.cos(2 * t)]))
     lift = horizontal_lift(model, ctrl)
-    points = np.array([model.embed(model.action(q, model.base_point)) for q in lift.samples])
+    points = model.rho_path(lift.samples) @ model.obar
     field = transport_homogeneous(model, lift, np.array([0.3, -0.7]))
     frames = model.pointwise_tangent_frames(grid, points).frames
     reference = parallel_transport_embedded(frames, field[0], model.form)

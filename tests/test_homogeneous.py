@@ -39,7 +39,7 @@ from semiroll.linalg import (
     j_transpose_inverse,
     random_oriented_isometry,
 )
-from semiroll.models.hyperbolic import kinematic_roll
+from semiroll.models.hyperbolic import embed_hyperbolic, kinematic_roll
 from semiroll.models.sphere import description as sphere_description
 from semiroll.rolling import (
     RollingMapPath,
@@ -69,7 +69,7 @@ BUNDLE_CONTROLS = {"sphere": _wobble, "hyperboloid": _wobble, "so_plus_1_2": _ph
 
 
 def _embedded(model, lift):
-    return np.array([model.embed(model.action(g, model.base_point)) for g in lift.samples])
+    return model.rho_path(lift.samples) @ model.obar
 
 
 @pytest.fixture(scope="module", params=["sphere", "hyperboloid"])
@@ -218,13 +218,23 @@ def _bundle_edit(field, wrap):
 
 
 def _conjugated_group(desc):
-    # rho and action read Q as K Q K^T: still a representation, equivariant and
-    # form-preserving, but no longer the one d_e_rho integrates
+    # rho reads Q as K Q K^T: still a form-preserving representation, but no
+    # longer the one d_e_rho integrates
     honest = EMBEDDING_BUNDLES["stiefel"](desc)
     A = np.random.default_rng(1).standard_normal((4, 4))
     K = expm(0.4 * (A - A.T))
-    return {"rho": lambda q: honest["rho"](K @ q @ K.T),
-            "action": lambda q, x: honest["action"](K @ q @ K.T, x)}
+    return {"rho": lambda q: honest["rho"](K @ q @ K.T)}
+
+
+def _tilted(frame_at):
+    # column 0 tilted towards column 1 and then rolled off the tangent space:
+    # rolls of a model with these frames FAIL their residual checks
+    def tangent_frame_at(xs):
+        F = frame_at(xs)
+        F[:, :, 0] += 0.3 * F[:, :, 1]
+        F[:, :, 0] += 0.05 * np.roll(F[:, :, 0], 1, axis=1)
+        return F
+    return tangent_frame_at
 
 
 def _conjugated_d_e_rho(name):
@@ -247,10 +257,9 @@ VALIDATE_REFUSALS = {
     "pp": ("stiefel_4_2", _swap_only, "[p,p] is not contained in h but omega_basis vanishes"),
     "orth": ("so_plus_1_2", _basis_edit(lambda b, h, p: b.__setitem__(p, 0.5 * (b[h] + b[p]))),
              "h and p are not orthogonal under -tr(XY)"),
-    "isotropy": ("hyperboloid", lambda desc: desc.update(base_point=[0.3, 0.1]),
+    "isotropy": ("hyperboloid",
+                 lambda desc: desc.update(obar=embed_hyperbolic(0.3 + 0.1j).tolist()),
                  "isotropy algebra does not fix the base point"),
-    "equivariance": ("sphere", _bundle_edit("action", lambda f: lambda g, z: np.conj(f(g, z))),
-                     "embedding is not equivariant"),
     "homomorphism": ("sphere", _bundle_edit("d_e_rho", lambda f: lambda X: 2.0 * f(X)),
                      "d_e_rho is not a Lie algebra homomorphism"),
     "constraint": ("so_plus_1_2",
@@ -263,6 +272,8 @@ VALIDATE_REFUSALS = {
        for name in ("sphere", "so_plus_1_2", "stiefel_4_2")},
     "rho integrates d_e_rho": ("stiefel_4_2", _conjugated_group,
                                "rho is not the representation d_e_rho integrates"),
+    "tangent frame": ("stiefel_4_2", _bundle_edit("tangent_frame_at", _tilted),
+                      "tangent_frame_at does not span the tangent space rho(q) frame0"),
 }
 
 
@@ -275,7 +286,7 @@ def test_validate_refuses_each_broken_invariant(case, monkeypatch):
     replaced = corrupt(desc) or {}
     monkeypatch.setitem(EMBEDDING_BUNDLES, key, lambda d: {**honest(d), **replaced})
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        build_model(desc, validate=True)
+        build_model(desc).validate()
 
 
 def test_validate_refuses_a_p_metric_that_ad_h_moves():
@@ -289,7 +300,7 @@ def test_validate_refuses_a_p_metric_that_ad_h_moves():
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda desc: desc.update(format_version=2), "unsupported model format_version: 2"),
+    (lambda desc: desc.update(format_version=1), "unsupported model format_version: 1"),
     (lambda desc: desc.pop("format_version"), "unsupported model format_version: None"),
     (lambda desc: desc.update(embedding="module:riemann_sphere"),
      "unknown embedding scheme: 'module:riemann_sphere'"),
@@ -304,6 +315,27 @@ def test_a_description_file_with_a_bad_header_is_refused_by_name(edit, message, 
     path = tmp_path / "model.json"
     path.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        get_model(path)
+
+
+@pytest.mark.parametrize("obar, message", [
+    ([0.0, -1.0], "obar must be a finite (3,) vector, got an array of shape (2,)"),
+    ([0.0, np.nan, 0.0], "obar must be a finite (3,) vector, got an array of shape (3,)"),
+], ids=["shape", "nan"])
+def test_an_obar_that_is_no_finite_ambient_vector_is_refused_by_name(obar, message):
+    desc = sphere_description()
+    desc["obar"] = obar
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_model(desc)
+
+
+def test_a_description_file_with_an_obar_off_the_quadric_is_refused(tmp_path):
+    # the description's obar is checked against the quadric's fixed level, not trusted
+    desc = sphere_description()
+    desc["obar"] = [0.0, -2.0, 0.0]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match="^constraint does not vanish on the orbit"):
         get_model(path)
 
 
@@ -413,7 +445,7 @@ def test_validate_catches_tampered_subalgebra_split():
     desc["h_indices"] = [1]
     desc["p_indices"] = [0, 2]
     with pytest.raises(ValueError):
-        build_model(desc, validate=True)
+        build_model(desc).validate()
 
 
 def test_model_file_with_corrupted_basis_is_rejected(tmp_path):
@@ -432,7 +464,7 @@ def test_validate_passes_for_shipped_models(surface):
 def _rotated_stiefel_4_2():
     c, s = np.cos(0.7), np.sin(0.7)
     desc = stiefel.description(4, 2)
-    desc["base_point"] = (np.eye(4, 2) @ np.array([[c, -s], [s, c]])).tolist()
+    desc["obar"] = (np.eye(4, 2) @ np.array([[c, -s], [s, c]])).T.ravel().tolist()
     return build_model(desc)
 
 
@@ -640,8 +672,7 @@ def test_random_points_lie_on_the_manifold(name):
     # random points are the base point moved by random group elements
     model = RANDOM_POINT_MODELS[name]()
     rng = np.random.default_rng(5)
-    points = np.array([np.asarray(model.embed(model.random_point(rng)), dtype=float).ravel()
-                       for _ in range(20)])
+    points = np.array([model.random_point(rng) for _ in range(20)])
     assert max(_defining_equation_defect(model, x) for x in points) <= 1e-12
     assert np.max(np.abs(points - model.obar)) > 0.1
     model.validate()

@@ -58,7 +58,8 @@ def test_chart_lift_matrix_is_special_unitary():
     assert np.array_equal(r, real_form(h))
     assert np.max(np.abs(h @ h.conj().T - np.eye(2))) <= 1e-12
     assert abs(np.linalg.det(h) - 1.0) <= 1e-12
-    assert abs(get_model("sphere").action(r, 0.0) - z) <= 1e-15
+    model = get_model("sphere")
+    assert np.max(np.abs(np.asarray(model.rho(r)) @ model.obar - embed_sphere(z))) <= 1e-15
 
 
 def test_unit_control_rolls_along_a_great_circle():

@@ -113,7 +113,7 @@ def test_bundled_descriptions_match_the_generators():
 
 def _stiefel_4_2_at(frame):
     desc = description(4, 2)
-    desc["base_point"] = frame.tolist()
+    desc["obar"] = frame.T.ravel().tolist()
     return desc
 
 
@@ -121,12 +121,12 @@ def test_bundle_takes_the_base_point_of_the_description():
     # a frame rotated inside the top k x k block is fixed by the isotropy SO(n - k)
     c, s = np.cos(0.7), np.sin(0.7)
     frame = np.eye(4, 2) @ np.array([[c, -s], [s, c]])
-    model = build_model(_stiefel_4_2_at(frame), validate=True)
-    assert np.array_equal(model.base_point, frame)
+    model = build_model(_stiefel_4_2_at(frame))
+    model.validate()
     assert np.array_equal(model.obar, frame.reshape(-1, order="F"))
 
 
 def test_base_point_off_the_fixed_frames_of_the_isotropy_is_refused():
     frame = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
     with pytest.raises(ValueError, match="isotropy algebra does not fix the base point"):
-        build_model(_stiefel_4_2_at(frame), validate=True)
+        build_model(_stiefel_4_2_at(frame)).validate()

@@ -353,10 +353,7 @@ REFERENCE_FRAMES = {
 def test_batched_frames_match_per_node_construction(name):
     model = get_model(name)
     rng = np.random.default_rng(7)
-    points = np.array([
-        np.asarray(model.embed(model.random_point(rng)), dtype=float).ravel()
-        for _ in range(40)
-    ])
+    points = np.array([model.random_point(rng) for _ in range(40)])
     grid = TimeGrid(0.0, 1.0, points.shape[0] - 1)
     batched = model.pointwise_tangent_frames(grid, points).frames
     reference = np.array([REFERENCE_FRAMES[name](x) for x in points])
@@ -409,7 +406,7 @@ def _sphere_frame_reference(xs):
 
 def _sphere_description_reference():
     return {
-        "format_version": 1,
+        "format_version": 2,
         "name": "sphere",
         "dtype": "real",
         "J_signs": [1, 1, 1],
@@ -418,7 +415,7 @@ def _sphere_description_reference():
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
-        "base_point": [0.0, 0.0],
+        "obar": [-0.0, -1.0, -0.0],
         "embedding": "builtin:riemann_sphere",
         "params": {},
     }
@@ -446,7 +443,7 @@ def _hyperboloid_frame_reference(xs):
 
 def _hyperboloid_description_reference():
     return {
-        "format_version": 1,
+        "format_version": 2,
         "name": "hyperboloid",
         "dtype": "real",
         "J_signs": [-1, 1, 1],
@@ -455,7 +452,7 @@ def _hyperboloid_description_reference():
         "h_indices": [0],
         "p_indices": [1, 2],
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
-        "base_point": [0.0, 0.0],
+        "obar": [1.0, 0.0, -0.0],
         "embedding": "builtin:hyperboloid12",
         "params": {},
     }
@@ -510,16 +507,8 @@ def test_quadric_bundles_match_the_per_model_bundles(name):
     for x in X:
         assert np.array_equal(parts["d_e_rho"](x), d_e_rho(_complex(x)))
 
-    seeds = range(40)
-    zs = np.array([model.random_point(np.random.default_rng(k)) for k in seeds])
-    for q, z in zip(qs, zs):
-        g = _complex(q)
-        moebius = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
-        assert _same_bits(parts["action"](q, z), moebius)
-
-    points = embed(zs)
-    assert _same_bits(parts["embed"](zs), points)
-    assert parts["base_point"] == 0j
+    points = np.array([model.random_point(np.random.default_rng(k)) for k in range(40)])
+    # the signed zeros of obar are the chart origin's
     assert _same_bits(model.obar, embed(complex(0.0, 0.0)))
     assert _same_bits(parts["tangent_frame_at"](points), frame(points))
     # the constraint <x, x> - <obar, obar> vanishes on the quadric, to rounding
@@ -896,9 +885,8 @@ def _complex_quadric_model(name):
     return CartanModel(
         name=name, basis=basis, h_indices=model.h_indices, p_indices=model.p_indices,
         form=model.form, group_form=SignatureForm(model.group_form.signs[:2]),
-        base_point=model.base_point, d_e_pi=model.d_e_pi, rho=rho, d_e_rho=d_e_rho,
-        action=lambda g, z: (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1]),
-        embed=model.embed, constraint=model.constraint, tangent_frame_at=model.tangent_frame_at)
+        obar=model.obar, d_e_pi=model.d_e_pi, rho=rho, d_e_rho=d_e_rho,
+        constraint=model.constraint, tangent_frame_at=model.tangent_frame_at)
 
 
 def _relative_peak(new, reference):
@@ -1058,7 +1046,7 @@ def test_explicit_lift_agrees_with_the_transport_roll(name, sigma, z_of):
     z = z_of(grid.ts)
     explicit = _moebius_lift(z, grid, sigma)
     assert np.max(horizontality_residual(model, explicit)) <= 1e-6
-    path = extrinsic_roll(model, EmbeddedCurve(grid, model.embed(z)))
+    path = extrinsic_roll(model, EmbeddedCurve(grid, QUADRIC_REFERENCES[name][1](z)))
     assert _peak(path.R, j_transpose_inverse(model.rho_path(explicit.samples), model.form)) <= 1e-6
 
 
@@ -1097,7 +1085,7 @@ def test_the_latitude_transport_roll_converges_to_its_exact_rotation():
 def _base_point_model(name):
     if name != "so_plus_2_1@base":
         return get_model(name)
-    base = get_model("so_plus_2_1").random_point(np.random.default_rng(7))
+    base = get_model("so_plus_2_1").random_point(np.random.default_rng(7)).reshape(3, 3, order="F")
     return build_model(pseudo_orthogonal.description(2, 1, base))
 
 
@@ -2157,8 +2145,7 @@ def _svd_null_spaces_reference(rows):
 
 def _model_points(model, n, seed):
     rng = np.random.default_rng(seed)
-    return np.array([np.asarray(model.embed(model.random_point(rng)), dtype=float).ravel()
-                     for _ in range(n)])
+    return np.array([model.random_point(rng) for _ in range(n)])
 
 
 @pytest.mark.parametrize("name", BENCHMARK_MODELS)
