@@ -20,7 +20,7 @@ built on its own: only the (k, N) maps and a k-dimensional development.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .integrate import (
     NotAKnotCubic,
     TimeGrid,
+    _real,
     dense_from_samples,
     fd_derivative,
     flow_matrix_ode,
@@ -69,13 +70,14 @@ def _read_func(func, ts, dim=None):
     """A user control func read once per t, its rows stacked by one ``np.array``.
 
     Scalar results give one column where ``dim`` is 1 or not yet known; rows
-    of unequal shape, or of another shape than (dim,), are refused by name.
+    of unequal shape, of another shape than (dim,), or complex are refused by name.
     """
     try:
         # plain floats: np.float64 is a float subclass, and a user func reads them cheaper
-        table = np.array([func(t) for t in ts.tolist()], dtype=float)
+        table = np.array([func(t) for t in ts.tolist()])
     except ValueError as exc:
         raise ValueError(f"control func returned rows of unequal shape: {exc}") from None
+    table = _real(table, "control func rows")
     if table.ndim == 1 and dim in (None, 1):
         table = table[:, None]
     if dim is not None and table.shape[1:] != (dim,):
@@ -88,19 +90,23 @@ def _read_func(func, ts, dim=None):
 class ControlCurve:
     """Sampled control coordinates in the p-part of the algebra.
 
-    ``coords[k]`` are the coefficients at node k; ``func`` (optional at
-    construction) maps a scalar t to the coefficients at t and defaults to a
-    cubic interpolant through the samples.  The integrators take the node
-    values from ``coords`` and read ``func`` only at the step midpoints,
-    through ``stage_coords``.
+    ``coords[k]`` are the real coefficients at node k; ``func`` (optional at
+    construction) is a function of t, mapping a scalar t to the coefficients
+    at t, and defaults to a cubic interpolant through the samples.  The
+    integrators take the node values from ``coords`` and read ``func`` only
+    at the step midpoints, through ``stage_coords``: once per control and
+    grid, the readings kept for every later lift, roll and correction.
+    Rebinding ``func`` reads it again.
     """
 
     grid: TimeGrid
     coords: np.ndarray
     func: Optional[Callable] = None
+    # (func, grid, read-only midpoint readings), filled by the first stage_coords
+    _midpoints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        coords = _real(self.coords, "control coords")
         if coords.ndim != 2 or coords.shape[0] != self.grid.n_nodes:
             raise ValueError(f"control coords must have shape (n_nodes, dim) = "
                              f"({self.grid.n_nodes}, dim), got {coords.shape}")
@@ -125,12 +131,21 @@ class ControlCurve:
         return _read_func(self.func, ts, self.dim)
 
     def stage_coords(self):
-        """Coefficients at ``grid.stage_ts``, (2 n_steps + 1, dim): the node samples
-        ``coords`` in the even rows, ``at`` the step midpoints in the odd rows."""
-        grid = self.grid
+        """Coefficients at ``grid.stage_ts``, a fresh (2 n_steps + 1, dim) array: the node
+        samples ``coords`` in the even rows, the kept midpoint readings in the odd rows.
+        A NaN or inf reading is refused by its t, and then nothing is kept."""
+        grid, kept = self.grid, self._midpoints
+        if kept is None or kept[0] is not self.func or kept[1] != grid:
+            ts = grid.stage_ts[1::2]
+            mid = self.at(ts)
+            bad = np.flatnonzero(~np.all(np.isfinite(mid), axis=1))
+            if bad.size:
+                raise ValueError(f"control func is NaN or inf at t={ts[bad[0]]:.6g}")
+            mid.flags.writeable = False
+            kept = self._midpoints = (self.func, grid, mid)
         out = np.empty((2 * grid.n_steps + 1, self.dim))
         out[::2] = self.coords
-        out[1::2] = self.at(grid.stage_ts[1::2])
+        out[1::2] = kept[2]
         return out
 
 
@@ -149,16 +164,11 @@ class EmbeddedCurve:
 
 @dataclass
 class GroupPath:
-    """Sampled path in the structure group, optionally with its control.
-
-    A lift also carries ``stage_coords``, the control's ``stage_coords()`` it
-    integrated, so a later flow along the same control need not read it again.
-    """
+    """Sampled path in the structure group, optionally with the control it integrates."""
 
     grid: TimeGrid
     samples: np.ndarray
     control: Optional[ControlCurve] = None
-    stage_coords: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -517,16 +527,15 @@ def _start_value(model, q0):
 def horizontal_lift(model, control, q0=None):
     """Horizontal lift of a control: qdot = q U(t) from ``q0``, the group identity by default.
 
-    The lift carries the control and the stage coordinates it integrated.
+    The lift carries the control, whose kept stage coordinates it integrated.
     Anything but a ControlCurve is refused with a TypeError: a sampled curve
     rolls by transport and has no lift.
     """
     control = _control_curve(control, model.p_dim)
     q0 = _start_value(model, q0)
-    coords = control.stage_coords()
-    qs = flow_matrix_ode(model.p_element(coords), q0, control.grid, side="right",
-                         reproject_form=model.group_form)
-    return GroupPath(grid=control.grid, samples=qs, control=control, stage_coords=coords)
+    qs = flow_matrix_ode(model.p_element(control.stage_coords()), q0, control.grid,
+                         side="right", reproject_form=model.group_form)
+    return GroupPath(grid=control.grid, samples=qs, control=control)
 
 
 # -- transport --------------------------------------------------------------
@@ -561,10 +570,10 @@ def extrinsic_develop(maps, velocity, grid):
 def _correction_path(model, lift):
     """The rolling correction S(t) along a horizontal lift: S' = Omega S, S(0) = I.
 
-    Omega = sum_i U_i ``omega_basis[i]`` is read from the stage coordinates the
-    lift integrated.
+    Omega = sum_i U_i ``omega_basis[i]`` is read from the control's kept stage
+    coordinates, which the lift integrated.
     """
-    omegas = np.tensordot(lift.stage_coords, model.omega_basis, axes=(-1, 0))
+    omegas = np.tensordot(lift.control.stage_coords(), model.omega_basis, axes=(-1, 0))
     return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
                            reproject_form=model.form)
 

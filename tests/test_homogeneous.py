@@ -8,6 +8,7 @@ import copy
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1010,6 +1011,45 @@ def test_control_rows_of_the_wrong_length_are_refused(func, message):
     control = ControlCurve(grid=grid, coords=np.zeros((grid.n_nodes, 2)), func=func)
     with pytest.raises(ValueError, match=f"^control func returned rows of {message}"):
         control.stage_coords()
+
+
+def test_a_refused_control_func_is_refused_again():
+    grid = TimeGrid(0.0, 1.0, 10)
+    control = ControlCurve(grid=grid, coords=np.zeros((grid.n_nodes, 2)),
+                           func=lambda t: np.ones(2 if t < 0.5 else 3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^control func returned rows of unequal shape"):
+            control.stage_coords()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda grid: ControlCurve(grid=grid, coords=np.zeros((grid.n_nodes, 2)) + 0.5j),
+     "control coords"),
+    (lambda grid: ControlCurve(grid=grid, coords=np.zeros((grid.n_nodes, 2)),
+                               func=lambda t: np.array([1.0 + 0.5j, 0.2])).stage_coords(),
+     "control func rows"),
+    (lambda grid: ControlCurve.from_function(grid, lambda t: np.array([1.0 + 0.5j, 0.2])),
+     "control func rows"),
+], ids=["coords", "func", "from_function"])
+def test_a_complex_control_is_refused_not_cast(make, message):
+    # a float cast would roll the real part with only a ComplexWarning, which
+    # the test suite's warning filter would turn into the failure, so warnings
+    # are at the runtime default here
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(ValueError, match=f"^{message} must be real, got a complex array"):
+            make(TimeGrid(0.0, 1.0, 10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_midpoint_reading_is_refused_by_its_t(bad):
+    grid = TimeGrid(0.0, 1.0, 10)
+    control = ControlCurve(grid=grid, coords=np.zeros((grid.n_nodes, 2)),
+                           func=lambda t: np.array([0.1, bad if t > 0.6 else 0.2]))
+    # the first midpoint past 0.6 is 0.65; nothing is kept, so the second call reads again
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^control func is NaN or inf at t=0\.65$"):
+            control.stage_coords()
 
 
 def test_a_ragged_control_func_is_named_by_from_function():

@@ -120,9 +120,11 @@ scipy's ``subspace_angles`` by at most 1e-7 (at pi/2) and 1e-9 (within
 ``j_transpose_inverse`` takes one product instead of two, into a C-ordered
 stack, and ``fd_derivative`` evaluates its interior stencil in blocks of
 rows, in place.  The whole-array expressions they replaced are kept here as
-references; both agree to the last bit.  A control-driven lift carries its
-stage coordinates, and the correction flow reuses them, so a Stiefel roll
-reads its control once.
+references; both agree to the last bit.  A control keeps its midpoint
+readings, once per control and grid, and every lift, roll and correction
+of it reuses them.  A fresh control for every roll, which read its func
+anew as every roll once did, is kept here as the reference: the lifts and
+every roll agree to the last bit.
 
 ``parallel_transport_embedded`` is X v0, X the group flow X' = [P', P] X of
 the frames' J-orthogonal projectors.  A per-step RK4 loop of the same
@@ -1149,11 +1151,12 @@ def test_stiefel_roll_reads_the_control_once_per_stage_and_flow():
         return func(t)
 
     ctrl.func = counted
-    for roll in (extrinsic_roll, intrinsic_roll):
+    for roll, reads in ((extrinsic_roll, grid.n_steps), (intrinsic_roll, 0)):
         calls[0] = 0
         roll(model, ctrl)
-        # the lift reads the n step midpoints; the correction flow reuses its generators
-        assert calls[0] == grid.n_steps
+        # the first lift reads the n step midpoints; its correction flow, and the
+        # second roll's lift and correction, reuse the control's kept readings
+        assert calls[0] == reads
 
 
 # -- one rolling assembly against the per-kind builders it replaced ---------
@@ -2067,7 +2070,7 @@ def test_one_product_omega_matches_the_kronecker_products(name):
 
 def _correction_flow_reference(model, lift):
     """The Stiefel correction by the RK4 flow of the Kronecker-product Omega."""
-    omegas = _stiefel_omega_reference(model, model.p_element(lift.stage_coords))
+    omegas = _stiefel_omega_reference(model, model.p_element(lift.control.stage_coords()))
     return flow_matrix_ode(omegas, np.eye(model.ambient_dim), lift.grid, side="left",
                            reproject_form=model.form)
 
@@ -2131,6 +2134,85 @@ def test_one_array_control_table_matches_the_per_call_table(make, n_steps):
     assert calls[0] == n_steps
     assert table.shape == reference.shape
     assert np.array_equal(table, reference)
+
+
+# -- a control read once against a fresh control for every roll -----------------
+
+
+def _every_roll(model, make):
+    """The arrays of every roll of a control, each roll taking the control ``make()``."""
+    out = [horizontal_lift(model, make()).samples]
+    rolls = [lambda c, s=s: extrinsic_roll(model, c, normal_strategy=s)
+             for s in ("closed_form", "frame_matching")]
+    if model.symmetric_space:
+        rolls.append(lambda c: hyperbolic.kinematic_roll(model, c))
+    if model.name == "hyperboloid":
+        rolls.append(hyperbolic.roll_hyperboloid)
+    for roll in rolls:
+        path = roll(make())
+        out += [path.R, path.s, path.alpha, path.alpha_hat]
+    triple = intrinsic_roll(model, make())
+    return out + [triple.alpha, triple.alpha_hat, triple.maps, triple.tangent_frames]
+
+
+@pytest.mark.parametrize("n_steps", [8, 250, 2000])
+@pytest.mark.parametrize("name", BENCHMARK_MODELS + ("stiefel_5_3",))
+def test_a_reused_control_rolls_as_a_fresh_one(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ctrl = _sinusoid(grid, model.p_dim, 16)
+    _every_roll(model, lambda: ctrl)
+    reused = _every_roll(model, lambda: ctrl)
+    fresh = _every_roll(model, lambda: _sinusoid(grid, model.p_dim, 16))
+    assert len(reused) == len(fresh)
+    for k, (a, b) in enumerate(zip(reused, fresh)):
+        assert np.array_equal(a, b), k
+
+
+def _counted(ctrl):
+    """``ctrl`` with its func rebound to a counting wrapper; returns the count's list."""
+    calls, func = [0], ctrl.func
+
+    def counted(t):
+        calls[0] += 1
+        return func(t)
+
+    ctrl.func = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", ["sphere", "stiefel_4_2"])
+def test_three_rolls_of_one_control_read_it_once(name):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 40)
+    ctrl = _sinusoid(grid, model.p_dim, 17)
+    calls = _counted(ctrl)
+    extrinsic_roll(model, ctrl)
+    intrinsic_roll(model, ctrl)
+    extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+    assert calls[0] == grid.n_steps
+
+
+def test_rebinding_the_func_reads_the_new_one():
+    grid = TimeGrid(0.0, 1.0, 30)
+    ctrl = _sinusoid(grid, 3, 18)
+    first = ctrl.stage_coords()
+    ctrl.func = lambda t: np.array([t, 2.0 * t, -t])
+    calls = _counted(ctrl)
+    table = ctrl.stage_coords()
+    assert calls[0] == grid.n_steps
+    assert np.array_equal(table[::2], first[::2])
+    ts = grid.stage_ts[1::2]
+    assert np.array_equal(table[1::2], np.stack([ts, 2.0 * ts, -ts], axis=1))
+    assert np.array_equal(ctrl.stage_coords(), table) and calls[0] == grid.n_steps
+
+
+def test_writing_into_the_stage_coordinates_leaves_the_control_alone():
+    ctrl = _sinusoid(TimeGrid(0.0, 1.0, 12), 2, 19)
+    table = ctrl.stage_coords()
+    expected = table.copy()
+    table[:] = np.nan
+    assert np.array_equal(ctrl.stage_coords(), expected)
 
 
 # -- Householder null spaces against the per-node SVD they replaced ----------
