@@ -1,0 +1,151 @@
+"""Checks of an installed semiroll package, as a user gets it from a wheel.
+
+Every model fixture and bundled config arrives and builds; frame-matching
+rolls, a moved base point and sampled curves roll and verify through the
+installed console script; a control is read once; a complex control is
+refused; a slipped trajectory breaches and a config is refused as a
+trajectory.  Run it from a scratch directory, where it writes its configs
+and trajectories, with the interpreter of the environment under test:
+
+    python ci/installed_package.py <semiroll command>
+"""
+
+import json
+import subprocess
+import sys
+from importlib.resources import files
+
+import numpy as np
+
+from semiroll.models import get_model
+
+
+def main(semiroll):
+    # every model fixture arrives in the wheel and builds and validates
+    fixtures = sorted(p for p in (files("semiroll") / "models" / "data").iterdir()
+                      if p.name.endswith(".json"))
+    assert fixtures, "no model fixtures in the installed package"
+    for fixture in fixtures:
+        get_model(str(fixture))
+
+    configs = sorted(p for p in (files("semiroll") / "configs").iterdir()
+                     if p.name.endswith(".json"))
+    assert configs, "no bundled configs in the installed package"
+    # no bundled config reaches the transport flow, so two frame-matching
+    # rolls and three sampled curves, which roll by that flow, are written
+    # here: each on a symmetric space and a non-symmetric one, and a curve
+    # on the indefinite quadric
+    controls = {
+        "so_plus_1_2": {"amplitude": [0.4, -0.3, 0.25], "frequency": [1.0, 2.0, 1.5],
+                        "phase": [0.0, 0.5, 1.0]},
+        "stiefel_4_2": {"amplitude": [0.5, 0.8, 0.3, -0.5, 0.4],
+                        "frequency": [2.0, 1.0, 0.5, 1.0, 1.5],
+                        "phase": [0.0, 1.5, 1.5, 0.0, 0.3]},
+    }
+    for model, control in controls.items():
+        cfg = f"{model}_frame_matching.json"
+        with open(cfg, "w") as fh:
+            json.dump({"model": model, "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
+                       "control": {"kind": "sinusoid", **control},
+                       "normal_strategy": "frame_matching"}, fh)
+        configs.append(cfg)
+
+    # a description with a base point of its own, written from the wheel and
+    # rolled by path: the description's obar field, not only the fixtures'
+    from semiroll.linalg import expm
+    from semiroll.models import pseudo_orthogonal
+
+    X = np.zeros((3, 3))
+    X[0, 1] = X[1, 0] = 0.8
+    X[0, 2] = X[2, 0] = -0.5
+    with open("so_plus_1_2_moved.json", "w") as fh:
+        json.dump(pseudo_orthogonal.description(1, 2, expm(X)), fh)
+    with open("so_plus_1_2_moved_roll.json", "w") as fh:
+        json.dump({"model": "so_plus_1_2_moved.json",
+                   "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
+                   "control": {"kind": "sinusoid", **controls["so_plus_1_2"]}}, fh)
+    configs.append("so_plus_1_2_moved_roll.json")
+
+    # the sampled curves hold the points of a library roll of the same controls
+    from semiroll import ControlCurve, TimeGrid, extrinsic_roll
+
+    grid = TimeGrid(0.0, 1.0, 300)
+    for model, control in (("sphere", {"amplitude": [0.5, -0.4], "frequency": [1.0, 2.0],
+                                       "phase": [0.0, 0.5]}),
+                           ("hyperboloid", {"amplitude": [0.6, 0.3],
+                                            "frequency": [1.5, 1.0], "phase": [0.3, 0.0]}),
+                           ("stiefel_4_2", controls["stiefel_4_2"])):
+        amp, freq, phase = (np.array(control[key]) for key in ("amplitude", "frequency", "phase"))
+        ctrl = ControlCurve.from_function(grid, lambda t: amp * np.sin(freq * t + phase))
+        points = extrinsic_roll(get_model(model), ctrl).alpha
+        cfg = f"{model}_curve.json"
+        with open(cfg, "w") as fh:
+            json.dump({"model": model, "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
+                       "curve": {"points": points.tolist()}}, fh)
+        configs.append(cfg)
+
+    # a control is read once: an extrinsic then an intrinsic roll of one
+    # control call its func at the 300 step midpoints in all, and each
+    # equals the roll of a fresh control with the same func
+    from semiroll import intrinsic_roll
+
+    stiefel_4_2 = get_model("stiefel_4_2")
+    amp, freq, phase = (np.array(controls["stiefel_4_2"][key])
+                        for key in ("amplitude", "frequency", "phase"))
+    calls = [0]
+
+    def counted(t):
+        calls[0] += 1
+        return amp * np.sin(freq * t + phase)
+
+    coords = amp * np.sin(np.multiply.outer(grid.ts, freq) + phase)
+    ctrl = ControlCurve(grid=grid, coords=coords, func=counted)
+    rolls = {extrinsic_roll: ("R", "s", "alpha", "alpha_hat"),
+             intrinsic_roll: ("alpha", "alpha_hat", "maps", "tangent_frames")}
+    reused = [roll(stiefel_4_2, ctrl) for roll in rolls]
+    assert calls[0] == 300, calls[0]
+    for (roll, fields), out in zip(rolls.items(), reused):
+        fresh = roll(stiefel_4_2, ControlCurve(grid=grid, coords=coords, func=counted))
+        for field in fields:
+            assert np.array_equal(getattr(out, field), getattr(fresh, field)), field
+
+    # a complex control is refused, not cast to its real part, with the
+    # warnings at the runtime default that a user runs with
+    for control in (lambda: ControlCurve(grid=grid, coords=coords[:, :2] + 0.5j),
+                    lambda: ControlCurve(grid=grid, coords=coords[:, :2],
+                                         func=lambda t: np.array([1.0 + 0.5j, 0.2]))):
+        try:
+            extrinsic_roll(get_model("sphere"), control())
+        except ValueError as exc:
+            assert "must be real, got a complex array" in str(exc), exc
+        else:
+            raise AssertionError("a complex control was rolled")
+    for cfg in configs:
+        subprocess.run([semiroll, "roll", "--config", str(cfg), "--out", "traj.csv"],
+                       check=True)
+        subprocess.run([semiroll, "verify", "--in", "traj.csv"], check=True)
+
+    # the installed CLI fails closed: a slipped trajectory breaches (exit 2),
+    # and a config, which is no trajectory, is refused (exit 1); the slip is
+    # perfbench's tamper, 0.05 sin^2(pi t / T) added to alphahat_1 and s_1
+    with open("traj.csv") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    header = lines[start].split(",")
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[start + 1:]])
+    t = table[:, header.index("t")]
+    bump = 0.05 * np.sin(np.pi * (t - t[0]) / (t[-1] - t[0])) ** 2
+    for column in ("alphahat_1", "s_1"):
+        table[:, header.index(column)] += bump
+    with open("slipped.csv", "w") as fh:
+        fh.write("\n".join(lines[:start + 1]) + "\n")
+        fh.writelines(",".join(format(x, ".17g") for x in row) + "\n" for row in table)
+    for trajectory, code in (("slipped.csv", 2), (str(configs[0]), 1)):
+        proc = subprocess.run([semiroll, "verify", "--in", trajectory])
+        assert proc.returncode == code, (trajectory, proc.returncode, code)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python ci/installed_package.py <semiroll command>")
+    main(sys.argv[1])

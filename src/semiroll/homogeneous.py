@@ -33,7 +33,8 @@ from .integrate import (
     fd_derivative,
     flow_matrix_ode,
 )
-from .linalg import expm, j_orthogonality_residual, j_transpose_inverse, stacked_null_spaces
+from .linalg import (ORTHOGONALITY_TOL, expm, is_oriented_isometry, j_orthogonality_residual,
+                     j_transpose_inverse, stacked_null_spaces)
 from .rolling import (
     RollingMapPath,
     RollingTriple,
@@ -512,8 +513,9 @@ def _control_curve(control, dim, grid=None):
 
 
 def _start_value(model, q0):
-    """``q0`` as a float (group_dim, group_dim) matrix, the identity when None; any other
-    q0, a complex one included, is refused by name.  The one check for both roll paths."""
+    """``q0`` as a float (group_dim, group_dim) matrix, the identity when None; any other q0
+    (complex, or off the group: no oriented isometry of ``group_form`` within ORTHOGONALITY_TOL
+    max(1, max|q0_ij|^2)) is refused by name.  The one check for both roll paths."""
     d = model.group_dim
     if q0 is None:
         return np.eye(d)
@@ -521,7 +523,13 @@ def _start_value(model, q0):
     if q0.dtype.kind not in "biuf" or q0.shape != (d, d) or not np.all(np.isfinite(q0)):
         raise ValueError(f"q0 must be a finite real ({d}, {d}) matrix of the model's group, "
                          f"got a {q0.dtype} array of shape {q0.shape}")
-    return q0.astype(float)
+    q0 = q0.astype(float)
+    tol = ORTHOGONALITY_TOL * max(1.0, float(np.max(np.abs(q0)))) ** 2
+    ok, residual = is_oriented_isometry(q0, model.group_form, tol)
+    if not ok:
+        raise ValueError(f"q0 must be an oriented isometry of the model's group form (|q0^T J q0 "
+                         f"- J| <= {tol:.3e}, det > 0 on each sign block), residual {residual:.3e}")
+    return q0
 
 
 def horizontal_lift(model, control, q0=None):
@@ -621,44 +629,6 @@ def _sampled_roll(model, curve, q0):
     return _transported(model, r0, frames), velocity, frames
 
 
-def _rolling_map(model, grid, rots, alpha, velocity):
-    """The rolling path with rotations ``rots`` along alpha: ``alpha_hat = obar +
-    extrinsic_develop(R, alpha', grid)`` and ``s = alpha_hat - R alpha``."""
-    alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
-    s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
-    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
-                          form=model.form)
-
-
-def _rolling_path(model, lift, differenced=False, transported=False):
-    """The extrinsic rolling map along a horizontal lift, and rho along the lift.
-
-    The rotation is the J-inverse of rho(q) S, with S the ``_correction_path``
-    of a non-symmetric model (the identity for a symmetric space), or with
-    ``transported`` the rotation ``_transported`` along the frames
-    rho(q) ``frame0``, from r0 = rho(q0).  The velocity alpha' is read
-    exactly off the lift, ``rho(q) d_e_rho(U) obar`` with U the lift's
-    control at the nodes, so on a symmetric space ``R alpha' = F0 U`` and the
-    development is the quadrature of the control itself; with
-    ``differenced`` it is the finite-difference derivative of the samples
-    of alpha instead.
-    """
-    grid = lift.grid
-    rhos = model.rho_path(lift.samples)
-    if transported:
-        rots = _transported(model, rhos[0], model.frames_along(rhos))
-    elif model.symmetric_space:
-        rots = j_transpose_inverse(rhos, model.form)
-    else:
-        rots = j_transpose_inverse(rhos @ _correction_path(model, lift), model.form)
-    alpha = np.einsum("kij,j->ki", rhos, model.obar)
-    if differenced:
-        velocity = fd_derivative(alpha, grid.h)
-    else:
-        velocity = np.einsum("kia,ka->ki", model.frames_along(rhos), lift.control.coords)
-    return _rolling_map(model, grid, rots, alpha, velocity), rhos
-
-
 def intrinsic_roll(model, data, q0=None):
     """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
 
@@ -721,14 +691,32 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
                          "use 'closed_form' or 'frame_matching'")
     if isinstance(_on_grid(data, None), EmbeddedCurve):
         rots, velocity, _ = _sampled_roll(model, data, q0)
-        return _rolling_map(model, data.grid, rots, data.points.copy(), velocity)
-    # a symmetric space develops the differenced velocity of alpha, which the
-    # residual checks difference the path with; the exact one is more accurate
-    # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
-    # path by the checks' own truncation error
-    return _rolling_path(model, horizontal_lift(model, data, q0=q0),
-                         differenced=model.symmetric_space,
-                         transported=normal_strategy == "frame_matching")[0]
+        grid, alpha = data.grid, data.points.copy()
+    else:
+        lift = horizontal_lift(model, data, q0=q0)
+        grid = lift.grid
+        rhos = model.rho_path(lift.samples)
+        if normal_strategy == "frame_matching":
+            frames = model.frames_along(rhos)
+            rots = _transported(model, rhos[0], frames)
+        elif model.symmetric_space:
+            rots = j_transpose_inverse(rhos, model.form)
+        else:
+            frames = model.frames_along(rhos)
+            rots = j_transpose_inverse(rhos @ _correction_path(model, lift), model.form)
+        alpha = np.einsum("kij,j->ki", rhos, model.obar)
+        # a symmetric space develops the differenced velocity of alpha, which the
+        # residual checks difference the path with; the exact one is more accurate
+        # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
+        # path by the checks' own truncation error
+        if model.symmetric_space:
+            velocity = fd_derivative(alpha, grid.h)
+        else:
+            velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
+    alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
+    s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
+    return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
+                          form=model.form)
 
 
 def model_residual_report(model, path):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..integrate import _integer
-from ..linalg import SignatureForm, is_oriented_isometry, stacked_kron
+from ..linalg import ORTHOGONALITY_TOL, SignatureForm, is_oriented_isometry, stacked_kron
 
 __all__ = [
     "so_pq_basis",
@@ -65,7 +65,9 @@ def description(p, q, base_point=None):
         P0 = np.eye(n)
     else:
         P0 = np.asarray(base_point, dtype=float)
-        ok, res = is_oriented_isometry(P0, form_n)
+        # the residual of |P0^T J P0 - J| rounds with max|P0_ij|^2, as for a start value q0
+        tol = ORTHOGONALITY_TOL * max(1.0, float(np.max(np.abs(P0)))) ** 2
+        ok, res = is_oriented_isometry(P0, form_n, tol)
         if not ok:
             raise ValueError(
                 f"base point must lie in SO+({p},{q}) (residual {res:.3e})"

@@ -34,9 +34,11 @@ from semiroll.models import (
 )
 from semiroll import homogeneous, models, rolling
 from semiroll.linalg import (
+    ORTHOGONALITY_TOL,
     SignatureForm,
     expm,
     is_oriented_isometry,
+    j_orthogonality_residual,
     j_transpose_inverse,
     random_oriented_isometry,
 )
@@ -475,12 +477,17 @@ def _moved_so_plus_2_2():
     return build_model(pseudo_orthogonal.description(2, 2, base))
 
 
-def _boosted_so_plus_2_2(a, b):
-    """so_plus_2_2 at the base point exp of the boost with entries a (0, 2) and b (1, 3)."""
+def _boost(a, b):
+    """exp of the so(2,2) boost with entries a (0, 2) and b (1, 3)."""
     X = np.zeros((4, 4))
     X[0, 2] = X[2, 0] = a
     X[1, 3] = X[3, 1] = b
-    return build_model(pseudo_orthogonal.description(2, 2, expm(X)))
+    return expm(X)
+
+
+def _boosted_so_plus_2_2(a, b):
+    """so_plus_2_2 at the base point ``_boost(a, b)``."""
+    return build_model(pseudo_orthogonal.description(2, 2, _boost(a, b)))
 
 
 def test_validate_passes_at_a_boosted_base_point():
@@ -517,7 +524,8 @@ def _smallest_j_eigenvalue(frame, form):
     lambda: _boosted_so_plus_2_2(5.0, 3.5),
     lambda: _boosted_so_plus_2_2(6.0, 4.2),
     lambda: _boosted_so_plus_2_2(7.1, 4.97),
-], ids=["stiefel_5_2x0.1", "boost4.0", "boost4.5", "boost5.0", "boost6.0", "boost7.1"])
+    lambda: _boosted_so_plus_2_2(7.2, 5.04),
+], ids=["stiefel_5_2x0.1", "boost4.0", "boost4.5", "boost5.0", "boost6.0", "boost7.1", "boost7.2"])
 def test_well_conditioned_grams_build_at_any_scale(build):
     # the tangent span is judged by the J-Gram of its orthonormal basis, so a
     # rescaled basis builds alike; the J-complement shares its smallest
@@ -527,10 +535,24 @@ def test_well_conditioned_grams_build_at_any_scale(build):
     assert _smallest_j_eigenvalue(model.normal0, model.form) >= 1.0 / rolling.FRAME_COND_MAX
 
 
-def test_a_boosted_base_point_past_the_bound_is_refused_by_its_tangent_frame():
+@pytest.mark.parametrize("a, condition", [(7.4, "1.3"), (7.5, "1.6"), (7.6, "2.0"), (7.8, "3.0"),
+                                          (8.0, "4.4")])
+def test_a_boosted_base_point_past_the_bound_is_refused_by_its_tangent_frame(a, condition):
+    # P0 has entries near cosh(a), so |P0^T J P0 - J| rounds to 1e-10 and more: the
+    # base point is judged within ORTHOGONALITY_TOL max(1, max|P0_ij|^2), as a start value is
     with pytest.raises(ValueError, match=r"^embedded tangent frame Gram matrix is singular under "
-                       r"the ambient form at node 0 \(condition number 1\.3e\+06\)$"):
-        _boosted_so_plus_2_2(7.4, 5.18)
+                       rf"the ambient form at node 0 \(condition number {condition}e\+06\)$"):
+        _boosted_so_plus_2_2(a, 0.7 * a)
+
+
+@pytest.mark.parametrize("alter", [lambda B: B @ np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                   lambda B: B + np.diag([1e-6, 0.0, 0.0, 0.0])],
+                         ids=["reflected", "perturbed"])
+def test_a_boosted_base_point_off_the_group_is_still_refused(alter):
+    # the scaled bound is 4.5e-5 at boost 7.2; 1e-6 on an entry near 670 moves the
+    # residual by about 1.3e-3, and a reflection keeps it but flips a sign block
+    with pytest.raises(ValueError, match=r"^base point must lie in SO\+\(2,2\) \(residual "):
+        pseudo_orthogonal.description(2, 2, alter(_boost(7.2, 5.04)))
 
 
 SEVEN_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
@@ -545,8 +567,14 @@ def _bad_start_values(d):
     section = np.array([[0.8, 0.36 + 0.48j], [-0.36 + 0.48j, 0.8]])  # the old complex h(z)
     nan = np.eye(d)
     nan[0, -1] = np.nan
+    stretched, reflected = np.eye(d), np.eye(d)
+    stretched[-1, -1], reflected[-1, -1] = 2.0, -1.0
+    off = (r"^q0 must be an oriented isometry of the model's group form \(\|q0\^T J q0 - J\| "
+           r"<= \S+, det > 0 on each sign block\), residual ")
     return [refusal(q0) for q0 in (np.eye(d - 1), np.eye(d + 1), np.eye(d)[None],
-                                   np.eye(d, dtype=complex), section, nan, np.eye(d).astype(str))]
+                                   np.eye(d, dtype=complex), section, nan, np.eye(d).astype(str))] + \
+        [(q0, off + r"[1-9]\S+e\+00$") for q0 in (2.0 * np.eye(d), 3.0 * np.eye(d), stretched)] + \
+        [(reflected, off + r"0\.000e\+00$")]
 
 
 @pytest.mark.parametrize("path", ["control", "curve"])
@@ -554,7 +582,9 @@ def _bad_start_values(d):
 def test_a_start_value_is_checked_alike_on_every_path(name, path):
     # the quadrics' real forms are 4 x 4: the old complex 2 x 2 section, or the
     # sphere's 3 x 3 identity that a sampled roll used to read the corner of,
-    # is refused by name, on a control's lift and on a sampled curve alike
+    # is refused by name, on a control's lift and on a sampled curve alike; so is
+    # a matrix off the group (2 I rolled the sphere, rho ignoring its scale) or a
+    # reflection (diag(1, 1, 1, -1) rolled stiefel_4_2 from outside SO(4))
     model = get_model(name)
     grid = TimeGrid(0.0, 1.0, 40)
     data = ControlCurve.from_function(grid, _phased(model.p_dim))
@@ -564,6 +594,20 @@ def test_a_start_value_is_checked_alike_on_every_path(name, path):
         for roll in (extrinsic_roll, intrinsic_roll):
             with pytest.raises(ValueError, match=refusal):
                 roll(model, data, q0=q0)
+
+
+@pytest.mark.parametrize("roll", [extrinsic_roll, intrinsic_roll])
+def test_a_boosted_start_value_rolls(roll):
+    # q0 = diag(B, B) has entries near 670, so |q0^T J q0 - J| rounds to 2.0e-10, above
+    # ORTHOGONALITY_TOL itself: a start value is judged relative to max(1, max|q0_ij|^2)
+    model = get_model("so_plus_2_2")
+    B = _boost(7.2, 5.04)
+    q0 = np.block([[B, np.zeros((4, 4))], [np.zeros((4, 4)), B]])
+    assert j_orthogonality_residual(q0, model.group_form) > ORTHOGONALITY_TOL
+    grid = TimeGrid(0.0, 1.0, 40)
+    out = roll(model, ControlCurve.from_function(grid, _phased(model.p_dim)), q0=q0)
+    start = np.asarray(model.rho(q0)) @ model.obar
+    assert np.max(np.abs(out.alpha[0] - start)) <= 1e-13 * np.max(np.abs(start))
 
 
 @pytest.mark.parametrize("build", [

@@ -1120,8 +1120,8 @@ def test_a_constant_control_curve_rolls_to_its_exact_rotation(name):
 
 
 def _frame_matching_reference(model, lift):
-    """The frame-matching rotation as ``_rolling_path`` built it before sampled curves
-    shared its transport rule."""
+    """The frame-matching rotation as ``extrinsic_roll`` built it inline before sampled
+    curves shared its transport rule."""
     rhos = model.rho_path(lift.samples)
     frames = j_transpose_inverse(rhos[0], model.form) @ model.frames_along(rhos)
     rotated = rhos[0] @ rolling._transport_flow(frames, model.form, "moving tangent frame")

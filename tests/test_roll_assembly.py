@@ -4,10 +4,10 @@
 A = head J (rho S)^T J, head = d_e_pi cf0, are the transpose of the (N, k)
 product ``J rho (S (J head^T))``, and the development integrates A alpha' in
 k dimensions.  Before, it was the tangential part of the whole extrinsic
-rolling map along the lift: head applied to the N x N rotations of
-``_rolling_path``'s exact-velocity path and to its N-dimensional
-development, taken by Simpson's rule from the spline at the stage times.
-That assembly is kept here as the reference, and the two agree within
+rolling map along the lift: head applied to the N x N rotations and to the
+N-dimensional development of the exact velocity, taken by Simpson's rule
+from the spline at the stage times.  That assembly is kept here as the
+reference, with its own rotations J (rho S)^T J, and the two agree within
 1e-13 relative on every benchmark model at 1 to 2000 steps.
 
 ``extrinsic_develop`` integrates its not-a-knot cubic exactly with
@@ -67,23 +67,27 @@ def _relative(new, reference):
 def _intrinsic_reference(model, data):
     """The intrinsic triple as the tangential part of the extrinsic rolling map.
 
-    head = d_e_pi cf0 applied to the N x N rotations of the exact-velocity
-    path and to its N-dimensional development, which is Simpson's rule on the
-    spline through R alpha' evaluated at the stage times.
+    head = d_e_pi cf0 applied to the N x N rotations R = J (rho S)^T J, the
+    J-inverse of rho(q) S (S = I on a symmetric space), and to the
+    N-dimensional development of the exact velocity rho(q) F0 U, which is
+    Simpson's rule on the spline through R alpha' evaluated at the stage times.
     """
     lift = horizontal_lift(model, data)
     grid = lift.grid
-    path, rhos = homogeneous._rolling_path(model, lift)
+    rhos = model.rho_path(lift.samples)
+    moving = rhos if model.symmetric_space else rhos @ homogeneous._correction_path(model, lift)
+    signs = model.form.signs
+    rots = signs[:, None] * np.swapaxes(moving, 1, 2) * signs
     frames = model.frames_along(rhos)
     velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
-    dense = dense_from_samples(grid.ts, np.einsum("kij,kj->ki", path.R, velocity))
+    dense = dense_from_samples(grid.ts, np.einsum("kij,kj->ki", rots, velocity))
     alpha_hat = model.obar[None, :] + integrate_vector(dense(grid.stage_ts), grid)
     head = model.d_e_pi @ model.cf0
     return RollingTriple(
         grid=grid,
-        alpha=path.alpha,
+        alpha=rhos @ model.obar,
         alpha_hat=np.einsum("ai,ki->ka", head, alpha_hat - model.obar),
-        maps=head @ path.R,
+        maps=head @ rots,
         tangent_frames=frames,
         form=model.form,
         target_gram=model.target_gram,
@@ -123,7 +127,6 @@ def test_intrinsic_roll_builds_no_extrinsic_map(monkeypatch):
     model = get_model("stiefel_4_2")
     ctrl = _sinusoid(TimeGrid(0.0, 1.0, 40), model.p_dim, 3)
     calls = []
-    monkeypatch.setattr(homogeneous, "_rolling_path", lambda *args, **kw: calls.append(args))
     monkeypatch.setattr(homogeneous, "j_transpose_inverse", lambda *args: calls.append(args))
     triple = intrinsic_roll(model, ctrl)
     assert not calls
