@@ -3,9 +3,10 @@
 Every model fixture and bundled config arrives and builds; frame-matching
 rolls, a moved base point and sampled curves roll and verify through the
 installed console script; a control is read once; a complex control is
-refused; a slipped trajectory breaches and a config is refused as a
-trajectory.  Run it from a scratch directory, where it writes its configs
-and trajectories, with the interpreter of the environment under test:
+refused; a slipped trajectory and a stretched rotation breach, and a config
+is refused as a trajectory.  Run it from a scratch directory, where it
+writes its configs and trajectories, with the interpreter of the
+environment under test:
 
     python ci/installed_package.py <semiroll command>
 """
@@ -128,21 +129,52 @@ def main(semiroll):
     # the installed CLI fails closed: a slipped trajectory breaches (exit 2),
     # and a config, which is no trajectory, is refused (exit 1); the slip is
     # perfbench's tamper, 0.05 sin^2(pi t / T) added to alphahat_1 and s_1
-    with open("traj.csv") as fh:
-        lines = fh.read().splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("t,"))
-    header = lines[start].split(",")
-    table = np.array([[float(x) for x in line.split(",")] for line in lines[start + 1:]])
+    head, header, table = _read_csv("traj.csv")
     t = table[:, header.index("t")]
     bump = 0.05 * np.sin(np.pi * (t - t[0]) / (t[-1] - t[0])) ** 2
     for column in ("alphahat_1", "s_1"):
         table[:, header.index(column)] += bump
-    with open("slipped.csv", "w") as fh:
-        fh.write("\n".join(lines[:start + 1]) + "\n")
-        fh.writelines(",".join(format(x, ".17g") for x in row) + "\n" for row in table)
+    _write_csv("slipped.csv", head, table)
     for trajectory, code in (("slipped.csv", 2), (str(configs[0]), 1)):
         proc = subprocess.run([semiroll, "verify", "--in", trajectory])
         assert proc.returncode == code, (trajectory, proc.returncode, code)
+
+    # a rotation stretched by 1.01 along one normal direction, with the
+    # contact kept, is no rigid motion: the group residual breaches
+    sphere = next(cfg for cfg in configs if str(cfg).endswith("sphere_quarter_equator.json"))
+    subprocess.run([semiroll, "roll", "--config", str(sphere), "--out", "sphere.csv"], check=True)
+    head, header, table = _read_csv("sphere.csv")
+    n = 3
+    v = get_model("sphere").normal0[:, 0]
+    stretch = np.eye(n) + 0.01 * np.outer(v, v)
+    rotations = [header.index(f"R_{i}_{j}") for i in range(n) for j in range(n)]
+    shifts = [header.index(f"s_{i}") for i in range(n)]
+    points = [header.index(f"alpha_{i}") for i in range(n)]
+    for row in table:
+        R = row[rotations].reshape(n, n)
+        row[shifts] -= (stretch @ R - R) @ row[points]
+        row[rotations] = (stretch @ R).ravel()
+    _write_csv("stretched.csv", head, table)
+    proc = subprocess.run([semiroll, "verify", "--in", "stretched.csv"], capture_output=True,
+                          text=True)
+    assert proc.returncode == 2, proc.returncode
+    assert any(line.startswith("isometry: ") and line.endswith(" BREACH")
+               for line in proc.stdout.splitlines()), proc.stdout
+
+
+def _read_csv(path):
+    """The metadata and header lines, the column names and the table of a trajectory CSV."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[start + 1:]])
+    return lines[:start + 1], lines[start].split(","), table
+
+
+def _write_csv(path, head, table):
+    with open(path, "w") as fh:
+        fh.write("\n".join(head) + "\n")
+        fh.writelines(",".join(format(x, ".17g") for x in row) + "\n" for row in table)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 A rolling of M on M_hat (both sitting in the same flat ambient space V) is a
 path of motions g(t) = (R(t), s(t)) together with the contact curves alpha on
 M and alpha_hat on M_hat.  This module stores such paths, measures the
-defining conditions as per-node residuals (contact, tangency, no-slip and
-the two no-twist conditions), and provides the algebraic operations on
+defining conditions as per-node residuals (R(t) a rigid motion of the form,
+contact, tangency by the flat normals, no-slip and the two no-twist
+conditions), and provides the algebraic operations on
 rolling maps: inversion, composition, and a controlled fault injection that
 perturbs the normal part of the rotation generator.  Parallel transport
 along sampled frame paths is one group flow of the whole ambient frame: it
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import SignatureForm, j_transpose_inverse, stacked_null_spaces
+from .linalg import SignatureForm, j_orthogonality_residual, j_transpose_inverse
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -42,7 +43,9 @@ __all__ = [
 ]
 
 # ``_check_rank`` certifies a frame by a Cholesky factor of its Gram matrix, which
-# resolves condition numbers only far below eps^-1/2 (about 7e7): keep this there
+# resolves condition numbers only far below eps^-1/2 (about 7e7): keep this there.
+# It judges the models' and the development's own frames, never a product with
+# R(t), whose condition number grows like |R|^2 on an indefinite form
 FRAME_COND_MAX = 1e6
 COMPOSE_CURVE_TOL = 1e-8
 NORMAL_GENERATOR_TOL = 1e-8
@@ -142,9 +145,10 @@ class ResidualReport:
     no_slip: float
     no_twist_tan: float
     no_twist_norm: float
+    isometry: float
     per_node: dict = field(default_factory=dict)
 
-    _FIELDS = ("rolling_point", "tangency", "no_slip", "no_twist_tan", "no_twist_norm")
+    _FIELDS = ("rolling_point", "tangency", "no_slip", "no_twist_tan", "no_twist_norm", "isometry")
 
     def max_residual(self):
         """Largest field; NaN when any field is NaN or infinite."""
@@ -175,6 +179,12 @@ def _lower_inverse(lower):
     return inverse
 
 
+def _refuse_non_finite(stack, what):
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
+
+
 def _check_rank(frames, what):
     """Refuse the first node whose frame is NaN, inf or numerically rank deficient.
 
@@ -188,13 +198,11 @@ def _check_rank(frames, what):
     whose Cholesky fails, takes the exact test, and its U is its triangular
     QR factor: the ratio of that factor's extreme singular values is the
     frame's own condition number.  A node over FRAME_COND_MAX has an
-    arbitrary basis, angle or projector, so nothing is measured on it.  Both
+    arbitrary basis, pairing or projector, so nothing is measured on it.  Both
     triangular factors are inverted by substitution (``_lower_inverse``, the
     QR factor through its transpose), not by a general LU.
     """
-    finite = np.all(np.isfinite(frames), axis=(1, 2))
-    if not np.all(finite):
-        raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
+    _refuse_non_finite(frames, what)
     n, r = frames.shape[0], frames.shape[2]
     try:
         with np.errstate(all="ignore"):
@@ -218,18 +226,6 @@ def _check_rank(frames, what):
                              f"(condition number {conds[k]:.1e})")
         inverse[exact] = np.swapaxes(_lower_inverse(np.swapaxes(factor, 1, 2)), 1, 2)
     return inverse
-
-
-def _orthonormal_bases(frames, what):
-    """Orthonormal bases of the frames' spans by CholeskyQR2, after ``_check_rank``.
-
-    The second pass (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014) makes
-    the columns orthonormal to rounding for every accepted frame; the span
-    is the frame's own to about eps cond(F), as for a Householder QR.
-    """
-    q = frames @ _check_rank(frames, what)
-    second = np.linalg.cholesky(np.swapaxes(q, 1, 2) @ q)
-    return q @ np.swapaxes(_lower_inverse(second), 1, 2)
 
 
 def _once(build, frames, form, what):
@@ -294,14 +290,6 @@ def _projectors(frames, form, what="frame"):
     return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
 
 
-def _complements(frames, form, what):
-    """``(C,)``, C orthonormal bases (n_nodes, N, N - r) of the spans' Euclidean complements.
-
-    ``stacked_null_spaces`` of the CholeskyQR2 bases; ``form`` is not read.
-    """
-    return (stacked_null_spaces(np.swapaxes(_orthonormal_bases(frames, what), 1, 2)),)
-
-
 def _node_norms(vectors):
     return np.linalg.norm(vectors, axis=-1)
 
@@ -312,43 +300,33 @@ def rolling_point_residual(path):
     return _node_norms(moved - path.alpha_hat)
 
 
-def tangency_residual(path, tangent_m, tangent_mhat):
-    """Per-node largest principal angle between R(t) T_alpha M and T_alphahat M_hat.
+def tangency_residual(path, tangent_m, normal_mhat):
+    """Per-node largest pairing of the flat unit normals with R(t) T_alpha M.
 
-    All nodes are handled in one stacked computation.  With Q1, Q2
-    orthonormal bases of R(t) F_M(t) and F_Mhat(t) (CholeskyQR2, reusing the
-    rank test's Cholesky factor), the sines of the principal angles are the
-    singular values of C^T Q1, where C is an orthonormal N x c basis of the
-    Euclidean complement of span Q2, c = N - r (Bjorck & Golub 1973).  The
-    angle is measured on the smaller side: the largest sine squared is the
-    largest eigenvalue of the smaller Gram matrix of E = C^T Q1, E E^T
-    (c x c) when c <= r, else E^T E (r x r).  That is 1 x 1 on the sphere,
-    the hyperboloid and stiefel_3_1, and a frame with c = 0 (r = N) reads 0
-    at every node.  C is ``stacked_null_spaces`` of Q2^T at every F_Mhat
-    node; a constant F_Mhat (the flat development's frame, a zero-stride
-    broadcast) is factored, tested and completed once per distinct frame
-    (``_once``), and its one complement is broadcast over the nodes.
-    This keeps full accuracy at small angles and matches the largest entry
-    of scipy's ``subspace_angles`` to rounding below 45 degrees; towards
-    pi/2 arcsin loses accuracy, to about 1e-9 within 1e-6 of pi/2 and 4e-8
-    at pi/2, where every angle is a breach.  Non-finite rotations or frames
-    raise ValueError, and so does a node where either frame is numerically
-    rank deficient (``_check_rank``: its condition number exceeds
-    FRAME_COND_MAX), so its basis would be arbitrary and no angle is
-    measured.
+    R(t) maps T_alpha M into the development's tangent space exactly when
+    the normals annihilate it, N_hat^T J R F_M = 0.  The residual is
+    max |Q_M^T J nu|, with Q_M = F_M U^-1 the basis of ``_check_rank``'s
+    factor (orthonormal to about eps cond(F_M)^2) and nu = J R^T J N_hat the
+    normals pulled back by R(t), columns normalised; J nu = R^T J N_hat, so
+    nothing is inverted.
+    On a Euclidean form with orthogonal R and orthonormal N_hat it brackets
+    the largest principal angle: v <= sin(theta) <= sqrt(r c) v.  No product
+    with R is rank-tested, so a boosted R is measured, not refused; an R that
+    maps T_alpha M into the tangent space without being an isometry reads 0
+    here and breaches the report's ``isometry`` field.  A non-finite R(t),
+    and an F_M(t) or normal frame that ``_check_rank`` refuses, raise
+    ValueError at their node.  The unit normal columns are the normal
+    no-twist check's, kept once per distinct constant frame (``_once``).
     """
-    # a NaN or inf in R(t) or F_M(t) leaves their product non-finite at that
-    # node (NaN x and inf 0 are NaN), so the rank test refuses it there
-    with np.errstate(invalid="ignore"):
-        mapped = path.R @ tangent_m.frames
-    q1 = _orthonormal_bases(mapped, "tangency: R(t) F_M(t)")
-    (complement,) = _once(_complements, tangent_mhat.frames, path.form, "tangency: F_Mhat(t)")
-    e = np.swapaxes(complement, 1, 2) @ q1
-    et = np.swapaxes(e, 1, 2)
-    # with c = 0 the eigenvalue stack is empty and every node reads 0
-    largest = np.linalg.eigvalsh(e @ et if e.shape[1] <= e.shape[2] else et @ e).max(
-        axis=-1, initial=0.0)
-    return np.arcsin(np.sqrt(np.clip(largest, 0.0, 1.0)))
+    _refuse_non_finite(path.R, "tangency: R(t)")
+    q = tangent_m.frames @ _check_rank(tangent_m.frames, "tangency: F_M(t)")
+    _, normals = _once(_span_factors, normal_mhat.frames, path.form,
+                       "tangency: normal development frame")
+    pulled = np.swapaxes(path.R, 1, 2) @ (path.form.signs[:, None] * normals)
+    # a normal that R(t)^T annihilates reads NaN: that node fails closed
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pairing = np.swapaxes(q, 1, 2) @ (pulled / np.linalg.norm(pulled, axis=1, keepdims=True))
+    return np.max(np.abs(pairing), axis=(1, 2))
 
 
 def _rotation_generator(path):
@@ -405,28 +383,26 @@ def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
     """Bundle all defining-condition residuals into a ResidualReport.
 
     The rotation generator W = Rdot R^{-1} is taken once, for the slip and
-    both twist residuals.
+    both twist residuals.  ``isometry`` is the per-node group residual
+    |R^T J R - J| / max(1, max|R_ij|)^2, the relative rule of the flows'
+    node check: R(t) must be a rigid motion of the form.
     """
     point = rolling_point_residual(path)
-    tang = tangency_residual(path, tangent_m, tangent_mhat)
+    tang = tangency_residual(path, tangent_m, normal_mhat)
     W = _rotation_generator(path)
     slip = no_slip_residual(path, W)
     twist_t, twist_n = no_twist_residuals(path, tangent_mhat, normal_mhat, W)
-    return ResidualReport(
-        grid=path.grid,
-        rolling_point=float(np.max(point)),
-        tangency=float(np.max(tang)),
-        no_slip=float(np.max(slip)),
-        no_twist_tan=float(np.max(twist_t)),
-        no_twist_norm=float(np.max(twist_n)),
-        per_node={
-            "rolling_point": point,
-            "tangency": tang,
-            "no_slip": slip,
-            "no_twist_tan": twist_t,
-            "no_twist_norm": twist_n,
-        },
-    )
+    scale = np.maximum(1.0, np.max(np.abs(path.R), axis=(1, 2)))
+    per_node = {
+        "rolling_point": point,
+        "tangency": tang,
+        "no_slip": slip,
+        "no_twist_tan": twist_t,
+        "no_twist_norm": twist_n,
+        "isometry": j_orthogonality_residual(path.R, path.form) / scale ** 2,
+    }
+    return ResidualReport(grid=path.grid, per_node=per_node,
+                          **{name: float(np.max(values)) for name, values in per_node.items()})
 
 
 def invert_rolling(path):

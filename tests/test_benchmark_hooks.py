@@ -136,7 +136,8 @@ def test_workload_late_lookups_resolve():
     assert not missing, missing
 
 
-EXTRINSIC_FIELDS = ("rolling_point", "tangency", "no_slip", "no_twist_tan", "no_twist_norm")
+EXTRINSIC_FIELDS = ("rolling_point", "tangency", "no_slip", "no_twist_tan", "no_twist_norm",
+                    "isometry")
 
 
 @pytest.mark.parametrize("config, suffix, labels, tampered", [

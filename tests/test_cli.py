@@ -214,7 +214,9 @@ def test_non_finite_rotation_is_an_error_not_a_pass(tmp_path, capsys):
     assert "NaN or inf" in capsys.readouterr().err
 
 
-def test_zero_rotation_is_an_error_not_a_pass(tmp_path, capsys):
+def test_zero_rotation_breaches_the_group_residual(tmp_path, capsys):
+    # a singular R(t) is no rigid motion: isometry reads 1 there, and tangency,
+    # whose pulled-back normals vanish, reads NaN
     out = tmp_path / "traj.csv"
     main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
     lines = out.read_text().splitlines()
@@ -225,9 +227,47 @@ def test_zero_rotation_is_an_error_not_a_pass(tmp_path, capsys):
         row[col] = "0"
     lines[-3] = ",".join(row)
     out.write_text("\n".join(lines) + "\n")
-    assert main(["verify", "--in", str(out)]) == 1
-    assert "rank deficient" in capsys.readouterr().err
+    assert main(["verify", "--in", str(out)]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].startswith("tangency: nan ") and printed[1].endswith(" BREACH")
+    assert printed[-2].startswith("isometry: 1.000000e+00 ") and printed[-2].endswith(" BREACH")
+    assert printed[-1] == "FAIL"
 
+
+
+def test_a_squashed_rotation_breaches_the_group_residual(tmp_path, capsys):
+    # R(t) halved along a flat tangent direction keeps tangency and the contact;
+    # only the group residual of R(t) reads it
+    cfg = json.loads((CONFIG_DIR / "stiefel_4_2_intrinsic.json").read_text())
+    cfg["mode"] = "extrinsic"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "traj.csv"
+    assert main(["roll", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    model = get_model("stiefel_4_2")
+    n = model.ambient_dim
+    u = model.frame0[:, 0] / np.linalg.norm(model.frame0[:, 0])
+    squash = np.eye(n) - 0.5 * np.outer(u, u)
+    lines = out.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+    names = lines[header].split(",")
+    cols = [names.index(f"R_{i}_{j}") for i in range(n) for j in range(n)]
+    s_cols = [names.index(f"s_{i}") for i in range(n)]
+    a_cols = [names.index(f"alpha_{i}") for i in range(n)]
+    for k in range(header + 1, len(lines)):
+        row = np.array([float(x) for x in lines[k].split(",")])
+        R = squash @ row[cols].reshape(n, n)
+        # keep the contact: s = alpha_hat - R alpha moves with R
+        row[s_cols] += (row[cols].reshape(n, n) - R) @ row[a_cols]
+        row[cols] = R.ravel()
+        lines[k] = ",".join(format(x, ".17g") for x in row)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].startswith("tangency: ") and printed[1].endswith(" ok")
+    label, value = printed[-2].split()[:2]
+    assert label == "isometry:" and 0.3 <= float(value) <= 0.75
+    assert printed[-2].endswith(" BREACH") and printed[-1] == "FAIL"
 
 
 _SMALL_ROLL = {
@@ -309,7 +349,7 @@ def test_a_samples_control_rolls_and_verifies(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--in", str(out)]) == 0
     *fields, verdict = capsys.readouterr().out.strip().splitlines()
-    assert verdict == "PASS" and len(fields) == 5
+    assert verdict == "PASS" and len(fields) == 6
     # the cubic through the samples is smooth: every residual sits far below 50 h^2
     assert all(float(line.split()[1]) <= 1e-6 for line in fields), fields
 

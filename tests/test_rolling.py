@@ -247,7 +247,7 @@ def test_rolling_composed_with_its_inverse_is_the_identity(pq, seed):
 # at its node: NaN or inf, all zero, or columns e1 and 1e7 e1 + e2, whose
 # condition number 1e14 the QR diagonal (1, 1) does not reveal
 FRAME_CHECKS = {
-    "tangency_m": lambda path, bad, ft, fn: tangency_residual(path, bad, ft),
+    "tangency_m": lambda path, bad, ft, fn: tangency_residual(path, bad, fn),
     "tangency_mhat": lambda path, bad, ft, fn: tangency_residual(path, ft, bad),
     "no_twist": lambda path, bad, ft, fn: no_twist_residuals(path, bad, fn),
     "perturb": lambda path, bad, ft, fn: perturb_normal_generator(path, np.zeros((3, 3)), bad, fn),
@@ -369,12 +369,11 @@ def test_singular_frame_gram_is_reported():
 @pytest.mark.parametrize("entry", [(0, 0), (2, 2), (1, 2)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tangency_refuses_a_non_finite_rotation_at_its_node(bad, entry):
-    # (2, 2) meets only the zero third row of the tangent frame: inf 0 is NaN
-    path, ft, _ = _plane_on_plane(10)
+    # R(t) itself is scanned: (2, 2) meets only the normal column e3
+    path, ft, fn = _plane_on_plane(10)
     path.R[4][entry] = bad
-    with pytest.raises(ValueError, match=r"^tangency: R\(t\) F_M\(t\) contains NaN or inf "
-                       "at node 4$"):
-        tangency_residual(path, ft, ft)
+    with pytest.raises(ValueError, match=r"^tangency: R\(t\) contains NaN or inf at node 4$"):
+        tangency_residual(path, ft, fn)
 
 
 def _tiny_triple(det_signs):
@@ -574,12 +573,12 @@ def test_a_changed_constant_frame_misses_the_kept_factors(monkeypatch):
     path, fm, ft, fn = _sphere_equator(40)
     first = rolling_condition_residuals(path, fm, _broadcast(ft.frames[0], ft),
                                         _broadcast(fn.frames[0], fn))
-    # the tangency complement and both no-twist projectors
-    assert len(rolling._FACTORED) == 3
+    # both no-twist projectors; tangency reads the normal one's unit columns
+    assert len(rolling._FACTORED) == 2
     tilted = (_broadcast(_tilted(ft.frames[0], 0.01), ft),
               _broadcast(_tilted(fn.frames[0], 0.01), fn))
     changed = rolling_condition_residuals(path, fm, *tilted)
-    assert len(rolling._FACTORED) == 6
+    assert len(rolling._FACTORED) == 4
     # the tilted frames are factored as their copied, moving stacks are, node by node
     moving = [TangentFramePath(f.ts, np.array(f.frames)) for f in tilted]
     reference = rolling_condition_residuals(path, fm, *moving)
@@ -620,8 +619,8 @@ def test_kept_factors_are_read_only(monkeypatch):
     flat_t = _broadcast(ft.frames[0], ft)
     rolling_condition_residuals(path, fm, flat_t, _broadcast(fn.frames[0], fn))
     kept = [array for value in rolling._FACTORED.values() for array in value]
-    # one complement, and a projector and unit columns for each no-twist frame
-    assert len(kept) == 5
+    # a projector and unit columns for each no-twist frame
+    assert len(kept) == 4
     for array in kept + [rolling._projectors(flat_t.frames, EUCLID3)]:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
