@@ -34,7 +34,7 @@ from .integrate import (
     flow_matrix_ode,
 )
 from .linalg import (ORTHOGONALITY_TOL, expm, is_oriented_isometry, j_orthogonality_residual,
-                     j_transpose_inverse, stacked_null_spaces)
+                     j_orthogonality_scale, j_transpose_inverse, stacked_null_spaces)
 from .rolling import (
     RollingMapPath,
     RollingTriple,
@@ -524,7 +524,7 @@ def _start_value(model, q0):
         raise ValueError(f"q0 must be a finite real ({d}, {d}) matrix of the model's group, "
                          f"got a {q0.dtype} array of shape {q0.shape}")
     q0 = q0.astype(float)
-    tol = ORTHOGONALITY_TOL * max(1.0, float(np.max(np.abs(q0)))) ** 2
+    tol = ORTHOGONALITY_TOL * j_orthogonality_scale(q0)
     ok, residual = is_oriented_isometry(q0, model.group_form, tol)
     if not ok:
         raise ValueError(f"q0 must be an oriented isometry of the model's group form (|q0^T J q0 "

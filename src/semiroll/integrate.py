@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import j_orthogonality_residual
+from .linalg import j_orthogonality_residual, j_orthogonality_scale
 
 __all__ = [
     "TimeGrid",
@@ -255,9 +255,7 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     out[1:] = _newton_schulz_step(out[1:], reproject_form)
     residual = j_orthogonality_residual(out[1:], reproject_form)
     if not np.max(residual) <= REPROJECT_TOL:
-        # rounding grows X^T J X - J with |X|^2 (Higham, "J-orthogonal matrices",
-        # 2003): a node is off the group relative to max(1, max|X_ij|^2)
-        residual = residual / np.maximum(1.0, np.max(np.abs(out[1:]), axis=(-2, -1)) ** 2)
+        residual = residual / j_orthogonality_scale(out[1:])
     worst = int(np.argmax(residual))
     if not residual[worst] <= REPROJECT_TOL:
         raise ValueError(

@@ -21,6 +21,7 @@ __all__ = [
     "se_compose",
     "se_inverse",
     "j_orthogonality_residual",
+    "j_orthogonality_scale",
     "j_transpose_inverse",
     "is_oriented_isometry",
     "expm",
@@ -152,6 +153,15 @@ def j_orthogonality_residual(R, form):
     G[..., np.arange(form.dim), np.arange(form.dim)] -= form.signs
     worst = np.max(np.abs(G), axis=(-2, -1))
     return float(worst) if R.ndim == 2 else worst
+
+
+def j_orthogonality_scale(R):
+    """max(1, max|R_ij|)^2 of a matrix, or per matrix of a stack (..., N, N).
+
+    Rounding grows R^T J R - J with |R|^2 (Higham, "J-orthogonal matrices",
+    2003), so a group residual is judged relative to this scale.
+    """
+    return np.maximum(1.0, np.max(np.abs(R), axis=(-2, -1))) ** 2
 
 
 def j_transpose_inverse(mats, form):

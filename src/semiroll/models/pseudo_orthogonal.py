@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..integrate import _integer
-from ..linalg import ORTHOGONALITY_TOL, SignatureForm, is_oriented_isometry, stacked_kron
+from ..linalg import (ORTHOGONALITY_TOL, SignatureForm, is_oriented_isometry,
+                      j_orthogonality_scale, stacked_kron)
 
 __all__ = [
     "so_pq_basis",
@@ -65,8 +66,7 @@ def description(p, q, base_point=None):
         P0 = np.eye(n)
     else:
         P0 = np.asarray(base_point, dtype=float)
-        # the residual of |P0^T J P0 - J| rounds with max|P0_ij|^2, as for a start value q0
-        tol = ORTHOGONALITY_TOL * max(1.0, float(np.max(np.abs(P0)))) ** 2
+        tol = ORTHOGONALITY_TOL * j_orthogonality_scale(P0)
         ok, res = is_oriented_isometry(P0, form_n, tol)
         if not ok:
             raise ValueError(

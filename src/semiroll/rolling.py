@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import SignatureForm, j_orthogonality_residual, j_transpose_inverse
+from .linalg import (SignatureForm, j_orthogonality_residual, j_orthogonality_scale,
+                     j_transpose_inverse)
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -204,6 +205,8 @@ def _check_rank(frames, what):
     """
     _refuse_non_finite(frames, what)
     n, r = frames.shape[0], frames.shape[2]
+    if r == 0:  # no columns: the normals of a full-dimensional frame
+        return np.zeros((n, 0, 0))
     try:
         with np.errstate(all="ignore"):
             chol = np.linalg.cholesky(np.swapaxes(frames, 1, 2) @ frames)
@@ -301,32 +304,32 @@ def rolling_point_residual(path):
 
 
 def tangency_residual(path, tangent_m, normal_mhat):
-    """Per-node largest pairing of the flat unit normals with R(t) T_alpha M.
+    """Per-node largest pairing of R(t) T_alpha M with the flat unit normals.
 
     R(t) maps T_alpha M into the development's tangent space exactly when
-    the normals annihilate it, N_hat^T J R F_M = 0.  The residual is
-    max |Q_M^T J nu|, with Q_M = F_M U^-1 the basis of ``_check_rank``'s
-    factor (orthonormal to about eps cond(F_M)^2) and nu = J R^T J N_hat the
-    normals pulled back by R(t), columns normalised; J nu = R^T J N_hat, so
-    nothing is inverted.
+    N_hat^T J R F_M = 0.  The residual is max |w_a^T J n_b|: w_a the columns
+    of R Q_M, each normalised, Q_M = F_M U^-1 the basis of ``_check_rank``'s
+    factor, and n_b the unit normal columns of the normal no-twist check
+    (kept by ``_once``).  It is read on the flat side, as the other
+    residuals are, so a flat tilt of a boosted R(t) is not shrunk by R^-1.
     On a Euclidean form with orthogonal R and orthonormal N_hat it brackets
     the largest principal angle: v <= sin(theta) <= sqrt(r c) v.  No product
-    with R is rank-tested, so a boosted R is measured, not refused; an R that
-    maps T_alpha M into the tangent space without being an isometry reads 0
-    here and breaches the report's ``isometry`` field.  A non-finite R(t),
-    and an F_M(t) or normal frame that ``_check_rank`` refuses, raise
-    ValueError at their node.  The unit normal columns are the normal
-    no-twist check's, kept once per distinct constant frame (``_once``).
+    with R is rank-tested: a boosted R is measured, and one that maps
+    T_alpha M into the tangent space without being an isometry reads 0 and
+    breaches the report's ``isometry``.  A non-finite R(t), and a frame that
+    ``_check_rank`` refuses, raise ValueError at their node; a
+    full-dimensional F_M has no normals and reads 0.
     """
     _refuse_non_finite(path.R, "tangency: R(t)")
     q = tangent_m.frames @ _check_rank(tangent_m.frames, "tangency: F_M(t)")
     _, normals = _once(_span_factors, normal_mhat.frames, path.form,
                        "tangency: normal development frame")
-    pulled = np.swapaxes(path.R, 1, 2) @ (path.form.signs[:, None] * normals)
-    # a normal that R(t)^T annihilates reads NaN: that node fails closed
+    image = path.R @ q
+    # a column that R(t) annihilates reads NaN: that node fails closed
     with np.errstate(invalid="ignore", divide="ignore"):
-        pairing = np.swapaxes(q, 1, 2) @ (pulled / np.linalg.norm(pulled, axis=1, keepdims=True))
-    return np.max(np.abs(pairing), axis=(1, 2))
+        image /= np.linalg.norm(image, axis=1, keepdims=True)
+    pairing = np.swapaxes(image, 1, 2) @ (path.form.signs[:, None] * normals)
+    return np.max(np.abs(pairing), axis=(1, 2), initial=0.0)
 
 
 def _rotation_generator(path):
@@ -373,7 +376,7 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     def _defect(frames, what):
         projector, cols = _once(_span_factors, frames, path.form, f"no twist: {what} frame")
         comp = projector @ (W @ cols)
-        return np.max(np.linalg.norm(comp, axis=1), axis=-1)
+        return np.max(np.linalg.norm(comp, axis=1), axis=-1, initial=0.0)
 
     return (_defect(tangent_mhat.frames, "tangent development"),
             _defect(normal_mhat.frames, "normal development"))
@@ -392,14 +395,13 @@ def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
     W = _rotation_generator(path)
     slip = no_slip_residual(path, W)
     twist_t, twist_n = no_twist_residuals(path, tangent_mhat, normal_mhat, W)
-    scale = np.maximum(1.0, np.max(np.abs(path.R), axis=(1, 2)))
     per_node = {
         "rolling_point": point,
         "tangency": tang,
         "no_slip": slip,
         "no_twist_tan": twist_t,
         "no_twist_norm": twist_n,
-        "isometry": j_orthogonality_residual(path.R, path.form) / scale ** 2,
+        "isometry": j_orthogonality_residual(path.R, path.form) / j_orthogonality_scale(path.R),
     }
     return ResidualReport(grid=path.grid, per_node=per_node,
                           **{name: float(np.max(values)) for name, values in per_node.items()})

@@ -216,7 +216,7 @@ def test_non_finite_rotation_is_an_error_not_a_pass(tmp_path, capsys):
 
 def test_zero_rotation_breaches_the_group_residual(tmp_path, capsys):
     # a singular R(t) is no rigid motion: isometry reads 1 there, and tangency,
-    # whose pulled-back normals vanish, reads NaN
+    # whose image columns R(t) q_a vanish, reads NaN
     out = tmp_path / "traj.csv"
     main(["roll", "--config", _cfg("sphere_quarter_equator.json"), "--out", str(out)])
     lines = out.read_text().splitlines()

@@ -55,6 +55,7 @@ from semiroll.rolling import (
     triple_velocity_residual,
 )
 
+from boosted import boost, boosted_start, boosted_start_roll
 from horizontality import horizontality_residual
 
 
@@ -477,17 +478,9 @@ def _moved_so_plus_2_2():
     return build_model(pseudo_orthogonal.description(2, 2, base))
 
 
-def _boost(a, b):
-    """exp of the so(2,2) boost with entries a (0, 2) and b (1, 3)."""
-    X = np.zeros((4, 4))
-    X[0, 2] = X[2, 0] = a
-    X[1, 3] = X[3, 1] = b
-    return expm(X)
-
-
 def _boosted_so_plus_2_2(a, b):
-    """so_plus_2_2 at the base point ``_boost(a, b)``."""
-    return build_model(pseudo_orthogonal.description(2, 2, _boost(a, b)))
+    """so_plus_2_2 at the base point ``boost(a, b)``."""
+    return build_model(pseudo_orthogonal.description(2, 2, boost(a, b)))
 
 
 def test_validate_passes_at_a_boosted_base_point():
@@ -552,7 +545,7 @@ def test_a_boosted_base_point_off_the_group_is_still_refused(alter):
     # the scaled bound is 4.5e-5 at boost 7.2; 1e-6 on an entry near 670 moves the
     # residual by about 1.3e-3, and a reflection keeps it but flips a sign block
     with pytest.raises(ValueError, match=r"^base point must lie in SO\+\(2,2\) \(residual "):
-        pseudo_orthogonal.description(2, 2, alter(_boost(7.2, 5.04)))
+        pseudo_orthogonal.description(2, 2, alter(boost(7.2, 5.04)))
 
 
 SEVEN_MODELS = ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
@@ -601,8 +594,7 @@ def test_a_boosted_start_value_rolls(roll):
     # q0 = diag(B, B) has entries near 670, so |q0^T J q0 - J| rounds to 2.0e-10, above
     # ORTHOGONALITY_TOL itself: a start value is judged relative to max(1, max|q0_ij|^2)
     model = get_model("so_plus_2_2")
-    B = _boost(7.2, 5.04)
-    q0 = np.block([[B, np.zeros((4, 4))], [np.zeros((4, 4)), B]])
+    q0 = boosted_start(7.2, 5.04)
     assert j_orthogonality_residual(q0, model.group_form) > ORTHOGONALITY_TOL
     grid = TimeGrid(0.0, 1.0, 40)
     out = roll(model, ControlCurve.from_function(grid, _phased(model.p_dim)), q0=q0)
@@ -610,18 +602,14 @@ def test_a_boosted_start_value_rolls(roll):
     assert np.max(np.abs(out.alpha[0] - start)) <= 1e-13 * np.max(np.abs(start))
 
 
-@pytest.mark.parametrize("a, b, tangency", [(3.0, 2.1, 1e-13), (4.0, 2.8, 1e-11)])
+@pytest.mark.parametrize("a, b, tangency", [(3.0, 2.1, 1e-11), (4.0, 2.8, 1e-9)])
 def test_a_boosted_start_value_reports_and_passes(a, b, tangency):
     # R F_M has a condition number near |R|^2 (1e6 at node 5 for (4.0, 2.8),
-    # max|R| 777); tangency rank-tests no product with R, so the path is measured
-    model = get_model("so_plus_2_2")
-    B = _boost(a, b)
-    q0 = np.block([[B, np.zeros((4, 4))], [np.zeros((4, 4)), B]])
-    grid = TimeGrid(0.0, 1.0, 40)
-    rates = 1.0 + np.arange(model.p_dim)
-    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.cos(rates * t))
-    report = model_residual_report(model, extrinsic_roll(model, ctrl, q0=q0))
-    assert report.passed(50 * grid.h ** 2)
+    # max|R| 777); tangency rank-tests no product with R, so the path is
+    # measured, to the rounding of R Q_M (2.7e-12 and 4.6e-10)
+    model, path = boosted_start_roll(a, b)
+    report = model_residual_report(model, path)
+    assert report.passed(50 * path.grid.h ** 2)
     assert report.tangency <= tangency
     assert report.isometry <= 1e-14
 
@@ -656,6 +644,26 @@ def test_a_tilt_of_the_rotations_breaches_tangency(name, eps):
     report = model_residual_report(model, _with_rotations(path, expm(eps * K) @ path.R))
     assert 0.7 * eps <= report.tangency <= 1.001 * eps
     assert report.isometry <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("a, b", [(3.0, 2.1), (4.0, 2.8)])
+def test_a_tilt_of_boosted_rotations_breaches_tangency(a, b, eps):
+    # tangency is read on the flat side: a tilt of R(t) from a boosted start
+    # value (max|R| 106 and 777) reads 0.36 to 1 eps for every pair of a unit
+    # tangent u and a normal v, far above the clean reading; the same pairing
+    # pulled back by R(t)^-1 read down to 4.5e-4 eps
+    model, path = boosted_start_roll(a, b)
+    assert model_residual_report(model, path).tangency <= 1e-9
+    signs = model.form.signs
+    readings = []
+    for u in (model.frame0 / np.linalg.norm(model.frame0, axis=0)).T:
+        for v in model.normal0.T:
+            K = np.outer(u, signs * v) - np.outer(v, signs * u)
+            report = model_residual_report(model, _with_rotations(path, expm(eps * K) @ path.R))
+            readings.append(report.tangency)
+            assert report.isometry <= 1e-14
+    assert 0.35 * eps <= min(readings) and max(readings) <= 1.001 * eps
 
 
 @pytest.mark.parametrize("frame, factor", [("frame0", 0.5), ("normal0", 1.01)],
@@ -887,7 +895,7 @@ def test_every_roll_refuses_a_control_of_another_model_by_one_check(roll):
 def test_zero_rotation_fails_closed(name):
     # R = 0 with s = alpha_hat = obar satisfies contact, no-slip and both
     # no-twist conditions; the group residual exposes it at every node, and
-    # tangency, whose pulled-back normals vanish, reads NaN
+    # tangency, whose image columns R(t) q_a vanish, reads NaN
     model = get_model(name)
     grid = TimeGrid(0.0, 1.0, 40)
     ctrl = ControlCurve.from_function(grid, lambda t: 0.4 * np.cos(t + np.arange(model.p_dim)))

@@ -14,12 +14,12 @@ contact R alpha + s = alpha_hat at every node.
 import numpy as np
 import pytest
 
-from semiroll.homogeneous import ControlCurve, extrinsic_roll, model_residual_report
+from semiroll.homogeneous import model_residual_report
 from semiroll.integrate import TimeGrid
-from semiroll.linalg import expm
 from semiroll.models import get_model
 from semiroll.rolling import RollingMapPath
 
+from boosted import boosted_start_roll
 from exact_rolling import exact_rolling, oracle_case
 
 PROBE_MODELS = ["sphere", "stiefel_4_2"]
@@ -85,22 +85,9 @@ def test_false_pass(fault, name):
     assert not model_residual_report(model, path).passed(50.0 * path.grid.h ** 2)
 
 
-def _boost(a, b):
-    X = np.zeros((4, 4))
-    X[0, 2] = X[2, 0] = a
-    X[1, 3] = X[3, 1] = b
-    return expm(X)
-
-
 @pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="8: the model's own tangent frame at alpha exceeds FRAME_COND_MAX")
 def test_false_refusal_8_a_strongly_boosted_start_value():
     # refused as "tangency: F_M(t) is rank deficient at node 22 (condition number 1.0e+06)"
-    model = get_model("so_plus_2_2")
-    B = _boost(5.0, 3.5)
-    q0 = np.block([[B, np.zeros((4, 4))], [np.zeros((4, 4)), B]])
-    grid = TimeGrid(0.0, 1.0, 40)
-    rates = 1.0 + np.arange(model.p_dim)
-    ctrl = ControlCurve.from_function(grid, lambda t: 0.5 * np.cos(rates * t))
-    path = extrinsic_roll(model, ctrl, q0=q0)
-    assert model_residual_report(model, path).passed(50.0 * grid.h ** 2)
+    model, path = boosted_start_roll(5.0, 3.5)
+    assert model_residual_report(model, path).passed(50.0 * path.grid.h ** 2)
