@@ -1,12 +1,13 @@
 """Checks of an installed semiroll package, as a user gets it from a wheel.
 
 Every model fixture and bundled config arrives and builds; frame-matching
-rolls, a moved base point and sampled curves roll and verify through the
-installed console script; a control is read once; a complex control is
-refused; a slipped trajectory and a stretched rotation breach, and a config
-is refused as a trajectory.  Run it from a scratch directory, where it
-writes its configs and trajectories, with the interpreter of the
-environment under test:
+rolls, a moved base point and sampled curves (in both modes) roll and verify
+through the installed console script; the intrinsic file of a control holds
+d_e_pi cf0 times its extrinsic file's rotations; a control is read once; a
+complex control is refused; a slipped trajectory and a stretched rotation
+breach, and a config is refused as a trajectory.  Run it from a scratch
+directory, where it writes its configs and trajectories, with the
+interpreter of the environment under test:
 
     python ci/installed_package.py <semiroll command>
 """
@@ -33,9 +34,9 @@ def main(semiroll):
                      if p.name.endswith(".json"))
     assert configs, "no bundled configs in the installed package"
     # no bundled config reaches the transport flow, so two frame-matching
-    # rolls and three sampled curves, which roll by that flow, are written
-    # here: each on a symmetric space and a non-symmetric one, and a curve
-    # on the indefinite quadric
+    # rolls and three sampled curves, each rolled in both modes, which roll by
+    # that flow, are written here: each on a symmetric space and a
+    # non-symmetric one, and a curve on the indefinite quadric
     controls = {
         "so_plus_1_2": {"amplitude": [0.4, -0.3, 0.25], "frequency": [1.0, 2.0, 1.5],
                         "phase": [0.0, 0.5, 1.0]},
@@ -79,11 +80,14 @@ def main(semiroll):
         amp, freq, phase = (np.array(control[key]) for key in ("amplitude", "frequency", "phase"))
         ctrl = ControlCurve.from_function(grid, lambda t: amp * np.sin(freq * t + phase))
         points = extrinsic_roll(get_model(model), ctrl).alpha
-        cfg = f"{model}_curve.json"
-        with open(cfg, "w") as fh:
-            json.dump({"model": model, "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
-                       "curve": {"points": points.tolist()}}, fh)
-        configs.append(cfg)
+        # extrinsic last: the slip below tampers the last trajectory rolled
+        for mode in ("intrinsic", "extrinsic"):
+            cfg = f"{model}_curve_{mode}.json"
+            with open(cfg, "w") as fh:
+                json.dump({"model": model, "mode": mode,
+                           "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
+                           "curve": {"points": points.tolist()}}, fh)
+            configs.append(cfg)
 
     # a control is read once: an extrinsic then an intrinsic roll of one
     # control call its func at the 300 step midpoints in all, and each
@@ -125,6 +129,26 @@ def main(semiroll):
         subprocess.run([semiroll, "roll", "--config", str(cfg), "--out", "traj.csv"],
                        check=True)
         subprocess.run([semiroll, "verify", "--in", "traj.csv"], check=True)
+
+    # one roll, two views: the intrinsic file's maps are d_e_pi cf0 times the
+    # extrinsic file's rotations, bit for bit, for the bundled non-symmetric control
+    stiefel = next(cfg for cfg in configs if str(cfg).endswith("stiefel_4_2_intrinsic.json"))
+    with open(stiefel) as fh:
+        cfg = json.load(fh)
+    with open("stiefel_4_2_extrinsic.json", "w") as fh:
+        json.dump({**cfg, "mode": "extrinsic"}, fh)
+    views = {}
+    for mode, config in (("intrinsic", str(stiefel)), ("extrinsic", "stiefel_4_2_extrinsic.json")):
+        subprocess.run([semiroll, "roll", "--config", config, "--out", f"{mode}.csv"], check=True)
+        _, header, table = _read_csv(f"{mode}.csv")
+        views[mode] = header, table
+    n, k = stiefel_4_2.ambient_dim, stiefel_4_2.p_dim
+    header, table = views["extrinsic"]
+    R = np.ascontiguousarray(table[:, [header.index(f"R_{i}_{j}") for i in range(n)
+                                       for j in range(n)]]).reshape(-1, n, n)
+    header, table = views["intrinsic"]
+    A = table[:, [header.index(f"R_{i}_{j}") for i in range(k) for j in range(n)]]
+    assert np.array_equal(A.reshape(-1, k, n), (stiefel_4_2.d_e_pi @ stiefel_4_2.cf0) @ R)
 
     # the installed CLI fails closed: a slipped trajectory breaches (exit 2),
     # and a config, which is no trajectory, is refused (exit 1); the slip is

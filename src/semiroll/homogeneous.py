@@ -9,13 +9,12 @@ is sampled on uniform grids.  A control rolls along its horizontal lift,
 (``_start_value``) refuses unless it is a finite real group matrix: the
 rotation is the J-inverse of the ambient representation (times the
 correction S(t) that a non-symmetric space derives from its own
-``d_e_rho``).  A sampled curve on
-the manifold rolls by parallel transport alone (Hüper & Silva Leite, 2007):
-the rotation is the J-inverse of the group flow that transports the whole
-ambient frame along the curve's tangent spaces, and needs no lift.  Either
-way the development is the exact integral of the spline through
-R(t) alpha'(t), and the intrinsic rolling is the tangential part of the map,
-built on its own: only the (k, N) maps and a k-dimensional development.
+``d_e_rho``).  A sampled curve on the manifold rolls by parallel transport
+alone (Hüper & Silva Leite, 2007): the rotation is the J-inverse of the
+group flow that transports the whole ambient frame along the curve's tangent
+spaces, and needs no lift.  Either way the development is the exact integral
+of the spline through R(t) alpha'(t).  One roll (``_rolled``) gives both
+views: the intrinsic maps are head = d_e_pi cf0 applied to the same rotations.
 """
 
 from __future__ import annotations
@@ -111,6 +110,9 @@ class ControlCurve:
         if coords.ndim != 2 or coords.shape[0] != self.grid.n_nodes:
             raise ValueError(f"control coords must have shape (n_nodes, dim) = "
                              f"({self.grid.n_nodes}, dim), got {coords.shape}")
+        bad = np.flatnonzero(~np.all(np.isfinite(coords), axis=1))
+        if bad.size:
+            raise ValueError(f"control coords are NaN or inf at t={self.grid.ts[bad[0]]:.6g}")
         self.coords = coords
         if self.func is None:
             self.func = dense_from_samples(self.grid.ts, self.coords)
@@ -595,14 +597,30 @@ def _transported(model, r0, frames):
     return j_transpose_inverse(r0 @ flow, model.form)
 
 
-def _sampled_roll(model, curve, q0):
-    """Rotations (``_transported`` from r0 = rho(q0), the identity when q0 is None),
-    differenced velocity and pointwise tangent frames of a sampled curve.  A point
-    whose ``constraint`` exceeds CURVE_TOL max(1, |x|^2) is refused by its time, and
-    so is a first point that far from r0 obar, and the worst step that jumps (``CHORD_TOL``)."""
+def _rolled(model, data, q0, normal_strategy="closed_form"):
+    """The one roll behind both views: grid, R, alpha, alpha' and the frames along alpha.
+
+    Along a control, R is the J-inverse of rho(q) S ("closed_form"; S = I on a symmetric
+    space) or ``_transported`` along rho(q) ``frame0`` ("frame_matching"), and alpha' =
+    rho(q) F0 c is read off the lift.  A sampled curve is ``_transported`` from r0 =
+    rho(q0) along its pointwise frames, alpha' differenced; a point whose ``constraint``
+    exceeds CURVE_TOL max(1, |x|^2) is refused by its time, and so is a first point that
+    far from r0 obar, and the worst step that jumps (``CHORD_TOL``).
+    """
+    if isinstance(_on_grid(data, None), ControlCurve):
+        lift = horizontal_lift(model, data, q0=q0)
+        rhos = model.rho_path(lift.samples)
+        frames = model.frames_along(rhos)
+        if normal_strategy == "frame_matching":
+            rots = _transported(model, rhos[0], frames)
+        else:
+            moving = rhos if model.symmetric_space else rhos @ _correction_path(model, lift)
+            rots = j_transpose_inverse(moving, model.form)
+        return (lift.grid, rots, np.einsum("kij,j->ki", rhos, model.obar),
+                np.einsum("kia,ka->ki", frames, lift.control.coords), frames)
     r0 = np.eye(model.ambient_dim) if q0 is None else \
         np.asarray(model.rho(_start_value(model, q0)), dtype=float)
-    points, grid = curve.points, curve.grid
+    points, grid = data.points, data.grid
     if points.shape[1] != model.ambient_dim:
         raise ValueError("curve ambient dimension does not match the model")
     frames = model.pointwise_tangent_frames(grid, points).frames
@@ -626,39 +644,23 @@ def _sampled_roll(model, curve, q0):
         raise ValueError(f"curve jumps between t={grid.ts[k]:.6g} and t={grid.ts[k + 1]:.6g} "
                          f"(chord defect {gaps[k]:.3e}, bound {bound[k]:.3e}); refine "
                          f"n_steps if the curve is smooth")
-    return _transported(model, r0, frames), velocity, frames
+    return grid, _transported(model, r0, frames), points.copy(), velocity, frames
 
 
 def intrinsic_roll(model, data, q0=None):
     """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
 
-    The intrinsic rolling is the tangential part of the extrinsic one: with
-    ``head = d_e_pi ∘ coeffs_p`` the maps are ``A(t) = head ∘ R(t)``, and the
-    development is the integral of ``A(t) alpha'(t)``.  Along a control, R is
-    the J-inverse of rho(q) S; only the (k, N) maps are built, as the
-    transpose of ``J rho(q) S J head^T``, and the frames are rho(q) ``frame0``.
-    Its alpha' is read exactly off the lift, so on a symmetric space the
-    development differs from that of ``extrinsic_roll`` by the latter's
-    finite-difference truncation error, and it needs no derivative, so it
-    rolls on 1 to 3 steps too.  A sampled curve takes the R and alpha' of
-    its transport roll (``extrinsic_roll``) and its pointwise frames.
+    The intrinsic rolling is the tangential part of the extrinsic one: the maps
+    are ``A(t) = head ∘ R(t)``, ``head = d_e_pi ∘ coeffs_p`` applied to the
+    rotations of ``extrinsic_roll``'s "closed_form", and the development is the
+    integral of ``A(t) alpha'(t)``.  Along a control, alpha' is read exactly off
+    the lift and the frames are rho(q) ``frame0``, so on a symmetric space the
+    development differs from ``extrinsic_roll``'s by the latter's finite-difference
+    truncation error, and it rolls on 1 to 3 steps too.  A sampled curve takes the
+    differenced alpha' of its transport roll and its pointwise frames.
     """
-    if isinstance(_on_grid(data, None), EmbeddedCurve):
-        rots, velocity, frames = _sampled_roll(model, data, q0)
-        grid, alpha = data.grid, data.points.copy()
-        maps = (model.d_e_pi @ model.cf0) @ rots
-    else:
-        lift = horizontal_lift(model, data, q0=q0)
-        grid = lift.grid
-        signs = model.form.signs
-        right = signs[:, None] * (model.d_e_pi @ model.cf0).T
-        if not model.symmetric_space:
-            right = _correction_path(model, lift) @ right
-        rhos = model.rho_path(lift.samples)
-        maps = np.multiply(np.swapaxes(rhos @ right, 1, 2), signs, order="C")
-        frames = model.frames_along(rhos)
-        velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
-        alpha = np.einsum("kij,j->ki", rhos, model.obar)
+    grid, rots, alpha, velocity, frames = _rolled(model, data, q0)
+    maps = (model.d_e_pi @ model.cf0) @ rots
     return RollingTriple(
         grid=grid,
         alpha=alpha,
@@ -689,30 +691,13 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     if normal_strategy not in ("closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy {normal_strategy!r}; "
                          "use 'closed_form' or 'frame_matching'")
-    if isinstance(_on_grid(data, None), EmbeddedCurve):
-        rots, velocity, _ = _sampled_roll(model, data, q0)
-        grid, alpha = data.grid, data.points.copy()
-    else:
-        lift = horizontal_lift(model, data, q0=q0)
-        grid = lift.grid
-        rhos = model.rho_path(lift.samples)
-        if normal_strategy == "frame_matching":
-            frames = model.frames_along(rhos)
-            rots = _transported(model, rhos[0], frames)
-        elif model.symmetric_space:
-            rots = j_transpose_inverse(rhos, model.form)
-        else:
-            frames = model.frames_along(rhos)
-            rots = j_transpose_inverse(rhos @ _correction_path(model, lift), model.form)
-        alpha = np.einsum("kij,j->ki", rhos, model.obar)
-        # a symmetric space develops the differenced velocity of alpha, which the
-        # residual checks difference the path with; the exact one is more accurate
-        # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
-        # path by the checks' own truncation error
-        if model.symmetric_space:
-            velocity = fd_derivative(alpha, grid.h)
-        else:
-            velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
+    grid, rots, alpha, velocity, _ = _rolled(model, data, q0, normal_strategy)
+    # a symmetric space develops the differenced velocity of alpha, which the
+    # residual checks difference the path with; the exact one is more accurate
+    # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
+    # path by the checks' own truncation error
+    if model.symmetric_space and isinstance(data, ControlCurve):
+        velocity = fd_derivative(alpha, grid.h)
     alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
     s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,

@@ -231,25 +231,25 @@ def _check_rank(frames, what):
     return inverse
 
 
-def _once(build, frames, form, what):
-    """``build(frames, form, what)``, a tuple of arrays, built once per distinct constant frame.
+def _once(frames, form, what):
+    """``_span_factors(frames, form, what)``, built once per distinct constant frame.
 
     A zero-stride stack (a broadcast of one frame, as the flat development's
     frames are) is built as ``frames[:1]``.  The result is kept read-only
-    under ``build``, the frame's shape and bytes and the form's signs, and
-    every later call with the same frame reuses it; reading the strides
-    costs nothing per node.  A moving stack is built on every call.  A
-    refusal keeps nothing, so a refused frame is refused on every call, a
-    broadcast one at node 0.  The oldest of ``_FACTORED_MAX`` kept frames
-    makes room for a new one.
+    under the frame's shape and bytes and the form's signs, and every later
+    call with the same frame reuses it; reading the strides costs nothing
+    per node.  A moving stack is built on every call.  A refusal keeps
+    nothing, so a refused frame is refused on every call, a broadcast one at
+    node 0.  The oldest of ``_FACTORED_MAX`` kept frames makes room for a
+    new one.
     """
     if frames.strides[0] != 0:
-        return build(frames, form, what)
+        return _span_factors(frames, form, what)
     one = frames[:1]
-    key = (build, one.shape, one.tobytes(), form.signs.tobytes())
+    key = (one.shape, one.tobytes(), form.signs.tobytes())
     value = _FACTORED.get(key)
     if value is None:
-        value = build(one, form, what)
+        value = _span_factors(one, form, what)
         for array in value:
             array.flags.writeable = False
         if len(_FACTORED) >= _FACTORED_MAX:
@@ -289,7 +289,7 @@ def _projectors(frames, form, what="frame"):
 
     For a constant stack this is a broadcast of the one projector ``_once`` keeps.
     """
-    proj = _once(_span_factors, frames, form, what)[0]
+    proj = _once(frames, form, what)[0]
     return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
 
 
@@ -322,8 +322,7 @@ def tangency_residual(path, tangent_m, normal_mhat):
     """
     _refuse_non_finite(path.R, "tangency: R(t)")
     q = tangent_m.frames @ _check_rank(tangent_m.frames, "tangency: F_M(t)")
-    _, normals = _once(_span_factors, normal_mhat.frames, path.form,
-                       "tangency: normal development frame")
+    _, normals = _once(normal_mhat.frames, path.form, "tangency: normal development frame")
     image = path.R @ q
     # a column that R(t) annihilates reads NaN: that node fails closed
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -374,7 +373,7 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
         W = _rotation_generator(path)
 
     def _defect(frames, what):
-        projector, cols = _once(_span_factors, frames, path.form, f"no twist: {what} frame")
+        projector, cols = _once(frames, path.form, f"no twist: {what} frame")
         comp = projector @ (W @ cols)
         return np.max(np.linalg.norm(comp, axis=1), axis=-1, initial=0.0)
 

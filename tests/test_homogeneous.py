@@ -794,7 +794,8 @@ def test_random_points_lie_on_the_manifold(name):
     model.validate()
 
 
-@pytest.mark.parametrize("name", ["so_plus_1_2", "stiefel_3_1", "stiefel_4_2"])
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
+                                  "stiefel_3_1", "stiefel_4_2"])
 def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, monkeypatch):
     model = get_model(name)
     grid = TimeGrid(0.0, 1.0, 120)
@@ -806,8 +807,14 @@ def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, mon
     monkeypatch.setattr(homogeneous, "_correction_path",
                         lambda *args: calls.append(args) or correction(*args))
     triple = intrinsic_roll(model, ctrl)
+    # one roll, two views: the maps are head applied to the very rotations, in one product
     head = model.d_e_pi @ model.cf0
-    assert np.max(np.abs(triple.maps - np.einsum("ai,kij->kaj", head, path.R))) <= 1e-12
+    assert np.array_equal(triple.maps, head @ path.R)
+    assert triple.maps.shape == (grid.n_nodes, model.p_dim, model.ambient_dim)
+    assert triple.maps.flags.c_contiguous
+    assert np.array_equal(triple.alpha, path.alpha)
+    rhos = model.rho_path(horizontal_lift(model, ctrl).samples)
+    assert np.array_equal(triple.tangent_frames, model.frames_along(rhos))
     # the correction flow is integrated once per roll on a non-symmetric space
     assert len(calls) == (0 if model.symmetric_space else 1)
 
@@ -1162,6 +1169,15 @@ def test_a_non_finite_midpoint_reading_is_refused_by_its_t(bad):
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^control func is NaN or inf at t=0\.65$"):
             control.stage_coords()
+    # a node value is refused where the control is built, before the default
+    # spline or a flow reads it, by its t: the first bad node is 0.7
+    coords = np.full((grid.n_nodes, 2), 0.2)
+    coords[7, 1] = coords[9, 0] = -bad
+    for make in (lambda: ControlCurve(grid=grid, coords=coords),
+                 lambda: ControlCurve(grid=grid, coords=coords, func=lambda t: np.ones(2)),
+                 lambda: ControlCurve.from_function(grid, lambda t: coords[round(10 * t)])):
+        with pytest.raises(ValueError, match=r"^control coords are NaN or inf at t=0\.7$"):
+            make()
 
 
 def test_a_ragged_control_func_is_named_by_from_function():

@@ -1,14 +1,13 @@
-"""The rolls build only what they return, diffed against what they built before.
+"""The rolls, diffed against the assemblies they replaced.
 
-``intrinsic_roll`` reads its triple straight off the lift: the maps
-A = head J (rho S)^T J, head = d_e_pi cf0, are the transpose of the (N, k)
-product ``J rho (S (J head^T))``, and the development integrates A alpha' in
-k dimensions.  Before, it was the tangential part of the whole extrinsic
-rolling map along the lift: head applied to the N x N rotations and to the
-N-dimensional development of the exact velocity, taken by Simpson's rule
-from the spline at the stage times.  That assembly is kept here as the
-reference, with its own rotations J (rho S)^T J, and the two agree within
-1e-13 relative on every benchmark model at 1 to 2000 steps.
+``intrinsic_roll`` is the tangential part of the extrinsic rolling: its maps
+are head = d_e_pi cf0 applied to the same N x N rotations that
+``extrinsic_roll`` returns, and its development integrates A alpha' in k
+dimensions, with the exact velocity rho(q) F0 U read off the lift.  The
+reference kept here builds that with rotations J (rho S)^T J of its own and
+the N-dimensional development of the exact velocity, taken by Simpson's rule
+from the spline at the stage times; the two agree within 1e-13 relative on
+every benchmark model at 1 to 2000 steps.
 
 ``extrinsic_develop`` integrates its not-a-knot cubic exactly with
 ``NotAKnotCubic.integral``, which equals ``integrate_vector`` of the spline
@@ -121,17 +120,6 @@ def test_intrinsic_triple_of_a_sampled_curve_matches_the_reference(name):
     assert np.array_equal(new.alpha, curve.points)
     assert np.array_equal(new.tangent_frames, model.tangent_frame_at(curve.points))
     assert _relative(new.alpha_hat, (path.alpha_hat - model.obar) @ head.T) <= 1e-13
-
-
-def test_intrinsic_roll_builds_no_extrinsic_map(monkeypatch):
-    model = get_model("stiefel_4_2")
-    ctrl = _sinusoid(TimeGrid(0.0, 1.0, 40), model.p_dim, 3)
-    calls = []
-    monkeypatch.setattr(homogeneous, "j_transpose_inverse", lambda *args: calls.append(args))
-    triple = intrinsic_roll(model, ctrl)
-    assert not calls
-    assert triple.maps.shape == (41, model.p_dim, model.ambient_dim)
-    assert triple.maps.flags.c_contiguous
 
 
 # -- the exact spline integral -------------------------------------------------
