@@ -132,23 +132,34 @@ def main(semiroll):
 
     # one roll, two views: the intrinsic file's maps are d_e_pi cf0 times the
     # extrinsic file's rotations, bit for bit, for the bundled non-symmetric control
+    # and for a symmetric one on 600 steps, whose 601 nodes of 16 x 16 rotations the
+    # library assembles in four blocks of 128 and a part of a fifth; each file verifies
     stiefel = next(cfg for cfg in configs if str(cfg).endswith("stiefel_4_2_intrinsic.json"))
     with open(stiefel) as fh:
-        cfg = json.load(fh)
-    with open("stiefel_4_2_extrinsic.json", "w") as fh:
-        json.dump({**cfg, "mode": "extrinsic"}, fh)
-    views = {}
-    for mode, config in (("intrinsic", str(stiefel)), ("extrinsic", "stiefel_4_2_extrinsic.json")):
-        subprocess.run([semiroll, "roll", "--config", config, "--out", f"{mode}.csv"], check=True)
-        _, header, table = _read_csv(f"{mode}.csv")
-        views[mode] = header, table
-    n, k = stiefel_4_2.ambient_dim, stiefel_4_2.p_dim
-    header, table = views["extrinsic"]
-    R = np.ascontiguousarray(table[:, [header.index(f"R_{i}_{j}") for i in range(n)
-                                       for j in range(n)]]).reshape(-1, n, n)
-    header, table = views["intrinsic"]
-    A = table[:, [header.index(f"R_{i}_{j}") for i in range(k) for j in range(n)]]
-    assert np.array_equal(A.reshape(-1, k, n), (stiefel_4_2.d_e_pi @ stiefel_4_2.cf0) @ R)
+        bundled = json.load(fh)
+    multi_block = {"model": "so_plus_2_2", "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 600},
+                   "control": {"kind": "sinusoid", "amplitude": [0.3, -0.2, 0.25, 0.2, -0.3, 0.15],
+                               "frequency": [1.0, 2.0, 1.5, 0.5, 1.0, 2.5],
+                               "phase": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]}}
+    for model, cfg in ((stiefel_4_2, bundled), (get_model("so_plus_2_2"), multi_block)):
+        views = {}
+        for mode in ("intrinsic", "extrinsic"):
+            config = f"{model.name}_{mode}_view.json"
+            with open(config, "w") as fh:
+                json.dump({**cfg, "mode": mode}, fh)
+            subprocess.run([semiroll, "roll", "--config", config, "--out", f"{mode}.csv"],
+                           check=True)
+            subprocess.run([semiroll, "verify", "--in", f"{mode}.csv"], check=True)
+            _, header, table = _read_csv(f"{mode}.csv")
+            views[mode] = header, table
+        n, k = model.ambient_dim, model.p_dim
+        header, table = views["extrinsic"]
+        assert table.shape[0] == cfg["grid"]["n_steps"] + 1, table.shape
+        R = np.ascontiguousarray(table[:, [header.index(f"R_{i}_{j}") for i in range(n)
+                                           for j in range(n)]]).reshape(-1, n, n)
+        header, table = views["intrinsic"]
+        A = table[:, [header.index(f"R_{i}_{j}") for i in range(k) for j in range(n)]]
+        assert np.array_equal(A.reshape(-1, k, n), (model.d_e_pi @ model.cf0) @ R), model.name
 
     # the installed CLI fails closed: a slipped trajectory breaches (exit 2),
     # and a config, which is no trajectory, is refused (exit 1); the slip is

@@ -15,6 +15,10 @@ group flow that transports the whole ambient frame along the curve's tangent
 spaces, and needs no lift.  Either way the development is the exact integral
 of the spline through R(t) alpha'(t).  One roll (``_rolled``) gives both
 views: the intrinsic maps are head = d_e_pi cf0 applied to the same rotations.
+After the lift, a closed-form roll of a control is assembled in blocks of nodes
+(``_BLOCK_ENTRIES`` rotation entries each) straight into the arrays it returns,
+and a symmetric extrinsic one, which develops the differenced alpha', builds no
+frames and no exact alpha'.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ CURVE_TOL = 1e-8
 # longest chord, plus CURVE_TOL max(1, |x_k|); on a smooth curve they differ by h^3 x'''/12
 CHORD_TOL = 50.0
 MODEL_CHECK_TOL = 1e-10
+# matrix entries per block of a closed-form roll's assembly after the lift, 256 KiB
+# of float64: 128 nodes of 16 x 16 rotations, and a 3 x 3 path of 3640 nodes in one
+_BLOCK_ENTRIES = 32768
 
 
 def _read_func(func, ts, dim=None):
@@ -284,7 +291,7 @@ class CartanModel:
             i = self.p_indices[fixed[0]]
             raise ValueError(f"p element {i} fixes the base point (d_e_rho(p_{i}) obar = 0): "
                              "it belongs to h")
-        P = _span_factors(self.frame0[None], self.form, "embedded tangent frame")[0][0]
+        P = _span_factors(self.frame0[None], self.form, "embedded tangent frame")[0]
         self.ip_p = self.frame0.T @ (self.form.signs[:, None] * self.frame0)
         d_inv = np.linalg.inv(self.d_e_pi)
         self.target_gram = d_inv.T @ self.ip_p @ d_inv
@@ -597,33 +604,51 @@ def _transported(model, r0, frames):
     return j_transpose_inverse(r0 @ flow, model.form)
 
 
-def _rolled(model, data, q0, normal_strategy="closed_form"):
+def _rolled(model, data, q0, normal_strategy="closed_form", frames=True):
     """The one roll behind both views: grid, R, alpha, alpha' and the frames along alpha.
 
     Along a control, R is the J-inverse of rho(q) S ("closed_form"; S = I on a symmetric
     space) or ``_transported`` along rho(q) ``frame0`` ("frame_matching"), and alpha' =
-    rho(q) F0 c is read off the lift.  A sampled curve is ``_transported`` from r0 =
-    rho(q0) along its pointwise frames, alpha' differenced; a point whose ``constraint``
-    exceeds CURVE_TOL max(1, |x|^2) is refused by its time, and so is a first point that
-    far from r0 obar, and the worst step that jumps (``CHORD_TOL``).
+    rho(q) F0 c is read off the lift; a caller that reads neither passes ``frames=False``
+    and gets None for both.  The closed form is assembled in blocks of nodes that hold
+    ``_BLOCK_ENTRIES`` rotation entries, each from its own rho(q) block, into the arrays
+    it returns.  A sampled curve is ``_transported`` from r0 = rho(q0) along its
+    pointwise frames, alpha' differenced; a point whose ``constraint`` exceeds CURVE_TOL
+    max(1, |x|^2) is refused by its time, and so is a first point that far from r0 obar,
+    and the worst step that jumps (``CHORD_TOL``).
     """
     if isinstance(_on_grid(data, None), ControlCurve):
         lift = horizontal_lift(model, data, q0=q0)
-        rhos = model.rho_path(lift.samples)
-        frames = model.frames_along(rhos)
+        qs, coords = lift.samples, lift.control.coords
         if normal_strategy == "frame_matching":
-            rots = _transported(model, rhos[0], frames)
-        else:
-            moving = rhos if model.symmetric_space else rhos @ _correction_path(model, lift)
-            rots = j_transpose_inverse(moving, model.form)
-        return (lift.grid, rots, np.einsum("kij,j->ki", rhos, model.obar),
-                np.einsum("kia,ka->ki", frames, lift.control.coords), frames)
+            rhos = model.rho_path(qs)
+            tangents = model.frames_along(rhos)
+            return (lift.grid, _transported(model, rhos[0], tangents),
+                    np.einsum("kij,j->ki", rhos, model.obar),
+                    np.einsum("kia,ka->ki", tangents, coords) if frames else None,
+                    tangents if frames else None)
+        S = None if model.symmetric_space else _correction_path(model, lift)
+        n, N = qs.shape[0], model.ambient_dim
+        rots, alpha = np.empty((n, N, N)), np.empty((n, N))
+        velocity = tangents = None
+        if frames:
+            velocity, tangents = np.empty((n, N)), np.empty((n, N, model.p_dim))
+        size = max(1, _BLOCK_ENTRIES // (N * N))
+        for lo in range(0, n, size):
+            block = slice(lo, lo + size)
+            rhos = model.rho_path(qs[block])
+            rots[block] = j_transpose_inverse(rhos if S is None else rhos @ S[block], model.form)
+            alpha[block] = np.einsum("kij,j->ki", rhos, model.obar)
+            if frames:
+                tangents[block] = model.frames_along(rhos)
+                velocity[block] = np.einsum("kia,ka->ki", tangents[block], coords[block])
+        return lift.grid, rots, alpha, velocity, tangents
     r0 = np.eye(model.ambient_dim) if q0 is None else \
         np.asarray(model.rho(_start_value(model, q0)), dtype=float)
     points, grid = data.points, data.grid
     if points.shape[1] != model.ambient_dim:
         raise ValueError("curve ambient dimension does not match the model")
-    frames = model.pointwise_tangent_frames(grid, points).frames
+    tangents = model.pointwise_tangent_frames(grid, points).frames
     defects = _constraint_defects(model, points)
     bad = np.flatnonzero(~(defects <= CURVE_TOL))
     if bad.size:
@@ -644,7 +669,7 @@ def _rolled(model, data, q0, normal_strategy="closed_form"):
         raise ValueError(f"curve jumps between t={grid.ts[k]:.6g} and t={grid.ts[k + 1]:.6g} "
                          f"(chord defect {gaps[k]:.3e}, bound {bound[k]:.3e}); refine "
                          f"n_steps if the curve is smooth")
-    return grid, _transported(model, r0, frames), points.copy(), velocity, frames
+    return grid, _transported(model, r0, tangents), points.copy(), velocity, tangents
 
 
 def intrinsic_roll(model, data, q0=None):
@@ -691,12 +716,14 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     if normal_strategy not in ("closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy {normal_strategy!r}; "
                          "use 'closed_form' or 'frame_matching'")
-    grid, rots, alpha, velocity, _ = _rolled(model, data, q0, normal_strategy)
     # a symmetric space develops the differenced velocity of alpha, which the
     # residual checks difference the path with; the exact one is more accurate
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
     # path by the checks' own truncation error
-    if model.symmetric_space and isinstance(data, ControlCurve):
+    differenced = model.symmetric_space and isinstance(data, ControlCurve)
+    grid, rots, alpha, velocity, _ = _rolled(model, data, q0, normal_strategy,
+                                             frames=not differenced)
+    if differenced:
         velocity = fd_derivative(alpha, grid.h)
     alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
     s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)

@@ -8,6 +8,9 @@ step factors at once, as matrix polynomials of the stage samples, and its
 path is their running product, taken as a blocked scan.  Every flow is a
 group flow: it polishes the factors onto the J-orthogonal group of its form,
 gives every node one inverse-free Newton-Schulz step, and checks every node.
+The flow works in place: its step factors share one scratch stack, the polish
+takes no copy, and the node step is written into the returned path; the
+generators and the start value are never written into.
 Every matrix flow of the package is such a linear flow, and real: complex
 input is refused (a complex group enters as its real form).  ``reproject``
 polishes one matrix or a whole stack.  Vector quadrature is the
@@ -15,7 +18,8 @@ cumulative Simpson sum (what RK4 collapses to for a pure-time integrand, exact
 for cubic polynomials).  Grid differentiation is fourth order, with one-sided
 stencils at the two nodes on each end of the grid, and needs five nodes.
 Dense output is the not-a-knot cubic spline through samples at uniform nodes,
-which also gives its own exact integral (``NotAKnotCubic.integral``).
+which also gives its own exact integral (``NotAKnotCubic.integral``); its
+table of rows for evaluation is built on the first evaluation.
 """
 
 from __future__ import annotations
@@ -110,8 +114,10 @@ def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     ``tol``.  Returns (projected matrices, iterations used, worst final
     residual).  Quadratic convergence near the group; raises if the
     iteration stalls or hits a singular iterate anywhere in the stack.
+    ``X`` is never written into: each step builds a new stack, and a float
+    ``X`` that needs no step is returned itself.
     """
-    X = np.array(_real(X, "reproject input"))
+    X = _real(X, "reproject input")
     if X.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
     residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
@@ -152,20 +158,22 @@ def _identity_plus(c, X, out=None):
 def _step_factors(L, h, side):
     """RK4 step maps M_k of a linear flow, stacked: X_{k+1} = M_k X_k (left) or X_k M_k.
 
-    The stage sum L0 + 2 K2 + 2 K3 + K4 is taken in place, in that order."""
+    The three operands I + c K share one scratch stack, and the stage sum
+    L0 + 2 K2 + 2 K3 + K4 is taken in place, in that order, K4 in K3's stack."""
     L0, Lh, L1 = L[:-1:2], L[1::2], L[2::2]
+    scratch = _identity_plus(0.5 * h, L0)
     if side == "left":
-        K2 = Lh @ _identity_plus(0.5 * h, L0)
-        K3 = Lh @ _identity_plus(0.5 * h, K2)
-        K4 = L1 @ _identity_plus(h, K3)
+        K2 = Lh @ scratch
+        K3 = Lh @ _identity_plus(0.5 * h, K2, out=scratch)
     else:
-        K2 = _identity_plus(0.5 * h, L0) @ Lh
-        K3 = _identity_plus(0.5 * h, K2) @ Lh
-        K4 = _identity_plus(h, K3) @ L1
+        K2 = scratch @ Lh
+        K3 = _identity_plus(0.5 * h, K2, out=scratch) @ Lh
+    _identity_plus(h, K3, out=scratch)
     K2 *= 2.0
     K2 += L0
     K3 *= 2.0
     K2 += K3
+    K4 = np.matmul(L1, scratch, out=K3) if side == "left" else np.matmul(scratch, L1, out=K3)
     K2 += K4
     return _identity_plus(h / 6.0, K2, out=K2)
 
@@ -204,20 +212,23 @@ def _running_product(factors, X0, side):
     return nodes.reshape(m * b, d, d)[:n]
 
 
-def _newton_schulz_step(X, form):
+def _newton_schulz_step(X, form, out=None):
     """One inverse-free step X <- X (3I - J X^T J X)/2 towards the J-orthogonal group.
 
     The Newton-Schulz iteration for the generalized polar factor (Higham,
     Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 25, 2004): it agrees
     with the Newton step ``(X + J X^{-T} J)/2`` to second order in the drift.
+    The step is written into ``out``, which may be X itself; without it X is
+    left as it is and a new stack returned.
     """
     signs = form.signs
     # J X^T J in one C-ordered product: the signs are +-1, so one factor J_ii J_jj
     # carries the bits of the two scalings
     adjoint = np.multiply(np.swapaxes(X, -1, -2), signs[:, None] * signs, order="C")
-    out = X @ (adjoint @ X)
-    out *= -0.5
-    out += 1.5 * X
+    cubic = np.matmul(X, adjoint @ X, out=adjoint)
+    cubic *= -0.5
+    out = np.multiply(1.5, X, out=out)
+    out += cubic
     return out
 
 
@@ -252,7 +263,7 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     out = np.empty((grid.n_nodes,) + X0.shape)
     out[0] = X0
     out[1:] = _running_product(factors, X0, side)
-    out[1:] = _newton_schulz_step(out[1:], reproject_form)
+    _newton_schulz_step(out[1:], reproject_form, out=out[1:])
     residual = j_orthogonality_residual(out[1:], reproject_form)
     if not np.max(residual) <= REPROJECT_TOL:
         residual = residual / j_orthogonality_scale(out[1:])
@@ -354,12 +365,16 @@ def _solve_141(b, first, last):
 class NotAKnotCubic:
     """Not-a-knot cubic through samples at uniform nodes, in second-derivative form:
     M_1 and M_{n-1} are the second divided differences there, M_0 = 2 M_1 - M_2,
-    M_n = 2 M_{n-1} - M_{n-2}, and the M between solve the (1, 4, 1) system."""
+    M_n = 2 M_{n-1} - M_{n-2}, and the M between solve the (1, 4, 1) system.
+
+    The spline keeps its own copy of the samples and the M.  Its table of
+    rows (y_k, y_{k+1}, M_k, M_{k+1}), which ``__call__`` gathers from, is
+    built on the first evaluation; ``integral`` reads y and M directly."""
 
     def __init__(self, ts, samples):
         n = ts.size - 1
         self.ts, self.h, self._tail = ts, (ts[-1] - ts[0]) / n, samples.shape[1:]
-        y = samples.reshape(n + 1, -1)
+        y = np.array(samples.reshape(n + 1, -1))
         m = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
         if n >= 2:
             d = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / self.h ** 2
@@ -367,12 +382,15 @@ class NotAKnotCubic:
         if n >= 3:
             m[1:n] = _solve_141(6.0 * d[1:-1], d[0], d[-1])
             m[0], m[n] = 2.0 * m[1] - m[2], 2.0 * m[n - 1] - m[n - 2]
-        self._rows = np.stack([y[:-1], y[1:], m[:-1], m[1:]], axis=1)
+        self._y, self._m, self._rows = y, m, None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise ValueError("interpolation times contain NaN or inf")
+        if self._rows is None:
+            y, m = self._y, self._m
+            self._rows = np.stack([y[:-1], y[1:], m[:-1], m[1:]], axis=1)
         k = np.clip((t - self.ts[0]) / self.h, 0, self.ts.size - 2).astype(int)
         width = self.ts[k + 1] - self.ts[k]  # the nodes' own spacing reproduces them
         u = (t - self.ts[k]) / width
@@ -387,7 +405,8 @@ class NotAKnotCubic:
         (y_k + y_{k+1})/2 - h^2/16 (M_k + M_{k+1}), summed in ``__call__``'s order, so the
         sum rounds like ``integrate_vector`` of the spline at the stage times.
         """
-        h, (y0, y1, m0, m1) = self.h, np.moveaxis(self._rows, 1, 0)
+        h, y, m = self.h, self._y, self._m
+        y0, y1, m0, m1 = y[:-1], y[1:], m[:-1], m[1:]
         c = h * h / 16.0
         mid = 0.5 * y0 + 0.5 * y1 - c * m0 - c * m1
         return _running_sum((h / 6.0) * (y0 + 4.0 * mid + y1)).reshape(self.ts.shape + self._tail)

@@ -167,11 +167,13 @@ def j_orthogonality_scale(R):
 def j_transpose_inverse(mats, form):
     """Inverse J R^T J of J-orthogonal matrices, stacked over leading axes.
 
-    R^T times the sign matrix s_i s_j in one exact product, as a C-ordered
-    stack.
+    One C-ordered copy of R^T, then scaled in place by the sign matrix
+    s_i s_j, an exact product.
     """
-    signs = form.signs
-    return np.multiply(np.swapaxes(mats, -1, -2), signs[:, None] * signs, order="C")
+    mats, signs = np.asarray(mats), form.signs
+    out = np.array(np.swapaxes(mats, -1, -2), dtype=np.result_type(mats, signs), order="C")
+    out *= signs[:, None] * signs
+    return out
 
 
 def is_oriented_isometry(R, form, tol=ORTHOGONALITY_TOL):

@@ -231,8 +231,14 @@ def _check_rank(frames, what):
     return inverse
 
 
+def _unit_columns(frames):
+    """The frames' Euclidean-normalized columns."""
+    return frames / np.linalg.norm(frames, axis=1, keepdims=True)
+
+
 def _once(frames, form, what):
-    """``_span_factors(frames, form, what)``, built once per distinct constant frame.
+    """The ``_span_factors`` projectors and the ``_unit_columns`` of ``frames``,
+    built once per distinct constant frame.
 
     A zero-stride stack (a broadcast of one frame, as the flat development's
     frames are) is built as ``frames[:1]``.  The result is kept read-only
@@ -244,12 +250,12 @@ def _once(frames, form, what):
     new one.
     """
     if frames.strides[0] != 0:
-        return _span_factors(frames, form, what)
+        return _span_factors(frames, form, what), _unit_columns(frames)
     one = frames[:1]
     key = (one.shape, one.tobytes(), form.signs.tobytes())
     value = _FACTORED.get(key)
     if value is None:
-        value = _span_factors(one, form, what)
+        value = _span_factors(one, form, what), _unit_columns(one)
         for array in value:
             array.flags.writeable = False
         if len(_FACTORED) >= _FACTORED_MAX:
@@ -259,8 +265,7 @@ def _once(frames, form, what):
 
 
 def _span_factors(frames, form, what):
-    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``,
-    and the frames' Euclidean-normalized columns.
+    """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``.
 
     A node whose span is numerically null under J is refused: with Q the
     orthonormal basis ``_check_rank`` gives, Q^T J Q has eigenvalues in
@@ -280,15 +285,17 @@ def _span_factors(frames, form, what):
         raise ValueError(f"{what} Gram matrix is singular under the ambient form at node {k} "
                          f"(condition number {conds[k]:.1e})")
     ft_j = np.swapaxes(frames, 1, 2) * form.signs
-    return (frames @ np.linalg.solve(ft_j @ frames, ft_j),
-            frames / np.linalg.norm(frames, axis=1, keepdims=True))
+    return frames @ np.linalg.solve(ft_j @ frames, ft_j)
 
 
 def _projectors(frames, form, what="frame"):
-    """The read-only (n_nodes, N, N) projectors of ``_span_factors``.
+    """The (n_nodes, N, N) projectors of ``_span_factors``.
 
-    For a constant stack this is a broadcast of the one projector ``_once`` keeps.
+    A moving stack builds them and no unit columns; a constant one is a
+    read-only broadcast of the one projector ``_once`` keeps.
     """
+    if frames.strides[0] != 0:
+        return _span_factors(frames, form, what)
     proj = _once(frames, form, what)[0]
     return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
 

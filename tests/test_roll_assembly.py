@@ -7,20 +7,25 @@ dimensions, with the exact velocity rho(q) F0 U read off the lift.  The
 reference kept here builds that with rotations J (rho S)^T J of its own and
 the N-dimensional development of the exact velocity, taken by Simpson's rule
 from the spline at the stage times; the two agree within 1e-13 relative on
-every benchmark model at 1 to 2000 steps.
+every benchmark model at 1 to 2000 steps.  A roll assembles R, alpha and the
+exact alpha' in blocks of nodes after the lift; the whole-path assembly it
+replaced is kept here and agrees to the bit on both sides of every block edge.
 
 ``extrinsic_develop`` integrates its not-a-knot cubic exactly with
 ``NotAKnotCubic.integral``, which equals ``integrate_vector`` of the spline
-at the stage times within 1e-15 relative.  ``_step_factors`` and
-``_newton_schulz_step`` combine in place; their old whole-array expressions
-are kept here and agree to the bit.  ``ControlCurve`` hands a user ``func``
-Python floats; a sinusoid reads the same bits as with np.float64 arguments.
+at the stage times within 1e-15 relative and reads no row table.
+``_step_factors`` and ``_newton_schulz_step`` combine in place; their old
+whole-array expressions are kept here and agree to the bit, and the flow
+that runs them leaves its inputs, and a roll its control, as they were.
+``ControlCurve`` hands a user ``func`` Python floats; a sinusoid reads the
+same bits as with np.float64 arguments.
 """
 
 import numpy as np
 import pytest
 
 from semiroll.homogeneous import (
+    CartanModel,
     ControlCurve,
     EmbeddedCurve,
     extrinsic_develop,
@@ -34,6 +39,8 @@ from semiroll.integrate import (
     _running_product,
     _step_factors,
     dense_from_samples,
+    fd_derivative,
+    flow_matrix_ode,
     integrate_vector,
     reproject,
 )
@@ -142,6 +149,27 @@ def test_spline_integral_equals_simpson_at_the_stage_times(n_nodes, tail):
     assert _relative(exact, integrate_vector(spline(grid.stage_ts), grid)) <= 1e-15
 
 
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 40, 2001])
+def test_spline_integral_reads_no_row_table_and_keeps_its_bits(n_nodes):
+    grid = TimeGrid(-0.3, 1.7, n_nodes - 1)
+    samples = _smooth_samples(grid.ts, (2, 2))
+    spline = dense_from_samples(grid.ts, samples)
+    exact = spline.integral()
+    assert spline._rows is None
+    # the spline keeps its own samples: a later write into them changes nothing
+    samples[...] = np.nan
+    values = spline(grid.stage_ts)
+    assert np.all(np.isfinite(values))
+    # the integral as it was read off the row table, which the first call built
+    h, (y0, y1, m0, m1) = spline.h, np.moveaxis(spline._rows, 1, 0)
+    c = h * h / 16.0
+    mid = 0.5 * y0 + 0.5 * y1 - c * m0 - c * m1
+    steps = (h / 6.0) * (y0 + 4.0 * mid + y1)
+    reference = np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
+    assert np.array_equal(exact, reference.reshape(exact.shape))
+    assert np.array_equal(spline.integral(), exact)
+
+
 @pytest.mark.parametrize("n_steps", [3, 4, 40, 2000])
 def test_spline_integral_is_exact_on_cubics(n_steps):
     grid = TimeGrid(-0.5, 1.5, n_steps)
@@ -226,6 +254,145 @@ def test_newton_schulz_step_keeps_the_bits_of_the_whole_array_expression(name):
     form = model.group_form
     nodes = _running_product(reproject(_step_factors(L, grid.h, "right"), form), X0, "right")
     assert np.array_equal(_newton_schulz_step(nodes, form), _newton_schulz_reference(nodes, form))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_newton_schulz_step_into_its_argument_keeps_the_bits(name):
+    model = get_model(name)
+    grid, L, X0 = _flow_stacks(model)
+    form = model.group_form
+    nodes = _running_product(reproject(_step_factors(L, grid.h, "right"), form), X0, "right")
+    expected, before = _newton_schulz_reference(nodes, form), nodes.copy()
+    assert np.array_equal(_newton_schulz_step(nodes, form), expected)
+    assert np.array_equal(nodes, before)
+    assert _newton_schulz_step(nodes, form, out=nodes) is nodes
+    assert np.array_equal(nodes, expected)
+
+
+# -- inputs stay untouched --------------------------------------------------------
+
+
+def _frozen(array):
+    """A read-only copy: a write into it raises."""
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ["sphere", "so_plus_2_2", "stiefel_4_2"])
+def test_the_flow_leaves_its_generators_and_start_value_alone(name, side):
+    model = get_model(name)
+    grid, L, X0 = _flow_stacks(model, 600)
+    generators, start = _frozen(L), _frozen(X0)
+    flow = flow_matrix_ode(generators, start, grid, side, model.group_form)
+    assert np.array_equal(generators, L) and np.array_equal(start, X0)
+    assert np.array_equal(flow[0], X0)
+
+
+def test_reproject_never_writes_into_its_argument():
+    model = get_model("so_plus_1_2")
+    form = model.group_form
+    rng = np.random.default_rng(4)
+    on = np.array([model.random_group_element(rng) for _ in range(5)])
+    off = on + 1e-7 * rng.standard_normal(on.shape)
+    for X, on_group in ((on, True), (off, False), (on[0], True), (off[0], False)):
+        frozen = _frozen(X)
+        fixed = reproject(frozen, form)
+        assert np.array_equal(frozen, X)
+        # a stack that needs no Newton step comes back as itself
+        assert (fixed is frozen) == on_group
+
+
+@pytest.mark.parametrize("name", ["sphere", "stiefel_4_2"])
+def test_rolls_leave_the_control_and_its_kept_midpoints_alone(name):
+    model = get_model(name)
+    ctrl = _sinusoid(TimeGrid(0.0, 1.0, 600), model.p_dim, 9)
+    coords = ctrl.coords.copy()
+    ctrl.coords.flags.writeable = False
+    mids = ctrl.stage_coords()[1::2]
+    kept = ctrl._midpoints[2]
+    extrinsic_roll(model, ctrl)
+    extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+    intrinsic_roll(model, ctrl)
+    assert np.array_equal(ctrl.coords, coords)
+    assert ctrl._midpoints[2] is kept
+    assert np.array_equal(kept, mids)
+
+
+# -- the assembly after the lift, in node blocks ---------------------------------
+
+
+def _assembly_reference(model, data):
+    """The whole-path assembly: rho_path of every node, R = J (rho S)^T J (S = I on a
+    symmetric space), and alpha, the frames rho F0 and the exact alpha' by one einsum each."""
+    lift = horizontal_lift(model, data)
+    rhos = model.rho_path(lift.samples)
+    moving = rhos if model.symmetric_space else rhos @ homogeneous._correction_path(model, lift)
+    # C-ordered, as the rotations are returned: einsum sums a strided stack in another order
+    signs = model.form.signs
+    rots = np.ascontiguousarray(signs[:, None] * np.swapaxes(moving, 1, 2) * signs)
+    frames = rhos @ model.frame0
+    return (lift.grid, rots, np.einsum("kij,j->ki", rhos, model.obar),
+            np.einsum("kia,ka->ki", frames, lift.control.coords), frames)
+
+
+def _block_edge_cases():
+    """(model, n_steps): short grids, the benchmark's 2000 steps, and node counts on both
+    sides of each model's first two block edges (blocks of ``_BLOCK_ENTRIES`` entries)."""
+    for name in BENCHMARK_MODELS:
+        size = max(1, homogeneous._BLOCK_ENTRIES // get_model(name).ambient_dim ** 2)
+        edges = {k * size + d for k in (1, 2) for d in (-2, -1, 0)}
+        for n_steps in sorted({1, 2, 255, 256, 257, 511, 512, 2000} | edges):
+            yield name, n_steps
+
+
+@pytest.mark.parametrize("name, n_steps", list(_block_edge_cases()))
+def test_node_blocks_keep_the_bits_of_the_whole_path_assembly(name, n_steps):
+    model = get_model(name)
+    ctrl = _sinusoid(TimeGrid(0.0, 1.0, n_steps), model.p_dim, n_steps)
+    grid, rots, alpha, velocity, frames = _assembly_reference(model, ctrl)
+    head = model.d_e_pi @ model.cf0
+    triple = intrinsic_roll(model, ctrl)
+    expected = {"maps": head @ rots, "alpha": alpha, "tangent_frames": frames,
+                "alpha_hat": extrinsic_develop(head @ rots, velocity, grid)}
+    for field, value in expected.items():
+        assert np.array_equal(getattr(triple, field), value), field
+    if model.symmetric_space:
+        if grid.n_nodes < 5:
+            with pytest.raises(ValueError, match="at least 5 nodes"):
+                extrinsic_roll(model, ctrl)
+            return
+        velocity = fd_derivative(alpha, grid.h)
+    alpha_hat = model.obar + extrinsic_develop(rots, velocity, grid)
+    path = extrinsic_roll(model, ctrl)
+    expected = {"R": rots, "alpha": alpha, "alpha_hat": alpha_hat,
+                "s": alpha_hat - np.einsum("kij,kj->ki", rots, alpha)}
+    for field, value in expected.items():
+        assert np.array_equal(getattr(path, field), value), field
+
+
+def test_a_symmetric_extrinsic_control_roll_forms_no_moving_frames(monkeypatch):
+    calls = []
+    for name in BENCHMARK_MODELS:
+        model = get_model(name)
+        # the class's method: an earlier test's patch may have left a bound one on the instance
+        frames_along = CartanModel.frames_along.__get__(model)
+        monkeypatch.setattr(model, "frames_along",
+                            lambda rhos, f=frames_along: calls.append(1) or f(rhos))
+        ctrl = _sinusoid(TimeGrid(0.0, 1.0, 300), model.p_dim, 2)
+        rolls = {"extrinsic": lambda: extrinsic_roll(model, ctrl),
+                 "intrinsic": lambda: intrinsic_roll(model, ctrl),
+                 "frame_matching": lambda: extrinsic_roll(model, ctrl,
+                                                          normal_strategy="frame_matching")}
+        for kind, roll in rolls.items():
+            del calls[:]
+            roll()
+            # it develops the differenced alpha', so it reads neither frames nor the exact alpha'
+            if kind == "extrinsic" and model.symmetric_space:
+                assert calls == [], name
+            else:
+                assert len(calls) >= 1, (name, kind)
 
 
 # -- controls read at Python floats ---------------------------------------------

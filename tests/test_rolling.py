@@ -624,3 +624,17 @@ def test_kept_factors_are_read_only(monkeypatch):
     for array in kept + [rolling._projectors(flat_t.frames, EUCLID3)]:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
+
+
+def test_a_moving_stack_builds_no_unit_columns(monkeypatch):
+    path, fm, ft, fn = _sphere_equator(40)
+    unit_columns, calls = rolling._unit_columns, []
+    monkeypatch.setattr(rolling, "_unit_columns",
+                        lambda frames: calls.append(frames.shape[0]) or unit_columns(frames))
+    # the transport and the twist injection read only the projectors of these moving stacks
+    parallel_transport_embedded(fm.frames, fm.frames[0][:, 0], EUCLID3)
+    perturb_normal_generator(path, np.zeros((3, 3)), ft, fn)
+    assert calls == []
+    # the no-twist checks read the unit columns of each node
+    no_twist_residuals(path, ft, fn)
+    assert calls == [41, 41]
