@@ -2,8 +2,8 @@
 
 Every model fixture and bundled config arrives and builds; frame-matching
 rolls, a moved base point and sampled curves (in both modes) roll and verify
-through the installed console script; the intrinsic file of a control holds
-d_e_pi cf0 times its extrinsic file's rotations; a control is read once; a
+through the installed console script; the intrinsic file holds d_e_pi cf0
+times its extrinsic file's rotations and development; a control is read once; a
 complex control is refused; a slipped trajectory and a stretched rotation
 breach, and a config is refused as a trajectory.  Run it from a scratch
 directory, where it writes its configs and trajectories, with the
@@ -131,20 +131,28 @@ def main(semiroll):
         subprocess.run([semiroll, "verify", "--in", "traj.csv"], check=True)
 
     # one roll, two views: the intrinsic file's maps are d_e_pi cf0 times the
-    # extrinsic file's rotations, bit for bit, for the bundled non-symmetric control
-    # and for a symmetric one on 600 steps, whose 601 nodes of 16 x 16 rotations the
-    # library assembles in four blocks of 128 and a part of a fifth; each file verifies
+    # extrinsic file's rotations, bit for bit, for the bundled non-symmetric control,
+    # for a symmetric one on 600 steps, whose 601 nodes of 16 x 16 rotations the
+    # library assembles in four blocks of 128 and a part of a fifth, and for the
+    # sampled sphere curve; each file verifies.  One development per roll: the
+    # intrinsic alphahat is d_e_pi cf0 times the extrinsic alphahat - obar, within
+    # 1e-14 of max(1, max|x|), wherever the extrinsic roll develops what the intrinsic
+    # one does (not a symmetric control, whose extrinsic roll differences alpha)
     stiefel = next(cfg for cfg in configs if str(cfg).endswith("stiefel_4_2_intrinsic.json"))
     with open(stiefel) as fh:
         bundled = json.load(fh)
+    with open("sphere_curve_extrinsic.json") as fh:
+        sampled = json.load(fh)
     multi_block = {"model": "so_plus_2_2", "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 600},
                    "control": {"kind": "sinusoid", "amplitude": [0.3, -0.2, 0.25, 0.2, -0.3, 0.15],
                                "frequency": [1.0, 2.0, 1.5, 0.5, 1.0, 2.5],
                                "phase": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]}}
-    for model, cfg in ((stiefel_4_2, bundled), (get_model("so_plus_2_2"), multi_block)):
+    for label, cfg in (("stiefel_control", bundled), ("so_plus_control", multi_block),
+                       ("sphere_curve", sampled)):
+        model = get_model(cfg["model"])
         views = {}
         for mode in ("intrinsic", "extrinsic"):
-            config = f"{model.name}_{mode}_view.json"
+            config = f"{label}_{mode}_view.json"
             with open(config, "w") as fh:
                 json.dump({**cfg, "mode": mode}, fh)
             subprocess.run([semiroll, "roll", "--config", config, "--out", f"{mode}.csv"],
@@ -153,13 +161,20 @@ def main(semiroll):
             _, header, table = _read_csv(f"{mode}.csv")
             views[mode] = header, table
         n, k = model.ambient_dim, model.p_dim
+        head = model.d_e_pi @ model.cf0
         header, table = views["extrinsic"]
         assert table.shape[0] == cfg["grid"]["n_steps"] + 1, table.shape
         R = np.ascontiguousarray(table[:, [header.index(f"R_{i}_{j}") for i in range(n)
                                            for j in range(n)]]).reshape(-1, n, n)
+        developed = table[:, [header.index(f"alphahat_{i}") for i in range(n)]] - model.obar
         header, table = views["intrinsic"]
         A = table[:, [header.index(f"R_{i}_{j}") for i in range(k) for j in range(n)]]
-        assert np.array_equal(A.reshape(-1, k, n), (model.d_e_pi @ model.cf0) @ R), model.name
+        assert np.array_equal(A.reshape(-1, k, n), head @ R), label
+        if "curve" in cfg or not model.symmetric_space:
+            expected = developed @ head.T
+            gap = np.max(np.abs(table[:, [header.index(f"alphahat_{i}") for i in range(k)]]
+                                - expected))
+            assert gap <= 1e-14 * max(1.0, float(np.max(np.abs(expected)))), (label, gap)
 
     # the installed CLI fails closed: a slipped trajectory breaches (exit 2),
     # and a config, which is no trajectory, is refused (exit 1); the slip is

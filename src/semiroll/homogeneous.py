@@ -10,15 +10,16 @@ is sampled on uniform grids.  A control rolls along its horizontal lift,
 rotation is the J-inverse of the ambient representation (times the
 correction S(t) that a non-symmetric space derives from its own
 ``d_e_rho``).  A sampled curve on the manifold rolls by parallel transport
-alone (Hüper & Silva Leite, 2007): the rotation is the J-inverse of the
-group flow that transports the whole ambient frame along the curve's tangent
-spaces, and needs no lift.  Either way the development is the exact integral
-of the spline through R(t) alpha'(t).  One roll (``_rolled``) gives both
-views: the intrinsic maps are head = d_e_pi cf0 applied to the same rotations.
-After the lift, a closed-form roll of a control is assembled in blocks of nodes
-(``_BLOCK_ENTRIES`` rotation entries each) straight into the arrays it returns,
-and a symmetric extrinsic one, which develops the differenced alpha', builds no
-frames and no exact alpha'.
+alone (Hüper & Silva Leite, 2007): the rotation is the J-inverse of the group
+flow that transports the whole ambient frame along the curve's tangent spaces,
+and needs no lift.  Either way the development is the exact integral of the
+spline through R(t) alpha'(t), taken once per roll (``_rolled``): along a control
+in closed form, R alpha' is the control itself, S^-1 F0 c, since rho cancels.
+That one roll gives both views: the intrinsic maps and development are head =
+d_e_pi cf0 applied to the extrinsic ones.  After the lift, a closed-form roll of
+a control is assembled in blocks of nodes (``_BLOCK_ENTRIES`` rotation entries
+each) straight into the arrays it returns; an extrinsic one builds no frames,
+and a symmetric one, which develops the differenced alpha', no development.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ import numpy as np
 from .integrate import (
     NotAKnotCubic,
     TimeGrid,
-    _real,
     dense_from_samples,
     fd_derivative,
     flow_matrix_ode,
 )
-from .linalg import (ORTHOGONALITY_TOL, expm, is_oriented_isometry, j_orthogonality_residual,
-                     j_orthogonality_scale, j_transpose_inverse, stacked_null_spaces)
+from .linalg import (ORTHOGONALITY_TOL, _real, expm, is_oriented_isometry,
+                     j_orthogonality_residual, j_orthogonality_scale, j_transpose_inverse,
+                     stacked_null_spaces)
 from .rolling import (
     RollingMapPath,
     RollingTriple,
@@ -256,8 +257,7 @@ class CartanModel:
     """
 
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
-                 obar, d_e_pi, rho, d_e_rho, constraint, tangent_frame_at,
-                 params=None, description=None):
+                 obar, d_e_pi, rho, d_e_rho, constraint, tangent_frame_at):
         self.name = name
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
@@ -277,8 +277,6 @@ class CartanModel:
         self.d_e_rho = d_e_rho
         self.tangent_frame_at = tangent_frame_at
         self.constraint = constraint
-        self.params = dict(params or {})
-        self.description = description
 
         k = len(self.p_indices)
         if self.d_e_pi.shape != (k, k):
@@ -578,8 +576,8 @@ def extrinsic_develop(maps, velocity, grid):
     """Flat development: the integral from zero of M(t) alpha'(t), shape (n_nodes, k).
 
     ``maps`` (n_nodes, k, N) act on the curve velocity alpha' (n_nodes, N) at
-    the grid's nodes: the rolling rotations (k = N) or the intrinsic maps.  The
-    integral is the exact one of the not-a-knot cubic through M alpha'.
+    the grid's nodes: rotations (k = N), as in every roll, or rectangular maps.
+    The integral is the exact one of the not-a-knot cubic through M alpha'.
     """
     return dense_from_samples(grid.ts, np.einsum("kij,kj->ki", maps, velocity)).integral()
 
@@ -604,35 +602,39 @@ def _transported(model, r0, frames):
     return j_transpose_inverse(r0 @ flow, model.form)
 
 
-def _rolled(model, data, q0, normal_strategy="closed_form", frames=True):
-    """The one roll behind both views: grid, R, alpha, alpha' and the frames along alpha.
+def _rolled(model, data, q0, normal_strategy="closed_form", frames=True, develop=True):
+    """The one roll behind both views: grid, R, alpha, the development (the integral from
+    zero of R alpha', (n_nodes, N)) and the frames along alpha.  A caller that reads no
+    frames passes ``frames=False``, and one that reads no development of a control
+    ``develop=False``, and gets None for it.
 
     Along a control, R is the J-inverse of rho(q) S ("closed_form"; S = I on a symmetric
-    space) or ``_transported`` along rho(q) ``frame0`` ("frame_matching"), and alpha' =
-    rho(q) F0 c is read off the lift; a caller that reads neither passes ``frames=False``
-    and gets None for both.  The closed form is assembled in blocks of nodes that hold
-    ``_BLOCK_ENTRIES`` rotation entries, each from its own rho(q) block, into the arrays
-    it returns.  A sampled curve is ``_transported`` from r0 = rho(q0) along its
-    pointwise frames, alpha' differenced; a point whose ``constraint`` exceeds CURVE_TOL
-    max(1, |x|^2) is refused by its time, and so is a first point that far from r0 obar,
-    and the worst step that jumps (``CHORD_TOL``).
+    space) or ``_transported`` along rho(q) ``frame0`` ("frame_matching").  The closed
+    form develops the control itself: R alpha' = (rho S)^-1 rho F0 c = S^-1 F0 c, rho
+    cancels (Hüper & Silva Leite, 2007), and S^-1 = J S^T J enters as one contraction
+    over S; frame matching develops R (rho(q) F0 c).  The closed form is assembled in
+    blocks of nodes that hold ``_BLOCK_ENTRIES`` rotation entries, each from its own
+    rho(q) block, into the arrays it returns.  A sampled curve is ``_transported`` from
+    r0 = rho(q0) along its pointwise frames and develops R x', x' differenced; a point
+    whose ``constraint`` exceeds CURVE_TOL max(1, |x|^2) is refused by its time, and so
+    is a first point that far from r0 obar, and the worst step that jumps (``CHORD_TOL``).
+    Every development is ``extrinsic_develop``'s exact integral of the spline.
     """
     if isinstance(_on_grid(data, None), ControlCurve):
         lift = horizontal_lift(model, data, q0=q0)
-        qs, coords = lift.samples, lift.control.coords
+        grid, qs, coords = lift.grid, lift.samples, lift.control.coords
         if normal_strategy == "frame_matching":
             rhos = model.rho_path(qs)
             tangents = model.frames_along(rhos)
-            return (lift.grid, _transported(model, rhos[0], tangents),
-                    np.einsum("kij,j->ki", rhos, model.obar),
-                    np.einsum("kia,ka->ki", tangents, coords) if frames else None,
+            rots = _transported(model, rhos[0], tangents)
+            development = extrinsic_develop(rots, np.einsum("kia,ka->ki", tangents, coords),
+                                            grid) if develop else None
+            return (grid, rots, np.einsum("kij,j->ki", rhos, model.obar), development,
                     tangents if frames else None)
         S = None if model.symmetric_space else _correction_path(model, lift)
         n, N = qs.shape[0], model.ambient_dim
         rots, alpha = np.empty((n, N, N)), np.empty((n, N))
-        velocity = tangents = None
-        if frames:
-            velocity, tangents = np.empty((n, N)), np.empty((n, N, model.p_dim))
+        tangents = np.empty((n, N, model.p_dim)) if frames else None
         size = max(1, _BLOCK_ENTRIES // (N * N))
         for lo in range(0, n, size):
             block = slice(lo, lo + size)
@@ -641,8 +643,13 @@ def _rolled(model, data, q0, normal_strategy="closed_form", frames=True):
             alpha[block] = np.einsum("kij,j->ki", rhos, model.obar)
             if frames:
                 tangents[block] = model.frames_along(rhos)
-                velocity[block] = np.einsum("kia,ka->ki", tangents[block], coords[block])
-        return lift.grid, rots, alpha, velocity, tangents
+        development = None
+        if develop:
+            control, signs = coords @ model.frame0.T, model.form.signs
+            if S is not None:
+                control = signs * np.einsum("kji,kj->ki", S, signs * control)
+            development = dense_from_samples(grid.ts, control).integral()
+        return grid, rots, alpha, development, tangents
     r0 = np.eye(model.ambient_dim) if q0 is None else \
         np.asarray(model.rho(_start_value(model, q0)), dtype=float)
     points, grid = data.points, data.grid
@@ -669,28 +676,28 @@ def _rolled(model, data, q0, normal_strategy="closed_form", frames=True):
         raise ValueError(f"curve jumps between t={grid.ts[k]:.6g} and t={grid.ts[k + 1]:.6g} "
                          f"(chord defect {gaps[k]:.3e}, bound {bound[k]:.3e}); refine "
                          f"n_steps if the curve is smooth")
-    return grid, _transported(model, r0, tangents), points.copy(), velocity, tangents
+    rots = _transported(model, r0, tangents)
+    return (grid, rots, points.copy(), extrinsic_develop(rots, velocity, grid),
+            tangents if frames else None)
 
 
 def intrinsic_roll(model, data, q0=None):
     """Intrinsic rolling along a control or sampled curve: returns a RollingTriple.
 
-    The intrinsic rolling is the tangential part of the extrinsic one: the maps
-    are ``A(t) = head ∘ R(t)``, ``head = d_e_pi ∘ coeffs_p`` applied to the
-    rotations of ``extrinsic_roll``'s "closed_form", and the development is the
-    integral of ``A(t) alpha'(t)``.  Along a control, alpha' is read exactly off
-    the lift and the frames are rho(q) ``frame0``, so on a symmetric space the
-    development differs from ``extrinsic_roll``'s by the latter's finite-difference
-    truncation error, and it rolls on 1 to 3 steps too.  A sampled curve takes the
-    differenced alpha' of its transport roll and its pointwise frames.
+    The intrinsic rolling is the tangential part of the extrinsic one, head =
+    d_e_pi cf0 applied to the one roll of ``extrinsic_roll``'s "closed_form": the
+    maps are ``A(t) = head R(t)`` and the development is head applied to the
+    N-dimensional one, which along a control integrates the control itself
+    (``_rolled``), so it rolls on 1 to 3 steps too.  The frames are rho(q)
+    ``frame0`` along a control and the pointwise frames along a sampled curve.
     """
-    grid, rots, alpha, velocity, frames = _rolled(model, data, q0)
-    maps = (model.d_e_pi @ model.cf0) @ rots
+    grid, rots, alpha, development, frames = _rolled(model, data, q0)
+    head = model.d_e_pi @ model.cf0
     return RollingTriple(
         grid=grid,
         alpha=alpha,
-        alpha_hat=extrinsic_develop(maps, velocity, grid),
-        maps=maps,
+        alpha_hat=development @ head.T,
+        maps=head @ rots,
         tangent_frames=frames,
         form=model.form,
         target_gram=model.target_gram,
@@ -707,11 +714,10 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     transport of the whole ambient frame along the curve's tangent spaces, a
     fourth-order group flow that carries the tangent and the normal frame at
     once.  Both run on every model and agree at fourth order.  The
-    development integrates R alpha', with alpha' read exactly off the lift
-    on a non-symmetric space and differenced from the samples of alpha on a
-    symmetric space, which needs at least 4 steps.  A sampled curve has no
-    lift: under either strategy it rolls by the transport along its
-    pointwise tangent frames, and alpha' is differenced from its points.
+    development is ``_rolled``'s, except along a control on a symmetric space,
+    where R alpha' is integrated with alpha' differenced from the samples of
+    alpha, which needs at least 4 steps.  A sampled curve has no lift: under either
+    strategy it rolls by the transport along its pointwise tangent frames.
     """
     if normal_strategy not in ("closed_form", "frame_matching"):
         raise ValueError(f"unknown normal strategy {normal_strategy!r}; "
@@ -721,11 +727,11 @@ def extrinsic_roll(model, data, q0=None, normal_strategy="closed_form"):
     # (8e-13 against 2e-11 at 250 steps) but moves a slip measured on the
     # path by the checks' own truncation error
     differenced = model.symmetric_space and isinstance(data, ControlCurve)
-    grid, rots, alpha, velocity, _ = _rolled(model, data, q0, normal_strategy,
-                                             frames=not differenced)
+    grid, rots, alpha, development, _ = _rolled(model, data, q0, normal_strategy,
+                                                frames=False, develop=not differenced)
     if differenced:
-        velocity = fd_derivative(alpha, grid.h)
-    alpha_hat = model.obar[None, :] + extrinsic_develop(rots, velocity, grid)
+        development = extrinsic_develop(rots, fd_derivative(alpha, grid.h), grid)
+    alpha_hat = model.obar[None, :] + development
     s = alpha_hat - np.einsum("kij,kj->ki", rots, alpha)
     return RollingMapPath(grid=grid, R=rots, s=s, alpha=alpha, alpha_hat=alpha_hat,
                           form=model.form)

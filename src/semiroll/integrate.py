@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import j_orthogonality_residual, j_orthogonality_scale
+from .linalg import _real, j_orthogonality_residual, j_orthogonality_scale
 
 __all__ = [
     "TimeGrid",
@@ -96,14 +96,6 @@ def _newton_step(X, form):
         raise ValueError("reprojection hit a singular iterate") from exc
     signs = form.signs
     return 0.5 * (X + signs[:, None] * Y * signs)
-
-
-def _real(X, name):
-    """X as a float array; a complex one, which a cast would truncate, is refused by name."""
-    if np.iscomplexobj(X):
-        raise ValueError(f"{name} must be real, got a complex array; a complex group enters "
-                         "as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
-    return np.asarray(X, dtype=float)
 
 
 def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):

@@ -29,7 +29,6 @@ __all__ = [
     "random_motion",
     "stacked_null_spaces",
     "stacked_kron",
-    "stacked_vec",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -140,18 +139,26 @@ def se_inverse(g):
     return RigidMotion(Rinv, -Rinv @ g.s)
 
 
-def j_orthogonality_residual(R, form):
-    """max |R^* J R - J| of a matrix, or per matrix of a stack (..., N, N).
+def _real(X, name):
+    """X as a float array; a complex one, which a cast would truncate, is refused by name."""
+    if np.iscomplexobj(X):
+        raise ValueError(f"{name} must be real, got a complex array; a complex group enters "
+                         "as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
+    return np.asarray(X, dtype=float)
 
-    Conjugate-transposes when R is complex.  A single matrix gives a float,
-    a stack an array of its leading shape.
+
+def j_orthogonality_residual(R, form):
+    """max |R^T J R - J| of a real matrix, or per matrix of a stack (..., N, N).
+
+    A complex array is refused by name (``_real``).  A single matrix gives a
+    float, a stack an array of its leading shape.
     """
-    R = np.asarray(R)
+    R = _real(R, "j_orthogonality_residual input")
     if R.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    G = np.swapaxes(R.conj(), -1, -2) @ (form.signs[:, None] * R)
+    G = np.swapaxes(R, -1, -2) @ (form.signs[:, None] * R)
     G[..., np.arange(form.dim), np.arange(form.dim)] -= form.signs
-    worst = np.max(np.abs(G), axis=(-2, -1))
+    worst = np.max(np.abs(G, out=G), axis=(-2, -1))
     return float(worst) if R.ndim == 2 else worst
 
 
@@ -184,9 +191,7 @@ def is_oriented_isometry(R, form, tol=ORTHOGONALITY_TOL):
     plus-sign and minus-sign index blocks must both be positive, which
     reduces to ``det R > 0`` in the definite case.
     """
-    R = np.asarray(R)
-    if np.iscomplexobj(R):
-        raise ValueError("orientation is only defined for real matrices here")
+    R = _real(R, "is_oriented_isometry input")
     residual = j_orthogonality_residual(R, form)
     if residual > tol:
         return False, residual
@@ -287,9 +292,3 @@ def stacked_kron(A, B):
     (a, b), (c, d) = A.shape[-2:], B.shape[-2:]
     outer = A[..., :, None, :, None] * B[..., None, :, None, :]
     return outer.reshape(outer.shape[:-4] + (a * c, b * d))
-
-
-def stacked_vec(M):
-    """Column-major flattening of matrices (..., n, k) into new (..., n k) arrays."""
-    M = np.asarray(M)
-    return np.swapaxes(M, -1, -2).copy().reshape(M.shape[:-2] + (-1,))

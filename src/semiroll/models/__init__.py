@@ -85,8 +85,6 @@ def build_model(desc):
         group_form=SignatureForm(desc["group_signs"]),
         obar=desc["obar"],
         d_e_pi=np.asarray(desc["d_e_pi"], dtype=float),
-        params=desc.get("params"),
-        description=desc,
         **EMBEDDING_BUNDLES[key](desc),
     )
 

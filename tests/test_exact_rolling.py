@@ -88,16 +88,9 @@ def _errors(name, roll, n_steps):
 
 
 ROLLS = {"extrinsic": extrinsic_roll, "intrinsic": intrinsic_roll}
-# so_plus_2_2 (max|R| 793) develops its intrinsic alpha_hat from products of
-# entries near 793^2: its error stalls at 2.05e-12, 1.09e-12 and 2.83e-13
-# relative (oracle floor 2.1e-15), 1.9x and 3.9x per halving
-NOT_CONVERGING = pytest.mark.xfail(strict=True, reason="so_plus_2_2's intrinsic alpha_hat "
-                                   "converges 1.9x and 3.9x per halving, rounding")
 
 
-@pytest.mark.parametrize("name, kind", [
-    pytest.param(name, kind, marks=NOT_CONVERGING) if (name, kind) == ("so_plus_2_2", "intrinsic")
-    else (name, kind) for name in SEVEN_MODELS for kind in ROLLS])
+@pytest.mark.parametrize("name, kind", [(name, kind) for name in SEVEN_MODELS for kind in ROLLS])
 def test_rolls_converge_to_the_exact_rolling(name, kind):
     errors = [_errors(name, ROLLS[kind], n) for n in ORACLE_STEPS]
     checked = 0

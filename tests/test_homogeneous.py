@@ -4,7 +4,6 @@ The sphere and hyperboloid models double as fixtures here; anything
 model-specific beyond construction lives in the per-model test files.
 """
 
-import copy
 import json
 import re
 import sys
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 from semiroll.homogeneous import (
+    CartanModel,
     ControlCurve,
     EmbeddedCurve,
     TimeGrid,
@@ -284,7 +284,7 @@ VALIDATE_REFUSALS = {
 @pytest.mark.parametrize("case", VALIDATE_REFUSALS)
 def test_validate_refuses_each_broken_invariant(case, monkeypatch):
     name, corrupt, message = VALIDATE_REFUSALS[case]
-    desc = copy.deepcopy(get_model(name).description)
+    desc = models._description_for(name)
     key = desc["embedding"].split(":", 1)[1]
     honest = EMBEDDING_BUNDLES[key]
     replaced = corrupt(desc) or {}
@@ -296,7 +296,7 @@ def test_validate_refuses_each_broken_invariant(case, monkeypatch):
 def test_validate_refuses_a_p_metric_that_ad_h_moves():
     # the derived metric corrupted directly; VALIDATE_REFUSALS reaches the
     # same refusal through a conjugated d_e_rho
-    model = build_model(get_model("sphere").description)
+    model = build_model(sphere_description())
     model.validate()
     model.ip_p = np.diag([2.0, 1.0]) @ model.ip_p @ np.diag([2.0, 1.0])
     with pytest.raises(ValueError, match="^p-metric is not Ad_H-invariant$"):
@@ -711,8 +711,7 @@ def _lorentz_line(obar):
     same = lambda x: x  # noqa: E731
     return homogeneous.CartanModel(
         "lorentz_line", np.array([[[0.0, 1.0], [1.0, 0.0]]]), (), (0,), form, form,
-        np.asarray(obar, dtype=float), [[1.0]], same, same, lambda g, x: g @ x, same,
-        None, None)
+        np.asarray(obar, dtype=float), [[1.0]], same, same, lambda g, x: g @ x, same)
 
 
 @pytest.mark.parametrize("obar", [(1.0, 1.0 + 2.0 ** -52), (1.0, 1.0 + 1e-9)],
@@ -774,11 +773,11 @@ def _defining_equation_defect(model, x):
         radius2 = 1.0 if model.name == "sphere" else -1.0
         return abs(np.sum(model.form.signs * x * x) - radius2)
     if model.name.startswith("so_plus_"):
-        p, q = model.params["p"], model.params["q"]
+        p, q = (int(size) for size in model.name.split("_")[-2:])
         X = x.reshape(p + q, p + q, order="F")
         ok, residual = is_oriented_isometry(X, SignatureForm([1] * p + [-1] * q), tol=1e-12)
         return residual if ok else np.inf
-    n, k = model.params["n"], model.params["k"]
+    n, k = (int(size) for size in model.name.split("_")[-2:])
     A = x.reshape(n, k, order="F")
     return np.max(np.abs(A.T @ A - np.eye(k)))
 
@@ -819,13 +818,37 @@ def test_intrinsic_maps_ride_on_the_extrinsic_rotation_beyond_surfaces(name, mon
     assert len(calls) == (0 if model.symmetric_space else 1)
 
 
+DEVELOPMENT_CASES = [("stiefel_4_2", "control"), ("stiefel_5_3", "control"),
+                     ("so_plus_2_2", "curve"), ("stiefel_4_2", "curve")]
+
+
+@pytest.mark.parametrize("name, data", DEVELOPMENT_CASES)
+def test_the_intrinsic_development_is_head_of_the_extrinsic_one(name, data, monkeypatch):
+    # one development per roll: the intrinsic alpha_hat integrates nothing of its own.
+    # A symmetric control is left out: its extrinsic roll develops the differenced alpha'
+    model = get_model(name)
+    ctrl = ControlCurve.from_function(TimeGrid(0.0, 1.0, 200), _phased(model.p_dim))
+    if data == "curve":
+        ctrl = EmbeddedCurve(ctrl.grid, extrinsic_roll(model, ctrl).alpha)
+    splines, dense = [], homogeneous.dense_from_samples
+    monkeypatch.setattr(homogeneous, "dense_from_samples",
+                        lambda *args: splines.append(1) or dense(*args))
+    path, triple = extrinsic_roll(model, ctrl), intrinsic_roll(model, ctrl)
+    assert len(splines) == 2
+    head = model.d_e_pi @ model.cf0
+    expected = (path.alpha_hat - model.obar) @ head.T
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(triple.alpha_hat - expected)) <= 1e-15 * scale
+
+
 def test_symmetric_extrinsic_roll_maps_rho_once(monkeypatch):
     model = get_model("sphere")
     grid = TimeGrid(0.0, 1.0, 100)
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([1.0, 0.5 * t]))
     calls = []
-    rho_path = model.rho_path
-    monkeypatch.setattr(model, "rho_path", lambda qs: calls.append(qs) or rho_path(qs))
+    rho_path = CartanModel.rho_path
+    monkeypatch.setattr(CartanModel, "rho_path",
+                        lambda self, qs: (self is model and calls.append(qs)) or rho_path(self, qs))
     for strategy in ("closed_form", "frame_matching"):
         calls.clear()
         extrinsic_roll(model, ctrl, normal_strategy=strategy)
@@ -1324,12 +1347,14 @@ def test_frame_matching_transports_the_normal_frame_in_one_call(name, monkeypatc
 def test_intrinsic_roll_forms_the_moving_frames_once(name, monkeypatch):
     model = get_model(name)
     ctrl = ControlCurve.from_function(TimeGrid(0.0, 1.0, 40), _phased(model.p_dim))
-    frames_along, calls = model.frames_along, []
-    monkeypatch.setattr(model, "frames_along", lambda rhos: calls.append(1) or frames_along(rhos))
+    frames_along, calls = CartanModel.frames_along, []
+    monkeypatch.setattr(CartanModel, "frames_along",
+                        lambda self, rhos: (self is model and calls.append(1)) or
+                        frames_along(self, rhos))
     triple = intrinsic_roll(model, ctrl)
     assert len(calls) == 1
     lift = horizontal_lift(model, ctrl)
-    assert np.array_equal(triple.tangent_frames, frames_along(model.rho_path(lift.samples)))
+    assert np.array_equal(triple.tangent_frames, frames_along(model, model.rho_path(lift.samples)))
 
 
 # Intrinsic rolls of a_j sin(t + j), a ~ N(0, 1) from rng seeds 0-4, 400 steps on

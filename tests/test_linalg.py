@@ -136,12 +136,32 @@ def test_orientation_rejects_non_isometry():
     assert not ok and res > 1e-3
 
 
-def test_j_orthogonality_residual_complex_group():
-    # SU(1,1) elements are J-unitary for J = diag(1, -1)
-    form = SignatureForm(np.array([1.0, -1.0]))
+def _su11_element():
+    """An SU(1,1) element: J-unitary for J = diag(1, -1), complex."""
     a, b = np.cosh(0.4) * np.exp(0.3j), np.sinh(0.4) * np.exp(-0.1j)
-    g = np.array([[a, b], [np.conj(b), np.conj(a)]])
-    assert j_orthogonality_residual(g, form) <= 1e-12
+    return np.array([[a, b], [np.conj(b), np.conj(a)]])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+@pytest.mark.parametrize("check", [j_orthogonality_residual, is_oriented_isometry],
+                         ids=lambda f: f.__name__)
+def test_group_checks_refuse_a_complex_matrix_by_name(check, stacked):
+    # a complex group enters as its real form; a complex matrix is refused, not judged
+    g = _su11_element()
+    with pytest.raises(ValueError, match=f"^{check.__name__} input must be real, got a complex"):
+        check(np.stack([g, g]) if stacked else g, SignatureForm(np.array([1.0, -1.0])))
+
+
+@pytest.mark.parametrize("pq", [(3, 0), (2, 2), (1, 3)])
+def test_j_orthogonality_residual_keeps_the_bits_of_the_whole_array_expression(pq):
+    form = SignatureForm.from_pq(*pq)
+    rng = np.random.default_rng(sum(pq))
+    R = np.array([random_oriented_isometry(form, rng, scale=2.0) for _ in range(7)])
+    R += 1e-9 * rng.standard_normal(R.shape)
+    J = np.diag(form.signs)
+    reference = np.max(np.abs(np.swapaxes(R, 1, 2) @ (form.signs[:, None] * R) - J), axis=(1, 2))
+    assert np.array_equal(j_orthogonality_residual(R, form), reference)
+    assert j_orthogonality_residual(R[3], form) == reference[3]
 
 
 def test_random_oriented_isometry_lands_in_group():

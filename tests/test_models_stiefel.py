@@ -13,7 +13,6 @@ from semiroll.homogeneous import (
     extrinsic_roll,
     model_residual_report,
 )
-from semiroll.linalg import stacked_vec
 from semiroll.models import build_model, get_model
 from semiroll.models.stiefel import description
 
@@ -87,7 +86,9 @@ def test_roll_accepts_sampled_matrices():
     ctrl = ControlCurve.from_function(grid, lambda t: np.array([0.7, 0.0, 0.0, 0.0, 0.0]))
     from_control = extrinsic_roll(model, ctrl)
     mats = from_control.alpha.reshape(grid.n_nodes, 2, 4).transpose(0, 2, 1)
-    from_samples = extrinsic_roll(model, EmbeddedCurve(grid, stacked_vec(mats)))
+    # the 4 x 2 frames, flattened column-major
+    points = np.swapaxes(mats, 1, 2).reshape(grid.n_nodes, -1)
+    from_samples = extrinsic_roll(model, EmbeddedCurve(grid, points))
     assert np.max(np.abs(from_samples.alpha - from_control.alpha)) <= 1e-7
     assert np.max(np.abs(from_samples.R - from_control.R)) <= 1e-6
 

@@ -2,14 +2,16 @@
 
 ``intrinsic_roll`` is the tangential part of the extrinsic rolling: its maps
 are head = d_e_pi cf0 applied to the same N x N rotations that
-``extrinsic_roll`` returns, and its development integrates A alpha' in k
-dimensions, with the exact velocity rho(q) F0 U read off the lift.  The
-reference kept here builds that with rotations J (rho S)^T J of its own and
-the N-dimensional development of the exact velocity, taken by Simpson's rule
-from the spline at the stage times; the two agree within 1e-13 relative on
-every benchmark model at 1 to 2000 steps.  A roll assembles R, alpha and the
-exact alpha' in blocks of nodes after the lift; the whole-path assembly it
-replaced is kept here and agrees to the bit on both sides of every block edge.
+``extrinsic_roll`` returns, and its development is head applied to the one
+N-dimensional development of the roll, which along a control integrates the
+control itself, R alpha' = (rho S)^-1 rho F0 U = S^-1 F0 U.  The reference kept
+here builds that with rotations J (rho S)^T J and a J-inverse of S of its own,
+taken by Simpson's rule from the spline at the stage times; the two agree
+within 1e-13 relative on every benchmark model at 1 to 2000 steps.  A roll
+assembles R, alpha and the frames in blocks of nodes after the lift; the
+whole-path assembly it replaced is kept here and agrees to the bit on both
+sides of every block edge.  Under the closed form no extrinsic control roll
+forms the moving frames.
 
 ``extrinsic_develop`` integrates its not-a-knot cubic exactly with
 ``NotAKnotCubic.integral``, which equals ``integrate_vector`` of the spline
@@ -75,26 +77,31 @@ def _intrinsic_reference(model, data):
 
     head = d_e_pi cf0 applied to the N x N rotations R = J (rho S)^T J, the
     J-inverse of rho(q) S (S = I on a symmetric space), and to the
-    N-dimensional development of the exact velocity rho(q) F0 U, which is
-    Simpson's rule on the spline through R alpha' evaluated at the stage times.
+    N-dimensional development of the control S^-1 F0 U, with S^-1 = J S^T J
+    built as a whole stack, which is Simpson's rule on the spline through it
+    evaluated at the stage times.
     """
     lift = horizontal_lift(model, data)
     grid = lift.grid
     rhos = model.rho_path(lift.samples)
-    moving = rhos if model.symmetric_space else rhos @ homogeneous._correction_path(model, lift)
     signs = model.form.signs
+    control = lift.control.coords @ model.frame0.T
+    if model.symmetric_space:
+        moving = rhos
+    else:
+        S = homogeneous._correction_path(model, lift)
+        moving = rhos @ S
+        control = np.einsum("kij,kj->ki", signs[:, None] * np.swapaxes(S, 1, 2) * signs, control)
     rots = signs[:, None] * np.swapaxes(moving, 1, 2) * signs
-    frames = model.frames_along(rhos)
-    velocity = np.einsum("kia,ka->ki", frames, lift.control.coords)
-    dense = dense_from_samples(grid.ts, np.einsum("kij,kj->ki", rots, velocity))
-    alpha_hat = model.obar[None, :] + integrate_vector(dense(grid.stage_ts), grid)
+    dense = dense_from_samples(grid.ts, control)
+    development = integrate_vector(dense(grid.stage_ts), grid)
     head = model.d_e_pi @ model.cf0
     return RollingTriple(
         grid=grid,
         alpha=rhos @ model.obar,
-        alpha_hat=np.einsum("ai,ki->ka", head, alpha_hat - model.obar),
+        alpha_hat=np.einsum("ai,ki->ka", head, development),
         maps=head @ rots,
-        tangent_frames=frames,
+        tangent_frames=model.frames_along(rhos),
         form=model.form,
         target_gram=model.target_gram,
     )
@@ -325,16 +332,22 @@ def test_rolls_leave_the_control_and_its_kept_midpoints_alone(name):
 
 def _assembly_reference(model, data):
     """The whole-path assembly: rho_path of every node, R = J (rho S)^T J (S = I on a
-    symmetric space), and alpha, the frames rho F0 and the exact alpha' by one einsum each."""
+    symmetric space), alpha and the frames rho F0 by one einsum each, and the integrand
+    of the closed form's development, the control S^-1 F0 U = J S^T J F0 U."""
     lift = horizontal_lift(model, data)
     rhos = model.rho_path(lift.samples)
-    moving = rhos if model.symmetric_space else rhos @ homogeneous._correction_path(model, lift)
-    # C-ordered, as the rotations are returned: einsum sums a strided stack in another order
     signs = model.form.signs
+    control = lift.control.coords @ model.frame0.T
+    if model.symmetric_space:
+        moving = rhos
+    else:
+        S = homogeneous._correction_path(model, lift)
+        moving = rhos @ S
+        control = signs * np.einsum("kji,kj->ki", S, signs * control)
+    # C-ordered, as the rotations are returned: einsum sums a strided stack in another order
     rots = np.ascontiguousarray(signs[:, None] * np.swapaxes(moving, 1, 2) * signs)
-    frames = rhos @ model.frame0
-    return (lift.grid, rots, np.einsum("kij,j->ki", rhos, model.obar),
-            np.einsum("kia,ka->ki", frames, lift.control.coords), frames)
+    return (lift.grid, rots, np.einsum("kij,j->ki", rhos, model.obar), control,
+            rhos @ model.frame0)
 
 
 def _block_edge_cases():
@@ -351,11 +364,12 @@ def _block_edge_cases():
 def test_node_blocks_keep_the_bits_of_the_whole_path_assembly(name, n_steps):
     model = get_model(name)
     ctrl = _sinusoid(TimeGrid(0.0, 1.0, n_steps), model.p_dim, n_steps)
-    grid, rots, alpha, velocity, frames = _assembly_reference(model, ctrl)
+    grid, rots, alpha, control, frames = _assembly_reference(model, ctrl)
+    development = dense_from_samples(grid.ts, control).integral()
     head = model.d_e_pi @ model.cf0
     triple = intrinsic_roll(model, ctrl)
     expected = {"maps": head @ rots, "alpha": alpha, "tangent_frames": frames,
-                "alpha_hat": extrinsic_develop(head @ rots, velocity, grid)}
+                "alpha_hat": development @ head.T}
     for field, value in expected.items():
         assert np.array_equal(getattr(triple, field), value), field
     if model.symmetric_space:
@@ -363,8 +377,8 @@ def test_node_blocks_keep_the_bits_of_the_whole_path_assembly(name, n_steps):
             with pytest.raises(ValueError, match="at least 5 nodes"):
                 extrinsic_roll(model, ctrl)
             return
-        velocity = fd_derivative(alpha, grid.h)
-    alpha_hat = model.obar + extrinsic_develop(rots, velocity, grid)
+        development = extrinsic_develop(rots, fd_derivative(alpha, grid.h), grid)
+    alpha_hat = model.obar + development
     path = extrinsic_roll(model, ctrl)
     expected = {"R": rots, "alpha": alpha, "alpha_hat": alpha_hat,
                 "s": alpha_hat - np.einsum("kij,kj->ki", rots, alpha)}
@@ -372,14 +386,16 @@ def test_node_blocks_keep_the_bits_of_the_whole_path_assembly(name, n_steps):
         assert np.array_equal(getattr(path, field), value), field
 
 
-def test_a_symmetric_extrinsic_control_roll_forms_no_moving_frames(monkeypatch):
+def test_no_extrinsic_closed_form_control_roll_forms_moving_frames(monkeypatch):
     calls = []
+    frames_along = CartanModel.frames_along
     for name in BENCHMARK_MODELS:
         model = get_model(name)
-        # the class's method: an earlier test's patch may have left a bound one on the instance
-        frames_along = CartanModel.frames_along.__get__(model)
-        monkeypatch.setattr(model, "frames_along",
-                            lambda rhos, f=frames_along: calls.append(1) or f(rhos))
+        # on the class, counting only this model's calls: a patch of a cached instance
+        # would leave a bound method behind (tests/conftest.py)
+        monkeypatch.setattr(CartanModel, "frames_along",
+                            lambda self, rhos, model=model: (self is model and calls.append(1))
+                            or frames_along(self, rhos))
         ctrl = _sinusoid(TimeGrid(0.0, 1.0, 300), model.p_dim, 2)
         rolls = {"extrinsic": lambda: extrinsic_roll(model, ctrl),
                  "intrinsic": lambda: intrinsic_roll(model, ctrl),
@@ -388,8 +404,10 @@ def test_a_symmetric_extrinsic_control_roll_forms_no_moving_frames(monkeypatch):
         for kind, roll in rolls.items():
             del calls[:]
             roll()
-            # it develops the differenced alpha', so it reads neither frames nor the exact alpha'
-            if kind == "extrinsic" and model.symmetric_space:
+            # the closed form develops the control, or the differenced alpha', and
+            # reads no frames; the intrinsic view returns them, and frame matching
+            # transports along them
+            if kind == "extrinsic":
                 assert calls == [], name
             else:
                 assert len(calls) >= 1, (name, kind)
