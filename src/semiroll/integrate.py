@@ -7,10 +7,11 @@ scheme.  A linear flow ``Xdot = L(t) X`` (or ``X L(t)``) takes all its RK4
 step factors at once, as matrix polynomials of the stage samples, and its
 path is their running product, taken as a blocked scan.  Every flow is a
 group flow: it polishes the factors onto the J-orthogonal group of its form,
-gives every node one inverse-free Newton-Schulz step, and checks every node.
-The flow works in place: its step factors share one scratch stack, the polish
-takes no copy, and the node step is written into the returned path; the
-generators and the start value are never written into.
+gives every node one inverse-free Newton-Schulz step, and checks every node:
+the stack's worst entry decides, and per-node values only name a failing
+node.  The flow works in place: its step factors share one scratch stack, the
+polish takes no copy, and the scan and the node step write into the returned
+path; the generators and the start value are never written into.
 Every matrix flow of the package is such a linear flow, and real: complex
 input is refused (a complex group enters as its real form).  ``reproject``
 polishes one matrix or a whole stack.  Vector quadrature is the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _real, j_orthogonality_residual, j_orthogonality_scale
+from .linalg import _j_gram_defect, _real, j_orthogonality_scale
 
 __all__ = [
     "TimeGrid",
@@ -102,22 +103,23 @@ def reproject_info(X, form, tol=REPROJECT_TOL, max_iter=REPROJECT_MAX_ITER):
     """Newton iteration X <- (X + J X^{-T} J)/2 onto the J-orthogonal group.
 
     ``X`` is one real (d, d) matrix or a stack (..., d, d); a stack is polished
-    as a whole, every matrix stepping until the worst residual is at most
-    ``tol``.  Returns (projected matrices, iterations used, worst final
-    residual).  Quadratic convergence near the group; raises if the
-    iteration stalls or hits a singular iterate anywhere in the stack.
+    as a whole, every matrix stepping until the worst residual, one max of
+    |X^T J X - J| over the whole stack, is at most ``tol``.  Returns
+    (projected matrices, iterations used, worst final residual).  Quadratic
+    convergence near the group; raises if the iteration stalls or hits a
+    singular iterate anywhere in the stack.
     ``X`` is never written into: each step builds a new stack, and a float
     ``X`` that needs no step is returned itself.
     """
     X = _real(X, "reproject input")
     if X.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
+    residual = np.max(_j_gram_defect(X, form.signs), initial=0.0)
     for it in range(max_iter):
         if residual <= tol:
             return X, it, residual
         X = _newton_step(X, form)
-        residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
+        residual = np.max(_j_gram_defect(X, form.signs), initial=0.0)
     if residual <= tol:
         return X, max_iter, residual
     raise ValueError(
@@ -170,38 +172,48 @@ def _step_factors(L, h, side):
     return _identity_plus(h / 6.0, K2, out=K2)
 
 
-def _running_product(factors, X0, side):
+def _running_product(factors, X0, side, out=None):
     """Nodes 1..n of the flow: X0 M_0 ... M_{k-1} (side "right") or M_{k-1} ... M_0 X0.
 
     A two-level blocked scan (Blelloch, "Prefix sums and their applications",
     1990): the n factors, padded with identities to m blocks of
     b = ceil(sqrt(n)), take their prefix products within every block at once,
     the block ends are chained from X0 into per-block carries, and one stacked
-    product applies each carry to its block.  That is about 2 sqrt(n) Python
-    steps, each one stacked product, for every size and dtype.
+    product applies each carry to the whole blocks, a second to the partial
+    last block.  That is about 2 sqrt(n) Python steps, each one stacked
+    product, for every size and dtype.  The nodes are written into ``out``,
+    an (n, d, d) C-ordered array, or into a new one, which is returned.
     """
     n, d = factors.shape[0], factors.shape[-1]
     b = math.isqrt(n - 1) + 1
-    m = -(-n // b)
+    m, whole = -(-n // b), n // b
     blocks = np.empty((m * b, d, d), dtype=factors.dtype)
     blocks[:n] = factors
     blocks[n:] = np.eye(d)
     blocks = blocks.reshape(m, b, d, d)
     carry = np.empty((m, d, d), dtype=factors.dtype)
     carry[0] = X0
+    if out is None:
+        out = np.empty((n, d, d), dtype=factors.dtype)
+    # nodes of the whole blocks, then of the partial last block (empty when b divides n)
+    head, tail = out[:whole * b].reshape(whole, b, d, d), out[whole * b:]
     if side == "right":
         for j in range(1, b):
             blocks[:, j] = blocks[:, j - 1] @ blocks[:, j]
         for i in range(1, m):
             carry[i] = carry[i - 1] @ blocks[i - 1, -1]
-        nodes = carry[:, None] @ blocks
+        np.matmul(carry[:whole, None], blocks[:whole], out=head)
+        if len(tail):
+            np.matmul(carry[-1], blocks[-1, :len(tail)], out=tail)
     else:
         for j in range(1, b):
             blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
         for i in range(1, m):
             carry[i] = blocks[i - 1, -1] @ carry[i - 1]
-        nodes = blocks @ carry[:, None]
-    return nodes.reshape(m * b, d, d)[:n]
+        np.matmul(blocks[:whole], carry[:whole, None], out=head)
+        if len(tail):
+            np.matmul(blocks[-1, :len(tail)], carry[-1], out=tail)
+    return out
 
 
 def _newton_schulz_step(X, form, out=None):
@@ -237,9 +249,10 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     scan of about 2 sqrt(n_steps) stacked products.  The factors are polished
     onto the group (one stacked ``reproject``), every node then takes one
     inverse-free Newton-Schulz step, which removes the drift the product
-    accumulates, and the group residual of every node is checked; a node off
-    the group by more than ``REPROJECT_TOL`` max(1, max|X_ij|^2), the scale of
-    its rounding, raises, naming the node.
+    accumulates, and the group residual is checked: the stack's worst entry
+    of |X^T J X - J| decides, and per-node values only name a failing node.
+    A node off the group by more than ``REPROJECT_TOL`` max(1, max|X_ij|^2),
+    the scale of its rounding, raises, naming the node.
     Non-finite or complex generators or start values are refused.
     """
     if side not in ("left", "right"):
@@ -254,17 +267,17 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     factors = reproject(_step_factors(L, grid.h, side), reproject_form)
     out = np.empty((grid.n_nodes,) + X0.shape)
     out[0] = X0
-    out[1:] = _running_product(factors, X0, side)
-    _newton_schulz_step(out[1:], reproject_form, out=out[1:])
-    residual = j_orthogonality_residual(out[1:], reproject_form)
-    if not np.max(residual) <= REPROJECT_TOL:
-        residual = residual / j_orthogonality_scale(out[1:])
-    worst = int(np.argmax(residual))
-    if not residual[worst] <= REPROJECT_TOL:
-        raise ValueError(
-            f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
-            f"residual {residual[worst]:.3e})"
-        )
+    nodes = _running_product(factors, X0, side, out=out[1:])
+    _newton_schulz_step(nodes, reproject_form, out=nodes)
+    defect = _j_gram_defect(nodes, reproject_form.signs)
+    if not np.max(defect) <= REPROJECT_TOL:
+        residual = np.max(defect, axis=(-2, -1)) / j_orthogonality_scale(nodes)
+        worst = int(np.argmax(residual))
+        if not residual[worst] <= REPROJECT_TOL:
+            raise ValueError(
+                f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
+                f"residual {residual[worst]:.3e})"
+            )
     return out
 
 

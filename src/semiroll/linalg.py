@@ -147,6 +147,19 @@ def _real(X, name):
     return np.asarray(X, dtype=float)
 
 
+def _j_gram_defect(R, signs):
+    """|R^T J R - J| entrywise, J = diag(``signs``), of a real matrix or a stack (..., N, N).
+
+    One new Gram stack, which takes the diagonal subtract and the absolute
+    value in place.  A check that decides on the worst node reads its
+    whole-stack max; per-node maxima are built only to name a failing node.
+    """
+    G = np.swapaxes(R, -1, -2) @ (signs[:, None] * R)
+    d = signs.size
+    G[..., np.arange(d), np.arange(d)] -= signs
+    return np.abs(G, out=G)
+
+
 def j_orthogonality_residual(R, form):
     """max |R^T J R - J| of a real matrix, or per matrix of a stack (..., N, N).
 
@@ -156,9 +169,7 @@ def j_orthogonality_residual(R, form):
     R = _real(R, "j_orthogonality_residual input")
     if R.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
-    G = np.swapaxes(R, -1, -2) @ (form.signs[:, None] * R)
-    G[..., np.arange(form.dim), np.arange(form.dim)] -= form.signs
-    worst = np.max(np.abs(G, out=G), axis=(-2, -1))
+    worst = np.max(_j_gram_defect(R, form.signs), axis=(-2, -1))
     return float(worst) if R.ndim == 2 else worst
 
 

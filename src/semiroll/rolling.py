@@ -181,8 +181,12 @@ def _lower_inverse(lower):
 
 
 def _refuse_non_finite(stack, what):
-    finite = np.all(np.isfinite(stack), axis=(1, 2))
-    if not np.all(finite):
+    """Refuse a stack (n_nodes, a, b) with a NaN or inf entry, naming its first such node.
+
+    The whole stack is tested at once; the per-node test runs only to name the node.
+    """
+    if not np.isfinite(stack).all():
+        finite = np.all(np.isfinite(stack), axis=(1, 2))
         raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
 
 
@@ -270,20 +274,21 @@ def _span_factors(frames, form, what):
     A node whose span is numerically null under J is refused: with Q the
     orthonormal basis ``_check_rank`` gives, Q^T J Q has eigenvalues in
     [-1, 1], and 1 / min |eigenvalue|, a bound on the projector's norm, may
-    be at most FRAME_COND_MAX.  Frames not of shape (n_nodes, form.dim, r)
-    are refused.
+    be at most FRAME_COND_MAX.  The smallest |eigenvalue| of the whole stack
+    decides; per-node values are built only to name the first failing node.
+    Frames not of shape (n_nodes, form.dim, r) are refused.
     """
     if frames.ndim != 3 or frames.shape[1] != form.dim:
         raise ValueError(f"{what} has shape {frames.shape}, expected (n_nodes, {form.dim}, r)")
     q = frames @ _check_rank(frames, what)
     gram_q = np.swapaxes(q, 1, 2) @ (form.signs[:, None] * q)
+    eigs = np.abs(np.linalg.eigvalsh(gram_q))
     with np.errstate(divide="ignore"):
-        conds = 1.0 / np.min(np.abs(np.linalg.eigvalsh(gram_q)), axis=-1, initial=np.inf)
-    bad = np.flatnonzero(~(conds <= FRAME_COND_MAX))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"{what} Gram matrix is singular under the ambient form at node {k} "
-                         f"(condition number {conds[k]:.1e})")
+        if not 1.0 / np.min(eigs, initial=np.inf) <= FRAME_COND_MAX:
+            conds = 1.0 / np.min(eigs, axis=-1, initial=np.inf)
+            k = int(np.flatnonzero(~(conds <= FRAME_COND_MAX))[0])
+            raise ValueError(f"{what} Gram matrix is singular under the ambient form at node "
+                             f"{k} (condition number {conds[k]:.1e})")
     ft_j = np.swapaxes(frames, 1, 2) * form.signs
     return frames @ np.linalg.solve(ft_j @ frames, ft_j)
 

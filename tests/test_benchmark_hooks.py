@@ -81,6 +81,35 @@ def test_correction_span_times_both_rolls_on_a_non_symmetric_model():
     assert [name for name, *_ in tracer.spans].count("models.stiefel.correction") == 2
 
 
+def test_every_flow_records_one_reproject_span_and_no_newton_step():
+    # integrate.reproject.* and newton_iters read the one polish of each flow's step
+    # factors through the module global; the node check adds no reproject call
+    import numpy as np
+    from semiroll import homogeneous
+    from semiroll.homogeneous import ControlCurve
+    from semiroll.integrate import TimeGrid
+    from semiroll.models import get_model
+
+    grid = TimeGrid(0.0, 1.0, 2000)
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        for name, roll in (("sphere", homogeneous.horizontal_lift),
+                           ("stiefel_4_2", homogeneous.extrinsic_roll)):
+            model = get_model(name)
+            roll(model, ControlCurve.from_function(
+                grid, lambda t: 0.4 * np.sin(t + np.arange(model.p_dim))))
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    flows = [i for i, name in enumerate(names) if name == "integrate.flow_matrix_ode"]
+    # the sphere's lift, then the stiefel roll's lift and correction
+    assert len(flows) == 3
+    polishes = [span[3] for span in tracer.spans if span[0] == "integrate.reproject"]
+    assert polishes == flows
+    assert tracer.newton_iters == [0, 0, 0]
+
+
 def test_report_spans_are_children_of_the_report_span():
     # the verify per-layer metrics read these spans' self times; a report
     # routed around them would move its time into the report's own

@@ -19,9 +19,17 @@ at the stage times within 1e-15 relative and reads no row table.
 ``_step_factors`` and ``_newton_schulz_step`` combine in place; their old
 whole-array expressions are kept here and agree to the bit, and the flow
 that runs them leaves its inputs, and a roll its control, as they were.
+The flow's checks, and the frame gates of ``rolling``, read whole-stack
+maxima and build per-node values only to name a failing node, and the scan
+writes the path it returns; the padded scan, the per-node checks and a flow
+built from them are kept here, and agree to the bit, or refuse with the same
+node, t and value.
 ``ControlCurve`` hands a user ``func`` Python floats; a sinusoid reads the
 same bits as with np.float64 arguments.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -36,8 +44,11 @@ from semiroll.homogeneous import (
     intrinsic_roll,
 )
 from semiroll.integrate import (
+    REPROJECT_MAX_ITER,
+    REPROJECT_TOL,
     TimeGrid,
     _newton_schulz_step,
+    _newton_step,
     _running_product,
     _step_factors,
     dense_from_samples,
@@ -45,10 +56,20 @@ from semiroll.integrate import (
     flow_matrix_ode,
     integrate_vector,
     reproject,
+    reproject_info,
+)
+from semiroll.linalg import (
+    SignatureForm,
+    _j_gram_defect,
+    expm,
+    j_orthogonality_residual,
+    j_orthogonality_scale,
 )
 from semiroll.models import get_model
-from semiroll import homogeneous
+from semiroll import homogeneous, integrate, rolling
 from semiroll.rolling import RollingTriple
+
+from boosted import boosted_start
 
 BENCHMARK_MODELS = ("sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2")
 
@@ -274,6 +295,269 @@ def test_newton_schulz_step_into_its_argument_keeps_the_bits(name):
     assert np.array_equal(nodes, before)
     assert _newton_schulz_step(nodes, form, out=nodes) is nodes
     assert np.array_equal(nodes, expected)
+
+
+# -- checks that decide on the worst node ----------------------------------------
+
+
+def _reproject_info_reference(X, form, max_iter=REPROJECT_MAX_ITER):
+    """``reproject_info`` with the worst residual read off the per-node residuals."""
+    residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
+    for it in range(max_iter):
+        if residual <= REPROJECT_TOL:
+            return X, it, residual
+        X = _newton_step(X, form)
+        residual = np.max(j_orthogonality_residual(X, form), initial=0.0)
+    if residual <= REPROJECT_TOL:
+        return X, max_iter, residual
+    raise ValueError(f"reprojection did not converge in {max_iter} iterations "
+                     f"(residual {residual:.3e})")
+
+
+def _scan_reference(factors, X0, side):
+    """Nodes 1..n of the blocked scan, sliced from a padded stack of every block's nodes."""
+    n, d = factors.shape[0], factors.shape[-1]
+    b = math.isqrt(n - 1) + 1
+    m = -(-n // b)
+    blocks = np.empty((m * b, d, d), dtype=factors.dtype)
+    blocks[:n] = factors
+    blocks[n:] = np.eye(d)
+    blocks = blocks.reshape(m, b, d, d)
+    carry = np.empty((m, d, d), dtype=factors.dtype)
+    carry[0] = X0
+    if side == "right":
+        for j in range(1, b):
+            blocks[:, j] = blocks[:, j - 1] @ blocks[:, j]
+        for i in range(1, m):
+            carry[i] = carry[i - 1] @ blocks[i - 1, -1]
+        nodes = carry[:, None] @ blocks
+    else:
+        for j in range(1, b):
+            blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+        for i in range(1, m):
+            carry[i] = blocks[i - 1, -1] @ carry[i - 1]
+        nodes = blocks @ carry[:, None]
+    return nodes.reshape(m * b, d, d)[:n]
+
+
+def _node_check_reference(nodes, grid, form):
+    """The node check on every node's residual: absolute, then relative to the node's scale."""
+    residual = j_orthogonality_residual(nodes, form)
+    if not np.max(residual) <= REPROJECT_TOL:
+        residual = residual / j_orthogonality_scale(nodes)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= REPROJECT_TOL:
+        raise ValueError(
+            f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
+            f"residual {residual[worst]:.3e})"
+        )
+
+
+def _flow_reference(L, X0, grid, side, form):
+    """The group flow with the padded scan copied into the path and the per-node checks."""
+    factors = _reproject_info_reference(_step_factors(L, grid.h, side), form)[0]
+    out = np.empty((grid.n_nodes,) + X0.shape)
+    out[0] = X0
+    out[1:] = _scan_reference(factors, X0, side)
+    _newton_schulz_step(out[1:], form, out=out[1:])
+    _node_check_reference(out[1:], grid, form)
+    return out
+
+
+FLOW_STEPS = 2000
+
+
+def _captured_transport(model, ctrl):
+    """The generators, start value and form of a frame-matching roll's transport flow."""
+    seen = []
+
+    def record(generators, X0, grid, side, reproject_form):
+        seen.append((np.array(generators), np.array(X0), reproject_form))
+        return flow(generators, X0, grid, side, reproject_form)
+
+    flow, rolling.flow_matrix_ode = rolling.flow_matrix_ode, record
+    try:
+        extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
+    finally:
+        rolling.flow_matrix_ode = flow
+    (case,) = seen
+    return case
+
+
+@functools.lru_cache(maxsize=None)
+def _flow_case(case):
+    """(generators at FLOW_STEPS steps on [0, 1], start value, form) of a roll's flows:
+    a model's lift, stiefel_4_2's correction, and a frame-matching transport."""
+    kind, name = case.split(".")
+    model = get_model(name)
+    ctrl = _sinusoid(TimeGrid(0.0, 1.0, FLOW_STEPS), model.p_dim, 11)
+    if kind == "lift":
+        return (model.p_element(ctrl.stage_coords()),
+                model.random_group_element(np.random.default_rng(5)), model.group_form)
+    if kind == "correction":
+        omegas = np.tensordot(ctrl.stage_coords(), model.omega_basis, axes=(-1, 0))
+        return omegas, np.eye(model.ambient_dim), model.form
+    return _captured_transport(model, ctrl)
+
+
+FLOW_CASES = [f"lift.{name}" for name in BENCHMARK_MODELS] + [
+    "correction.stiefel_4_2", "transport.sphere"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 255, 256, 257, FLOW_STEPS])
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_the_flow_keeps_the_bits_of_the_padded_scan_and_the_per_node_check(case, n_steps, side):
+    # the first n_steps of each stack at its own step: the scan's last block is whole at
+    # 1, 2 and 256 steps and partial at the others
+    generators, X0, form = _flow_case(case)
+    grid = TimeGrid(0.0, n_steps / FLOW_STEPS, n_steps)
+    L = generators[:2 * n_steps + 1]
+    flow = flow_matrix_ode(L, X0, grid, side, form)
+    assert np.array_equal(flow, _flow_reference(L, X0, grid, side, form))
+
+
+def test_reproject_info_keeps_its_triple_at_every_iteration_count():
+    model = get_model("so_plus_1_2")
+    form = model.group_form
+    grid, L, _ = _flow_stacks(model, 2000)
+    on = reproject(_step_factors(L, grid.h, "left"), form)
+    rng = np.random.default_rng(8)
+    iterations = set()
+    for stack in (on, on[7], on + 1e-9 * rng.standard_normal(on.shape),
+                  on[7] + 1e-9 * rng.standard_normal(on[7].shape),
+                  on + 1e-3 * rng.standard_normal(on.shape)):
+        fixed, iters, residual = reproject_info(stack, form)
+        expected = _reproject_info_reference(stack, form)
+        assert np.array_equal(fixed, expected[0])
+        assert (iters, residual) == expected[1:]
+        assert type(residual) is type(expected[2])
+        iterations.add(min(iters, 2))
+    assert iterations == {0, 1, 2}
+
+
+# the fail-closed side: a gate that reads a whole-stack maximum builds per-node
+# values only after it fails, and names the same node, t and value as before
+
+
+@pytest.mark.parametrize("a, b", [(5.0, 3.5), (6.0, 4.0)])
+def test_a_boosted_start_value_passes_the_relative_rule_with_the_same_path(a, b):
+    model = get_model("so_plus_2_2")
+    grid, L, _ = _flow_stacks(model, 400)
+    form = model.group_form
+    path = flow_matrix_ode(L, boosted_start(a, b), grid, "right", form)
+    # off the group by more than REPROJECT_TOL in absolute terms: the per-node path ran
+    assert np.max(_j_gram_defect(path[1:], form.signs)) > REPROJECT_TOL
+    assert np.array_equal(path, _flow_reference(L, boosted_start(a, b), grid, "right", form))
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    return str(refused.value)
+
+
+def _boost(form, size):
+    """A J-orthogonal matrix of largest entry ``size``: a boost between the form's first
+    plus and first minus direction."""
+    X = np.zeros((form.dim, form.dim))
+    i, j = form.pos_indices[0], form.neg_indices[0]
+    X[i, j] = X[j, i] = np.arccosh(size)
+    return expm(X)
+
+
+@pytest.mark.parametrize("node", [1, 700, 1990])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_a_node_off_the_group_is_refused_by_name(node, scale, monkeypatch):
+    # one node bent off the group after the node step; at scale 1e3 the relative rule judges
+    model = get_model("so_plus_1_2")
+    form = model.group_form
+    grid, L, _ = _flow_stacks(model, 2000)
+    X0 = _boost(form, scale)
+    step, seen = integrate._newton_schulz_step, []
+    bend = np.random.default_rng(node).standard_normal((form.dim, form.dim))
+
+    def bent(X, form, out=None):
+        out = step(X, form, out=out)
+        # X (I + e S) is off by about e |S| absolute, judged against the node's max|X|^2
+        out[node - 1] += 1e-9 * scale ** 2 * out[node - 1] @ (bend + bend.T)
+        seen.append(out.copy())
+        return out
+
+    monkeypatch.setattr(integrate, "_newton_schulz_step", bent)
+    message = _refusal(lambda: flow_matrix_ode(L, X0, grid, "right", form))
+    assert f"at node {node} " in message
+    assert message == _refusal(lambda: _node_check_reference(seen[0], grid, form))
+
+
+@pytest.mark.parametrize("rate", [200.0, 300.0])
+def test_a_path_that_overflows_after_the_scan_is_refused(rate):
+    # finite factors whose running product is finite: the Gram of the check (rate 200)
+    # or the node step (rate 300) overflows, and the path is refused, not returned
+    form = SignatureForm([1.0, -1.0])
+    grid = TimeGrid(0.0, 1.0, 2000)
+    L = np.broadcast_to(rate * np.array([[0.0, 1.0], [1.0, 0.0]]), (2 * grid.n_steps + 1, 2, 2))
+    with np.errstate(all="ignore"):
+        factors = reproject(_step_factors(L, grid.h, "left"), form)
+        assert np.all(np.isfinite(_running_product(factors, np.eye(2), "left")))
+        message = _refusal(lambda: flow_matrix_ode(L, np.eye(2), grid, "left", form))
+        assert message == _refusal(lambda: _flow_reference(L, np.eye(2), grid, "left", form))
+    assert message.startswith("flow left the group at node ")
+
+
+def test_a_stack_that_fails_to_polish_at_one_matrix_is_refused_with_its_residual():
+    model = get_model("so_plus_1_2")
+    form = model.group_form
+    grid, L, _ = _flow_stacks(model, 300)
+    stack = reproject(_step_factors(L, grid.h, "right"), form)
+    stack[150] += 1e-3 * np.random.default_rng(2).standard_normal(stack[150].shape)
+    message = _refusal(lambda: reproject_info(stack, form, max_iter=1))
+    assert message == _refusal(lambda: _reproject_info_reference(stack, form, max_iter=1))
+
+
+def _refuse_non_finite_reference(stack, what):
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"{what} contains NaN or inf at node {int(np.argmin(finite))}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_node_is_refused_by_name(bad):
+    stack = np.tile(np.eye(3), (40, 1, 1))
+    stack[17, 2, 1] = bad
+    stack[31, 0, 0] = np.nan
+    message = _refusal(lambda: rolling._refuse_non_finite(stack, "R(t)"))
+    assert message == "R(t) contains NaN or inf at node 17"
+    assert message == _refusal(lambda: _refuse_non_finite_reference(stack, "R(t)"))
+    rolling._refuse_non_finite(stack[:17], "R(t)")
+
+
+def _singular_gram_reference(frames, form, what):
+    """The per-node Gram gate of ``_span_factors``: 1 / min |eigenvalue| of every node."""
+    q = frames @ rolling._check_rank(frames, what)
+    gram_q = np.swapaxes(q, 1, 2) @ (form.signs[:, None] * q)
+    with np.errstate(divide="ignore"):
+        conds = 1.0 / np.min(np.abs(np.linalg.eigvalsh(gram_q)), axis=-1, initial=np.inf)
+    bad = np.flatnonzero(~(conds <= rolling.FRAME_COND_MAX))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{what} Gram matrix is singular under the ambient form at node {k} "
+                         f"(condition number {conds[k]:.1e})")
+
+
+@pytest.mark.parametrize("first, lift", [(6, 1e-8), (6, 0.0), (29, 1e-8)])
+def test_a_frame_null_under_the_form_is_refused_by_name(first, lift):
+    # spacelike frames of the Minkowski form, one node nearly (or exactly) lightlike
+    # and a later one exactly lightlike: the first is named, with its own value
+    form = SignatureForm([1.0, 1.0, -1.0])
+    angle = np.linspace(0.0, 2.0, 40)
+    frames = np.stack([np.cos(angle), np.sin(angle), 0.5 * np.ones(40)], axis=1)[:, :, None]
+    frames[first, :, 0] = [1.0, 0.0, 1.0 - lift]
+    frames[35, :, 0] = [0.0, 1.0, 1.0]
+    message = _refusal(lambda: rolling._span_factors(frames, form, "frame"))
+    assert f"at node {first} " in message
+    assert message == _refusal(lambda: _singular_gram_reference(frames, form, "frame"))
+    assert rolling._span_factors(frames[:first], form, "frame").shape == (first, 3, 3)
 
 
 # -- inputs stay untouched --------------------------------------------------------
