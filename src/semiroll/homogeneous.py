@@ -114,10 +114,7 @@ class ControlCurve:
     _midpoints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = _real(self.coords, "control coords")
-        if coords.ndim != 2 or coords.shape[0] != self.grid.n_nodes:
-            raise ValueError(f"control coords must have shape (n_nodes, dim) = "
-                             f"({self.grid.n_nodes}, dim), got {coords.shape}")
+        coords = _real(self.coords, "control coords", (self.grid.n_nodes, None), "n_nodes, dim")
         bad = np.flatnonzero(~np.all(np.isfinite(coords), axis=1))
         if bad.size:
             raise ValueError(f"control coords are NaN or inf at t={self.grid.ts[bad[0]]:.6g}")
@@ -168,9 +165,7 @@ class EmbeddedCurve:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] != self.grid.n_nodes:
-            raise ValueError("curve samples must be (n_nodes, N) matching the grid")
+        self.points = _real(self.points, "curve points", (self.grid.n_nodes, None), "n_nodes, N")
 
 
 @dataclass

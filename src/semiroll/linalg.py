@@ -139,12 +139,20 @@ def se_inverse(g):
     return RigidMotion(Rinv, -Rinv @ g.s)
 
 
-def _real(X, name):
-    """X as a float array; a complex one, which a cast would truncate, is refused by name."""
+def _real(X, name, shape=None, axes=None):
+    """X as a float array, the one gate of the sampled arrays; a float X is returned itself.
+
+    A complex X, which a cast would truncate, is refused by name, and so is one whose shape
+    is not ``shape`` (a ``None`` entry matches any size), its axes named by ``axes``."""
     if np.iscomplexobj(X):
         raise ValueError(f"{name} must be real, got a complex array; a complex group enters "
                          "as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
-    return np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if shape is not None and (X.ndim != len(shape) or any(
+            want not in (None, size) for want, size in zip(shape, X.shape))):
+        sizes = ", ".join(str(a if w is None else w) for w, a in zip(shape, axes.split(", ")))
+        raise ValueError(f"{name} must have shape ({axes}) = ({sizes}), got {X.shape}")
+    return X
 
 
 def _j_gram_defect(R, signs):

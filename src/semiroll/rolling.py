@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import (SignatureForm, j_orthogonality_residual, j_orthogonality_scale,
+from .linalg import (SignatureForm, _real, j_orthogonality_residual, j_orthogonality_scale,
                      j_transpose_inverse)
 
 __all__ = [
@@ -63,10 +63,8 @@ class TangentFramePath:
     frames: np.ndarray
 
     def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.frames = np.asarray(self.frames, dtype=float)
-        if self.frames.ndim != 3 or self.frames.shape[0] != self.ts.size:
-            raise ValueError("frames must be (n_nodes, N, r) matching ts")
+        self.ts = _real(self.ts, "ts", (None,), "n_nodes")
+        self.frames = _real(self.frames, "frames", (self.ts.size, None, None), "n_nodes, N, r")
 
 
 @dataclass
@@ -81,17 +79,10 @@ class RollingMapPath:
     form: SignatureForm
 
     def __post_init__(self):
-        m = self.grid.n_nodes
-        n = self.form.dim
-        self.R = np.asarray(self.R, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
-        if self.R.shape != (m, n, n):
-            raise ValueError(f"R must have shape {(m, n, n)}, got {self.R.shape}")
-        for name, arr in (("s", self.s), ("alpha", self.alpha), ("alpha_hat", self.alpha_hat)):
-            if arr.shape != (m, n):
-                raise ValueError(f"{name} must have shape {(m, n)}, got {arr.shape}")
+        m, n = self.grid.n_nodes, self.form.dim
+        self.R = _real(self.R, "R", (m, n, n), "n_nodes, N, N")
+        for name in ("s", "alpha", "alpha_hat"):
+            setattr(self, name, _real(getattr(self, name), name, (m, n), "n_nodes, N"))
 
     @property
     def n_nodes(self):
@@ -117,23 +108,14 @@ class RollingTriple:
     target_gram: np.ndarray
 
     def __post_init__(self):
-        m = self.grid.n_nodes
-        n = self.form.dim
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
-        self.maps = np.asarray(self.maps, dtype=float)
-        self.tangent_frames = np.asarray(self.tangent_frames, dtype=float)
-        self.target_gram = np.asarray(self.target_gram, dtype=float)
-        if self.maps.ndim != 3:
-            raise ValueError(f"maps must have shape (n_nodes, k, N), got {self.maps.shape}")
+        m, n = self.grid.n_nodes, self.form.dim
+        self.maps = _real(self.maps, "maps", (m, None, n), "n_nodes, k, N")
         k = self.maps.shape[1]
-        expected = {"alpha": (m, n), "alpha_hat": (m, k), "maps": (m, k, n), "target_gram": (k, k)}
-        for name, shape in expected.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
-        if self.tangent_frames.ndim != 3 or self.tangent_frames.shape[:2] != (m, n):
-            raise ValueError(f"tangent_frames must have shape ({m}, {n}, r), "
-                             f"got {self.tangent_frames.shape}")
+        expected = {"alpha": ((m, n), "n_nodes, N"), "alpha_hat": ((m, k), "n_nodes, k"),
+                    "tangent_frames": ((m, n, None), "n_nodes, N, r"),
+                    "target_gram": ((k, k), "k, k")}
+        for name, (shape, axes) in expected.items():
+            setattr(self, name, _real(getattr(self, name), name, shape, axes))
 
 
 @dataclass
