@@ -4,10 +4,10 @@ Every model fixture and bundled config arrives and builds; frame-matching
 rolls, a moved base point and sampled curves (in both modes) roll and verify
 through the installed console script; the intrinsic file holds d_e_pi cf0
 times its extrinsic file's rotations and development; a control is read once; a
-complex control is refused; a slipped trajectory and a stretched rotation
-breach, and a config is refused as a trajectory.  Run it from a scratch
-directory, where it writes its configs and trajectories, with the
-interpreter of the environment under test:
+complex control and a complex sampled curve are refused; a slipped trajectory
+and a stretched rotation breach, and a config is refused as a trajectory.  Run
+it from a scratch directory, where it writes its configs and trajectories, with
+the interpreter of the environment under test:
 
     python ci/installed_package.py <semiroll command>
 """
@@ -69,7 +69,7 @@ def main(semiroll):
     configs.append("so_plus_1_2_moved_roll.json")
 
     # the sampled curves hold the points of a library roll of the same controls
-    from semiroll import ControlCurve, TimeGrid, extrinsic_roll
+    from semiroll import ControlCurve, EmbeddedCurve, TimeGrid, extrinsic_roll
 
     grid = TimeGrid(0.0, 1.0, 300)
     for model, control in (("sphere", {"amplitude": [0.5, -0.4], "frequency": [1.0, 2.0],
@@ -125,6 +125,15 @@ def main(semiroll):
             assert "must be real, got a complex array" in str(exc), exc
         else:
             raise AssertionError("a complex control was rolled")
+    # and so is a sampled curve on the sphere with an imaginary part, by its points' name
+    sphere = get_model("sphere")
+    points = extrinsic_roll(sphere, ControlCurve(grid=grid, coords=coords[:, :2])).alpha
+    try:
+        extrinsic_roll(sphere, EmbeddedCurve(grid, points + 1e-3j))
+    except ValueError as exc:
+        assert str(exc).startswith("curve points must be real, got a complex array"), exc
+    else:
+        raise AssertionError("a complex curve was rolled")
     for cfg in configs:
         subprocess.run([semiroll, "roll", "--config", str(cfg), "--out", "traj.csv"],
                        check=True)

@@ -4,8 +4,10 @@ A curved space enters as a ``CartanModel``: a real matrix realization of a
 Lie algebra with a declared h/p splitting (a complex group as its real
 form), an equivariant isometric embedding of M = G/H into a flat ambient
 space V, and the linearization of the G-action on V.  Everything downstream
-is sampled on uniform grids.  A control rolls along its horizontal lift,
-``qdot = q U(t)`` with U(t) in p, from a start value q0 that one check
+is sampled on uniform grids, and a control's coordinates and a sampled curve's
+points enter through the one gate of ``linalg._real``, which refuses by name a
+complex array or one of another node count.  A control rolls along its
+horizontal lift, ``qdot = q U(t)`` with U(t) in p, from a start value q0 that one check
 (``_start_value``) refuses unless it is a finite real group matrix: the
 rotation is the J-inverse of the ambient representation (times the
 correction S(t) that a non-symmetric space derives from its own

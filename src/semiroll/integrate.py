@@ -9,9 +9,10 @@ path is their running product, taken as a blocked scan.  Every flow is a
 group flow: it polishes the factors onto the J-orthogonal group of its form,
 gives every node one inverse-free Newton-Schulz step, and checks every node:
 the stack's worst entry decides, and per-node values only name a failing
-node.  The flow works in place: its step factors share one scratch stack, the
-polish takes no copy, and the scan and the node step write into the returned
-path; the generators and the start value are never written into.
+node, also one where the path overflowed.  The flow works in place: its step
+factors share one scratch stack, the polish takes no copy, and the scan and
+the node step write into the returned path; the generators and the start
+value are never written into.
 Every matrix flow of the package is such a linear flow, and real: complex
 input is refused (a complex group enters as its real form).  ``reproject``
 polishes one matrix or a whole stack.  Vector quadrature is the
@@ -252,7 +253,9 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     accumulates, and the group residual is checked: the stack's worst entry
     of |X^T J X - J| decides, and per-node values only name a failing node.
     A node off the group by more than ``REPROJECT_TOL`` max(1, max|X_ij|^2),
-    the scale of its rounding, raises, naming the node.
+    the scale of its rounding, raises, naming the node; a path that
+    overflows reaches the check as inf or NaN, with no numpy warning, and is
+    refused at the first node whose residual is NaN.
     Non-finite or complex generators or start values are refused.
     """
     if side not in ("left", "right"):
@@ -267,17 +270,18 @@ def flow_matrix_ode(generators, X0, grid, side, reproject_form):
     factors = reproject(_step_factors(L, grid.h, side), reproject_form)
     out = np.empty((grid.n_nodes,) + X0.shape)
     out[0] = X0
-    nodes = _running_product(factors, X0, side, out=out[1:])
-    _newton_schulz_step(nodes, reproject_form, out=nodes)
-    defect = _j_gram_defect(nodes, reproject_form.signs)
-    if not np.max(defect) <= REPROJECT_TOL:
-        residual = np.max(defect, axis=(-2, -1)) / j_orthogonality_scale(nodes)
-        worst = int(np.argmax(residual))
-        if not residual[worst] <= REPROJECT_TOL:
-            raise ValueError(
-                f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
-                f"residual {residual[worst]:.3e})"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = _running_product(factors, X0, side, out=out[1:])
+        _newton_schulz_step(nodes, reproject_form, out=nodes)
+        defect = _j_gram_defect(nodes, reproject_form.signs)
+        if not np.max(defect) <= REPROJECT_TOL:
+            residual = np.max(defect, axis=(-2, -1)) / j_orthogonality_scale(nodes)
+            worst = int(np.argmax(residual))
+            if not residual[worst] <= REPROJECT_TOL:
+                raise ValueError(
+                    f"flow left the group at node {worst + 1} (t={grid.ts[worst + 1]:.6g}, "
+                    f"residual {residual[worst]:.3e})"
+                )
     return out
 
 

@@ -2,15 +2,17 @@
 
 A rolling of M on M_hat (both sitting in the same flat ambient space V) is a
 path of motions g(t) = (R(t), s(t)) together with the contact curves alpha on
-M and alpha_hat on M_hat.  This module stores such paths, measures the
-defining conditions as per-node residuals (R(t) a rigid motion of the form,
-contact, tangency by the flat normals, no-slip and the two no-twist
-conditions), and provides the algebraic operations on
-rolling maps: inversion, composition, and a controlled fault injection that
-perturbs the normal part of the rotation generator.  Parallel transport
-along sampled frame paths is one group flow of the whole ambient frame: it
-cross-checks the homogeneous-space transport, and it builds frame matching
-and the roll of a sampled curve.
+M and alpha_hat on M_hat.  This module stores such paths, each array through
+one gate (``linalg._real``) that refuses by name a complex array or one that
+does not fit the grid and the form.  It measures the defining conditions as
+per-node residuals (R(t) a rigid motion of the form, contact, tangency by the
+flat normals, no-slip and the two no-twist conditions) against frame paths of
+the path's own node count, and provides the algebraic operations on rolling
+maps: inversion, composition, and a controlled fault injection that perturbs
+the normal part of the rotation generator.  Parallel transport along sampled
+frame paths is one group flow of the whole ambient frame: it cross-checks the
+homogeneous-space transport, and it builds frame matching and the roll of a
+sampled curve.
 """
 
 from __future__ import annotations
@@ -287,6 +289,14 @@ def _projectors(frames, form, what="frame"):
     return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
 
 
+def _frames_on(path, frame_path, what):
+    """The frames of ``frame_path``; refused by ``what`` unless they have the path's node count."""
+    frames = frame_path.frames
+    if frames.shape[0] != path.n_nodes:
+        raise ValueError(f"{what} has {frames.shape[0]} nodes, the path has {path.n_nodes}")
+    return frames
+
+
 def _node_norms(vectors):
     return np.linalg.norm(vectors, axis=-1)
 
@@ -311,12 +321,15 @@ def tangency_residual(path, tangent_m, normal_mhat):
     with R is rank-tested: a boosted R is measured, and one that maps
     T_alpha M into the tangent space without being an isometry reads 0 and
     breaches the report's ``isometry``.  A non-finite R(t), and a frame that
-    ``_check_rank`` refuses, raise ValueError at their node; a
-    full-dimensional F_M has no normals and reads 0.
+    ``_check_rank`` refuses, raise ValueError at their node, and a frame
+    path of another node count by its name; a full-dimensional F_M has no
+    normals and reads 0.
     """
     _refuse_non_finite(path.R, "tangency: R(t)")
-    q = tangent_m.frames @ _check_rank(tangent_m.frames, "tangency: F_M(t)")
-    _, normals = _once(normal_mhat.frames, path.form, "tangency: normal development frame")
+    frames_m = _frames_on(path, tangent_m, "tangency: F_M(t)")
+    q = frames_m @ _check_rank(frames_m, "tangency: F_M(t)")
+    what = "tangency: normal development frame"
+    _, normals = _once(_frames_on(path, normal_mhat, what), path.form, what)
     image = path.R @ q
     # a column that R(t) annihilates reads NaN: that node fails closed
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -360,19 +373,20 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     tangential component and W N_hat no normal component.  Residuals are
     measured on Euclidean-normalized frame columns through the J-orthogonal
     projectors of the respective subspaces; a constant frame's are built
-    once per distinct frame (``_once``).  ``W`` is the path's
-    ``_rotation_generator`` when the caller has it.
+    once per distinct frame (``_once``).  A frame path of another node count
+    is refused by name.  ``W`` is the path's ``_rotation_generator`` when the
+    caller has it.
     """
     if W is None:
         W = _rotation_generator(path)
 
-    def _defect(frames, what):
-        projector, cols = _once(frames, path.form, f"no twist: {what} frame")
+    def _defect(frame_path, what):
+        what = f"no twist: {what} frame"
+        projector, cols = _once(_frames_on(path, frame_path, what), path.form, what)
         comp = projector @ (W @ cols)
         return np.max(np.linalg.norm(comp, axis=1), axis=-1, initial=0.0)
 
-    return (_defect(tangent_mhat.frames, "tangent development"),
-            _defect(normal_mhat.frames, "normal development"))
+    return _defect(tangent_mhat, "tangent development"), _defect(normal_mhat, "normal development")
 
 
 def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
@@ -457,7 +471,8 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     recomputed so the contact condition is preserved.  Because Lambda
     fixes the development tangent space pointwise, contact, tangency,
     no-slip and tangential no-twist are untouched and only the normal
-    no-twist condition breaks.
+    no-twist condition breaks.  Frame paths of another node count are
+    refused by name.
     """
     grid = path.grid
     n = path.form.dim
@@ -466,13 +481,15 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     omega = np.asarray(omega0, dtype=float)
 
     signs = path.form.signs
-    p_tan = _projectors(tangent_mhat.frames, path.form, "normal generator: tangent frame")
+    what = "normal generator: tangent frame"
+    tangent = _frames_on(path, tangent_mhat, what)
+    normal = _frames_on(path, normal_mhat, "normal generator: normal frame")
+    p_tan = _projectors(tangent, path.form, what)
     scale = max(1.0, float(np.max(np.abs(omega))))
     for label, value in (
         ("not J-skew", np.abs(omega.T * signs + signs[:, None] * omega)),
-        ("does not annihilate the development tangent space", np.abs(omega @ tangent_mhat.frames)),
-        ("does not preserve the development normal space",
-         np.abs(p_tan @ (omega @ normal_mhat.frames))),
+        ("does not annihilate the development tangent space", np.abs(omega @ tangent)),
+        ("does not preserve the development normal space", np.abs(p_tan @ (omega @ normal))),
     ):
         value = float(np.max(value))
         if value > NORMAL_GENERATOR_TOL * scale:
@@ -522,9 +539,9 @@ def parallel_transport_embedded(frames, v0, form):
 
     Returns ``X @ v0``, X the ``_transport_flow`` of the frames: the
     transported vectors at every node, (n_nodes, N) or (n_nodes, N, c).
+    Complex frames or v0 are refused by name (``linalg._real``).
     """
-    frames = np.asarray(frames, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    frames, v0 = _real(frames, "transport frame"), _real(v0, "v0")
     dim = form.dim
     if v0.ndim not in (1, 2) or v0.shape[0] != dim or v0.size == 0:
         raise ValueError(f"v0 has shape {v0.shape}, expected ({dim},) or ({dim}, c)")

@@ -7,6 +7,7 @@ benchmark run; these tests make it fail here.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -163,6 +164,34 @@ def test_workload_late_lookups_resolve():
     assert ("hyperbolic", "roll_hyperboloid") in reads
     missing = sorted(f"{name}.{attr}" for name, attr in reads if not hasattr(modules[name], attr))
     assert not missing, missing
+
+
+def test_workload_container_calls_fit_the_containers():
+    # the workloads build the rolling containers themselves, by keyword and by
+    # position: every keyword must be a field, and no call may pass more
+    # positional arguments than the class's init takes
+    from semiroll import homogeneous, rolling
+
+    classes = {("R", "RollingMapPath"): rolling.RollingMapPath,
+               ("R", "RollingTriple"): rolling.RollingTriple,
+               ("H", "ControlCurve"): homogeneous.ControlCurve,
+               ("H", "EmbeddedCurve"): homogeneous.EmbeddedCurve}
+    seen, wrong = set(), []
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and (func.value.id, func.attr) in classes):
+            continue
+        cls = classes[func.value.id, func.attr]
+        fields = [f.name for f in dataclasses.fields(cls) if f.init]
+        seen.add(cls)
+        wrong += [f"{cls.__name__}({kw.arg}=) at line {node.lineno}"
+                  for kw in node.keywords if kw.arg not in fields]
+        if len(node.args) > len(fields):
+            wrong.append(f"{cls.__name__} takes {len(node.args)} positional arguments "
+                         f"at line {node.lineno}")
+    assert seen == set(classes.values()), sorted(c.__name__ for c in seen)
+    assert not wrong, wrong
 
 
 EXTRINSIC_FIELDS = ("rolling_point", "tangency", "no_slip", "no_twist_tan", "no_twist_norm",

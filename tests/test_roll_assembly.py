@@ -505,6 +505,19 @@ def test_a_path_that_overflows_after_the_scan_is_refused(rate):
     assert message.startswith("flow left the group at node ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate, node, t", [(200.0, 1315, "0.6575"), (300.0, 875, "0.4375"),
+                                           (1000.0, 263, "0.1315")])
+def test_an_overflowing_flow_is_refused_at_its_node_with_warnings_as_errors(rate, node, t):
+    # no errstate here: the flow's own overflow, under the suite's warning filter,
+    # must end in its node check, not in numpy's RuntimeWarning
+    form = SignatureForm([1.0, -1.0])
+    grid = TimeGrid(0.0, 1.0, 2000)
+    L = np.broadcast_to(rate * np.array([[0.0, 1.0], [1.0, 0.0]]), (2 * grid.n_steps + 1, 2, 2))
+    with pytest.raises(ValueError, match=rf"^flow left the group at node {node} \(t={t}, "):
+        flow_matrix_ode(L, np.eye(2), grid, "left", form)
+
+
 def test_a_stack_that_fails_to_polish_at_one_matrix_is_refused_with_its_residual():
     model = get_model("so_plus_1_2")
     form = model.group_form
