@@ -47,6 +47,7 @@ from .rolling import (
     TangentFramePath,
     _span_factors,
     _transport_flow,
+    _unit_columns,
     rolling_condition_residuals,
 )
 
@@ -240,7 +241,10 @@ class CartanModel:
     have full rank and the J-Gram of its orthonormal basis no |eigenvalue|
     below that rule's bound.  Before it, a p element with d_e_rho(p_i) obar
     = 0 is refused by its index, as one that belongs to h.  The J-complement
-    ``normal0`` shares that smallest |eigenvalue|, so it needs no test of its own.
+    ``normal0`` is factored by the same rule.  The model keeps both factorings,
+    the projector with the frame's unit columns, for the flat frames that every
+    report reads (``flat_tangent_frames``, ``flat_normal_frames``); they,
+    ``frame0`` and ``normal0`` are read-only.
     Omega = sum_i U_i omega_basis[i] cancels the part of d_e_rho(U) that keeps the tangent and the normal
     space; along a lift the rotation is the J-inverse of rho(q) S with
     S' = Omega S (Hüper, Kleinsteuber & Silva Leite, "Rolling Stiefel
@@ -286,7 +290,10 @@ class CartanModel:
             i = self.p_indices[fixed[0]]
             raise ValueError(f"p element {i} fixes the base point (d_e_rho(p_{i}) obar = 0): "
                              "it belongs to h")
-        P = _span_factors(self.frame0[None], self.form, "embedded tangent frame")[0]
+        one = self.frame0[None]
+        self._frame0_factors = (_span_factors(one, self.form, "embedded tangent frame"),
+                                _unit_columns(one))
+        P = self._frame0_factors[0][0]
         self.ip_p = self.frame0.T @ (self.form.signs[:, None] * self.frame0)
         d_inv = np.linalg.inv(self.d_e_pi)
         self.target_gram = d_inv.T @ self.ip_p @ d_inv
@@ -294,6 +301,11 @@ class CartanModel:
         self.cf0 = np.linalg.solve(self.ip_p, self.frame0.T * self.form.signs[None, :])
         # a new C-ordered array like frame0, so products with the flat frames share one layout
         self.normal0 = stacked_null_spaces((self.frame0.T * self.form.signs[None, :])[None])[0]
+        one = self.normal0[None]
+        self._normal0_factors = (_span_factors(one, self.form, "embedded normal frame"),
+                                 _unit_columns(one))
+        for array in (self.frame0, self.normal0, *self._frame0_factors, *self._normal0_factors):
+            array.flags.writeable = False
         Q = np.eye(P.shape[0]) - P
         self.omega_basis = -(P @ d_rho_p @ P + Q @ d_rho_p @ Q)
         size = max(1.0, float(np.max(np.abs(P)))) ** 2 * max(1.0, float(np.max(np.abs(d_rho_p))))
@@ -352,13 +364,17 @@ class CartanModel:
 
     def flat_tangent_frames(self, grid):
         """The base-point tangent frame at every node: a read-only zero-stride broadcast."""
-        frames = np.broadcast_to(self.frame0, (grid.n_nodes,) + self.frame0.shape)
-        return TangentFramePath(grid.ts, frames)
+        return self._flat_frames(grid, self.frame0, self._frame0_factors)
 
     def flat_normal_frames(self, grid):
         """The base-point normal frame at every node: a read-only zero-stride broadcast."""
-        frames = np.broadcast_to(self.normal0, (grid.n_nodes,) + self.normal0.shape)
-        return TangentFramePath(grid.ts, frames)
+        return self._flat_frames(grid, self.normal0, self._normal0_factors)
+
+    def _flat_frames(self, grid, frame, factors):
+        """``frame`` at every node, carrying the factors the model keeps for it."""
+        path = TangentFramePath(grid.ts, np.broadcast_to(frame, (grid.n_nodes,) + frame.shape))
+        path._factors = (path.frames, self.form) + factors
+        return path
 
     def pointwise_tangent_frames(self, grid, points):
         points = np.asarray(points, dtype=float)

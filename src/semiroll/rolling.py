@@ -12,12 +12,15 @@ maps: inversion, composition, and a controlled fault injection that perturbs
 the normal part of the rotation generator.  Parallel transport along sampled
 frame paths is one group flow of the whole ambient frame: it cross-checks the
 homogeneous-space transport, and it builds frame matching and the roll of a
-sampled curve.
+sampled curve.  The flat development's constant frames carry the projectors and
+unit columns their model factored once; every other frame path is factored where
+it is read, a constant one on its first node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -52,9 +55,6 @@ __all__ = [
 FRAME_COND_MAX = 1e6
 COMPOSE_CURVE_TOL = 1e-8
 NORMAL_GENERATOR_TOL = 1e-8
-# ``_once`` keeps the factors of this many constant frames: a process rolls a few models
-_FACTORED_MAX = 64
-_FACTORED = {}
 
 
 @dataclass
@@ -63,6 +63,8 @@ class TangentFramePath:
 
     ts: np.ndarray
     frames: np.ndarray
+    # (frames, form, projector, unit columns) of a model's flat frames (``CartanModel``)
+    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ts = _real(self.ts, "ts", (None,), "n_nodes")
@@ -224,34 +226,6 @@ def _unit_columns(frames):
     return frames / np.linalg.norm(frames, axis=1, keepdims=True)
 
 
-def _once(frames, form, what):
-    """The ``_span_factors`` projectors and the ``_unit_columns`` of ``frames``,
-    built once per distinct constant frame.
-
-    A zero-stride stack (a broadcast of one frame, as the flat development's
-    frames are) is built as ``frames[:1]``.  The result is kept read-only
-    under the frame's shape and bytes and the form's signs, and every later
-    call with the same frame reuses it; reading the strides costs nothing
-    per node.  A moving stack is built on every call.  A refusal keeps
-    nothing, so a refused frame is refused on every call, a broadcast one at
-    node 0.  The oldest of ``_FACTORED_MAX`` kept frames makes room for a
-    new one.
-    """
-    if frames.strides[0] != 0:
-        return _span_factors(frames, form, what), _unit_columns(frames)
-    one = frames[:1]
-    key = (one.shape, one.tobytes(), form.signs.tobytes())
-    value = _FACTORED.get(key)
-    if value is None:
-        value = _span_factors(one, form, what), _unit_columns(one)
-        for array in value:
-            array.flags.writeable = False
-        if len(_FACTORED) >= _FACTORED_MAX:
-            _FACTORED.pop(next(iter(_FACTORED), None), None)
-        _FACTORED[key] = value
-    return value
-
-
 def _span_factors(frames, form, what):
     """Per-node J-orthogonal projectors F (F^T J F)^{-1} F^T J onto the spans of ``what``.
 
@@ -277,16 +251,23 @@ def _span_factors(frames, form, what):
     return frames @ np.linalg.solve(ft_j @ frames, ft_j)
 
 
-def _projectors(frames, form, what="frame"):
-    """The (n_nodes, N, N) projectors of ``_span_factors``.
+def _frame_factors(path, frame_path, what, columns=True):
+    """The ``_span_factors`` projectors of ``frame_path`` and, with ``columns``, its
+    ``_unit_columns``; a frame path of another node count than ``path`` is refused by ``what``.
 
-    A moving stack builds them and no unit columns; a constant one is a
-    read-only broadcast of the one projector ``_once`` keeps.
+    A model's flat frame path carries the pair its model built (``CartanModel``), read
+    while its ``frames`` are the very array the pair was built from and ``path.form``
+    is the form it was built under.  Any other zero-stride stack is factored on its
+    first node, which broadcasts, and a moving one at every node.  Nothing is kept, so a
+    refused frame is refused on every call, a constant one at node 0.
     """
-    if frames.strides[0] != 0:
-        return _span_factors(frames, form, what)
-    proj = _once(frames, form, what)[0]
-    return np.broadcast_to(proj, frames.shape[:1] + proj.shape[1:])
+    frames = _frames_on(path, frame_path, what)
+    kept = frame_path._factors
+    if kept is not None and kept[0] is frames and kept[1] == path.form:
+        return kept[2:]
+    if frames.strides[0] == 0:
+        frames = frames[:1]
+    return _span_factors(frames, path.form, what), _unit_columns(frames) if columns else None
 
 
 def _frames_on(path, frame_path, what):
@@ -314,8 +295,9 @@ def tangency_residual(path, tangent_m, normal_mhat):
     N_hat^T J R F_M = 0.  The residual is max |w_a^T J n_b|: w_a the columns
     of R Q_M, each normalised, Q_M = F_M U^-1 the basis of ``_check_rank``'s
     factor, and n_b the unit normal columns of the normal no-twist check
-    (kept by ``_once``).  It is read on the flat side, as the other
-    residuals are, so a flat tilt of a boosted R(t) is not shrunk by R^-1.
+    (``_frame_factors``: the model's own on its flat frames).  It is read on
+    the flat side, as the other residuals are, so a flat tilt of a boosted
+    R(t) is not shrunk by R^-1.
     On a Euclidean form with orthogonal R and orthonormal N_hat it brackets
     the largest principal angle: v <= sin(theta) <= sqrt(r c) v.  No product
     with R is rank-tested: a boosted R is measured, and one that maps
@@ -328,8 +310,7 @@ def tangency_residual(path, tangent_m, normal_mhat):
     _refuse_non_finite(path.R, "tangency: R(t)")
     frames_m = _frames_on(path, tangent_m, "tangency: F_M(t)")
     q = frames_m @ _check_rank(frames_m, "tangency: F_M(t)")
-    what = "tangency: normal development frame"
-    _, normals = _once(_frames_on(path, normal_mhat, what), path.form, what)
+    _, normals = _frame_factors(path, normal_mhat, "tangency: normal development frame")
     image = path.R @ q
     # a column that R(t) annihilates reads NaN: that node fails closed
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -372,17 +353,17 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     tangent and normal spaces of the development: W T_hat must have no
     tangential component and W N_hat no normal component.  Residuals are
     measured on Euclidean-normalized frame columns through the J-orthogonal
-    projectors of the respective subspaces; a constant frame's are built
-    once per distinct frame (``_once``).  A frame path of another node count
-    is refused by name.  ``W`` is the path's ``_rotation_generator`` when the
+    projectors of the respective subspaces (``_frame_factors``): a model's
+    flat frames carry the ones their model built, any other constant frame is
+    factored on its first node.  A frame path of another node count is
+    refused by name.  ``W`` is the path's ``_rotation_generator`` when the
     caller has it.
     """
     if W is None:
         W = _rotation_generator(path)
 
     def _defect(frame_path, what):
-        what = f"no twist: {what} frame"
-        projector, cols = _once(_frames_on(path, frame_path, what), path.form, what)
+        projector, cols = _frame_factors(path, frame_path, f"no twist: {what} frame")
         comp = projector @ (W @ cols)
         return np.max(np.linalg.norm(comp, axis=1), axis=-1, initial=0.0)
 
@@ -481,10 +462,9 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     omega = np.asarray(omega0, dtype=float)
 
     signs = path.form.signs
-    what = "normal generator: tangent frame"
-    tangent = _frames_on(path, tangent_mhat, what)
+    p_tan, _ = _frame_factors(path, tangent_mhat, "normal generator: tangent frame", False)
+    tangent = tangent_mhat.frames
     normal = _frames_on(path, normal_mhat, "normal generator: normal frame")
-    p_tan = _projectors(tangent, path.form, what)
     scale = max(1.0, float(np.max(np.abs(omega))))
     for label, value in (
         ("not J-skew", np.abs(omega.T * signs + signs[:, None] * omega)),
@@ -509,14 +489,14 @@ def _transport_flow(frames, form, what):
     X' = [P', P] X from X(0) = I, P the J-orthogonal projector onto the span,
     is the ambient form of the span's and its J-complement's connections
     (Hüper & Silva Leite 2007), and J-skew: a checked group flow.  P is the
-    cubic through the node ``_projectors``, P' its fourth-order difference at
+    cubic through the node ``_span_factors``, P' its fourth-order difference at
     the stage times; transport does not depend on the parametrisation.
     """
     m = frames.shape[0]
     if m < 3:
         raise ValueError(f"{what} needs at least 3 nodes for a fourth-order transport, got {m}")
     grid = TimeGrid(0.0, 1.0, m - 1)
-    P = dense_from_samples(grid.ts, _projectors(frames, form, what))(grid.stage_ts)
+    P = dense_from_samples(grid.ts, _span_factors(frames, form, what))(grid.stage_ts)
     dP = fd_derivative(P, 0.5 * grid.h)
     return flow_matrix_ode(dP @ P - P @ dP, np.eye(form.dim), grid, "left", form)
 
@@ -548,7 +528,8 @@ def parallel_transport_embedded(frames, v0, form):
     flow = _transport_flow(frames, form, "transport frame")
 
     block = v0 if v0.ndim == 2 else v0[:, None]
-    off = np.linalg.norm(block - _projectors(frames[:1], form)[0] @ block, axis=0) \
+    p0 = _span_factors(frames[:1], form, "transport frame")[0]
+    off = np.linalg.norm(block - p0 @ block, axis=0) \
         > 1e-8 * np.maximum(1.0, np.linalg.norm(block, axis=0))
     if np.any(off):
         column = f" column {int(np.argmax(off))}" if v0.ndim == 2 else ""

@@ -46,10 +46,12 @@ from semiroll.models.hyperbolic import embed_hyperbolic, kinematic_roll
 from semiroll.models.sphere import description as sphere_description
 from semiroll.rolling import (
     RollingMapPath,
+    TangentFramePath,
     no_slip_residual,
     no_twist_residuals,
     parallel_transport_embedded,
     perturb_normal_generator,
+    rolling_condition_residuals,
     rolling_point_residual,
     triple_gram_residual,
     triple_velocity_residual,
@@ -1091,33 +1093,42 @@ def test_interpolated_control_is_evaluated_in_one_call(n_steps):
 
 
 @pytest.mark.parametrize("name", sorted({*available_models(), "so_plus_2_2"}))
-def test_residual_report_factors_the_development_frames_once(name, monkeypatch):
+def test_residual_report_factors_no_development_frame(name, monkeypatch):
     model = get_model(name)
     path = _sinusoid_roll(model, "closed_form")
-    check_rank, development = rolling._check_rank, []
+    span_factors, check_rank, development = rolling._span_factors, rolling._check_rank, []
 
-    def recording_check(a, what):
-        if any(a.shape[1:] == frame.shape and np.array_equal(a, np.broadcast_to(frame, a.shape))
-               for frame in (model.frame0, model.normal0)):
-            development.append(("rank", a.shape[0]))
-        return check_rank(a, what)
+    def recording(label, call):
+        def recorded(a, *args):
+            if any(a.shape[1:] == frame.shape and np.array_equal(a, np.broadcast_to(frame, a.shape))
+                   for frame in (model.frame0, model.normal0)):
+                development.append((label, a.shape[0]))
+            return call(a, *args)
+        return recorded
 
-    monkeypatch.setattr(rolling, "_FACTORED", {})
-    monkeypatch.setattr(rolling, "_check_rank", recording_check)
+    monkeypatch.setattr(rolling, "_span_factors", recording("span", span_factors))
+    monkeypatch.setattr(rolling, "_check_rank", recording("rank", check_rank))
+    # the model factored its flat frames when it was built: a report and a twist
+    # injection on them factor neither
     report = model_residual_report(model, path)
-    # the normal frame, shared by tangency and the normal no-twist check, and
-    # the tangent projector, one node each
-    assert development == [("rank", 1), ("rank", 1)]
-    assert report.max_residual() <= 50 * path.grid.h ** 2
-    # a second report reuses both, and so does a twist injection
-    del development[:]
     again = model_residual_report(model, path)
     perturb_normal_generator(path, np.zeros((model.ambient_dim,) * 2),
                              model.flat_tangent_frames(path.grid),
                              model.flat_normal_frames(path.grid))
     assert development == []
+    assert report.max_residual() <= 50 * path.grid.h ** 2
     for field, values in report.per_node.items():
         assert np.array_equal(again.per_node[field], values), field
+    # the count sees a copy of the flat frames, which carries no factors: its
+    # normal frame is factored by tangency and by the normal no-twist check
+    grid = path.grid
+    copies = [TangentFramePath(grid.ts, flat.frames)
+              for flat in (model.flat_tangent_frames(grid), model.flat_normal_frames(grid))]
+    copied = rolling_condition_residuals(path, model.pointwise_tangent_frames(grid, path.alpha),
+                                         *copies)
+    assert development == [("span", 1), ("rank", 1)] * 3
+    for field, values in report.per_node.items():
+        assert np.array_equal(copied.per_node[field], values), field
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2",
@@ -1333,11 +1344,11 @@ def test_a_sampled_curve_rolls_by_the_frame_matching_rule(name):
 @pytest.mark.parametrize("name", ["sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2"])
 def test_frame_matching_transports_the_normal_frame_in_one_call(name, monkeypatch):
     model = get_model(name)
-    flow, projectors, calls = homogeneous._transport_flow, rolling._projectors, []
+    flow, span_factors, calls = homogeneous._transport_flow, rolling._span_factors, []
     monkeypatch.setattr(homogeneous, "_transport_flow",
                         lambda *args, **kw: calls.append("transport") or flow(*args, **kw))
-    monkeypatch.setattr(rolling, "_projectors",
-                        lambda *args: calls.append("projectors") or projectors(*args))
+    monkeypatch.setattr(rolling, "_span_factors",
+                        lambda *args: calls.append("projectors") or span_factors(*args))
     extrinsic_roll(model, _rng5_control(model, 250), normal_strategy="frame_matching")
     # one flow carries the whole ambient frame, tangent and normal, from one projector stack
     assert calls == ["transport", "projectors"]

@@ -209,6 +209,7 @@ from semiroll.rolling import (
     parallel_transport_embedded,
     no_slip_residual,
     perturb_normal_generator,
+    rolling_condition_residuals,
     rolling_point_residual,
     tangency_residual,
     triple_gram_residual,
@@ -1271,7 +1272,7 @@ def _coeff_operators_reference(frames, form):
 
 
 def _projectors_reference(frames, form, what=None):
-    # takes (and ignores) the frame label that callers of ``_projectors`` pass, so it can stand in
+    # takes (and ignores) the frame label that callers of ``_span_factors`` pass, so it can stand in
     return np.einsum("kia,kaj->kij", frames, _coeff_operators_reference(frames, form))
 
 
@@ -1342,7 +1343,7 @@ def test_residual_report_matches_the_einsum_suite(name, n_steps):
         assert _peak(report.per_node[field], values) <= 1e-13, field
     # a transport takes every stride's projectors from one stack
     for tangent_frames in frames:
-        full = rolling._projectors(tangent_frames.frames, model.form)
+        full = rolling._span_factors(tangent_frames.frames, model.form, "frame")
         for stride in (1, 2, 4):
             step = _projectors_reference(tangent_frames.frames[::stride], model.form)
             assert _peak(full[::stride], step) <= 1e-13
@@ -1356,7 +1357,7 @@ def test_frame_matching_matches_the_einsum_projectors(name, monkeypatch):
     path = extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
     normals = model.rho_path(horizontal_lift(model, ctrl).samples) @ model.normal0
     transported = parallel_transport_embedded(normals, normals[0][:, 0], model.form)
-    monkeypatch.setattr(rolling, "_projectors", _projectors_reference)
+    monkeypatch.setattr(rolling, "_span_factors", _projectors_reference)
     reference = extrinsic_roll(model, ctrl, normal_strategy="frame_matching")
     assert _peak(path.R, reference.R) <= 1e-12
     assert _peak(transported, parallel_transport_embedded(
@@ -1422,25 +1423,72 @@ def _faulted(model, path, fault):
 
 @pytest.mark.parametrize("fault", ["clean", "twist", "slip"])
 @pytest.mark.parametrize("name", BENCHMARK_MODELS + ("stiefel_5_3",))
-def test_kept_constant_frame_factors_match_a_cleared_cache(name, fault, monkeypatch):
-    # the second report reads the one-frame factors the first one kept; the
-    # third factors them again from an empty cache, as every report once did
+def test_kept_constant_frame_factors_match_fresh_ones(name, fault):
+    # the reports read the one-frame factors the model kept; copies of the flat
+    # frames carry none and are factored on their first node, as every report once was
     model = get_model(name)
     grid = TimeGrid(0.0, 1.0, 250)
     path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 13))
     if fault != "clean":
         path = _faulted(model, path, fault)
-    model_residual_report(model, path)
     kept = model_residual_report(model, path)
-    monkeypatch.setattr(rolling, "_FACTORED", {})
-    cleared = model_residual_report(model, path)
+    again = model_residual_report(model, path)
+    copies = [TangentFramePath(grid.ts, flat.frames)
+              for flat in (model.flat_tangent_frames(grid), model.flat_normal_frames(grid))]
+    cleared = rolling_condition_residuals(path, model.pointwise_tangent_frames(grid, path.alpha),
+                                          *copies)
     assert set(kept.per_node) == set(cleared.per_node)
     for field, values in cleared.per_node.items():
         assert np.array_equal(kept.per_node[field], values), field
+        assert np.array_equal(again.per_node[field], values), field
     # a one-dimensional normal space has no twist
     expected = {"clean": set(), "slip": {"no_slip"},
                 "twist": {"no_twist_norm"} if model.normal0.shape[1] > 1 else set()}[fault]
     assert {f for f, v in cleared.per_node.items() if np.max(v) > 50 * grid.h ** 2} == expected
+
+
+def _moving(frame_path):
+    """A copy of ``frame_path`` whose frames are a moving stack, factored at every node."""
+    return TangentFramePath(frame_path.ts, np.array(frame_path.frames))
+
+
+# the hyperboloid's frames are J-aligned, so its projectors are the same under either form
+@pytest.mark.parametrize("name", ["so_plus_1_2", "so_plus_2_2"])
+def test_a_path_of_another_form_factors_the_flat_frames_under_it(name):
+    # the model's factors are J-orthogonal under its indefinite form: a path
+    # under the Euclidean form reads factors of its own
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 250)
+    path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 14))
+    path.form = SignatureForm(np.ones(model.ambient_dim))
+    tangent_m = model.pointwise_tangent_frames(grid, path.alpha)
+    flat = (model.flat_tangent_frames(grid), model.flat_normal_frames(grid))
+    other = rolling_condition_residuals(path, tangent_m, *flat)
+    reference = rolling_condition_residuals(path, tangent_m, *map(_moving, flat))
+    for field, values in reference.per_node.items():
+        assert np.array_equal(other.per_node[field], values), field
+    path.form = model.form
+    own = rolling_condition_residuals(path, tangent_m, *flat)
+    assert not np.array_equal(own.per_node["no_twist_tan"], other.per_node["no_twist_tan"])
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MODELS)
+def test_a_flat_frame_path_given_new_frames_reads_them(name):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 250)
+    path = extrinsic_roll(model, _sinusoid(grid, model.p_dim, 15))
+    tangent_m = model.pointwise_tangent_frames(grid, path.alpha)
+    flat = [model.flat_tangent_frames(grid), model.flat_normal_frames(grid)]
+    before = rolling_condition_residuals(path, tangent_m, *flat)
+    # rho(q) of a group element moves both frames off the base point
+    turn = np.asarray(model.rho(model.random_group_element(np.random.default_rng(4))))
+    for frame_path in flat:
+        frame_path.frames = np.broadcast_to(turn @ frame_path.frames[0], frame_path.frames.shape)
+    after = rolling_condition_residuals(path, tangent_m, *flat)
+    reference = rolling_condition_residuals(path, tangent_m, *map(_moving, flat))
+    for field, values in reference.per_node.items():
+        assert np.array_equal(after.per_node[field], values), field
+    assert after.no_twist_tan > before.no_twist_tan + 1e-3
 
 
 def _triple_gram_einsum_reference(triple):
@@ -1465,10 +1513,11 @@ def test_constant_frames_factored_once_match_the_per_node_suite(name, n_steps):
     assert set(report.per_node) == set(reference)
     for field, values in reference.items():
         assert np.array_equal(report.per_node[field], values), field
-    # a constant stack's projector is one broadcast matrix, equal to every node's own
+    # a flat frame's kept projector is one matrix, equal to every node's own
     for stack in frames[1:]:
-        full = rolling._projectors(stack.frames, model.form)
-        assert full.shape == (grid.n_nodes,) + 2 * (model.form.dim,)
+        kept = rolling._frame_factors(path, stack, "frame")[0]
+        assert kept.shape == (1,) + 2 * (model.form.dim,)
+        full = np.broadcast_to(kept, (grid.n_nodes,) + kept.shape[1:])
         assert np.array_equal(full, _per_node_projectors_reference(stack.frames, model.form))
     triple = intrinsic_roll(model, ctrl)
     assert _peak(triple_gram_residual(triple), _triple_gram_einsum_reference(triple)) <= 1e-14

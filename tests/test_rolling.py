@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiroll import rolling
+from semiroll.homogeneous import ControlCurve, extrinsic_roll
 from semiroll.integrate import TimeGrid
 from semiroll.linalg import SignatureForm, random_oriented_isometry
+from semiroll.models import get_model
 from semiroll.rolling import (
     ResidualReport,
     RollingMapPath,
@@ -553,7 +555,7 @@ def test_null_development_frames_have_a_singular_gram(node):
         parallel_transport_embedded(bad, bad[0][:, 0], form)
 
 
-# -- the factors of a constant development frame are kept across calls ----------
+# -- a constant development frame outside a model is factored on its first node ----
 
 
 def _tilted(frame, angle):
@@ -568,17 +570,13 @@ def _broadcast(frame, like):
     return TangentFramePath(like.ts, np.broadcast_to(frame, like.frames.shape))
 
 
-def test_a_changed_constant_frame_misses_the_kept_factors(monkeypatch):
-    monkeypatch.setattr(rolling, "_FACTORED", {})
+def test_a_changed_constant_frame_equals_its_moving_copy():
     path, fm, ft, fn = _sphere_equator(40)
     first = rolling_condition_residuals(path, fm, _broadcast(ft.frames[0], ft),
                                         _broadcast(fn.frames[0], fn))
-    # both no-twist projectors; tangency reads the normal one's unit columns
-    assert len(rolling._FACTORED) == 2
     tilted = (_broadcast(_tilted(ft.frames[0], 0.01), ft),
               _broadcast(_tilted(fn.frames[0], 0.01), fn))
     changed = rolling_condition_residuals(path, fm, *tilted)
-    assert len(rolling._FACTORED) == 4
     # the tilted frames are factored as their copied, moving stacks are, node by node
     moving = [TangentFramePath(f.ts, np.array(f.frames)) for f in tilted]
     reference = rolling_condition_residuals(path, fm, *moving)
@@ -597,8 +595,7 @@ NULL_PLANE = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     *((check, defect) for check in ("tangency_mhat", "no_twist", "perturb")
       for defect in ("zero", "cond_1e14", "nan")),
     ("no_twist", "null"), ("perturb", "null")])
-def test_a_refused_constant_frame_is_refused_on_every_call(check, defect, monkeypatch):
-    monkeypatch.setattr(rolling, "_FACTORED", {})
+def test_a_refused_constant_frame_is_refused_on_every_call(check, defect):
     path, ft, fn = _plane_on_plane(10)
     if defect == "null":
         path.form = SignatureForm(np.array([1.0, 1.0, -1.0]))
@@ -610,18 +607,17 @@ def test_a_refused_constant_frame_is_refused_on_every_call(check, defect, monkey
     for _ in range(3):
         with pytest.raises(ValueError, match=message):
             FRAME_CHECKS[check](path, bad, ft, fn)
-    assert rolling._FACTORED == {}
 
 
-def test_kept_factors_are_read_only(monkeypatch):
-    monkeypatch.setattr(rolling, "_FACTORED", {})
-    path, fm, ft, fn = _sphere_equator(40)
-    flat_t = _broadcast(ft.frames[0], ft)
-    rolling_condition_residuals(path, fm, flat_t, _broadcast(fn.frames[0], fn))
-    kept = [array for value in rolling._FACTORED.values() for array in value]
-    # a projector and unit columns for each no-twist frame
+def test_kept_factors_are_read_only():
+    model = get_model("sphere")
+    grid = TimeGrid(0.0, 1.0, 40)
+    flat = (model.flat_tangent_frames(grid), model.flat_normal_frames(grid))
+    path = extrinsic_roll(model, ControlCurve(grid, np.full((grid.n_nodes, 2), 0.5)))
+    # a projector and unit columns for each flat frame, as the residuals read them
+    kept = [array for frames in flat for array in rolling._frame_factors(path, frames, "frame")]
     assert len(kept) == 4
-    for array in kept + [rolling._projectors(flat_t.frames, EUCLID3)]:
+    for array in kept + [model.frame0, model.normal0]:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
 
