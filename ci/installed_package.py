@@ -1,10 +1,12 @@
 """Checks of an installed semiroll package, as a user gets it from a wheel.
 
-Every model fixture and bundled config arrives and builds; frame-matching
-rolls, a moved base point and sampled curves (in both modes) roll and verify
-through the installed console script; the intrinsic file holds d_e_pi cf0
-times its extrinsic file's rotations and development; a control is read once; a
-complex control and a complex sampled curve are refused; a slipped trajectory
+Every model fixture and bundled config arrives and builds; a second report of
+one roll reproduces its per-node arrays from the flat-frame factors its model
+keeps, and the model's base-point frames are read-only; frame-matching rolls, a
+moved base point and sampled curves (in both modes) roll and verify through the
+installed console script; the intrinsic file holds d_e_pi cf0 times its
+extrinsic file's rotations and development; a control is read once; a complex
+control and a complex sampled curve are refused; a slipped trajectory
 and a stretched rotation breach, and a config is refused as a trajectory.  Run
 it from a scratch directory, where it writes its configs and trajectories, with
 the interpreter of the environment under test:
@@ -29,6 +31,22 @@ def main(semiroll):
     assert fixtures, "no model fixtures in the installed package"
     for fixture in fixtures:
         get_model(str(fixture))
+
+    # the model factors its flat frames once: a second report of one roll reads
+    # those factors and reproduces every per-node array, and the base-point
+    # frames they were built from are read-only
+    from semiroll import ControlCurve, TimeGrid, extrinsic_roll, model_residual_report
+
+    so_plus_2_2 = get_model("so_plus_2_2")
+    grid = TimeGrid(0.0, 1.0, 300)
+    path = extrinsic_roll(so_plus_2_2, ControlCurve.from_function(
+        grid, lambda t: 0.3 * np.sin(t + np.arange(so_plus_2_2.p_dim))))
+    first, second = (model_residual_report(so_plus_2_2, path) for _ in range(2))
+    assert first.per_node.keys() == second.per_node.keys()
+    for field, values in first.per_node.items():
+        assert np.array_equal(values, second.per_node[field]), field
+    for frame in (so_plus_2_2.frame0, so_plus_2_2.normal0):
+        assert not frame.flags.writeable
 
     configs = sorted(p for p in (files("semiroll") / "configs").iterdir()
                      if p.name.endswith(".json"))
@@ -69,9 +87,8 @@ def main(semiroll):
     configs.append("so_plus_1_2_moved_roll.json")
 
     # the sampled curves hold the points of a library roll of the same controls
-    from semiroll import ControlCurve, EmbeddedCurve, TimeGrid, extrinsic_roll
+    from semiroll import EmbeddedCurve
 
-    grid = TimeGrid(0.0, 1.0, 300)
     for model, control in (("sphere", {"amplitude": [0.5, -0.4], "frequency": [1.0, 2.0],
                                        "phase": [0.0, 0.5]}),
                            ("hyperboloid", {"amplitude": [0.6, 0.3],

@@ -180,7 +180,7 @@ class GroupPath:
     control: Optional[ControlCurve] = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples)
+        self.samples = _real(self.samples, "group samples")
         if self.samples.ndim != 3 or self.samples.shape[0] != self.grid.n_nodes:
             raise ValueError("group samples must be (n_nodes, d, d) matching the grid")
 
@@ -330,7 +330,7 @@ class CartanModel:
 
     def p_element(self, coeffs):
         """p-coefficients (..., k) -> algebra matrices (..., d, d)."""
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _real(coeffs, "p-coefficients")
         if coeffs.shape[-1:] != (self.p_dim,):
             raise ValueError(f"expected {self.p_dim} p-coefficients, got {coeffs.shape}")
         return np.tensordot(coeffs, self._p_basis, axes=(-1, 0))
@@ -377,7 +377,7 @@ class CartanModel:
         return path
 
     def pointwise_tangent_frames(self, grid, points):
-        points = np.asarray(points, dtype=float)
+        points = _real(points, "curve points")
         if not np.all(np.isfinite(points)):
             raise ValueError("curve points contain NaN or inf")
         return TangentFramePath(grid.ts, self.tangent_frame_at(points))

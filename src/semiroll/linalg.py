@@ -101,14 +101,13 @@ class SignatureForm:
 
 @dataclass
 class RigidMotion:
-    """Affine motion v -> R v + s of the flat ambient space."""
+    """Affine motion v -> R v + s of the flat ambient space; a complex R or s is refused."""
 
     R: np.ndarray
     s: np.ndarray
 
     def __post_init__(self):
-        self.R = np.asarray(self.R, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
+        self.R, self.s = _real(self.R, "R"), _real(self.s, "s")
         if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
             raise ValueError("R must be a square matrix")
         if self.s.shape != (self.R.shape[0],):
@@ -120,8 +119,8 @@ class RigidMotion:
 
 
 def se_act(g, v):
-    """Apply a motion to a vector, or to a stack of vectors along the last axis."""
-    v = np.asarray(v, dtype=float)
+    """Apply a motion to a real vector, or to a stack of them along the last axis."""
+    v = _real(v, "v")
     if v.shape[-1] != g.dim:
         raise ValueError(f"vector dimension {v.shape[-1]} != motion dimension {g.dim}")
     return v @ g.R.T + g.s
@@ -145,8 +144,7 @@ def _real(X, name, shape=None, axes=None):
     A complex X, which a cast would truncate, is refused by name, and so is one whose shape
     is not ``shape`` (a ``None`` entry matches any size), its axes named by ``axes``."""
     if np.iscomplexobj(X):
-        raise ValueError(f"{name} must be real, got a complex array; a complex group enters "
-                         "as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
+        raise ValueError(f"{name} must be real, got a complex array")
     X = np.asarray(X, dtype=float)
     if shape is not None and (X.ndim != len(shape) or any(
             want not in (None, size) for want, size in zip(shape, X.shape))):

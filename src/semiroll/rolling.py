@@ -452,14 +452,14 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     recomputed so the contact condition is preserved.  Because Lambda
     fixes the development tangent space pointwise, contact, tangency,
     no-slip and tangential no-twist are untouched and only the normal
-    no-twist condition breaks.  Frame paths of another node count are
-    refused by name.
+    no-twist condition breaks.  A complex ``omega0`` and frame paths of
+    another node count are refused by name.
     """
     grid = path.grid
     n = path.form.dim
     if np.shape(omega0) != (n, n):
         raise ValueError(f"omega0 must be one constant ({n}, {n}) matrix")
-    omega = np.asarray(omega0, dtype=float)
+    omega = _real(omega0, "omega0")
 
     signs = path.form.signs
     p_tan, _ = _frame_factors(path, tangent_mhat, "normal generator: tangent frame", False)

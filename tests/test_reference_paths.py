@@ -862,6 +862,11 @@ def _complex_flow_reference(generators, X0, grid, side, reproject_form):
     return out
 
 
+def _complex_group_path_reference(path):
+    # the complex lift's samples, kept as the group path took them before it refused complex ones
+    path.samples = np.asarray(path.samples)
+
+
 def _boost_control(grid):
     """A hyperboloid control whose lift reaches max |q| of about 8."""
     def func(t):
@@ -923,6 +928,7 @@ def test_real_form_flows_match_the_complex_arithmetic(name, case, n_steps, monke
     new = _quadric_outputs(model, ctrl)
     with monkeypatch.context() as patch:
         patch.setattr(homogeneous, "flow_matrix_ode", _complex_flow_reference)
+        patch.setattr(GroupPath, "__post_init__", _complex_group_path_reference)
         reference = _quadric_outputs(_complex_quadric_model(name), ctrl)
     assert new[0].dtype == float and new[0].shape[1:] == (4, 4)
     assert reference[0].dtype == complex
@@ -1945,7 +1951,7 @@ def _parallel_transport_loop_reference(frames, v0, form):
     """``parallel_transport_embedded`` as a per-step RK4 loop of X' = [P', P] X.
 
     Every node's projector by its own ``np.linalg.solve``, refused by the same
-    rule as ``rolling._projectors`` (1 / min |eigenvalue| of the J-Gram of a
+    rule as ``rolling._span_factors`` (1 / min |eigenvalue| of the J-Gram of a
     QR basis at most FRAME_COND_MAX); the midpoint projectors from the cubic
     through the node ones and P' by fourth-order differences of the stage
     samples, as the flow takes them; then one RK4 step per interval, with

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from semiroll import rolling
-from semiroll.homogeneous import (CartanModel, ControlCurve, EmbeddedCurve, extrinsic_roll,
-                                  intrinsic_roll, model_residual_report)
+from semiroll.homogeneous import (CartanModel, ControlCurve, EmbeddedCurve, GroupPath,
+                                  extrinsic_roll, horizontal_lift, intrinsic_roll,
+                                  model_residual_report, transport_homogeneous)
 from semiroll.integrate import TimeGrid
-from semiroll.linalg import SignatureForm
+from semiroll.linalg import RigidMotion, SignatureForm, se_act
 from semiroll.models import get_model
 from semiroll.rolling import (RollingMapPath, RollingTriple, TangentFramePath,
                               no_twist_residuals, parallel_transport_embedded,
@@ -121,6 +122,56 @@ def test_the_transport_refuses_complex_frames_or_start_vector_by_name(argument, 
         with pytest.raises(ValueError, match=f"^{label} must be real, got a complex array"):
             parallel_transport_embedded(inputs["frames"], inputs["v0"],
                                         SignatureForm.from_pq(3, 0))
+
+
+def _complex_entry(site):
+    """Call one entry point that casts a caller array, that array given an imaginary part."""
+    model, path, _ = _sphere()
+    if site == "RigidMotion.R":
+        return RigidMotion(np.eye(3) + 1e-3j, np.zeros(3))
+    if site == "RigidMotion.s":
+        return RigidMotion(np.eye(3), np.zeros(3) + 1e-3j)
+    if site == "se_act":
+        return se_act(RigidMotion(np.eye(3), np.zeros(3)), np.ones(3) + 1e-3j)
+    if site == "p_element":
+        return model.p_element(np.ones(2) + 1e-3j)
+    if site == "pointwise_tangent_frames":
+        return model.pointwise_tangent_frames(GRID, path.alpha + 1e-3j)
+    if site == "perturb_normal_generator":
+        return perturb_normal_generator(path, np.zeros((3, 3)) + 1e-3j,
+                                        model.flat_tangent_frames(GRID),
+                                        model.flat_normal_frames(GRID))
+    # the sphere's adjoint splits a complex sample into its two parts, so this
+    # transport ran with no warning at all
+    control = ControlCurve(GRID, np.full((GRID.n_nodes, 2), 0.5))
+    samples = horizontal_lift(model, control).samples + 1e-3j
+    return transport_homogeneous(model, GroupPath(GRID, samples), np.array([1.0, 0.0]))
+
+
+COMPLEX_SITES = {"RigidMotion.R": "R", "RigidMotion.s": "s", "se_act": "v",
+                 "p_element": "p-coefficients", "pointwise_tangent_frames": "curve points",
+                 "perturb_normal_generator": "omega0", "GroupPath": "group samples"}
+
+
+@pytest.mark.parametrize("site", COMPLEX_SITES)
+def test_a_complex_caller_array_is_refused_by_name_not_cast(site):
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(ValueError,
+                           match=f"^{COMPLEX_SITES[site]} must be real, got a complex array$"):
+            _complex_entry(site)
+
+
+@pytest.mark.parametrize("container, field, label", [
+    ("EmbeddedCurve", "points", "curve points"), ("RollingMapPath", "s", "s"),
+    ("TangentFramePath", "ts", "ts")])
+def test_a_complex_refusal_gives_no_group_advice(container, field, label):
+    # only a basis is a group's: the real-form advice is the description loader's
+    kwargs = _fields(container)
+    kwargs[field] = kwargs[field] + 1e-3j
+    with pytest.raises(ValueError, match=f"^{label} must be real") as refused:
+        CONTAINERS[container](**kwargs)
+    assert "real form" not in str(refused.value)
 
 
 # -- frame paths of another grid ----------------------------------------------
