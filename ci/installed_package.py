@@ -2,9 +2,10 @@
 
 Every model fixture and bundled config arrives and builds; a second report of
 one roll reproduces its per-node arrays from the flat-frame factors its model
-keeps, and the model's base-point frames are read-only; frame-matching rolls, a
-moved base point and sampled curves (in both modes) roll and verify through the
-installed console script; the intrinsic file holds d_e_pi cf0 times its
+keeps, and the model's base-point frames are read-only; reports of rolls that end
+one node into a block read the same arrays from moving copies of the flat frames;
+frame-matching rolls, a moved base point and sampled curves (in both modes) roll
+and verify through the installed console script; the intrinsic file holds d_e_pi cf0 times its
 extrinsic file's rotations and development; a control is read once; a complex
 control and a complex sampled curve are refused; a slipped trajectory
 and a stretched rotation breach, and a config is refused as a trajectory.  Run
@@ -47,6 +48,26 @@ def main(semiroll):
         assert np.array_equal(values, second.per_node[field]), field
     for frame in (so_plus_2_2.frame0, so_plus_2_2.normal0):
         assert not frame.flags.writeable
+
+    # the report takes its products in blocks of 128 nodes of 16 x 16 rotations: rolls of
+    # 129 and 257 nodes end one node into a block, and moving copies of the flat frames,
+    # sliced to each block, read what the model's kept factors, broadcast, read
+    from semiroll import TangentFramePath, rolling_condition_residuals
+
+    for n_steps in (128, 256):
+        edge = TimeGrid(0.0, 1.0, n_steps)
+        path = extrinsic_roll(so_plus_2_2, ControlCurve.from_function(
+            edge, lambda t: 0.3 * np.sin(t + np.arange(so_plus_2_2.p_dim))))
+        kept = model_residual_report(so_plus_2_2, path)
+        moving = [TangentFramePath(edge.ts, np.array(flat.frames))
+                  for flat in (so_plus_2_2.flat_tangent_frames(edge),
+                               so_plus_2_2.flat_normal_frames(edge))]
+        tangent_m = so_plus_2_2.pointwise_tangent_frames(edge, path.alpha)
+        fresh = rolling_condition_residuals(path, tangent_m, *moving)
+        assert kept.per_node.keys() == fresh.per_node.keys()
+        for field, values in kept.per_node.items():
+            assert values.shape == (n_steps + 1,), (field, values.shape)
+            assert np.array_equal(values, fresh.per_node[field]), (n_steps, field)
 
     configs = sorted(p for p in (files("semiroll") / "configs").iterdir()
                      if p.name.endswith(".json"))

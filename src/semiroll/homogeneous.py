@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .integrate import (
+    _BLOCK_ENTRIES,
     NotAKnotCubic,
     TimeGrid,
     dense_from_samples,
@@ -72,9 +73,6 @@ CURVE_TOL = 1e-8
 # longest chord, plus CURVE_TOL max(1, |x_k|); on a smooth curve they differ by h^3 x'''/12
 CHORD_TOL = 50.0
 MODEL_CHECK_TOL = 1e-10
-# matrix entries per block of a closed-form roll's assembly after the lift, 256 KiB
-# of float64: 128 nodes of 16 x 16 rotations, and a 3 x 3 path of 3640 nodes in one
-_BLOCK_ENTRIES = 32768
 
 
 def _read_func(func, ts, dim=None):

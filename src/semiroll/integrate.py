@@ -305,8 +305,10 @@ def _running_sum(steps):
     return out
 
 
-# elements per block of the interior stencil: 256 KiB of float64 per operand
-_STENCIL_BLOCK = 32768
+# entries per block of nodes, 256 KiB of float64: the stencil's rows, a closed-form
+# roll's assembly (``homogeneous``) and the residual suite's products (``rolling``);
+# 128 nodes of 16 x 16 matrices, and a 3 x 3 path of 3640 nodes in one
+_BLOCK_ENTRIES = 32768
 
 
 def _interior_stencil(a, scale, out):
@@ -317,7 +319,7 @@ def _interior_stencil(a, scale, out):
     need one block-sized temporary.
     """
     n = out.shape[0]
-    rows = max(1, _STENCIL_BLOCK // max(1, math.prod(a.shape[1:])))
+    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(a.shape[1:])))
     tmp = np.empty((min(rows, n),) + out.shape[1:], dtype=out.dtype)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)

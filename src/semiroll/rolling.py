@@ -14,7 +14,12 @@ frame paths is one group flow of the whole ambient frame: it cross-checks the
 homogeneous-space transport, and it builds frame matching and the roll of a
 sampled curve.  The flat development's constant frames carry the projectors and
 unit columns their model factored once; every other frame path is factored where
-it is read, a constant one on its first node.
+it is read, a constant one on its first node, and a report factors its normal
+frame once for the two checks that read it.  The products with R(t) and
+W(t) = Rdot R^{-1} are taken in blocks of nodes (``_node_blocks``,
+``_BLOCK_ENTRIES`` rotation entries each), and the report reads R(t)'s group
+residual off the inverse J R^T J that W takes; every per-node value keeps the
+bits of the whole-stack products.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import TimeGrid, dense_from_samples, fd_derivative, flow_matrix_ode
-from .linalg import (SignatureForm, _real, j_orthogonality_residual, j_orthogonality_scale,
-                     j_transpose_inverse)
+from .integrate import (_BLOCK_ENTRIES, TimeGrid, dense_from_samples, fd_derivative,
+                        flow_matrix_ode)
+from .linalg import SignatureForm, _real, j_orthogonality_scale, j_transpose_inverse
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -55,6 +60,8 @@ __all__ = [
 FRAME_COND_MAX = 1e6
 COMPOSE_CURVE_TOL = 1e-8
 NORMAL_GENERATOR_TOL = 1e-8
+# ``_node_max`` takes a node of at most this many entries column by column
+_COLUMNWISE_MAX = 32
 
 
 @dataclass
@@ -270,6 +277,14 @@ def _frame_factors(path, frame_path, what, columns=True):
     return _span_factors(frames, path.form, what), _unit_columns(frames) if columns else None
 
 
+def _factored(path, frame_path, what):
+    """``frame_path`` as a path carrying its ``_frame_factors`` under ``path.form``: a new
+    one, which the caller drops, so a refused frame is refused on every call."""
+    factored = TangentFramePath(frame_path.ts, frame_path.frames)
+    factored._factors = (factored.frames, path.form) + _frame_factors(path, frame_path, what)
+    return factored
+
+
 def _frames_on(path, frame_path, what):
     """The frames of ``frame_path``; refused by ``what`` unless they have the path's node count."""
     frames = frame_path.frames
@@ -280,6 +295,46 @@ def _frames_on(path, frame_path, what):
 
 def _node_norms(vectors):
     return np.linalg.norm(vectors, axis=-1)
+
+
+def _column_norms(stack):
+    """Euclidean norms (n, r) of the columns of a stack (n, N, r), bit for bit those of
+    ``np.linalg.norm(stack, axis=1)``: each column's squares summed in row order.
+
+    When r > 1 a contraction sums them in that order, 3-4x faster than the norm's
+    reduce.  A single column is one contiguous run, which the contraction sums into
+    several partial sums, so it takes the norm itself.
+    """
+    if stack.shape[2] == 1:
+        return np.linalg.norm(stack, axis=1)
+    return np.sqrt(np.einsum("kij,kij->kj", stack, stack))
+
+
+def _node_max(stack):
+    """Per-node max of a stack (n_nodes, ...) of values >= 0 or NaN; 0.0 for a node of no entries.
+
+    Max is exact and ``np.maximum`` keeps a NaN, so any order gives the bits of
+    ``np.max``.  Its reduce costs about 60 ns a node over a few trailing entries, so a
+    node of at most ``_COLUMNWISE_MAX`` entries is taken column by column instead.
+    """
+    flat = stack.reshape(stack.shape[0], -1)
+    if flat.shape[1] > _COLUMNWISE_MAX:
+        return np.max(flat, axis=1, initial=0.0)
+    out = np.zeros(flat.shape[0])
+    for column in flat.T:
+        np.maximum(out, column, out=out)
+    return out
+
+
+def _node_blocks(path):
+    """Slices of consecutive nodes of ``path`` that hold ``_BLOCK_ENTRIES`` rotation entries."""
+    size = max(1, _BLOCK_ENTRIES // path.form.dim ** 2)
+    return [slice(lo, lo + size) for lo in range(0, path.n_nodes, size)]
+
+
+def _at(stack, block):
+    """The nodes ``block`` of a factor stack; a constant frame's one-node factors broadcast."""
+    return stack if stack.shape[0] == 1 else stack[block]
 
 
 def rolling_point_residual(path):
@@ -306,23 +361,44 @@ def tangency_residual(path, tangent_m, normal_mhat):
     ``_check_rank`` refuses, raise ValueError at their node, and a frame
     path of another node count by its name; a full-dimensional F_M has no
     normals and reads 0.
+    The products with R(t) are taken in ``_node_blocks``, each block's columns
+    normalised by ``_column_norms`` and its pairings reduced by ``_node_max``.
     """
     _refuse_non_finite(path.R, "tangency: R(t)")
     frames_m = _frames_on(path, tangent_m, "tangency: F_M(t)")
-    q = frames_m @ _check_rank(frames_m, "tangency: F_M(t)")
+    inverse = _check_rank(frames_m, "tangency: F_M(t)")
     _, normals = _frame_factors(path, normal_mhat, "tangency: normal development frame")
-    image = path.R @ q
+    signed = path.form.signs[:, None] * normals
+    residual = np.empty(path.n_nodes)
     # a column that R(t) annihilates reads NaN: that node fails closed
     with np.errstate(invalid="ignore", divide="ignore"):
-        image /= np.linalg.norm(image, axis=1, keepdims=True)
-    pairing = np.swapaxes(image, 1, 2) @ (path.form.signs[:, None] * normals)
-    return np.max(np.abs(pairing), axis=(1, 2), initial=0.0)
+        for block in _node_blocks(path):
+            image = path.R[block] @ (frames_m[block] @ inverse[block])
+            image /= _column_norms(image)[:, None]
+            pairing = np.swapaxes(image, 1, 2) @ _at(signed, block)
+            residual[block] = _node_max(np.abs(pairing, out=pairing))
+    return residual
 
 
-def _rotation_generator(path):
-    """Per-node generator W = Rdot R^{-1} of the rotation path."""
-    Rdot = fd_derivative(path.R, path.grid.h)
-    return Rdot @ j_transpose_inverse(path.R, path.form)
+def _rotation_generator(path, isometry=None):
+    """Per-node generator W = Rdot R^{-1} of the rotation path, R^{-1} = J R^T J.
+
+    The inverse is taken in ``_node_blocks``.  With ``isometry``, an (n_nodes,)
+    array, each block also writes there R(t)'s group residual
+    |J R^T J R - I| / max(1, max|R_ij|)^2 from the same inverse: entrywise
+    |R^T J R - J| with row i times the sign s_i, an exact product.
+    """
+    R, form = path.R, path.form
+    # W takes the place of Rdot, block by block
+    W = fd_derivative(R, path.grid.h)
+    for block in _node_blocks(path):
+        inverse = j_transpose_inverse(R[block], form)
+        np.matmul(W[block], inverse, out=W[block])
+        if isometry is not None:
+            gram = inverse @ R[block]
+            gram.reshape(gram.shape[0], -1)[:, ::form.dim + 1] -= 1.0
+            isometry[block] = _node_max(np.abs(gram, out=gram)) / j_orthogonality_scale(R[block])
+    return W
 
 
 def no_slip_residual(path, W=None):
@@ -357,15 +433,21 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     flat frames carry the ones their model built, any other constant frame is
     factored on its first node.  A frame path of another node count is
     refused by name.  ``W`` is the path's ``_rotation_generator`` when the
-    caller has it.
+    caller has it.  The products are taken in ``_node_blocks``, a moving
+    frame's factors sliced to each block, a constant one's broadcast; the
+    columns' norms are ``_column_norms`` and their maxima ``_node_max``.
     """
     if W is None:
         W = _rotation_generator(path)
+    blocks = _node_blocks(path)
 
     def _defect(frame_path, what):
         projector, cols = _frame_factors(path, frame_path, f"no twist: {what} frame")
-        comp = projector @ (W @ cols)
-        return np.max(np.linalg.norm(comp, axis=1), axis=-1, initial=0.0)
+        defect = np.empty(path.n_nodes)
+        for block in blocks:
+            comp = _at(projector, block) @ (W[block] @ _at(cols, block))
+            defect[block] = _node_max(_column_norms(comp))
+        return defect
 
     return _defect(tangent_mhat, "tangent development"), _defect(normal_mhat, "normal development")
 
@@ -376,11 +458,16 @@ def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
     The rotation generator W = Rdot R^{-1} is taken once, for the slip and
     both twist residuals.  ``isometry`` is the per-node group residual
     |R^T J R - J| / max(1, max|R_ij|)^2, the relative rule of the flows'
-    node check: R(t) must be a rigid motion of the form.
+    node check: R(t) must be a rigid motion of the form.  It is read off the
+    inverse J R^T J that W takes, as |J R^T J R - I|, in the same node blocks.
+    The normal frame is factored once for tangency and the normal no-twist
+    check (``_factored``) unless its model keeps its factors.
     """
     point = rolling_point_residual(path)
+    normal_mhat = _factored(path, normal_mhat, "tangency: normal development frame")
     tang = tangency_residual(path, tangent_m, normal_mhat)
-    W = _rotation_generator(path)
+    isometry = np.empty(path.n_nodes)
+    W = _rotation_generator(path, isometry)
     slip = no_slip_residual(path, W)
     twist_t, twist_n = no_twist_residuals(path, tangent_mhat, normal_mhat, W)
     per_node = {
@@ -389,7 +476,7 @@ def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
         "no_slip": slip,
         "no_twist_tan": twist_t,
         "no_twist_norm": twist_n,
-        "isometry": j_orthogonality_residual(path.R, path.form) / j_orthogonality_scale(path.R),
+        "isometry": isometry,
     }
     return ResidualReport(grid=path.grid, per_node=per_node,
                           **{name: float(np.max(values)) for name, values in per_node.items()})
@@ -552,7 +639,7 @@ def triple_gram_residual(triple):
     mapped = triple.maps @ frames
     target = np.swapaxes(mapped, 1, 2) @ (triple.target_gram @ mapped)
     source = np.swapaxes(frames, 1, 2) @ (triple.form.signs[:, None] * frames)
-    return np.max(np.abs(target - source), axis=(1, 2))
+    return _node_max(np.abs(target - source))
 
 
 def triple_orientation_flips(triple):

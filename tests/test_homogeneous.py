@@ -1119,14 +1119,14 @@ def test_residual_report_factors_no_development_frame(name, monkeypatch):
     assert report.max_residual() <= 50 * path.grid.h ** 2
     for field, values in report.per_node.items():
         assert np.array_equal(again.per_node[field], values), field
-    # the count sees a copy of the flat frames, which carries no factors: its
-    # normal frame is factored by tangency and by the normal no-twist check
+    # the count sees a copy of the flat frames, which carries no factors: the
+    # report factors its normal frame once, for tangency and the normal no-twist check
     grid = path.grid
     copies = [TangentFramePath(grid.ts, flat.frames)
               for flat in (model.flat_tangent_frames(grid), model.flat_normal_frames(grid))]
     copied = rolling_condition_residuals(path, model.pointwise_tangent_frames(grid, path.alpha),
                                          *copies)
-    assert development == [("span", 1), ("rank", 1)] * 3
+    assert development == [("span", 1), ("rank", 1)] * 2
     for field, values in report.per_node.items():
         assert np.array_equal(copied.per_node[field], values), field
 
