@@ -35,6 +35,7 @@ from .integrate import (
     _BLOCK_ENTRIES,
     NotAKnotCubic,
     TimeGrid,
+    _node_blocks,
     dense_from_samples,
     fd_derivative,
     flow_matrix_ode,
@@ -646,9 +647,7 @@ def _rolled(model, data, q0, normal_strategy="closed_form", frames=True, develop
         n, N = qs.shape[0], model.ambient_dim
         rots, alpha = np.empty((n, N, N)), np.empty((n, N))
         tangents = np.empty((n, N, model.p_dim)) if frames else None
-        size = max(1, _BLOCK_ENTRIES // (N * N))
-        for lo in range(0, n, size):
-            block = slice(lo, lo + size)
+        for block in _node_blocks(n, N * N):
             rhos = model.rho_path(qs[block])
             rots[block] = j_transpose_inverse(rhos if S is None else rhos @ S[block], model.form)
             alpha[block] = np.einsum("kij,j->ki", rhos, model.obar)

@@ -311,6 +311,12 @@ def _running_sum(steps):
 _BLOCK_ENTRIES = 32768
 
 
+def _node_blocks(n, entries_per_node):
+    """Slices of ``n`` consecutive nodes, each block holding ``_BLOCK_ENTRIES`` entries."""
+    size = max(1, _BLOCK_ENTRIES // max(1, entries_per_node))
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
 def _interior_stencil(a, scale, out):
     """out = (a[:-4] - 8 a[1:-3] + 8 a[3:-1] - a[4:]) / scale, in blocks of rows.
 
@@ -318,12 +324,11 @@ def _interior_stencil(a, scale, out):
     the result is bit-identical; the blocks keep the operands in cache and
     need one block-sized temporary.
     """
-    n = out.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(a.shape[1:])))
-    tmp = np.empty((min(rows, n),) + out.shape[1:], dtype=out.dtype)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        o, t = out[lo:hi], tmp[:hi - lo]
+    blocks = _node_blocks(out.shape[0], math.prod(a.shape[1:]))
+    tmp = np.empty_like(out[blocks[0]])
+    for block in blocks:
+        lo, hi = block.start, block.stop
+        o, t = out[block], tmp[:hi - lo]
         np.multiply(8.0, a[lo + 1:hi + 1], out=o)
         np.subtract(a[lo:hi], o, out=o)
         np.multiply(8.0, a[lo + 3:hi + 3], out=t)

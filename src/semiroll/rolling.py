@@ -16,22 +16,23 @@ sampled curve.  The flat development's constant frames carry the projectors and
 unit columns their model factored once; every other frame path is factored where
 it is read, a constant one on its first node, and a report factors its normal
 frame once for the two checks that read it.  The products with R(t) and
-W(t) = Rdot R^{-1} are taken in blocks of nodes (``_node_blocks``,
-``_BLOCK_ENTRIES`` rotation entries each), and the report reads R(t)'s group
-residual off the inverse J R^T J that W takes; every per-node value keeps the
-bits of the whole-stack products.
+W(t) = Rdot R^{-1}, and R(t)'s group residual, are taken in blocks of nodes
+(``integrate._node_blocks``, ``_BLOCK_ENTRIES`` rotation entries each); every
+per-node value keeps the bits of the whole-stack products.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .integrate import (_BLOCK_ENTRIES, TimeGrid, dense_from_samples, fd_derivative,
+from .integrate import (TimeGrid, _node_blocks, dense_from_samples, fd_derivative,
                         flow_matrix_ode)
-from .linalg import SignatureForm, _real, j_orthogonality_scale, j_transpose_inverse
+from .linalg import (SignatureForm, _j_gram_defect, _real, j_orthogonality_scale,
+                     j_transpose_inverse)
 
 __all__ = [
     "FRAME_COND_MAX",
@@ -60,7 +61,11 @@ __all__ = [
 FRAME_COND_MAX = 1e6
 COMPOSE_CURVE_TOL = 1e-8
 NORMAL_GENERATOR_TOL = 1e-8
-# ``_node_max`` takes a node of at most this many entries column by column
+# ``_node_max`` takes a node of at most this many entries, and at most one per 20 nodes,
+# column by column.  Against numpy's reduce (2-core x86, numpy 2.4.6) the columns took
+# 0.04-0.75 of its time up to 32 entries a node at 1000-4000 nodes and 0.2-0.9 up to
+# 12 entries at 128-512 nodes (a report block at N = 16 to 8), but 0.6-2.0 at 16-32
+# entries there and 1.4 or more past 48 entries anywhere
 _COLUMNWISE_MAX = 32
 
 
@@ -278,10 +283,10 @@ def _frame_factors(path, frame_path, what, columns=True):
 
 
 def _factored(path, frame_path, what):
-    """``frame_path`` as a path carrying its ``_frame_factors`` under ``path.form``: a new
-    one, which the caller drops, so a refused frame is refused on every call."""
-    factored = TangentFramePath(frame_path.ts, frame_path.frames)
-    factored._factors = (factored.frames, path.form) + _frame_factors(path, frame_path, what)
+    """A shallow copy of ``frame_path`` carrying its ``_frame_factors`` under ``path.form``;
+    the caller drops it, so a refused frame is refused on every call."""
+    factored = copy.copy(frame_path)
+    factored._factors = (frame_path.frames, path.form) + _frame_factors(path, frame_path, what)
     return factored
 
 
@@ -299,37 +304,39 @@ def _node_norms(vectors):
 
 def _column_norms(stack):
     """Euclidean norms (n, r) of the columns of a stack (n, N, r), bit for bit those of
-    ``np.linalg.norm(stack, axis=1)``: each column's squares summed in row order.
+    ``np.linalg.norm(stack, axis=1)``, which is sqrt(add.reduce(x x, axis=1)) of a real x.
 
-    When r > 1 a contraction sums them in that order, 3-4x faster than the norm's
-    reduce.  A single column is one contiguous run, which the contraction sums into
-    several partial sums, so it takes the norm itself.
+    When r > 1 that reduce adds each column's squares row by row, and so does the
+    loop here, the same operations in the same order in N passes of about 1 us; from
+    8 N nodes it takes 0.35-0.75 of the reduce's time (2-core x86, numpy 2.4.6).  A
+    single column is one contiguous run, which the reduce sums pairwise, and a short
+    stack is cheaper in one reduce: both take the reduce itself.
     """
-    if stack.shape[2] == 1:
-        return np.linalg.norm(stack, axis=1)
-    return np.sqrt(np.einsum("kij,kij->kj", stack, stack))
+    squares = stack * stack
+    if stack.shape[2] == 1 or stack.shape[0] < 8 * stack.shape[1]:
+        total = np.add.reduce(squares, axis=1)
+    else:
+        total = squares[:, 0].copy()
+        for i in range(1, stack.shape[1]):
+            total += squares[:, i]
+    return np.sqrt(total, out=total)
 
 
 def _node_max(stack):
     """Per-node max of a stack (n_nodes, ...) of values >= 0 or NaN; 0.0 for a node of no entries.
 
     Max is exact and ``np.maximum`` keeps a NaN, so any order gives the bits of
-    ``np.max``.  Its reduce costs about 60 ns a node over a few trailing entries, so a
-    node of at most ``_COLUMNWISE_MAX`` entries is taken column by column instead.
+    ``np.max``.  Its reduce costs about 55 ns a node over a few trailing entries and a
+    pass over one column about 1 us, so a node of at most ``_COLUMNWISE_MAX`` entries
+    and at most one per 20 nodes is taken column by column instead.
     """
     flat = stack.reshape(stack.shape[0], -1)
-    if flat.shape[1] > _COLUMNWISE_MAX:
+    if flat.shape[1] > min(_COLUMNWISE_MAX, flat.shape[0] // 20):
         return np.max(flat, axis=1, initial=0.0)
     out = np.zeros(flat.shape[0])
     for column in flat.T:
         np.maximum(out, column, out=out)
     return out
-
-
-def _node_blocks(path):
-    """Slices of consecutive nodes of ``path`` that hold ``_BLOCK_ENTRIES`` rotation entries."""
-    size = max(1, _BLOCK_ENTRIES // path.form.dim ** 2)
-    return [slice(lo, lo + size) for lo in range(0, path.n_nodes, size)]
 
 
 def _at(stack, block):
@@ -372,7 +379,7 @@ def tangency_residual(path, tangent_m, normal_mhat):
     residual = np.empty(path.n_nodes)
     # a column that R(t) annihilates reads NaN: that node fails closed
     with np.errstate(invalid="ignore", divide="ignore"):
-        for block in _node_blocks(path):
+        for block in _node_blocks(path.n_nodes, path.form.dim ** 2):
             image = path.R[block] @ (frames_m[block] @ inverse[block])
             image /= _column_norms(image)[:, None]
             pairing = np.swapaxes(image, 1, 2) @ _at(signed, block)
@@ -380,24 +387,14 @@ def tangency_residual(path, tangent_m, normal_mhat):
     return residual
 
 
-def _rotation_generator(path, isometry=None):
+def _rotation_generator(path):
     """Per-node generator W = Rdot R^{-1} of the rotation path, R^{-1} = J R^T J.
 
-    The inverse is taken in ``_node_blocks``.  With ``isometry``, an (n_nodes,)
-    array, each block also writes there R(t)'s group residual
-    |J R^T J R - I| / max(1, max|R_ij|)^2 from the same inverse: entrywise
-    |R^T J R - J| with row i times the sign s_i, an exact product.
+    W takes the place of Rdot, one ``_node_blocks`` block of R(t) at a time.
     """
-    R, form = path.R, path.form
-    # W takes the place of Rdot, block by block
-    W = fd_derivative(R, path.grid.h)
-    for block in _node_blocks(path):
-        inverse = j_transpose_inverse(R[block], form)
-        np.matmul(W[block], inverse, out=W[block])
-        if isometry is not None:
-            gram = inverse @ R[block]
-            gram.reshape(gram.shape[0], -1)[:, ::form.dim + 1] -= 1.0
-            isometry[block] = _node_max(np.abs(gram, out=gram)) / j_orthogonality_scale(R[block])
+    W = fd_derivative(path.R, path.grid.h)
+    for block in _node_blocks(path.n_nodes, path.form.dim ** 2):
+        np.matmul(W[block], j_transpose_inverse(path.R[block], path.form), out=W[block])
     return W
 
 
@@ -439,7 +436,7 @@ def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
     """
     if W is None:
         W = _rotation_generator(path)
-    blocks = _node_blocks(path)
+    blocks = _node_blocks(path.n_nodes, path.form.dim ** 2)
 
     def _defect(frame_path, what):
         projector, cols = _frame_factors(path, frame_path, f"no twist: {what} frame")
@@ -458,8 +455,8 @@ def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
     The rotation generator W = Rdot R^{-1} is taken once, for the slip and
     both twist residuals.  ``isometry`` is the per-node group residual
     |R^T J R - J| / max(1, max|R_ij|)^2, the relative rule of the flows'
-    node check: R(t) must be a rigid motion of the form.  It is read off the
-    inverse J R^T J that W takes, as |J R^T J R - I|, in the same node blocks.
+    node check: R(t) must be a rigid motion of the form.  It is taken in the
+    ``_node_blocks`` of R(t), so no Gram stack of the whole path is built.
     The normal frame is factored once for tangency and the normal no-twist
     check (``_factored``) unless its model keeps its factors.
     """
@@ -467,7 +464,10 @@ def rolling_condition_residuals(path, tangent_m, tangent_mhat, normal_mhat):
     normal_mhat = _factored(path, normal_mhat, "tangency: normal development frame")
     tang = tangency_residual(path, tangent_m, normal_mhat)
     isometry = np.empty(path.n_nodes)
-    W = _rotation_generator(path, isometry)
+    for block in _node_blocks(path.n_nodes, path.form.dim ** 2):
+        R = path.R[block]
+        isometry[block] = _node_max(_j_gram_defect(R, path.form.signs)) / j_orthogonality_scale(R)
+    W = _rotation_generator(path)
     slip = no_slip_residual(path, W)
     twist_t, twist_n = no_twist_residuals(path, tangent_mhat, normal_mhat, W)
     per_node = {

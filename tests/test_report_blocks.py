@@ -1,11 +1,10 @@
 """The residual suite in node blocks, diffed against the whole-stack suite it replaced.
 
 ``tangency_residual`` and ``no_twist_residuals`` take their products with R(t) and
-W(t) in blocks of ``_BLOCK_ENTRIES`` rotation entries (128 nodes at N = 16, 404 at
-N = 9), the column norms by a contraction (``_column_norms``) and the small per-node
+W(t) in ``_node_blocks`` of ``_BLOCK_ENTRIES`` rotation entries (128 nodes at N = 16,
+404 at N = 9), the column norms row by row (``_column_norms``) and the small per-node
 maxima column by column (``_node_max``).  W = Rdot R^-1 takes R^-1 = J R^T J in the
-same blocks, in Rdot's place, and the report reads ``isometry`` off that inverse as
-|J R^T J R - I|, which is |R^T J R - J| with row i times the sign s_i.  The
+same blocks, in Rdot's place, and the report takes ``isometry`` block by block.  The
 whole-stack report and triple residuals they replaced are kept here as references;
 every per-node array agrees to the last bit on the benchmark models and stiefel_5_3,
 at node counts on both sides of the block edges, and on the model's kept flat frames,
@@ -19,9 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semiroll import linalg, rolling
+from semiroll import rolling
 from semiroll.homogeneous import ControlCurve, extrinsic_roll, intrinsic_roll, model_residual_report
-from semiroll.integrate import _BLOCK_ENTRIES, TimeGrid, fd_derivative
+from semiroll.integrate import _BLOCK_ENTRIES, TimeGrid, _node_blocks, fd_derivative
 from semiroll.linalg import (SignatureForm, j_orthogonality_residual, j_orthogonality_scale,
                              j_transpose_inverse)
 from semiroll.models import get_model
@@ -171,8 +170,8 @@ def test_faulted_reports_keep_the_bits_of_the_whole_stack_suite(name, fault):
                                            for n in _block_edges(name)])
 def test_report_keeps_the_bits_at_the_block_edges(name, n_nodes, kind):
     model, path = _roll(name, n_nodes, seed=n_nodes)
-    assert len(rolling._node_blocks(path)) == -(-n_nodes // (_BLOCK_ENTRIES //
-                                                             model.ambient_dim ** 2))
+    blocks = _node_blocks(n_nodes, model.ambient_dim ** 2)
+    assert len(blocks) == -(-n_nodes // (_BLOCK_ENTRIES // model.ambient_dim ** 2))
     tangent_m = model.pointwise_tangent_frames(path.grid, path.alpha)
     frames = _development_frames(model, path.grid, kind)
     report = rolling_condition_residuals(path, tangent_m, *frames)
@@ -182,6 +181,17 @@ def test_report_keeps_the_bits_at_the_block_edges(name, n_nodes, kind):
 def test_the_block_edges_are_those_of_a_16_by_16_rotation():
     assert _block_edges("so_plus_2_2") == [127, 128, 129, 256, 257]
     assert _block_edges("so_plus_1_2") == [403, 404, 405, 808, 809]
+
+
+@pytest.mark.parametrize("n, entries", [(1, 256), (127, 256), (128, 256), (129, 256), (257, 256),
+                                        (3641, 9), (7, 1), (7, 0), (7, 40000)])
+def test_the_node_blocks_tile_the_nodes(n, entries):
+    # full blocks of _BLOCK_ENTRIES // entries nodes, at least one, and a last one cut at n
+    blocks = _node_blocks(n, entries)
+    size = max(1, _BLOCK_ENTRIES // max(1, entries))
+    assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+    assert [b.stop - b.start for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].stop - blocks[-1].start <= size and blocks[-1].stop == n
 
 
 @pytest.mark.parametrize("n_steps", [250, 2000])
@@ -199,22 +209,26 @@ def test_triple_residuals_keep_the_bits_of_the_whole_stacks(name, n_steps):
     assert np.array_equal(triple_gram_residual(triple), gram)
 
 
+@pytest.mark.parametrize("n", [9, 127, 128, 300])
 @pytest.mark.parametrize("N, r", [(N, r) for N in (3, 8, 9, 16) for r in (1, 2, 6, 12)])
-def test_column_norms_keep_the_bits_of_the_norm(N, r):
-    # a single column of eight or more rows is where the norm's reduce sums pairwise
+def test_column_norms_keep_the_bits_of_the_norm(N, r, n):
+    # a single column of eight or more rows is where the norm's reduce sums pairwise;
+    # fewer than 8 N nodes take the reduce, more the row loop
     rng = np.random.default_rng(N * 100 + r)
-    stack = rng.standard_normal((300, N, r)) * np.exp(3.0 * rng.standard_normal((300, N, r)))
+    stack = rng.standard_normal((n, N, r)) * np.exp(3.0 * rng.standard_normal((n, N, r)))
     stack[7, 1, 0] = np.nan
     stack[8, :, 0] = 0.0
     expected = np.linalg.norm(stack, axis=1)
     assert np.array_equal(rolling._column_norms(stack), expected, equal_nan=True)
 
 
+@pytest.mark.parametrize("n", [9, 200, 700])
 @pytest.mark.parametrize("entries", [0, 1, 2, 15, 32, 33, 256])
-def test_node_max_keeps_the_bits_of_the_reduce(entries):
-    # either side of _COLUMNWISE_MAX; an empty node reads 0.0, a NaN entry NaN
+def test_node_max_keeps_the_bits_of_the_reduce(entries, n):
+    # either side of _COLUMNWISE_MAX and of one entry per 20 nodes; an empty node reads
+    # 0.0, a NaN entry NaN
     rng = np.random.default_rng(entries)
-    stack = np.abs(rng.standard_normal((200, entries, 1)))
+    stack = np.abs(rng.standard_normal((n, entries, 1)))
     if entries:
         stack[3, entries - 1, 0] = np.nan
         stack[4, 0, 0] = np.nan
@@ -232,7 +246,7 @@ def test_node_max_keeps_the_bits_of_the_reduce(entries):
 @pytest.mark.parametrize("node", [256, 280, 299])
 def test_a_non_finite_rotation_in_the_last_block_is_refused_at_its_node(node, bad):
     model, path = _roll("so_plus_2_2", 300)
-    assert rolling._node_blocks(path)[-1] == slice(256, 384)
+    assert _node_blocks(path.n_nodes, model.ambient_dim ** 2)[-1] == slice(256, 300)
     path.R = path.R.copy()
     path.R[node, 3, 5] = bad
     message = f"tangency: R(t) contains NaN or inf at node {node}"
@@ -289,25 +303,7 @@ def test_a_report_keeps_no_factors_on_a_users_frames():
         assert bad._factors is None
 
 
-# -- the report holds no Gram stack and one rotation stack besides R --------------------
-
-
-def test_the_report_reads_isometry_off_the_generator_inverse(monkeypatch):
-    model, path = _roll("so_plus_2_2", 2001)
-    calls = []
-    gram_defect = linalg._j_gram_defect
-
-    def recorded(R, signs):
-        calls.append(R.shape)
-        return gram_defect(R, signs)
-
-    monkeypatch.setattr(linalg, "_j_gram_defect", recorded)
-    report = model_residual_report(model, path)
-    assert calls == []
-    # the Gram stack it no longer builds reads the same residual
-    expected = j_orthogonality_residual(path.R, model.form) / j_orthogonality_scale(path.R)
-    assert calls == [path.R.shape]
-    assert np.array_equal(report.per_node["isometry"], expected)
+# -- the report holds one rotation stack besides R ----------------------------------
 
 
 def test_the_report_holds_one_rotation_stack_besides_the_path():
