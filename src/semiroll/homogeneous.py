@@ -32,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .integrate import (
-    _BLOCK_ENTRIES,
     NotAKnotCubic,
     TimeGrid,
     _node_blocks,

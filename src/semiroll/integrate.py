@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _j_gram_defect, _real, j_orthogonality_scale
+from .linalg import _j_gram_defect, _real, j_orthogonality_scale, j_transpose_inverse
 
 __all__ = [
     "TimeGrid",
@@ -150,26 +150,29 @@ def _identity_plus(c, X, out=None):
     return out
 
 
+# then(a, b, out=None), the flow's product of a followed by b: b a on the left side and
+# a b on the right, the very matmul calls that each side once spelled out
+_THEN = {"left": lambda a, b, out=None: np.matmul(b, a, out=out),
+         "right": lambda a, b, out=None: np.matmul(a, b, out=out)}
+
+
 def _step_factors(L, h, side):
     """RK4 step maps M_k of a linear flow, stacked: X_{k+1} = M_k X_k (left) or X_k M_k.
 
-    The three operands I + c K share one scratch stack, and the stage sum
+    Both sides are one body in the ordered product ``_THEN[side]``.  The three
+    operands I + c K share one scratch stack, and the stage sum
     L0 + 2 K2 + 2 K3 + K4 is taken in place, in that order, K4 in K3's stack."""
+    then = _THEN[side]
     L0, Lh, L1 = L[:-1:2], L[1::2], L[2::2]
     scratch = _identity_plus(0.5 * h, L0)
-    if side == "left":
-        K2 = Lh @ scratch
-        K3 = Lh @ _identity_plus(0.5 * h, K2, out=scratch)
-    else:
-        K2 = scratch @ Lh
-        K3 = _identity_plus(0.5 * h, K2, out=scratch) @ Lh
+    K2 = then(scratch, Lh)
+    K3 = then(_identity_plus(0.5 * h, K2, out=scratch), Lh)
     _identity_plus(h, K3, out=scratch)
     K2 *= 2.0
     K2 += L0
     K3 *= 2.0
     K2 += K3
-    K4 = np.matmul(L1, scratch, out=K3) if side == "left" else np.matmul(scratch, L1, out=K3)
-    K2 += K4
+    K2 += then(scratch, L1, out=K3)
     return _identity_plus(h / 6.0, K2, out=K2)
 
 
@@ -182,8 +185,9 @@ def _running_product(factors, X0, side, out=None):
     the block ends are chained from X0 into per-block carries, and one stacked
     product applies each carry to the whole blocks, a second to the partial
     last block.  That is about 2 sqrt(n) Python steps, each one stacked
-    product, for every size and dtype.  The nodes are written into ``out``,
-    an (n, d, d) C-ordered array, or into a new one, which is returned.
+    product, for every size and dtype.  Both sides are one body in the ordered
+    product ``_THEN[side]``.  The nodes are written into ``out``, an (n, d, d)
+    C-ordered array, or into a new one, which is returned.
     """
     n, d = factors.shape[0], factors.shape[-1]
     b = math.isqrt(n - 1) + 1
@@ -198,22 +202,14 @@ def _running_product(factors, X0, side, out=None):
         out = np.empty((n, d, d), dtype=factors.dtype)
     # nodes of the whole blocks, then of the partial last block (empty when b divides n)
     head, tail = out[:whole * b].reshape(whole, b, d, d), out[whole * b:]
-    if side == "right":
-        for j in range(1, b):
-            blocks[:, j] = blocks[:, j - 1] @ blocks[:, j]
-        for i in range(1, m):
-            carry[i] = carry[i - 1] @ blocks[i - 1, -1]
-        np.matmul(carry[:whole, None], blocks[:whole], out=head)
-        if len(tail):
-            np.matmul(carry[-1], blocks[-1, :len(tail)], out=tail)
-    else:
-        for j in range(1, b):
-            blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
-        for i in range(1, m):
-            carry[i] = blocks[i - 1, -1] @ carry[i - 1]
-        np.matmul(blocks[:whole], carry[:whole, None], out=head)
-        if len(tail):
-            np.matmul(blocks[-1, :len(tail)], carry[-1], out=tail)
+    then = _THEN[side]
+    for j in range(1, b):
+        blocks[:, j] = then(blocks[:, j - 1], blocks[:, j])
+    for i in range(1, m):
+        carry[i] = then(carry[i - 1], blocks[i - 1, -1])
+    then(carry[:whole, None], blocks[:whole], out=head)
+    if len(tail):
+        then(carry[-1], blocks[-1, :len(tail)], out=tail)
     return out
 
 
@@ -224,12 +220,10 @@ def _newton_schulz_step(X, form, out=None):
     Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 25, 2004): it agrees
     with the Newton step ``(X + J X^{-T} J)/2`` to second order in the drift.
     The step is written into ``out``, which may be X itself; without it X is
-    left as it is and a new stack returned.
+    left as it is and a new stack returned.  J X^T J is ``j_transpose_inverse``,
+    one C-ordered product, which the step overwrites with the cubic term.
     """
-    signs = form.signs
-    # J X^T J in one C-ordered product: the signs are +-1, so one factor J_ii J_jj
-    # carries the bits of the two scalings
-    adjoint = np.multiply(np.swapaxes(X, -1, -2), signs[:, None] * signs, order="C")
+    adjoint = j_transpose_inverse(X, form)
     cubic = np.matmul(X, adjoint @ X, out=adjoint)
     cubic *= -0.5
     out = np.multiply(1.5, X, out=out)

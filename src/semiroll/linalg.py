@@ -191,13 +191,12 @@ def j_orthogonality_scale(R):
 def j_transpose_inverse(mats, form):
     """Inverse J R^T J of J-orthogonal matrices, stacked over leading axes.
 
-    One C-ordered copy of R^T, then scaled in place by the sign matrix
-    s_i s_j, an exact product.
+    One C-ordered product of R^T with the sign matrix s_i s_j: the signs are
+    +-1, so that one factor carries the bits of the two scalings J (.) J, and
+    every input gives the same layout.
     """
-    mats, signs = np.asarray(mats), form.signs
-    out = np.array(np.swapaxes(mats, -1, -2), dtype=np.result_type(mats, signs), order="C")
-    out *= signs[:, None] * signs
-    return out
+    signs = form.signs
+    return np.multiply(np.swapaxes(mats, -1, -2), signs[:, None] * signs, order="C")
 
 
 def is_oriented_isometry(R, form, tol=ORTHOGONALITY_TOL):

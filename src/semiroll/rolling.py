@@ -234,8 +234,8 @@ def _check_rank(frames, what):
 
 
 def _unit_columns(frames):
-    """The frames' Euclidean-normalized columns."""
-    return frames / np.linalg.norm(frames, axis=1, keepdims=True)
+    """The frames' Euclidean-normalized columns, by ``_column_norms``: the norm's bits."""
+    return frames / _column_norms(frames)[:, None]
 
 
 def _span_factors(frames, form, what):
@@ -300,6 +300,13 @@ def _frames_on(path, frame_path, what):
 
 def _node_norms(vectors):
     return np.linalg.norm(vectors, axis=-1)
+
+
+def _velocity_defect(maps, alpha, alpha_hat, h):
+    """Per-node ||d/dt alpha_hat - A(t) d/dt alpha|| of linear maps A(t) (n, M, N): the
+    velocity matching of ``no_slip_residual`` (A = R) and ``triple_velocity_residual``."""
+    mapped = np.einsum("kij,kj->ki", maps, fd_derivative(alpha, h))
+    return _node_norms(fd_derivative(alpha_hat, h) - mapped)
 
 
 def _column_norms(stack):
@@ -411,12 +418,8 @@ def no_slip_residual(path, W=None):
     h = path.grid.h
     if W is None:
         W = _rotation_generator(path)
-    sdot = fd_derivative(path.s, h)
-    adot = fd_derivative(path.alpha, h)
-    ahatdot = fd_derivative(path.alpha_hat, h)
-    w1 = np.einsum("kij,kj->ki", W, path.alpha_hat - path.s) + sdot
-    w2 = ahatdot - np.einsum("kij,kj->ki", path.R, adot)
-    return np.maximum(_node_norms(w1), _node_norms(w2))
+    w1 = np.einsum("kij,kj->ki", W, path.alpha_hat - path.s) + fd_derivative(path.s, h)
+    return np.maximum(_node_norms(w1), _velocity_defect(path.R, path.alpha, path.alpha_hat, h))
 
 
 def no_twist_residuals(path, tangent_mhat, normal_mhat, W=None):
@@ -626,11 +629,7 @@ def parallel_transport_embedded(frames, v0, form):
 
 def triple_velocity_residual(triple):
     """Per-node ||d/dt alpha_hat - A(t) d/dt alpha||: the intrinsic no-slip law."""
-    h = triple.grid.h
-    adot = fd_derivative(triple.alpha, h)
-    ahatdot = fd_derivative(triple.alpha_hat, h)
-    mapped = np.einsum("kai,ki->ka", triple.maps, adot)
-    return _node_norms(ahatdot - mapped)
+    return _velocity_defect(triple.maps, triple.alpha, triple.alpha_hat, triple.grid.h)
 
 
 def triple_gram_residual(triple):

@@ -7,9 +7,13 @@ scipy.  With scipy blocked outright, the same run still works, and so do
 bundled description file by path and the ``random_*`` draws.
 
 Every name in the ``__all__`` of every ``semiroll`` module resolves, so a
-deletion leaves no stale export behind.
+deletion leaves no stale export behind.  Every module-level import of the
+package is read in its module or exported by its ``__all__``, so a deletion
+leaves no stale import behind either; a line marked ``# noqa: F401`` keeps an
+import for its readers elsewhere.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -91,3 +95,28 @@ MODULES = ["semiroll"] + sorted(m.name for m in pkgutil.walk_packages(semiroll._
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)] == []
+
+
+def _unread_imports(path):
+    """(line, name) of each module-level import that the module neither reads nor exports."""
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    read_or_exported = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read_or_exported |= set(ast.literal_eval(node.value))
+    unread = []
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read_or_exported and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unread.append((alias.lineno, name))
+    return unread
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read_or_exported(name):
+    assert _unread_imports(Path(importlib.import_module(name).__file__)) == []

@@ -1,0 +1,159 @@
+"""Rules of the numerical core written once, diffed against the two spellings they replaced.
+
+``linalg.j_transpose_inverse`` is one C-ordered product of R^T with the sign matrix,
+where it was a C-ordered copy of R^T scaled in place; ``_newton_schulz_step`` calls it.
+``rolling._unit_columns`` divides by ``_column_norms``, where it divided by
+``np.linalg.norm``.  ``no_slip_residual``'s velocity matching and
+``triple_velocity_residual`` are one ``_velocity_defect``.  The old spellings are kept
+here, and every output agrees to the last bit: one matrix, stacks and integer arrays
+for the J-inverse; one column and several, on stacks below and above the 8 N nodes where
+``_column_norms`` leaves numpy's reduce for its row loop; rolls, triples and faulted
+paths of every benchmark model for the velocity defect.  The flow's two sides, one body
+in ``integrate._THEN``, and the Newton-Schulz step are pinned by the bit-identity tests
+of ``tests/test_roll_assembly.py``.
+"""
+
+import numpy as np
+import pytest
+
+from semiroll import rolling
+from semiroll.homogeneous import ControlCurve, extrinsic_roll, intrinsic_roll
+from semiroll.integrate import TimeGrid, fd_derivative
+from semiroll.linalg import SignatureForm, j_transpose_inverse
+from semiroll.models import get_model
+from semiroll.rolling import RollingMapPath, no_slip_residual, triple_velocity_residual
+
+MODELS = ("sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2")
+FORMS = tuple(SignatureForm.from_pq(p, q) for p, q in ((3, 0), (2, 1), (2, 2), (9, 7)))
+
+
+# -- the replaced spellings ---------------------------------------------------------
+
+
+def _j_transpose_inverse_copy_then_scale(mats, form):
+    mats, signs = np.asarray(mats), form.signs
+    out = np.array(np.swapaxes(mats, -1, -2), dtype=np.result_type(mats, signs), order="C")
+    out *= signs[:, None] * signs
+    return out
+
+
+def _unit_columns_by_norm(frames):
+    return frames / np.linalg.norm(frames, axis=1, keepdims=True)
+
+
+def _no_slip_two_formulas(path, W):
+    h = path.grid.h
+    sdot = fd_derivative(path.s, h)
+    adot = fd_derivative(path.alpha, h)
+    ahatdot = fd_derivative(path.alpha_hat, h)
+    w1 = np.einsum("kij,kj->ki", W, path.alpha_hat - path.s) + sdot
+    w2 = ahatdot - np.einsum("kij,kj->ki", path.R, adot)
+    return np.maximum(np.linalg.norm(w1, axis=-1), np.linalg.norm(w2, axis=-1))
+
+
+def _triple_velocity_by_maps(triple):
+    h = triple.grid.h
+    adot = fd_derivative(triple.alpha, h)
+    ahatdot = fd_derivative(triple.alpha_hat, h)
+    mapped = np.einsum("kai,ki->ka", triple.maps, adot)
+    return np.linalg.norm(ahatdot - mapped, axis=-1)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def _control(grid, p_dim, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.uniform(0.2, 0.6, p_dim) * rng.choice((-1.0, 1.0), p_dim)
+    freq = rng.uniform(0.5, 2.0, p_dim)
+    phase = rng.uniform(0.0, 2.0 * np.pi, p_dim)
+    return ControlCurve(grid=grid, coords=amp * np.sin(np.multiply.outer(grid.ts, freq) + phase))
+
+
+# -- the J-inverse: one product ------------------------------------------------------
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.p}_{f.q}")
+def test_j_transpose_inverse_keeps_the_bits_of_the_copy_then_scale(form):
+    rng = np.random.default_rng(form.dim)
+    N = form.dim
+    stack = rng.standard_normal((40, N, N)) * np.exp(2.0 * rng.standard_normal((40, N, N)))
+    cases = {
+        "one matrix": stack[3],
+        "a stack": stack,
+        "a strided stack": stack[::3, :, ::-1],
+        "a transposed stack": np.swapaxes(stack, 1, 2),
+        "two leading axes": stack.reshape(4, 10, N, N),
+        "an integer matrix": rng.integers(-9, 10, (N, N)),
+        "an integer stack": rng.integers(-2 ** 40, 2 ** 40, (7, N, N)),
+        "a float32 stack": stack[:5].astype(np.float32),
+        "a nested list": stack[:2].tolist(),
+    }
+    for what, mats in cases.items():
+        before = np.array(mats, copy=True)
+        out = j_transpose_inverse(mats, form)
+        assert _same_bits(out, _j_transpose_inverse_copy_then_scale(mats, form)), what
+        assert out.flags.c_contiguous, what
+        assert np.array_equal(np.asarray(mats), before), what
+
+
+# -- unit columns: the norm's own sum of squares ---------------------------------------
+
+
+@pytest.mark.parametrize("N, r", [(N, r) for N in (3, 9, 16) for r in (1, 2, 6)])
+def test_unit_columns_keep_the_bits_of_the_norm(N, r):
+    # fewer than 8 N nodes take numpy's reduce, more the row loop; one column always the reduce
+    rng = np.random.default_rng(10 * N + r)
+    for n in (1, 8 * N - 1, 8 * N, 8 * N + 37):
+        frames = rng.standard_normal((n, N, r)) * np.exp(3.0 * rng.standard_normal((n, N, r)))
+        if n > 8:
+            frames[5, 1, 0] = np.nan
+            frames[6, :, -1] = 0.0
+        for stack in (frames, np.broadcast_to(frames[:1], frames.shape), frames[:, ::-1, :]):
+            with np.errstate(invalid="ignore"):
+                got, expected = rolling._unit_columns(stack), _unit_columns_by_norm(stack)
+            assert _same_bits(got, expected), (n, stack.strides)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_unit_columns_of_the_model_frames_keep_the_bits_of_the_norm(name):
+    # the flat frames a model factors once, and its moving frames along a 2000-step roll
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, 2000)
+    triple = intrinsic_roll(model, _control(grid, model.p_dim, 4))
+    moving = model.pointwise_tangent_frames(grid, triple.alpha).frames
+    for frames in (model.frame0[None], model.normal0[None], moving, moving[:5]):
+        assert _same_bits(rolling._unit_columns(frames), _unit_columns_by_norm(frames))
+
+
+# -- the velocity defect: one body for the slip and the intrinsic no-slip law ---------------
+
+
+def _faulted(path, rng):
+    """``path`` with its development, contact curve and translations bent by smooth noise."""
+    ts = path.grid.ts[:, None]
+
+    def bend(shape):
+        return 1e-3 * rng.standard_normal(shape) * np.sin(7.0 * ts + rng.uniform(0.0, 6.0, shape))
+
+    return RollingMapPath(grid=path.grid, R=path.R, form=path.form,
+                          s=path.s + bend(path.s.shape[1:]),
+                          alpha=path.alpha + bend(path.alpha.shape[1:]),
+                          alpha_hat=path.alpha_hat + bend(path.alpha_hat.shape[1:]))
+
+
+@pytest.mark.parametrize("n_steps", [4, 250, 2000])
+@pytest.mark.parametrize("name", MODELS)
+def test_the_velocity_defect_keeps_the_bits_of_both_formulas(name, n_steps):
+    model = get_model(name)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    control = _control(grid, model.p_dim, 9)
+    path = extrinsic_roll(model, control)
+    triple = intrinsic_roll(model, control)
+    for p in (path, _faulted(path, np.random.default_rng(n_steps))):
+        W = rolling._rotation_generator(p)
+        expected = _no_slip_two_formulas(p, W)
+        assert _same_bits(no_slip_residual(p), expected)
+        assert _same_bits(no_slip_residual(p, W), expected)
+    assert _same_bits(triple_velocity_residual(triple), _triple_velocity_by_maps(triple))

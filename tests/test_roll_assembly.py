@@ -651,7 +651,7 @@ def _block_edge_cases():
     """(model, n_steps): short grids, the benchmark's 2000 steps, and node counts on both
     sides of each model's first two block edges (blocks of ``_BLOCK_ENTRIES`` entries)."""
     for name in BENCHMARK_MODELS:
-        size = max(1, homogeneous._BLOCK_ENTRIES // get_model(name).ambient_dim ** 2)
+        size = max(1, integrate._BLOCK_ENTRIES // get_model(name).ambient_dim ** 2)
         edges = {k * size + d for k in (1, 2) for d in (-2, -1, 0)}
         for n_steps in sorted({1, 2, 255, 256, 257, 511, 512, 2000} | edges):
             yield name, n_steps

@@ -7,8 +7,8 @@ failure until its marker goes, so the scoreboard is the xfail count.
 
 The false PASS cases fault the exact rolling of ``exact_rolling`` (the oracle
 case, 400 steps on [0, 1], tolerance 50 h^2 = 3.1e-4), so the clean path is
-exact and only the injected fault departs from it.  Each fault keeps the
-contact R alpha + s = alpha_hat at every node.
+exact and only the injected fault departs from it.  Each fault but the broken
+contact (6) keeps the contact R alpha + s = alpha_hat at every node.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 
 from semiroll.homogeneous import model_residual_report
 from semiroll.integrate import TimeGrid
+from semiroll.linalg import expm
 from semiroll.models import get_model
 from semiroll.rolling import RollingMapPath
 
@@ -58,6 +59,26 @@ def _normal_stretch(model, path):
     return _moved(path, R=(np.eye(model.ambient_dim) + 1e-5 * np.outer(v, v)) @ path.R)
 
 
+def _unit_first_column(frame):
+    return frame[:, 0] / np.linalg.norm(frame[:, 0])
+
+
+def _contact_break(model, path):
+    # alpha_hat moves by 1e-5 along a unit flat tangent, s kept: R alpha + s misses it by 1e-5
+    shifted = path.alpha_hat + 1e-5 * _unit_first_column(model.frame0)
+    return RollingMapPath(grid=path.grid, R=path.R, s=path.s, alpha=path.alpha,
+                          alpha_hat=shifted, form=path.form)
+
+
+def _flat_tilt(model, path):
+    # K = u (J v)^T - v (J u)^T is J-skew in the plane of a unit tangent u and a unit
+    # normal v, so expm(1e-6 K) tilts R(t) T_alpha M off the flat tangent plane by 1e-6
+    u, v = _unit_first_column(model.frame0), _unit_first_column(model.normal0)
+    signs = model.form.signs
+    K = np.outer(u, signs * v) - np.outer(v, signs * u)
+    return _moved(path, R=expm(1e-6 * K) @ path.R)
+
+
 def _open(fault, reason):
     return pytest.param(fault, id=fault.__name__.lstrip("_"), marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=reason))
@@ -67,6 +88,8 @@ FALSE_PASSES = [
     _open(_normal_offset, "3: no check of the development against the flat tangent plane"),
     _open(_normal_reflection, "4: no identity-component test of R(t)"),
     _open(_normal_stretch, "5: the group residual is judged against 50 h^2 alone"),
+    _open(_contact_break, "6: the contact residual is judged against 50 h^2 alone"),
+    _open(_flat_tilt, "7: the tangency residual is judged against 50 h^2 alone"),
 ]
 
 
