@@ -5,10 +5,13 @@ Every model is constructed through one path: a JSON-serializable
 differential, the embedded base point ``obar``) paired with a named
 *embedding bundle* that supplies what only the model knows: ``rho``,
 ``d_e_rho``, ``tangent_frame_at`` and ``constraint``, the defining
-equations that refuse a sampled curve off the manifold.  ``build_model``
-passes the bundle straight to ``CartanModel``, which derives the random
-points rho(q) obar and the rolling correction (``omega_basis``, zero on a
-symmetric space) itself.  ``get_model`` is the one lookup: it resolves the
+equations that refuse a sampled curve off the manifold.  A bundle reads
+every size it needs off the description's form signatures, so a description
+states each fact once; ``build_model`` ignores the ``params`` key of older
+files, takes a ``dtype`` only if it is ``"real"``, and passes the bundle
+straight to ``CartanModel``, which derives the random points rho(q) obar
+and the rolling correction (``omega_basis``, zero on a symmetric space)
+itself.  ``get_model`` is the one lookup: it resolves the
 fixed names and the parameterized family names from their generators,
 builds each model once and caches it, and builds and validates a
 description file by path.  A model with a base point of its own is built

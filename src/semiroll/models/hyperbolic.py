@@ -125,7 +125,6 @@ def quadric_description(name, basis, signs, group_signs, obar, embedding):
     return {
         "format_version": 2,
         "name": name,
-        "dtype": "real",
         "J_signs": signs,
         "group_signs": group_signs * 2,
         "basis": real_form(basis).tolist(),
@@ -134,7 +133,6 @@ def quadric_description(name, basis, signs, group_signs, obar, embedding):
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
         "obar": obar,
         "embedding": embedding,
-        "params": {},
     }
 
 

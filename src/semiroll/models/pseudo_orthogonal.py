@@ -83,7 +83,6 @@ def description(p, q, base_point=None):
     return {
         "format_version": 2,
         "name": f"so_plus_{p}_{q}",
-        "dtype": "real",
         "J_signs": np.kron(jd, jd).astype(int).tolist(),
         "group_signs": np.concatenate([jd, jd]).astype(int).tolist(),
         "basis": basis,
@@ -92,17 +91,15 @@ def description(p, q, base_point=None):
         "d_e_pi": (2.0 * np.eye(d)).tolist(),
         "obar": P0.T.ravel().tolist(),
         "embedding": "builtin:pseudo_orth",
-        "params": {"p": p, "q": q},
     }
 
 
 def bundle(desc):
-    p = int(desc["params"]["p"])
-    q = int(desc["params"]["q"])
-    n = p + q
-    jd = np.concatenate([np.ones(p), -np.ones(q)])
+    # the group form is diag(J, J): its first half is J = diag(I_p, -I_q)
+    n = len(desc["group_signs"]) // 2
+    jd = np.asarray(desc["group_signs"][:n], dtype=float)
     J = np.diag(jd)
-    skew = so_pq_basis(p, q)
+    skew = so_pq_basis(int(np.sum(jd > 0)), int(np.sum(jd < 0)))
 
     def rho(g):
         g = np.asarray(g)

@@ -1,9 +1,12 @@
 """Stiefel manifolds V_k(R^n) = SO(n)/SO(n-k) rolling inside R^{n x k}.
 
 Points are n x k orthonormal frames, flattened column-major; SO(n) acts by
-left multiplication, rho(Q) = kron(I_k, Q).  The base point is obar = vec(E),
-E the first k columns of the identity; at E the tangent space holds
-matrices (A; B) with A skew and the normal space (S; 0) with S symmetric.
+left multiplication, rho(Q) = kron(I_k, Q), which is linear in Q and so is
+also its own differential d_e_rho.  The bundle reads n and k off the
+description's forms: n = len(group_signs) and n k = len(J_signs).  The base
+point is obar = vec(E), E the first k columns of the identity; at E the
+tangent space holds matrices (A; B) with A skew and the normal space (S; 0)
+with S symmetric.
 For k >= 2 this is a reductive but NOT symmetric splitting: [p, p] leaks
 into p, so the rolling rotation is the transpose of rho(q) S(t), the lift
 composed with an interpolating-frame correction S(t) solving
@@ -65,7 +68,6 @@ def description(n, k):
     return {
         "format_version": 2,
         "name": f"stiefel_{n}_{k}",
-        "dtype": "real",
         "J_signs": [1] * (n * k),
         "group_signs": [1] * n,
         "basis": basis,
@@ -74,19 +76,15 @@ def description(n, k):
         "d_e_pi": np.eye(dp).tolist(),
         "obar": np.eye(n, k).T.ravel().tolist(),
         "embedding": "builtin:stiefel",
-        "params": {"n": n, "k": k},
     }
 
 
 def bundle(desc):
-    n = int(desc["params"]["n"])
-    k = int(desc["params"]["k"])
+    n = len(desc["group_signs"])
+    k = len(desc["J_signs"]) // n
 
     def rho(Q):
         return stacked_kron(np.eye(k), Q)
-
-    def d_e_rho(X):
-        return np.kron(np.eye(k), np.asarray(X))
 
     def constraint(xs):
         # a C-order reshape of vec(A) gives A^T
@@ -112,7 +110,7 @@ def bundle(desc):
 
     return {
         "rho": rho,
-        "d_e_rho": d_e_rho,
+        "d_e_rho": rho,
         "tangent_frame_at": tangent_frame_at,
         "constraint": constraint,
     }

@@ -907,7 +907,6 @@ def test_generators_take_numpy_integers_and_build_every_registered_name():
     numpy_sized = [stiefel.description(np.int64(4), np.int32(2)),
                    pseudo_orthogonal.description(np.int64(1), np.uint8(2))]
     assert numpy_sized == [stiefel.description(4, 2), pseudo_orthogonal.description(1, 2)]
-    assert all(type(size) is int for desc in numpy_sized for size in desc["params"].values())
     json.dumps(numpy_sized)
     for name in {*available_models(), "so_plus_2_2", "so_plus_3_0", "stiefel_5_3"}:
         assert get_model(name).name == name

@@ -408,7 +408,6 @@ def _sphere_description_reference():
     return {
         "format_version": 2,
         "name": "sphere",
-        "dtype": "real",
         "J_signs": [1, 1, 1],
         "group_signs": [1, 1, 1, 1],
         "basis": hyperbolic.real_form(sphere.SU2_BASIS).tolist(),
@@ -417,7 +416,6 @@ def _sphere_description_reference():
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
         "obar": [-0.0, -1.0, -0.0],
         "embedding": "builtin:riemann_sphere",
-        "params": {},
     }
 
 
@@ -445,7 +443,6 @@ def _hyperboloid_description_reference():
     return {
         "format_version": 2,
         "name": "hyperboloid",
-        "dtype": "real",
         "J_signs": [-1, 1, 1],
         "group_signs": [1, -1, 1, -1],
         "basis": hyperbolic.real_form(hyperbolic.SU11_BASIS).tolist(),
@@ -454,7 +451,6 @@ def _hyperboloid_description_reference():
         "d_e_pi": [[0.5, 0.0], [0.0, 0.5]],
         "obar": [1.0, 0.0, -0.0],
         "embedding": "builtin:hyperboloid12",
-        "params": {},
     }
 
 
