@@ -5,8 +5,10 @@ one roll reproduces its per-node arrays from the flat-frame factors its model
 keeps, and the model's base-point frames are read-only; reports of rolls that end
 one node into a block read the same arrays from moving copies of the flat frames;
 frame-matching rolls, a moved base point and sampled curves (in both modes) roll
-and verify through the installed console script; the intrinsic file holds d_e_pi cf0 times its
-extrinsic file's rotations and development; a control is read once; a complex
+and verify through the installed console script, and so do a description in the
+minimal format and one in the older format with ``params`` and ``dtype``, to equal
+trajectories; the intrinsic file holds d_e_pi cf0 times its extrinsic file's
+rotations and development; a control is read once; a complex
 control and a complex sampled curve are refused; a slipped trajectory
 and a stretched rotation breach, and a config is refused as a trajectory.  Run
 it from a scratch directory, where it writes its configs and trajectories, with
@@ -176,6 +178,28 @@ def main(semiroll):
         subprocess.run([semiroll, "roll", "--config", str(cfg), "--out", "traj.csv"],
                        check=True)
         subprocess.run([semiroll, "verify", "--in", "traj.csv"], check=True)
+
+    # a description states its sizes once, in its forms: the minimal format and the
+    # older one, which restates them in params and carries "dtype": "real", roll the
+    # same trajectory through the console script, and each verifies
+    from semiroll.models.stiefel import description as stiefel_description
+
+    minimal = stiefel_description(4, 2)
+    assert "params" not in minimal and "dtype" not in minimal, sorted(minimal)
+    tables = []
+    for label, desc in (("minimal", minimal),
+                        ("older", {**minimal, "dtype": "real", "params": {"n": 4, "k": 2}})):
+        with open(f"stiefel_4_2_{label}.json", "w") as fh:
+            json.dump(desc, fh)
+        with open(f"stiefel_4_2_{label}_roll.json", "w") as fh:
+            json.dump({"model": f"stiefel_4_2_{label}.json",
+                       "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
+                       "control": {"kind": "sinusoid", **controls["stiefel_4_2"]}}, fh)
+        subprocess.run([semiroll, "roll", "--config", f"stiefel_4_2_{label}_roll.json",
+                        "--out", f"{label}.csv"], check=True)
+        subprocess.run([semiroll, "verify", "--in", f"{label}.csv"], check=True)
+        tables.append(_read_csv(f"{label}.csv")[1:])
+    assert tables[0][0] == tables[1][0] and np.array_equal(tables[0][1], tables[1][1])
 
     # one roll, two views: the intrinsic file's maps are d_e_pi cf0 times the
     # extrinsic file's rotations, bit for bit, for the bundled non-symmetric control,

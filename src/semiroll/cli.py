@@ -59,6 +59,15 @@ def _load_config(path):
         _fail(f"config is not valid JSON: {exc}")
 
 
+def _model(name):
+    """The model ``name`` looks up; an unknown or malformed one exits with the lookup's message."""
+    try:
+        return get_model(name)
+    except (KeyError, ValueError) as exc:
+        # the message itself: str() of a KeyError quotes it
+        _fail(exc.args[0])
+
+
 def _build_grid(cfg):
     try:
         g = cfg["grid"]
@@ -154,10 +163,7 @@ def cmd_roll(args):
     name = cfg.get("model")
     if not name:
         _fail("config is missing 'model'")
-    try:
-        model = get_model(name)
-    except (KeyError, ValueError) as exc:
-        _fail(str(exc))
+    model = _model(name)
     grid = _build_grid(cfg)
     mode = cfg.get("mode", "extrinsic")
     blocks = _blocks(mode)
@@ -270,10 +276,7 @@ def cmd_verify(args):
     if meta.get("format_version") != FORMAT_VERSION:
         _fail(f"{path}: unsupported format_version {meta.get('format_version')!r}")
 
-    try:
-        model = get_model(meta["model"])
-    except (KeyError, ValueError) as exc:
-        _fail(str(exc))
+    model = _model(meta.get("model"))
     try:
         grid = TimeGrid(float(meta["t0"]), float(meta["t1"]), meta["n_steps"])
     except KeyError as exc:

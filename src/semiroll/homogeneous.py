@@ -198,7 +198,7 @@ class CartanModel:
         Scalar product of the flat ambient space V.
     group_form : SignatureForm
         Form preserved by the group matrices themselves (used to reproject
-        integrated group paths).
+        integrated group paths), of dimension d, refused by name otherwise.
     obar : (N,) array
         The embedded base point, the model's only point: a finite vector,
         refused by name otherwise.
@@ -265,6 +265,9 @@ class CartanModel:
         self.p_indices = tuple(int(i) for i in p_indices)
         if sorted(self.h_indices + self.p_indices) != list(range(self.basis.shape[0])):
             raise ValueError("h_indices and p_indices must partition the basis")
+        if group_form.dim != self.basis.shape[1]:
+            raise ValueError(f"group form has dimension {group_form.dim}, the basis matrices "
+                             f"are {self.basis.shape[1]} x {self.basis.shape[1]}")
         self.form = form
         self.group_form = group_form
         self.obar = np.asarray(obar, dtype=float)

@@ -8,14 +8,15 @@ differential, the embedded base point ``obar``) paired with a named
 equations that refuse a sampled curve off the manifold.  A bundle reads
 every size it needs off the description's form signatures, so a description
 states each fact once; ``build_model`` ignores the ``params`` key of older
-files, takes a ``dtype`` only if it is ``"real"``, and passes the bundle
+files, takes a ``dtype`` only if it is ``"real"``, refuses by name a
+description that is not an object or lacks a field, and passes the bundle
 straight to ``CartanModel``, which derives the random points rho(q) obar
 and the rolling correction (``omega_basis``, zero on a symmetric space)
-itself.  ``get_model`` is the one lookup: it resolves the
-fixed names and the parameterized family names from their generators,
-builds each model once and caches it, and builds and validates a
-description file by path.  A model with a base point of its own is built
-from a description with that ``obar``.  Every model rolls through
+itself.  ``get_model`` is the one lookup: it resolves the fixed names and
+the parameterized family names from their generators, builds each model
+once and caches it, and builds and validates a description file by path,
+naming the file if it is not JSON.  A model with a base point of its own
+is built from a description with that ``obar``.  Every model rolls through
 ``homogeneous``, and a symmetric one also through
 ``hyperbolic.kinematic_roll``.  SU(2) and SU(1,1) are stored as real forms
 r(X) = [[Re X, -Im X], [Im X, Re X]].  The JSON files under ``data/`` are
@@ -67,11 +68,13 @@ _FIXED_DESCRIPTIONS = {
 
 def build_model(desc):
     """Instantiate a CartanModel from a description dictionary."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"model description must be a JSON object, got {type(desc).__name__}")
     version = desc.get("format_version")
     if version != 2:
         raise ValueError(f"unsupported model format_version: {version!r}")
     embedding = desc.get("embedding", "")
-    if not embedding.startswith("builtin:"):
+    if not isinstance(embedding, str) or not embedding.startswith("builtin:"):
         raise ValueError(f"unknown embedding scheme: {embedding!r}")
     key = embedding.split(":", 1)[1]
     if key not in EMBEDDING_BUNDLES:
@@ -79,6 +82,10 @@ def build_model(desc):
     if desc.get("dtype", "real") != "real":
         raise ValueError(f"unsupported basis dtype {desc['dtype']!r}: a basis is real; store "
                          "a complex matrix X as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
+    for required in ("name", "basis", "h_indices", "p_indices", "J_signs", "group_signs",
+                     "obar", "d_e_pi"):
+        if required not in desc:
+            raise ValueError(f"model description is missing {required!r}")
     return CartanModel(
         name=desc["name"],
         basis=np.asarray(desc["basis"], dtype=float),
@@ -125,7 +132,11 @@ def get_model(name):
             return _CACHE[desc["name"]]
         if Path(name).is_file():
             with open(name) as fh:
-                model = build_model(json.load(fh))
+                try:
+                    desc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{name}: model description is not valid JSON: {exc}") from None
+            model = build_model(desc)
             model.validate()
             return model
     raise KeyError(

@@ -779,3 +779,43 @@ def test_an_intrinsic_config_without_a_normal_strategy_rolls(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--in", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "model description must be a JSON object, got list"),
+    (json.dumps({"format_version": 2, "embedding": 5}), "unknown embedding scheme: 5"),
+    (json.dumps({"format_version": 2, "embedding": "builtin:riemann_sphere"}),
+     "model description is missing 'name'"),
+    ("not json", "{path}: model description is not valid JSON: Expecting value: line 1 column 1 "
+                 "(char 0)"),
+], ids=["list", "int_embedding", "no_fields", "not_json"])
+def test_a_malformed_description_file_exits_one_by_name_without_a_traceback(text, message,
+                                                                           tmp_path):
+    desc = tmp_path / "model.json"
+    desc.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "model": str(desc)}))
+    proc = subprocess.run(**_command("roll", "--config", str(cfg)), stdout=subprocess.PIPE,
+                          timeout=300)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err == f"error: {message.format(path=desc)}\n"
+
+
+def test_roll_and_verify_name_an_unknown_model_without_quotes(tmp_path, capsys):
+    from semiroll.models import available_models
+
+    unknown = (f"error: unknown model 'torus'; try one of {available_models()} "
+               "or a description-file path\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_ROLL, "model": "torus"}))
+    assert main(["roll", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == unknown
+    out = tmp_path / "traj.csv"
+    cfg.write_text(json.dumps(_SMALL_ROLL))
+    assert main(["roll", "--config", str(cfg), "--out", str(out)]) == 0
+    out.write_text(out.read_text().replace("# model=sphere", "# model=torus"))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 1
+    assert capsys.readouterr().err == unknown

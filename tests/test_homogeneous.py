@@ -314,13 +314,30 @@ def test_validate_refuses_a_p_metric_that_ad_h_moves():
     (lambda desc: desc.update(dtype="complex"),
      "unsupported basis dtype 'complex': a basis is real; store a complex matrix X as its "
      "real form r(X) = [[Re X, -Im X], [Im X, Re X]]"),
-], ids=["format_version", "no_format_version", "scheme", "bundle", "complex_basis"])
+    (lambda desc: desc.update(embedding=5), "unknown embedding scheme: 5"),
+    (lambda desc: desc.pop("basis"), "model description is missing 'basis'"),
+    (lambda desc: desc.pop("group_signs"), "model description is missing 'group_signs'"),
+    (lambda desc: desc.pop("name"), "model description is missing 'name'"),
+], ids=["format_version", "no_format_version", "scheme", "bundle", "complex_basis",
+        "int_embedding", "no_basis", "no_group_signs", "no_name"])
 def test_a_description_file_with_a_bad_header_is_refused_by_name(edit, message, tmp_path):
     desc = sphere_description()
     edit(desc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        get_model(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps([sphere_description()]), "model description must be a JSON object, got list"),
+    ("not json", "{path}: model description is not valid JSON: Expecting value: line 1 "
+                 "column 1 (char 0)"),
+], ids=["list", "not_json"])
+def test_a_description_file_that_is_no_json_object_is_refused_by_name(text, message, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
         get_model(path)
 
 
