@@ -10,11 +10,14 @@ The embedding flattens X column-major into R^{n^2}, where the invariant form
 has sign pattern kron(j, j) for j the diagonal of J.  The description
 stores the base point P0 as obar = vec(P0); the isotropy algebra is
 {diag(B, P0^{-1} B P0)} and its complement {diag(B, -P0^{-1} B P0)} maps
-onto tangent vectors 2 B P0.  The bundle's
-``constraint`` is X^T J X - J, the group's defining equations.
+onto tangent vectors 2 B P0.  The bundle's ``constraint`` is X^T J X - J, the
+group's defining equations.  Every basis element, here and in the Stiefel
+split, is the generator of one index pair by one rule, ``_pair_basis``.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -29,20 +32,19 @@ __all__ = [
 ]
 
 
-def so_pq_basis(p, q):
-    """Basis of so(p, q): pairs (i, j), i < j, lexicographic.
+def _pair_basis(n, pairs, p):
+    """One n x n generator per ordered index pair (i, j): E_ij - E_ji, or E_ij + E_ji
+    where the pair crosses the sign blocks of diag(I_p, -I_(n-p))."""
+    out = np.zeros((len(pairs), n, n))
+    for a, (i, j) in enumerate(pairs):
+        out[a, i, j] = 1.0
+        out[a, j, i] = 1.0 if (i < p) != (j < p) else -1.0
+    return out
 
-    Same-block pairs give E_ij - E_ji, cross-block pairs E_ij + E_ji.
-    """
-    n = p + q
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            B = np.zeros((n, n))
-            B[i, j] = 1.0
-            B[j, i] = 1.0 if (i < p) != (j < p) else -1.0
-            out.append(B)
-    return np.array(out)
+
+def so_pq_basis(p, q):
+    """Basis of so(p, q): the generators of the pairs (i, j), i < j, lexicographic."""
+    return _pair_basis(p + q, list(combinations(range(p + q), 2)), p)
 
 
 def _block_diag(A, B):

@@ -6,7 +6,9 @@ also its own differential d_e_rho.  The bundle reads n and k off the
 description's forms: n = len(group_signs) and n k = len(J_signs).  The base
 point is obar = vec(E), E the first k columns of the identity; at E the
 tangent space holds matrices (A; B) with A skew and the normal space (S; 0)
-with S symmetric.
+with S symmetric.  The description lists only index pairs, whose generators
+E_ij - E_ji come from ``pseudo_orthogonal._pair_basis``: p is the top block's
+pairs i < j < k, then the lower block's (r, c), r >= k, row-major; h = so(n - k).
 For k >= 2 this is a reductive but NOT symmetric splitting: [p, p] leaks
 into p, so the rolling rotation is the transpose of rho(q) S(t), the lift
 composed with an interpolating-frame correction S(t) solving
@@ -25,12 +27,15 @@ orthonormality of the frame A.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 # the benchmark tracer (perfbench/tracer.py) times the correction under this module's name
 from ..homogeneous import _correction_path  # noqa: F401
 from ..integrate import _integer
 from ..linalg import stacked_kron, stacked_null_spaces
+from .pseudo_orthogonal import _pair_basis
 
 __all__ = [
     "description",
@@ -39,41 +44,22 @@ __all__ = [
 
 
 def description(n, k):
-    """Declarative model data (JSON-serializable).  The p basis, and so a control's
-    coordinates, lists the top block's skew pairs first, then the lower block row-major."""
+    """Declarative model data (JSON-serializable); a control's coordinates follow p's pairs."""
     n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    basis = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            M = np.zeros((n, n))
-            M[i, j] = 1.0
-            M[j, i] = -1.0
-            basis.append(M.tolist())
-    for r in range(n - k):
-        for c in range(k):
-            M = np.zeros((n, n))
-            M[k + r, c] = 1.0
-            M[c, k + r] = -1.0
-            basis.append(M.tolist())
-    dp = len(basis)
-    for i in range(k, n):
-        for j in range(i + 1, n):
-            M = np.zeros((n, n))
-            M[i, j] = 1.0
-            M[j, i] = -1.0
-            basis.append(M.tolist())
-    dh = len(basis) - dp
+    p_pairs = [*combinations(range(k), 2), *((r, c) for r in range(k, n) for c in range(k))]
+    basis = _pair_basis(n, p_pairs + list(combinations(range(k, n), 2)), n)
+    d = len(p_pairs)
     return {
         "format_version": 2,
         "name": f"stiefel_{n}_{k}",
         "J_signs": [1] * (n * k),
         "group_signs": [1] * n,
-        "basis": basis,
-        "h_indices": list(range(dp, dp + dh)),
-        "p_indices": list(range(dp)),
-        "d_e_pi": np.eye(dp).tolist(),
+        "basis": basis.tolist(),
+        "h_indices": list(range(d, len(basis))),
+        "p_indices": list(range(d)),
+        "d_e_pi": np.eye(d).tolist(),
         "obar": np.eye(n, k).T.ravel().tolist(),
         "embedding": "builtin:stiefel",
     }

@@ -10,17 +10,23 @@ for the J-inverse; one column and several, on stacks below and above the 8 N nod
 ``_column_norms`` leaves numpy's reduce for its row loop; rolls, triples and faulted
 paths of every benchmark model for the velocity defect.  The flow's two sides, one body
 in ``integrate._THEN``, and the Newton-Schulz step are pinned by the bit-identity tests
-of ``tests/test_roll_assembly.py``.
+of ``tests/test_roll_assembly.py``.  ``pseudo_orthogonal._pair_basis`` is the one rule
+of an elementary generator E_ij -+ E_ji per index pair, which ``so_pq_basis`` and the
+Stiefel generator apply to their pair lists, where each wrote out its own loops; every
+so(p, q) basis keeps its bits and every generated description its JSON text.
 """
+
+import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from semiroll import rolling
 from semiroll.homogeneous import ControlCurve, extrinsic_roll, intrinsic_roll
 from semiroll.integrate import TimeGrid, fd_derivative
 from semiroll.linalg import SignatureForm, j_transpose_inverse
-from semiroll.models import get_model
+from semiroll.models import get_model, pseudo_orthogonal, stiefel
 from semiroll.rolling import RollingMapPath, no_slip_residual, triple_velocity_residual
 
 MODELS = ("sphere", "hyperboloid", "so_plus_1_2", "so_plus_2_2", "stiefel_3_1", "stiefel_4_2")
@@ -57,6 +63,54 @@ def _triple_velocity_by_maps(triple):
     ahatdot = fd_derivative(triple.alpha_hat, h)
     mapped = np.einsum("kai,ki->ka", triple.maps, adot)
     return np.linalg.norm(ahatdot - mapped, axis=-1)
+
+
+def _so_pq_basis_loop(p, q):
+    n = p + q
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            B = np.zeros((n, n))
+            B[i, j] = 1.0
+            B[j, i] = 1.0 if (i < p) != (j < p) else -1.0
+            out.append(B)
+    return np.array(out)
+
+
+def _stiefel_description_loops(n, k):
+    basis = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            M = np.zeros((n, n))
+            M[i, j] = 1.0
+            M[j, i] = -1.0
+            basis.append(M.tolist())
+    for r in range(n - k):
+        for c in range(k):
+            M = np.zeros((n, n))
+            M[k + r, c] = 1.0
+            M[c, k + r] = -1.0
+            basis.append(M.tolist())
+    dp = len(basis)
+    for i in range(k, n):
+        for j in range(i + 1, n):
+            M = np.zeros((n, n))
+            M[i, j] = 1.0
+            M[j, i] = -1.0
+            basis.append(M.tolist())
+    dh = len(basis) - dp
+    return {
+        "format_version": 2,
+        "name": f"stiefel_{n}_{k}",
+        "J_signs": [1] * (n * k),
+        "group_signs": [1] * n,
+        "basis": basis,
+        "h_indices": list(range(dp, dp + dh)),
+        "p_indices": list(range(dp)),
+        "d_e_pi": np.eye(dp).tolist(),
+        "obar": np.eye(n, k).T.ravel().tolist(),
+        "embedding": "builtin:stiefel",
+    }
 
 
 def _same_bits(a, b):
@@ -157,3 +211,43 @@ def test_the_velocity_defect_keeps_the_bits_of_both_formulas(name, n_steps):
         assert _same_bits(no_slip_residual(p), expected)
         assert _same_bits(no_slip_residual(p, W), expected)
     assert _same_bits(triple_velocity_residual(triple), _triple_velocity_by_maps(triple))
+
+
+# -- the elementary generators: one rule for so(p, q) and the Stiefel split ---------------
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(2, 7) for p in range(n + 1)])
+def test_so_pq_basis_keeps_the_bits_of_its_loop(p, q):
+    got, expected = pseudo_orthogonal.so_pq_basis(p, q), _so_pq_basis_loop(p, q)
+    assert _same_bits(got, expected)
+    assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1)])
+def test_an_empty_so_pq_basis_is_a_stack_of_no_matrices(p, q):
+    # the loop's np.array([]) had shape (0,); the rule keeps the matrix axes
+    assert _so_pq_basis_loop(p, q).shape == (0,)
+    got = pseudo_orthogonal.so_pq_basis(p, q)
+    assert got.dtype == np.float64 and got.shape == (0, p + q, p + q)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, n)])
+def test_the_stiefel_description_keeps_the_json_text_of_its_loops(n, k):
+    assert json.dumps(stiefel.description(n, k)) == json.dumps(_stiefel_description_loops(n, k))
+
+
+def _moved_base_point():
+    X = np.zeros((3, 3))
+    X[0, 1] = X[1, 0] = 0.8
+    X[0, 2] = X[2, 0] = -0.5
+    return expm(X)
+
+
+@pytest.mark.parametrize("p, q, moved", [(p, q, False) for p in range(5) for q in range(5)
+                                         if p + q >= 2] + [(1, 2, True)])
+def test_the_so_pq_description_keeps_the_json_text_of_the_loop_basis(p, q, moved, monkeypatch):
+    base_point = _moved_base_point() if moved else None
+    got = json.dumps(pseudo_orthogonal.description(p, q, base_point))
+    monkeypatch.setattr(pseudo_orthogonal, "so_pq_basis", _so_pq_basis_loop)
+    assert got == json.dumps(pseudo_orthogonal.description(p, q, base_point))
