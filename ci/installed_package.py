@@ -7,8 +7,9 @@ one node into a block read the same arrays from moving copies of the flat frames
 frame-matching rolls, a moved base point and sampled curves (in both modes) roll
 and verify through the installed console script, and so do a description in the
 minimal format and one in the older format with ``params`` and ``dtype``, to equal
-trajectories; the intrinsic file holds d_e_pi cf0 times its extrinsic file's
-rotations and development; a control is read once; a complex
+trajectories, while a description with a mistyped field is refused by name with no
+traceback; a NaN matrix is no oriented isometry; the intrinsic file holds d_e_pi cf0
+times its extrinsic file's rotations and development; a control is read once; a complex
 control and a complex sampled curve are refused; a slipped trajectory
 and a stretched rotation breach, and a config is refused as a trajectory.  Run
 it from a scratch directory, where it writes its configs and trajectories, with
@@ -200,6 +201,33 @@ def main(semiroll):
         subprocess.run([semiroll, "verify", "--in", f"{label}.csv"], check=True)
         tables.append(_read_csv(f"{label}.csv")[1:])
     assert tables[0][0] == tables[1][0] and np.array_equal(tables[0][1], tables[1][1])
+
+    # a description field of the wrong JSON type is refused by its name, exit 1 and no
+    # traceback: an integer where h_indices is a list, and a float index, which a cast
+    # would truncate into a model that rolls
+    float_index = {**minimal, "p_indices": minimal["p_indices"][:-1]
+                   + [minimal["p_indices"][-1] + 0.5]}
+    for label, desc, field in (("int_h_indices", {**minimal, "h_indices": 5}, "h_indices"),
+                               ("float_index", float_index, "p_indices")):
+        with open(f"stiefel_4_2_{label}.json", "w") as fh:
+            json.dump(desc, fh)
+        with open(f"stiefel_4_2_{label}_roll.json", "w") as fh:
+            json.dump({"model": f"stiefel_4_2_{label}.json",
+                       "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 300},
+                       "control": {"kind": "sinusoid", **controls["stiefel_4_2"]}}, fh)
+        proc = subprocess.run([semiroll, "roll", "--config", f"stiefel_4_2_{label}_roll.json"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, (label, proc.returncode)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"error: model description field '{field}' must be a list "
+                                      "of integers, got "), proc.stderr
+
+    # a NaN matrix is no isometry, with the warnings at the runtime default: every
+    # comparison with NaN is False, so the check must not read "residual > tol"
+    from semiroll.linalg import SignatureForm, is_oriented_isometry
+
+    ok, _ = is_oriented_isometry(np.full((3, 3), np.nan), SignatureForm([1, 1, 1]))
+    assert ok is False, ok
 
     # one roll, two views: the intrinsic file's maps are d_e_pi cf0 times the
     # extrinsic file's rotations, bit for bit, for the bundled non-symmetric control,

@@ -34,6 +34,7 @@ import numpy as np
 from .integrate import (
     NotAKnotCubic,
     TimeGrid,
+    _integer,
     _node_blocks,
     dense_from_samples,
     fd_derivative,
@@ -193,7 +194,8 @@ class CartanModel:
         Real Lie algebra basis in the matrix realization.
     h_indices, p_indices : sequences of int
         Index split of the basis into isotropy part and its reductive
-        complement.
+        complement; a bool or non-integral index is refused with a TypeError,
+        not truncated.
     form : SignatureForm
         Scalar product of the flat ambient space V.
     group_form : SignatureForm
@@ -261,8 +263,8 @@ class CartanModel:
         self.basis = np.asarray(basis)
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
             raise ValueError("basis must be a stack of square matrices")
-        self.h_indices = tuple(int(i) for i in h_indices)
-        self.p_indices = tuple(int(i) for i in p_indices)
+        self.h_indices = tuple(_integer(i, "h_indices entry") for i in h_indices)
+        self.p_indices = tuple(_integer(i, "p_indices entry") for i in p_indices)
         if sorted(self.h_indices + self.p_indices) != list(range(self.basis.shape[0])):
             raise ValueError("h_indices and p_indices must partition the basis")
         if group_form.dim != self.basis.shape[1]:
@@ -271,9 +273,13 @@ class CartanModel:
         self.form = form
         self.group_form = group_form
         self.obar = np.asarray(obar, dtype=float)
-        if self.obar.shape != (form.dim,) or not np.all(np.isfinite(self.obar)):
+        if self.obar.shape != (form.dim,):
             raise ValueError(f"obar must be a finite ({form.dim},) vector, got an array of "
                              f"shape {self.obar.shape}")
+        if not np.all(np.isfinite(self.obar)):
+            i = int(np.argmin(np.isfinite(self.obar)))
+            raise ValueError(f"obar must be a finite ({form.dim},) vector, got {self.obar[i]} "
+                             f"at entry {i}")
         self.d_e_pi = np.asarray(d_e_pi, dtype=float)
         self.rho = rho
         self.d_e_rho = d_e_rho

@@ -205,9 +205,12 @@ def is_oriented_isometry(R, form, tol=ORTHOGONALITY_TOL):
     Returns ``(ok, residual)`` where ``residual`` is the J-orthogonality
     defect.  Orientation is checked blockwise: the sub-determinants on the
     plus-sign and minus-sign index blocks must both be positive, which
-    reduces to ``det R > 0`` in the definite case.
+    reduces to ``det R > 0`` in the definite case.  A matrix with a NaN or inf
+    entry is no isometry: ``(False, nan)``, before any product could warn.
     """
     R = _real(R, "is_oriented_isometry input")
+    if not np.all(np.isfinite(R)):
+        return False, float("nan")
     residual = j_orthogonality_residual(R, form)
     if residual > tol:
         return False, residual

@@ -9,14 +9,15 @@ equations that refuse a sampled curve off the manifold.  A bundle reads
 every size it needs off the description's form signatures, so a description
 states each fact once; ``build_model`` ignores the ``params`` key of older
 files, takes a ``dtype`` only if it is ``"real"``, refuses by name a
-description that is not an object or lacks a field, and passes the bundle
-straight to ``CartanModel``, which derives the random points rho(q) obar
-and the rolling correction (``omega_basis``, zero on a symmetric space)
-itself.  ``get_model`` is the one lookup: it resolves the fixed names and
-the parameterized family names from their generators, builds each model
-once and caches it, and builds and validates a description file by path,
-naming the file if it is not JSON.  A model with a base point of its own
-is built from a description with that ``obar``.  Every model rolls through
+description that is not an object, lacks a field or holds one of another
+JSON type (``_FIELDS``), and passes the bundle straight to ``CartanModel``,
+which derives the random points rho(q) obar and the rolling correction
+(``omega_basis``, zero on a symmetric space) itself.  ``get_model`` is the
+one lookup: it resolves the fixed names and the parameterized family names
+from their generators, builds each model once and caches it, and builds and
+validates a description file by path, naming the file if it is not JSON.  A
+model with a base point of its own is built from a description with that
+``obar``.  Every model rolls through
 ``homogeneous``, and a symmetric one also through
 ``hyperbolic.kinematic_roll``.  SU(2) and SU(1,1) are stored as real forms
 r(X) = [[Re X, -Im X], [Im X, Re X]].  The JSON files under ``data/`` are
@@ -27,6 +28,7 @@ they show the file format.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import re
 from pathlib import Path
@@ -82,21 +84,53 @@ def build_model(desc):
     if desc.get("dtype", "real") != "real":
         raise ValueError(f"unsupported basis dtype {desc['dtype']!r}: a basis is real; store "
                          "a complex matrix X as its real form r(X) = [[Re X, -Im X], [Im X, Re X]]")
-    for required in ("name", "basis", "h_indices", "p_indices", "J_signs", "group_signs",
-                     "obar", "d_e_pi"):
-        if required not in desc:
-            raise ValueError(f"model description is missing {required!r}")
-    return CartanModel(
-        name=desc["name"],
-        basis=np.asarray(desc["basis"], dtype=float),
-        h_indices=desc["h_indices"],
-        p_indices=desc["p_indices"],
-        form=SignatureForm(desc["J_signs"]),
-        group_form=SignatureForm(desc["group_signs"]),
-        obar=desc["obar"],
-        d_e_pi=np.asarray(desc["d_e_pi"], dtype=float),
-        **EMBEDDING_BUNDLES[key](desc),
-    )
+    fields = {field: _field(desc, field) for field in _FIELDS}
+    return CartanModel(form=SignatureForm(fields.pop("J_signs")),
+                       group_form=SignatureForm(fields.pop("group_signs")),
+                       **fields, **EMBEDDING_BUNDLES[key](desc))
+
+
+# each field's JSON type: a leaf type under that many lists, as named in a refusal
+_FIELDS = {
+    "name": (str, 0, "a string"),
+    "basis": (numbers.Real, 3, "a list of lists of lists of numbers"),
+    "h_indices": (numbers.Integral, 1, "a list of integers"),
+    "p_indices": (numbers.Integral, 1, "a list of integers"),
+    "J_signs": (numbers.Real, 1, "a list of numbers"),
+    "group_signs": (numbers.Real, 1, "a list of numbers"),
+    "obar": (numbers.Real, 1, "a list of numbers"),
+    "d_e_pi": (numbers.Real, 2, "a list of lists of numbers"),
+}
+
+
+def _stray(value, leaf, depth):
+    """Type name of the first entry of ``value`` that is no ``leaf`` under ``depth`` lists,
+    or None; a bool is no number, as ``integrate._integer`` refuses it for a size."""
+    if depth == 0:
+        return None if isinstance(value, leaf) and not isinstance(value, bool) \
+            else type(value).__name__
+    if not isinstance(value, list):
+        return type(value).__name__
+    return next(filter(None, (_stray(entry, leaf, depth - 1) for entry in value)), None)
+
+
+def _field(desc, key):
+    """Field ``key`` of a description read by its JSON type, numbers as a float array; a
+    missing field, a wrong type and ragged rows are refused by the field's name."""
+    if key not in desc:
+        raise ValueError(f"model description is missing {key!r}")
+    (leaf, depth, kind), value = _FIELDS[key], desc[key]
+    got = _stray(value, leaf, depth)
+    if got is None and leaf is numbers.Real:
+        try:
+            return np.array(value, dtype=float)
+        except ValueError:
+            got = "a ragged list"
+    elif got is None:
+        return value
+    elif depth and isinstance(value, list):
+        got = f"a list holding {got}"
+    raise ValueError(f"model description field {key!r} must be {kind}, got {got}")
 
 
 def _description_for(name):

@@ -68,6 +68,8 @@ def description(p, q, base_point=None):
         P0 = np.eye(n)
     else:
         P0 = np.asarray(base_point, dtype=float)
+        if not np.all(np.isfinite(P0)):
+            raise ValueError("base point contains NaN or inf")
         tol = ORTHOGONALITY_TOL * j_orthogonality_scale(P0)
         ok, res = is_oriented_isometry(P0, form_n, tol)
         if not ok:

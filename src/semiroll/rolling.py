@@ -506,14 +506,18 @@ def invert_rolling(path):
 def compose_rolling(path01, path12):
     """Chain a rolling of M0 on M1 with a rolling of M1 on M2.
 
-    The intermediate curves must agree: path01 develops onto the same curve
-    path12 rolls along.  The composite motion applies path01 first, so the
-    rotations multiply as R12 R01.
+    The intermediate curves must be finite and agree: path01 develops onto the
+    same curve path12 rolls along.  The composite motion applies path01 first,
+    so the rotations multiply as R12 R01.
     """
     if path01.grid != path12.grid:
         raise ValueError("rolling paths live on different grids")
     if path01.form != path12.form:
         raise ValueError("rolling paths use different ambient forms")
+    for what, curve in (("path01's alpha_hat", path01.alpha_hat),
+                        ("path12's alpha", path12.alpha)):
+        if not np.all(np.isfinite(curve)):
+            raise ValueError(f"intermediate contact curve {what} contains NaN or inf")
     mismatch = float(np.max(_node_norms(path01.alpha_hat - path12.alpha)))
     if mismatch > COMPOSE_CURVE_TOL:
         raise ValueError(
@@ -542,14 +546,16 @@ def perturb_normal_generator(path, omega0, tangent_mhat, normal_mhat):
     recomputed so the contact condition is preserved.  Because Lambda
     fixes the development tangent space pointwise, contact, tangency,
     no-slip and tangential no-twist are untouched and only the normal
-    no-twist condition breaks.  A complex ``omega0`` and frame paths of
-    another node count are refused by name.
+    no-twist condition breaks.  A complex or non-finite ``omega0`` and frame
+    paths of another node count are refused by name.
     """
     grid = path.grid
     n = path.form.dim
     if np.shape(omega0) != (n, n):
         raise ValueError(f"omega0 must be one constant ({n}, {n}) matrix")
     omega = _real(omega0, "omega0")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega0 contains NaN or inf")
 
     signs = path.form.signs
     p_tan, _ = _frame_factors(path, tangent_mhat, "normal generator: tangent frame", False)
@@ -609,12 +615,15 @@ def parallel_transport_embedded(frames, v0, form):
 
     Returns ``X @ v0``, X the ``_transport_flow`` of the frames: the
     transported vectors at every node, (n_nodes, N) or (n_nodes, N, c).
-    Complex frames or v0 are refused by name (``linalg._real``).
+    Complex frames or v0 are refused by name (``linalg._real``), and so is a
+    NaN or inf v0.
     """
     frames, v0 = _real(frames, "transport frame"), _real(v0, "v0")
     dim = form.dim
     if v0.ndim not in (1, 2) or v0.shape[0] != dim or v0.size == 0:
         raise ValueError(f"v0 has shape {v0.shape}, expected ({dim},) or ({dim}, c)")
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("v0 contains NaN or inf")
     flow = _transport_flow(frames, form, "transport frame")
 
     block = v0 if v0.ndim == 2 else v0[:, None]

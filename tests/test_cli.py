@@ -803,6 +803,41 @@ def test_a_malformed_description_file_exits_one_by_name_without_a_traceback(text
     assert err == f"error: {message.format(path=desc)}\n"
 
 
+def _last_p_index_plus_half(desc):
+    desc["p_indices"][-1] += 0.5
+
+
+# one field of a stiefel_4_2 description given the wrong JSON type
+@pytest.mark.parametrize("edit, message", [
+    (lambda desc: desc.update(h_indices=5), "'h_indices' must be a list of integers, got int"),
+    (lambda desc: desc.update(basis={"a": 1}),
+     "'basis' must be a list of lists of lists of numbers, got dict"),
+    (_last_p_index_plus_half, "'p_indices' must be a list of integers, got a list holding float"),
+    (lambda desc: desc.update(J_signs="abc"), "'J_signs' must be a list of numbers, got str"),
+    (lambda desc: desc.update(obar="x"), "'obar' must be a list of numbers, got str"),
+    (lambda desc: desc["d_e_pi"][2].pop(),
+     "'d_e_pi' must be a list of lists of numbers, got a ragged list"),
+    (lambda desc: desc.update(name=5), "'name' must be a string, got int"),
+], ids=["int_h_indices", "dict_basis", "float_index", "str_J_signs", "str_obar",
+        "ragged_d_e_pi", "int_name"])
+def test_a_mistyped_description_field_exits_one_by_name_without_a_traceback(edit, message,
+                                                                          tmp_path):
+    desc = json.loads((resources.files("semiroll") / "models" / "data" / "stiefel_4_2.json")
+                      .read_text())
+    edit(desc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(desc))
+    cfg = json.loads((CONFIG_DIR / "stiefel_4_2_intrinsic.json").read_text())
+    cfg["model"] = str(path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    proc = subprocess.run(**_command("roll", "--config", str(config)), stdout=subprocess.PIPE,
+                          timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: model description field {message}\n"
+
+
 def test_roll_and_verify_name_an_unknown_model_without_quotes(tmp_path, capsys):
     from semiroll.models import available_models
 

@@ -318,8 +318,33 @@ def test_validate_refuses_a_p_metric_that_ad_h_moves():
     (lambda desc: desc.pop("basis"), "model description is missing 'basis'"),
     (lambda desc: desc.pop("group_signs"), "model description is missing 'group_signs'"),
     (lambda desc: desc.pop("name"), "model description is missing 'name'"),
+    (lambda desc: desc.update(h_indices=5),
+     "model description field 'h_indices' must be a list of integers, got int"),
+    (lambda desc: desc.update(basis={"a": 1}),
+     "model description field 'basis' must be a list of lists of lists of numbers, got dict"),
+    (lambda desc: desc.update(basis=[[["x"]]]), "model description field 'basis' must be a "
+                                                "list of lists of lists of numbers, got a list "
+                                                "holding str"),
+    (lambda desc: desc.update(p_indices=[1, 2.5]),
+     "model description field 'p_indices' must be a list of integers, got a list holding float"),
+    (lambda desc: desc.update(p_indices=[1, 2.0]),
+     "model description field 'p_indices' must be a list of integers, got a list holding float"),
+    (lambda desc: desc.update(h_indices=[False]),
+     "model description field 'h_indices' must be a list of integers, got a list holding bool"),
+    (lambda desc: desc.update(J_signs="abc"),
+     "model description field 'J_signs' must be a list of numbers, got str"),
+    (lambda desc: desc.update(group_signs=[1, 1, True, 1]), "model description field "
+                                                            "'group_signs' must be a list of "
+                                                            "numbers, got a list holding bool"),
+    (lambda desc: desc.update(obar="x"),
+     "model description field 'obar' must be a list of numbers, got str"),
+    (lambda desc: desc.update(d_e_pi=[[0.5, 0.0], [0.5]]),
+     "model description field 'd_e_pi' must be a list of lists of numbers, got a ragged list"),
+    (lambda desc: desc.update(name=5), "model description field 'name' must be a string, got int"),
 ], ids=["format_version", "no_format_version", "scheme", "bundle", "complex_basis",
-        "int_embedding", "no_basis", "no_group_signs", "no_name"])
+        "int_embedding", "no_basis", "no_group_signs", "no_name", "int_h_indices", "dict_basis",
+        "str_basis_entry", "float_index", "integral_float_index", "bool_index", "str_J_signs",
+        "bool_group_sign", "str_obar", "ragged_d_e_pi", "int_name"])
 def test_a_description_file_with_a_bad_header_is_refused_by_name(edit, message, tmp_path):
     desc = sphere_description()
     edit(desc)
@@ -343,7 +368,7 @@ def test_a_description_file_that_is_no_json_object_is_refused_by_name(text, mess
 
 @pytest.mark.parametrize("obar, message", [
     ([0.0, -1.0], "obar must be a finite (3,) vector, got an array of shape (2,)"),
-    ([0.0, np.nan, 0.0], "obar must be a finite (3,) vector, got an array of shape (3,)"),
+    ([0.0, np.nan, 0.0], "obar must be a finite (3,) vector, got nan at entry 1"),
 ], ids=["shape", "nan"])
 def test_an_obar_that_is_no_finite_ambient_vector_is_refused_by_name(obar, message):
     desc = sphere_description()
@@ -762,6 +787,29 @@ def test_a_rank_deficient_tangent_frame_is_refused():
     desc["basis"][p[1]] = (2.0 * np.array(desc["basis"][p[0]])).tolist()
     with pytest.raises(ValueError, match="^embedded tangent frame is rank deficient at node 0"):
         build_model(desc)
+
+
+def _sphere_model_with_p_indices(p_indices):
+    """The sphere built directly as a CartanModel, its p part listed as ``p_indices``."""
+    desc = sphere_description()
+    return CartanModel(
+        name="sphere", basis=np.array(desc["basis"]), h_indices=desc["h_indices"],
+        p_indices=p_indices, form=SignatureForm(desc["J_signs"]),
+        group_form=SignatureForm(desc["group_signs"]), obar=desc["obar"], d_e_pi=desc["d_e_pi"],
+        **EMBEDDING_BUNDLES["riemann_sphere"](desc))
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0), True],
+                         ids=["float", "integral_float", "numpy_float", "bool"])
+def test_a_cartan_model_refuses_an_index_it_would_truncate(index):
+    with pytest.raises(TypeError, match=f"^p_indices entry must be an integer, got "
+                                        f"{re.escape(repr(index))}$"):
+        _sphere_model_with_p_indices([index, 2])
+
+
+def test_a_cartan_model_takes_numpy_integer_indices_as_ints():
+    model = _sphere_model_with_p_indices(np.arange(1, 3))
+    assert model.p_indices == (1, 2) and all(type(i) is int for i in model.p_indices)
 
 
 @pytest.mark.parametrize("i", range(3))
