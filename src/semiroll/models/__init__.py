@@ -106,10 +106,9 @@ _FIELDS = {
 def _stray(value, leaf, depth):
     """Type name of the first entry of ``value`` that is no ``leaf`` under ``depth`` lists,
     or None; a bool is no number, as ``integrate._integer`` refuses it for a size."""
-    if depth == 0:
-        return None if isinstance(value, leaf) and not isinstance(value, bool) \
-            else type(value).__name__
-    if not isinstance(value, list):
+    if depth == 0 and isinstance(value, leaf) and not isinstance(value, bool):
+        return None
+    if depth == 0 or not isinstance(value, list):
         return type(value).__name__
     return next(filter(None, (_stray(entry, leaf, depth - 1) for entry in value)), None)
 
