@@ -364,7 +364,9 @@ def main(argv=None):
         return code
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so the exit flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: stdout closed before the output was written", file=sys.stderr)
         return 1
     except SystemExit as exc:

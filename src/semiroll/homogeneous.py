@@ -191,7 +191,8 @@ class CartanModel:
     ----------
     name : str
     basis : (m, d, d) array
-        Real Lie algebra basis in the matrix realization.
+        Real Lie algebra basis in the matrix realization; a complex one is
+        refused by name (``linalg._real``), a complex group enters as its real form.
     h_indices, p_indices : sequences of int
         Index split of the basis into isotropy part and its reductive
         complement; a bool or non-integral index is refused with a TypeError,
@@ -260,7 +261,7 @@ class CartanModel:
     def __init__(self, name, basis, h_indices, p_indices, form, group_form,
                  obar, d_e_pi, rho, d_e_rho, constraint, tangent_frame_at):
         self.name = name
-        self.basis = np.asarray(basis)
+        self.basis = _real(basis, "basis")
         if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
             raise ValueError("basis must be a stack of square matrices")
         self.h_indices = tuple(_integer(i, "h_indices entry") for i in h_indices)

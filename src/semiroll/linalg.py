@@ -169,12 +169,15 @@ def _j_gram_defect(R, signs):
 def j_orthogonality_residual(R, form):
     """max |R^T J R - J| of a real matrix, or per matrix of a stack (..., N, N).
 
-    A complex array is refused by name (``_real``).  A single matrix gives a
-    float, a stack an array of its leading shape.
+    A complex array is refused by name (``_real``), and so is a NaN or inf entry,
+    which would give a NaN residual.  A single matrix gives a float, a stack an
+    array of its leading shape.
     """
     R = _real(R, "j_orthogonality_residual input")
     if R.shape[-2:] != (form.dim, form.dim):
         raise ValueError("matrix shape does not match the form")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("j_orthogonality_residual input contains NaN or inf")
     worst = np.max(_j_gram_defect(R, form.signs), axis=(-2, -1))
     return float(worst) if R.ndim == 2 else worst
 

@@ -14,11 +14,11 @@ and the ambient form is diag(-1, 1, 1).  The curve helper
 
     iota(z) = ( (1+|z|^2)/(1-|z|^2), 2 Im z/(1-|z|^2), -2 Re z/(1-|z|^2) ).
 
-The sphere (``sphere.py``), the other rank-one quadric, shares the quadric
-construction held here: ``quadric_description`` (real forms and obar) and
-``quadric_bundle`` (null-space tangent frames and the constraint
-<x, x>_J = +-1, the quadric's fixed level); each model passes its basis,
-obar, rho, d_e_rho and level.
+The sphere (``sphere.py``), the other rank-one quadric, shares
+``quadric_description`` (real forms and obar).  Each bundle is the model's
+rho and d_e_rho plus the one-column level set <x, x>_J = +-1 (the fixed
+level, so a description's obar is checked, not trusted) of
+``pseudo_orthogonal._level_set``: null-space frames and <x, x>_J -+ 1.
 ``kinematic_roll``, also held here, integrates the paper's kinematic
 equations on every symmetric model (the two quadrics, SO+(p, q), V_1(R^n))
 with the one ambient angular velocity Ubar = d_e_rho(U), on the control's
@@ -33,8 +33,9 @@ import numpy as np
 
 from ..homogeneous import _control_curve
 from ..integrate import flow_matrix_ode, integrate_vector
-from ..linalg import j_transpose_inverse, stacked_null_spaces
+from ..linalg import j_transpose_inverse
 from ..rolling import RollingMapPath
+from .pseudo_orthogonal import _level_set
 
 __all__ = [
     "SU11_BASIS",
@@ -44,7 +45,6 @@ __all__ = [
     "adjoint_matrix",
     "embed_hyperbolic",
     "quadric_description",
-    "quadric_bundle",
     "description",
     "bundle",
     "kinematic_roll",
@@ -136,23 +136,6 @@ def quadric_description(name, basis, signs, group_signs, obar, embedding):
     }
 
 
-def quadric_bundle(desc, rho, d_e_rho, level):
-    """Callables of a quadric model: the sphere or the hyperboloid.
-
-    The model supplies its own ``rho`` and ``d_e_rho`` and the quadric's fixed
-    ``level``, so a description's obar is checked against it, not trusted.
-    Both models share the tangent frame at x, the null space of J x, and the
-    constraint <x, x>_J - level.
-    """
-    signs = np.asarray(desc["J_signs"], dtype=float)
-    return {
-        "rho": rho,
-        "d_e_rho": d_e_rho,
-        "tangent_frame_at": lambda x: stacked_null_spaces((signs * np.asarray(x, float))[:, None]),
-        "constraint": lambda x: (np.asarray(x, dtype=float) ** 2 @ signs - level)[:, None],
-    }
-
-
 def description():
     """Declarative model data (JSON-serializable)."""
     return quadric_description("hyperboloid", SU11_BASIS, [-1, 1, 1], [1, -1],
@@ -161,8 +144,9 @@ def description():
 
 def bundle(desc):
     signs = np.asarray(desc["J_signs"], dtype=float)
-    return quadric_bundle(desc, lambda g: adjoint_matrix(g, SU11_BASIS),
-                          lambda X: signs[:, None] * hat(su11_coords(X)), -1.0)
+    return {"rho": lambda g: adjoint_matrix(g, SU11_BASIS),
+            "d_e_rho": lambda X: signs[:, None] * hat(su11_coords(X)),
+            **_level_set(signs, 1, [[-1.0]])}
 
 
 def _kinematic_path(model, grid, coords):

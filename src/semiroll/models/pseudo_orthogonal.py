@@ -10,9 +10,11 @@ The embedding flattens X column-major into R^{n^2}, where the invariant form
 has sign pattern kron(j, j) for j the diagonal of J.  The description
 stores the base point P0 as obar = vec(P0); the isotropy algebra is
 {diag(B, P0^{-1} B P0)} and its complement {diag(B, -P0^{-1} B P0)} maps
-onto tangent vectors 2 B P0.  The bundle's ``constraint`` is X^T J X - J, the
-group's defining equations.  Every basis element, here and in the Stiefel
-split, is the generator of one index pair by one rule, ``_pair_basis``.
+onto tangent vectors 2 B P0; the tangent frame is vec(B_a X).  Two rules serve
+every model.  Each so(p, q) and Stiefel basis element is the generator of one index
+pair, ``_pair_basis``.  Each model is a level set X^T J X = G of n x k matrices,
+``_level_set``: the quadrics (k = 1, G = +-1), the Stiefel manifolds (J = G = I)
+and SO+(p, q) (k = n, G = J), whose ``constraint`` X^T J X - J is the group's equations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..integrate import _integer
 from ..linalg import (ORTHOGONALITY_TOL, SignatureForm, is_oriented_isometry,
-                      j_orthogonality_scale, stacked_kron)
+                      j_orthogonality_scale, stacked_kron, stacked_null_spaces)
 
 __all__ = [
     "so_pq_basis",
@@ -40,6 +42,41 @@ def _pair_basis(n, pairs, p):
         out[a, i, j] = 1.0
         out[a, j, i] = 1.0 if (i < p) != (j < p) else -1.0
     return out
+
+
+def _level_set(signs, k, gram):
+    """``constraint`` and ``tangent_frame_at`` of the level set X^T J X = ``gram`` of n x k
+    matrices X, J = diag(``signs``), for points stored as vec(X), column-major.
+
+    The constraint X^T J X - gram applies the signs to the products X_ic X_id, as a
+    quadric's x^2 @ signs.  The frame, for gram = +-I, is X (E_ij - E_ji) for each
+    i < j < k, then X_perp E_rc, row-major in (r, c), X_perp the null space of (J X)^T.
+    """
+    signs, gram = np.asarray(signs, dtype=float), np.asarray(gram, dtype=float)
+    n = signs.size
+    skew = list(combinations(range(k), 2))
+
+    def constraint(xs):
+        # a C-order reshape of vec(X) gives X^T
+        Xt = np.asarray(xs, dtype=float).reshape(-1, k, n)
+        products = (Xt[:, :, None, :] * Xt[:, None, :, :]).reshape(-1, n)
+        return (products @ signs).reshape(len(Xt), k * k) - gram.ravel()
+
+    def tangent_frame_at(xs):
+        # frames are built as (m, column c, row i, a) and flattened to vec order
+        Xt = np.asarray(xs, dtype=float).reshape(-1, k, n)
+        m = len(Xt)
+        perp = stacked_null_spaces(Xt * signs)
+        out = np.zeros((m, k, n, len(skew) + (n - k) * k))
+        for a, (i, j) in enumerate(skew):
+            out[:, j, :, a] = Xt[:, i, :]
+            out[:, i, :, a] = -Xt[:, j, :]
+        rest = out[..., len(skew):].reshape(m, k, n, n - k, k)  # a view: a splits into (r, c)
+        for c in range(k):
+            rest[:, c, :, :, c] = perp
+        return out.reshape(m, k * n, -1)
+
+    return {"constraint": constraint, "tangent_frame_at": tangent_frame_at}
 
 
 def so_pq_basis(p, q):
@@ -68,6 +105,8 @@ def description(p, q, base_point=None):
         P0 = np.eye(n)
     else:
         P0 = np.asarray(base_point, dtype=float)
+        if P0.shape != (n, n):
+            raise ValueError(f"base point must be a ({n}, {n}) matrix, got shape {P0.shape}")
         if not np.all(np.isfinite(P0)):
             raise ValueError("base point contains NaN or inf")
         tol = ORTHOGONALITY_TOL * j_orthogonality_scale(P0)
@@ -117,11 +156,6 @@ def bundle(desc):
         U2 = X[n:, n:]
         return np.kron(np.eye(n), U1) - np.kron(U2.T, np.eye(n))
 
-    def constraint(xs):
-        # a C-order reshape of vec(X) gives X^T, so X^T J X is Xt J Xt^T
-        Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
-        return (Xt @ (jd[:, None] * np.swapaxes(Xt, 1, 2)) - J).reshape(len(Xt), -1)
-
     def tangent_frame_at(xs):
         # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;
         # column a of the frame is vec(B_a X)
@@ -132,5 +166,5 @@ def bundle(desc):
         "rho": rho,
         "d_e_rho": d_e_rho,
         "tangent_frame_at": tangent_frame_at,
-        "constraint": constraint,
+        "constraint": _level_set(jd, n, J)["constraint"],
     }

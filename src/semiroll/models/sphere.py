@@ -18,18 +18,19 @@ read the Riemann sphere: ``embed_sphere`` is
 
 iota(0) = obar, and ``chart_lift_matrix`` a section: rho(h(z)) obar = iota(z).
 
-The sphere and the hyperboloid share one quadric construction in
-``hyperbolic.py``, which also holds ``real_form``, ``hat`` and ``su2_coords``
-(there ``su11_coords``); this module keeps the SU(2) basis, P, rho, d_e_rho
-and the two curve helpers.
+The sphere shares ``quadric_description``, ``real_form``, ``hat`` and
+``su2_coords`` (there ``su11_coords``) with ``hyperbolic.py``; this module keeps
+the SU(2) basis, P, rho, d_e_rho and the two curve helpers, and its bundle adds
+the level set <x, x> = 1 of ``pseudo_orthogonal._level_set``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hyperbolic import adjoint_matrix, hat, quadric_bundle, quadric_description, real_form
+from .hyperbolic import adjoint_matrix, hat, quadric_description, real_form
 from .hyperbolic import su11_coords as su2_coords
+from .pseudo_orthogonal import _level_set
 
 __all__ = [
     "SU2_BASIS",
@@ -74,8 +75,9 @@ def description():
 
 def bundle(desc):
     P = CHART_CONJUGATOR
-    return quadric_bundle(desc, lambda g: P @ adjoint_matrix(g, SU2_BASIS) @ P.T,
-                          lambda X: hat(P @ su2_coords(X)), 1.0)
+    return {"rho": lambda g: P @ adjoint_matrix(g, SU2_BASIS) @ P.T,
+            "d_e_rho": lambda X: hat(P @ su2_coords(X)),
+            **_level_set(desc["J_signs"], 1, [[1.0]])}
 
 
 def chart_lift_matrix(z):

@@ -21,8 +21,9 @@ nothing for it: ``CartanModel`` derives Omega from ``d_e_rho`` on every
 model (``omega_basis``).  For k = 1, V_1(R^n) = S^{n-1} is a symmetric
 space: Omega vanishes identically and the model is classified symmetric.
 The rolling map itself is assembled by ``homogeneous.extrinsic_roll`` as
-for every other model, and the bundle's ``constraint`` is A^T A - I, the
-orthonormality of the frame A.
+for every other model.  The bundle is rho plus the level set A^T A = I of
+``pseudo_orthogonal._level_set``: the constraint A^T A - I and the frames
+A (E_ij - E_ji), i < j < k, then A_perp E_rc, A_perp the null space of A^T.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 # the benchmark tracer (perfbench/tracer.py) times the correction under this module's name
 from ..homogeneous import _correction_path  # noqa: F401
 from ..integrate import _integer
-from ..linalg import stacked_kron, stacked_null_spaces
-from .pseudo_orthogonal import _pair_basis
+from ..linalg import stacked_kron
+from .pseudo_orthogonal import _level_set, _pair_basis
 
 __all__ = [
     "description",
@@ -72,31 +73,4 @@ def bundle(desc):
     def rho(Q):
         return stacked_kron(np.eye(k), Q)
 
-    def constraint(xs):
-        # a C-order reshape of vec(A) gives A^T
-        At = np.asarray(xs, dtype=float).reshape(-1, k, n)
-        return (At @ np.swapaxes(At, 1, 2) - np.eye(k)).reshape(len(At), -1)
-
-    def tangent_frame_at(xs):
-        # each row of xs is vec(P) column-major, so a C-order reshape gives P^T;
-        # frames are built as (m, column c, row i, a) and flattened to vec order
-        Pt = np.asarray(xs, dtype=float).reshape(-1, k, n)
-        m = Pt.shape[0]
-        Pperp = stacked_null_spaces(Pt)
-        skew_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        out = np.zeros((m, k, n, len(skew_pairs) + (n - k) * k))
-        for a, (i, j) in enumerate(skew_pairs):
-            out[:, j, :, a] = Pt[:, i, :]
-            out[:, i, :, a] = -Pt[:, j, :]
-        a0 = len(skew_pairs)
-        for r in range(n - k):
-            for c in range(k):
-                out[:, c, :, a0 + r * k + c] = Pperp[:, :, r]
-        return out.reshape(m, k * n, -1)
-
-    return {
-        "rho": rho,
-        "d_e_rho": rho,
-        "tangent_frame_at": tangent_frame_at,
-        "constraint": constraint,
-    }
+    return {"rho": rho, "d_e_rho": rho, **_level_set(desc["group_signs"], k, np.eye(k))}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import semiroll
+from semiroll import cli
 from semiroll.cli import _load_trajectory, main
 from semiroll.homogeneous import ControlCurve, extrinsic_roll, model_residual_report
 from semiroll.integrate import TimeGrid
@@ -617,6 +618,31 @@ def test_roll_into_a_pipe_closed_early_exits_one_without_a_traceback(tmp_path):
         assert proc.wait(timeout=300) == 1
     assert "Traceback" not in err
     assert err.startswith("error:")
+
+
+def test_main_into_a_closed_pipe_exits_one_with_the_message_in_process(monkeypatch, capsys):
+    # the same exit as the subprocess tests above, reached in this process, where
+    # stdout is a pipe whose read end is closed before the roll writes to it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["roll", "--config", _cfg("sphere_quarter_equator.json")]) == 1
+        monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert captured.err == "error: stdout closed before the output was written\n"
+    assert captured.out == ""
+
+
+def test_a_command_exit_with_a_non_string_code_passes_through(monkeypatch):
+    # only a message is printed as a refusal; any other exit code is the command's own
+    def exit_three(args):
+        raise SystemExit(3)
+
+    monkeypatch.setattr(cli, "cmd_models", exit_three)
+    with pytest.raises(SystemExit) as exc:
+        main(["models"])
+    assert exc.value.code == 3
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

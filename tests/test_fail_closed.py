@@ -2,9 +2,9 @@
 
 A check written ``value > bound`` passes a NaN, since every comparison with NaN
 is False.  Each site here once let a non-finite input through: the oriented-
-isometry test, the base point of SO+(p, q), the model's ``obar``, the
-composition's intermediate curve, the transport's start vector and the
-normal generator.  Each now refuses it by name or judges it outside the
+isometry test and the J-orthogonality residual, the base point of SO+(p, q),
+the model's ``obar``, the composition's intermediate curve, the transport's
+start vector and the normal generator.  Each now refuses it by name or judges it outside the
 group, and raises no RuntimeWarning, which the suite turns into an error.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from semiroll.homogeneous import ControlCurve, extrinsic_roll
 from semiroll.integrate import TimeGrid
-from semiroll.linalg import SignatureForm, is_oriented_isometry
+from semiroll.linalg import SignatureForm, is_oriented_isometry, j_orthogonality_residual
 from semiroll.models import build_model, get_model, pseudo_orthogonal
 from semiroll.rolling import (RollingMapPath, compose_rolling, invert_rolling,
                               parallel_transport_embedded, perturb_normal_generator)
@@ -41,6 +41,15 @@ def test_is_oriented_isometry_judges_a_non_finite_matrix_outside_the_group(value
     R = np.full((3, 3), value) if where == "everywhere" else np.diag([value, 1.0, 1.0])
     ok, residual = is_oriented_isometry(R, SignatureForm(signs))
     assert ok is False and np.isnan(residual)
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE)
+@pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+def test_j_orthogonality_residual_refuses_a_non_finite_matrix_by_name(value, stacked):
+    R = np.stack([np.eye(3)] * 4) if stacked else np.eye(3)
+    R[(2, 0, 1) if stacked else (0, 1)] = value
+    with _raises("j_orthogonality_residual input contains NaN or inf"):
+        j_orthogonality_residual(R, SignatureForm([1, -1, -1]))
 
 
 @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE)

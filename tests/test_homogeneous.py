@@ -1258,6 +1258,21 @@ def test_a_complex_control_is_refused_not_cast(make, message):
             make(TimeGrid(0.0, 1.0, 10))
 
 
+def test_a_complex_basis_is_refused_not_cast():
+    # the sphere on its basis cast to complex built with only a ComplexWarning, its
+    # d_e_rho dropping the imaginary part; warnings are at the runtime default here
+    model = get_model("sphere")
+    parts = dict(name="sphere", h_indices=model.h_indices, p_indices=model.p_indices,
+                 form=model.form, group_form=model.group_form, obar=model.obar,
+                 d_e_pi=model.d_e_pi, rho=model.rho, d_e_rho=model.d_e_rho,
+                 constraint=model.constraint, tangent_frame_at=model.tangent_frame_at)
+    assert CartanModel(basis=model.basis.tolist(), **parts).basis.dtype == float
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(ValueError, match="^basis must be real, got a complex array$"):
+            CartanModel(basis=model.basis.astype(complex), **parts)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_midpoint_reading_is_refused_by_its_t(bad):
     grid = TimeGrid(0.0, 1.0, 10)

@@ -1,5 +1,7 @@
 """Group manifolds SO+(p, q) rolled inside the full matrix space."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -32,6 +34,14 @@ def test_description_rejects_tiny_or_negative_signatures():
 def test_description_rejects_off_group_base_point():
     with pytest.raises(ValueError):
         description(2, 1, base_point=np.diag([2.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,), (3, 3, 1)])
+def test_description_names_a_base_point_of_the_wrong_shape(shape):
+    base_point = np.eye(*shape[:2]) if len(shape) == 2 else np.zeros(shape)
+    message = rf"^base point must be a \(3, 3\) matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        description(1, 2, base_point)
 
 
 def test_model_dimensions():

@@ -14,6 +14,12 @@ of ``tests/test_roll_assembly.py``.  ``pseudo_orthogonal._pair_basis`` is the on
 of an elementary generator E_ij -+ E_ji per index pair, which ``so_pq_basis`` and the
 Stiefel generator apply to their pair lists, where each wrote out its own loops; every
 so(p, q) basis keeps its bits and every generated description its JSON text.
+``pseudo_orthogonal._level_set`` is the one rule of the level set X^T J X = G, whose
+constraint and frames the quadric bundle, the Stiefel bundle and the SO+(p, q) constraint
+each wrote out.  Their old bodies are kept here: every frame keeps its bits, signed zeros
+included, and so does the quadric constraint <x, x>_J -+ 1.  The Stiefel and SO+(p, q)
+constraints now apply the signs to the products X_ic X_id, as the quadric's x^2 @ signs,
+where they took a stacked matrix product, so they agree within 4 eps max(1, |x|^2).
 """
 
 import json
@@ -25,7 +31,7 @@ from scipy.linalg import expm
 from semiroll import rolling
 from semiroll.homogeneous import ControlCurve, extrinsic_roll, intrinsic_roll
 from semiroll.integrate import TimeGrid, fd_derivative
-from semiroll.linalg import SignatureForm, j_transpose_inverse
+from semiroll.linalg import SignatureForm, j_transpose_inverse, stacked_null_spaces
 from semiroll.models import get_model, pseudo_orthogonal, stiefel
 from semiroll.rolling import RollingMapPath, no_slip_residual, triple_velocity_residual
 
@@ -111,6 +117,56 @@ def _stiefel_description_loops(n, k):
         "obar": np.eye(n, k).T.ravel().tolist(),
         "embedding": "builtin:stiefel",
     }
+
+
+def _quadric_parts(signs, level):
+    signs = np.asarray(signs, dtype=float)
+    return {
+        "tangent_frame_at": lambda x: stacked_null_spaces((signs * np.asarray(x, float))[:, None]),
+        "constraint": lambda x: (np.asarray(x, dtype=float) ** 2 @ signs - level)[:, None],
+    }
+
+
+def _stiefel_parts(n, k):
+    def constraint(xs):
+        At = np.asarray(xs, dtype=float).reshape(-1, k, n)
+        return (At @ np.swapaxes(At, 1, 2) - np.eye(k)).reshape(len(At), -1)
+
+    def tangent_frame_at(xs):
+        Pt = np.asarray(xs, dtype=float).reshape(-1, k, n)
+        m = Pt.shape[0]
+        Pperp = stacked_null_spaces(Pt)
+        skew_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        out = np.zeros((m, k, n, len(skew_pairs) + (n - k) * k))
+        for a, (i, j) in enumerate(skew_pairs):
+            out[:, j, :, a] = Pt[:, i, :]
+            out[:, i, :, a] = -Pt[:, j, :]
+        a0 = len(skew_pairs)
+        for r in range(n - k):
+            for c in range(k):
+                out[:, c, :, a0 + r * k + c] = Pperp[:, :, r]
+        return out.reshape(m, k * n, -1)
+
+    return {"tangent_frame_at": tangent_frame_at, "constraint": constraint}
+
+
+def _so_plus_constraint(p, q):
+    n = p + q
+    jd = np.concatenate([np.ones(p), -np.ones(q)])
+    J = np.diag(jd)
+
+    def constraint(xs):
+        Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
+        return (Xt @ (jd[:, None] * np.swapaxes(Xt, 1, 2)) - J).reshape(len(Xt), -1)
+
+    return constraint
+
+
+LEVEL_SET_REFERENCES = {
+    "sphere": _quadric_parts([1, 1, 1], 1.0),
+    "hyperboloid": _quadric_parts([-1, 1, 1], -1.0),
+    **{f"stiefel_{n}_{k}": _stiefel_parts(n, k) for n, k in ((3, 1), (4, 2), (5, 3), (6, 2))},
+}
 
 
 def _same_bits(a, b):
@@ -251,3 +307,58 @@ def test_the_so_pq_description_keeps_the_json_text_of_the_loop_basis(p, q, moved
     got = json.dumps(pseudo_orthogonal.description(p, q, base_point))
     monkeypatch.setattr(pseudo_orthogonal, "so_pq_basis", _so_pq_basis_loop)
     assert got == json.dumps(pseudo_orthogonal.description(p, q, base_point))
+
+
+# -- the level set X^T J X = G: one rule for the quadrics, Stiefel and SO+(p, q) ---------
+
+
+def _points_off_unit_size(model, m, seed):
+    """``m`` points of ``model`` scaled by factors e^(2 z) off the manifold; past the first,
+    the last is 3 obar, which carries the signed zeros of obar."""
+    rng = np.random.default_rng(seed)
+    points = np.array([model.random_point(rng) for _ in range(m)])
+    points = points * np.exp(2.0 * rng.standard_normal((m, 1)))
+    points[1:][-1:] = 3.0 * model.obar
+    return points
+
+
+def _sizes(model):
+    return (1, 8 * model.ambient_dim - 1, 2001)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_SET_REFERENCES))
+def test_level_set_frames_keep_the_bits_of_the_bundles_they_replace(name):
+    model, reference = get_model(name), LEVEL_SET_REFERENCES[name]
+    for m in _sizes(model):
+        points = _points_off_unit_size(model, m, m)
+        got, expected = model.tangent_frame_at(points), reference["tangent_frame_at"](points)
+        assert _same_bits(got, expected) and got.tobytes() == expected.tobytes(), m
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), m
+        assert got.flags.c_contiguous, m
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperboloid"])
+def test_the_quadric_level_set_constraint_keeps_its_bits(name):
+    model, reference = get_model(name), LEVEL_SET_REFERENCES[name]
+    for m in _sizes(model):
+        points = _points_off_unit_size(model, m, m)
+        got, expected = model.constraint(points), reference["constraint"](points)
+        assert _same_bits(got, expected) and got.tobytes() == expected.tobytes(), m
+
+
+MATRIX_LEVEL_SETS = {
+    **{name: LEVEL_SET_REFERENCES[name]["constraint"]
+       for name in LEVEL_SET_REFERENCES if name.startswith("stiefel")},
+    **{f"so_plus_{p}_{q}": _so_plus_constraint(p, q) for p, q in ((1, 2), (2, 2), (3, 1))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_LEVEL_SETS))
+def test_the_matrix_level_set_constraints_agree_within_rounding(name):
+    model, reference = get_model(name), MATRIX_LEVEL_SETS[name]
+    for m in _sizes(model):
+        points = _points_off_unit_size(model, m, m)
+        got, expected = model.constraint(points), reference(points)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        scale = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.sum(points * points, axis=1))
+        assert np.all(np.abs(got - expected) <= scale[:, None]), m

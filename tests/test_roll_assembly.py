@@ -341,8 +341,12 @@ def _scan_reference(factors, X0, side):
 
 
 def _node_check_reference(nodes, grid, form):
-    """The node check on every node's residual: absolute, then relative to the node's scale."""
-    residual = j_orthogonality_residual(nodes, form)
+    """The node check on every node's residual: absolute, then relative to the node's scale.
+
+    The residuals are ``j_orthogonality_residual``'s whole-array expression, which reads
+    NaN on an overflowed node where that function refuses a non-finite stack."""
+    gram = np.swapaxes(nodes, 1, 2) @ (form.signs[:, None] * nodes) - np.diag(form.signs)
+    residual = np.max(np.abs(gram), axis=(1, 2))
     if not np.max(residual) <= REPROJECT_TOL:
         residual = residual / j_orthogonality_scale(nodes)
     worst = int(np.argmax(residual))
