@@ -287,13 +287,16 @@ def stacked_null_spaces(rows):
     over the stack and applied in reverse to ``[0; I_{N-k}]``.  LAPACK's SVD
     (``dgesdd``) takes this same LQ step first where N >= int(11 k / 6), so there,
     as on every model's frames and ``normal0``, the basis equals scipy's
-    ``null_space``, signs included; elsewhere it spans the same space.  The
+    ``null_space``, signs included; elsewhere it spans the same space.  A square
+    stack (k = N) has an empty (m, N, 0) basis and takes no reflection.  The
     result is a new C-ordered array; NaN or inf rows are refused.
     """
     rows = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(rows)):
         raise ValueError("null-space rows contain NaN or inf")
     m, k, N = rows.shape
+    if k == N:
+        return np.zeros((m, N, 0))
     A = np.swapaxes(rows, 1, 2).copy()
     reflectors = []
     for j in range(k):

@@ -7,7 +7,7 @@ differential, the embedded base point ``obar``) paired with a named
 ``d_e_rho``, ``tangent_frame_at`` and ``constraint``, the defining
 equations that refuse a sampled curve off the manifold.  Every model is a
 level set X^T J X = G, and one rule, ``pseudo_orthogonal._level_set``, gives
-each its constraint and (but SO+(p, q)) its tangent frames.  A bundle reads
+each its constraint and its tangent frames.  A bundle reads
 every size it needs off the description's form signatures, so a description
 states each fact once; ``build_model`` ignores the ``params`` key of older
 files, takes a ``dtype`` only if it is ``"real"``, refuses by name a

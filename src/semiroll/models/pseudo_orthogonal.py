@@ -10,11 +10,12 @@ The embedding flattens X column-major into R^{n^2}, where the invariant form
 has sign pattern kron(j, j) for j the diagonal of J.  The description
 stores the base point P0 as obar = vec(P0); the isotropy algebra is
 {diag(B, P0^{-1} B P0)} and its complement {diag(B, -P0^{-1} B P0)} maps
-onto tangent vectors 2 B P0; the tangent frame is vec(B_a X).  Two rules serve
-every model.  Each so(p, q) and Stiefel basis element is the generator of one index
-pair, ``_pair_basis``.  Each model is a level set X^T J X = G of n x k matrices,
-``_level_set``: the quadrics (k = 1, G = +-1), the Stiefel manifolds (J = G = I)
-and SO+(p, q) (k = n, G = J), whose ``constraint`` X^T J X - J is the group's equations.
+onto tangent vectors 2 B P0.  Two rules serve every model.  Each so(p, q) and
+Stiefel basis element is the generator of one index pair, ``_pair_basis``.  Each
+model is a level set X^T J X = G of n x k matrices, ``_level_set``, which gives its
+``constraint`` and its tangent frame: the quadrics (k = 1, G = +-1), the Stiefel
+manifolds (J = G = I) and SO+(p, q) (k = n, G = J), whose ``constraint`` X^T J X - J
+is the group's equations and whose frame is vec(X K_a), K_a the so(p, q) basis.
 """
 
 from __future__ import annotations
@@ -49,11 +50,13 @@ def _level_set(signs, k, gram):
     matrices X, J = diag(``signs``), for points stored as vec(X), column-major.
 
     The constraint X^T J X - gram applies the signs to the products X_ic X_id, as a
-    quadric's x^2 @ signs.  The frame, for gram = +-I, is X (E_ij - E_ji) for each
-    i < j < k, then X_perp E_rc, row-major in (r, c), X_perp the null space of (J X)^T.
+    quadric's x^2 @ signs.  The frame, for any diagonal sign Gram g, is X K_ij for each
+    i < j < k, K_ij = E_ij - g_i g_j E_ji the g-skew generator of the pair (``_pair_basis``),
+    then X_perp E_rc, row-major in (r, c), X_perp the null space of (J X)^T.
     """
     signs, gram = np.asarray(signs, dtype=float), np.asarray(gram, dtype=float)
     n = signs.size
+    g = np.diag(gram)
     skew = list(combinations(range(k), 2))
 
     def constraint(xs):
@@ -70,7 +73,7 @@ def _level_set(signs, k, gram):
         out = np.zeros((m, k, n, len(skew) + (n - k) * k))
         for a, (i, j) in enumerate(skew):
             out[:, j, :, a] = Xt[:, i, :]
-            out[:, i, :, a] = -Xt[:, j, :]
+            out[:, i, :, a] = -g[i] * g[j] * Xt[:, j, :]
         rest = out[..., len(skew):].reshape(m, k, n, n - k, k)  # a view: a splits into (r, c)
         for c in range(k):
             rest[:, c, :, :, c] = perp
@@ -142,7 +145,6 @@ def bundle(desc):
     n = len(desc["group_signs"]) // 2
     jd = np.asarray(desc["group_signs"][:n], dtype=float)
     J = np.diag(jd)
-    skew = so_pq_basis(int(np.sum(jd > 0)), int(np.sum(jd < 0)))
 
     def rho(g):
         g = np.asarray(g)
@@ -156,15 +158,4 @@ def bundle(desc):
         U2 = X[n:, n:]
         return np.kron(np.eye(n), U1) - np.kron(U2.T, np.eye(n))
 
-    def tangent_frame_at(xs):
-        # each row of xs is vec(X) column-major, so a C-order reshape gives X^T;
-        # column a of the frame is vec(B_a X)
-        Xt = np.asarray(xs, dtype=float).reshape(-1, n, n)
-        return np.einsum("ail,kjl->kjia", skew, Xt).reshape(-1, n * n, skew.shape[0])
-
-    return {
-        "rho": rho,
-        "d_e_rho": d_e_rho,
-        "tangent_frame_at": tangent_frame_at,
-        "constraint": _level_set(jd, n, J)["constraint"],
-    }
+    return {"rho": rho, "d_e_rho": d_e_rho, **_level_set(jd, n, J)}

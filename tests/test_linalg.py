@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from semiroll import linalg
 from semiroll.linalg import (
     RigidMotion,
     SignatureForm,
@@ -290,6 +291,20 @@ def test_null_space_of_zero_columns_below_the_pivot_is_finite_and_orthonormal(ro
 def test_null_space_of_a_square_stack_is_empty(k, N):
     rows = np.random.default_rng(k).standard_normal((5, k, N))
     assert stacked_null_spaces(rows).shape == (5, N, 0)
+
+
+def test_null_space_of_a_full_rank_square_stack_takes_no_reflection(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a square stack took a Householder reflection")
+
+    monkeypatch.setattr(linalg, "_householder", refuse)
+    monkeypatch.setattr(linalg, "_reflect", refuse)
+    rows = np.array([np.eye(4), 2.0 * np.eye(4)[::-1], np.diag([1.0, 1.0, -1.0, -1.0])])
+    basis = stacked_null_spaces(rows)
+    assert basis.shape == (3, 4, 0)
+    rows[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="^null-space rows contain NaN or inf$"):
+        stacked_null_spaces(rows)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

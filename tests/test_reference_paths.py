@@ -338,7 +338,7 @@ def _stiefel_frame(x, n, k):
 def _so_pq_frame(x, p, q):
     n = p + q
     X = x.reshape((n, n), order="F")
-    return np.column_stack([(B @ X).flatten(order="F") for B in so_pq_basis(p, q)])
+    return np.column_stack([(X @ K).flatten(order="F") for K in so_pq_basis(p, q)])
 
 
 REFERENCE_FRAMES = {
